@@ -194,26 +194,41 @@ type inAssembly struct {
 	gotEncl  []charlotte.EndRef
 }
 
+// counterSet names the binding's per-process counters; each process
+// gets one block of them (obs.Metrics.ProcCounters).
+var counterSet = obs.NewCounterSet(
+	obs.MBindKernelSends,
+	obs.MUnwantedReceives,
+	obs.MRetries,
+	obs.MForbids,
+	obs.MAllows,
+	obs.MGoaheads,
+	obs.MEncPackets,
+	obs.MDroppedReplies,
+	obs.MResentRequests,
+	obs.MFailedCancels,
+)
+
 // New creates the binding for one LYNX process hosted on the given
 // Charlotte kernel process. bufCap is the maximum message size.
 func New(env *sim.Env, kp *charlotte.Process, bufCap int) *Transport {
 	rec := kp.Kernel().Obs()
-	id := kp.ID()
+	b := rec.ProcCounters(counterSet, kp.ID())
 	return &Transport{
 		env: env,
 		kp:  kp,
 		rec: rec,
 		c: counters{
-			kernelSends:    rec.ProcCounter(obs.MBindKernelSends, id),
-			unwanted:       rec.ProcCounter(obs.MUnwantedReceives, id),
-			retries:        rec.ProcCounter(obs.MRetries, id),
-			forbids:        rec.ProcCounter(obs.MForbids, id),
-			allows:         rec.ProcCounter(obs.MAllows, id),
-			goaheads:       rec.ProcCounter(obs.MGoaheads, id),
-			encPackets:     rec.ProcCounter(obs.MEncPackets, id),
-			droppedReplies: rec.ProcCounter(obs.MDroppedReplies, id),
-			resentRequests: rec.ProcCounter(obs.MResentRequests, id),
-			failedCancels:  rec.ProcCounter(obs.MFailedCancels, id),
+			kernelSends:    b.Counter(obs.MBindKernelSends),
+			unwanted:       b.Counter(obs.MUnwantedReceives),
+			retries:        b.Counter(obs.MRetries),
+			forbids:        b.Counter(obs.MForbids),
+			allows:         b.Counter(obs.MAllows),
+			goaheads:       b.Counter(obs.MGoaheads),
+			encPackets:     b.Counter(obs.MEncPackets),
+			droppedReplies: b.Counter(obs.MDroppedReplies),
+			resentRequests: b.Counter(obs.MResentRequests),
+			failedCancels:  b.Counter(obs.MFailedCancels),
 		},
 		ends:   make(map[charlotte.EndRef]*endState),
 		bufCap: bufCap,

@@ -175,24 +175,36 @@ type outRec struct {
 	encl []*endState
 }
 
+// counterSet names the binding's per-process counters; each process
+// gets one block of them (obs.Metrics.ProcCounters).
+var counterSet = obs.NewCounterSet(
+	obs.MNotices,
+	obs.MStaleNotices,
+	obs.MFlagRescans,
+	obs.MLinkMoves,
+	obs.MRejections,
+	obs.MLostNotices,
+	obs.MTornNameReads,
+)
+
 // New creates the binding for one LYNX process. The process's dual queue
 // and event block are allocated immediately (boot-time, uncharged).
 func New(env *sim.Env, k *chrysalis.Kernel, kp *chrysalis.Process, bufCap int) *Transport {
 	rec := k.Obs()
-	id := kp.ID()
+	b := rec.ProcCounters(counterSet, kp.ID())
 	tr := &Transport{
 		env: env,
 		k:   k,
 		kp:  kp,
 		rec: rec,
 		c: counters{
-			notices:       rec.ProcCounter(obs.MNotices, id),
-			staleNotices:  rec.ProcCounter(obs.MStaleNotices, id),
-			flagRescans:   rec.ProcCounter(obs.MFlagRescans, id),
-			moves:         rec.ProcCounter(obs.MLinkMoves, id),
-			rejections:    rec.ProcCounter(obs.MRejections, id),
-			lostNotices:   rec.ProcCounter(obs.MLostNotices, id),
-			tornNameReads: rec.ProcCounter(obs.MTornNameReads, id),
+			notices:       b.Counter(obs.MNotices),
+			staleNotices:  b.Counter(obs.MStaleNotices),
+			flagRescans:   b.Counter(obs.MFlagRescans),
+			moves:         b.Counter(obs.MLinkMoves),
+			rejections:    b.Counter(obs.MRejections),
+			lostNotices:   b.Counter(obs.MLostNotices),
+			tornNameReads: b.Counter(obs.MTornNameReads),
 		},
 		bufCap: bufCap,
 		ends:   make(map[EndID]*endState),

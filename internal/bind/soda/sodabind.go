@@ -140,6 +140,26 @@ type counters struct {
 	pairLimitRetries *obs.Counter
 }
 
+// counterSet names the binding's per-process counters; each process
+// gets one block of them (obs.Metrics.ProcCounters).
+var counterSet = obs.NewCounterSet(
+	obs.MPuts,
+	obs.MAccepts,
+	obs.MSavedRequests,
+	obs.MRejectedReplies,
+	obs.MMovedForwards,
+	obs.MHintFixes,
+	obs.MHintHits,
+	obs.MHintMisses,
+	obs.MDiscovers,
+	obs.MFreezes,
+	obs.MFreezeHalts,
+	obs.MFrozenTimeNs,
+	obs.MLinkMoves,
+	obs.MCacheEvictions,
+	obs.MPairLimitRetries,
+)
+
 // Config tunes the hint machinery.
 type Config struct {
 	// BufCap is the maximum LYNX message size.
@@ -269,7 +289,7 @@ type pendingSend struct {
 // New creates the binding for one LYNX process on the given SODA node.
 func New(env *sim.Env, kernel *soda.Kernel, kp *soda.Process, cfg Config) *Transport {
 	rec := kernel.Obs()
-	id := int(kp.ID())
+	b := rec.ProcCounters(counterSet, int(kp.ID()))
 	tr := &Transport{
 		env:    env,
 		kernel: kernel,
@@ -277,21 +297,21 @@ func New(env *sim.Env, kernel *soda.Kernel, kp *soda.Process, cfg Config) *Trans
 		cfg:    cfg,
 		rec:    rec,
 		c: counters{
-			puts:             rec.ProcCounter(obs.MPuts, id),
-			accepts:          rec.ProcCounter(obs.MAccepts, id),
-			savedRequests:    rec.ProcCounter(obs.MSavedRequests, id),
-			rejectedReplies:  rec.ProcCounter(obs.MRejectedReplies, id),
-			movedForwards:    rec.ProcCounter(obs.MMovedForwards, id),
-			hintFixes:        rec.ProcCounter(obs.MHintFixes, id),
-			hintHits:         rec.ProcCounter(obs.MHintHits, id),
-			hintMisses:       rec.ProcCounter(obs.MHintMisses, id),
-			discovers:        rec.ProcCounter(obs.MDiscovers, id),
-			freezes:          rec.ProcCounter(obs.MFreezes, id),
-			freezeHalts:      rec.ProcCounter(obs.MFreezeHalts, id),
-			frozenNs:         rec.ProcCounter(obs.MFrozenTimeNs, id),
-			linkMoves:        rec.ProcCounter(obs.MLinkMoves, id),
-			cacheEvictions:   rec.ProcCounter(obs.MCacheEvictions, id),
-			pairLimitRetries: rec.ProcCounter(obs.MPairLimitRetries, id),
+			puts:             b.Counter(obs.MPuts),
+			accepts:          b.Counter(obs.MAccepts),
+			savedRequests:    b.Counter(obs.MSavedRequests),
+			rejectedReplies:  b.Counter(obs.MRejectedReplies),
+			movedForwards:    b.Counter(obs.MMovedForwards),
+			hintFixes:        b.Counter(obs.MHintFixes),
+			hintHits:         b.Counter(obs.MHintHits),
+			hintMisses:       b.Counter(obs.MHintMisses),
+			discovers:        b.Counter(obs.MDiscovers),
+			freezes:          b.Counter(obs.MFreezes),
+			freezeHalts:      b.Counter(obs.MFreezeHalts),
+			frozenNs:         b.Counter(obs.MFrozenTimeNs),
+			linkMoves:        b.Counter(obs.MLinkMoves),
+			cacheEvictions:   b.Counter(obs.MCacheEvictions),
+			pairLimitRetries: b.Counter(obs.MPairLimitRetries),
 		},
 		ends:        make(map[soda.Name]*endState),
 		moveCache:   make(map[soda.Name]soda.ProcID),

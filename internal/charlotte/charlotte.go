@@ -173,6 +173,8 @@ type Kernel struct {
 
 	rec   *obs.Recorder
 	calls map[string]*obs.Counter // kernel-call name -> counter handle
+	// Instrument handles, resolved once so hot paths skip the registry.
+	cDestroys, cMessages, cBytes, cEnclosures *obs.Counter
 }
 
 // kgroup is one partition group of the kernel: the shard env its
@@ -206,23 +208,22 @@ func (g *kgroup) findLink(id int) (*link, bool) {
 
 // NewKernel creates a Charlotte kernel over the given network model.
 func NewKernel(env *sim.Env, net netsim.Network, costs calib.CharlotteCosts) *Kernel {
+	rec := obs.NewRecorder(env, "charlotte")
 	k := &Kernel{
-		env:   env,
-		net:   net,
-		costs: costs,
-		links: make(map[int]*link),
-		rec:   obs.NewRecorder(env, "charlotte"),
-		calls: make(map[string]*obs.Counter),
+		env:         env,
+		net:         net,
+		costs:       costs,
+		links:       make(map[int]*link),
+		rec:         rec,
+		calls:       make(map[string]*obs.Counter),
+		cDestroys:   rec.Counter(obs.MLinkDestroys),
+		cMessages:   rec.Counter(obs.MKernelMessages),
+		cBytes:      rec.Counter(obs.MKernelBytes),
+		cEnclosures: rec.Counter(obs.MEnclosureMoves),
 	}
 	k.def = &kgroup{k: k, idx: -1, env: env, net: net, links: k.links, nextLink: 1, nextPID: 1, stride: 1}
-	// Pre-create every instrument touched mid-run: the metrics registry
-	// is unlocked, so lazily inserting from concurrently executing
-	// groups would race on the name map.
 	for _, what := range []string{"MakeLink", "Send", "Receive", "Cancel", "Wait", "Destroy"} {
-		k.calls[what] = k.rec.Counter(obs.MKernelCalls + "{call=" + what + "}")
-	}
-	for _, name := range []string{obs.MLinkDestroys, obs.MKernelMessages, obs.MKernelBytes, obs.MEnclosureMoves} {
-		k.rec.Counter(name)
+		k.calls[what] = rec.Counter(obs.MKernelCalls + "{call=" + what + "}")
 	}
 	return k
 }
@@ -636,7 +637,7 @@ func (pr *Process) Terminate() {
 // keep resolving to Destroyed).
 func (k *Kernel) destroyLink(g *kgroup, l *link) {
 	l.destroyed = true
-	k.rec.Counter(obs.MLinkDestroys).Inc()
+	k.cDestroys.Inc()
 	if k.rec.Active() {
 		k.rec.EmitEnv(g.env, obs.Event{Kind: obs.KindLinkDestroy, Link: l.id})
 	}
@@ -776,8 +777,8 @@ func (k *Kernel) deliver(g *kgroup, l *link, sendEnd EndRef) {
 		n = ract.capacity
 		data = data[:n]
 	}
-	k.rec.Counter(obs.MKernelMessages).Inc()
-	k.rec.Counter(obs.MKernelBytes).Add(int64(n))
+	k.cMessages.Inc()
+	k.cBytes.Add(int64(n))
 	if k.rec.Active() {
 		k.rec.EmitEnv(g.env, obs.Event{
 			Kind: obs.KindKernelDeliver, Proc: sender.id, Peer: receiver.id,
@@ -796,7 +797,7 @@ func (k *Kernel) deliver(g *kgroup, l *link, sendEnd EndRef) {
 			}
 			ees.owner = receiver
 			receiver.ends[act.enclosure] = true
-			k.rec.Counter(obs.MEnclosureMoves).Inc()
+			k.cEnclosures.Inc()
 			if k.rec.Active() {
 				k.rec.EmitEnv(g.env, obs.Event{
 					Kind: obs.KindLinkMove, Proc: sender.id, Peer: receiver.id,

@@ -22,6 +22,10 @@ type End struct {
 	deadErr error
 	// moving is set while the end is enclosed in an in-flight message.
 	moving bool
+	// killed is set when the end's link died under it and the process
+	// dropped it from its end table (dropKilled): the program still owns
+	// the dead end, so enclosing it reports ErrLinkDestroyed.
+	killed bool
 
 	// Outbound stop-and-wait queues: the head record of each is in
 	// flight at the transport; the rest wait their turn.

@@ -69,7 +69,7 @@ func (t *Thread) validateEnclosures(onEnd *End, links []*End) ([]TransEnd, error
 		if enc.pr != pr {
 			return nil, ErrNotOwner
 		}
-		if _, ok := pr.ends[enc.te]; !ok {
+		if _, ok := pr.ends[enc.te]; !ok && !enc.killed {
 			return nil, ErrNotOwner
 		}
 		if enc == onEnd {

@@ -46,14 +46,16 @@ type Process struct {
 
 	ends         map[TransEnd]*End
 	endOrder     []TransEnd // creation order, for seed-stable exit teardown
+	dropped      []TransEnd // ends dropped since endOrder was last compacted
 	events       eventQueue
 	pendingSends map[uint64]*sendRecord
 	pendingWakes []pendingWake
 	nextSeq      uint64
 	nextTag      uint64
 
-	dead  bool
-	stats Stats
+	dead   bool
+	stats  Stats
+	onExit func()
 
 	rec       *obs.Recorder  // nil when the transport is unobserved
 	blockHist *obs.Histogram // proc_block_ns: time parked at the block point
@@ -86,6 +88,7 @@ func NewProcess(env *sim.Env, name string, tr Transport, costs calib.LynxRuntime
 		p.OnKill(func() {
 			pr.dead = true
 			pr.tr.Shutdown()
+			pr.exited()
 		})
 		pr.dispatch(p)
 	})
@@ -227,6 +230,20 @@ func (pr *Process) dispatch(p *sim.Proc) {
 	}
 	pr.tr.Shutdown()
 	pr.env.Trace("lynx", "%s exits", pr.name)
+	pr.exited()
+}
+
+// OnExit registers fn to run once when the process ends, by orderly
+// exit or crash, after its transport has shut down. It runs on the
+// process's own simproc; register it before the process first runs.
+func (pr *Process) OnExit(fn func()) { pr.onExit = fn }
+
+// exited runs the OnExit hook, at most once.
+func (pr *Process) exited() {
+	if fn := pr.onExit; fn != nil {
+		pr.onExit = nil
+		fn()
+	}
 }
 
 // idle reports whether the process has no further work and should
@@ -382,6 +399,7 @@ func (pr *Process) handleEvent(ev Event) {
 			return
 		}
 		pr.killEnd(e, ev.Err)
+		pr.dropKilled(e)
 	case EvTick:
 		// Internal wakeup; the work is in pendingWakes.
 	}
@@ -530,6 +548,7 @@ func (pr *Process) finishSend(rec *sendRecord, delivered bool) {
 		for _, enc := range rec.encl {
 			if enc.moving {
 				delete(pr.ends, enc.te)
+				enc.killed = false
 			}
 		}
 		if rec.msg.Kind == KindReply {
@@ -602,6 +621,35 @@ func (pr *Process) unmoveEnclosures(rec *sendRecord) {
 			enc.moving = false
 		}
 	}
+}
+
+// dropKilled forgets an end whose link died under it: the end table no
+// longer holds it, so a long-lived process does not accumulate one End
+// per link it ever had. A dead end never comes back to life, so its
+// endOrder entries can go too; they are swept out in batches once the
+// dropped ends make up half the list, which keeps the exit teardown's
+// Destroy sequence unchanged.
+func (pr *Process) dropKilled(e *End) {
+	delete(pr.ends, e.te)
+	e.killed = true
+	pr.dropped = append(pr.dropped, e.te)
+	if len(pr.dropped) < 16 || 2*len(pr.dropped) < len(pr.endOrder) {
+		return
+	}
+	gone := make(map[TransEnd]bool, len(pr.dropped))
+	for _, te := range pr.dropped {
+		gone[te] = true
+	}
+	keep := pr.endOrder[:0]
+	for _, te := range pr.endOrder {
+		if _, live := pr.ends[te]; live || !gone[te] {
+			keep = append(keep, te)
+		}
+	}
+	clear(pr.endOrder[len(keep):])
+	pr.endOrder = keep
+	clear(pr.dropped)
+	pr.dropped = pr.dropped[:0]
 }
 
 // killEnd marks an end dead and raises exceptions in every thread

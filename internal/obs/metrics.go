@@ -1,8 +1,8 @@
 package obs
 
 import (
-	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -209,20 +209,27 @@ func bucketBounds(i int) (lo, hi int64) {
 	return 1 << (i - 1), 1 << i
 }
 
-// Metrics is a registry of named counters and histograms. Instrument
-// updates are atomic (parallel shard envs increment shared instruments
-// concurrently), and the name→instrument maps are guarded by a
-// read-write lock so instruments may also be created mid-run — a
-// process launched into a running partition allocates its per-process
-// counters while other shards execute. Kernels still pre-create their
-// fixed-name instruments (the lock's fast path is a read lock, but
-// setup-time creation keeps hot paths on cached handles). The nil
-// *Metrics hands out nil (no-op) instruments, which is the cheap
-// default the instrumentation relies on.
+// Metrics is a registry of named counters and histograms, plus blocks
+// of per-process counters (ProcCounters) that are stored unnamed and
+// read back under their ProcKey names. Instrument updates are atomic
+// (parallel shard envs increment shared instruments concurrently), and
+// the registry's tables are guarded by a read-write lock so instruments
+// may also be created mid-run — a process launched into a running
+// partition allocates its per-process counters while other shards
+// execute. Kernels resolve their fixed-name instruments once, at
+// construction, so hot paths stay on cached handles. The nil *Metrics
+// hands out nil (no-op) instruments, which is the cheap default the
+// instrumentation relies on.
 type Metrics struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	hists    map[string]*Histogram
+	// blocks are the per-process counter blocks, in creation order.
+	// index maps blocks[:indexed] by key for Merge; it exists only in
+	// registries that have been merged into.
+	blocks  []procBlock
+	index   map[blockKey]int
+	indexed int
 }
 
 // NewMetrics creates an empty registry.
@@ -274,21 +281,14 @@ func (m *Metrics) Histogram(name string) *Histogram {
 	return h
 }
 
-// ProcKey derives the per-process variant of a metric name, e.g.
-// ProcKey("unwanted_receives_total", 3) = "unwanted_receives_total{proc=3}".
-func ProcKey(name string, proc int) string {
-	return fmt.Sprintf("%s{proc=%d}", name, proc)
-}
-
 // Value returns the named counter's value without creating it.
 func (m *Metrics) Value(name string) int64 {
 	if m == nil {
 		return 0
 	}
 	m.mu.RLock()
-	c := m.counters[name]
-	m.mu.RUnlock()
-	return c.Value()
+	defer m.mu.RUnlock()
+	return m.counters[name].Value() + m.blockValue(name)
 }
 
 // ProcValue returns the per-process counter's value without creating it.
@@ -302,29 +302,36 @@ func (m *Metrics) SumPrefix(prefix string) int64 {
 	if m == nil {
 		return 0
 	}
-	var total int64
 	m.mu.RLock()
+	defer m.mu.RUnlock()
+	total := m.blockSumPrefix(prefix)
 	for name, c := range m.counters {
 		if strings.HasPrefix(name, prefix) {
 			total += c.n.Load()
 		}
 	}
-	m.mu.RUnlock()
 	return total
 }
 
 // Snapshot flattens the registry into name→value pairs: counters under
-// their own names, histograms as name_count / name_sum_ns / name_max_ns.
-// Iteration order is irrelevant (it is a map), but the content is
-// deterministic for a deterministic run.
+// their own names (block counters under their ProcKey names),
+// histograms as name_count / name_sum_ns / name_max_ns. Iteration order
+// is irrelevant (it is a map), but the content is deterministic for a
+// deterministic run.
 func (m *Metrics) Snapshot() map[string]int64 {
 	if m == nil {
 		return nil
 	}
 	m.mu.RLock()
-	out := make(map[string]int64, len(m.counters)+3*len(m.hists))
+	out := make(map[string]int64, len(m.counters)+3*len(m.hists)+m.blockCounters())
 	for name, c := range m.counters {
 		out[name] = c.n.Load()
+	}
+	for i := range m.blocks {
+		b := &m.blocks[i]
+		for j := range b.c {
+			out[b.name(j)] += b.c[j].n.Load()
+		}
 	}
 	for name, h := range m.hists {
 		out[name+"_count"] = h.count.Load()
@@ -335,8 +342,19 @@ func (m *Metrics) Snapshot() map[string]int64 {
 	return out
 }
 
+// blockCounters counts the counters held in blocks (caller holds the
+// lock).
+func (m *Metrics) blockCounters() int {
+	n := 0
+	for i := range m.blocks {
+		n += len(m.blocks[i].c)
+	}
+	return n
+}
+
 // Merge folds every counter and histogram of other into m, creating
-// instruments on first sight: counters sum, histograms bucket-merge.
+// instruments on first sight: counters sum, histograms bucket-merge,
+// and per-process blocks carry across unnamed.
 // Addition commutes, so merging replica registries in any order yields
 // the same pooled registry — what lets a parallel sweep aggregate
 // per-run metrics independently of worker scheduling. No-op on a nil
@@ -346,7 +364,7 @@ func (m *Metrics) Merge(other *Metrics) {
 		return
 	}
 	other.mu.RLock()
-	counters, hists := collect(other)
+	counters, hists, blocks := collect(other)
 	other.mu.RUnlock()
 	for _, e := range counters {
 		m.Counter(e.name).Add(e.c.n.Load())
@@ -354,6 +372,7 @@ func (m *Metrics) Merge(other *Metrics) {
 	for _, e := range hists {
 		m.Histogram(e.name).Merge(e.h)
 	}
+	m.mergeBlocks("", blocks)
 }
 
 type counterEntry struct {
@@ -368,7 +387,7 @@ type histEntry struct {
 
 // collect snapshots the registry's entries (caller holds the lock) so
 // merges never hold two registry locks at once.
-func collect(m *Metrics) ([]counterEntry, []histEntry) {
+func collect(m *Metrics) ([]counterEntry, []histEntry, []procBlock) {
 	cs := make([]counterEntry, 0, len(m.counters))
 	for name, c := range m.counters {
 		cs = append(cs, counterEntry{name, c})
@@ -377,7 +396,7 @@ func collect(m *Metrics) ([]counterEntry, []histEntry) {
 	for name, h := range m.hists {
 		hs = append(hs, histEntry{name, h})
 	}
-	return cs, hs
+	return cs, hs, append([]procBlock(nil), m.blocks...)
 }
 
 // MergePrefixed folds other into m like Merge, but files every
@@ -392,7 +411,7 @@ func (m *Metrics) MergePrefixed(prefix string, other *Metrics) {
 		return
 	}
 	other.mu.RLock()
-	counters, hists := collect(other)
+	counters, hists, blocks := collect(other)
 	other.mu.RUnlock()
 	for _, e := range counters {
 		m.Counter(prefix + "/" + e.name).Add(e.c.n.Load())
@@ -400,6 +419,7 @@ func (m *Metrics) MergePrefixed(prefix string, other *Metrics) {
 	for _, e := range hists {
 		m.Histogram(prefix + "/" + e.name).Merge(e.h)
 	}
+	m.mergeBlocks(prefix, blocks)
 }
 
 // Names returns every counter and histogram name, sorted (for render
@@ -410,9 +430,21 @@ func (m *Metrics) Names() []string {
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	names := make([]string, 0, len(m.counters)+len(m.hists))
+	names := make([]string, 0, len(m.counters)+len(m.hists)+m.blockCounters())
 	for n := range m.counters {
 		names = append(names, n)
+	}
+	if len(m.blocks) > 0 {
+		for i := range m.blocks {
+			b := &m.blocks[i]
+			for j := range b.c {
+				names = append(names, b.name(j))
+			}
+		}
+		// A counter name held by several blocks (or by a block and the
+		// name map) is one counter: list it once.
+		sort.Strings(names)
+		names = slices.Compact(names)
 	}
 	for n := range m.hists {
 		names = append(names, n)

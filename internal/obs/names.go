@@ -1,9 +1,10 @@
 package obs
 
 // Metric name inventory. Each kernel owns one Recorder (and therefore
-// one registry); binding-level metrics are per-process, keyed with
-// ProcKey (name{proc=N}). The README's "Observability" section mirrors
-// this list.
+// one registry); binding-level counters are per-process, held in one
+// ProcCounters block per process and read back under ProcKey names
+// (name{proc=N}). The README's "Observability" section mirrors this
+// list.
 const (
 	// Kernel-level (substrate-wide) counters.
 	MKernelMessages   = "kernel_messages_total"   // messages the kernel delivered
@@ -27,7 +28,7 @@ const (
 	MObjectsReclaimed = "objects_reclaimed_total" // Chrysalis: objects garbage-reclaimed
 	MTornReads        = "torn_reads_total"        // Chrysalis: torn 32-bit reads observed
 
-	// Binding-level counters, per process (ProcKey).
+	// Binding-level counters, per process (ProcCounters blocks).
 	MBindKernelSends  = "binding_kernel_sends_total" // Charlotte binding: kernel Sends issued
 	MUnwantedReceives = "unwanted_receives_total"    // messages that no queue wanted
 	MRetries          = "retries_total"              // Charlotte binding: retry NAKs sent

@@ -1,0 +1,165 @@
+package obs
+
+import (
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+var (
+	diffSetA = NewCounterSet("a_total", "b_total", "c_total")
+	diffSetB = NewCounterSet("b_total", "d_total")
+)
+
+// replicaPair builds one registry through per-process blocks and a
+// reference registry through Counter(ProcKey(...)), from the same seeded
+// mix of calls: plain counters, histograms, blocks (some processes get
+// two blocks, and both sets name b_total), and a plain counter created
+// under a formatted per-process name that a block also holds.
+func replicaPair(seed int64) (blocks, ref *Metrics) {
+	rnd := rand.New(rand.NewSource(seed))
+	blocks, ref = NewMetrics(), NewMetrics()
+	plain := []string{"kernel_total", "x_total", "a_total"}
+	for i := 0; i < 20; i++ {
+		name := plain[rnd.Intn(len(plain))]
+		v := int64(rnd.Intn(100))
+		blocks.Counter(name).Add(v)
+		ref.Counter(name).Add(v)
+	}
+	for _, d := range []int64{5, 500, 50000} {
+		blocks.Histogram("wait_ns").Observe(sim.Duration(d))
+		ref.Histogram("wait_ns").Observe(sim.Duration(d))
+	}
+	for i := 0; i < 12; i++ {
+		set := diffSetA
+		if rnd.Intn(3) == 0 {
+			set = diffSetB
+		}
+		proc := rnd.Intn(6) - 1 // -1..4: the same ids recur across replicas
+		b := blocks.ProcCounters(set, proc)
+		for _, name := range set.names {
+			// Every block counter exists in the reference, even at zero.
+			ref.Counter(ProcKey(name, proc))
+			for n := rnd.Intn(4); n > 0; n-- {
+				v := int64(rnd.Intn(50))
+				b.Counter(name).Add(v)
+				ref.Counter(ProcKey(name, proc)).Add(v)
+			}
+		}
+	}
+	alias := ProcKey("a_total", 2)
+	blocks.Counter(alias).Add(7)
+	ref.Counter(alias).Add(7)
+	return blocks, ref
+}
+
+// TestProcBlocksMatchReference checks that the block registry answers
+// every read exactly as the name-per-counter registry does, for single
+// replicas, Merge, MergePrefixed, and nested and repeated merges.
+func TestProcBlocksMatchReference(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		b0, r0 := replicaPair(seed)
+		b1, r1 := replicaPair(seed + 1000)
+		sameReads(t, "replica", b0, r0)
+
+		mb, mr := NewMetrics(), NewMetrics()
+		mb.Merge(b0)
+		mb.Merge(b1)
+		mb.Merge(b0)
+		mr.Merge(r0)
+		mr.Merge(r1)
+		mr.Merge(r0)
+		sameReads(t, "Merge", mb, mr)
+
+		// Merging into registries that already hold blocks of their own.
+		b2, r2 := replicaPair(seed + 2000)
+		b2.Merge(b1)
+		r2.Merge(r1)
+		sameReads(t, "Merge into populated", b2, r2)
+
+		pb, pr := NewMetrics(), NewMetrics()
+		pb.MergePrefixed("cell1", b0)
+		pb.MergePrefixed("cell2", b1)
+		pb.MergePrefixed("cell1", b1)
+		pr.MergePrefixed("cell1", r0)
+		pr.MergePrefixed("cell2", r1)
+		pr.MergePrefixed("cell1", r1)
+		sameReads(t, "MergePrefixed", pb, pr)
+
+		ob, or := NewMetrics(), NewMetrics()
+		ob.MergePrefixed("outer", pb)
+		ob.Merge(mb)
+		or.MergePrefixed("outer", pr)
+		or.Merge(mr)
+		sameReads(t, "nested", ob, or)
+	}
+}
+
+func sameReads(t *testing.T, what string, got, want *Metrics) {
+	t.Helper()
+	if g, w := got.Snapshot(), want.Snapshot(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: Snapshot differs\n got %v\nwant %v", what, g, w)
+	}
+	names := want.Names()
+	if g := got.Names(); !reflect.DeepEqual(g, names) {
+		t.Fatalf("%s: Names differ\n got %v\nwant %v", what, g, names)
+	}
+	probes := append([]string{"a_total{proc=01}", "a_total{proc=+1}", "a_total{proc=}", "nope"}, names...)
+	for _, n := range probes {
+		if g, w := got.Value(n), want.Value(n); g != w {
+			t.Fatalf("%s: Value(%q) = %d, want %d", what, n, g, w)
+		}
+	}
+	for _, base := range []string{"a_total", "b_total", "c_total", "d_total", "x_total", "cell1/b_total", "outer/cell2/a_total"} {
+		for proc := -2; proc <= 5; proc++ {
+			if g, w := got.ProcValue(base, proc), want.ProcValue(base, proc); g != w {
+				t.Fatalf("%s: ProcValue(%q, %d) = %d, want %d", what, base, proc, g, w)
+			}
+		}
+	}
+	prefixes := map[string]bool{"": true, "zzz": true}
+	for _, n := range names {
+		for cut := 0; cut <= len(n); cut++ {
+			prefixes[n[:cut]] = true
+		}
+		prefixes[n+"x"] = true
+	}
+	sorted := make([]string, 0, len(prefixes))
+	for p := range prefixes {
+		sorted = append(sorted, p)
+	}
+	sort.Strings(sorted)
+	for _, p := range sorted {
+		if g, w := got.SumPrefix(p), want.SumPrefix(p); g != w {
+			t.Fatalf("%s: SumPrefix(%q) = %d, want %d", what, p, g, w)
+		}
+	}
+}
+
+// TestProcCountersNames pins the read-time names and the nil registry.
+func TestProcCountersNames(t *testing.T) {
+	m := NewMetrics()
+	m.ProcCounters(diffSetB, 3).Counter("d_total").Add(4)
+	if got := m.Names(); strings.Join(got, ",") != "b_total{proc=3},d_total{proc=3}" {
+		t.Fatalf("names %v", got)
+	}
+	if got := m.ProcValue("d_total", 3); got != 4 {
+		t.Fatalf("d_total{proc=3} = %d", got)
+	}
+	var nilM *Metrics
+	c := nilM.ProcCounters(diffSetA, 1).Counter("a_total")
+	c.Inc() // no-op, no panic
+	if c != nil {
+		t.Fatal("nil registry handed out a live counter")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a name outside the set did not panic")
+		}
+	}()
+	m.ProcCounters(diffSetA, 1).Counter("d_total")
+}

@@ -146,10 +146,5 @@ func (r *Recorder) deliver(ev Event) {
 // Counter is shorthand for Metrics().Counter(name).
 func (r *Recorder) Counter(name string) *Counter { return r.Metrics().Counter(name) }
 
-// ProcCounter returns the per-process variant of a counter.
-func (r *Recorder) ProcCounter(name string, proc int) *Counter {
-	return r.Metrics().Counter(ProcKey(name, proc))
-}
-
 // Histogram is shorthand for Metrics().Histogram(name).
 func (r *Recorder) Histogram(name string) *Histogram { return r.Metrics().Histogram(name) }

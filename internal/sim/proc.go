@@ -36,6 +36,10 @@ type Proc struct {
 	sleepTmr  *timer     // pending Delay timer, if any
 	onKill    []func()   // LIFO cleanup hooks run when the proc dies killed
 	wakeValue any        // value passed by the waker, returned by Wait
+
+	// prevLive/nextLive link the proc into its env's live list from
+	// Spawn until it finishes (deadlock diagnostics walk the list).
+	prevLive, nextLive *Proc
 }
 
 // ID reports the proc's unique id within its Env (1-based, in spawn order).
@@ -70,7 +74,7 @@ func (p *Proc) run() {
 			}
 		}
 		p.done = true
-		p.env.finish()
+		p.env.finish(p)
 	}()
 	// The first dispatch granted the token directly; run immediately —
 	// unless the proc was killed before it ever ran (spawned and killed
@@ -173,5 +177,5 @@ func (p *Proc) FinishFromBorrower() {
 		p.onKill[i]()
 	}
 	p.done = true
-	p.env.finish()
+	p.env.finish(p)
 }

@@ -91,6 +91,9 @@ type Env struct {
 	running bool
 	stopped bool
 	stopErr error
+	// liveHead lists the live procs, linked through
+	// Proc.prevLive/nextLive; only deadlock diagnostics read it.
+	liveHead *Proc
 
 	// limit and end are the active run's horizon and exit reason; both
 	// are only touched by the goroutine holding the token.
@@ -102,10 +105,6 @@ type Env struct {
 	// timerFree is a freelist of recycled timers (hot paths schedule
 	// and retire one timer per scheduling decision).
 	timerFree *timer
-
-	// allQueues is populated by NewWaitQueue; used only for deadlock
-	// diagnostics.
-	allQueues []*WaitQueue
 
 	// sh is non-nil when this env is one shard (proc group) of a
 	// parallel partition; par is non-nil on the root env that owns the
@@ -169,6 +168,11 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 		fn:   fn,
 	}
 	e.live++
+	p.nextLive = e.liveHead
+	if e.liveHead != nil {
+		e.liveHead.prevLive = p
+	}
+	e.liveHead = p
 	e.wake(p)
 	return p
 }
@@ -446,11 +450,21 @@ func (e *Env) handoff(n *Proc) {
 	e.transfer(n)
 }
 
-// finish retires the current proc (already marked done) and passes the
-// token onward. Called from the proc's own goroutine as it exits, or
-// from a borrower completing the proc's lifecycle.
-func (e *Env) finish() {
+// finish retires p, the current proc (already marked done), and passes
+// the token onward. Called from the proc's own goroutine as it exits, or
+// from a borrower completing the proc's lifecycle. Unlinking p from the
+// live list leaves the env holding no reference to it.
+func (e *Env) finish(p *Proc) {
 	e.live--
+	if p.prevLive != nil {
+		p.prevLive.nextLive = p.nextLive
+	} else {
+		e.liveHead = p.nextLive
+	}
+	if p.nextLive != nil {
+		p.nextLive.prevLive = p.prevLive
+	}
+	p.prevLive, p.nextLive = nil, nil
 	e.handoff(e.next())
 }
 
@@ -476,12 +490,11 @@ func (e *Env) diagnose() string {
 // diagnoseLines renders one line per parked proc, unsorted (the parallel
 // coordinator merges lines from several shards before sorting).
 func (e *Env) diagnoseLines() []string {
-	// The env does not keep a central registry of parked procs (they are
-	// reachable from their wait queues); wait queues register themselves
-	// here on first use so diagnostics can enumerate their waiters.
+	// A parked proc records the queue it waits on; procs parked on a
+	// timer or outside any queue have no line.
 	var lines []string
-	for _, wq := range e.allQueues {
-		for _, p := range wq.waiters {
+	for p := e.liveHead; p != nil; p = p.nextLive {
+		if wq := p.waitQ; wq != nil {
 			lines = append(lines, fmt.Sprintf("  proc %d (%s) blocked on %s", p.id, p.name, wq.name))
 		}
 	}

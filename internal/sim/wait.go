@@ -5,17 +5,15 @@ package sim
 // condition variables. All operations must be invoked from scheduler or
 // simproc context (the single-runner discipline makes them race-free).
 type WaitQueue struct {
-	env     *Env
 	name    string
 	waiters []*Proc
 }
 
-// NewWaitQueue creates a named wait queue registered for deadlock
-// diagnostics.
+// NewWaitQueue creates a named wait queue on env. Nothing registers the
+// queue: deadlock diagnostics find its waiters through the env's live
+// procs, so a queue nobody references is garbage like any other value.
 func NewWaitQueue(env *Env, name string) *WaitQueue {
-	wq := &WaitQueue{env: env, name: name}
-	env.allQueues = append(env.allQueues, wq)
-	return wq
+	return &WaitQueue{name: name}
 }
 
 // Name returns the diagnostic label.
@@ -45,7 +43,7 @@ func (wq *WaitQueue) WakeValue(v any) bool {
 		return false
 	}
 	p := wq.waiters[0]
-	wq.waiters = wq.waiters[0:copy(wq.waiters, wq.waiters[1:])]
+	wq.cut(0)
 	p.waitQ = nil
 	p.wakeValue = v
 	// Wake through the proc's own env: a queue created on one env must
@@ -68,11 +66,19 @@ func (wq *WaitQueue) WakeAll() int {
 func (wq *WaitQueue) remove(p *Proc) {
 	for i, w := range wq.waiters {
 		if w == p {
-			wq.waiters = append(wq.waiters[:i], wq.waiters[i+1:]...)
+			wq.cut(i)
 			p.waitQ = nil
 			return
 		}
 	}
+}
+
+// cut deletes waiter i, shifting the rest down, and clears the vacated
+// tail slot so the backing array keeps no departed proc reachable.
+func (wq *WaitQueue) cut(i int) {
+	n := i + copy(wq.waiters[i:], wq.waiters[i+1:])
+	wq.waiters[n] = nil
+	wq.waiters = wq.waiters[:n]
 }
 
 // Semaphore is a counting semaphore built on a WaitQueue.
@@ -135,9 +141,7 @@ func (m *Mailbox) Get(p *Proc) any {
 	for len(m.items) == 0 {
 		m.wq.Wait(p)
 	}
-	v := m.items[0]
-	m.items = m.items[0:copy(m.items, m.items[1:])]
-	return v
+	return m.pop()
 }
 
 // TryGet removes and returns the oldest value without blocking.
@@ -145,9 +149,16 @@ func (m *Mailbox) TryGet() (any, bool) {
 	if len(m.items) == 0 {
 		return nil, false
 	}
+	return m.pop(), true
+}
+
+// pop removes the oldest value, clearing the vacated slot.
+func (m *Mailbox) pop() any {
 	v := m.items[0]
-	m.items = m.items[0:copy(m.items, m.items[1:])]
-	return v, true
+	n := copy(m.items, m.items[1:])
+	m.items[n] = nil
+	m.items = m.items[:n]
+	return v
 }
 
 // Len reports the number of queued values.

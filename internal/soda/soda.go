@@ -238,6 +238,9 @@ type Kernel struct {
 	groups []*kgroup // non-nil after Partition
 
 	rec *obs.Recorder
+	// Instrument handles, resolved once so hot paths skip the registry.
+	cRequests, cAccepts, cInterrupts, cDiscovers *obs.Counter
+	cBroadcasts, cRetries, cBytes                *obs.Counter
 	// PairLimit is the maximum outstanding requests between an ordered
 	// pair of processes (§4.2.1). Zero means unlimited.
 	PairLimit int
@@ -258,6 +261,13 @@ type kgroup struct {
 	nextName uint64
 	nextReq  ReqID
 	stride   int
+
+	// gone holds the ids of this group's terminated processes, dropped
+	// from procs; findProc answers them with tomb, a shared dead record,
+	// so requests to them still fail with DeadProc rather than
+	// NoSuchProc. Both are allocated on the first termination.
+	gone map[ProcID]struct{}
+	tomb *Process
 }
 
 // findProc resolves a process id against the group overlay, then the
@@ -266,6 +276,9 @@ type kgroup struct {
 func (g *kgroup) findProc(id ProcID) (*Process, bool) {
 	if p, ok := g.procs[id]; ok {
 		return p, true
+	}
+	if _, ok := g.gone[id]; ok {
+		return g.tomb, true
 	}
 	if g.idx >= 0 {
 		p, ok := g.k.procs[id]
@@ -276,25 +289,23 @@ func (g *kgroup) findProc(id ProcID) (*Process, bool) {
 
 // NewKernel creates a SODA kernel over the given bus.
 func NewKernel(env *sim.Env, bus *netsim.CSMABus, costs calib.SODACosts) *Kernel {
+	rec := obs.NewRecorder(env, "soda")
 	k := &Kernel{
-		env:       env,
-		bus:       bus,
-		costs:     costs,
-		procs:     make(map[ProcID]*Process),
-		rec:       obs.NewRecorder(env, "soda"),
-		PairLimit: 8,
+		env:         env,
+		bus:         bus,
+		costs:       costs,
+		procs:       make(map[ProcID]*Process),
+		rec:         rec,
+		cRequests:   rec.Counter(obs.MKernelRequests),
+		cAccepts:    rec.Counter(obs.MKernelAccepts),
+		cInterrupts: rec.Counter(obs.MKernelInterrupts),
+		cDiscovers:  rec.Counter(obs.MKernelDiscovers),
+		cBroadcasts: rec.Counter(obs.MKernelBroadcasts),
+		cRetries:    rec.Counter(obs.MKernelRetries),
+		cBytes:      rec.Counter(obs.MKernelBytes),
+		PairLimit:   8,
 	}
 	k.def = &kgroup{k: k, idx: -1, env: env, bus: bus, procs: k.procs, nextProc: 1, nextName: 1, nextReq: 1, stride: 1}
-	// Pre-create every instrument touched mid-run: the metrics registry
-	// is unlocked, so lazily inserting from concurrently executing
-	// groups would race on the name map.
-	for _, name := range []string{
-		obs.MKernelRequests, obs.MKernelAccepts, obs.MKernelInterrupts,
-		obs.MKernelDiscovers, obs.MKernelBroadcasts, obs.MKernelRetries,
-		obs.MKernelBytes,
-	} {
-		k.rec.Counter(name)
-	}
 	return k
 }
 
@@ -525,6 +536,9 @@ func (pr *Process) NewName(p *sim.Proc) Name {
 // waiting for the advertisement are delivered now.
 func (pr *Process) Advertise(p *sim.Proc, n Name) {
 	charge(p, pr.k.costs.ClientCall)
+	if pr.advertised == nil { // terminated: Terminate dropped the table
+		pr.advertised = make(map[Name]bool)
+	}
 	pr.advertised[n] = true
 	if pr.k.rec.Active() {
 		pr.k.rec.EmitEnv(pr.g.env, obs.Event{
@@ -533,7 +547,7 @@ func (pr *Process) Advertise(p *sim.Proc, n Name) {
 		})
 	}
 	for _, r := range pr.pendingFor(n) {
-		pr.k.rec.Counter(obs.MKernelRetries).Inc()
+		pr.k.cRetries.Inc()
 		pr.deliverRequest(r)
 	}
 }
@@ -605,7 +619,7 @@ func (pr *Process) raise(ir Interrupt) {
 		// actually sees the completion (see Accept).
 		delete(pr.outbound, ir.Req)
 	}
-	pr.k.rec.Counter(obs.MKernelInterrupts).Inc()
+	pr.k.cInterrupts.Inc()
 	pr.handler(ir)
 }
 
@@ -616,7 +630,7 @@ func (pr *Process) raise(ir Interrupt) {
 // interrupt. The requesting user can proceed meanwhile.
 func (pr *Process) Request(p *sim.Proc, to ProcID, name Name, oob OOB, data []byte, recvBytes int) (ReqID, Status) {
 	charge(p, pr.k.costs.ClientCall)
-	pr.k.rec.Counter(obs.MKernelRequests).Inc()
+	pr.k.cRequests.Inc()
 	target, ok := pr.g.findProc(to)
 	if !ok || target.g != pr.g {
 		// A target outside the partition group is unreachable: groups are
@@ -646,6 +660,9 @@ func (pr *Process) Request(p *sim.Proc, to ProcID, name Name, oob OOB, data []by
 	r := &request{
 		id: rid, from: pr.id, to: to, name: name,
 		oob: oob, data: buf, recvBytes: recvBytes,
+	}
+	if pr.outbound == nil { // terminated: Terminate dropped the table
+		pr.outbound = make(map[ReqID]*request)
 	}
 	pr.outbound[r.id] = r
 	target.inbound[r.id] = r
@@ -707,7 +724,7 @@ func (pr *Process) Accept(p *sim.Proc, id ReqID, oob OOB, data []byte, recvBytes
 	// keep answering true across the accept→interrupt window, or a hint
 	// timeout firing inside it would misread a successful transfer as a
 	// stale hint and re-post a put that was already taken.
-	pr.k.rec.Counter(obs.MKernelAccepts).Inc()
+	pr.k.cAccepts.Inc()
 
 	// Transfer sizes: the smaller of the two parties' declarations.
 	toAccepter := r.data
@@ -719,7 +736,7 @@ func (pr *Process) Accept(p *sim.Proc, id ReqID, oob OOB, data []byte, recvBytes
 		toRequester = toRequester[:r.recvBytes]
 	}
 	n := len(toAccepter) + len(toRequester)
-	pr.k.rec.Counter(obs.MKernelBytes).Add(int64(n))
+	pr.k.cBytes.Add(int64(n))
 
 	copyCost := sim.Duration(n) * pr.k.costs.PerByte
 	reply := make([]byte, len(toRequester))
@@ -747,8 +764,8 @@ func (pr *Process) Accept(p *sim.Proc, id ReqID, oob OOB, data []byte, recvBytes
 // first answer (or the discover timeout). The broadcast is unreliable:
 // each advertiser independently misses it with the bus's loss rate.
 func (pr *Process) Discover(p *sim.Proc, n Name) (ProcID, Status) {
-	pr.k.rec.Counter(obs.MKernelDiscovers).Inc()
-	pr.k.rec.Counter(obs.MKernelBroadcasts).Inc()
+	pr.k.cDiscovers.Inc()
+	pr.k.cBroadcasts.Inc()
 	if pr.k.rec.Active() {
 		pr.k.rec.EmitEnv(pr.g.env, obs.Event{
 			Kind: obs.KindDiscover, Proc: int(pr.id),
@@ -885,6 +902,11 @@ func (pr *Process) InboundRequests() []ReqID {
 // Terminate kills the process: its advertisements vanish, inbound
 // requests die, and every process with an outstanding request to it
 // feels a crash interrupt. Safe to call from OnKill hooks.
+//
+// The kernel then forgets everything but the id: the process leaves its
+// group's table for a tombstone (the DeadProc answer), and its handler,
+// queue and request tables are dropped, so nothing the handler reached
+// stays alive through the kernel.
 func (pr *Process) Terminate() {
 	if pr.dead {
 		return
@@ -909,8 +931,19 @@ func (pr *Process) Terminate() {
 			requester.raise(Interrupt{IKind: IntCrash, Req: reqID, From: from})
 		})
 	}
-	pr.inbound = make(map[ReqID]*request)
-	pr.advertised = make(map[Name]bool)
+	pr.inbound, pr.outbound, pr.advertised = nil, nil, nil
+	pr.handler, pr.queue = nil, nil
+	g := pr.g
+	// A boot process of a partitioned kernel lives in the shared boot
+	// map, which is read-only mid-run: it stays there, stripped.
+	if g.procs[pr.id] == pr {
+		delete(g.procs, pr.id)
+		if g.gone == nil {
+			g.gone = make(map[ProcID]struct{})
+			g.tomb = &Process{k: g.k, g: g, dead: true}
+		}
+		g.gone[pr.id] = struct{}{}
+	}
 }
 
 // Dead reports whether the process has terminated.

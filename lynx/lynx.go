@@ -284,13 +284,24 @@ type System struct {
 	inj *fault.Injector
 	fr  *flight.Recorder
 
+	// specs are the boot processes (Spawn), in spawn order; launched
+	// are the processes created mid-run (Launch, restarts) that have not
+	// exited yet, in creation order. byProc maps every running process
+	// to its spec. An exiting process leaves launched and byProc, so a
+	// finished process is garbage unless the program holds its ProcRef.
 	specs    []*ProcRef
+	launched []*ProcRef
 	byProc   map[*core.Process]*ProcRef
 	nextNode int
 	ran      bool
+	// restartable holds the process names the fault plan restarts;
+	// relaunch keeps, for each such name and group, the first mid-run
+	// spec's main — all a restart needs of a dead incarnation.
+	restartable map[string]bool
+	relaunch    []relaunchRec
 
-	// mu guards specs/byProc and the node-placement cursors once the run
-	// has started: under a partitioned run, Launch appends from
+	// mu guards the spec tables and the node-placement cursors once the
+	// run has started: under a partitioned run, Launch appends from
 	// concurrently executing shards.
 	mu sync.Mutex
 
@@ -319,11 +330,18 @@ type System struct {
 	churnHits []int64
 }
 
+// relaunchRec is what restartNamed needs of a mid-run spec.
+type relaunchRec struct {
+	name  string
+	group int
+	main  func(*Thread, []*End)
+}
+
 // ProcRef names a spawned process before and after Run.
 type ProcRef struct {
 	sys   *System
 	name  string
-	idx   int // position in sys.specs (component lookup)
+	idx   int // boot specs: position in sys.specs (component lookup)
 	group int // partition group (home shard), -1 when unpartitioned
 	main  func(*Thread, []*End)
 	tr    core.Transport
@@ -383,6 +401,14 @@ func NewSystem(cfg Config) *System {
 		// partition decision — so a partitioned run can install
 		// per-group children instead of one shared schedule.
 		s.inj = fault.NewInjector(env, cfg.Faults, cfg.Seed, cfg.Nodes)
+		for _, ev := range cfg.Faults.Events {
+			if r, ok := ev.(fault.Restart); ok {
+				if s.restartable == nil {
+					s.restartable = map[string]bool{}
+				}
+				s.restartable[r.Proc] = true
+			}
+		}
 	}
 	return s
 }
@@ -491,11 +517,13 @@ func (s *System) scheduleChurnPartitioned() {
 	}
 }
 
-// snapshotSpecs copies the spec list under the lock; shards launching
-// mid-run append concurrently.
+// snapshotSpecs copies the boot specs and the running launched ones, in
+// spec order, under the lock; shards launching mid-run append
+// concurrently.
 func (s *System) snapshotSpecs() []*ProcRef {
 	s.mu.Lock()
-	out := append([]*ProcRef(nil), s.specs...)
+	out := make([]*ProcRef, 0, len(s.specs)+len(s.launched))
+	out = append(append(out, s.specs...), s.launched...)
 	s.mu.Unlock()
 	return out
 }
@@ -537,17 +565,13 @@ func nameMatches(pattern, name string) bool {
 // churn timer) only a spec homed on group g qualifies, and the new
 // incarnation is born on that same shard.
 func (s *System) restartNamed(name string, g int) bool {
-	var src *ProcRef
-	for _, pr := range s.snapshotSpecs() {
-		if pr.name == name && (g < 0 || pr.group == g) {
-			src = pr
-			break
-		}
-	}
-	if src == nil {
+	s.mu.Lock()
+	main := s.mainNamed(name, g)
+	s.mu.Unlock()
+	if main == nil {
 		return false
 	}
-	child := s.newProcRef(src.name, src.main, g)
+	child := s.newProcRef(name, main, g)
 	env := s.env
 	if g >= 0 {
 		env = s.shards[g]
@@ -556,10 +580,50 @@ func (s *System) restartNamed(name string, g int) bool {
 	child.proc = core.NewProcess(env, child.name, child.tr, costs, func(t *Thread) {
 		child.main(t, nil)
 	})
-	s.mu.Lock()
-	s.byProc[child.proc] = child
-	s.mu.Unlock()
+	s.track(child)
 	return true
+}
+
+// mainNamed returns the main function of the first spec, in spec order,
+// named name (and homed on group g when g >= 0), or nil; the caller
+// holds mu. Boot specs precede every mid-run one, and relaunch holds the
+// first mid-run spec of each restartable name and group.
+func (s *System) mainNamed(name string, g int) func(*Thread, []*End) {
+	for _, pr := range s.specs {
+		if pr.name == name && (g < 0 || pr.group == g) {
+			return pr.main
+		}
+	}
+	for _, r := range s.relaunch {
+		if r.name == name && (g < 0 || r.group == g) {
+			return r.main
+		}
+	}
+	return nil
+}
+
+// track registers a materialized process as running; it retires itself
+// from the spec tables when it exits.
+func (s *System) track(pr *ProcRef) {
+	s.mu.Lock()
+	s.byProc[pr.proc] = pr
+	s.mu.Unlock()
+	pr.proc.OnExit(func() { s.retire(pr) })
+}
+
+// retire drops an exited process from byProc and launched.
+func (s *System) retire(pr *ProcRef) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.byProc, pr.proc)
+	for i, l := range s.launched {
+		if l == pr {
+			n := i + copy(s.launched[i:], s.launched[i+1:])
+			s.launched[n] = nil
+			s.launched = s.launched[:n]
+			return
+		}
+	}
 }
 
 // FaultStats returns the fault injector's per-effect occurrence
@@ -653,7 +717,14 @@ func (s *System) newProcRef(name string, main func(*Thread, []*End), g int) *Pro
 		}
 		pr.tr = pr.idTr
 	}
-	s.specs = append(s.specs, pr)
+	if !s.ran {
+		s.specs = append(s.specs, pr)
+		return pr
+	}
+	s.launched = append(s.launched, pr)
+	if s.restartable[name] && s.mainNamed(name, g) == nil {
+		s.relaunch = append(s.relaunch, relaunchRec{name: name, group: g, main: main})
+	}
 	return pr
 }
 
@@ -879,7 +950,7 @@ func (s *System) materialize() {
 			}
 			spec.main(t, boot)
 		})
-		s.byProc[pr.proc] = pr
+		s.track(pr)
 	}
 }
 
@@ -946,7 +1017,13 @@ func (s *System) LaunchGroup(t *Thread, specs []ProcSpec, wires [][2]int) (*End,
 		refs[i] = s.newProcRef(spec.Name, spec.Main, g)
 	}
 	s.join(parent, refs[0]) // kernel-level boot wiring works mid-run
-	parentTE := parent.boots[len(parent.boots)-1]
+	// The launcher's end goes to the caller, not into the launcher's
+	// boot slice (read when its main started), which would otherwise
+	// grow by one per launch.
+	last := len(parent.boots) - 1
+	parentTE := parent.boots[last]
+	parent.boots[last] = nil
+	parent.boots = parent.boots[:last]
 	for _, w := range wires {
 		if w[0] < 0 || w[0] >= len(specs) || w[1] < 0 || w[1] >= len(specs) || w[0] == w[1] {
 			panic(fmt.Sprintf("lynx: LaunchGroup wire %v out of range for %d specs", w, len(specs)))
@@ -963,9 +1040,7 @@ func (s *System) LaunchGroup(t *Thread, specs []ProcSpec, wires [][2]int) (*End,
 			}
 			childSpec.main(ct, boot)
 		})
-		s.mu.Lock()
-		s.byProc[child.proc] = child
-		s.mu.Unlock()
+		s.track(child)
 	}
 	return t.AdoptBootEnd(parentTE), refs
 }
