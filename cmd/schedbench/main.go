@@ -128,10 +128,10 @@ var benches = []bench{
 }
 
 // Parallel-scaling workload shape: independent groups of procs looping
-// on short timers — the partitionable topology class the conservative
+// on short timers — the partitionable topology class the parallel
 // engine accelerates. 8 groups x 4 procs x 30k delay events per proc
 // keeps a sweep under a second per worker count while dwarfing the
-// per-window barrier cost.
+// per-run worker-pool cost.
 const (
 	scalingGroups        = 8
 	scalingProcsPerGroup = 4
@@ -141,10 +141,11 @@ const (
 	minScaling = 2.0
 	// Connected-topology workload: a full lynx System on the Charlotte
 	// token ring — a CONNECTED shared medium, partitioned into
-	// per-group segments by the finite MinLatency bound — with 8
-	// client/server pairs each shipping connOpsPerClient RPCs. This is
-	// the finite-lookahead path end to end (kernel, binding, medium
-	// segments), not just the bare timer engine, so its scaling floor
+	// per-group segments licensed by the MinLatency bound — with 8
+	// client/server pairs each shipping connOpsPerClient RPCs. This
+	// drives independent components on per-shard media end to end
+	// (kernel, binding, medium segments), not just the bare timer
+	// engine, so its scaling floor
 	// is lower: protocol work serializes on per-shard medium
 	// reservations that the timer workload never touches.
 	connGroups       = 8
@@ -157,7 +158,7 @@ var scalingWorkers = []int{1, 2, 4}
 // scalingMeasurement records the parallel-engine sweep: events/s per
 // worker count plus the gate outcome on the recording machine
 // ("checked" or "SKIP (n CPU)"). The connected_* fields are the same
-// sweep over the finite-lookahead token-ring workload (lynx RPCs/s per
+// sweep over the partitioned token-ring workload (lynx RPCs/s per
 // worker count).
 type scalingMeasurement struct {
 	EventsPerSec  map[string]float64 `json:"events_per_sec"`
@@ -201,7 +202,7 @@ func runScaling(workers int) float64 {
 // runScalingConnected times the connected-topology workload at the
 // given worker count and returns wall-clock RPCs/s (best of three).
 // The System partitions because the boot graph has connGroups
-// components and the token ring's MinLatency licenses finite-lookahead
+// components and the token ring's MinLatency licenses per-group
 // segments — a serial collapse here would silently turn this into a
 // measurement of nothing, so the partition is asserted.
 func runScalingConnected(workers int) float64 {

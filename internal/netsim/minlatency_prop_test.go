@@ -7,7 +7,7 @@ import (
 )
 
 // TestMinLatencyBoundsDeliveryProperty pins the conservative bound the
-// finite-lookahead sharding leans on: over randomized ring and bus
+// per-group medium split leans on: over randomized ring and bus
 // configurations and seeded traffic, MinLatency() never exceeds any
 // observed cross-node delivery delay — neither on the parent medium nor
 // on any per-group segment produced by Partition.
@@ -28,7 +28,7 @@ func TestMinLatencyBoundsDeliveryProperty(t *testing.T) {
 
 		nets := []Network{ring, bus}
 		// Segments must honor the same bound: the parent's MinLatency is
-		// the lookahead the partitioner quotes for every group.
+		// the bound the partitioner quotes for every group.
 		for _, seg := range ring.Partition(1 + rng.Intn(3)) {
 			nets = append(nets, seg)
 		}

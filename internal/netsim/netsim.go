@@ -17,14 +17,13 @@
 //
 // # Parallel-execution coupling
 //
-// The conservative parallel engine (sim.EnterParallel) partitions procs
-// into groups and needs two facts from a network model:
+// The parallel engine (sim.EnterParallel) partitions procs into
+// independent groups and needs two facts from a network model:
 //
-//   - A lookahead lower bound: MinLatency reports the smallest possible
+//   - A latency lower bound: MinLatency reports the smallest possible
 //     delay between initiating a transfer and any remote effect. For a
 //     model with per-frame serialization this is the zero-payload frame
-//     time; it is a sound conservative window width because no message
-//     can influence another node sooner.
+//     time, since no message can influence another node sooner.
 //   - Whether the medium couples otherwise-independent node groups. As
 //     built, the ring and bus do: every SendTime call reads and writes
 //     one shared busyUntil reservation (and the bus draws from a shared
@@ -38,9 +37,9 @@
 //     only its own segment, which is exactly the case the run-time
 //     layer's partitioner arranges: groups are connected components of
 //     the boot link graph, and processes in different components never
-//     exchange frames. The finite MinLatency bound is what makes the
-//     decomposition conservative — no un-modeled sub-lookahead coupling
-//     exists between segments — and the parent's Stats() aggregates its
+//     exchange frames. A positive MinLatency bound is what makes the
+//     decomposition sound — no un-modeled faster coupling exists
+//     between segments — and the parent's Stats() aggregates its
 //     own counters with every segment's, so whole-run totals are
 //     unchanged (read it after the run; mid-run aggregation would race
 //     with concurrently-executing segments).
@@ -454,13 +453,13 @@ func (bp *Backplane) Partition(k int) []*Backplane {
 // per-transfer switch setup cost.
 func (bp *Backplane) MinLatency() sim.Duration { return bp.SetupCost }
 
-// MinLatency reports a conservative lookahead for n: the smallest delay
-// between initiating any transfer and its remote effect, or 0 when the
-// model does not expose one (0 disables windowed parallelism). A
+// MinLatency reports a conservative latency bound for n: the smallest
+// delay between initiating any transfer and its remote effect, or 0
+// when the model does not expose one (0 disables partitioning). A
 // positive MinLatency is what licenses splitting the medium into
 // per-group segments (Partition): it certifies that the model has no
-// sub-lookahead coupling between node groups beyond the occupancy and
-// rng state the segments privatize.
+// faster coupling between node groups beyond the occupancy and rng
+// state the segments privatize.
 func MinLatency(n Network) sim.Duration {
 	type minLatency interface{ MinLatency() sim.Duration }
 	if m, ok := n.(minLatency); ok {

@@ -12,9 +12,9 @@
 //	Full     — every event is forwarded downstream (today's behavior).
 //	Sampled  — a seed-deterministic 1-in-K subset is forwarded. The
 //	           decision hashes (seed, event ordinal), and events are
-//	           delivered in serial replay order even under
-//	           sim.EnterParallel, so a sampled trace is byte-identical
-//	           at any worker count.
+//	           delivered in the engine's (time, shard) merge order even
+//	           under sim.EnterParallel, so a sampled trace is
+//	           byte-identical at any worker count.
 //	Counters — nothing is forwarded; only the ring and the per-kind
 //	           counters update.
 //
@@ -26,7 +26,7 @@
 //
 // The hot path (Event) is single-threaded by construction: the
 // obs.Recorder delivers events serially (under a parallel partition it
-// replays them in the exact serial interleave), so the ring, the
+// replays them in the engine's (time, shard) merge order), so the ring, the
 // counters, and the sampling state need no atomics and allocate
 // nothing — events are copied into preallocated slots, no interface
 // boxing, no per-event heap traffic.
@@ -219,7 +219,7 @@ func (f *Recorder) Event(ev obs.Event) {
 	case Sampled:
 		// Hash the event ordinal with the seed: the same seed exports
 		// the same 1-in-K ordinals at any parallelism, because ordinals
-		// are assigned in serial replay order.
+		// are assigned in the deterministic delivery order.
 		if mix64(f.seed^f.seen)%f.k != 0 {
 			return
 		}

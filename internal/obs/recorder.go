@@ -73,13 +73,13 @@ type DetailHinter interface {
 // between. Under sequenced (parallel-replay) delivery events are
 // buffered and delivered later, so "next" is unknowable at the call
 // site — and racy to guess — hence always true there: parallel runs
-// pay full Detail cost but stay byte-identical to serial output.
+// pay full Detail cost but stay byte-identical at any worker count.
 func (r *Recorder) WantDetail() bool {
 	if !r.Active() {
 		return false
 	}
 	if r.env != nil && (r.env.Sequencing() || r.env.ParallelRunning()) {
-		// Sequencing: this recorder's own env is a shard mid-window.
+		// Sequencing: this recorder's own env is a shard mid-run.
 		// ParallelRunning: the recorder holds the partitioned ROOT env
 		// (kernel recorders do) while shard contexts call in — consulting
 		// the hinters from concurrent shards would both mispredict and
@@ -107,8 +107,9 @@ func (r *Recorder) Emit(ev Event) {
 // EmitEnv is Emit reading the clock of env instead of the recorder's
 // own env. Instrumented code executing on a shard env of a parallel
 // partition emits through the shard (whose clock is the one advancing);
-// the event is then sequenced into the shard's merge log so sink output
-// is byte-identical to the serial run at any worker count.
+// the event is then sequenced into the shard's log and delivered in the
+// engine's (time, shard) merge order, so sink output is byte-identical
+// at any worker count.
 func (r *Recorder) EmitEnv(env *sim.Env, ev Event) {
 	if !r.Active() {
 		return

@@ -2,21 +2,28 @@ package sim
 
 import (
 	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // fullTracer records both scheduling resumes and user events, so the
-// serial-vs-parallel comparisons pin the complete interleave, not just
-// user trace points.
-type fullTracer struct{ lines []string }
+// serial-vs-parallel comparisons pin every line, not just user trace
+// points. ats holds each line's virtual time.
+type fullTracer struct {
+	lines []string
+	ats   []Time
+}
 
 func (t *fullTracer) Resume(now Time, pid int, name string) {
 	t.lines = append(t.lines, fmt.Sprintf("%v run p%d(%s)", now, pid, name))
+	t.ats = append(t.ats, now)
 }
 
 func (t *fullTracer) Event(now Time, source, msg string) {
 	t.lines = append(t.lines, fmt.Sprintf("%v %s %s", now, source, msg))
+	t.ats = append(t.ats, now)
 }
 
 // buildMixedWorkload constructs the same program over envs[g] per group:
@@ -61,7 +68,7 @@ func buildMixedWorkload(envs []*Env) {
 	}
 }
 
-func runMixedSerial(groups int, limit Time) ([]string, Time, error) {
+func runMixedSerial(groups int, limit Time) (*fullTracer, Time, error) {
 	env := NewEnv(42)
 	tr := &fullTracer{}
 	env.SetTracer(tr)
@@ -71,17 +78,67 @@ func runMixedSerial(groups int, limit Time) ([]string, Time, error) {
 	}
 	buildMixedWorkload(envs)
 	err := env.RunUntil(limit)
-	return tr.lines, env.Now(), err
+	return tr, env.Now(), err
 }
 
-func runMixedParallel(groups, workers int, limit Time) ([]string, Time, error) {
+func runMixedParallel(groups, workers int, limit Time) (*fullTracer, Time, error) {
 	root := NewEnv(42)
 	tr := &fullTracer{}
 	root.SetTracer(tr)
 	shards := root.EnterParallel(ParallelOptions{Groups: groups, Workers: workers})
 	buildMixedWorkload(shards)
 	err := root.RunUntil(limit)
-	return tr.lines, root.Now(), err
+	return tr, root.Now(), err
+}
+
+// mixedGroupRE extracts the group index of a mixed-workload trace line:
+// proc names ("run p3(prod0)") and event messages ("prod g0 tick 0")
+// both carry it.
+var mixedGroupRE = regexp.MustCompile(`\(\D+(\d+)\)$| g(\d+) `)
+
+func lineGroup(t *testing.T, line string) int {
+	t.Helper()
+	m := mixedGroupRE.FindStringSubmatch(line)
+	if m == nil {
+		t.Fatalf("trace line %q names no group", line)
+	}
+	g, err := strconv.Atoi(m[1] + m[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// checkMergeOrder pins the parallel replay order against the serial run
+// of the same program: each group's lines equal the serial run's lines
+// for that group, and the whole trace is ordered by (time, group). It
+// returns how many lines tie an earlier line of another group at the
+// same instant, so callers can require the tie-break to be exercised.
+func checkMergeOrder(t *testing.T, label string, groups int, serial, got *fullTracer) (ties int) {
+	t.Helper()
+	project := func(tr *fullTracer) [][]string {
+		per := make([][]string, groups)
+		for _, l := range tr.lines {
+			g := lineGroup(t, l)
+			per[g] = append(per[g], l)
+		}
+		return per
+	}
+	want, have := project(serial), project(got)
+	for g := range want {
+		diffLines(t, fmt.Sprintf("%s group %d", label, g), want[g], have[g])
+	}
+	for i := 1; i < len(got.lines); i++ {
+		prevG, g := lineGroup(t, got.lines[i-1]), lineGroup(t, got.lines[i])
+		prevAt, at := got.ats[i-1], got.ats[i]
+		if at < prevAt || (at == prevAt && g < prevG) {
+			t.Fatalf("%s: line %d out of (time, group) order:\n  %s\n  %s", label, i, got.lines[i-1], got.lines[i])
+		}
+		if at == prevAt && g > prevG {
+			ties++
+		}
+	}
+	return ties
 }
 
 func diffLines(t *testing.T, label string, want, got []string) {
@@ -108,48 +165,98 @@ func diffLines(t *testing.T, label string, want, got []string) {
 	t.Fatalf("%s: traces differ in length: %d vs %d", label, len(want), len(got))
 }
 
-// TestParallelMatchesSerial pins the core determinism contract: a
-// partitioned run of non-interacting groups replays the exact trace of
-// the serial run that interleaves the same groups on one env, at any
-// worker count.
-func TestParallelMatchesSerial(t *testing.T) {
-	const groups = 4
-	want, wantNow, wantErr := runMixedSerial(groups, -1)
-	if wantErr != nil {
-		t.Fatalf("serial run: %v", wantErr)
+// checkParallelMatchesSerial runs the mixed workload serially and
+// partitioned at each worker count (to limit, or to completion when
+// limit < 0) and pins the determinism contract: the parallel trace is
+// the serial run's per-group lines merged by (time, group), it is
+// byte-identical at every worker count, and same-instant ties across
+// groups occur (so the shard-index tie-break is exercised).
+func checkParallelMatchesSerial(t *testing.T, groups int, limit Time, workerCounts []int) {
+	t.Helper()
+	serial, wantNow, err := runMixedSerial(groups, limit)
+	if err != nil {
+		t.Fatalf("serial run: %v", err)
 	}
-	if len(want) == 0 {
+	if len(serial.lines) == 0 {
 		t.Fatal("serial run produced no trace")
 	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		got, gotNow, err := runMixedParallel(groups, workers, -1)
+	var first []string
+	for _, workers := range workerCounts {
+		label := fmt.Sprintf("workers=%d", workers)
+		got, gotNow, err := runMixedParallel(groups, workers, limit)
 		if err != nil {
-			t.Fatalf("parallel run (workers=%d): %v", workers, err)
+			t.Fatalf("parallel run (%s): %v", label, err)
 		}
-		diffLines(t, fmt.Sprintf("workers=%d", workers), want, got)
+		if ties := checkMergeOrder(t, label, groups, serial, got); ties == 0 {
+			t.Fatalf("%s: no same-instant cross-group ties; the tie-break is untested", label)
+		}
+		if first == nil {
+			first = got.lines
+		} else {
+			diffLines(t, label, first, got.lines)
+		}
 		if gotNow != wantNow {
-			t.Fatalf("workers=%d: final clock %v, want %v", workers, gotNow, wantNow)
+			t.Fatalf("%s: final clock %v, want %v", label, gotNow, wantNow)
 		}
+	}
+}
+
+// TestParallelMatchesSerial pins the core determinism contract for a
+// partitioned run of non-interacting groups, at any worker count.
+func TestParallelMatchesSerial(t *testing.T) {
+	checkParallelMatchesSerial(t, 4, -1, []int{1, 2, 4, 8})
+	// The producers tick at the same instants in every group: the
+	// first tick's lines appear in group order.
+	got, _, _ := runMixedParallel(4, 4, -1)
+	var ticks []string
+	for _, l := range got.lines {
+		if strings.HasSuffix(l, " tick 0") {
+			ticks = append(ticks, l)
+		}
+	}
+	want := []string{"0.010ms prod g0 tick 0", "0.010ms prod g1 tick 0", "0.010ms prod g2 tick 0", "0.010ms prod g3 tick 0"}
+	if strings.Join(ticks, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("same-instant ticks %q, want shard-index order %q", ticks, want)
 	}
 }
 
 // TestParallelMatchesSerialAtHorizon is the same contract under a
 // RunUntil horizon that cuts the run mid-flight.
 func TestParallelMatchesSerialAtHorizon(t *testing.T) {
-	const groups = 3
 	const limit = Time(26 * Microsecond) // between the outer and inner callbacks
-	want, wantNow, wantErr := runMixedSerial(groups, limit)
-	if wantErr != nil {
-		t.Fatalf("serial run: %v", wantErr)
-	}
-	for _, workers := range []int{1, 3} {
-		got, gotNow, err := runMixedParallel(groups, workers, limit)
-		if err != nil {
-			t.Fatalf("parallel run (workers=%d): %v", workers, err)
+	checkParallelMatchesSerial(t, 3, limit, []int{1, 2, 3, 4, 8})
+}
+
+// TestParallelRunUntilResumes pins the over-horizon stash: a shard run
+// pops the first timer beyond the horizon to find where to stop, and
+// the partition's next run must still fire it.
+func TestParallelRunUntilResumes(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		root := NewEnv(3)
+		shards := root.EnterParallel(ParallelOptions{Groups: 2, Workers: workers})
+		woke := make([]Time, len(shards))
+		for g, env := range shards {
+			g, env := g, env
+			env.Spawn(fmt.Sprintf("sleeper%d", g), func(p *Proc) {
+				p.Delay(Duration(10*(g+1)) * Microsecond)
+				woke[g] = env.Now()
+			})
 		}
-		diffLines(t, fmt.Sprintf("horizon workers=%d", workers), want, got)
-		if gotNow != wantNow {
-			t.Fatalf("workers=%d: clock at horizon %v, want %v", workers, gotNow, wantNow)
+		if err := root.RunUntil(Time(5 * Microsecond)); err != nil {
+			t.Fatalf("workers=%d first RunUntil: %v", workers, err)
+		}
+		if woke[0] != 0 || woke[1] != 0 {
+			t.Fatalf("workers=%d: sleepers woke before the horizon: %v", workers, woke)
+		}
+		if err := root.RunUntil(Time(15 * Microsecond)); err != nil {
+			t.Fatalf("workers=%d second RunUntil: %v", workers, err)
+		}
+		if err := root.Run(); err != nil {
+			t.Fatalf("workers=%d final Run: %v", workers, err)
+		}
+		want := []Time{Time(10 * Microsecond), Time(20 * Microsecond)}
+		if fmt.Sprint(woke) != fmt.Sprint(want) {
+			t.Fatalf("workers=%d: sleepers woke at %v, want %v", workers, woke, want)
 		}
 	}
 }
@@ -209,85 +316,9 @@ func TestParallelUnobserved(t *testing.T) {
 		t.Fatalf("unobserved final clock %v, want %v", root.Now(), wantNow)
 	}
 	for _, sh := range shards {
-		if len(sh.sh.recs) != 0 {
+		if len(sh.sh.log) != 0 {
 			t.Fatal("unobserved run kept merge logs")
 		}
-	}
-}
-
-// buildRing wires groups into a SendGroup ring: each group's proc sends
-// a message to the next group at exactly the lookahead delay, the
-// tightest legal coupling.
-func buildRing(envs []*Env, la Duration) {
-	for g := range envs {
-		g := g
-		env := envs[g]
-		dst := envs[(g+1)%len(envs)]
-		env.Spawn(fmt.Sprintf("ring%d", g), func(p *Proc) {
-			for i := 0; i < 5; i++ {
-				p.Delay(10 * Microsecond)
-				i := i
-				env.SendGroup(dst, la, func() {
-					dst.Trace("msg", "g%d sent #%d", g, i)
-				})
-			}
-		})
-	}
-}
-
-// TestParallelLookaheadWorkerInvariance pins the finite-lookahead mode:
-// cross-group messages exist, and the merged trace is identical at any
-// worker count.
-func TestParallelLookaheadWorkerInvariance(t *testing.T) {
-	const groups = 4
-	const la = 50 * Microsecond
-	run := func(workers int) []string {
-		root := NewEnv(9)
-		tr := &fullTracer{}
-		root.SetTracer(tr)
-		shards := root.EnterParallel(ParallelOptions{Groups: groups, Workers: workers, Lookahead: la})
-		buildRing(shards, la)
-		if err := root.Run(); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return tr.lines
-	}
-	want := run(1)
-	delivered := 0
-	for _, l := range want {
-		if strings.Contains(l, "sent #") {
-			delivered++
-		}
-	}
-	if delivered != groups*5 {
-		t.Fatalf("delivered %d ring messages, want %d", delivered, groups*5)
-	}
-	for _, workers := range []int{2, 4} {
-		diffLines(t, fmt.Sprintf("ring workers=%d", workers), want, run(workers))
-	}
-}
-
-func TestSendGroupRejectsShortDelay(t *testing.T) {
-	root := NewEnv(1)
-	shards := root.EnterParallel(ParallelOptions{Groups: 2, Workers: 2, Lookahead: 10 * Microsecond})
-	shards[0].Spawn("sender", func(p *Proc) {
-		shards[0].SendGroup(shards[1], 5*Microsecond, func() {})
-	})
-	err := root.Run()
-	if err == nil || !strings.Contains(err.Error(), "below partition lookahead") {
-		t.Fatalf("short SendGroup delay: err = %v", err)
-	}
-}
-
-func TestSendGroupRejectsZeroLookahead(t *testing.T) {
-	root := NewEnv(1)
-	shards := root.EnterParallel(ParallelOptions{Groups: 2, Workers: 2})
-	shards[0].Spawn("sender", func(p *Proc) {
-		shards[0].SendGroup(shards[1], 5*Microsecond, func() {})
-	})
-	err := root.Run()
-	if err == nil || !strings.Contains(err.Error(), "without a finite lookahead") {
-		t.Fatalf("SendGroup without lookahead: err = %v", err)
 	}
 }
 
@@ -372,56 +403,6 @@ func TestParallelMidRunPIDsDeterministic(t *testing.T) {
 			t.Fatalf("workers=%d mid-run pids %v, want %v", workers, got, want)
 		}
 	}
-}
-
-// TestGrowPartition pins the repartition hook: new shards join between
-// runs, run their procs, and pid strides are re-based without
-// collisions.
-func TestGrowPartition(t *testing.T) {
-	root := NewEnv(9)
-	shards := root.EnterParallel(ParallelOptions{Groups: 2, Workers: 2})
-	pids := make([]int, 6)
-	spawnPair := func(env *Env, slot int, tag string) {
-		env.Spawn("p"+tag, func(p *Proc) {
-			p.Delay(Microsecond)
-			c := env.Spawn("c"+tag, func(p *Proc) {})
-			pids[slot] = c.ID()
-		})
-	}
-	for i, env := range shards {
-		spawnPair(env, i, fmt.Sprintf("a%d", i))
-	}
-	if err := root.Run(); err != nil {
-		t.Fatal(err)
-	}
-	grown := root.GrowPartition(2)
-	if len(grown) != 2 {
-		t.Fatalf("GrowPartition returned %d envs", len(grown))
-	}
-	for i, env := range grown {
-		spawnPair(env, 2+i, fmt.Sprintf("b%d", i))
-	}
-	for i, env := range shards {
-		spawnPair(env, 4+i, fmt.Sprintf("c%d", i))
-	}
-	if err := root.Run(); err != nil {
-		t.Fatal(err)
-	}
-	seen := map[int]bool{}
-	for _, id := range pids {
-		if id == 0 || seen[id] {
-			t.Fatalf("pids not unique after GrowPartition: %v", pids)
-		}
-		seen[id] = true
-	}
-	func() {
-		defer func() {
-			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "not a partitioned root") {
-				t.Fatalf("GrowPartition on unpartitioned env: recover = %v", r)
-			}
-		}()
-		NewEnv(1).GrowPartition(1)
-	}()
 }
 
 // TestParallelShardPIDsMatchSerial pins that pids are assigned in

@@ -111,9 +111,9 @@ type Env struct {
 	// partition. See parallel.go.
 	sh  *shardState
 	par *parCoord
-	// overHorizon stashes the timer a windowed (shard) run popped
-	// beyond its horizon, so the next window can re-arm it. A serial
-	// RunUntil abandons that timer, exactly as before.
+	// overHorizon stashes the timer a shard run popped beyond its
+	// horizon, so the partition's next RunUntil can re-arm it. A serial
+	// RunUntil abandons that timer.
 	overHorizon *timer
 }
 
@@ -142,11 +142,10 @@ func (e *Env) Trace(source, event string, args ...any) {
 	if e.tracer == nil {
 		return
 	}
-	if sh := e.sh; sh != nil && sh.logging && sh.co.running {
-		// Defer to the merge replay so the serial interleave is
-		// reproduced exactly (see parallel.go).
+	if e.Sequencing() {
+		// Defer to the merged replay (see parallel.go).
 		tr, now, msg := e.tracer, e.now, fmt.Sprintf(event, args...)
-		sh.emit(now, func() { tr.Event(now, source, msg) })
+		e.Sequenced(func() { tr.Event(now, source, msg) })
 		return
 	}
 	e.tracer.Event(e.now, source, fmt.Sprintf(event, args...))
@@ -155,10 +154,9 @@ func (e *Env) Trace(source, event string, args ...any) {
 // Spawn creates a new simproc running fn and places it at the back of the
 // ready queue. It may be called before Run, from simproc/timer context,
 // or — on a shard env — during a parallel run: a mid-run spawn lands on
-// the shard it was issued on (its home shard), draws its pid from that
-// shard's strided allocator, and is recorded through the same push
-// bookkeeping as every other ready-queue entry, so the serial replay
-// reproduces it at any worker count.
+// the shard it was issued on (its home shard) and draws its pid from
+// that shard's strided allocator, so its pid is the same at any worker
+// count.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
 		env:  e,
@@ -188,7 +186,7 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 func (e *Env) allocPID() int {
 	if e.par != nil {
 		panic(fmt.Sprintf(
-			"sim: Spawn on the partitioned root env (%d shards); a mid-run launch lives on its creator's home shard — Spawn on that shard env (see Env.EnterParallel / Env.GrowPartition)",
+			"sim: Spawn on the partitioned root env (%d shards); a mid-run launch lives on its creator's home shard — Spawn on that shard env (see Env.EnterParallel)",
 			len(e.par.shards)))
 	}
 	if sh := e.sh; sh != nil {
@@ -228,7 +226,7 @@ func (e *Env) At(t Time, fn func()) {
 func (e *Env) schedFunc(t Time, fn func()) {
 	if e.par != nil {
 		panic(fmt.Sprintf(
-			"sim: timer on the partitioned root env (%d shards); schedule on the home shard env that owns the affected procs — root timers would race the shard windows (see Env.EnterParallel / Env.GrowPartition)",
+			"sim: timer on the partitioned root env (%d shards); schedule on the home shard env that owns the affected procs — root timers would race the shard runs (see Env.EnterParallel)",
 			len(e.par.shards)))
 	}
 	tm := e.allocTimer()
@@ -236,11 +234,6 @@ func (e *Env) schedFunc(t Time, fn func()) {
 	e.seq++
 	tm.seq = e.seq
 	tm.fn = fn
-	if sh := e.sh; sh != nil && (sh.logging || !sh.co.running) {
-		// Setup-time scheds are always recorded (the prelog must be
-		// complete before the run decides whether it is observed).
-		sh.onSched(tm)
-	}
 	e.timers.push(tm)
 }
 
@@ -252,9 +245,6 @@ func (e *Env) schedSleep(t Time, p *Proc) *timer {
 	e.seq++
 	tm.seq = e.seq
 	tm.proc = p
-	if sh := e.sh; sh != nil && (sh.logging || !sh.co.running) {
-		sh.onSched(tm)
-	}
 	e.timers.push(tm)
 	return tm
 }
@@ -334,18 +324,15 @@ func (e *Env) RunUntil(limit Time) error {
 	}
 }
 
-// runCore executes scheduling decisions until the run (or, for a shard
-// env, the current window) is over; e.end records why it stopped.
+// runCore executes scheduling decisions until the run is over; e.end
+// records why it stopped.
 func (e *Env) runCore(limit Time) {
 	e.limit = limit
-	if sh := e.sh; sh != nil {
-		sh.inBlock = false
-		if t := e.overHorizon; t != nil {
-			// Re-arm the timer the previous window popped beyond its
-			// bound.
-			e.overHorizon = nil
-			e.timers.push(t)
-		}
+	if t := e.overHorizon; t != nil {
+		// Re-arm the timer the previous shard run popped beyond its
+		// horizon.
+		e.overHorizon = nil
+		e.timers.push(t)
 	}
 	if n := e.next(); n != nil {
 		// Hand the token to the first runnable proc; it and its
@@ -367,17 +354,10 @@ func (e *Env) next() *Proc {
 			return nil
 		}
 		if p := e.ready.pop(); p != nil {
-			if sh := e.sh; sh != nil && sh.logging {
-				sh.onResume(e, p)
-			} else if e.tracer != nil {
-				e.tracer.Resume(e.now, p.id, p.name)
+			if e.tracer != nil {
+				e.traceResume(p)
 			}
 			return p
-		}
-		if sh := e.sh; sh != nil {
-			// The ready queue drained: the current timer block (if any)
-			// has run to completion.
-			sh.inBlock = false
 		}
 		if e.timers.len() > 0 {
 			t := e.timers.pop()
@@ -387,9 +367,9 @@ func (e *Env) next() *Proc {
 			}
 			if e.limit >= 0 && t.at > e.limit {
 				if e.sh != nil {
-					// A windowed run re-arms the timer at the next
-					// window; a serial RunUntil abandons it along with
-					// the procs.
+					// A shard re-arms the timer at the partition's
+					// next run; a serial RunUntil abandons it along
+					// with the procs.
 					e.overHorizon = t
 				}
 				e.end = endLimit
@@ -397,9 +377,6 @@ func (e *Env) next() *Proc {
 			}
 			if t.at > e.now {
 				e.now = t.at
-			}
-			if sh := e.sh; sh != nil && sh.logging {
-				sh.onFire(t)
 			}
 			e.fire(t)
 			continue
@@ -411,6 +388,17 @@ func (e *Env) next() *Proc {
 		e.end = endDeadlock
 		return nil
 	}
+}
+
+// traceResume reports p's resumption to the tracer, deferred into the
+// merged replay on an observed shard.
+func (e *Env) traceResume(p *Proc) {
+	if e.Sequencing() {
+		tr, now, id, name := e.tracer, e.now, p.id, p.name
+		e.Sequenced(func() { tr.Resume(now, id, name) })
+		return
+	}
+	e.tracer.Resume(e.now, p.id, p.name)
 }
 
 // fire runs one due timer and recycles it.
@@ -471,9 +459,6 @@ func (e *Env) finish(p *Proc) {
 // wake moves p to the back of the ready queue. It is idempotent per park:
 // p must currently be parked and not already readied.
 func (e *Env) wake(p *Proc) {
-	if sh := e.sh; sh != nil && !sh.inBlock && (sh.logging || !sh.co.running) {
-		sh.onBootPush()
-	}
 	e.ready.push(p)
 }
 
@@ -551,9 +536,6 @@ type timer struct {
 	proc      *Proc
 	cancelled bool
 	nextFree  *timer
-	// logID identifies this timer in a shard's merge log (parallel.go);
-	// meaningful only while the owning shard is logging.
-	logID int
 }
 
 // timerLess orders timers by firing time, ties broken by scheduling

@@ -76,8 +76,8 @@ func TestFlightFullModeMatchesDirectTrace(t *testing.T) {
 // TestSampledTraceWorkerInvariance is the tentpole determinism gate for
 // sampled mode: the same seed must export the byte-identical 1-in-K
 // trace at SimWorkers 1, 2 and 4 — with the parallel engine genuinely
-// engaged at the higher counts — because sampling hashes serial-replay
-// ordinals, not arrival order.
+// engaged at the higher counts — because sampling hashes ordinals in
+// the engine's deterministic replay order, not arrival order.
 func TestSampledTraceWorkerInvariance(t *testing.T) {
 	trace := func(workers int) []byte {
 		cfg := lynx.Config{Substrate: lynx.Ideal, Seed: 7, SimWorkers: workers,

@@ -22,7 +22,7 @@ func renderSweep(t *testing.T, o SweepOptions) string {
 	return tbl.RenderJSONL()
 }
 
-// TestGensSweepWorkerInvariance is the load engine's finite-lookahead
+// TestGensSweepWorkerInvariance is the load engine's partitioned-run
 // acceptance gate: with Gens >= 2 every cell's run partitions (one
 // shard per generator, work units LaunchGroup-ed mid-run onto their
 // generator's shard), and the sweep table must stay byte-identical at

@@ -57,16 +57,16 @@
 //
 // When the boot-join graph splits into two or more connected
 // components, the System partitions the run: each component becomes one
-// shard of a conservative parallel discrete-event engine
+// shard of a parallel discrete-event engine over independent groups
 // (sim.EnterParallel), with its own event loop, its own segment of the
-// network medium, and its own slice of the kernel's state. What
-// licenses the split on the kernel substrates is finite lookahead: the
-// medium's MinLatency (token-ring serialization, CSMA sense delay,
-// backplane setup cost) lower-bounds every cross-node interaction, and
-// since boot components never share a link, groups can only couple
-// through medium state — which the per-group segments privatize
-// (occupancy, counters, forked rng streams). The Ideal fabric, having
-// no shared medium, is trivially partitionable.
+// network medium, and its own slice of the kernel's state. Boot
+// components never share a link, so groups can only couple through
+// medium state. On the kernel substrates the medium's MinLatency
+// (token-ring serialization, CSMA sense delay, backplane setup cost)
+// licenses splitting that state into per-group segments (occupancy,
+// counters, forked rng streams): it certifies no other coupling exists.
+// The Ideal fabric, having no shared medium, is trivially
+// partitionable.
 //
 // Partitioning happens whenever the topology is eligible, at every
 // SimWorkers value; Config.SimWorkers only caps how many shards execute
@@ -76,7 +76,8 @@
 // streams, and fault schedules are fixed by the topology alone, so a
 // run at any SimWorkers value produces byte-identical traces, metrics,
 // and results to SimWorkers=1 with the same seed — observers replay in
-// the exact serial interleave. A single-component (or single-process)
+// the engine's (time, shard) merge order, which per group is the serial
+// order. A single-component (or single-process)
 // topology has nothing to split and runs the ordinary serial loop.
 //
 // Fault plans compile onto a partitioned run as per-shard schedules:
@@ -226,7 +227,7 @@ type Config struct {
 	// SimWorkers caps how many event-loop shards execute concurrently
 	// inside this System. The run is partitioned into shards whenever
 	// the boot-join graph has >= 2 connected components and the medium
-	// has finite lookahead (netsim.MinLatency > 0, true of every
+	// can be split (netsim.MinLatency > 0, true of every
 	// substrate under default calibration) — independent of this value;
 	// SimWorkers <= 1 (the default) then runs the shards sequentially
 	// on one OS thread while > 1 runs up to that many concurrently.
@@ -258,15 +259,6 @@ type Config struct {
 	Charlotte CharlotteOptions
 	SODA      SODAOptions
 	Chrysalis ChrysalisOptions
-
-	// Tuned applies the Chrysalis §5.3 "30-40%" optimizations (E9).
-	//
-	// Deprecated: set Chrysalis.Tuned instead.
-	Tuned bool
-	// SODAPairLimit caps outstanding requests between one process pair.
-	//
-	// Deprecated: set SODA.PairLimit instead.
-	SODAPairLimit int
 }
 
 // System is one simulated machine running LYNX processes.
@@ -385,8 +377,9 @@ func NewSystem(cfg Config) *System {
 	if cfg.Trace.Mode != flight.Off {
 		// The flight recorder attaches as an ordinary obs sink, which
 		// makes the recorder Active(): instrumented code builds events
-		// and (under a parallel partition) replays them in serial
-		// order — the property the sampled mode's determinism rests on.
+		// and (under a parallel partition) replays them in (time, shard)
+		// merge order — the property the sampled mode's determinism
+		// rests on.
 		s.fr = flight.New(flight.Config{
 			Mode:    cfg.Trace.Mode,
 			SampleK: cfg.Trace.SampleK,
@@ -783,7 +776,7 @@ func (s *System) runtimeCosts() calib.LynxRuntimeCosts {
 
 // planParallel decides whether this run is partitionable and, when it
 // is, splits it. Eligibility is topology-and-medium only: at least two
-// boot-join connected components, over a medium with finite lookahead
+// boot-join connected components, over a medium that can be split
 // (netsim.MinLatency > 0 certifies that groups can only couple through
 // the state the per-group segments privatize; the Ideal fabric has no
 // medium and is trivially eligible). SimWorkers does NOT gate the
@@ -846,11 +839,9 @@ func (s *System) planParallel() func(*ProcRef) *sim.Env {
 	shards := s.env.EnterParallel(sim.ParallelOptions{
 		Groups:  k,
 		Workers: workers,
-		// Lookahead 0: components never interact, windows are unbounded.
-		Lookahead: 0,
 		// Observers (obs sinks, exporters) attach between NewSystem and
-		// Run; consult the recorder at run time so they still replay in
-		// serial order.
+		// Run; consult the recorder at run time so their emissions still
+		// replay in the deterministic (time, shard) merge order.
 		ObservedFn: func() bool { return rec.Active() },
 	})
 	s.shards = shards
@@ -1083,21 +1074,6 @@ func (p *ProcRef) RuntimeStats() *core.Stats {
 	return p.proc.Stats()
 }
 
-// CharlotteStats returns Charlotte binding counters (nil elsewhere).
-//
-// Deprecated: use p.Stats().Charlotte().
-func (p *ProcRef) CharlotteStats() *chbind.Stats { return p.Stats().Charlotte() }
-
-// SODAStats returns SODA binding counters (nil elsewhere).
-//
-// Deprecated: use p.Stats().SODA().
-func (p *ProcRef) SODAStats() *sodabind.Stats { return p.Stats().SODA() }
-
-// ChrysalisStats returns Chrysalis binding counters (nil elsewhere).
-//
-// Deprecated: use p.Stats().Chrysalis().
-func (p *ProcRef) ChrysalisStats() *chrbind.Stats { return p.Stats().Chrysalis() }
-
 // DebugState renders the process's run-time state (wedge diagnosis).
 func (p *ProcRef) DebugState() string {
 	if p.proc == nil {
@@ -1112,21 +1088,6 @@ func (p *ProcRef) Crash() {
 		p.proc.Crash()
 	}
 }
-
-// CharlotteKernelStats returns kernel counters for a Charlotte system.
-//
-// Deprecated: use s.Stats().Charlotte().
-func (s *System) CharlotteKernelStats() *charlotte.Stats { return s.Stats().Charlotte() }
-
-// SODAKernelStats returns kernel counters for a SODA system.
-//
-// Deprecated: use s.Stats().SODA().
-func (s *System) SODAKernelStats() *soda.Stats { return s.Stats().SODA() }
-
-// ChrysalisKernelStats returns kernel counters for a Chrysalis system.
-//
-// Deprecated: use s.Stats().Chrysalis().
-func (s *System) ChrysalisKernelStats() *chrysalis.Stats { return s.Stats().Chrysalis() }
 
 // Obs returns the active substrate's observability recorder: attach
 // exporters (obs.TextExporter, obs.JSONLExporter, obs.ChromeExporter)

@@ -77,12 +77,6 @@ func (cfg Config) normalized() Config {
 	if cfg.SimWorkers <= 0 {
 		cfg.SimWorkers = 1
 	}
-	if cfg.Tuned {
-		cfg.Chrysalis.Tuned = true
-	}
-	if cfg.SODA.PairLimit == 0 {
-		cfg.SODA.PairLimit = cfg.SODAPairLimit
-	}
 	if cfg.Charlotte.BufCap <= 0 {
 		cfg.Charlotte.BufCap = cfg.BufCap
 	}

@@ -131,7 +131,7 @@ func checkPartition(t *testing.T, sys *lynx.System, workers int) {
 // substrates: the kernel substrates partition their shared media into
 // per-group segments bounded by MinLatency (token-ring serialization,
 // CSMA sense delay, backplane setup cost), and the parallel engine's
-// replay reconstructs the exact serial interleave.
+// replay merges the shards' emissions by (time, shard).
 func TestParallelWorkerGoldenTraces(t *testing.T) {
 	for _, sub := range []lynx.Substrate{lynx.Charlotte, lynx.SODA, lynx.Chrysalis, lynx.Ideal} {
 		for _, workers := range []int{1, 2, 4} {

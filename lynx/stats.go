@@ -20,11 +20,10 @@ type SystemStats struct {
 	sys *System
 }
 
-// Stats returns the substrate-neutral statistics view. It replaces the
-// substrate-specific CharlotteKernelStats/SODAKernelStats/
-// ChrysalisKernelStats trio: generic counters are read by obs metric
-// name via Value, and the typed kernel structs remain reachable through
-// Charlotte/SODA/Chrysalis for the one substrate that is active.
+// Stats returns the substrate-neutral statistics view: generic counters
+// are read by obs metric name via Value, and the typed kernel structs
+// are reachable through Charlotte/SODA/Chrysalis for the one substrate
+// that is active.
 func (s *System) Stats() SystemStats { return SystemStats{sys: s} }
 
 // Substrate reports which kernel the system runs on.
@@ -76,8 +75,7 @@ type ProcStats struct {
 	p *ProcRef
 }
 
-// Stats returns the process's substrate-neutral statistics view,
-// replacing the CharlotteStats/SODAStats/ChrysalisStats trio.
+// Stats returns the process's substrate-neutral statistics view.
 func (p *ProcRef) Stats() ProcStats { return ProcStats{p: p} }
 
 // Runtime returns the run-time package counters (zero before Run).

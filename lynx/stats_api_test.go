@@ -1,6 +1,7 @@
 package lynx_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/obs"
@@ -30,9 +31,8 @@ func runEcho(t *testing.T, cfg lynx.Config) (*lynx.System, *lynx.ProcRef, *lynx.
 	return sys, client, server
 }
 
-// TestStatsFacade checks the substrate-neutral Stats() surface: the
-// typed accessors hand back exactly what the deprecated wrappers return,
-// only the active substrate's view is non-nil, and the generic Value
+// TestStatsFacade checks the substrate-neutral Stats() surface: only the
+// active substrate's typed views are non-nil, and the generic Value
 // lookups read the same registry.
 func TestStatsFacade(t *testing.T) {
 	allSubstrates(t, func(t *testing.T, sub lynx.Substrate) {
@@ -48,44 +48,21 @@ func TestStatsFacade(t *testing.T) {
 			t.Errorf("Value(MKernelBytes) = %d != Bytes() = %d",
 				st.Value(obs.MKernelBytes), st.Bytes())
 		}
-		// Exactly the active substrate's typed view is non-nil, and the
-		// deprecated wrappers agree with the facade.
-		nonNil := 0
-		if got, old := st.Charlotte(), sys.CharlotteKernelStats(); (got == nil) != (old == nil) {
-			t.Error("CharlotteKernelStats disagrees with Stats().Charlotte()")
-		} else if got != nil {
-			nonNil++
-		}
-		if got, old := st.SODA(), sys.SODAKernelStats(); (got == nil) != (old == nil) {
-			t.Error("SODAKernelStats disagrees with Stats().SODA()")
-		} else if got != nil {
-			nonNil++
-		}
-		if got, old := st.Chrysalis(), sys.ChrysalisKernelStats(); (got == nil) != (old == nil) {
-			t.Error("ChrysalisKernelStats disagrees with Stats().Chrysalis()")
-		} else if got != nil {
-			nonNil++
-		}
-		wantNonNil := 1
-		if sub == lynx.Ideal {
-			wantNonNil = 0 // Ideal has no kernel counter struct
-		}
-		if nonNil != wantNonNil {
-			t.Errorf("%d typed kernel views non-nil, want %d", nonNil, wantNonNil)
+		// Exactly the active substrate's typed views are non-nil: the
+		// kernel view on the System, the binding view on each process.
+		kernel := []bool{st.Charlotte() != nil, st.SODA() != nil, st.Chrysalis() != nil}
+		want := []bool{sub == lynx.Charlotte, sub == lynx.SODA, sub == lynx.Chrysalis}
+		if fmt.Sprint(kernel) != fmt.Sprint(want) {
+			t.Errorf("typed kernel views non-nil = %v, want %v", kernel, want)
 		}
 		for _, p := range []*lynx.ProcRef{client, server} {
 			ps := p.Stats()
 			if ps.Runtime() == nil {
 				t.Fatalf("%s: Runtime() nil", p.Name())
 			}
-			if c, o := ps.Charlotte(), p.CharlotteStats(); (c == nil) != (o == nil) {
-				t.Errorf("%s: CharlotteStats wrapper disagrees", p.Name())
-			}
-			if c, o := ps.SODA(), p.SODAStats(); (c == nil) != (o == nil) {
-				t.Errorf("%s: SODAStats wrapper disagrees", p.Name())
-			}
-			if c, o := ps.Chrysalis(), p.ChrysalisStats(); (c == nil) != (o == nil) {
-				t.Errorf("%s: ChrysalisStats wrapper disagrees", p.Name())
+			binding := []bool{ps.Charlotte() != nil, ps.SODA() != nil, ps.Chrysalis() != nil}
+			if fmt.Sprint(binding) != fmt.Sprint(want) {
+				t.Errorf("%s: typed binding views non-nil = %v, want %v", p.Name(), binding, want)
 			}
 		}
 		if client.Stats().Runtime().RequestsSent == 0 {
@@ -170,28 +147,18 @@ func TestMetricsNilSafe(t *testing.T) {
 	}
 }
 
-// TestDeprecatedConfigFields checks the deprecated top-level knobs
-// remain exact aliases of the per-substrate option blocks: the same
-// workload must take the same virtual time either way.
-func TestDeprecatedConfigFields(t *testing.T) {
+// TestChrysalisTunedChangesTime checks the Chrysalis.Tuned option
+// reaches the kernel: the same workload takes a different virtual time
+// with the §5.3 optimizations on.
+func TestChrysalisTunedChangesTime(t *testing.T) {
 	now := func(cfg lynx.Config) lynx.Time {
 		sys, _, _ := runEcho(t, cfg)
 		return sys.Now()
 	}
-	oldTuned := now(lynx.Config{Substrate: lynx.Chrysalis, Seed: 5, Tuned: true})
-	newTuned := now(lynx.Config{Substrate: lynx.Chrysalis, Seed: 5,
+	tuned := now(lynx.Config{Substrate: lynx.Chrysalis, Seed: 5,
 		Chrysalis: lynx.ChrysalisOptions{Tuned: true}})
-	if oldTuned != newTuned {
-		t.Errorf("Tuned alias: %v != %v", oldTuned, newTuned)
-	}
 	untuned := now(lynx.Config{Substrate: lynx.Chrysalis, Seed: 5})
-	if untuned == newTuned {
+	if untuned == tuned {
 		t.Error("Tuned option had no effect")
-	}
-	oldLim := now(lynx.Config{Substrate: lynx.SODA, Seed: 5, SODAPairLimit: 2})
-	newLim := now(lynx.Config{Substrate: lynx.SODA, Seed: 5,
-		SODA: lynx.SODAOptions{PairLimit: 2}})
-	if oldLim != newLim {
-		t.Errorf("SODAPairLimit alias: %v != %v", oldLim, newLim)
 	}
 }

@@ -17,6 +17,9 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# Create the log before the daemon starts: the background redirection
+# may not have opened it yet when the first poll below reads it.
+: >"$OUT/lynxd.log"
 "$BIN/lynxd" -addr 127.0.0.1:0 >"$OUT/lynxd.log" 2>&1 &
 DPID=$!
 
