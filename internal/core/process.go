@@ -40,9 +40,13 @@ type Process struct {
 
 	threads      map[int]*Thread
 	readyThreads []*Thread
-	yield        chan yieldInfo
 	nextTID      int
 	liveThreads  int
+	// base hands the processor back to the simproc's base goroutine:
+	// the process went idle, or a thread goroutine recovered crash, a
+	// panic the base must re-raise.
+	base  chan struct{}
+	crash any
 
 	ends         map[TransEnd]*End
 	endOrder     []TransEnd // creation order, for seed-stable exit teardown
@@ -73,7 +77,7 @@ func NewProcess(env *sim.Env, name string, tr Transport, costs calib.LynxRuntime
 		caps:         TransportCaps(tr),
 		costs:        costs,
 		threads:      make(map[int]*Thread),
-		yield:        make(chan yieldInfo),
+		base:         make(chan struct{}, 1),
 		ends:         make(map[TransEnd]*End),
 		pendingSends: make(map[uint64]*sendRecord),
 	}
@@ -83,14 +87,14 @@ func NewProcess(env *sim.Env, name string, tr Transport, costs calib.LynxRuntime
 	pr.blockHist = pr.rec.Histogram(obs.MProcBlockNs)
 	pr.queueHist = pr.rec.Histogram(obs.MQueueWaitNs)
 	pr.events.init(env, "lynx:"+name+".events")
-	pr.spawnThread("main", mainFn)
+	pr.spawnThread("main", false, mainFn)
 	pr.sp = env.Spawn("lynx:"+name, func(p *sim.Proc) {
 		p.OnKill(func() {
 			pr.dead = true
 			pr.tr.Shutdown()
 			pr.exited()
 		})
-		pr.dispatch(p)
+		pr.run()
 	})
 	// The simproc exists but has not run yet: safe to hand it to the
 	// binding before any traffic.
@@ -152,7 +156,7 @@ func (pr *Process) DebugState() string {
 		pr.name, pr.dead, pr.liveThreads, len(pr.pendingSends), len(pr.ends))
 	for _, t := range pr.threads {
 		fmt.Fprintf(&b, "  thread %d (%s): blocked=%v end=%v\n",
-			t.id, t.name, t.blocked.kind, t.blocked.end)
+			t.id, t.Name(), t.blocked.kind, t.blocked.end)
 	}
 	for _, e := range pr.ends {
 		fmt.Fprintf(&b, "  end %v: dead=%v moving=%v handler=%v outReq=%d outRep=%d owed=%d inReq=%d recvWait=%d replyWait=%d\n",
@@ -166,55 +170,37 @@ func (pr *Process) DebugState() string {
 	return b.String()
 }
 
-// spawnThread creates a thread and marks it ready.
-func (pr *Process) spawnThread(name string, fn func(*Thread)) *Thread {
+// spawnThread creates a thread and marks it ready. Its goroutine
+// starts when it is first dispatched. A Serve handler thread is named
+// by its operation (serve), so serving a request formats no string.
+func (pr *Process) spawnThread(name string, serve bool, fn func(*Thread)) *Thread {
 	pr.nextTID++
 	t := &Thread{
-		pr:     pr,
-		id:     pr.nextTID,
-		name:   name,
-		resume: make(chan wake),
+		pr:    pr,
+		id:    pr.nextTID,
+		name:  name,
+		serve: serve,
+		fn:    fn,
 	}
 	pr.threads[t.id] = t
 	pr.liveThreads++
 	pr.readyThreads = append(pr.readyThreads, t)
-	go t.run(fn)
 	return t
 }
 
-// dispatch is the process's main loop, running on its simproc: run ready
-// threads to their next block point; when none are ready, this is the
-// process's block point — wait for transport events.
-func (pr *Process) dispatch(p *sim.Proc) {
-	for {
-		// Drain any events that arrived while threads were running, so
-		// woken threads and fresh messages interleave fairly.
-		for {
-			ev, ok := pr.events.tryGet()
-			if !ok {
-				break
-			}
-			pr.handleEvent(ev)
+// run is the body of the process's simproc, on its base goroutine. It
+// dispatches the first thread; from then on threads pass the processor
+// among themselves (see step), and the base waits until one reports
+// the process idle, or hands back a crash for the base to re-raise so
+// the simproc's own kill path runs. Then it tears the process down.
+func (pr *Process) run() {
+	if t := pr.step(); t != nil {
+		pr.switchTo(t)
+		<-pr.base
+		if r := pr.crash; r != nil {
+			pr.crash = nil
+			panic(r)
 		}
-		pr.flushWakes()
-		if len(pr.readyThreads) > 0 {
-			t := pr.readyThreads[0]
-			pr.readyThreads = pr.readyThreads[0:copy(pr.readyThreads, pr.readyThreads[1:])]
-			pr.resumeThread(t)
-			continue
-		}
-		if pr.idle() {
-			break
-		}
-		// Block point: wait for one of the open queues or a completion.
-		blockedAt := pr.env.Now()
-		ev := pr.events.get(p)
-		wait := sim.Duration(pr.env.Now() - blockedAt)
-		pr.blockHist.Observe(wait)
-		if pr.rec.Active() {
-			pr.rec.EmitEnv(pr.env, obs.Event{Kind: obs.KindQueueWait, Src: pr.name, Wait: wait})
-		}
-		pr.handleEvent(ev)
 	}
 	pr.dead = true
 	// Orderly exit: destroy every still-live end first, so peers get the
@@ -231,6 +217,63 @@ func (pr *Process) dispatch(p *sim.Proc) {
 	pr.tr.Shutdown()
 	pr.env.Trace("lynx", "%s exits", pr.name)
 	pr.exited()
+}
+
+// step is the dispatcher, run by whichever goroutine holds the process
+// token as it gives up the processor: drain the events that arrived
+// while threads ran, so woken threads and fresh messages interleave
+// fairly, then pick the next ready thread. When none is ready, this is
+// the process's block point: wait for transport events on the simproc.
+// A nil result means the process is idle and should end.
+func (pr *Process) step() *Thread {
+	for {
+		for {
+			ev, ok := pr.events.tryGet()
+			if !ok {
+				break
+			}
+			pr.handleEvent(ev)
+		}
+		pr.flushWakes()
+		if len(pr.readyThreads) > 0 {
+			t := pr.readyThreads[0]
+			pr.readyThreads = pr.readyThreads[0:copy(pr.readyThreads, pr.readyThreads[1:])]
+			if t.dead {
+				continue
+			}
+			return t
+		}
+		if pr.idle() {
+			return nil
+		}
+		// Block point: wait for one of the open queues or a completion.
+		blockedAt := pr.env.Now()
+		ev := pr.events.get(pr.sp)
+		wait := sim.Duration(pr.env.Now() - blockedAt)
+		pr.blockHist.Observe(wait)
+		if pr.rec.Active() {
+			pr.rec.EmitEnv(pr.env, obs.Event{Kind: obs.KindQueueWait, Src: pr.name, Wait: wait})
+		}
+		pr.handleEvent(ev)
+	}
+}
+
+// switchTo hands the processor to thread t, delivering its pending
+// wake value (starting its goroutine on first dispatch), or to the base
+// goroutine when t is nil. The caller must not touch process state
+// afterwards except to wait for its own resumption.
+func (pr *Process) switchTo(t *Thread) {
+	if t == nil {
+		pr.base <- struct{}{}
+		return
+	}
+	w := t.takeWake()
+	if !t.started {
+		t.started = true
+		sim.Go(t.run)
+		return
+	}
+	t.resume <- w
 }
 
 // OnExit registers fn to run once when the process ends, by orderly
@@ -265,25 +308,6 @@ func (pr *Process) idle() bool {
 		}
 	}
 	return true
-}
-
-// resumeThread hands the processor to t until it blocks or dies.
-func (pr *Process) resumeThread(t *Thread) {
-	if t.dead {
-		return
-	}
-	w := wake{}
-	if t.hasWake {
-		w = t.pendingWake
-		t.pendingWake = wake{}
-		t.hasWake = false
-	}
-	t.resume <- w
-	info := <-pr.yield
-	if info.done {
-		pr.liveThreads--
-		delete(pr.threads, info.t.id)
-	}
 }
 
 // wakeThread schedules t to resume with the given wake value at the next
@@ -407,7 +431,7 @@ func (pr *Process) handleEvent(ev Event) {
 }
 
 // flushWakes moves pending wakes into the ready queue, attaching each
-// wake value to its thread for resumeThread to deliver.
+// wake value to its thread for switchTo to deliver.
 func (pr *Process) flushWakes() {
 	for i := range pr.pendingWakes {
 		t, w := pr.pendingWakes[i].t, pr.pendingWakes[i].w
@@ -416,7 +440,7 @@ func (pr *Process) flushWakes() {
 			continue
 		}
 		pr.readyThreads = append(pr.readyThreads, t)
-		// Stash the wake value for resumeThread delivery.
+		// Stash the wake value for switchTo to deliver.
 		t.pendingWake = w
 		t.hasWake = true
 	}
@@ -454,7 +478,7 @@ func (pr *Process) handleIncoming(ev Event) {
 			pr.wakeThread(t, wake{val: req})
 		case e.handler != nil:
 			h := e.handler
-			pr.spawnThread(fmt.Sprintf("serve:%s", m.Op), func(t *Thread) {
+			pr.spawnThread(m.Op, true, func(t *Thread) {
 				h(t, req)
 			})
 		default:

@@ -7,19 +7,29 @@ import (
 )
 
 // Thread is a LYNX thread of control: a coroutine within a process.
-// Threads execute in mutual exclusion — exactly one thread (or the
-// process's dispatcher) runs at a time, and control changes hands only
-// at well-defined block points — mirroring §2's "threads execute in
-// mutual exclusion and may be managed by the language run-time package,
-// much like the coroutines of Modula-2".
+// Threads execute in mutual exclusion — exactly one thread runs at a
+// time, and control changes hands only at well-defined block points —
+// mirroring §2's "threads execute in mutual exclusion and may be
+// managed by the language run-time package, much like the coroutines of
+// Modula-2". A thread switch is one transfer of control: the blocking
+// thread runs the dispatcher itself and hands the processor straight to
+// the next thread.
 //
 // All Thread methods must be called from the thread's own goroutine
 // while it is the running thread.
 type Thread struct {
-	pr   *Process
-	id   int
-	name string
-	// resume carries the wake value when the dispatcher reschedules us.
+	pr *Process
+	id int
+	// name is the thread's label; for a Serve handler thread (serve
+	// set) it is the operation name, and Name adds the "serve:" prefix.
+	name  string
+	serve bool
+	// fn is the thread's body until its goroutine starts it.
+	fn      func(*Thread)
+	started bool
+	// resume carries the wake value from the thread that hands us the
+	// processor. Buffered so the handoff never blocks the sender; made
+	// the first time the thread waits on it.
 	resume chan wake
 	dead   bool
 	// abortErr, when set by Abort, is delivered at the thread's next
@@ -29,7 +39,7 @@ type Thread struct {
 	// and for Abort to find and detach the waiter registration.
 	blocked blockState
 	// pendingWake carries the wake value attached by flushWakes until
-	// resumeThread delivers it (valid only while hasWake is set).
+	// switchTo delivers it (valid only while hasWake is set).
 	pendingWake wake
 	hasWake     bool
 }
@@ -60,33 +70,53 @@ const (
 	blockSleep             // in Thread.Sleep
 )
 
-// yieldInfo is what a thread sends the dispatcher when giving up the
-// processor.
-type yieldInfo struct {
-	t    *Thread
-	done bool // thread function returned
-}
-
 // ID returns the thread id (unique within its process).
 func (t *Thread) ID() int { return t.id }
 
 // Name returns the thread's label.
-func (t *Thread) Name() string { return t.name }
+func (t *Thread) Name() string {
+	if t.serve {
+		return "serve:" + t.name
+	}
+	return t.name
+}
 
 // Process returns the owning process.
 func (t *Thread) Process() *Process { return t.pr }
 
-// park gives the processor back to the dispatcher and blocks until the
-// dispatcher reschedules this thread, returning the wake value. If an
-// abort is pending it is delivered here.
+// park gives up the processor and blocks until this thread is
+// rescheduled, returning the wake value. It runs the dispatcher itself:
+// if this thread is its own successor it continues with no channel
+// operation; otherwise it hands the processor to the next thread and
+// waits on its own resume channel. If an abort is pending it is
+// delivered here.
 func (t *Thread) park() wake {
-	t.pr.yield <- yieldInfo{t: t}
-	w := <-t.resume
+	var w wake
+	if n := t.pr.step(); n == t {
+		w = t.takeWake()
+	} else {
+		if t.resume == nil {
+			t.resume = make(chan wake, 1)
+		}
+		t.pr.switchTo(n)
+		w = <-t.resume
+	}
 	if t.abortErr != nil && w.err == nil {
 		w.err = t.abortErr
 		t.abortErr = nil
 	}
 	t.blocked = blockState{}
+	return w
+}
+
+// takeWake removes and returns the wake value flushWakes attached.
+func (t *Thread) takeWake() wake {
+	if !t.hasWake {
+		return wake{}
+	}
+	w := t.pendingWake
+	t.pendingWake = wake{}
+	t.hasWake = false
 	return w
 }
 
@@ -145,7 +175,7 @@ func (t *Thread) Now() sim.Time { return t.pr.sp.Now() }
 // Fork creates a new thread running fn, scheduled after the current
 // thread next blocks. It returns the new thread.
 func (t *Thread) Fork(name string, fn func(*Thread)) *Thread {
-	return t.pr.spawnThread(name, fn)
+	return t.pr.spawnThread(name, false, fn)
 }
 
 // Abort delivers an asynchronous exception to another thread of the same
@@ -161,27 +191,41 @@ func (t *Thread) Abort(target *Thread) {
 	t.pr.abortThread(target, ErrAborted)
 }
 
-// run is the goroutine body of a thread.
-func (t *Thread) run(fn func(*Thread)) {
+// run is the goroutine body of a thread: its function, then the
+// handoff of the processor to whatever runs next. A panic that reaches
+// here (the kill signal, or one raised while handing off) goes to the
+// simproc's base goroutine to re-raise, so the simproc ends through its
+// own kill path.
+func (t *Thread) run() {
+	pr := t.pr
+	defer func() {
+		if r := recover(); r != nil {
+			pr.crash = r
+			pr.base <- struct{}{}
+		}
+	}()
+	fn := t.fn
+	t.fn = nil
+	if t.abortErr == nil { // not aborted before it ever ran
+		t.call(fn)
+	}
+	t.dead = true
+	pr.liveThreads--
+	delete(pr.threads, t.id)
+	pr.switchTo(pr.step())
+}
+
+// call runs the thread's function. A panic stops the run, except the
+// kill signal, which passes through to run.
+func (t *Thread) call(fn func(*Thread)) {
 	defer func() {
 		if r := recover(); r != nil {
 			if sim.IsKilled(r) {
-				// The whole process was killed while this thread held the
-				// proc token: finish the proc's lifecycle from here (the
-				// dispatcher goroutine is abandoned).
-				t.pr.sp.FinishFromBorrower()
-				return
+				panic(r)
 			}
 			t.pr.env.Stop(fmt.Errorf("lynx: process %s thread %d (%s) panicked: %v",
-				t.pr.name, t.id, t.name, r))
+				t.pr.name, t.id, t.Name(), r))
 		}
-		t.dead = true
-		t.pr.yield <- yieldInfo{t: t, done: true}
 	}()
-	// Wait for the first dispatch.
-	<-t.resume
-	if t.abortErr != nil {
-		return // aborted before it ever ran
-	}
 	fn(t)
 }

@@ -238,12 +238,12 @@ func (co *parCoord) runShards(limit Time) {
 	for _, sh := range co.shards {
 		sh := sh
 		wg.Add(1)
-		go func() {
+		Go(func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			run(sh)
 			<-sem
-		}()
+		})
 	}
 	wg.Wait()
 }

@@ -166,16 +166,3 @@ func IsKilled(r any) bool {
 	_, ok := r.(killedPanic)
 	return ok
 }
-
-// FinishFromBorrower completes the proc's lifecycle from a goroutine that
-// borrowed the proc's identity and recovered its kill signal: it runs the
-// OnKill hooks (LIFO) and passes the token onward. The proc's original
-// goroutine is abandoned (it stays parked forever). Hooks must not block
-// or park.
-func (p *Proc) FinishFromBorrower() {
-	for i := len(p.onKill) - 1; i >= 0; i-- {
-		p.onKill[i]()
-	}
-	p.done = true
-	p.env.finish(p)
-}

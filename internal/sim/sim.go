@@ -7,8 +7,9 @@
 // lets the experiment harness reproduce the paper's latency tables as
 // stable virtual-time measurements.
 //
-// A simproc is an ordinary goroutine wrapped by a *Proc. It may block on
-// timers (Delay), on wait queues (WaitQueue), or simply finish. The
+// A simproc is a goroutine wrapped by a *Proc, started on a recycled
+// worker (see Go) so it inherits a stack earlier bodies grew. It may
+// block on timers (Delay), on wait queues (WaitQueue), or simply finish. The
 // scheduler resumes runnable simprocs in deterministic FIFO order and,
 // when none are runnable, pops the earliest timer and advances the
 // virtual clock.
@@ -25,9 +26,9 @@
 //
 // Token discipline: a *Proc's identity may be borrowed by another
 // goroutine (the LYNX runtime hands the process token between coroutine
-// goroutines), as long as at most one goroutine uses the Proc at a time.
-// The channel handoffs used internally establish the happens-before
-// edges that make this race-free.
+// goroutines, and whichever holds it parks the proc), as long as at most
+// one goroutine uses the Proc at a time. The channel handoffs establish
+// the happens-before edges that make this race-free.
 package sim
 
 import (
@@ -415,13 +416,14 @@ func (e *Env) fire(t *timer) {
 	fn()
 }
 
-// transfer gives the token to p: first dispatch starts its goroutine,
-// later ones signal its gate. The gate is buffered so the sender never
-// blocks (p is guaranteed to be at, or arriving at, its gate receive).
+// transfer gives the token to p: first dispatch starts it on a pooled
+// goroutine (see Go), later ones signal its gate. The gate is buffered
+// so the sender never blocks (p is guaranteed to be at, or arriving at,
+// its gate receive).
 func (e *Env) transfer(p *Proc) {
 	if !p.started {
 		p.started = true
-		go p.run()
+		Go(p.run)
 		return
 	}
 	p.gate <- struct{}{}
@@ -439,9 +441,9 @@ func (e *Env) handoff(n *Proc) {
 }
 
 // finish retires p, the current proc (already marked done), and passes
-// the token onward. Called from the proc's own goroutine as it exits, or
-// from a borrower completing the proc's lifecycle. Unlinking p from the
-// live list leaves the env holding no reference to it.
+// the token onward. Called from the proc's own goroutine as it exits.
+// Unlinking p from the live list leaves the env holding no reference
+// to it.
 func (e *Env) finish(p *Proc) {
 	e.live--
 	if p.prevLive != nil {
