@@ -1,10 +1,13 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-update bench-all lynxd-smoke
+.PHONY: check fmt vet build test race bench bench-all lynxd-smoke
 
-# check is the CI gate: formatting, vet, build, the full test suite
-# under the race detector, and the scheduler allocation-regression gate.
-check: fmt vet build race bench
+# check is the local gate: formatting, vet, build, and the full test
+# suite under the race detector. The behaviour goldens and the
+# allocation gate run in every test run; the wall-clock gates (recorder
+# overhead, 4-worker scaling) are plain tests left out of race builds,
+# so `make test` runs them.
+check: fmt vet build race
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -24,23 +27,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench runs the scheduler microbenches (-benchmem equivalents), the
-# sweep macro benchmark, and the load-generator benchmark; it fails on a
-# >10% allocs/op regression against BENCH_sched.json or a >15% runs/sec
-# regression against BENCH_sweep.json / BENCH_load.json (the throughput
-# gates only when run on the recording machine).
+# bench runs the repository benchmark (bench/): end-to-end host
+# throughput and virtual latency on four workloads, plus per-layer cost.
 bench:
-	$(GO) run ./cmd/schedbench
-	$(GO) run ./cmd/sweepbench
-	$(GO) run ./cmd/lynxload
-
-# bench-update refreshes the current numbers in BENCH_sched.json,
-# BENCH_sweep.json, and BENCH_load.json after a deliberate change (the
-# pre-rewrite baselines are preserved).
-bench-update:
-	$(GO) run ./cmd/schedbench -update
-	$(GO) run ./cmd/sweepbench -update
-	$(GO) run ./cmd/lynxload -update
+	bash bench/run.sh
 
 # bench-all runs the full experiment + RPC benchmark suite once.
 bench-all:

@@ -20,26 +20,31 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/cli"
 	"repro/internal/expt"
 )
 
-func main() {
-	one := flag.String("e", "", "run a single experiment by id (E1..E13)")
-	list := flag.Bool("list", false, "list experiments")
-	asJSON := flag.Bool("json", false, "emit results as JSON (id, pass, table, obs metric snapshot)")
-	parallel := flag.Int("parallel", 0, "worker goroutines (default GOMAXPROCS)")
-	reps := flag.Int("reps", 1, "replicas per experiment (tables gain mean ±95% CI cells)")
-	seed := flag.Uint64("seed", 1, "root seed for replicas beyond the canonical first")
-	flag.Parse()
+func main() { run(os.Args[1:], os.Stdout) }
+
+// run is the command, writing tables or JSON to stdout.
+func run(args []string, stdout io.Writer) {
+	fs := flag.NewFlagSet("lynxbench", flag.ExitOnError)
+	one := fs.String("e", "", "run a single experiment by id (E1..E13)")
+	list := fs.Bool("list", false, "list experiments")
+	asJSON := fs.Bool("json", false, "emit results as JSON (id, pass, table, obs metric snapshot)")
+	parallel := fs.Int("parallel", 0, "worker goroutines (default GOMAXPROCS)")
+	reps := fs.Int("reps", 1, "replicas per experiment (tables gain mean ±95% CI cells)")
+	seed := fs.Uint64("seed", 1, "root seed for replicas beyond the canonical first")
+	fs.Parse(args)
 
 	opts := expt.Options{Parallel: *parallel, Reps: *reps, RootSeed: *seed}
 
 	if *list {
 		for _, e := range expt.Catalog() {
-			fmt.Printf("%-4s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-4s %s\n", e.ID, e.Title)
 		}
 		return
 	}
@@ -49,24 +54,24 @@ func main() {
 			cli.Usagef("lynxbench", "unknown experiment %q", *one)
 		}
 		if *asJSON {
-			emitJSON(r)
+			emitJSON(stdout, r)
 		} else {
-			fmt.Print(r.Render())
+			fmt.Fprint(stdout, r.Render())
 		}
 		if !r.Pass {
-			os.Exit(1)
+			cli.Exit(cli.ExitFailure)
 		}
 		return
 	}
 	results := expt.AllWith(opts)
 	if *asJSON {
-		emitJSON(results)
+		emitJSON(stdout, results)
 	}
 	fail := 0
 	for _, r := range results {
 		if !*asJSON {
-			fmt.Print(r.Render())
-			fmt.Println()
+			fmt.Fprint(stdout, r.Render())
+			fmt.Fprintln(stdout)
 		}
 		if !r.Pass {
 			fail++
@@ -76,13 +81,13 @@ func main() {
 		cli.Failf("lynxbench", "%d experiment(s) did not match the paper's shape", fail)
 	}
 	if !*asJSON {
-		fmt.Println("all experiments match the paper's shape")
+		fmt.Fprintln(stdout, "all experiments match the paper's shape")
 	}
 }
 
-// emitJSON writes v (one Result or a slice of them) to stdout.
-func emitJSON(v any) {
-	enc := json.NewEncoder(os.Stdout)
+// emitJSON writes v (one Result or a slice of them) to w.
+func emitJSON(w io.Writer, v any) {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	cli.Check("lynxbench", enc.Encode(v))
 }

@@ -1,54 +1,47 @@
 // Command lynxload is the thin CLI over the lynx/load engine and the
 // lynx/grid runner. It measures the three kernel bindings under load in
-// two complementary ways:
-//
-//   - virtual-time overload sweep (default, and -rates R1,R2,...): the
-//     open-loop load.Run engine injects Poisson arrivals of
-//     echo/pipeline/mesh work units INSIDE one simulated System per
-//     (substrate, rate) cell, sweeping offered rates that cross
-//     saturation. Offered rate vs realized throughput and p50/p95/p99
-//     virtual-time sojourn land in a pivoted matrix and in
-//     BENCH_load.json's overload table. Every number is a pure function
-//     of the seed: the recorded table is byte-identical on any machine
-//     at any -parallel, and `make bench` fails on any drift.
-//   - max-throughput (wall clock): a closed loop through lynx/grid —
-//     one cell per substrate, -runs replicas, each one short System
-//     from load.RunOnce. This measures the host's Systems/sec and gates
-//     (>15%) only on the recording machine.
+// virtual time: the open-loop load.Run engine injects Poisson arrivals
+// of echo/pipeline/mesh work units INSIDE one simulated System per
+// (substrate, rate) cell, sweeping offered rates that cross saturation
+// (-rates R1,R2,...). Offered rate vs realized throughput and
+// p50/p95/p99 virtual-time sojourn land in a pivoted matrix; with
+// -faults every scenario is crossed with the sweep and reported one
+// line per cell. Every number is a pure function of the seed: a table
+// is byte-identical on any machine at any -parallel, and the default
+// overload and faults tables are pinned as goldens under testdata.
+// -rate runs one open-loop System in full detail instead.
 //
 // The sweep itself lives in lynx/load (SweepSpec/Rows/Key), shared with
 // the lynxd daemon, so a daemon job and a CLI run of the same options
 // produce byte-identical tables. -json prints exactly that table (the
 // grid's JSONL rendering) to stdout and nothing else.
 //
+// Host-time throughput is measured by the benchmark under bench/, not
+// here.
+//
 // Examples:
 //
-//	lynxload                        # bench: wall gate + overload-table gate
-//	lynxload -update                # rewrite BENCH_load.json current numbers
+//	lynxload                        # default overload sweep, 3 substrates x 4 rates
 //	lynxload -rate 300 -window 2s   # one open-loop virtual-time run
 //	lynxload -rates 10,100,1000 -substrates soda
+//	lynxload -faults default -rates 40 -window 250ms   # every fault scenario
 //	lynxload -rates 30,60 -substrates charlotte -json   # machine-readable table
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/lynx"
 	"repro/lynx/fault"
 	"repro/lynx/grid"
 	"repro/lynx/load"
-	"repro/lynx/sweep"
 )
 
 // defaultRates sweeps from inside every substrate's capacity to well
@@ -117,14 +110,54 @@ func defaultScenarios() []*fault.Plan {
 type loadConfig struct {
 	subs       []lynx.Substrate
 	mix        *load.Mix
-	runs       int // closed-loop replicas per substrate
 	parallel   int
 	simWorkers int // in-System parallel worker cap; never changes results
 	gens       int // load-generator processes per run; >1 changes the workload
 	seed       uint64
+	rate       float64 // -rate: one open-loop run instead of the sweep
 	rates      []float64
 	window     lynx.Duration
 	faults     []*fault.Plan
+	json       bool
+}
+
+// parseArgs resolves the command line; an error is a usage error.
+func parseArgs(args []string) (loadConfig, error) {
+	fs := flag.NewFlagSet("lynxload", flag.ExitOnError)
+	var (
+		substrates = fs.String("substrates", "charlotte,soda,chrysalis", "comma-separated substrate list")
+		mixFlag    = fs.String("mix", load.DefaultMix, "traffic mix, kind=weight pairs")
+		parallel   = fs.Int("parallel", 0, "worker goroutines (default GOMAXPROCS); never changes results")
+		simWorkers = fs.Int("simworkers", 1, "in-System parallel worker cap (lynx.Config.SimWorkers); never changes results")
+		gens       = fs.Int("gens", 1, "load-generator processes per run; >=2 partitions the run (workload parameter: changes arrival schedules)")
+		seed       = fs.Uint64("seed", 1, "root seed (workload shape and System seeds)")
+		rate       = fs.Float64("rate", 0, "single open-loop virtual-time run at this rate (first -substrates entry)")
+		rates      = fs.String("rates", defaultRates, "overload sweep: offered rates, arrivals per virtual second")
+		window     = fs.Duration("window", time.Second, "open-loop arrival window (virtual time)")
+		faults     = fs.String("faults", "", "fault scenarios crossed with the sweep: '/'-separated names or inline plans; 'default' = all registered")
+		jsonOut    = fs.Bool("json", false, "print the overload sweep's grid table as JSONL to stdout and exit")
+	)
+	fs.Parse(args)
+
+	c := loadConfig{parallel: *parallel, simWorkers: *simWorkers, gens: *gens,
+		seed: *seed, rate: *rate, window: lynx.Duration(*window), json: *jsonOut}
+	var err error
+	if c.subs, err = lynx.ParseSubstrates(*substrates); err != nil {
+		return c, err
+	}
+	if c.mix, err = load.ParseMix(*mixFlag); err != nil {
+		return c, err
+	}
+	if c.rates, err = parseRates(*rates); err != nil {
+		return c, fmt.Errorf("-rates: %w", err)
+	}
+	if c.window <= 0 {
+		return c, fmt.Errorf("-window must be positive")
+	}
+	if c.faults, err = parseFaults(*faults); err != nil {
+		return c, fmt.Errorf("-faults: %w", err)
+	}
+	return c, nil
 }
 
 // sweepOptions maps the config onto the shared overload-sweep engine.
@@ -140,38 +173,6 @@ func (c loadConfig) sweepOptions() load.SweepOptions {
 		Gens:       c.gens,
 		Faults:     c.faults,
 	}
-}
-
-// faultsOptions is the pinned overload-under-faults sweep bench mode
-// records and gates: every registered scenario crossed with the
-// configured substrates at one fixed rate inside a short window, so the
-// scenario axis is the only varying stress.
-func (c loadConfig) faultsOptions() load.SweepOptions {
-	return load.SweepOptions{
-		Substrates: c.subs,
-		Rates:      []float64{40},
-		Window:     250 * lynx.Millisecond,
-		Mix:        c.mix,
-		Seed:       c.seed,
-		Parallel:   c.parallel,
-		SimWorkers: c.simWorkers,
-		Gens:       c.gens,
-		Faults:     defaultScenarios(),
-	}
-}
-
-// wallKey canonicalizes the closed-loop workload for the wall gate.
-func (c loadConfig) wallKey() string {
-	return fmt.Sprintf("subs=%s mix=%s seed=%d runs=%d",
-		subNames(c.subs), c.mix, c.seed, c.runs)
-}
-
-func subNames(subs []lynx.Substrate) string {
-	names := make([]string, len(subs))
-	for i, s := range subs {
-		names[i] = s.String()
-	}
-	return strings.Join(names, ",")
 }
 
 // runOverload executes the shared sweep and flattens the grid into
@@ -205,165 +206,13 @@ func runSingle(c loadConfig, rate float64) (*load.Result, error) {
 	})
 }
 
-// measurement is one BENCH_load.json recording: the wall-clock
-// closed-loop numbers (machine-matched gate) plus the virtual-time
-// overload table (machine-independent byte-equality gate).
-type measurement struct {
-	Workload    string                      `json:"workload"`
-	Runs        int                         `json:"runs"`
-	RunsPerSec  float64                     `json:"runs_per_sec"`
-	CompleteUS  map[string]float64          `json:"complete_us"`
-	MixRuns     map[string]int64            `json:"mix_runs"`
-	Events      map[string]map[string]int64 `json:"substrate_events"`
-	NumCPU      int                         `json:"num_cpu"`
-	GOMAXPROCS  int                         `json:"gomaxprocs"`
-	OverloadKey string                      `json:"overload_key,omitempty"`
-	Overload    []load.Row                  `json:"overload,omitempty"`
-	FaultsKey   string                      `json:"faults_key,omitempty"`
-	Faults      []load.Row                  `json:"faults,omitempty"`
-}
-
-// benchFile is the BENCH_load.json schema (baseline/current, like
-// BENCH_sweep.json).
-type benchFile struct {
-	Note     string       `json:"note"`
-	Baseline *measurement `json:"baseline,omitempty"`
-	Current  *measurement `json:"current,omitempty"`
-}
-
-// runMax drives the closed-loop max-throughput workload through the
-// grid runner: one cell per substrate, c.runs replicas each, every
-// replica one load.RunOnce System with a mix-drawn kind.
-func runMax(c loadConfig) *measurement {
-	start := time.Now()
-	tbl := grid.Run(grid.Spec{
-		Name:     "lynxload",
-		Axes:     []grid.Axis{grid.AxisOf("substrate", c.subs...)},
-		Replicas: c.runs,
-		Parallel: c.parallel,
-		RootSeed: c.seed,
-		Body: func(cell grid.Cell, r sweep.Run) sweep.Outcome {
-			rnd := sim.NewRand(r.Seed)
-			kind := c.mix.Pick(rnd)
-			t0 := time.Now()
-			m, err := load.RunOnce(grid.MustAs[lynx.Substrate](cell, "substrate"), kind, rnd.Uint64())
-			return sweep.Outcome{
-				Values:  map[string]float64{"complete_us": float64(time.Since(t0).Microseconds())},
-				Metrics: m,
-				Err:     err,
-			}
-		},
-	})
-	elapsed := time.Since(start)
-	if n := tbl.Errs(); n > 0 {
-		for _, cr := range tbl.Cells {
-			if len(cr.Agg.Errs) > 0 {
-				fmt.Fprintf(os.Stderr, "lynxload: %s: %v\n", cr.Cell.Key(), cr.Agg.Errs[0])
-			}
-		}
-		os.Exit(1)
-	}
-	var lats []float64
-	events := map[string]map[string]int64{}
-	mixRuns := map[string]int64{}
-	for _, cr := range tbl.Cells {
-		for _, out := range cr.Agg.Outcomes {
-			lats = append(lats, out.Values["complete_us"])
-		}
-		events[cr.Cell.Str("substrate")] = substrateEvents(cr.Agg.Merged)
-		for _, k := range load.Kinds {
-			mixRuns[k] += cr.Agg.Merged.Value("load_runs_" + k)
-		}
-	}
-	for k, v := range mixRuns {
-		if v == 0 {
-			delete(mixRuns, k)
-		}
-	}
-	st := sweep.Summarize(lats)
-	total := c.runs * len(c.subs)
-	return &measurement{
-		Workload:   c.wallKey(),
-		Runs:       total,
-		RunsPerSec: float64(total) / elapsed.Seconds(),
-		CompleteUS: map[string]float64{
-			"mean": st.Mean, "p50": st.P50, "p95": st.P95, "p99": st.P99,
-		},
-		MixRuns:    mixRuns,
-		Events:     events,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-}
-
-// substrateEvents extracts the headline protocol-event counters from a
-// pooled registry: bytes moved plus each substrate's message-level
-// primitive (Charlotte messages, SODA requests/accepts, Chrysalis
-// queue enqueues).
-func substrateEvents(m *obs.Metrics) map[string]int64 {
-	out := map[string]int64{}
-	for _, name := range []string{
-		obs.MKernelMessages, obs.MKernelBytes,
-		obs.MKernelRequests, obs.MKernelAccepts,
-		obs.MQueueEnqueues, obs.MEventPosts,
-	} {
-		if v := m.Value(name); v != 0 {
-			out[name] = v
-		}
-	}
-	return out
-}
-
-// report prints the human-readable load report.
-func report(m *measurement, tbl *grid.Table) {
-	fmt.Printf("lynxload: %s\n", m.Workload)
-	fmt.Printf("  %d runs, %.0f runs/s (NumCPU=%d GOMAXPROCS=%d)\n",
-		m.Runs, m.RunsPerSec, m.NumCPU, m.GOMAXPROCS)
-	fmt.Printf("  completion: mean %.0fµs p50 %.0fµs p95 %.0fµs p99 %.0fµs\n",
-		m.CompleteUS["mean"], m.CompleteUS["p50"], m.CompleteUS["p95"], m.CompleteUS["p99"])
-	var ks []string
-	for k := range m.MixRuns {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	for _, k := range ks {
-		fmt.Printf("  mix %-10s %d runs\n", k, m.MixRuns[k])
-	}
-	var subs []string
-	for s := range m.Events {
-		subs = append(subs, s)
-	}
-	sort.Strings(subs)
-	for _, s := range subs {
-		var parts []string
-		var names []string
-		for n := range m.Events[s] {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			parts = append(parts, fmt.Sprintf("%s=%d", n, m.Events[s][n]))
-		}
-		fmt.Printf("  events %-10s %s\n", s, strings.Join(parts, " "))
-	}
-	if tbl != nil {
-		fmt.Printf("overload sweep: %s\n", m.OverloadKey)
-		fmt.Print(tbl.RenderMatrix("substrate", "rate",
-			"realized", "sojourn_p50_ms", "sojourn_p95_ms", "sojourn_p99_ms"))
-	}
-}
-
-// reportFaults prints the overload-under-faults table: one line per
-// (substrate, scenario), completion against arrivals plus realized
-// throughput and tail sojourn.
-func reportFaults(m *measurement) {
-	if len(m.Faults) == 0 {
-		return
-	}
-	fmt.Printf("faults sweep: %s\n", m.FaultsKey)
-	for _, r := range m.Faults {
-		fmt.Printf("  %-10s %-36s completed %3d/%-3d realized %7.2f/s p95 %8.3fms\n",
-			r.Substrate, r.Scenario, r.Completed, r.Arrivals, r.Realized, r.P95MS)
+// reportFaults prints an overload-under-faults table: one line per
+// (substrate, rate, scenario), completion against arrivals plus
+// realized throughput and tail sojourn.
+func reportFaults(rows []load.Row) {
+	for _, r := range rows {
+		fmt.Printf("  %-10s %6g/s %-36s completed %3d/%-3d realized %7.2f/s p95 %8.3fms\n",
+			r.Substrate, r.Rate, r.Scenario, r.Completed, r.Arrivals, r.Realized, r.P95MS)
 	}
 }
 
@@ -387,234 +236,30 @@ func reportSingle(sub lynx.Substrate, res *load.Result) {
 	}
 }
 
-func loadFile(path string) (*benchFile, error) {
-	f := &benchFile{}
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return f, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	if len(data) == 0 {
-		// An empty file (e.g. freshly touched, or /dev/null) means the
-		// same thing as a missing one: nothing recorded yet.
-		return f, nil
-	}
-	if err := json.Unmarshal(data, f); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return f, nil
-}
-
-func save(path string, f *benchFile) error {
-	f.Note = "Load benchmark (cmd/lynxload). runs_per_sec: short lynx Systems/sec through the " +
-		"lynx/grid runner (mixed echo/pipeline/mesh traffic per substrate); make check fails on " +
-		"a >15% regression vs current only on the recording machine (same NumCPU/GOMAXPROCS/" +
-		"workload string). overload: the virtual-time open-loop sweep (lynx/load) — offered rate " +
-		"vs realized throughput and p50/p95/p99 virtual sojourn; every number is a pure function " +
-		"of the seed, so the gate demands byte-identical tables on ANY machine at any -parallel. " +
-		"Refresh deliberately with `make bench-update`."
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// wallGateFails applies the machine- and workload-matched wall-clock
-// regression gate.
-func wallGateFails(rec, m *measurement) bool {
-	if rec == nil {
-		fmt.Println("lynxload: no recorded current numbers; record with `make bench-update`")
-		return false
-	}
-	if rec.NumCPU != m.NumCPU || rec.GOMAXPROCS != m.GOMAXPROCS {
-		fmt.Printf("lynxload: recorded on NumCPU=%d/GOMAXPROCS=%d, running on %d/%d; wall gate skipped\n",
-			rec.NumCPU, rec.GOMAXPROCS, m.NumCPU, m.GOMAXPROCS)
-		return false
-	}
-	if rec.Workload != m.Workload {
-		fmt.Printf("lynxload: recorded workload %q differs from %q; wall gate skipped\n",
-			rec.Workload, m.Workload)
-		return false
-	}
-	if m.RunsPerSec < rec.RunsPerSec*0.85 {
-		fmt.Fprintf(os.Stderr,
-			"lynxload: runs/sec regressed: %.0f recorded, %.0f measured (>15%%); refresh deliberately with `make bench-update`\n",
-			rec.RunsPerSec, m.RunsPerSec)
-		return true
-	}
-	return false
-}
-
-// overloadGateFails applies the machine-independent table gate: the
-// recomputed overload table must be byte-identical to the recorded one.
-func overloadGateFails(rec, m *measurement) bool {
-	if rec == nil || len(rec.Overload) == 0 {
-		fmt.Println("lynxload: no recorded overload table; record with `make bench-update`")
-		return false
-	}
-	if rec.OverloadKey != m.OverloadKey {
-		fmt.Printf("lynxload: recorded overload sweep %q differs from %q; table gate skipped\n",
-			rec.OverloadKey, m.OverloadKey)
-		return false
-	}
-	recJSON, _ := json.Marshal(rec.Overload)
-	gotJSON, _ := json.Marshal(m.Overload)
-	if string(recJSON) != string(gotJSON) {
-		fmt.Fprintf(os.Stderr,
-			"lynxload: overload table drifted from BENCH_load.json (virtual-time results are seed-pure; "+
-				"this is a behavior change, not noise).\nrecorded: %s\nmeasured: %s\n"+
-				"Refresh deliberately with `make bench-update`.\n", recJSON, gotJSON)
-		return true
-	}
-	fmt.Println("lynxload: overload table matches recorded (byte-identical)")
-	return false
-}
-
-// faultsGateFails applies the same byte-equality gate to the
-// overload-under-faults table: faulted runs are still pure functions of
-// (spec, seed), so any drift is a behavior change.
-func faultsGateFails(rec, m *measurement) bool {
-	if rec == nil || len(rec.Faults) == 0 {
-		fmt.Println("lynxload: no recorded faults table; record with `make bench-update`")
-		return false
-	}
-	if rec.FaultsKey != m.FaultsKey {
-		fmt.Printf("lynxload: recorded faults sweep %q differs from %q; table gate skipped\n",
-			rec.FaultsKey, m.FaultsKey)
-		return false
-	}
-	recJSON, _ := json.Marshal(rec.Faults)
-	gotJSON, _ := json.Marshal(m.Faults)
-	if string(recJSON) != string(gotJSON) {
-		fmt.Fprintf(os.Stderr,
-			"lynxload: faults table drifted from BENCH_load.json (faulted runs are seed-pure; "+
-				"this is a behavior change, not noise).\nrecorded: %s\nmeasured: %s\n"+
-				"Refresh deliberately with `make bench-update`.\n", recJSON, gotJSON)
-		return true
-	}
-	fmt.Println("lynxload: faults table matches recorded (byte-identical)")
-	return false
-}
-
 func main() {
-	var (
-		path       = flag.String("file", "BENCH_load.json", "trajectory file")
-		update     = flag.Bool("update", false, "rewrite the current numbers")
-		asBaseline = flag.Bool("as-baseline", false, "rewrite the baseline numbers")
-		force      = flag.Bool("force", false, "allow -update/-as-baseline to overwrite numbers recorded on a bigger machine")
-		substrates = flag.String("substrates", "charlotte,soda,chrysalis", "comma-separated substrate list")
-		mixFlag    = flag.String("mix", load.DefaultMix, "traffic mix, kind=weight pairs")
-		runs       = flag.Int("runs", 600, "max-throughput mode: runs per substrate")
-		parallel   = flag.Int("parallel", 0, "worker goroutines (default GOMAXPROCS); never changes results")
-		simWorkers = flag.Int("simworkers", 1, "in-System parallel worker cap (lynx.Config.SimWorkers); never changes results")
-		gens       = flag.Int("gens", 1, "load-generator processes per run; >=2 partitions the run (workload parameter: changes arrival schedules)")
-		seed       = flag.Uint64("seed", 1, "root seed (workload shape and System seeds)")
-		rate       = flag.Float64("rate", 0, "single open-loop virtual-time run at this rate (first -substrates entry)")
-		rates      = flag.String("rates", defaultRates, "overload sweep: offered rates, arrivals per virtual second")
-		window     = flag.Duration("window", time.Second, "open-loop arrival window (virtual time)")
-		faults     = flag.String("faults", "", "fault scenarios crossed with the sweep: '/'-separated names or inline plans; 'default' = all registered")
-		jsonOut    = flag.Bool("json", false, "print the overload sweep's grid table as JSONL to stdout and exit")
-	)
-	flag.Parse()
-
-	subs, err := lynx.ParseSubstrates(*substrates)
+	c, err := parseArgs(os.Args[1:])
 	cli.CheckUsage("lynxload", err)
-	mix, err := load.ParseMix(*mixFlag)
-	cli.CheckUsage("lynxload", err)
-	rateList, err := parseRates(*rates)
-	if err != nil {
-		cli.Usagef("lynxload", "-rates: %v", err)
-	}
-	if *window <= 0 {
-		cli.Usagef("lynxload", "-window must be positive")
-	}
-	faultList, err := parseFaults(*faults)
-	if err != nil {
-		cli.Usagef("lynxload", "-faults: %v", err)
-	}
-	c := loadConfig{subs: subs, mix: mix, runs: *runs, parallel: *parallel,
-		simWorkers: *simWorkers, gens: *gens, seed: *seed, rates: rateList,
-		window: lynx.Duration(*window), faults: faultList}
 
-	if *jsonOut {
-		// Machine-readable mode: exactly the grid's JSONL table, the
-		// byte-level contract shared with a lynxd job of the same spec.
-		_, tbl, err := runOverload(c.sweepOptions())
-		cli.Check("lynxload", err)
-		fmt.Print(tbl.RenderJSONL())
-		return
-	}
-
-	if *rate != 0 {
-		res, err := runSingle(c, *rate)
+	if c.rate != 0 && !c.json {
+		res, err := runSingle(c, c.rate)
 		cli.Check("lynxload", err)
 		reportSingle(c.subs[0], res)
 		return
 	}
 
-	// Same update guard as schedbench/sweepbench, checked before the
-	// (slow) measurement: wall-clock numbers recorded on real hardware
-	// must not be silently replaced by a 1-CPU container run.
-	if (*update || *asBaseline) && !*force && runtime.NumCPU() == 1 {
-		f, err := loadFile(*path)
-		cli.Check("lynxload", err)
-		prior := f.Current
-		if *asBaseline {
-			prior = f.Baseline
-		}
-		if prior != nil && prior.NumCPU > 1 {
-			cli.Failf("lynxload",
-				"refusing to overwrite %s recorded on %d CPUs with a 1-CPU run (re-record on comparable hardware, or pass -force)",
-				*path, prior.NumCPU)
-		}
-	}
-
-	// Bench mode: wall-clock closed loop (best of 3, like sweepbench)
-	// plus the deterministic virtual-time overload sweep.
-	var m *measurement
-	for i := 0; i < 3; i++ {
-		if r := runMax(c); m == nil || r.RunsPerSec > m.RunsPerSec {
-			m = r
-		}
-	}
-	overload, tbl, err := runOverload(c.sweepOptions())
-	if err != nil {
-		cli.Failf("lynxload", "overload sweep: %v", err)
-	}
-	m.OverloadKey = c.sweepOptions().Key()
-	m.Overload = overload
-	frows, _, err := runOverload(c.faultsOptions())
-	if err != nil {
-		cli.Failf("lynxload", "faults sweep: %v", err)
-	}
-	m.FaultsKey = c.faultsOptions().Key()
-	m.Faults = frows
-	report(m, tbl)
-	reportFaults(m)
-
-	f, err := loadFile(*path)
+	rows, tbl, err := runOverload(c.sweepOptions())
 	cli.Check("lynxload", err)
-	switch {
-	case *asBaseline:
-		f.Baseline = m
-	case *update:
-		f.Current = m
-	default:
-		bad := wallGateFails(f.Current, m)
-		if overloadGateFails(f.Current, m) {
-			bad = true
-		}
-		if faultsGateFails(f.Current, m) {
-			bad = true
-		}
-		if bad {
-			os.Exit(1)
-		}
+	if c.json {
+		// Machine-readable mode: exactly the grid's JSONL table, the
+		// byte-level contract shared with a lynxd job of the same spec.
+		fmt.Print(tbl.RenderJSONL())
 		return
 	}
-	cli.Check("lynxload", save(*path, f))
-	fmt.Println("wrote", *path)
+	fmt.Printf("overload sweep: %s\n", c.sweepOptions().Key())
+	if len(c.faults) > 0 {
+		reportFaults(rows)
+		return
+	}
+	fmt.Print(tbl.RenderMatrix("substrate", "rate",
+		"realized", "sojourn_p50_ms", "sojourn_p95_ms", "sojourn_p99_ms"))
 }

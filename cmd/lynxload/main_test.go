@@ -2,9 +2,12 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/golden"
 	"repro/lynx"
 	"repro/lynx/load"
 )
@@ -102,46 +105,55 @@ func TestCheckShape(t *testing.T) {
 	}
 }
 
-// The overload gate: skip on sweep mismatch, pass on byte-identical
-// tables, fail on any drift.
-func TestOverloadGate(t *testing.T) {
-	rows := []load.Row{{Substrate: "soda", Rate: 20, Arrivals: 3, Completed: 3, Realized: 2.5}}
-	rec := &measurement{OverloadKey: "k", Overload: rows}
-	same := &measurement{OverloadKey: "k", Overload: append([]load.Row(nil), rows...)}
-	if overloadGateFails(rec, same) {
-		t.Fatal("identical tables must pass")
-	}
-	if overloadGateFails(nil, same) || overloadGateFails(&measurement{}, same) {
-		t.Fatal("missing recording must not fail the gate")
-	}
-	other := &measurement{OverloadKey: "other", Overload: rows}
-	if overloadGateFails(rec, other) {
-		t.Fatal("different sweep key must skip, not fail")
-	}
-	drift := &measurement{OverloadKey: "k",
-		Overload: []load.Row{{Substrate: "soda", Rate: 20, Arrivals: 3, Completed: 3, Realized: 2.6}}}
-	if !overloadGateFails(rec, drift) {
-		t.Fatal("drifted table must fail")
-	}
-}
+// updateGolden regenerates the table goldens:
+//
+//	go test ./cmd/lynxload -run Golden -update-golden
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden tables")
 
-// The recorded measurement round-trips through the JSON schema.
-func TestMeasurementRoundTrip(t *testing.T) {
-	c := testConfig(t)
+// checkTableGolden runs the sweep the command line args select and
+// compares its rows, as indented JSON, with the named golden file.
+// Virtual-time tables are pure functions of the seed, so any drift is
+// a behaviour change, not noise.
+func checkTableGolden(t *testing.T, name string, args ...string) {
+	t.Helper()
+	c, err := parseArgs(args)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rows, _, err := runOverload(c.sweepOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &measurement{Workload: c.wallKey(), OverloadKey: c.sweepOptions().Key(), Overload: rows}
-	data, err := json.Marshal(benchFile{Current: m})
+	got, err := json.MarshalIndent(rows, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back benchFile
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if overloadGateFails(back.Current, m) {
-		t.Fatal("round-tripped table must still be byte-identical")
+	golden.Check(t, filepath.Join("testdata", name), append(got, '\n'), *updateGolden)
+}
+
+// The default overload table: three substrates at 5, 20, 80 and 320
+// arrivals per virtual second over a 1 s window.
+func TestOverloadTableGolden(t *testing.T) {
+	checkTableGolden(t, "overload.json")
+}
+
+// The faults table: three substrates under every registered fault
+// scenario at 40 arrivals per virtual second over a 250 ms window.
+func TestFaultsTableGolden(t *testing.T) {
+	checkTableGolden(t, "faults.json", "-faults", "default", "-rates", "40", "-window", "250ms")
+}
+
+// Bad values are usage errors that name the flag.
+func TestParseArgsRejects(t *testing.T) {
+	for _, args := range [][]string{
+		{"-rates", "5,0"},
+		{"-window", "0s"},
+		{"-faults", "no-such-scenario"},
+		{"-substrates", "mars"},
+		{"-mix", "bogus"},
+	} {
+		if _, err := parseArgs(args); err == nil {
+			t.Errorf("parseArgs(%q) should fail", args)
+		}
 	}
 }

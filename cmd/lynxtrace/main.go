@@ -40,27 +40,32 @@ import (
 	"repro/lynx"
 )
 
-// narrate is where human-facing headers and summaries go: stdout for
-// -format=text, stderr for the machine formats.
-var narrate io.Writer = os.Stdout
+func main() { run(os.Args[1:], os.Stdout, os.Stderr) }
 
-func main() {
-	fig := flag.Int("fig", 2, "figure to replay (1 or 2)")
-	encl := flag.Int("enclosures", 3, "enclosures to move (figure 2)")
-	subName := flag.String("substrate", "charlotte", "charlotte|soda|chrysalis|ideal")
-	format := flag.String("format", "text", "trace output format: text|jsonl|chrome")
-	follow := flag.String("follow", "", "follow a lynxd job's live trace stream by job ID (exits at job completion)")
-	addr := flag.String("addr", "localhost:8080", "lynxd address for -follow")
-	flag.Parse()
+// run is the command: the trace goes to stdout, and human-facing
+// headers and summaries go to stdout for -format=text and to stderr
+// for the machine formats.
+func run(args []string, stdout, stderr io.Writer) {
+	fs := flag.NewFlagSet("lynxtrace", flag.ExitOnError)
+	fig := fs.Int("fig", 2, "figure to replay (1 or 2)")
+	encl := fs.Int("enclosures", 3, "enclosures to move (figure 2)")
+	subName := fs.String("substrate", "charlotte", "charlotte|soda|chrysalis|ideal")
+	format := fs.String("format", "text", "trace output format: text|jsonl|chrome")
+	follow := fs.String("follow", "", "follow a lynxd job's live trace stream by job ID (exits at job completion)")
+	addr := fs.String("addr", "localhost:8080", "lynxd address for -follow")
+	fs.Parse(args)
 
 	switch *format {
 	case "text", "jsonl", "chrome":
 	default:
 		cli.Usagef("lynxtrace", "unknown format %q (want text, jsonl or chrome)", *format)
 	}
+	if *encl < 0 {
+		cli.Usagef("lynxtrace", "-enclosures must be non-negative, got %d", *encl)
+	}
 
 	if *follow != "" {
-		followJob(*addr, *follow, *format)
+		followJob(*addr, *follow, *format, stdout, stderr)
 		return
 	}
 
@@ -69,9 +74,9 @@ func main() {
 
 	switch *fig {
 	case 1:
-		figure1(sub, *format)
+		figure1(sub, *format, stdout, stderr)
 	case 2:
-		figure2(sub, *format, *encl)
+		figure2(sub, *format, *encl, stdout, stderr)
 	default:
 		cli.Usagef("lynxtrace", "unknown figure %d", *fig)
 	}
@@ -82,7 +87,7 @@ func main() {
 // a plain GET is the whole protocol. Lines are either recorded events
 // or dump envelopes ({"type":"dump",...}); envelopes pass through in
 // jsonl mode and narrate to stderr in the rendered modes.
-func followJob(addr, id, format string) {
+func followJob(addr, id, format string, stdout, stderr io.Writer) {
 	// Accept both a bare host:port and a full URL (lynxd announces
 	// "listening on http://host:port", which scripts pass through).
 	if !strings.HasPrefix(addr, "http://") && !strings.HasPrefix(addr, "https://") {
@@ -100,17 +105,17 @@ func followJob(addr, id, format string) {
 	var render func(line []byte)
 	switch format {
 	case "text":
-		text := &obs.TextExporter{W: os.Stdout}
-		render = func(line []byte) { renderLine(line, text.Event) }
+		text := &obs.TextExporter{W: stdout}
+		render = func(line []byte) { renderLine(line, text.Event, stderr) }
 	case "jsonl":
 		render = func(line []byte) {
-			os.Stdout.Write(line)
-			os.Stdout.Write([]byte{'\n'})
+			stdout.Write(line)
+			stdout.Write([]byte{'\n'})
 		}
 	case "chrome":
-		ch := obs.NewChromeStream(os.Stdout)
+		ch := obs.NewChromeStream(stdout)
 		defer func() { cli.Check("lynxtrace", ch.Close()) }()
-		render = func(line []byte) { renderLine(line, ch.Event) }
+		render = func(line []byte) { renderLine(line, ch.Event, stderr) }
 	}
 
 	sc := bufio.NewScanner(resp.Body)
@@ -123,53 +128,48 @@ func followJob(addr, id, format string) {
 
 // renderLine decodes one stream line and hands recorded events to emit;
 // dump envelopes and undecodable lines narrate to stderr instead.
-func renderLine(line []byte, emit func(obs.Event)) {
+func renderLine(line []byte, emit func(obs.Event), stderr io.Writer) {
 	var probe struct {
 		Type string `json:"type"`
 	}
 	if err := json.Unmarshal(line, &probe); err != nil || probe.Type != "" {
-		fmt.Fprintf(os.Stderr, "%s\n", line)
+		fmt.Fprintf(stderr, "%s\n", line)
 		return
 	}
 	var ev obs.Event
 	if err := json.Unmarshal(line, &ev); err != nil {
-		fmt.Fprintf(os.Stderr, "%s\n", line)
+		fmt.Fprintf(stderr, "%s\n", line)
 		return
 	}
 	emit(ev)
 }
 
 // attachOutput wires the chosen format into the system's recorder and
-// tracer slot. It returns a finish func to call after the run (flushes
-// buffered formats).
-func attachOutput(sys *lynx.System, format string) (finish func()) {
-	finish = func() {}
+// tracer slot. It returns where narration goes and a finish func to
+// call after the run (flushes buffered formats).
+func attachOutput(sys *lynx.System, format string, stdout, stderr io.Writer) (narrate io.Writer, finish func()) {
 	switch format {
-	case "text":
-		// Free-text Trace() marks via the classic writer tracer; typed
-		// kernel events via the text exporter. Same layout, one stream.
-		sys.Env().SetTracer(&sim.WriterTracer{W: os.Stdout})
-		sys.Obs().Attach(&obs.TextExporter{W: os.Stdout})
 	case "jsonl":
-		narrate = os.Stderr
 		sys.Env().SetTracer(&obs.TraceAdapter{R: sys.Obs()})
-		sys.Obs().Attach(&obs.JSONLExporter{W: os.Stdout})
+		sys.Obs().Attach(&obs.JSONLExporter{W: stdout})
+		return stderr, func() {}
 	case "chrome":
-		narrate = os.Stderr
 		sys.Env().SetTracer(&obs.TraceAdapter{R: sys.Obs()})
 		ch := obs.NewChromeExporter()
 		sys.Obs().Attach(ch)
-		finish = func() {
-			cli.Check("lynxtrace", ch.Flush(os.Stdout))
-		}
+		return stderr, func() { cli.Check("lynxtrace", ch.Flush(stdout)) }
 	}
-	return finish
+	// Text: free-text Trace() marks via the classic writer tracer; typed
+	// kernel events via the text exporter. Same layout, one stream.
+	sys.Env().SetTracer(&sim.WriterTracer{W: stdout})
+	sys.Obs().Attach(&obs.TextExporter{W: stdout})
+	return stdout, func() {}
 }
 
 // figure2 traces one request moving k link ends (and its reply).
-func figure2(sub lynx.Substrate, format string, k int) {
+func figure2(sub lynx.Substrate, format string, k int, stdout, stderr io.Writer) {
 	sys := lynx.NewSystem(lynx.Config{Substrate: sub, Seed: 1})
-	finish := attachOutput(sys, format)
+	narrate, finish := attachOutput(sys, format, stdout, stderr)
 	fmt.Fprintf(narrate, "figure 2 on %v: request moving %d link end(s)\n\n", sub, k)
 	a := sys.Spawn("A", func(th *lynx.Thread, boot []*lynx.End) {
 		var give []*lynx.End
@@ -204,9 +204,9 @@ func figure2(sub lynx.Substrate, format string, k int) {
 }
 
 // figure1 traces both ends of link 3 moving simultaneously.
-func figure1(sub lynx.Substrate, format string) {
+func figure1(sub lynx.Substrate, format string, stdout, stderr io.Writer) {
 	sys := lynx.NewSystem(lynx.Config{Substrate: sub, Seed: 1})
-	finish := attachOutput(sys, format)
+	narrate, finish := attachOutput(sys, format, stdout, stderr)
 	fmt.Fprintf(narrate, "figure 1 on %v: link 3 moving at both ends (A->B and D->C)\n\n", sub)
 	a := sys.Spawn("A", func(th *lynx.Thread, boot []*lynx.End) {
 		sys.Env().Trace("A", "moving link3 end to B")

@@ -11,6 +11,7 @@
 package cli
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -53,4 +54,29 @@ func Check(tool string, err error) {
 	if err != nil {
 		Failf(tool, "%v", err)
 	}
+}
+
+// exitPanic carries an exit code out of a trapped call.
+type exitPanic int
+
+// Trap runs f in-process with Exit diverted: a Usagef, Failf or Check
+// inside f stops f, and Trap returns its exit code and message. A
+// normal return yields code 0. Command tests use it to run a main body
+// without ending the test binary; it is not safe for concurrent use.
+func Trap(f func()) (code int, msg string) {
+	var buf bytes.Buffer
+	oldErr, oldExit := Stderr, Exit
+	Stderr, Exit = &buf, func(c int) { panic(exitPanic(c)) }
+	defer func() {
+		Stderr, Exit = oldErr, oldExit
+		if r := recover(); r != nil {
+			c, ok := r.(exitPanic)
+			if !ok {
+				panic(r)
+			}
+			code, msg = int(c), buf.String()
+		}
+	}()
+	f()
+	return 0, buf.String()
 }

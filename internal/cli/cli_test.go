@@ -1,26 +1,12 @@
 package cli
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 )
 
-// capture routes the package seams into a buffer and records the exit
-// code instead of terminating.
-func capture(t *testing.T, f func()) (string, int) {
-	t.Helper()
-	var buf bytes.Buffer
-	code := -1
-	oldErr, oldExit := Stderr, Exit
-	Stderr, Exit = &buf, func(c int) { code = c }
-	defer func() { Stderr, Exit = oldErr, oldExit }()
-	f()
-	return buf.String(), code
-}
-
 func TestUsagefExitsTwo(t *testing.T) {
-	out, code := capture(t, func() { Usagef("tool", "bad flag %q", "-x") })
+	code, out := Trap(func() { Usagef("tool", "bad flag %q", "-x") })
 	if code != ExitUsage {
 		t.Fatalf("exit = %d, want %d", code, ExitUsage)
 	}
@@ -30,7 +16,7 @@ func TestUsagefExitsTwo(t *testing.T) {
 }
 
 func TestFailfExitsOne(t *testing.T) {
-	out, code := capture(t, func() { Failf("tool", "boom") })
+	code, out := Trap(func() { Failf("tool", "boom") })
 	if code != ExitFailure {
 		t.Fatalf("exit = %d, want %d", code, ExitFailure)
 	}
@@ -40,19 +26,37 @@ func TestFailfExitsOne(t *testing.T) {
 }
 
 func TestChecksPassThroughNil(t *testing.T) {
-	out, code := capture(t, func() {
+	code, out := Trap(func() {
 		Check("tool", nil)
 		CheckUsage("tool", nil)
 	})
-	if out != "" || code != -1 {
+	if out != "" || code != 0 {
 		t.Fatalf("nil error must be a no-op, got (%q, %d)", out, code)
 	}
-	_, code = capture(t, func() { CheckUsage("tool", errors.New("e")) })
+	code, _ = Trap(func() { CheckUsage("tool", errors.New("e")) })
 	if code != ExitUsage {
 		t.Fatalf("CheckUsage exit = %d, want %d", code, ExitUsage)
 	}
-	_, code = capture(t, func() { Check("tool", errors.New("e")) })
+	code, _ = Trap(func() { Check("tool", errors.New("e")) })
 	if code != ExitFailure {
 		t.Fatalf("Check exit = %d, want %d", code, ExitFailure)
+	}
+}
+
+// Trap stops the trapped call at the first exit, as the real process
+// would, and restores the seams afterwards.
+func TestTrapStopsAtExit(t *testing.T) {
+	// Compare with the seams as they were, not with os.Stderr: go test
+	// -json swaps os.Stderr after package init.
+	oldErr := Stderr
+	reached := false
+	if code, _ := Trap(func() {
+		Usagef("tool", "bad")
+		reached = true
+	}); code != ExitUsage || reached {
+		t.Fatalf("exit %d, reached=%v; want %d, stopped at the exit", code, reached, ExitUsage)
+	}
+	if Stderr != oldErr {
+		t.Fatal("Stderr seam not restored")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"runtime"
 
 	"repro/internal/calib"
 	"repro/internal/charlotte"
@@ -352,7 +353,7 @@ func splitLines(src []byte) [][]byte {
 // special-case inventories: the paper's *shape* is Charlotte ≫ others,
 // with the excess concentrated in bounce/packetization code.
 func e5() *Result {
-	root := findRepoRoot()
+	root := repoRoot()
 	_, chLines := countGo(filepath.Join(root, "internal/bind/charlotte"))
 	_, soLines := countGo(filepath.Join(root, "internal/bind/soda"))
 	_, chrLines := countGo(filepath.Join(root, "internal/bind/chrysalis"))
@@ -383,20 +384,14 @@ func e5() *Result {
 	return res
 }
 
-// findRepoRoot walks up from the working directory to the module root.
-func findRepoRoot() string {
-	dir, err := os.Getwd()
-	if err != nil {
+// repoRoot is the module root, located from this file's compiled
+// source path, so E5 counts the same tree from any working directory.
+// A -trimpath build records no such path, and E5 then counts nothing
+// and fails its shape check.
+func repoRoot() string {
+	_, file, _, ok := runtime.Caller(0)
+	if !ok {
 		return "."
 	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "."
-		}
-		dir = parent
-	}
+	return filepath.Join(filepath.Dir(file), "..", "..")
 }

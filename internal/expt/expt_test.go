@@ -2,6 +2,7 @@ package expt
 
 import (
 	"encoding/json"
+	"os"
 	"reflect"
 	"testing"
 )
@@ -30,6 +31,25 @@ func TestE8(t *testing.T)  { checkResult(t, E8()) }
 func TestE9(t *testing.T)  { checkResult(t, E9()) }
 func TestE10(t *testing.T) { checkResult(t, E10()) }
 func TestE11(t *testing.T) { checkResult(t, E11()) }
+
+// E5 counts the module's own source, so it must find that source from
+// any working directory, not only from inside the module. (os.Chdir,
+// not t.Chdir: go.mod declares go 1.22.)
+func TestE5OutsideModule(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	checkResult(t, E5())
+}
 
 func TestByID(t *testing.T) {
 	if ByID("e3") == nil || ByID("E11") == nil {

@@ -178,9 +178,9 @@ func runE13Episode(loss float64, seed uint64) (byDiscover, byFreeze bool) {
 		DiscoverRetries: 2,
 		HintTimeout:     120 * sim.Millisecond,
 	}
-	// The loss rate rides on a declarative fault plan (a bcast drop rule
-	// overrides the bus's default LossRate; point frames are untouched,
-	// so the episode is byte-identical to the old raw-field override).
+	// The loss rate rides on a declarative fault plan: a bcast drop rule
+	// replaces the bus's built-in 1% broadcast loss; point frames are
+	// untouched.
 	sys := lynx.NewSystem(lynx.Config{
 		Substrate: lynx.SODA, Seed: seed, SODA: opts,
 		Faults: fault.BroadcastLoss(loss),

@@ -89,8 +89,7 @@ func TestPartitionSegments(t *testing.T) {
 	bus := mk()
 	segs := bus.Partition(2)
 	if segs[0].BitRate != bus.BitRate || segs[0].SenseDelay != bus.SenseDelay ||
-		segs[0].Backoff != bus.Backoff || segs[0].FrameOver != bus.FrameOver ||
-		segs[0].LossRate != bus.LossRate {
+		segs[0].Backoff != bus.Backoff || segs[0].FrameOver != bus.FrameOver {
 		t.Fatalf("segment did not inherit parent config")
 	}
 	bus.SendTime(0, 0, 1, 100)

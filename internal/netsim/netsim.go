@@ -269,18 +269,16 @@ type CSMABus struct {
 	SenseDelay sim.Duration
 	Backoff    sim.Duration // mean extra wait when the bus is found busy
 	FrameOver  int
-	// LossRate is the default broadcast frame loss probability per
-	// receiver.
-	//
-	// Deprecated: prefer a fault plan's bcast drop rule
-	// (fault.BroadcastLoss), which overrides this field through the
-	// FaultHook; the field remains as the unfaulted default.
-	LossRate float64
-	rng      *sim.Rand
+	rng        *sim.Rand
 
 	segs []*CSMABus // per-group segments (see Partition)
 	agg  Stats      // cached aggregate for Stats() when segmented
 }
+
+// csmaBroadcastLoss is the SODA testbed bus's unfaulted broadcast frame
+// loss probability per receiver. A fault plan's bcast drop rule
+// (fault.BroadcastLoss) replaces it through the FaultHook.
+const csmaBroadcastLoss = 0.01
 
 // NewCSMABus creates the SODA testbed bus: 1 Mbit/s with 1% broadcast
 // loss, using rng for loss decisions and backoff jitter.
@@ -290,7 +288,6 @@ func NewCSMABus(rng *sim.Rand) *CSMABus {
 		SenseDelay: 50 * sim.Microsecond,
 		Backoff:    400 * sim.Microsecond,
 		FrameOver:  12,
-		LossRate:   0.01,
 		rng:        rng,
 	}
 }
@@ -320,11 +317,11 @@ func (b *CSMABus) BroadcastTime(now sim.Time, src NodeID, nbytes int) sim.Durati
 }
 
 // BroadcastDelivers implements Network. An installed fault hook's
-// BroadcastLoss overrides (replaces) the default LossRate; either way
+// BroadcastLoss overrides (replaces) csmaBroadcastLoss; either way
 // exactly one rng draw is consumed per reception, so installing a hook
 // that mirrors the default rate leaves the run byte-identical.
 func (b *CSMABus) BroadcastDelivers(NodeID) bool {
-	rate := b.LossRate
+	rate := csmaBroadcastLoss
 	if b.hook != nil {
 		if r := b.hook.BroadcastLoss(); r >= 0 {
 			rate = r
@@ -363,7 +360,6 @@ func (b *CSMABus) Partition(k int) []*CSMABus {
 			SenseDelay: b.SenseDelay,
 			Backoff:    b.Backoff,
 			FrameOver:  b.FrameOver,
-			LossRate:   b.LossRate,
 			rng:        b.rng.Fork(),
 		}
 	}

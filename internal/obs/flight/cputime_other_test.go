@@ -1,7 +1,7 @@
-//go:build !unix
+//go:build !unix && !race
 
-package main
+package flight_test
 
 // cpuSeconds falls back to zero where rusage is unavailable; the
-// overhead probe then measures wall clock (see runOverhead).
+// overhead gate then measures wall clock.
 func cpuSeconds() float64 { return 0 }

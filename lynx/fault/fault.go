@@ -122,7 +122,7 @@ func (e Restart) validate() error {
 // drops are repaired by the kernel's retransmission machinery (the
 // frame is lost, the operation is delayed); a Bcast match instead
 // overrides the medium's default broadcast loss rate (replacing, not
-// compounding with, netsim.CSMABus.LossRate). From/Until bound the
+// compounding with, the SODA bus's built-in 1%). From/Until bound the
 // active window; Until 0 means forever, which requires Rate < 1 so
 // retransmission terminates.
 type Drop struct {
@@ -355,10 +355,9 @@ func (p *Plan) Churns() bool {
 }
 
 // BroadcastLoss builds the one-rule plan that overrides the medium's
-// broadcast loss rate — the declarative replacement for setting
-// netsim.CSMABus.LossRate directly. Point-to-point frames are
-// untouched, so a run under BroadcastLoss(r) is byte-identical to one
-// under the deprecated raw field.
+// broadcast loss rate (the SODA bus's unfaulted default is 1%).
+// Point-to-point frames are untouched, and the override consumes the
+// same one rng draw per reception as the default.
 func BroadcastLoss(rate float64) *Plan {
 	return &Plan{Events: []Event{Drop{Match: Match{Bcast: true}, Rate: rate}}}
 }

@@ -2,11 +2,11 @@ package grid
 
 import (
 	"flag"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/lynx/sweep"
 )
 
@@ -42,22 +42,7 @@ func matrixTable(parallel int) *Table {
 func TestRenderMatrixGolden(t *testing.T) {
 	tbl := matrixTable(1)
 	got := tbl.RenderMatrix("substrate", "rate", "sojourn_ms", "realized", "missing_stat")
-	golden := filepath.Join("testdata", "matrix_golden.txt")
-	if *updateMatrixGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (regenerate with -update-golden): %v", err)
-	}
-	if got != string(want) {
-		t.Fatalf("matrix drifted from golden %s:\n--- got\n%s\n--- want\n%s", golden, got, want)
-	}
+	golden.Check(t, filepath.Join("testdata", "matrix_golden.txt"), []byte(got), *updateMatrixGolden)
 }
 
 // The matrix is one more rendering bound by the grid determinism

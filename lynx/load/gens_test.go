@@ -48,7 +48,7 @@ func TestGensSweepWorkerInvariance(t *testing.T) {
 
 // TestFaultedSweepWorkerInvariance pins the other half of the same
 // contract: fault plans no longer force a serial collapse, so the
-// scenario-crossed sweep (the BENCH_load.json faults matrix shape) is
+// scenario-crossed sweep (the shape of lynxload's faults golden) is
 // byte-identical at SimWorkers 1 and 4 — with the default single
 // generator AND with Gens >= 2, where the per-shard fault schedules
 // actually run concurrently.

@@ -13,11 +13,11 @@
 // process, and their arrival-to-completion sojourn, recorded in virtual
 // time into obs histograms, grows without bound past saturation.
 //
-// Contrast with wall-clock load generation (cmd/lynxload's
-// max-throughput mode): there the host CPU is the resource under test
-// and numbers vary run to run; here the simulated machine is, and the
-// same seed yields byte-identical overload tables at any parallelism on
-// any host. That is what turns capacity and backpressure claims about
+// Contrast with wall-clock load generation (the benchmark's systems-mix
+// workload under bench/, short Systems through grid.Run): there the
+// host CPU is the resource under test and numbers vary run to run;
+// here the simulated machine is, and the same seed yields
+// byte-identical overload tables at any parallelism on any host. That is what turns capacity and backpressure claims about
 // the three kernel bindings into pinned artifacts.
 //
 // Typical use:

@@ -161,8 +161,8 @@ func mustMix(t *testing.T, s string) *Mix {
 	return m
 }
 
-// The closed-loop unit builders still run standalone (the wall-clock
-// bench path): one short System per kind on every substrate.
+// The closed-loop unit builders run standalone: one short System per
+// kind on every substrate.
 func TestRunOnceAllKinds(t *testing.T) {
 	for _, sub := range []lynx.Substrate{lynx.Charlotte, lynx.SODA, lynx.Chrysalis} {
 		for _, kind := range Kinds {

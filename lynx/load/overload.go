@@ -100,10 +100,9 @@ func (o SweepOptions) normalized() (SweepOptions, error) {
 	return o, nil
 }
 
-// Key canonicalizes the sweep for gate matching and job identity: the
-// string BENCH_load.json records as overload_key (or faults_key for a
-// faulted sweep). A sweep without fault scenarios keys exactly as it
-// did before the scenario axis existed.
+// Key canonicalizes the sweep for job identity and for the header
+// lynxload prints over its table. A sweep without fault scenarios keys
+// exactly as it did before the scenario axis existed.
 func (o SweepOptions) Key() string {
 	o, err := o.normalized()
 	if err != nil {
@@ -195,7 +194,7 @@ func SweepSpec(o SweepOptions) (grid.Spec, error) {
 }
 
 // Row is one (substrate, offered rate[, scenario]) line of an overload
-// table — the record BENCH_load.json stores. All fields are
+// table — the record lynxload's golden tables pin. All fields are
 // virtual-time derived and machine independent. Scenario is the fault
 // plan's canonical string, present only on faulted sweeps (rows of an
 // unfaulted sweep marshal byte-identically to the pre-fault format).

@@ -9,7 +9,7 @@ import (
 
 // The factored-out sweep must stay a pure function of its options: same
 // table bytes at any Parallel, rows that satisfy the physics check, and
-// a stable canonical key (the BENCH_load.json overload_key format).
+// a stable canonical key (the header lynxload prints over its table).
 func TestSweepSpecDeterministicAcrossParallel(t *testing.T) {
 	opts := SweepOptions{
 		Substrates: []lynx.Substrate{lynx.Charlotte},

@@ -32,8 +32,8 @@ func Build(sys *lynx.System, kind string) error {
 
 // RunOnce builds and runs one short System of the given kind; the
 // returned registry pools the run's protocol events plus a
-// "load_runs_<kind>" marker counter. This is the closed-loop unit the
-// wall-clock max-throughput bench drives through the grid runner.
+// "load_runs_<kind>" marker counter: the closed-loop unit, one whole
+// System per call.
 func RunOnce(sub lynx.Substrate, kind string, seed uint64) (*obs.Metrics, error) {
 	sys := lynx.NewSystem(lynx.Config{Substrate: sub, Seed: seed})
 	if err := Build(sys, kind); err != nil {

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/obs"
 	"repro/lynx"
 	"repro/lynx/fault"
@@ -25,24 +25,7 @@ func compareGolden(t *testing.T, name string, got []byte) {
 	if len(got) == 0 {
 		t.Fatal("no events emitted")
 	}
-	path := filepath.Join("testdata", name)
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden trace (run with -update-golden): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("JSONL trace drifted from golden %s:\ngot %d bytes, want %d bytes",
-			path, len(got), len(want))
-	}
+	golden.Check(t, filepath.Join("testdata", name), got, *updateGolden)
 }
 
 // TestSchedulerGoldenTraces pins the exact JSONL event stream of the
