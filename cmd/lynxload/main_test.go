@@ -143,6 +143,30 @@ func TestFaultsTableGolden(t *testing.T) {
 	checkTableGolden(t, "faults.json", "-faults", "default", "-rates", "40", "-window", "250ms")
 }
 
+// The -gens 4 sweep gives every run a 4-component boot graph, so each
+// cell partitions into per-generator shards, each on its own segment of
+// the medium. Its -json table must be byte-identical at 1 and 4
+// in-System workers, and is pinned as a golden.
+func TestGens4TableGolden(t *testing.T) {
+	var tables []string
+	for _, workers := range []string{"1", "4"} {
+		c, err := parseArgs([]string{"-rates", "30,60", "-substrates", "charlotte,soda",
+			"-window", "200ms", "-seed", "1", "-gens", "4", "-simworkers", workers, "-json"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, tbl, err := runOverload(c.sweepOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables = append(tables, tbl.RenderJSONL())
+	}
+	if tables[0] != tables[1] {
+		t.Fatalf("-gens 4 table differs between simworkers 1 and 4:\n%s\n---\n%s", tables[0], tables[1])
+	}
+	golden.Check(t, filepath.Join("testdata", "gens4.json"), []byte(tables[0]), *updateGolden)
+}
+
 // Bad values are usage errors that name the flag.
 func TestParseArgsRejects(t *testing.T) {
 	for _, args := range [][]string{

@@ -197,9 +197,10 @@ func figure2(sub lynx.Substrate, format string, k int, stdout, stderr io.Writer)
 	sys.Join(a, b)
 	cli.Check("lynxtrace", sys.Run())
 	finish()
-	if cs := a.Stats().Charlotte(); cs != nil {
+	if sub == lynx.Charlotte {
+		as := a.Stats()
 		fmt.Fprintf(narrate, "\nprotocol summary: kernel sends=%d goaheads(B)=%d enc packets=%d\n",
-			cs.KernelSends, b.Stats().Charlotte().Goaheads, cs.EncPackets)
+			as.Value(obs.MBindKernelSends), b.Stats().Value(obs.MGoaheads), as.Value(obs.MEncPackets))
 	}
 }
 

@@ -70,23 +70,6 @@ func (c ctrl) String() string {
 	}
 }
 
-// Stats counts binding-level protocol activity — the special-case
-// traffic that exists only because of the kernel interface mismatch
-// (E2/E5/E7 read these). It is a point-in-time snapshot of the
-// binding's obs counters.
-type Stats struct {
-	KernelSends      int64
-	UnwantedMessages int64 // received messages we had to bounce or drop
-	Retries          int64 // RETRY messages sent
-	Forbids          int64 // FORBID messages sent
-	Allows           int64 // ALLOW messages sent
-	Goaheads         int64 // GOAHEAD messages sent
-	EncPackets       int64 // ENC messages sent
-	DroppedReplies   int64 // unwanted replies silently discarded
-	ResentRequests   int64 // requests resent after RETRY/ALLOW
-	FailedCancels    int64 // kernel Cancel calls that failed
-}
-
 // counters holds the binding's per-process obs counter handles,
 // resolved once at construction so the hot paths do no map lookups.
 type counters struct {
@@ -242,22 +225,6 @@ func (tr *Transport) Obs() *obs.Recorder { return tr.rec }
 // calls this (before SetSink spawns the pump) so the binding's
 // simprocs and events live on its process's home shard env.
 func (tr *Transport) SetEnv(env *sim.Env) { tr.env = env }
-
-// Stats returns a snapshot of the binding's protocol counters.
-func (tr *Transport) Stats() *Stats {
-	return &Stats{
-		KernelSends:      tr.c.kernelSends.Value(),
-		UnwantedMessages: tr.c.unwanted.Value(),
-		Retries:          tr.c.retries.Value(),
-		Forbids:          tr.c.forbids.Value(),
-		Allows:           tr.c.allows.Value(),
-		Goaheads:         tr.c.goaheads.Value(),
-		EncPackets:       tr.c.encPackets.Value(),
-		DroppedReplies:   tr.c.droppedReplies.Value(),
-		ResentRequests:   tr.c.resentRequests.Value(),
-		FailedCancels:    tr.c.failedCancels.Value(),
-	}
-}
 
 // emit records a binding-protocol event when a trace sink is attached.
 // Counters are maintained unconditionally; events cost only when someone

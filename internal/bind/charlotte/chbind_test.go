@@ -2,7 +2,6 @@ package chbind_test
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	chbind "repro/internal/bind/charlotte"
@@ -10,8 +9,15 @@ import (
 	"repro/internal/charlotte"
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
+
+// count reads the binding's per-process counter name from the obs
+// registry.
+func count(tr *chbind.Transport, name string) int64 {
+	return tr.Obs().Metrics().ProcValue(name, tr.KernelProcess().ID())
+}
 
 // rig assembles a Charlotte kernel plus two LYNX processes joined by a
 // boot link.
@@ -212,12 +218,11 @@ func TestCharlotteMultiEnclosureUsesGoaheadAndEnc(t *testing.T) {
 	if err := r.env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	st := r.trA.Stats()
-	if st.EncPackets != nLinks-1 {
-		t.Errorf("enc packets = %d, want %d", st.EncPackets, nLinks-1)
+	if got := count(r.trA, obs.MEncPackets); got != nLinks-1 {
+		t.Errorf("enc packets = %d, want %d", got, nLinks-1)
 	}
-	if r.trB.Stats().Goaheads != 1 {
-		t.Errorf("goaheads = %d, want 1", r.trB.Stats().Goaheads)
+	if count(r.trB, obs.MGoaheads) != 1 {
+		t.Errorf("goaheads = %d, want 1", count(r.trB, obs.MGoaheads))
 	}
 }
 
@@ -249,11 +254,11 @@ func TestCharlotteMultiEnclosureReplyNoGoahead(t *testing.T) {
 	if err := r.env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if r.trB.Stats().EncPackets != 1 {
-		t.Errorf("enc packets = %d, want 1", r.trB.Stats().EncPackets)
+	if count(r.trB, obs.MEncPackets) != 1 {
+		t.Errorf("enc packets = %d, want 1", count(r.trB, obs.MEncPackets))
 	}
-	if r.trA.Stats().Goaheads != 0 {
-		t.Errorf("goaheads = %d, want 0", r.trA.Stats().Goaheads)
+	if count(r.trA, obs.MGoaheads) != 0 {
+		t.Errorf("goaheads = %d, want 0", count(r.trA, obs.MGoaheads))
 	}
 }
 
@@ -301,16 +306,16 @@ func TestCharlotteUnwantedRequestBounced(t *testing.T) {
 	// A must have bounced at least one unwanted message with FORBID
 	// (it was awaiting a reply, so RETRY alone would not suppress
 	// retransmission).
-	if r.trA.Stats().UnwantedMessages == 0 {
+	if count(r.trA, obs.MUnwantedReceives) == 0 {
 		t.Error("no unwanted messages recorded at A")
 	}
-	if r.trA.Stats().Forbids == 0 {
+	if count(r.trA, obs.MForbids) == 0 {
 		t.Error("no FORBID sent by A")
 	}
-	if r.trA.Stats().Allows == 0 {
+	if count(r.trA, obs.MAllows) == 0 {
 		t.Error("no ALLOW sent by A")
 	}
-	if r.trB.Stats().ResentRequests == 0 {
+	if count(r.trB, obs.MResentRequests) == 0 {
 		t.Error("B never resent the forbidden request")
 	}
 }
@@ -388,7 +393,7 @@ func TestCharlotteManySequentialOps(t *testing.T) {
 		t.Fatalf("completed %d/%d ops", got, n)
 	}
 	// Two kernel messages per op in the simple case (plus boot noise).
-	perOp := float64(r.kernel.Stats().Messages) / float64(n)
+	perOp := float64(r.kernel.Obs().Metrics().Value(obs.MKernelMessages)) / float64(n)
 	if perOp > 2.5 {
 		t.Errorf("%.1f kernel messages per simple op, want ≈ 2", perOp)
 	}
@@ -435,12 +440,7 @@ func TestCharlotteAbortedConnectorDropsReply(t *testing.T) {
 	if replyErr != nil {
 		t.Fatalf("server felt %v; Charlotte must NOT deliver reply exceptions", replyErr)
 	}
-	if r.trA.Stats().DroppedReplies == 0 {
+	if count(r.trA, obs.MDroppedReplies) == 0 {
 		t.Fatal("reply was not recorded as dropped")
 	}
-}
-
-func TestCharlotteStatsString(t *testing.T) {
-	var s chbind.Stats
-	_ = fmt.Sprintf("%+v", s)
 }

@@ -112,27 +112,14 @@ func (e EndID) String() string { return fmt.Sprintf("chr<%d.%d>", e.Obj, e.Side)
 // peerSide returns the other side.
 func (e EndID) peerSide() int { return 1 - e.Side }
 
-// Stats counts binding activity (E4/E5/E9 read these). It is a
-// point-in-time snapshot of the binding's obs counters.
-type Stats struct {
-	Notices       int64 // notices enqueued
-	StaleNotices  int64 // dequeued notices that failed validation
-	FlagRescans   int64 // full-flag scans after moves/interest changes
-	Moves         int64 // link ends adopted
-	Rejections    int64 // unwanted replies NAKed
-	LostNotices   int64 // enqueues that failed (torn queue name, dead queue)
-	TornNameReads int64 // far queue name read while mid-write
-}
-
 // counters holds the binding's per-process obs counter handles.
 type counters struct {
-	notices       *obs.Counter
-	staleNotices  *obs.Counter
-	flagRescans   *obs.Counter
-	moves         *obs.Counter
-	rejections    *obs.Counter
-	lostNotices   *obs.Counter
-	tornNameReads *obs.Counter
+	notices      *obs.Counter
+	staleNotices *obs.Counter
+	flagRescans  *obs.Counter
+	moves        *obs.Counter
+	rejections   *obs.Counter
+	lostNotices  *obs.Counter
 }
 
 // Transport is one LYNX process's Chrysalis binding.
@@ -198,13 +185,12 @@ func New(env *sim.Env, k *chrysalis.Kernel, kp *chrysalis.Process, bufCap int) *
 		kp:  kp,
 		rec: rec,
 		c: counters{
-			notices:       b.Counter(obs.MNotices),
-			staleNotices:  b.Counter(obs.MStaleNotices),
-			flagRescans:   b.Counter(obs.MFlagRescans),
-			moves:         b.Counter(obs.MLinkMoves),
-			rejections:    b.Counter(obs.MRejections),
-			lostNotices:   b.Counter(obs.MLostNotices),
-			tornNameReads: b.Counter(obs.MTornNameReads),
+			notices:      b.Counter(obs.MNotices),
+			staleNotices: b.Counter(obs.MStaleNotices),
+			flagRescans:  b.Counter(obs.MFlagRescans),
+			moves:        b.Counter(obs.MLinkMoves),
+			rejections:   b.Counter(obs.MRejections),
+			lostNotices:  b.Counter(obs.MLostNotices),
 		},
 		bufCap: bufCap,
 		ends:   make(map[EndID]*endState),
@@ -227,19 +213,6 @@ func (tr *Transport) SetEnv(env *sim.Env) { tr.env = env }
 func (tr *Transport) obsEmit(kind obs.Kind, link int, detail string) {
 	if tr.rec.Active() {
 		tr.rec.EmitEnv(tr.env, obs.Event{Kind: kind, Proc: tr.kp.ID(), Link: link, Detail: detail})
-	}
-}
-
-// Stats returns a snapshot of the binding's counters.
-func (tr *Transport) Stats() *Stats {
-	return &Stats{
-		Notices:       tr.c.notices.Value(),
-		StaleNotices:  tr.c.staleNotices.Value(),
-		FlagRescans:   tr.c.flagRescans.Value(),
-		Moves:         tr.c.moves.Value(),
-		Rejections:    tr.c.rejections.Value(),
-		LostNotices:   tr.c.lostNotices.Value(),
-		TornNameReads: tr.c.tornNameReads.Value(),
 	}
 }
 

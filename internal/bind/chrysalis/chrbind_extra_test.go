@@ -89,8 +89,7 @@ func TestChrysalisStaleNoticeCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Not asserting a count (timing-dependent); the suite passing with
-	// destroys mid-traffic is the point. Stats should be readable.
-	_ = r.trs[0].Stats().StaleNotices
+	// destroys mid-traffic is the point.
 }
 
 func TestChrysalisOversizeMessageRejected(t *testing.T) {

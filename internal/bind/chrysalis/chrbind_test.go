@@ -9,8 +9,15 @@ import (
 	"repro/internal/chrysalis"
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
+
+// count reads the binding's per-process counter name from the obs
+// registry.
+func count(tr *chrbind.Transport, name string) int64 {
+	return tr.Obs().Metrics().ProcValue(name, tr.KernelProcess().ID())
+}
 
 type rig struct {
 	env    *sim.Env
@@ -182,8 +189,8 @@ func TestChrysalisMultiEnclosureMove(t *testing.T) {
 	if err := r.env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if r.trs[1].Stats().Moves != nLinks {
-		t.Errorf("moves = %d, want %d", r.trs[1].Stats().Moves, nLinks)
+	if count(r.trs[1], obs.MLinkMoves) != nLinks {
+		t.Errorf("moves = %d, want %d", count(r.trs[1], obs.MLinkMoves), nLinks)
 	}
 }
 
@@ -215,8 +222,8 @@ func TestChrysalisUnwantedReplyRejected(t *testing.T) {
 	if !errors.Is(replyErr, core.ErrUnwantedReply) {
 		t.Fatalf("reply err = %v, want ErrUnwantedReply", replyErr)
 	}
-	if r.trs[0].Stats().Rejections != 1 {
-		t.Fatalf("rejections = %d", r.trs[0].Stats().Rejections)
+	if count(r.trs[0], obs.MRejections) != 1 {
+		t.Fatalf("rejections = %d", count(r.trs[0], obs.MRejections))
 	}
 }
 
@@ -237,7 +244,7 @@ func TestChrysalisDestroyReclaimsObject(t *testing.T) {
 	if !errors.Is(errB, core.ErrLinkDestroyed) {
 		t.Fatalf("B err = %v", errB)
 	}
-	if r.kernel.Stats().Reclaimed == 0 {
+	if r.kernel.Obs().Metrics().Value(obs.MObjectsReclaimed) == 0 {
 		t.Error("link object never reclaimed")
 	}
 }
@@ -297,7 +304,7 @@ func TestChrysalisUnwantedRequestWaitsInBuffer(t *testing.T) {
 	if err := r.env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if r.trs[0].Stats().Rejections != 0 {
+	if count(r.trs[0], obs.MRejections) != 0 {
 		t.Error("spurious rejections")
 	}
 }
@@ -358,8 +365,8 @@ func TestChrysalisStaleNoticesDiscarded(t *testing.T) {
 	if err := r.env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if r.trs[2].Stats().Moves != 1 {
-		t.Errorf("C moves = %d", r.trs[2].Stats().Moves)
+	if count(r.trs[2], obs.MLinkMoves) != 1 {
+		t.Errorf("C moves = %d", count(r.trs[2], obs.MLinkMoves))
 	}
 }
 
@@ -418,7 +425,7 @@ func TestChrysalisSequentialOpsStatsSane(t *testing.T) {
 	if err := r.env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if r.trs[0].Stats().Rejections != 0 || r.trs[1].Stats().Rejections != 0 {
+	if count(r.trs[0], obs.MRejections) != 0 || count(r.trs[1], obs.MRejections) != 0 {
 		t.Error("spurious rejections in a clean workload")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	sodabind "repro/internal/bind/soda"
 	"repro/internal/calib"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -86,15 +87,15 @@ func TestSodaFreezeSearchFindsOwner(t *testing.T) {
 	if !opOK {
 		t.Fatal("operation never completed")
 	}
-	if r.trs[0].Stats().Freezes != 1 {
-		t.Fatalf("freezes = %d, want 1", r.trs[0].Stats().Freezes)
+	if count(r.trs[0], obs.MFreezes) != 1 {
+		t.Fatalf("freezes = %d, want 1", count(r.trs[0], obs.MFreezes))
 	}
 	// The frozen bystanders recorded their halt.
-	halts := r.trs[1].Stats().FreezeHalts + r.trs[2].Stats().FreezeHalts + r.trs[3].Stats().FreezeHalts
+	halts := count(r.trs[1], obs.MFreezeHalts) + count(r.trs[2], obs.MFreezeHalts) + count(r.trs[3], obs.MFreezeHalts)
 	if halts < 2 {
 		t.Fatalf("freeze halts = %d, want >= 2", halts)
 	}
-	frozen := r.trs[1].Stats().FrozenTime + r.trs[2].Stats().FrozenTime + r.trs[3].Stats().FrozenTime
+	frozen := count(r.trs[1], obs.MFrozenTimeNs) + count(r.trs[2], obs.MFrozenTimeNs) + count(r.trs[3], obs.MFrozenTimeNs)
 	if frozen <= 0 {
 		t.Fatal("no frozen time recorded")
 	}
@@ -143,7 +144,7 @@ func TestSodaFreezeFailureMeansDestroyed(t *testing.T) {
 	if !errors.Is(errTwo, core.ErrLinkDestroyed) {
 		t.Fatalf("errTwo = %v, want ErrLinkDestroyed", errTwo)
 	}
-	if r.trs[0].Stats().Freezes == 0 {
+	if count(r.trs[0], obs.MFreezes) == 0 {
 		t.Fatal("freeze search never ran")
 	}
 }
@@ -170,8 +171,8 @@ func TestSodaCancelSendWithdraws(t *testing.T) {
 	if err := r.env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if r.trs[1].Stats().Accepts != 0 {
-		t.Fatalf("peer accepted %d messages, want 0", r.trs[1].Stats().Accepts)
+	if count(r.trs[1], obs.MAccepts) != 0 {
+		t.Fatalf("peer accepted %d messages, want 0", count(r.trs[1], obs.MAccepts))
 	}
 }
 
@@ -220,7 +221,7 @@ func TestSodaCacheEviction(t *testing.T) {
 	if err := r.env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if r.trs[1].Stats().CacheEvictions == 0 {
+	if count(r.trs[1], obs.MCacheEvictions) == 0 {
 		t.Fatal("no cache evictions with CacheSize=1 and 2 moves")
 	}
 }

@@ -1,0 +1,143 @@
+package sodabind
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/calib"
+	"repro/internal/core"
+	"repro/internal/netsim"
+	"repro/internal/obs"
+	"repro/internal/sim"
+	"repro/internal/soda"
+)
+
+// janitorRuns counts the scheduler dispatches of janitor simprocs.
+type janitorRuns struct{ n int }
+
+func (j *janitorRuns) Resume(_ sim.Time, _ int, name string) {
+	if strings.HasPrefix(name, "sodabind.janitor.") {
+		j.n++
+	}
+}
+
+func (j *janitorRuns) Event(sim.Time, string, string) {}
+
+// janitorRig is three SODA processes, A–B and B–C joined by boot links,
+// with a tracer that sees every janitor dispatch.
+type janitorRig struct {
+	env   *sim.Env
+	trs   []*Transport
+	runs  *janitorRuns
+	costs calib.LynxRuntimeCosts
+}
+
+func newJanitorRig(cfgB Config) *janitorRig {
+	env := sim.NewEnv(1)
+	k := soda.NewKernel(env, netsim.NewCSMABus(env.Rand().Fork()), calib.DefaultSODA())
+	r := &janitorRig{env: env, runs: &janitorRuns{}, costs: calib.DefaultSODARuntime()}
+	for i, cfg := range []Config{DefaultConfig(), cfgB, DefaultConfig()} {
+		r.trs = append(r.trs, New(env, k, k.NewProcess(netsim.NodeID(i)), cfg))
+	}
+	env.SetTracer(r.runs)
+	return r
+}
+
+// checkIdle fails unless every janitor has exited with nothing queued.
+func (r *janitorRig) checkIdle(t *testing.T) {
+	t.Helper()
+	for i, tr := range r.trs {
+		if tr.janitor != nil || len(tr.recoveries) != 0 {
+			t.Errorf("process %d: janitor live=%v with %d queued repairs after the run",
+				i, tr.janitor != nil, len(tr.recoveries))
+		}
+	}
+}
+
+// TestJanitorNotStartedForPlainRPC: a process that never repairs a hint
+// runs as its one simproc; no janitor is ever spawned.
+func TestJanitorNotStartedForPlainRPC(t *testing.T) {
+	r := newJanitorRig(DefaultConfig())
+	ea, eb := BootLink(r.trs[0], r.trs[1])
+	core.NewProcess(r.env, "A", r.trs[0], r.costs, func(th *core.Thread) {
+		e := th.AdoptBootEnd(ea)
+		for i := 0; i < 3; i++ {
+			if _, err := th.Connect(e, "echo", core.Msg{Data: []byte{byte(i)}}); err != nil {
+				t.Errorf("op %d: %v", i, err)
+			}
+		}
+		th.Destroy(e)
+	})
+	core.NewProcess(r.env, "B", r.trs[1], r.costs, func(th *core.Thread) {
+		th.Serve(th.AdoptBootEnd(eb), func(st *core.Thread, req *core.Request) {
+			st.Reply(req, core.Msg{Data: req.Data()})
+		})
+	})
+	if err := r.env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if r.runs.n != 0 {
+		t.Errorf("janitor dispatched %d times in a plain RPC run, want 0", r.runs.n)
+	}
+	r.checkIdle(t)
+}
+
+// TestJanitorStartsForRepairAndExits: B moves its end of A's link to C
+// with forwarding off, so A's put times out and its janitor repairs the
+// hint by discover; the janitor then exits.
+func TestJanitorStartsForRepairAndExits(t *testing.T) {
+	noCache := DefaultConfig()
+	noCache.CacheSize = 0
+	r := newJanitorRig(noCache)
+	l1a, l1b := BootLink(r.trs[0], r.trs[1])
+	l2b, l2c := BootLink(r.trs[1], r.trs[2])
+	var reply string
+	core.NewProcess(r.env, "A", r.trs[0], r.costs, func(th *core.Thread) {
+		e := th.AdoptBootEnd(l1a)
+		th.Sleep(400 * sim.Millisecond) // let the move finish first
+		rep, err := th.Connect(e, "op", core.Msg{})
+		if err != nil {
+			t.Errorf("op: %v", err)
+			return
+		}
+		reply = string(rep.Data)
+		th.Destroy(e)
+	})
+	core.NewProcess(r.env, "B", r.trs[1], r.costs, func(th *core.Thread) {
+		e := th.AdoptBootEnd(l1b)
+		toC := th.AdoptBootEnd(l2b)
+		if _, err := th.Connect(toC, "take", core.Msg{Links: []*core.End{e}}); err != nil {
+			t.Errorf("B move: %v", err)
+		}
+		th.Destroy(toC)
+	})
+	core.NewProcess(r.env, "C", r.trs[2], r.costs, func(th *core.Thread) {
+		req, err := th.Receive(th.AdoptBootEnd(l2c))
+		if err != nil {
+			t.Errorf("C receive: %v", err)
+			return
+		}
+		moved := req.Links()[0]
+		th.Reply(req, core.Msg{})
+		th.Sleep(900 * sim.Millisecond) // dormant until A has discovered
+		th.Serve(moved, func(st *core.Thread, r2 *core.Request) {
+			st.Reply(r2, core.Msg{Data: []byte("from-C")})
+		})
+	})
+	if err := r.env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if reply != "from-C" {
+		t.Errorf("reply %q, want from-C", reply)
+	}
+	m := r.trs[0].Obs().Metrics()
+	pid := int(r.trs[0].KernelProcess().ID())
+	if m.ProcValue(obs.MDiscovers, pid) == 0 || m.ProcValue(obs.MHintFixes, pid) == 0 {
+		t.Errorf("A: discovers=%d hint fixes=%d, want both > 0",
+			m.ProcValue(obs.MDiscovers, pid), m.ProcValue(obs.MHintFixes, pid))
+	}
+	if r.runs.n == 0 {
+		t.Error("the repair ran without a janitor dispatch")
+	}
+	r.checkIdle(t)
+}

@@ -2,6 +2,7 @@ package sodabind
 
 import (
 	"encoding/binary"
+	"fmt"
 	"sort"
 
 	"repro/internal/core"
@@ -22,9 +23,16 @@ func freezeNameOf(pid soda.ProcID) soda.Name {
 	return soda.Name(uint64(1)<<48 | uint64(pid))
 }
 
+// recovery is one stale-hint episode queued for the janitor. ps, when
+// non-nil, is the data put to re-post once the hint is fixed.
+type recovery struct {
+	es *endState
+	ps *pendingSend
+}
+
 // scheduleRecovery hands a stale-hint episode to the janitor, which may
-// block on discover and freeze searches. ps, when non-nil, is the data
-// put to re-post once the hint is fixed.
+// block on discover and freeze searches, starting the janitor if none
+// is running.
 func (tr *Transport) scheduleRecovery(es *endState, ps *pendingSend) {
 	if es.dead {
 		if ps != nil {
@@ -33,7 +41,26 @@ func (tr *Transport) scheduleRecovery(es *endState, ps *pendingSend) {
 		}
 		return
 	}
-	tr.janitorWork.Put(func(p *sim.Proc) { tr.recoverHint(p, es, ps) })
+	if tr.dead {
+		return // a hint timer outlived the process; nothing to repair
+	}
+	tr.recoveries = append(tr.recoveries, recovery{es, ps})
+	if tr.janitor == nil {
+		tr.janitor = tr.env.Spawn(fmt.Sprintf("sodabind.janitor.p%d", tr.kp.ID()), tr.runJanitor)
+	}
+}
+
+// runJanitor is the janitor's body: it works through the queued
+// episodes in order and exits when none is left.
+func (tr *Transport) runJanitor(p *sim.Proc) {
+	for len(tr.recoveries) > 0 {
+		r := tr.recoveries[0]
+		n := copy(tr.recoveries, tr.recoveries[1:])
+		tr.recoveries[n] = recovery{}
+		tr.recoveries = tr.recoveries[:n]
+		tr.recoverHint(p, r.es, r.ps)
+	}
+	tr.janitor = nil
 }
 
 // recoverHint runs in janitor context: discover first, then the freeze

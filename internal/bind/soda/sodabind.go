@@ -99,28 +99,6 @@ func decodeEncl(buf []byte, n int) ([]enclRecord, error) {
 	return recs, nil
 }
 
-// Stats counts binding-level activity (E5/E7/E10 read these). It is a
-// point-in-time snapshot of the binding's obs counters.
-type Stats struct {
-	Puts            int64
-	Accepts         int64
-	SavedRequests   int64 // wanted-later requests held unaccepted
-	RejectedReplies int64 // replies NAKed with REJECTED (server feels it)
-	MovedForwards   int64 // MOVED redirections answered from the cache
-	HintFixes       int64 // hints repaired via MOVED/cache
-	HintHits        int64 // data puts delivered on the first post (hint was right)
-	HintMisses      int64 // data puts that needed redirection or recovery
-	Discovers       int64
-	Freezes         int64 // freeze searches initiated
-	FreezeHalts     int64 // process-freezes suffered (times this process froze)
-	FrozenTime      sim.Duration
-	LinkMoves       int64
-	CacheEvictions  int64
-	// PairLimitRetries counts puts re-posted after the kernel's per-pair
-	// outstanding-request limit rejected them (§4.2.1).
-	PairLimitRetries int64
-}
-
 // counters holds the binding's per-process obs counter handles.
 type counters struct {
 	puts             *obs.Counter
@@ -211,9 +189,11 @@ type Transport struct {
 	// saved: inbound wanted-later data requests by end name.
 	saved map[soda.Name][]savedReq
 
-	// janitor runs blocking recovery work (discover, freeze).
-	janitor     *sim.Proc
-	janitorWork *sim.Mailbox
+	// janitor runs blocking recovery work (discover, freeze) from
+	// recoveries, in order; it is spawned on demand and exits once the
+	// queue is empty, so janitor is nil while no repair is under way.
+	janitor    *sim.Proc
+	recoveries []recovery
 
 	// freeze state.
 	frozen     int
@@ -340,27 +320,6 @@ func (tr *Transport) obsEmit(kind obs.Kind, seq uint64, detail string) {
 	}
 }
 
-// Stats returns a snapshot of the binding's counters.
-func (tr *Transport) Stats() *Stats {
-	return &Stats{
-		Puts:             tr.c.puts.Value(),
-		Accepts:          tr.c.accepts.Value(),
-		SavedRequests:    tr.c.savedRequests.Value(),
-		RejectedReplies:  tr.c.rejectedReplies.Value(),
-		MovedForwards:    tr.c.movedForwards.Value(),
-		HintFixes:        tr.c.hintFixes.Value(),
-		HintHits:         tr.c.hintHits.Value(),
-		HintMisses:       tr.c.hintMisses.Value(),
-		Discovers:        tr.c.discovers.Value(),
-		Freezes:          tr.c.freezes.Value(),
-		FreezeHalts:      tr.c.freezeHalts.Value(),
-		FrozenTime:       sim.Duration(tr.c.frozenNs.Value()),
-		LinkMoves:        tr.c.linkMoves.Value(),
-		CacheEvictions:   tr.c.cacheEvictions.Value(),
-		PairLimitRetries: tr.c.pairLimitRetries.Value(),
-	}
-}
-
 // KernelProcess returns the underlying SODA process (harness use).
 func (tr *Transport) KernelProcess() *soda.Process { return tr.kp }
 
@@ -376,20 +335,12 @@ func (tr *Transport) Capabilities() core.Capabilities {
 // SetScreen implements core.Screened.
 func (tr *Transport) SetScreen(s core.ScreenFunc) { tr.screen = s }
 
-// SetSink implements core.Transport: installs the interrupt handler and
-// starts the janitor.
+// SetSink implements core.Transport: installs the interrupt handler.
 func (tr *Transport) SetSink(sink func(core.Event), sp *sim.Proc) {
 	tr.sink = sink
 	tr.proc = sp
 	tr.kp.SetHandler(tr.interrupt)
 	tr.kp.Advertise(nil, tr.freezeName)
-	tr.janitorWork = sim.NewMailbox(tr.env, fmt.Sprintf("sodabind.janitor.p%d", tr.kp.ID()))
-	tr.janitor = tr.env.Spawn(fmt.Sprintf("sodabind.janitor.p%d", tr.kp.ID()), func(p *sim.Proc) {
-		for {
-			task := tr.janitorWork.Get(p).(func(*sim.Proc))
-			task(p)
-		}
-	})
 }
 
 // emit delivers an event unless the process is frozen, in which case the

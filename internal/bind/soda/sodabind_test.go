@@ -8,9 +8,16 @@ import (
 	"repro/internal/calib"
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/soda"
 )
+
+// count reads the binding's per-process counter name from the obs
+// registry.
+func count(tr *sodabind.Transport, name string) int64 {
+	return tr.Obs().Metrics().ProcValue(name, int(tr.KernelProcess().ID()))
+}
 
 // rig assembles a SODA kernel plus LYNX processes.
 type rig struct {
@@ -167,8 +174,8 @@ func TestSodaMultiEnclosureSingleMessage(t *testing.T) {
 	// One put for the request carrying all four ends (plus the reply and
 	// the pings): verify movement took exactly one data put by checking
 	// the binding saw 4 moves with zero forwarding traffic.
-	if r.trs[1].Stats().LinkMoves != nLinks {
-		t.Errorf("moves = %d", r.trs[1].Stats().LinkMoves)
+	if count(r.trs[1], obs.MLinkMoves) != nLinks {
+		t.Errorf("moves = %d", count(r.trs[1], obs.MLinkMoves))
 	}
 }
 
@@ -208,10 +215,10 @@ func TestSodaUnwantedRequestSavedNotBounced(t *testing.T) {
 	if err := r.env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if r.trs[0].Stats().SavedRequests == 0 {
+	if count(r.trs[0], obs.MSavedRequests) == 0 {
 		t.Error("reverse request was never held")
 	}
-	if r.trs[0].Stats().RejectedReplies != 0 {
+	if count(r.trs[0], obs.MRejectedReplies) != 0 {
 		t.Error("spurious reply rejections")
 	}
 }
@@ -247,8 +254,8 @@ func TestSodaUnwantedReplyRejectsServer(t *testing.T) {
 	if !errors.Is(replyErr, core.ErrUnwantedReply) {
 		t.Fatalf("reply err = %v, want ErrUnwantedReply", replyErr)
 	}
-	if r.trs[0].Stats().RejectedReplies != 1 {
-		t.Fatalf("rejected replies = %d", r.trs[0].Stats().RejectedReplies)
+	if count(r.trs[0], obs.MRejectedReplies) != 1 {
+		t.Fatalf("rejected replies = %d", count(r.trs[0], obs.MRejectedReplies))
 	}
 }
 
@@ -356,10 +363,10 @@ func TestSodaMovedLinkForwardedByCache(t *testing.T) {
 	if err := r.env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if r.trs[1].Stats().MovedForwards == 0 {
+	if count(r.trs[1], obs.MMovedForwards) == 0 {
 		t.Error("B's move cache never forwarded")
 	}
-	if r.trs[0].Stats().HintFixes == 0 {
+	if count(r.trs[0], obs.MHintFixes) == 0 {
 		t.Error("A's hint was never fixed")
 	}
 }
@@ -420,7 +427,7 @@ func TestSodaDiscoverFallbackAfterCacheEviction(t *testing.T) {
 	if err := r.env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if r.trs[0].Stats().Discovers == 0 {
+	if count(r.trs[0], obs.MDiscovers) == 0 {
 		t.Error("A never used discover")
 	}
 }
@@ -452,9 +459,9 @@ func TestSodaStatsZeroNAKTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, tr := range r.trs {
-		st := tr.Stats()
-		if st.RejectedReplies != 0 || st.Freezes != 0 {
-			t.Errorf("binding %d: unexpected recovery traffic %+v", i, st)
+		rejected, freezes := count(tr, obs.MRejectedReplies), count(tr, obs.MFreezes)
+		if rejected != 0 || freezes != 0 {
+			t.Errorf("binding %d: unexpected recovery traffic: %d rejected replies, %d freezes", i, rejected, freezes)
 		}
 	}
 }

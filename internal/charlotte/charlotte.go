@@ -140,16 +140,6 @@ type Description struct {
 	Enclosure EndRef // moved end, if any (receive completions only)
 }
 
-// Stats is a snapshot of kernel activity for the experiment harness,
-// computed on demand from the kernel's obs metrics.
-type Stats struct {
-	Calls      map[string]int64
-	Messages   int64 // kernel messages delivered
-	Bytes      int64
-	Enclosures int64 // link ends moved
-	Destroys   int64
-}
-
 // Kernel is the (logically replicated) Charlotte kernel. One Kernel
 // value serves all nodes; per-node CPU costs are charged to the calling
 // process's simproc and internode wire time to the netsim model.
@@ -260,22 +250,6 @@ func (k *Kernel) Env() *sim.Env { return k.env }
 // Obs returns the kernel's observability recorder; the binding shares
 // it, and sinks attach to it.
 func (k *Kernel) Obs() *obs.Recorder { return k.rec }
-
-// Stats returns a snapshot of the kernel's activity counters.
-func (k *Kernel) Stats() *Stats {
-	m := k.rec.Metrics()
-	st := &Stats{
-		Calls:      make(map[string]int64, len(k.calls)),
-		Messages:   m.Value(obs.MKernelMessages),
-		Bytes:      m.Value(obs.MKernelBytes),
-		Enclosures: m.Value(obs.MEnclosureMoves),
-		Destroys:   m.Value(obs.MLinkDestroys),
-	}
-	for name, c := range k.calls {
-		st.Calls[name] = c.Value()
-	}
-	return st
-}
 
 // countCall bumps the per-call-name kernel counter. Every call name is
 // pre-created in NewKernel (the map must not grow mid-run: groups read

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/calib"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -117,8 +118,8 @@ func TestDestroyWhileMessageInFlight(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if k.Stats().Messages != 0 {
-		t.Fatalf("messages delivered on a destroyed link: %d", k.Stats().Messages)
+	if k.Obs().Metrics().Value(obs.MKernelMessages) != 0 {
+		t.Fatalf("messages delivered on a destroyed link: %d", k.Obs().Metrics().Value(obs.MKernelMessages))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/calib"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -79,8 +80,8 @@ func TestSimpleSendReceive(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if k.Stats().Messages != 1 {
-		t.Fatalf("messages = %d", k.Stats().Messages)
+	if k.Obs().Metrics().Value(obs.MKernelMessages) != 1 {
+		t.Fatalf("messages = %d", k.Obs().Metrics().Value(obs.MKernelMessages))
 	}
 }
 
@@ -191,8 +192,8 @@ func TestEnclosureMovesOwnership(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if k.Stats().Enclosures != 1 {
-		t.Fatalf("enclosures = %d", k.Stats().Enclosures)
+	if k.Obs().Metrics().Value(obs.MEnclosureMoves) != 1 {
+		t.Fatalf("enclosures = %d", k.Obs().Metrics().Value(obs.MEnclosureMoves))
 	}
 }
 
@@ -317,8 +318,8 @@ func TestProcessTerminationDestroysLinks(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if k.Stats().Destroys != 2 {
-		t.Fatalf("destroys = %d", k.Stats().Destroys)
+	if k.Obs().Metrics().Value(obs.MLinkDestroys) != 2 {
+		t.Fatalf("destroys = %d", k.Obs().Metrics().Value(obs.MLinkDestroys))
 	}
 }
 

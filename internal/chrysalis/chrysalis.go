@@ -92,21 +92,6 @@ type EventName uint32
 // which is why the paper's link objects update them non-atomically.
 type QueueName uint32
 
-// Stats is a snapshot of kernel activity for the experiment harness,
-// computed on demand from the kernel's obs metrics.
-type Stats struct {
-	AtomicOps  int64
-	Enqueues   int64
-	Dequeues   int64
-	EventPosts int64
-	EventWaits int64
-	Maps       int64
-	Unmaps     int64
-	BytesMoved int64
-	Reclaimed  int64
-	TornReads  int64
-}
-
 // Kernel is the Chrysalis instance shared by all processors of one
 // Butterfly machine.
 //
@@ -271,22 +256,6 @@ func (k *Kernel) Env() *sim.Env { return k.env }
 // Obs returns the kernel's observability recorder; the binding shares
 // it, and sinks attach to it.
 func (k *Kernel) Obs() *obs.Recorder { return k.rec }
-
-// Stats returns a snapshot of the kernel's counters.
-func (k *Kernel) Stats() *Stats {
-	return &Stats{
-		AtomicOps:  k.cAtomicOps.Value(),
-		Enqueues:   k.cEnqueues.Value(),
-		Dequeues:   k.cDequeues.Value(),
-		EventPosts: k.cEventPosts.Value(),
-		EventWaits: k.cEventWaits.Value(),
-		Maps:       k.cMaps.Value(),
-		Unmaps:     k.cUnmaps.Value(),
-		BytesMoved: k.cBytesMoved.Value(),
-		Reclaimed:  k.cReclaimed.Value(),
-		TornReads:  k.cTornRead.Value(),
-	}
-}
 
 func (k *Kernel) cost(d sim.Duration) sim.Duration {
 	return sim.Duration(float64(d) * k.TuneFactor)

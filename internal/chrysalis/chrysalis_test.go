@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/calib"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -73,8 +74,8 @@ func TestReclamationAtZeroRefs(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if k.Stats().Reclaimed != 1 {
-		t.Fatalf("reclaimed = %d", k.Stats().Reclaimed)
+	if k.Obs().Metrics().Value(obs.MObjectsReclaimed) != 1 {
+		t.Fatalf("reclaimed = %d", k.Obs().Metrics().Value(obs.MObjectsReclaimed))
 	}
 }
 
@@ -175,7 +176,7 @@ func TestWrite32TornRead(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if k.Stats().TornReads == 0 {
+	if k.Obs().Metrics().Value(obs.MTornReads) == 0 {
 		t.Fatal("reader did not land in the torn window (timing drifted)")
 	}
 }

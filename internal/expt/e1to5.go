@@ -11,6 +11,7 @@ import (
 	"repro/internal/calib"
 	"repro/internal/charlotte"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/lynx"
 	"repro/lynx/grid"
@@ -119,9 +120,9 @@ func e2(seed uint64) *Result {
 		if err := sys.Run(); err != nil {
 			panic(err)
 		}
-		msgs := sys.Stats().Charlotte().Messages
-		goaheads := b.Stats().Charlotte().Goaheads
-		encs := a.Stats().Charlotte().EncPackets
+		msgs := sys.Stats().Value(obs.MKernelMessages)
+		goaheads := b.Stats().Value(obs.MGoaheads)
+		encs := a.Stats().Value(obs.MEncPackets)
 		// Protocol prediction: request + reply, plus goahead and k-1 enc
 		// for k >= 2.
 		want := int64(2)
@@ -170,9 +171,9 @@ func kernelTrafficForMove(seed uint64, sub lynx.Substrate, k int) int64 {
 	snapshot := func() int64 {
 		switch sub {
 		case lynx.SODA:
-			return sys.Stats().SODA().Accepts
+			return sys.Stats().Value(obs.MKernelAccepts)
 		case lynx.Chrysalis:
-			return sys.Stats().Chrysalis().Enqueues
+			return sys.Stats().Value(obs.MQueueEnqueues)
 		default:
 			return 0
 		}

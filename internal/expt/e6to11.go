@@ -152,8 +152,7 @@ func e7(seed uint64) *Result {
 		if err := sys.Run(); err != nil {
 			panic(fmt.Sprintf("E7(%v): %v", sub, err))
 		}
-		// All counts come from the obs metric registry — the same
-		// counters Stats() views are built from.
+		// All counts come from the obs metric registry, by name.
 		m := sys.Metrics()
 		pa, pb := a.KernelPID(), b.KernelPID()
 		var r row

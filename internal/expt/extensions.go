@@ -7,6 +7,7 @@ import (
 	"repro/internal/calib"
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/soda"
 	"repro/lynx"
@@ -120,7 +121,8 @@ func runE12(seed uint64, links, pairLimit int) (completed int, retries int64, ru
 		}
 	})
 	runErr = env.RunUntil(sim.Time(60 * sim.Second))
-	retries = trA.Stats().PairLimitRetries + trB.Stats().PairLimitRetries
+	m := k.Obs().Metrics()
+	retries = m.ProcValue(obs.MPairLimitRetries, int(kpA.ID())) + m.ProcValue(obs.MPairLimitRetries, int(kpB.ID()))
 	return completed, retries, runErr
 }
 
@@ -224,6 +226,7 @@ func runE13Episode(loss float64, seed uint64) (byDiscover, byFreeze bool) {
 	if err := sys.RunFor(30 * lynx.Second); err != nil {
 		return false, false
 	}
-	st := a.Stats().SODA()
-	return st.HintFixes > 0 && st.Freezes == 0, st.Freezes > 0
+	st := a.Stats()
+	freezes := st.Value(obs.MFreezes)
+	return st.Value(obs.MHintFixes) > 0 && freezes == 0, freezes > 0
 }

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/sim"
 	"repro/lynx/sweep"
@@ -144,32 +143,10 @@ func runJobs(o Options, exps []Experiment) []*Result {
 			jobs = append(jobs, job{i, r})
 		}
 	}
-	workers := o.Parallel
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for _, j := range jobs {
-			perExp[j.exp][j.rep] = exps[j.exp].run(replicaSeed(o.RootSeed, j.exp, j.rep))
-		}
-	} else {
-		var wg sync.WaitGroup
-		ch := make(chan job)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range ch {
-					perExp[j.exp][j.rep] = exps[j.exp].run(replicaSeed(o.RootSeed, j.exp, j.rep))
-				}
-			}()
-		}
-		for _, j := range jobs {
-			ch <- j
-		}
-		close(ch)
-		wg.Wait()
-	}
+	sweep.ForEach(len(jobs), o.Parallel, func(i int) {
+		j := jobs[i]
+		perExp[j.exp][j.rep] = exps[j.exp].run(replicaSeed(o.RootSeed, j.exp, j.rep))
+	})
 	out := make([]*Result, len(exps))
 	for i := range exps {
 		out[i] = aggregateResults(perExp[i], o)

@@ -205,18 +205,6 @@ func charge(p *sim.Proc, d sim.Duration) {
 	}
 }
 
-// Stats is a snapshot of kernel activity for the experiment harness,
-// computed on demand from the kernel's obs metrics.
-type Stats struct {
-	Requests   int64
-	Accepts    int64
-	Interrupts int64
-	Discovers  int64
-	Broadcasts int64
-	Retries    int64
-	Bytes      int64
-}
-
 // Kernel is the SODA network: the set of kernel processors and the bus.
 //
 // For conservative parallel runs the kernel is split into groups
@@ -376,20 +364,6 @@ func (k *Kernel) Env() *sim.Env { return k.env }
 // Obs returns the kernel's observability recorder; the binding shares
 // it, and sinks attach to it.
 func (k *Kernel) Obs() *obs.Recorder { return k.rec }
-
-// Stats returns a snapshot of the kernel's counters.
-func (k *Kernel) Stats() *Stats {
-	m := k.rec.Metrics()
-	return &Stats{
-		Requests:   m.Value(obs.MKernelRequests),
-		Accepts:    m.Value(obs.MKernelAccepts),
-		Interrupts: m.Value(obs.MKernelInterrupts),
-		Discovers:  m.Value(obs.MKernelDiscovers),
-		Broadcasts: m.Value(obs.MKernelBroadcasts),
-		Retries:    m.Value(obs.MKernelRetries),
-		Bytes:      m.Value(obs.MKernelBytes),
-	}
-}
 
 // eventKind maps a request kind onto its typed event kind.
 func eventKind(k Kind) obs.Kind {

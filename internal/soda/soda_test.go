@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/calib"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -109,8 +110,8 @@ func TestPutRequestInterruptAccept(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if k.Stats().Requests != 1 || k.Stats().Accepts != 1 {
-		t.Fatalf("stats %+v", k.Stats())
+	if k.Obs().Metrics().Value(obs.MKernelRequests) != 1 || k.Obs().Metrics().Value(obs.MKernelAccepts) != 1 {
+		t.Fatalf("requests = %d, accepts = %d", k.Obs().Metrics().Value(obs.MKernelRequests), k.Obs().Metrics().Value(obs.MKernelAccepts))
 	}
 }
 
@@ -217,8 +218,8 @@ func TestRequestDelayedUntilAdvertised(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if k.Stats().Retries != 1 {
-		t.Fatalf("retries = %d", k.Stats().Retries)
+	if k.Obs().Metrics().Value(obs.MKernelRetries) != 1 {
+		t.Fatalf("retries = %d", k.Obs().Metrics().Value(obs.MKernelRetries))
 	}
 }
 

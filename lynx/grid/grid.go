@@ -36,7 +36,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -239,32 +238,7 @@ func Run(s Spec) *Table {
 		}
 		return &CellResult{Cell: c, Agg: agg}
 	}
-	workers := parallel
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	if workers <= 1 {
-		for i := range cells {
-			t.Cells[i] = runCell(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		jobs := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					t.Cells[i] = runCell(i)
-				}
-			}()
-		}
-		for i := range cells {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	}
+	sweep.ForEach(len(cells), parallel, func(i int) { t.Cells[i] = runCell(i) })
 	for _, cr := range t.Cells {
 		t.byKey[cr.Cell.Key()] = cr
 	}

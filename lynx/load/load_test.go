@@ -163,20 +163,26 @@ func mustMix(t *testing.T, s string) *Mix {
 
 // The closed-loop unit builders run standalone: one short System per
 // kind on every substrate.
-func TestRunOnceAllKinds(t *testing.T) {
+// TestBuildAllKinds builds and runs every closed-loop unit on every
+// kernel: each must finish and move payload bytes. An unknown kind is an
+// error.
+func TestBuildAllKinds(t *testing.T) {
 	for _, sub := range []lynx.Substrate{lynx.Charlotte, lynx.SODA, lynx.Chrysalis} {
 		for _, kind := range Kinds {
-			m, err := RunOnce(sub, kind, 9)
-			if err != nil {
+			sys := lynx.NewSystem(lynx.Config{Substrate: sub, Seed: 9})
+			if err := Build(sys, kind); err != nil {
 				t.Fatalf("%v/%s: %v", sub, kind, err)
 			}
-			if m.Value("load_runs_"+kind) != 1 {
-				t.Fatalf("%v/%s: marker counter missing", sub, kind)
+			if err := sys.Run(); err != nil {
+				t.Fatalf("%v/%s: %v", sub, kind, err)
+			}
+			if sys.Stats().Bytes() == 0 {
+				t.Fatalf("%v/%s: no kernel bytes moved", sub, kind)
 			}
 		}
 	}
-	if _, err := RunOnce(lynx.Charlotte, "bogus", 1); err == nil ||
-		!strings.Contains(err.Error(), "unknown workload kind") {
+	err := Build(lynx.NewSystem(lynx.Config{Substrate: lynx.Charlotte, Seed: 1}), "bogus")
+	if err == nil || !strings.Contains(err.Error(), "unknown workload kind") {
 		t.Fatalf("unknown kind error = %v", err)
 	}
 }

@@ -3,7 +3,6 @@ package load
 import (
 	"fmt"
 
-	"repro/internal/obs"
 	"repro/lynx"
 )
 
@@ -28,22 +27,6 @@ func Build(sys *lynx.System, kind string) error {
 		return fmt.Errorf("load: unknown workload kind %q", kind)
 	}
 	return nil
-}
-
-// RunOnce builds and runs one short System of the given kind; the
-// returned registry pools the run's protocol events plus a
-// "load_runs_<kind>" marker counter: the closed-loop unit, one whole
-// System per call.
-func RunOnce(sub lynx.Substrate, kind string, seed uint64) (*obs.Metrics, error) {
-	sys := lynx.NewSystem(lynx.Config{Substrate: sub, Seed: seed})
-	if err := Build(sys, kind); err != nil {
-		return nil, err
-	}
-	err := sys.Run()
-	m := obs.NewMetrics()
-	m.Counter("load_runs_" + kind).Inc()
-	m.Merge(sys.Metrics())
-	return m, err
 }
 
 // buildEcho: one client hammering one server with 4 echo RPCs of 64 B.

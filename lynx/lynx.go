@@ -1066,14 +1066,6 @@ func (p *ProcRef) Name() string { return p.name }
 // Proc returns the underlying core process (after Run has started).
 func (p *ProcRef) Proc() *core.Process { return p.proc }
 
-// RuntimeStats returns the run-time package counters (after Run).
-func (p *ProcRef) RuntimeStats() *core.Stats {
-	if p.proc == nil {
-		return &core.Stats{}
-	}
-	return p.proc.Stats()
-}
-
 // DebugState renders the process's run-time state (wedge diagnosis).
 func (p *ProcRef) DebugState() string {
 	if p.proc == nil {

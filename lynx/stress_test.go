@@ -173,7 +173,7 @@ func runStress(sub lynx.Substrate, seed uint64, nProcs, opsPerProc int) stressRe
 		}
 	}
 	for _, p := range refs {
-		st := p.RuntimeStats()
+		st := p.Stats().Runtime()
 		res.enclSent += st.EnclosuresSent
 		res.enclRecv += st.EnclosuresRecv
 	}

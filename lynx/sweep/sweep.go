@@ -175,29 +175,40 @@ func Sweep(o Options, body func(r Run) Outcome) *Aggregate {
 			o.Progress(int(completed.Add(1)), o.Replicas)
 		}
 	}
-	if o.Parallel == 1 {
-		for i := range outcomes {
-			runOne(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		jobs := make(chan int)
-		for w := 0; w < o.Parallel; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					runOne(i)
-				}
-			}()
-		}
-		for i := range outcomes {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	}
+	ForEach(o.Replicas, o.Parallel, runOne)
 	return aggregate(o, outcomes)
+}
+
+// ForEach calls fn(i) for every i in [0, n) on up to workers goroutines
+// (on the caller's goroutine when workers <= 1) and returns once every
+// call has returned. Indexes are handed out in increasing order; fn must
+// be safe to call concurrently when workers > 1.
+func ForEach(n, workers int, fn func(i int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	jobs := make(chan int)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		jobs <- i
+	}
+	close(jobs)
+	wg.Wait()
 }
 
 // aggregate folds replica outcomes into the sweep result, in replica

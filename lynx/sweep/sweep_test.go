@@ -217,3 +217,24 @@ func TestSweepProgress(t *testing.T) {
 		t.Fatal("progress callback changed the aggregate")
 	}
 }
+
+// TestForEachCallsEveryIndexOnce covers the worker pool's edges: no
+// work, fewer indexes than workers, and the serial path.
+func TestForEachCallsEveryIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 7} {
+		for _, workers := range []int{0, 1, 3, 16} {
+			var mu sync.Mutex
+			calls := make([]int, n)
+			ForEach(n, workers, func(i int) {
+				mu.Lock()
+				calls[i]++
+				mu.Unlock()
+			})
+			for i, c := range calls {
+				if c != 1 {
+					t.Errorf("n=%d workers=%d: index %d called %d times", n, workers, i, c)
+				}
+			}
+		}
+	}
+}
