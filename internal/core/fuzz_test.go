@@ -1,0 +1,54 @@
+package core_test
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/core"
+)
+
+// FuzzDecodeWire feeds arbitrary bytes to DecodeWire. It may not
+// panic. A message it accepts must account for exactly the bytes it
+// was given (header, operation name and data), so no part of a decoded
+// message lies beyond the buffer, and must encode back to those bytes
+// when given as many enclosures as the header counts. Plain `go test`
+// runs the seeds: the encodings the wire tests use, and their corrupt
+// variants.
+func FuzzDecodeWire(f *testing.F) {
+	for _, m := range []*core.WireMsg{
+		{Kind: core.KindRequest, Op: "op", Data: []byte("data")},
+		{Kind: core.KindReply, Op: "echo", Seq: 1<<64 - 1},
+		{Kind: core.KindRequest, Seq: 7, Encl: make([]core.TransEnd, 3)},
+	} {
+		buf, err := m.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf)
+		f.Add(buf[:len(buf)-1])
+		bad := append([]byte{}, buf...)
+		bad[0] = 99
+		f.Add(bad)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		m, n, err := core.DecodeWire(buf)
+		if err != nil {
+			return
+		}
+		if used := m.EncodedLen(); used != len(buf) {
+			t.Fatalf("decoded %d bytes of a %d-byte buffer", used, len(buf))
+		}
+		if n < 0 || n > 255 {
+			t.Fatalf("enclosure count %d outside the header's range", n)
+		}
+		m.Encl = make([]core.TransEnd, n)
+		out, err := m.Encode()
+		if err != nil {
+			t.Fatalf("decoded message does not encode: %v", err)
+		}
+		if !bytes.Equal(out, buf) {
+			t.Fatalf("decoded message encodes as %x, want %x", out, buf)
+		}
+	})
+}

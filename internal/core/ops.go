@@ -18,7 +18,7 @@ type Msg struct {
 // Op returns the operation name carried by a reply Msg.
 func (m *Msg) Op() string { return m.op }
 
-// checkContext panics if the calling goroutine is not the running thread
+// checkContext panics if the calling coroutine is not the running thread
 // of its process; the blocking operations below hand the processor
 // around and would corrupt state if misused. (Test-only misuse; real
 // callers get threads from Fork/Serve.)

@@ -42,11 +42,10 @@ type Process struct {
 	readyThreads []*Thread
 	nextTID      int
 	liveThreads  int
-	// base hands the processor back to the simproc's base goroutine:
-	// the process went idle, or a thread goroutine recovered crash, a
-	// panic the base must re-raise.
-	base  chan struct{}
-	crash any
+	// succ is the thread the driver (run) resumes next, recorded by
+	// the thread that gave up the processor; nil when the process is
+	// idle.
+	succ *Thread
 
 	ends         map[TransEnd]*End
 	endOrder     []TransEnd // creation order, for seed-stable exit teardown
@@ -77,7 +76,6 @@ func NewProcess(env *sim.Env, name string, tr Transport, costs calib.LynxRuntime
 		caps:         TransportCaps(tr),
 		costs:        costs,
 		threads:      make(map[int]*Thread),
-		base:         make(chan struct{}, 1),
 		ends:         make(map[TransEnd]*End),
 		pendingSends: make(map[uint64]*sendRecord),
 	}
@@ -170,7 +168,7 @@ func (pr *Process) DebugState() string {
 	return b.String()
 }
 
-// spawnThread creates a thread and marks it ready. Its goroutine
+// spawnThread creates a thread and marks it ready. Its coroutine
 // starts when it is first dispatched. A Serve handler thread is named
 // by its operation (serve), so serving a request formats no string.
 func (pr *Process) spawnThread(name string, serve bool, fn func(*Thread)) *Thread {
@@ -188,19 +186,14 @@ func (pr *Process) spawnThread(name string, serve bool, fn func(*Thread)) *Threa
 	return t
 }
 
-// run is the body of the process's simproc, on its base goroutine. It
-// dispatches the first thread; from then on threads pass the processor
-// among themselves (see step), and the base waits until one reports
-// the process idle, or hands back a crash for the base to re-raise so
-// the simproc's own kill path runs. Then it tears the process down.
+// run is the body of the process's simproc and the thread driver: it
+// resumes the thread each dispatcher step picks (see step) until the
+// process is idle, then tears the process down. The kill signal, raised
+// in whichever thread has the simproc parked, reaches it through that
+// thread's Resume, so the simproc's own kill path runs.
 func (pr *Process) run() {
-	if t := pr.step(); t != nil {
-		pr.switchTo(t)
-		<-pr.base
-		if r := pr.crash; r != nil {
-			pr.crash = nil
-			panic(r)
-		}
+	for t := pr.step(); t != nil; t = pr.succ {
+		t.resume()
 	}
 	pr.dead = true
 	// Orderly exit: destroy every still-live end first, so peers get the
@@ -219,8 +212,8 @@ func (pr *Process) run() {
 	pr.exited()
 }
 
-// step is the dispatcher, run by whichever goroutine holds the process
-// token as it gives up the processor: drain the events that arrived
+// step is the dispatcher, run by the thread giving up the processor
+// (or the driver, at the start): drain the events that arrived
 // while threads ran, so woken threads and fresh messages interleave
 // fairly, then pick the next ready thread. When none is ready, this is
 // the process's block point: wait for transport events on the simproc.
@@ -256,24 +249,6 @@ func (pr *Process) step() *Thread {
 		}
 		pr.handleEvent(ev)
 	}
-}
-
-// switchTo hands the processor to thread t, delivering its pending
-// wake value (starting its goroutine on first dispatch), or to the base
-// goroutine when t is nil. The caller must not touch process state
-// afterwards except to wait for its own resumption.
-func (pr *Process) switchTo(t *Thread) {
-	if t == nil {
-		pr.base <- struct{}{}
-		return
-	}
-	w := t.takeWake()
-	if !t.started {
-		t.started = true
-		sim.Go(t.run)
-		return
-	}
-	t.resume <- w
 }
 
 // OnExit registers fn to run once when the process ends, by orderly
@@ -431,7 +406,7 @@ func (pr *Process) handleEvent(ev Event) {
 }
 
 // flushWakes moves pending wakes into the ready queue, attaching each
-// wake value to its thread for switchTo to deliver.
+// wake value to its thread for its park to take.
 func (pr *Process) flushWakes() {
 	for i := range pr.pendingWakes {
 		t, w := pr.pendingWakes[i].t, pr.pendingWakes[i].w
@@ -440,7 +415,7 @@ func (pr *Process) flushWakes() {
 			continue
 		}
 		pr.readyThreads = append(pr.readyThreads, t)
-		// Stash the wake value for switchTo to deliver.
+		// Stash the wake value for the thread's park to take.
 		t.pendingWake = w
 		t.hasWake = true
 	}

@@ -11,11 +11,11 @@ import (
 // time, and control changes hands only at well-defined block points —
 // mirroring §2's "threads execute in mutual exclusion and may be
 // managed by the language run-time package, much like the coroutines of
-// Modula-2". A thread switch is one transfer of control: the blocking
-// thread runs the dispatcher itself and hands the processor straight to
-// the next thread.
+// Modula-2". Each thread runs on its own coroutine: the blocking thread
+// runs the dispatcher itself, records the next thread, and switches
+// back to the process's driver, which resumes that thread.
 //
-// All Thread methods must be called from the thread's own goroutine
+// All Thread methods must be called from the thread's own coroutine
 // while it is the running thread.
 type Thread struct {
 	pr *Process
@@ -24,14 +24,11 @@ type Thread struct {
 	// set) it is the operation name, and Name adds the "serve:" prefix.
 	name  string
 	serve bool
-	// fn is the thread's body until its goroutine starts it.
-	fn      func(*Thread)
-	started bool
-	// resume carries the wake value from the thread that hands us the
-	// processor. Buffered so the handoff never blocks the sender; made
-	// the first time the thread waits on it.
-	resume chan wake
-	dead   bool
+	// fn is the thread's body until its coroutine starts it.
+	fn func(*Thread)
+	// co runs the thread; nil until its first dispatch.
+	co   *sim.Coro
+	dead bool
 	// abortErr, when set by Abort, is delivered at the thread's next
 	// (or current) block point.
 	abortErr error
@@ -39,7 +36,7 @@ type Thread struct {
 	// and for Abort to find and detach the waiter registration.
 	blocked blockState
 	// pendingWake carries the wake value attached by flushWakes until
-	// switchTo delivers it (valid only while hasWake is set).
+	// park takes it (valid only while hasWake is set).
 	pendingWake wake
 	hasWake     bool
 }
@@ -86,21 +83,15 @@ func (t *Thread) Process() *Process { return t.pr }
 
 // park gives up the processor and blocks until this thread is
 // rescheduled, returning the wake value. It runs the dispatcher itself:
-// if this thread is its own successor it continues with no channel
-// operation; otherwise it hands the processor to the next thread and
-// waits on its own resume channel. If an abort is pending it is
-// delivered here.
+// if this thread is its own successor it continues with no switch;
+// otherwise it records the next thread and suspends its coroutine. If
+// an abort is pending it is delivered here.
 func (t *Thread) park() wake {
-	var w wake
-	if n := t.pr.step(); n == t {
-		w = t.takeWake()
-	} else {
-		if t.resume == nil {
-			t.resume = make(chan wake, 1)
-		}
-		t.pr.switchTo(n)
-		w = <-t.resume
+	if n := t.pr.step(); n != t {
+		t.pr.succ = n
+		t.co.Park()
 	}
+	w := t.takeWake()
 	if t.abortErr != nil && w.err == nil {
 		w.err = t.abortErr
 		t.abortErr = nil
@@ -191,19 +182,21 @@ func (t *Thread) Abort(target *Thread) {
 	t.pr.abortThread(target, ErrAborted)
 }
 
-// run is the goroutine body of a thread: its function, then the
-// handoff of the processor to whatever runs next. A panic that reaches
-// here (the kill signal, or one raised while handing off) goes to the
-// simproc's base goroutine to re-raise, so the simproc ends through its
-// own kill path.
+// resume switches to t's coroutine, starting it on first dispatch,
+// until t parks or finishes.
+func (t *Thread) resume() {
+	if t.co == nil {
+		t.co = sim.NewCoro(t.run)
+	}
+	if t.co.Resume() {
+		t.co = nil
+	}
+}
+
+// run is the coroutine body of a thread: its function, then the
+// dispatcher step that picks whatever runs next.
 func (t *Thread) run() {
 	pr := t.pr
-	defer func() {
-		if r := recover(); r != nil {
-			pr.crash = r
-			pr.base <- struct{}{}
-		}
-	}()
 	fn := t.fn
 	t.fn = nil
 	if t.abortErr == nil { // not aborted before it ever ran
@@ -212,11 +205,11 @@ func (t *Thread) run() {
 	t.dead = true
 	pr.liveThreads--
 	delete(pr.threads, t.id)
-	pr.switchTo(pr.step())
+	pr.succ = pr.step()
 }
 
 // call runs the thread's function. A panic stops the run, except the
-// kill signal, which passes through to run.
+// kill signal, which passes through to the driver's Resume.
 func (t *Thread) call(fn func(*Thread)) {
 	defer func() {
 		if r := recover(); r != nil {

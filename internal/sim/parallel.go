@@ -5,10 +5,10 @@
 //
 // EnterParallel splits a fresh root Env into N shard envs. Each shard is
 // a full Env — its own 4-ary timer heap, ready ring, rng stream, and
-// arena-allocated timer state — running the ordinary token-handoff
-// scheduler. The groups are declared non-interacting: no event on one
-// shard can affect another. A run therefore needs no windows, barriers,
-// or cross-shard messages: Run/RunUntil on the root hands every shard to
+// arena-allocated timer state — running the ordinary scheduler. The
+// groups are declared non-interacting: no event on one shard can affect
+// another. A run therefore needs no windows, barriers, or cross-shard
+// messages: Run/RunUntil on the root hands every shard to
 // a worker pool, each shard runs to the horizon (or to completion), and
 // the root folds the results.
 //
@@ -238,12 +238,12 @@ func (co *parCoord) runShards(limit Time) {
 	for _, sh := range co.shards {
 		sh := sh
 		wg.Add(1)
-		Go(func() {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			run(sh)
 			<-sem
-		})
+		}()
 	}
 	wg.Wait()
 }

@@ -17,19 +17,16 @@ func (k killedPanic) Error() string {
 // ErrProcDone is returned by operations attempted on a finished proc.
 var ErrProcDone = errors.New("sim: proc already finished")
 
-// Proc is a simulated process: a goroutine scheduled by an Env.
+// Proc is a simulated process: a coroutine scheduled by an Env.
 type Proc struct {
 	env  *Env
 	id   int
 	name string
-	// gate is the proc's token semaphore: the previous token holder
-	// signals it to resume this proc. Buffered so handoff never blocks
-	// the sender.
-	gate    chan struct{}
-	fn      func(p *Proc)
-	started bool
-	done    bool
-	killed  bool
+	fn   func(p *Proc)
+	// co runs the proc's body; nil until the first dispatch.
+	co     *Coro
+	done   bool
+	killed bool
 
 	// Park bookkeeping: at most one of these is active while parked.
 	waitQ     *WaitQueue // queue this proc is enqueued on, if any
@@ -60,13 +57,24 @@ func (p *Proc) Killed() bool { return p.killed }
 // Done reports whether the proc's function has returned.
 func (p *Proc) Done() bool { return p.done }
 
-// run is the goroutine body wrapping the user function.
+// resume switches to p's coroutine, starting it on first dispatch,
+// until p parks or finishes.
+func (p *Proc) resume() {
+	if p.co == nil {
+		p.co = NewCoro(p.run)
+	}
+	if p.co.Resume() {
+		p.co = nil
+	}
+}
+
+// run is the coroutine body wrapping the user function.
 func (p *Proc) run() {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(killedPanic); !ok {
-				// Re-panicking here would abandon the token mid-run;
-				// surface the panic through Stop so Run returns it.
+				// Surface the panic through Stop, so Run returns it
+				// as an error instead of panicking in its caller.
 				p.env.Stop(fmt.Errorf("sim: proc %d (%s) panicked: %v", p.id, p.name, r))
 			}
 			for i := len(p.onKill) - 1; i >= 0; i-- {
@@ -76,31 +84,30 @@ func (p *Proc) run() {
 		p.done = true
 		p.env.finish(p)
 	}()
-	// The first dispatch granted the token directly; run immediately —
-	// unless the proc was killed before it ever ran (spawned and killed
-	// within the same scheduling step, e.g. a helper whose owner exits at
-	// spawn time). Kill's ready-queue branch relies on the next
-	// resume-from-park to observe the flag, but a never-run proc has no
-	// park to resume from: without this check its body would start and
-	// could block forever on state its (dead) owner will never advance.
+	// Run the body — unless the proc was killed before it ever ran
+	// (spawned and killed within the same scheduling step, e.g. a helper
+	// whose owner exits at spawn time). Kill's ready-queue branch relies
+	// on the next resume-from-park to observe the flag, but a never-run
+	// proc has no park to resume from: without this check its body would
+	// start and could block forever on state its (dead) owner will never
+	// advance.
 	if p.killed {
 		panic(killedPanic{p})
 	}
 	p.fn(p)
 }
 
-// park yields the token and blocks until woken. The parking goroutine
-// runs the scheduling decision itself: if this proc is its own
-// successor, park returns with no channel operation at all (the fast
-// path); otherwise the token is handed directly to the next runnable
-// proc (one channel operation) and this goroutine blocks on its gate.
-// On wake, if the proc was killed while parked, park panics with
-// killedPanic, unwinding the user function (deferred cleanups run).
+// park gives up the processor until woken. The parking proc runs the
+// scheduling decision itself: if it is its own successor, park returns
+// with no switch at all (the fast path); otherwise it records the
+// successor for the driver and suspends its coroutine. On wake, if the
+// proc was killed while parked, park panics with killedPanic, unwinding
+// the user function (deferred cleanups run).
 func (p *Proc) park() {
 	e := p.env
 	if n := e.next(); n != p {
-		e.handoff(n)
-		<-p.gate
+		e.succ = n
+		p.co.Park()
 	}
 	if p.killed {
 		panic(killedPanic{p})
@@ -146,11 +153,9 @@ func (p *Proc) Kill() {
 		p.sleepTmr = nil
 		p.env.wake(p)
 	default:
-		// Running, or in the ready queue already: it will observe killed
-		// at its next resume-from-park. If it is in the ready queue the
-		// park() check fires when it is stepped... but a proc in the ready
-		// queue is *between* park and resume, so the killed flag is seen
-		// when its park() returns. Nothing more to do.
+		// Running, or already in the ready queue (between park and
+		// resume): either way its park observes the flag when it next
+		// returns. Nothing more to do.
 	}
 }
 
@@ -160,7 +165,7 @@ func (p *Proc) KillAt(t Time) {
 }
 
 // IsKilled reports whether a recovered panic value is the kill signal a
-// parked proc receives after Kill. Goroutines that borrow a proc's
+// parked proc receives after Kill. Coroutines that borrow a proc's
 // identity use it to distinguish crash unwinding from real panics.
 func IsKilled(r any) bool {
 	_, ok := r.(killedPanic)

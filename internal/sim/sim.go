@@ -7,28 +7,28 @@
 // lets the experiment harness reproduce the paper's latency tables as
 // stable virtual-time measurements.
 //
-// A simproc is a goroutine wrapped by a *Proc, started on a recycled
-// worker (see Go) so it inherits a stack earlier bodies grew. It may
-// block on timers (Delay), on wait queues (WaitQueue), or simply finish. The
-// scheduler resumes runnable simprocs in deterministic FIFO order and,
-// when none are runnable, pops the earliest timer and advances the
-// virtual clock.
+// A simproc is a function body wrapped by a *Proc and run on a runtime
+// coroutine (see Coro) recycled from earlier bodies, so it starts on a
+// stack they already grew. It may block on timers (Delay), on wait
+// queues (WaitQueue), or simply finish. The scheduler resumes runnable
+// simprocs in deterministic FIFO order and, when none are runnable,
+// pops the earliest timer and advances the virtual clock.
 //
-// Scheduling uses direct handoff: the goroutine that yields the token
-// (a parking or finishing simproc) runs the scheduling decision itself
-// and passes the token straight to the next runnable simproc — one
-// channel operation per context switch instead of a round trip through
-// a central scheduler goroutine. When a simproc is its own successor
-// (it yielded but is already runnable again, the common case for a lone
-// proc driving timers) the handoff is a plain function return with no
-// channel operation at all. Env.Run's goroutine only runs scheduling
-// until the first handoff, then parks until the run ends.
+// One driver loop (runCore, on Env.Run's goroutine or a shard's
+// worker) resumes the proc that the scheduler picks. The simproc that
+// gives up the processor makes the next scheduling decision itself: a
+// parking proc records its successor in the Env and switches back to
+// the driver, a finishing one records it and returns. A switch is a
+// coroutine switch, not a trip through the Go scheduler. When a simproc
+// is its own successor (it yielded but is already runnable again, the
+// common case for a lone proc driving timers) park returns with no
+// switch at all.
 //
 // Token discipline: a *Proc's identity may be borrowed by another
-// goroutine (the LYNX runtime hands the process token between coroutine
-// goroutines, and whichever holds it parks the proc), as long as at most
-// one goroutine uses the Proc at a time. The channel handoffs establish
-// the happens-before edges that make this race-free.
+// coroutine (a LYNX thread parks its process's simproc from its own
+// coroutine), as long as at most one of them uses the Proc at a time.
+// Parking from a borrowing coroutine suspends that coroutine, so it is
+// the one the proc's next resume continues.
 package sim
 
 import (
@@ -67,8 +67,8 @@ func (d Duration) Milliseconds() float64 { return float64(d) / float64(Milliseco
 // is runnable and no timer is pending.
 var ErrDeadlock = errors.New("sim: deadlock: live procs blocked with no pending timers")
 
-// endReason records why scheduling stopped; Run's goroutine turns it
-// into a return value after it regains the token.
+// endReason records why scheduling stopped; Run turns it into a return
+// value.
 type endReason int
 
 const (
@@ -96,13 +96,12 @@ type Env struct {
 	// Proc.prevLive/nextLive; only deadlock diagnostics read it.
 	liveHead *Proc
 
-	// limit and end are the active run's horizon and exit reason; both
-	// are only touched by the goroutine holding the token.
+	// limit and end are the active run's horizon and exit reason.
 	limit Time
 	end   endReason
-	// mainGate parks Run's goroutine while simprocs hand the token
-	// among themselves; the proc that ends the run signals it.
-	mainGate chan struct{}
+	// succ is the proc the driver resumes next, recorded by the proc
+	// that gave up the processor; nil ends the run.
+	succ *Proc
 	// timerFree is a freelist of recycled timers (hot paths schedule
 	// and retire one timer per scheduling decision).
 	timerFree *timer
@@ -121,9 +120,8 @@ type Env struct {
 // NewEnv creates an environment whose random source is seeded with seed.
 func NewEnv(seed uint64) *Env {
 	return &Env{
-		rng:      NewRand(seed),
-		mainGate: make(chan struct{}, 1),
-		limit:    -1,
+		rng:   NewRand(seed),
+		limit: -1,
 	}
 }
 
@@ -163,7 +161,6 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 		env:  e,
 		id:   e.allocPID(),
 		name: name,
-		gate: make(chan struct{}, 1),
 		fn:   fn,
 	}
 	e.live++
@@ -325,8 +322,8 @@ func (e *Env) RunUntil(limit Time) error {
 	}
 }
 
-// runCore executes scheduling decisions until the run is over; e.end
-// records why it stopped.
+// runCore is the driver loop: it resumes the proc each scheduling
+// decision picks until the run is over; e.end records why it stopped.
 func (e *Env) runCore(limit Time) {
 	e.limit = limit
 	if t := e.overHorizon; t != nil {
@@ -335,17 +332,13 @@ func (e *Env) runCore(limit Time) {
 		e.overHorizon = nil
 		e.timers.push(t)
 	}
-	if n := e.next(); n != nil {
-		// Hand the token to the first runnable proc; it and its
-		// successors schedule each other directly. The token comes back
-		// here only when the run is over.
-		e.transfer(n)
-		<-e.mainGate
+	for p := e.next(); p != nil; p = e.succ {
+		p.resume()
 	}
 }
 
-// next makes one scheduling decision on behalf of whichever goroutine
-// holds the token: it returns the next proc to run, firing due timers
+// next makes one scheduling decision on behalf of the proc giving up
+// the processor (or the driver, at the start of a run): it returns the next proc to run, firing due timers
 // (which advances the virtual clock) until one becomes runnable. A nil
 // result means the run is over; e.end says why.
 func (e *Env) next() *Proc {
@@ -416,34 +409,10 @@ func (e *Env) fire(t *timer) {
 	fn()
 }
 
-// transfer gives the token to p: first dispatch starts it on a pooled
-// goroutine (see Go), later ones signal its gate. The gate is buffered
-// so the sender never blocks (p is guaranteed to be at, or arriving at,
-// its gate receive).
-func (e *Env) transfer(p *Proc) {
-	if !p.started {
-		p.started = true
-		Go(p.run)
-		return
-	}
-	p.gate <- struct{}{}
-}
-
-// handoff passes the token onward after the calling goroutine is done
-// with it: to the next runnable proc, or back to Run's goroutine when
-// the run is over.
-func (e *Env) handoff(n *Proc) {
-	if n == nil {
-		e.mainGate <- struct{}{}
-		return
-	}
-	e.transfer(n)
-}
-
-// finish retires p, the current proc (already marked done), and passes
-// the token onward. Called from the proc's own goroutine as it exits.
-// Unlinking p from the live list leaves the env holding no reference
-// to it.
+// finish retires p, the current proc (already marked done), and
+// records its successor. Called from the proc's own coroutine as its
+// body ends. Unlinking p from the live list leaves the env holding no
+// reference to it.
 func (e *Env) finish(p *Proc) {
 	e.live--
 	if p.prevLive != nil {
@@ -455,7 +424,7 @@ func (e *Env) finish(p *Proc) {
 		p.nextLive.prevLive = p.prevLive
 	}
 	p.prevLive, p.nextLive = nil, nil
-	e.handoff(e.next())
+	e.succ = e.next()
 }
 
 // wake moves p to the back of the ready queue. It is idempotent per park:

@@ -81,6 +81,8 @@ func TestParseErrors(t *testing.T) {
 		{"part(0-9,40ms,120ms)", "two groups"},
 		{"part(0-4|3-9,40ms,120ms)", "two groups"},
 		{"part(0-9|10-19,120ms,40ms)", "heal"},
+		{"part(0-9|10-9223372036854775807,40ms,120ms)", "spans more than"},
+		{"part(0-40000|40001-80000,40ms,120ms)", "spans more than"},
 		{"slow(3,0.5)", "factor"},
 		{"storm(0)", "positive"},
 		{"storm(2000,10ms,10ms)", "bounded"},

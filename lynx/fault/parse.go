@@ -238,9 +238,15 @@ func parseWindow(args []string) (from, until sim.Duration, err error) {
 	return from, until, nil
 }
 
+// maxRangeNodes bounds the node ids one partition's a-b ranges expand
+// to, so a range such as 0-9999999999 is an error rather than a huge
+// allocation (or, at the top of the int range, an endless loop).
+const maxRangeNodes = 1 << 16
+
 // parseGroups parses "0-9|10-19" / "0.3.7|1-2" partition group syntax.
 func parseGroups(s string) ([][]int, error) {
 	var groups [][]int
+	expanded := 0 // node ids the ranges so far expand to
 	for _, gs := range strings.Split(s, "|") {
 		var g []int
 		for _, run := range strings.Split(gs, ".") {
@@ -257,6 +263,10 @@ func parseGroups(s string) ([][]int, error) {
 			if err != nil || b < a {
 				return nil, fmt.Errorf("fault: partition range %q is not a-b with b >= a", run)
 			}
+			if b-a >= maxRangeNodes-expanded {
+				return nil, fmt.Errorf("fault: partition %q spans more than %d nodes", s, maxRangeNodes)
+			}
+			expanded += b - a + 1
 			for n := a; n <= b; n++ {
 				g = append(g, n)
 			}

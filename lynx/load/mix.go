@@ -2,6 +2,7 @@ package load
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -26,9 +27,9 @@ type Mix struct {
 }
 
 // ParseMix parses a "kind=weight,kind=weight" mix string. Unknown
-// kinds, malformed entries, and negative weights are errors;
-// zero-weight entries are dropped; a mix with no positive weight is an
-// error.
+// kinds, malformed entries, negative weights and weights whose sum
+// overflows an int are errors; zero-weight entries are dropped; a mix
+// with no positive weight is an error.
 func ParseMix(s string) (*Mix, error) {
 	m := &Mix{}
 	for _, part := range strings.Split(s, ",") {
@@ -51,6 +52,9 @@ func ParseMix(s string) (*Mix, error) {
 		}
 		if w == 0 {
 			continue
+		}
+		if w > math.MaxInt-m.total {
+			return nil, fmt.Errorf("mix %q: weights sum past the int range", s)
 		}
 		m.names = append(m.names, kv[0])
 		m.weights = append(m.weights, w)

@@ -20,6 +20,7 @@ func TestParseMix(t *testing.T) {
 	for _, bad := range []string{
 		"", "echo", "echo=", "echo=x", "echo=-1", "frob=1",
 		"echo=0", "echo=0,mesh=0", "echo=1;mesh=1",
+		"echo=9223372036854775807,mesh=1",
 	} {
 		if _, err := ParseMix(bad); err == nil {
 			t.Fatalf("ParseMix(%q) should fail", bad)
