@@ -441,16 +441,16 @@ func (tr *Transport) StartSend(te core.TransEnd, m *core.WireMsg, tag uint64) er
 
 // shipFirstPacket queues the first kernel packet of a LYNX message.
 func (tr *Transport) shipFirstPacket(p *sim.Proc, es *endState, om *outMsg) {
-	payload, err := om.wire.Encode()
-	if err == nil && len(payload)+1 > tr.bufCap {
-		err = fmt.Errorf("chbind: message %dB exceeds buffer capacity %dB", len(payload)+1, tr.bufCap)
+	// The control byte leads; the message is encoded straight after it.
+	buf, err := om.wire.AppendEncoded(append(make([]byte, 0, 1+om.wire.EncodedLen()), byte(ctrlData)))
+	if err == nil && len(buf) > tr.bufCap {
+		err = fmt.Errorf("chbind: message %dB exceeds buffer capacity %dB", len(buf), tr.bufCap)
 	}
 	if err != nil {
 		delete(es.outbound, om.wire.Kind)
 		tr.sink(core.Event{Kind: core.EvSendFailed, End: es.ref, Tag: om.tag, Err: err})
 		return
 	}
-	buf := append([]byte{byte(ctrlData)}, payload...)
 	var enc charlotte.EndRef
 	if len(om.encl) > 0 {
 		enc = om.encl[0]

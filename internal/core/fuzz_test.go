@@ -11,9 +11,9 @@ import (
 // panic. A message it accepts must account for exactly the bytes it
 // was given (header, operation name and data), so no part of a decoded
 // message lies beyond the buffer, and must encode back to those bytes
-// when given as many enclosures as the header counts. Plain `go test`
-// runs the seeds: the encodings the wire tests use, and their corrupt
-// variants.
+// when given as many enclosures as the header counts, by Encode and by
+// AppendEncoded behind a prefix. Plain `go test` runs the seeds: the
+// encodings the wire tests use, and their corrupt variants.
 func FuzzDecodeWire(f *testing.F) {
 	for _, m := range []*core.WireMsg{
 		{Kind: core.KindRequest, Op: "op", Data: []byte("data")},
@@ -49,6 +49,16 @@ func FuzzDecodeWire(f *testing.F) {
 		}
 		if !bytes.Equal(out, buf) {
 			t.Fatalf("decoded message encodes as %x, want %x", out, buf)
+		}
+		// Behind a prefix, with or without room to grow into.
+		for _, pre := range [][]byte{{0xc7}, append(make([]byte, 0, 1+len(buf)), 0xc7)} {
+			got, err := m.AppendEncoded(pre)
+			if err != nil {
+				t.Fatalf("AppendEncoded: %v", err)
+			}
+			if got[0] != 0xc7 || !bytes.Equal(got[1:], buf) {
+				t.Fatalf("AppendEncoded behind a prefix gives %x, want c7%x", got, buf)
+			}
 		}
 	})
 }

@@ -71,24 +71,29 @@ func (m *WireMsg) EncodedLen() int {
 	return headerLen + len(m.Op) + len(m.Data)
 }
 
-// Encode marshals header and payload into a fresh byte slice. Enclosure
-// handles are NOT encoded — each transport moves them its own way — but
-// their count is, so the receiver can verify none were lost.
+// Encode marshals header and payload into a fresh byte slice of
+// exactly EncodedLen bytes. Enclosure handles are NOT encoded — each
+// transport moves them its own way — but their count is, so the
+// receiver can verify none were lost.
 func (m *WireMsg) Encode() ([]byte, error) {
+	return m.AppendEncoded(make([]byte, 0, m.EncodedLen()))
+}
+
+// AppendEncoded appends Encode's bytes to dst, so a transport can put
+// its own header in front without a second copy.
+func (m *WireMsg) AppendEncoded(dst []byte) ([]byte, error) {
 	if len(m.Op) > maxOpLen {
 		return nil, fmt.Errorf("core: op name %q too long (%d > %d)", m.Op, len(m.Op), maxOpLen)
 	}
 	if len(m.Encl) > 255 {
 		return nil, fmt.Errorf("core: too many enclosures (%d)", len(m.Encl))
 	}
-	buf := make([]byte, 0, m.EncodedLen())
-	buf = append(buf, byte(m.Kind), byte(len(m.Encl)))
-	buf = binary.LittleEndian.AppendUint64(buf, m.Seq)
-	buf = append(buf, byte(len(m.Op)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Data)))
-	buf = append(buf, m.Op...)
-	buf = append(buf, m.Data...)
-	return buf, nil
+	dst = append(dst, byte(m.Kind), byte(len(m.Encl)))
+	dst = binary.LittleEndian.AppendUint64(dst, m.Seq)
+	dst = append(dst, byte(len(m.Op)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(m.Data)))
+	dst = append(dst, m.Op...)
+	return append(dst, m.Data...), nil
 }
 
 // errShortMsg reports a malformed encoding.

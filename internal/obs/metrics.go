@@ -327,10 +327,18 @@ func (m *Metrics) Snapshot() map[string]int64 {
 	for name, c := range m.counters {
 		out[name] = c.n.Load()
 	}
+	// Each block's names are formatted into one string; the map keys
+	// are substrings of it.
+	var buf []byte
 	for i := range m.blocks {
 		b := &m.blocks[i]
-		for j := range b.c {
-			out[b.name(j)] += b.c[j].n.Load()
+		var sfx int
+		buf, sfx = b.appendNames(buf[:0])
+		s, head := string(buf), headLen(b.prefix)
+		for j, base := range b.set.names {
+			n := head + len(base) + sfx
+			out[s[:n]] += b.c[j].n.Load()
+			s = s[n:]
 		}
 	}
 	for name, h := range m.hists {
@@ -423,32 +431,44 @@ func (m *Metrics) MergePrefixed(prefix string, other *Metrics) {
 }
 
 // Names returns every counter and histogram name, sorted (for render
-// and debugging).
+// and debugging). A name held by several blocks, or by a block and a
+// plain counter, is one counter and is listed once; a histogram that
+// shares a counter's name is listed beside it. The three kinds of name
+// are each sorted on their own and then merged.
 func (m *Metrics) Names() []string {
 	if m == nil {
 		return nil
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	names := make([]string, 0, len(m.counters)+len(m.hists)+m.blockCounters())
-	for n := range m.counters {
-		names = append(names, n)
+	plain := sortedKeys(m.counters)
+	hists := sortedKeys(m.hists)
+	names := m.blockNames(len(plain) + len(hists))
+	names = slices.Compact(mergeSorted(names, plain))
+	return mergeSorted(names, hists)
+}
+
+// sortedKeys returns the map's keys, sorted.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	if len(m.blocks) > 0 {
-		for i := range m.blocks {
-			b := &m.blocks[i]
-			for j := range b.c {
-				names = append(names, b.name(j))
-			}
-		}
-		// A counter name held by several blocks (or by a block and the
-		// name map) is one counter: list it once.
-		sort.Strings(names)
-		names = slices.Compact(names)
+	sort.Strings(keys)
+	return keys
+}
+
+// mergeSorted merges the sorted b into the sorted a, in place when a
+// has the capacity, and returns the merged slice. Each name of b is
+// placed by binary search, and each name of a moves once.
+func mergeSorted(a, b []string) []string {
+	n := len(a)
+	a = slices.Grow(a, len(b))[:n+len(b)]
+	for j := len(b) - 1; j >= 0; j-- {
+		i, _ := slices.BinarySearch(a[:n], b[j])
+		copy(a[i+j+1:], a[i:n])
+		a[i+j] = b[j]
+		n = i
 	}
-	for n := range m.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return a
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -83,28 +84,145 @@ func (r *Recorder) ProcCounters(set *CounterSet, proc int) ProcCounters {
 
 // ProcKey derives the per-process variant of a metric name, e.g.
 // ProcKey("unwanted_receives_total", 3) = "unwanted_receives_total{proc=3}".
-func ProcKey(name string, proc int) string { return procName("", name, proc) }
-
-// procName formats a block counter's registry name,
-// [prefix/]base{proc=N}, in one allocation.
-func procName(prefix, base string, proc int) string {
-	var num [20]byte
-	digits := strconv.AppendInt(num[:0], int64(proc), 10)
+func ProcKey(name string, proc int) string {
+	var sfx [32]byte
+	suffix := appendProcSuffix(sfx[:0], proc)
 	var b strings.Builder
-	b.Grow(len(prefix) + 1 + len(base) + len("{proc=}") + len(digits))
-	if prefix != "" {
-		b.WriteString(prefix)
-		b.WriteByte('/')
-	}
-	b.WriteString(base)
-	b.WriteString("{proc=")
-	b.Write(digits)
-	b.WriteByte('}')
+	b.Grow(len(name) + len(suffix))
+	b.WriteString(name)
+	b.Write(suffix)
 	return b.String()
 }
 
-// name returns the registry name of the block's counter i.
-func (b *procBlock) name(i int) string { return procName(b.prefix, b.set.names[i], b.proc) }
+// appendProcSuffix appends "{proc=N}" to buf.
+func appendProcSuffix(buf []byte, proc int) []byte {
+	buf = append(buf, "{proc="...)
+	buf = strconv.AppendInt(buf, int64(proc), 10)
+	return append(buf, '}')
+}
+
+// appendNames appends the registry names of the block's counters to
+// buf back to back, in set order: [prefix/]base{proc=N} for each base.
+// It also returns the length of the {proc=N} suffix, which with the
+// prefix and base lengths cuts the names apart again.
+func (b *procBlock) appendNames(buf []byte) ([]byte, int) {
+	var sfx [32]byte
+	suffix := appendProcSuffix(sfx[:0], b.proc)
+	for _, base := range b.set.names {
+		if b.prefix != "" {
+			buf = append(buf, b.prefix...)
+			buf = append(buf, '/')
+		}
+		buf = append(buf, base...)
+		buf = append(buf, suffix...)
+	}
+	return buf, len(suffix)
+}
+
+// headLen is the length of a block name's "prefix/" part.
+func headLen(prefix string) int {
+	if prefix == "" {
+		return 0
+	}
+	return len(prefix) + 1
+}
+
+// blockGroup is the formatted blocks of one set under one prefix.
+type blockGroup struct {
+	set    *CounterSet
+	head   int   // headLen of the group's prefix
+	offs   []int // offs[j] sums the lengths of the set's names before j
+	blocks []formatted
+}
+
+// formatted is one block's names as appendNames formats them.
+type formatted struct {
+	s   string
+	sfx int // length of the {proc=N} suffix
+}
+
+// groupKey identifies a blockGroup.
+type groupKey struct {
+	prefix string
+	set    *CounterSet
+}
+
+// name cuts counter j's registry name out of f.
+func (g *blockGroup) name(f formatted, j int) string {
+	start := j*(g.head+f.sfx) + g.offs[j]
+	return f.s[start : start+g.head+len(g.set.names[j])+f.sfx]
+}
+
+// suffix returns f's {proc=N} suffix.
+func (g *blockGroup) suffix(f formatted) string {
+	start := g.head + len(g.set.names[0])
+	return f.s[start : start+f.sfx]
+}
+
+// nameRun is a sorted run of block counter names: counter j of every
+// block of g.
+type nameRun struct {
+	g     *blockGroup
+	j     int
+	first string
+}
+
+// blockNames returns the names of every block counter, sorted, in a
+// slice with room for spare more (caller holds the lock). A name held
+// by several blocks is listed once per block. Each block's names are
+// formatted into one string. Ordering a group's blocks once by their
+// {proc=N} suffix makes counter j of every block a sorted run, so the
+// runs need only be concatenated in order of their first names. A run
+// that starts before the previous one ends (two sets that share a name
+// under one prefix) is merged in instead.
+func (m *Metrics) blockNames(spare int) []string {
+	groups := make(map[groupKey]*blockGroup)
+	var buf []byte
+	for i := range m.blocks {
+		b := &m.blocks[i]
+		if len(b.set.names) == 0 {
+			continue
+		}
+		k := groupKey{b.prefix, b.set}
+		g := groups[k]
+		if g == nil {
+			g = &blockGroup{set: b.set, head: headLen(b.prefix), offs: make([]int, len(b.set.names))}
+			for j := 1; j < len(g.offs); j++ {
+				g.offs[j] = g.offs[j-1] + len(b.set.names[j-1])
+			}
+			groups[k] = g
+		}
+		var sfx int
+		buf, sfx = b.appendNames(buf[:0])
+		g.blocks = append(g.blocks, formatted{string(buf), sfx})
+	}
+	// Runs are ordered by their first names, so map order does not
+	// matter.
+	var runs []nameRun
+	for _, g := range groups {
+		slices.SortFunc(g.blocks, func(a, b formatted) int {
+			return strings.Compare(g.suffix(a), g.suffix(b))
+		})
+		for j := range g.set.names {
+			runs = append(runs, nameRun{g: g, j: j, first: g.name(g.blocks[0], j)})
+		}
+	}
+	slices.SortFunc(runs, func(a, b nameRun) int { return strings.Compare(a.first, b.first) })
+	names := make([]string, 0, m.blockCounters()+spare)
+	var run []string
+	for _, r := range runs {
+		k := len(names)
+		for _, f := range r.g.blocks {
+			names = append(names, r.g.name(f, r.j))
+		}
+		if k > 0 && names[k-1] > names[k] {
+			// The run interleaves with earlier ones: merge it in.
+			run = append(run[:0], names[k:]...)
+			names = mergeSorted(names[:k], run)
+		}
+	}
+	return names
+}
 
 // lookup returns the index of the counter whose name, without its
 // {proc=N} suffix, is head.

@@ -13,13 +13,22 @@ import (
 var (
 	diffSetA = NewCounterSet("a_total", "b_total", "c_total")
 	diffSetB = NewCounterSet("b_total", "d_total")
+	diffSetC = NewCounterSet("e_total")
 )
+
+// procIDs are the process ids replicaPair draws from. They span digit
+// counts, so lexical name order ("100}" < "10}" < "1}") differs from
+// numeric order.
+var procIDs = []int{-1, 1, 9, 10, 11, 100}
 
 // replicaPair builds one registry through per-process blocks and a
 // reference registry through Counter(ProcKey(...)), from the same seeded
-// mix of calls: plain counters, histograms, blocks (some processes get
-// two blocks, and both sets name b_total), and a plain counter created
-// under a formatted per-process name that a block also holds.
+// mix of calls: plain counters, histograms (one named like a plain
+// counter), blocks (some processes get two blocks), and a plain counter
+// created under a formatted per-process name that a block also holds.
+// Half the seeds use diffSetA and diffSetB, which both name b_total, so
+// their name runs interleave; the other half leave diffSetB out. Every
+// seed uses the one-name diffSetC.
 func replicaPair(seed int64) (blocks, ref *Metrics) {
 	rnd := rand.New(rand.NewSource(seed))
 	blocks, ref = NewMetrics(), NewMetrics()
@@ -31,15 +40,21 @@ func replicaPair(seed int64) (blocks, ref *Metrics) {
 		ref.Counter(name).Add(v)
 	}
 	for _, d := range []int64{5, 500, 50000} {
-		blocks.Histogram("wait_ns").Observe(sim.Duration(d))
-		ref.Histogram("wait_ns").Observe(sim.Duration(d))
+		for _, h := range []string{"wait_ns", "x_total"} {
+			blocks.Histogram(h).Observe(sim.Duration(d))
+			ref.Histogram(h).Observe(sim.Duration(d))
+		}
 	}
+	bothSets := seed%2 == 0
 	for i := 0; i < 12; i++ {
 		set := diffSetA
-		if rnd.Intn(3) == 0 {
+		switch r := rnd.Intn(6); {
+		case r == 0:
+			set = diffSetC
+		case bothSets && r < 3:
 			set = diffSetB
 		}
-		proc := rnd.Intn(6) - 1 // -1..4: the same ids recur across replicas
+		proc := procIDs[rnd.Intn(len(procIDs))] // the same ids recur across replicas
 		b := blocks.ProcCounters(set, proc)
 		for _, name := range set.names {
 			// Every block counter exists in the reference, even at zero.
@@ -51,7 +66,7 @@ func replicaPair(seed int64) (blocks, ref *Metrics) {
 			}
 		}
 	}
-	alias := ProcKey("a_total", 2)
+	alias := ProcKey("a_total", 10)
 	blocks.Counter(alias).Add(7)
 	ref.Counter(alias).Add(7)
 	return blocks, ref
@@ -114,8 +129,8 @@ func sameReads(t *testing.T, what string, got, want *Metrics) {
 			t.Fatalf("%s: Value(%q) = %d, want %d", what, n, g, w)
 		}
 	}
-	for _, base := range []string{"a_total", "b_total", "c_total", "d_total", "x_total", "cell1/b_total", "outer/cell2/a_total"} {
-		for proc := -2; proc <= 5; proc++ {
+	for _, base := range []string{"a_total", "b_total", "c_total", "d_total", "e_total", "x_total", "cell1/b_total", "outer/cell2/a_total"} {
+		for _, proc := range append([]int{-2, 0, 2, 101}, procIDs...) {
 			if g, w := got.ProcValue(base, proc), want.ProcValue(base, proc); g != w {
 				t.Fatalf("%s: ProcValue(%q, %d) = %d, want %d", what, base, proc, g, w)
 			}
@@ -162,4 +177,75 @@ func TestProcCountersNames(t *testing.T) {
 		}
 	}()
 	m.ProcCounters(diffSetA, 1).Counter("d_total")
+}
+
+// blockRegistry returns a registry holding one block of set for each of
+// processes 0..n-1, a few plain counters and a histogram, with every
+// fifth block counter nonzero.
+func blockRegistry(set *CounterSet, n int) *Metrics {
+	m := NewMetrics()
+	m.Counter(MKernelMessages).Add(3)
+	m.Counter(MBindKernelSends).Add(5)
+	m.Histogram(MQueueWaitNs).Observe(7)
+	k := 0
+	for proc := 0; proc < n; proc++ {
+		b := m.ProcCounters(set, proc)
+		for _, name := range set.names {
+			if k%5 == 0 {
+				b.Counter(name).Add(int64(k))
+			}
+			k++
+		}
+	}
+	return m
+}
+
+// sodaScaleSet has as many names as the SODA binding's set, which an
+// open-loop SODA run fills with 11,719 blocks.
+var sodaScaleSet = NewCounterSet(
+	MPuts, MAccepts, MSavedRequests, MRejectedReplies, MMovedForwards,
+	MHintFixes, MHintHits, MHintMisses, MDiscovers, MFreezes,
+	MFreezeHalts, MFrozenTimeNs, MLinkMoves, MCacheEvictions, MPairLimitRetries,
+)
+
+// TestBlockReadAllocs gates the cost of reading blocks: Snapshot and
+// Names format each block's names into one string, so they allocate
+// fewer than two times per block, not once per counter.
+func TestBlockReadAllocs(t *testing.T) {
+	const blocks = 1000
+	m := blockRegistry(NewCounterSet("a_total", "b_total", "c_total", "d_total", "e_total", "f_total"), blocks)
+	for _, read := range []struct {
+		name string
+		f    func()
+	}{
+		{"Snapshot", func() { m.Snapshot() }},
+		{"Names", func() { m.Names() }},
+	} {
+		if a := testing.AllocsPerRun(5, read.f); a >= 2*blocks {
+			t.Errorf("%s: %.0f allocations for %d blocks, want fewer than %d", read.name, a, blocks, 2*blocks)
+		}
+	}
+}
+
+var (
+	snapshotSink map[string]int64
+	namesSink    []string
+)
+
+func BenchmarkSnapshot(b *testing.B) {
+	m := blockRegistry(sodaScaleSet, 11719)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snapshotSink = m.Snapshot()
+	}
+}
+
+func BenchmarkNames(b *testing.B) {
+	m := blockRegistry(sodaScaleSet, 11719)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		namesSink = m.Names()
+	}
 }

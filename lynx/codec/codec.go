@@ -310,6 +310,12 @@ func readValue(data []byte, dst reflect.Value) ([]byte, error) {
 		}
 		n := int(binary.LittleEndian.Uint32(data))
 		data = data[4:]
+		// Each element starts with its tag byte, so a count larger than
+		// the bytes left is short; checking first keeps a corrupt count
+		// from allocating a huge slice.
+		if err := need(n); err != nil {
+			return nil, err
+		}
 		s := reflect.MakeSlice(dst.Type(), n, n)
 		for i := 0; i < n; i++ {
 			var err error
