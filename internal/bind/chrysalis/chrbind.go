@@ -34,6 +34,7 @@ package chrbind
 import (
 	"encoding/binary"
 	"fmt"
+	"sort"
 
 	"repro/internal/chrysalis"
 	"repro/internal/core"
@@ -65,14 +66,21 @@ const (
 	flagDestroyed
 )
 
-// bufIndex returns the region index for messages of kind k sent by side.
-func bufIndex(side int, k core.MsgKind) int {
-	i := 0
+// slotKinds lists the message kinds by slot: a link end has one
+// request and one reply buffer per direction, and one send of each kind
+// in flight.
+var slotKinds = [2]core.MsgKind{core.KindRequest, core.KindReply}
+
+// kindSlot returns the slot of kind k (the inverse of slotKinds).
+func kindSlot(k core.MsgKind) int {
 	if k == core.KindReply {
-		i = 1
+		return 1
 	}
-	return side*2 + i
+	return 0
 }
+
+// bufIndex returns the region index for messages of kind k sent by side.
+func bufIndex(side int, k core.MsgKind) int { return side*2 + kindSlot(k) }
 
 // fullBit returns the "message waiting" bit for kind k sent by side.
 func fullBit(side int, k core.MsgKind) uint16 {
@@ -139,6 +147,9 @@ type Transport struct {
 	bufCap int
 	ends   map[EndID]*endState
 	dead   bool
+	// sendBuf is StartSend's encode buffer, reused across sends: the
+	// message is gathered here, then copied into the link object.
+	sendBuf []byte
 }
 
 var _ core.Transport = (*Transport)(nil)
@@ -146,16 +157,22 @@ var _ core.Capable = (*Transport)(nil)
 
 // endState is the binding's view of one owned link end.
 type endState struct {
-	id      EndID
+	id EndID
+	// te is id as a core.TransEnd, boxed once so the events this end
+	// raises do not allocate.
+	te      core.TransEnd
 	dead    bool
 	wantReq bool
 	wantRep bool
-	// out tracks sends awaiting their ACK flag, by kind.
-	out map[core.MsgKind]*outRec
+	// out tracks sends awaiting their ACK flag, by kindSlot.
+	out [2]outRec
 }
 
+func newEndState(id EndID) *endState { return &endState{id: id, te: id} }
+
 type outRec struct {
-	tag uint64
+	pending bool // a send of this kind awaits its ACK
+	tag     uint64
 	// encl holds the endState records captured at send time; if a
 	// loopback self-move re-adopted an end meanwhile, the live map entry
 	// differs and the cleanup must not touch it.
@@ -263,11 +280,11 @@ func BootLink(a, b *Transport) (core.TransEnd, core.TransEnd) {
 	b.kp.Map(nil, obj)
 	a.kp.Write32(nil, obj, offQName0, uint32(a.queue))
 	b.kp.Write32(nil, obj, offQName1, uint32(b.queue))
-	ea := EndID{Obj: obj, Side: 0}
-	eb := EndID{Obj: obj, Side: 1}
-	a.ends[ea] = &endState{id: ea, out: map[core.MsgKind]*outRec{}}
-	b.ends[eb] = &endState{id: eb, out: map[core.MsgKind]*outRec{}}
-	return ea, eb
+	ea := newEndState(EndID{Obj: obj, Side: 0})
+	eb := newEndState(EndID{Obj: obj, Side: 1})
+	a.ends[ea.id] = ea
+	b.ends[eb.id] = eb
+	return ea.te, eb.te
 }
 
 // MakeLink implements core.Transport: both sides owned locally until one
@@ -276,11 +293,11 @@ func (tr *Transport) MakeLink() (core.TransEnd, core.TransEnd, error) {
 	obj := tr.kp.AllocObject(tr.proc, objSize(tr.bufCap))
 	tr.kp.Write32(tr.proc, obj, offQName0, uint32(tr.queue))
 	tr.kp.Write32(tr.proc, obj, offQName1, uint32(tr.queue))
-	ea := EndID{Obj: obj, Side: 0}
-	eb := EndID{Obj: obj, Side: 1}
-	tr.ends[ea] = &endState{id: ea, out: map[core.MsgKind]*outRec{}}
-	tr.ends[eb] = &endState{id: eb, out: map[core.MsgKind]*outRec{}}
-	return ea, eb, nil
+	ea := newEndState(EndID{Obj: obj, Side: 0})
+	eb := newEndState(EndID{Obj: obj, Side: 1})
+	tr.ends[ea.id] = ea
+	tr.ends[eb.id] = eb
+	return ea.te, eb.te, nil
 }
 
 // notify enqueues a notice for the owner of the given side of obj,
@@ -319,7 +336,7 @@ func (tr *Transport) Destroy(te core.TransEnd) error {
 	if other, ok := tr.ends[EndID{Obj: id.Obj, Side: id.peerSide()}]; ok {
 		other.dead = true
 		delete(tr.ends, other.id)
-		tr.sink(core.Event{Kind: core.EvLinkDead, End: other.id, Err: core.ErrLinkDestroyed})
+		tr.sink(core.Event{Kind: core.EvLinkDead, End: other.te, Err: core.ErrLinkDestroyed})
 	}
 	tr.kp.Unmap(tr.proc, id.Obj)
 	return nil
@@ -350,7 +367,7 @@ func (tr *Transport) StartSend(te core.TransEnd, m *core.WireMsg, tag uint64) er
 	if !ok || es.dead {
 		return core.ErrLinkDestroyed
 	}
-	payload, err := m.Encode()
+	payload, err := m.AppendEncoded(tr.sendBuf[:0])
 	if err != nil {
 		return err
 	}
@@ -365,6 +382,7 @@ func (tr *Transport) StartSend(te core.TransEnd, m *core.WireMsg, tag uint64) er
 		payload = binary.LittleEndian.AppendUint32(payload, uint32(eid.Obj))
 		payload = append(payload, byte(eid.Side))
 	}
+	tr.sendBuf = payload
 	if len(payload)+4 > tr.bufCap+4 {
 		return fmt.Errorf("chrbind: message %dB exceeds buffer %dB", len(payload), tr.bufCap)
 	}
@@ -377,7 +395,7 @@ func (tr *Transport) StartSend(te core.TransEnd, m *core.WireMsg, tag uint64) er
 	if st := tr.kp.WriteBytes(tr.proc, id.Obj, base+4, payload); st != chrysalis.OK {
 		return tr.objGone(es, st)
 	}
-	es.out[m.Kind] = &outRec{tag: tag, encl: encl}
+	es.out[kindSlot(m.Kind)] = outRec{pending: true, tag: tag, encl: encl}
 	old, st := tr.kp.OrFlag16(tr.proc, id.Obj, offFlags, fullBit(id.Side, m.Kind))
 	if st != chrysalis.OK {
 		return tr.objGone(es, st)
@@ -407,18 +425,18 @@ func (tr *Transport) CancelSend(te core.TransEnd, tag uint64) bool {
 	if !ok {
 		return true
 	}
-	for kind, rec := range es.out {
-		if rec.tag != tag {
+	for slot, rec := range es.out {
+		if !rec.pending || rec.tag != tag {
 			continue
 		}
-		bit := fullBit(id.Side, kind)
+		bit := fullBit(id.Side, slotKinds[slot])
 		old, st := tr.kp.AndFlag16(tr.proc, id.Obj, offFlags, ^bit)
 		if st != chrysalis.OK {
 			return true // link gone; nothing will be received
 		}
 		if old&bit != 0 {
 			// We cleared it before the receiver consumed: recalled.
-			delete(es.out, kind)
+			es.out[slot] = outRec{}
 			return true
 		}
 		return false // already consumed (ack on the way)
@@ -457,15 +475,15 @@ func (tr *Transport) scanEnd(p *sim.Proc, es *endState) {
 		return
 	}
 	// ACKs for our sends.
-	for _, kind := range []core.MsgKind{core.KindRequest, core.KindReply} {
-		rec, ok := es.out[kind]
-		if !ok {
+	for slot, kind := range slotKinds {
+		rec := es.out[slot]
+		if !rec.pending {
 			continue
 		}
 		ab := ackBit(id.Side, kind)
 		if flags&ab != 0 {
 			tr.kp.AndFlag16(p, id.Obj, offFlags, ^ab)
-			delete(es.out, kind)
+			es.out[slot] = outRec{}
 			for _, ees := range rec.encl {
 				if cur, ok := tr.ends[ees.id]; !ok || cur != ees {
 					// Already gone, or re-adopted by a loopback
@@ -477,19 +495,17 @@ func (tr *Transport) scanEnd(p *sim.Proc, es *endState) {
 					tr.kp.Unmap(p, ees.id.Obj)
 				}
 			}
-			tr.sink(core.Event{Kind: core.EvDelivered, End: id, Tag: rec.tag})
+			tr.sink(core.Event{Kind: core.EvDelivered, End: es.te, Tag: rec.tag})
 		}
 		if kind == core.KindReply && flags&rejBit(id.Side) != 0 {
 			tr.kp.AndFlag16(p, id.Obj, offFlags, ^rejBit(id.Side))
-			if ok {
-				delete(es.out, kind)
-				tr.sink(core.Event{Kind: core.EvSendFailed, End: id, Tag: rec.tag, Err: core.ErrUnwantedReply})
-			}
+			es.out[slot] = outRec{}
+			tr.sink(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: rec.tag, Err: core.ErrUnwantedReply})
 		}
 	}
 	// Incoming messages from the far side.
 	far := id.peerSide()
-	for _, kind := range []core.MsgKind{core.KindRequest, core.KindReply} {
+	for _, kind := range slotKinds {
 		fb := fullBit(far, kind)
 		if flags&fb == 0 {
 			continue
@@ -525,16 +541,18 @@ func (tr *Transport) scanEnd(p *sim.Proc, es *endState) {
 func (tr *Transport) consume(p *sim.Proc, es *endState, fromSide int, kind core.MsgKind) {
 	id := es.id
 	base := tr.bufOffset(bufIndex(fromSide, kind))
-	lenb, st := tr.kp.ReadBytes(p, id.Obj, base, 4)
-	if st != chrysalis.OK {
+	var lenb [4]byte
+	if st := tr.kp.ReadBytes(p, id.Obj, base, lenb[:]); st != chrysalis.OK {
 		return
 	}
-	n := int(binary.LittleEndian.Uint32(lenb))
+	n := int(binary.LittleEndian.Uint32(lenb[:]))
 	if n < 0 || n > tr.bufCap {
 		return
 	}
-	payload, st := tr.kp.ReadBytes(p, id.Obj, base+4, n)
-	if st != chrysalis.OK {
+	// The decoded message's Data aliases payload, so it is fresh per
+	// message.
+	payload := make([]byte, n)
+	if st := tr.kp.ReadBytes(p, id.Obj, base+4, payload); st != chrysalis.OK {
 		return
 	}
 	// Split wire bytes from enclosure records (5 bytes each).
@@ -560,13 +578,13 @@ func (tr *Transport) consume(p *sim.Proc, es *endState, fromSide int, kind core.
 	// ACK: the sender's coroutine can unblock.
 	tr.kp.OrFlag16(p, id.Obj, offFlags, ackBit(fromSide, kind))
 	tr.notify(p, id.Obj, fromSide)
-	tr.sink(core.Event{Kind: core.EvIncoming, End: id, Msg: wire})
+	tr.sink(core.Event{Kind: core.EvIncoming, End: es.te, Msg: wire})
 }
 
 // adoptEnd maps a moved link end into this process: write our dual-queue
 // name (non-atomic!), THEN inspect flags and self-notice anything set —
 // the ordering §5.2 relies on so changes are never overlooked.
-func (tr *Transport) adoptEnd(p *sim.Proc, obj chrysalis.ObjName, side int) EndID {
+func (tr *Transport) adoptEnd(p *sim.Proc, obj chrysalis.ObjName, side int) core.TransEnd {
 	id := EndID{Obj: obj, Side: side}
 	tr.c.moves.Inc()
 	if tr.rec.Active() { // gate here: Sprintf allocates even when obsEmit drops the event
@@ -578,7 +596,7 @@ func (tr *Transport) adoptEnd(p *sim.Proc, obj chrysalis.ObjName, side int) EndI
 		off = offQName1
 	}
 	tr.kp.Write32(p, obj, off, uint32(tr.queue))
-	es := &endState{id: id, out: map[core.MsgKind]*outRec{}}
+	es := newEndState(id)
 	tr.ends[id] = es
 	// Rescan: pending traffic written while the move was in flight.
 	flags, st := tr.kp.Flag16(p, obj, offFlags)
@@ -586,7 +604,7 @@ func (tr *Transport) adoptEnd(p *sim.Proc, obj chrysalis.ObjName, side int) EndI
 		tr.kp.Enqueue(p, tr.queue, uint32(obj))
 		tr.c.notices.Inc()
 	}
-	return id
+	return es.te
 }
 
 // endDead marks an end dead and tells the core.
@@ -596,7 +614,7 @@ func (tr *Transport) endDead(es *endState) {
 	}
 	es.dead = true
 	delete(tr.ends, es.id)
-	tr.sink(core.Event{Kind: core.EvLinkDead, End: es.id, Err: core.ErrLinkDestroyed})
+	tr.sink(core.Event{Kind: core.EvLinkDead, End: es.te, Err: core.ErrLinkDestroyed})
 }
 
 // Shutdown implements core.Transport: "before terminating, each process
@@ -607,7 +625,20 @@ func (tr *Transport) Shutdown() {
 		return
 	}
 	tr.dead = true
-	for id, es := range tr.ends {
+	// Walk the ends in (object, side) order: teardown notices peers and
+	// emits events, so map order would make same-seed runs diverge.
+	ids := make([]EndID, 0, len(tr.ends))
+	for id := range tr.ends {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		if ids[i].Obj != ids[j].Obj {
+			return ids[i].Obj < ids[j].Obj
+		}
+		return ids[i].Side < ids[j].Side
+	})
+	for _, id := range ids {
+		es := tr.ends[id]
 		es.dead = true
 		tr.kp.OrFlag16(nil, id.Obj, offFlags, flagDestroyed)
 		tr.notify(nil, id.Obj, id.peerSide())

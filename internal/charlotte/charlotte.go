@@ -28,6 +28,7 @@ package charlotte
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/calib"
 	"repro/internal/netsim"
@@ -598,7 +599,20 @@ func (pr *Process) Terminate() {
 	if pr.k.rec.Active() {
 		pr.k.rec.EmitEnv(pr.g.env, obs.Event{Kind: obs.KindMark, Proc: pr.id, Detail: "terminate"})
 	}
+	// Walk the ends in (link, side) order: destruction completes peers'
+	// activities and emits events, so map order would make same-seed runs
+	// diverge.
+	ends := make([]EndRef, 0, len(pr.ends))
 	for e := range pr.ends {
+		ends = append(ends, e)
+	}
+	sort.Slice(ends, func(i, j int) bool {
+		if ends[i].link != ends[j].link {
+			return ends[i].link < ends[j].link
+		}
+		return ends[i].side < ends[j].side
+	})
+	for _, e := range ends {
 		if l, ok := pr.g.findLink(e.link); ok && !l.destroyed {
 			pr.k.destroyLink(pr.g, l)
 		}

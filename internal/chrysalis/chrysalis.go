@@ -25,6 +25,7 @@ package chrysalis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/calib"
@@ -270,12 +271,24 @@ func charge(p *sim.Proc, d sim.Duration) {
 	}
 }
 
+// Host pages backing memory objects. Only the host representation is
+// paged: bounds checks and every charge use the object's modeled size,
+// so a link object costs the host only the pages it has been written in.
+const (
+	pageShift = 9
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
+type page [pageSize]byte
+
 // memObject is a kernel memory object.
 type memObject struct {
 	name ObjName
-	data []byte
-	// words shadows 16-bit atomic flags and 32-bit fields; both views
-	// alias data.
+	size int // modeled size in bytes
+	// pages holds the contents; a page is allocated on its first write,
+	// and a nil page reads as zeros.
+	pages        []*page
 	refs         int
 	freeWhenZero bool
 	// dead marks a reclaimed boot object: once the kernel is
@@ -283,9 +296,71 @@ type memObject struct {
 	// tombstones the record instead of deleting the entry.
 	dead bool
 	home netsim.NodeID // memory module holding the object
-	// midWrite marks a 32-bit field currently half-written: offset -> old
-	// high half. Read32 during the window returns the torn mix.
-	midWrite map[int]uint16
+	// midWrite lists the offsets of 32-bit fields currently half-written
+	// (a set: each offset at most once). Read32 during the window returns
+	// the torn mix.
+	midWrite []int
+}
+
+// inBounds reports whether n bytes at off lie inside the modeled size.
+func (o *memObject) inBounds(off, n int) bool { return off >= 0 && off+n <= o.size }
+
+// pageForWrite returns the page holding off, allocating it if it has
+// never been written.
+func (o *memObject) pageForWrite(off int) *page {
+	pg := o.pages[off>>pageShift]
+	if pg == nil {
+		pg = new(page)
+		o.pages[off>>pageShift] = pg
+	}
+	return pg
+}
+
+// load16 reads the little-endian 16-bit word at off, indexing the page
+// directly unless the word straddles two pages.
+func (o *memObject) load16(off int) uint16 {
+	if i := off & pageMask; i != pageMask {
+		pg := o.pages[off>>pageShift]
+		if pg == nil {
+			return 0
+		}
+		return uint16(pg[i]) | uint16(pg[i+1])<<8
+	}
+	var b [2]byte
+	o.read(b[:], off)
+	return uint16(b[0]) | uint16(b[1])<<8
+}
+
+// store16 writes the little-endian 16-bit word at off.
+func (o *memObject) store16(off int, v uint16) {
+	if i := off & pageMask; i != pageMask {
+		pg := o.pageForWrite(off)
+		pg[i], pg[i+1] = byte(v), byte(v>>8)
+		return
+	}
+	o.write([]byte{byte(v), byte(v >> 8)}, off)
+}
+
+// read copies len(dst) bytes at off into dst.
+func (o *memObject) read(dst []byte, off int) {
+	for len(dst) > 0 {
+		i := off & pageMask
+		n := min(len(dst), pageSize-i)
+		if pg := o.pages[off>>pageShift]; pg != nil {
+			copy(dst[:n], pg[i:])
+		} else {
+			clear(dst[:n])
+		}
+		dst, off = dst[n:], off+n
+	}
+}
+
+// write copies src into the object at off.
+func (o *memObject) write(src []byte, off int) {
+	for len(src) > 0 {
+		n := copy(o.pageForWrite(off)[off&pageMask:], src)
+		src, off = src[n:], off+n
+	}
 }
 
 // eventBlock is a binary semaphore with a 32-bit datum.
@@ -309,11 +384,14 @@ type dualQueue struct {
 // Process is a Chrysalis process: an address space plus owned event
 // blocks.
 type Process struct {
-	k      *Kernel
-	g      *kgroup
-	id     int
-	node   netsim.NodeID
-	mapped map[ObjName]bool
+	k    *Kernel
+	g    *kgroup
+	id   int
+	node netsim.NodeID
+	// mapped holds the objects mapped into the address space. A mapped
+	// object is never reclaimed (it holds one of the references), so a
+	// hit here needs no kernel lookup.
+	mapped map[ObjName]*memObject
 	dead   bool
 }
 
@@ -332,7 +410,7 @@ func (k *Kernel) NewProcessIn(g int, node netsim.NodeID) *Process {
 func newProcessIn(g *kgroup, node netsim.NodeID) *Process {
 	id := g.nextPID
 	g.nextPID += g.stride
-	return &Process{k: g.k, g: g, id: id, node: node, mapped: make(map[ObjName]bool)}
+	return &Process{k: g.k, g: g, id: id, node: node, mapped: make(map[ObjName]*memObject)}
 }
 
 // AssignGroup moves a boot-registered process into partition group g.
@@ -355,14 +433,15 @@ func (pr *Process) Node() netsim.NodeID { return pr.node }
 func (pr *Process) AllocObject(p *sim.Proc, size int) ObjName {
 	charge(p, pr.k.cost(pr.k.costs.MapObject))
 	name := ObjName(pr.g.newID())
-	pr.g.objects[name] = &memObject{
-		name:     name,
-		data:     make([]byte, size),
-		refs:     1,
-		home:     pr.node,
-		midWrite: make(map[int]uint16),
+	o := &memObject{
+		name:  name,
+		size:  size,
+		pages: make([]*page, (size+pageMask)>>pageShift),
+		refs:  1,
+		home:  pr.node,
 	}
-	pr.mapped[name] = true
+	pr.g.objects[name] = o
+	pr.mapped[name] = o
 	pr.k.cMaps.Inc()
 	return name
 }
@@ -375,9 +454,9 @@ func (pr *Process) Map(p *sim.Proc, name ObjName) Status {
 	if !ok {
 		return NoSuchObject
 	}
-	if !pr.mapped[name] {
+	if _, ok := pr.mapped[name]; !ok {
 		o.refs++
-		pr.mapped[name] = true
+		pr.mapped[name] = o
 	}
 	pr.k.cMaps.Inc()
 	return OK
@@ -390,12 +469,9 @@ func (pr *Process) Unmap(p *sim.Proc, name ObjName) Status {
 	if p != nil {
 		charge(p, pr.k.cost(pr.k.costs.MapObject/2))
 	}
-	o, ok := pr.g.findObj(name)
-	if !ok {
-		return NoSuchObject
-	}
-	if !pr.mapped[name] {
-		return NotMapped
+	o, st := pr.obj(name)
+	if st != OK {
+		return st
 	}
 	delete(pr.mapped, name)
 	o.refs--
@@ -446,14 +522,13 @@ func (k *Kernel) Refs(name ObjName) (int, bool) {
 
 // obj validates access and returns the object.
 func (pr *Process) obj(name ObjName) (*memObject, Status) {
-	o, ok := pr.g.findObj(name)
-	if !ok {
-		return nil, NoSuchObject
+	if o, ok := pr.mapped[name]; ok {
+		return o, OK
 	}
-	if !pr.mapped[name] {
+	if _, ok := pr.g.findObj(name); ok {
 		return nil, NotMapped
 	}
-	return o, OK
+	return nil, NoSuchObject
 }
 
 // remoteCost returns the backplane charge for touching n bytes of an
@@ -485,14 +560,13 @@ func (pr *Process) SetFlag16(p *sim.Proc, name ObjName, offset int, v uint16) (u
 	if st != OK {
 		return 0, st
 	}
-	if offset < 0 || offset+2 > len(o.data) {
+	if !o.inBounds(offset, 2) {
 		return 0, BadAccess
 	}
 	charge(p, pr.k.cost(pr.k.costs.AtomicOp)+pr.remoteCost(o, 2))
 	pr.k.cAtomicOps.Inc()
-	old := uint16(o.data[offset]) | uint16(o.data[offset+1])<<8
-	o.data[offset] = byte(v)
-	o.data[offset+1] = byte(v >> 8)
+	old := o.load16(offset)
+	o.store16(offset, v)
 	if pr.k.rec.Active() {
 		pr.k.rec.EmitEnv(pr.g.env, obs.Event{
 			Kind: obs.KindFlagSet, Proc: pr.id, Link: int(name),
@@ -509,15 +583,13 @@ func (pr *Process) OrFlag16(p *sim.Proc, name ObjName, offset int, bits uint16) 
 	if st != OK {
 		return 0, st
 	}
-	if offset < 0 || offset+2 > len(o.data) {
+	if !o.inBounds(offset, 2) {
 		return 0, BadAccess
 	}
 	charge(p, pr.k.cost(pr.k.costs.AtomicOp)+pr.remoteCost(o, 2))
 	pr.k.cAtomicOps.Inc()
-	old := uint16(o.data[offset]) | uint16(o.data[offset+1])<<8
-	v := old | bits
-	o.data[offset] = byte(v)
-	o.data[offset+1] = byte(v >> 8)
+	old := o.load16(offset)
+	o.store16(offset, old|bits)
 	if pr.k.rec.Active() {
 		pr.k.rec.EmitEnv(pr.g.env, obs.Event{
 			Kind: obs.KindFlagSet, Proc: pr.id, Link: int(name),
@@ -534,15 +606,13 @@ func (pr *Process) AndFlag16(p *sim.Proc, name ObjName, offset int, mask uint16)
 	if st != OK {
 		return 0, st
 	}
-	if offset < 0 || offset+2 > len(o.data) {
+	if !o.inBounds(offset, 2) {
 		return 0, BadAccess
 	}
 	charge(p, pr.k.cost(pr.k.costs.AtomicOp)+pr.remoteCost(o, 2))
 	pr.k.cAtomicOps.Inc()
-	old := uint16(o.data[offset]) | uint16(o.data[offset+1])<<8
-	v := old & mask
-	o.data[offset] = byte(v)
-	o.data[offset+1] = byte(v >> 8)
+	old := o.load16(offset)
+	o.store16(offset, old&mask)
 	if pr.k.rec.Active() {
 		pr.k.rec.EmitEnv(pr.g.env, obs.Event{
 			Kind: obs.KindFlagSet, Proc: pr.id, Link: int(name),
@@ -558,12 +628,12 @@ func (pr *Process) Flag16(p *sim.Proc, name ObjName, offset int) (uint16, Status
 	if st != OK {
 		return 0, st
 	}
-	if offset < 0 || offset+2 > len(o.data) {
+	if !o.inBounds(offset, 2) {
 		return 0, BadAccess
 	}
 	charge(p, pr.k.cost(pr.k.costs.AtomicOp)+pr.remoteCost(o, 2))
 	pr.k.cAtomicOps.Inc()
-	return uint16(o.data[offset]) | uint16(o.data[offset+1])<<8, OK
+	return o.load16(offset), OK
 }
 
 // Write32 writes a 32-bit field non-atomically: the low half lands, a
@@ -574,17 +644,18 @@ func (pr *Process) Write32(p *sim.Proc, name ObjName, offset int, v uint32) Stat
 	if st != OK {
 		return st
 	}
-	if offset < 0 || offset+4 > len(o.data) {
+	if !o.inBounds(offset, 4) {
 		return BadAccess
 	}
-	oldHigh := uint16(o.data[offset+2]) | uint16(o.data[offset+3])<<8
-	o.midWrite[offset] = oldHigh
-	o.data[offset] = byte(v)
-	o.data[offset+1] = byte(v >> 8)
+	if !slices.Contains(o.midWrite, offset) {
+		o.midWrite = append(o.midWrite, offset)
+	}
+	o.store16(offset, uint16(v))
 	charge(p, pr.k.cost(pr.k.costs.WideWrite)+pr.remoteCost(o, 4))
-	o.data[offset+2] = byte(v >> 16)
-	o.data[offset+3] = byte(v >> 24)
-	delete(o.midWrite, offset)
+	o.store16(offset+2, uint16(v>>16))
+	if i := slices.Index(o.midWrite, offset); i >= 0 {
+		o.midWrite = slices.Delete(o.midWrite, i, i+1)
+	}
 	return OK
 }
 
@@ -595,11 +666,11 @@ func (pr *Process) Read32(p *sim.Proc, name ObjName, offset int) (uint32, Status
 	if st != OK {
 		return 0, st
 	}
-	if offset < 0 || offset+4 > len(o.data) {
+	if !o.inBounds(offset, 4) {
 		return 0, BadAccess
 	}
 	charge(p, pr.k.cost(pr.k.costs.WideWrite/2)+pr.remoteCost(o, 4))
-	if _, torn := o.midWrite[offset]; torn {
+	if slices.Contains(o.midWrite, offset) {
 		pr.k.cTornRead.Inc()
 		if pr.k.rec.Active() {
 			pr.k.rec.EmitEnv(pr.g.env, obs.Event{
@@ -608,8 +679,7 @@ func (pr *Process) Read32(p *sim.Proc, name ObjName, offset int) (uint32, Status
 			})
 		}
 	}
-	return uint32(o.data[offset]) | uint32(o.data[offset+1])<<8 |
-		uint32(o.data[offset+2])<<16 | uint32(o.data[offset+3])<<24, OK
+	return uint32(o.load16(offset)) | uint32(o.load16(offset+2))<<16, OK
 }
 
 // WriteBytes copies buf into the object at offset (block copy, charged
@@ -619,29 +689,29 @@ func (pr *Process) WriteBytes(p *sim.Proc, name ObjName, offset int, buf []byte)
 	if st != OK {
 		return st
 	}
-	if offset < 0 || offset+len(buf) > len(o.data) {
+	if !o.inBounds(offset, len(buf)) {
 		return BadAccess
 	}
 	charge(p, sim.Duration(len(buf))*pr.k.costs.BufferCopy+pr.remoteCost(o, len(buf)))
-	copy(o.data[offset:], buf)
+	o.write(buf, offset)
 	pr.k.cBytesMoved.Add(int64(len(buf)))
 	return OK
 }
 
-// ReadBytes copies n bytes out of the object at offset.
-func (pr *Process) ReadBytes(p *sim.Proc, name ObjName, offset, n int) ([]byte, Status) {
+// ReadBytes copies len(dst) bytes out of the object at offset into dst
+// (block copy, charged like WriteBytes).
+func (pr *Process) ReadBytes(p *sim.Proc, name ObjName, offset int, dst []byte) Status {
 	o, st := pr.obj(name)
 	if st != OK {
-		return nil, st
+		return st
 	}
-	if offset < 0 || offset+n > len(o.data) {
-		return nil, BadAccess
+	if !o.inBounds(offset, len(dst)) {
+		return BadAccess
 	}
-	charge(p, sim.Duration(n)*pr.k.costs.BufferCopy+pr.remoteCost(o, n))
-	out := make([]byte, n)
-	copy(out, o.data[offset:])
-	pr.k.cBytesMoved.Add(int64(n))
-	return out, OK
+	charge(p, sim.Duration(len(dst))*pr.k.costs.BufferCopy+pr.remoteCost(o, len(dst)))
+	o.read(dst, offset)
+	pr.k.cBytesMoved.Add(int64(len(dst)))
+	return OK
 }
 
 // NewEvent allocates an event block owned by the caller.
@@ -806,12 +876,11 @@ func (pr *Process) Terminate() {
 	}
 	sort.Slice(names, func(i, j int) bool { return names[i] < names[j] })
 	for _, name := range names {
-		if o, ok := pr.g.findObj(name); ok {
-			o.refs--
-			pr.g.maybeReclaim(o)
-		}
+		o := pr.mapped[name]
+		o.refs--
+		pr.g.maybeReclaim(o)
 	}
-	pr.mapped = make(map[ObjName]bool)
+	pr.mapped = make(map[ObjName]*memObject)
 }
 
 // Dead reports whether the process terminated.

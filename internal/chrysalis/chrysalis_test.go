@@ -87,14 +87,14 @@ func TestBytesRoundTrip(t *testing.T) {
 		if st := a.WriteBytes(p, o, 4, []byte("hello")); st != OK {
 			t.Fatalf("WriteBytes: %v", st)
 		}
-		got, st := a.ReadBytes(p, o, 4, 5)
-		if st != OK || !bytes.Equal(got, []byte("hello")) {
+		got := make([]byte, 5)
+		if st := a.ReadBytes(p, o, 4, got); st != OK || !bytes.Equal(got, []byte("hello")) {
 			t.Fatalf("ReadBytes: %v %q", st, got)
 		}
 		if st := a.WriteBytes(p, o, 30, []byte("xyz")); st != BadAccess {
 			t.Fatalf("overflow write: %v", st)
 		}
-		if _, st := a.ReadBytes(p, o, -1, 2); st != BadAccess {
+		if st := a.ReadBytes(p, o, -1, got[:2]); st != BadAccess {
 			t.Fatalf("negative read: %v", st)
 		}
 	})

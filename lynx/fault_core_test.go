@@ -1,9 +1,11 @@
 package lynx_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/lynx"
 	"repro/lynx/fault"
 )
@@ -117,4 +119,56 @@ func crashMoveOutcome(t *testing.T, sub lynx.Substrate, crashAt lynx.Duration, s
 		t.Fatal("spawn failed")
 	}
 	return fmt.Sprintf("second=%v", secondErr)
+}
+
+// TestCrashTeardownDeterministic: a hub holding six boot links crashes
+// while six clients wait in Connect on it. Crash teardown destroys the
+// hub's links one by one, waking a client each time, so the order it
+// walks them in is visible in the event stream and in the order the
+// clients fail. Same-seed runs must agree byte for byte on every
+// substrate.
+func TestCrashTeardownDeterministic(t *testing.T) {
+	allSubstrates(t, func(t *testing.T, sub lynx.Substrate) {
+		wantTrace, wantOrder := crashHubRun(t, sub)
+		for run := 1; run < 20; run++ {
+			trace, order := crashHubRun(t, sub)
+			if order != wantOrder {
+				t.Fatalf("run %d: clients failed in order %s, run 0 in %s", run, order, wantOrder)
+			}
+			if !bytes.Equal(trace, wantTrace) {
+				t.Fatalf("run %d: JSONL stream differs from run 0", run)
+			}
+		}
+	})
+}
+
+// crashHubRun runs one crash-hub episode and returns its JSONL trace and
+// the order in which the clients' Connects failed.
+func crashHubRun(t *testing.T, sub lynx.Substrate) ([]byte, string) {
+	t.Helper()
+	const clients = 6
+	plan := &fault.Plan{Events: []fault.Event{fault.Crash{Proc: "hub", At: 500 * lynx.Millisecond}}}
+	sys := lynx.NewSystem(lynx.Config{Substrate: sub, Seed: 1, Faults: plan})
+	var trace bytes.Buffer
+	sys.Obs().Attach(&obs.JSONLExporter{W: &trace})
+	hub := sys.Spawn("hub", func(th *lynx.Thread, boot []*lynx.End) {
+		th.Sleep(lynx.Second)
+	})
+	var order []string
+	for i := 0; i < clients; i++ {
+		name := fmt.Sprintf("client-%d", i)
+		c := sys.Spawn(name, func(th *lynx.Thread, boot []*lynx.End) {
+			if _, err := th.Connect(boot[0], "op", lynx.Msg{}); err != nil {
+				order = append(order, name)
+			}
+		})
+		sys.Join(c, hub)
+	}
+	if err := sys.RunFor(10 * lynx.Second); err != nil {
+		t.Fatalf("%v: %v", sub, err)
+	}
+	if len(order) != clients {
+		t.Fatalf("%v: %d of %d clients failed", sub, len(order), clients)
+	}
+	return trace.Bytes(), fmt.Sprint(order)
 }
