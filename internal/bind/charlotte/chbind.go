@@ -29,6 +29,7 @@
 package chbind
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/charlotte"
@@ -105,9 +106,12 @@ type Transport struct {
 var _ core.Transport = (*Transport)(nil)
 var _ core.Capable = (*Transport)(nil)
 
-// endState is the binding's per-link-end protocol state.
+// endState is the binding's per-link-end protocol state. The binding
+// keeps one for every end it has seen, for the whole run.
 type endState struct {
-	ref     charlotte.EndRef
+	ref charlotte.EndRef
+	te  core.TransEnd // ref, boxed once for events and handles
+
 	dead    bool
 	wantReq bool
 	wantRep bool
@@ -119,42 +123,54 @@ type endState struct {
 	recvBusy bool
 	// sendBusy: a kernel send activity is outstanding on this end.
 	sendBusy bool
-	// sendQ: kernel messages waiting for the send slot, FIFO. Control
-	// messages jump the queue.
-	sendQ []*kmsg
-	// curSend is the kernel message occupying the send slot.
-	curSend *kmsg
-
-	// Outbound LYNX messages in protocol flight (at most one per kind,
-	// by core's stop-and-wait).
-	outbound map[core.MsgKind]*outMsg
-
-	// Inbound multi-enclosure assembly.
-	partial *inAssembly
-
-	// bounceable maps request seq -> outMsg for requests the kernel has
-	// delivered but whose LYNX-level acceptance is still unknown: a
-	// RETRY/FORBID naming that seq means the receiver bounced it and it
-	// must be resent; an incoming reply with that seq confirms it.
-	bounceable map[uint64]*outMsg
-
 	// weForbade: we sent FORBID and owe an ALLOW once our request queue
 	// opens or we have no receive posted.
 	weForbade bool
 	// peerForbade: peer sent FORBID; requests wait for ALLOW.
 	peerForbade bool
+
+	// curCtrl and curMsg are the type and LYNX message of the kernel
+	// message occupying the send slot (curMsg is nil for control
+	// messages).
+	curCtrl ctrl
+	curMsg  *outMsg
+	// sendQ: kernel messages waiting for the send slot, FIFO. Control
+	// messages jump the queue.
+	sendQ []kmsg
+	// buf is the end's encode buffer. pumpSend encodes a kernel message
+	// into it just before the kernel Send, which copies it; the single
+	// send slot keeps it untouched until Wait reports that send.
+	buf []byte
+
+	// Outbound LYNX messages in protocol flight: at most one per kind
+	// by core's stop-and-wait, the request in slot 0, the reply in 1.
+	outbound [2]*outMsg
+
+	// Inbound multi-enclosure assembly.
+	partial *inAssembly
+
+	// bounceable holds requests the kernel has delivered but whose
+	// LYNX-level acceptance is still unknown: a RETRY/FORBID naming one's
+	// seq means the receiver bounced it and it must be resent; an
+	// incoming reply with that seq confirms it.
+	bounceable []*outMsg
+
 	// stashed requests forbidden or retried, to resend.
 	stashed []*outMsg
 }
 
-// kmsg is one kernel message queued for the end's send slot.
+// slot indexes endState.outbound by message kind.
+func slot(k core.MsgKind) int { return int(k - core.KindRequest) }
+
+// kmsg is one kernel message queued for the end's send slot. pumpSend
+// encodes it when its kernel send starts: the control byte, then the
+// LYNX message om for ctrlData, om's kind for ctrlEnc, or the bounced
+// request's seq for ctrlRetry and ctrlForbid.
 type kmsg struct {
-	payload   []byte
+	c         ctrl
+	om        *outMsg
+	seq       uint64
 	enclosure charlotte.EndRef
-	isData    bool // first packet of a LYNX message (cancellable)
-	// onSent runs when the kernel reports the send activity complete
-	// (the far side received it).
-	onSent func(p *sim.Proc, ok bool)
 }
 
 // outMsg tracks one LYNX message through the multi-packet protocol.
@@ -268,18 +284,13 @@ func (tr *Transport) SetSink(sink func(core.Event), sp *sim.Proc) {
 
 // AdoptBootEnd registers an end assigned before startup (loader wiring).
 func (tr *Transport) AdoptBootEnd(ref charlotte.EndRef) core.TransEnd {
-	tr.ensureEnd(ref)
-	return ref
+	return tr.ensureEnd(ref).te
 }
 
 func (tr *Transport) ensureEnd(ref charlotte.EndRef) *endState {
 	es, ok := tr.ends[ref]
 	if !ok {
-		es = &endState{
-			ref:        ref,
-			outbound:   make(map[core.MsgKind]*outMsg),
-			bounceable: make(map[uint64]*outMsg),
-		}
+		es = &endState{ref: ref, te: ref}
 		tr.ends[ref] = es
 	}
 	return es
@@ -291,9 +302,7 @@ func (tr *Transport) MakeLink() (core.TransEnd, core.TransEnd, error) {
 	if st != charlotte.OK {
 		return nil, nil, fmt.Errorf("chbind: MakeLink: %v", st)
 	}
-	tr.ensureEnd(e1)
-	tr.ensureEnd(e2)
-	return e1, e2, nil
+	return tr.ensureEnd(e1).te, tr.ensureEnd(e2).te, nil
 }
 
 // Destroy implements core.Transport.
@@ -334,7 +343,7 @@ func (tr *Transport) sendAllow(p *sim.Proc, es *endState) {
 	es.weForbade = false
 	tr.c.allows.Inc()
 	tr.emit(obs.KindAllow, es, 0, "")
-	tr.sendCtrl(p, es, ctrlAllow, charlotte.EndRef{}, nil)
+	tr.sendCtrl(p, es, kmsg{c: ctrlAllow})
 }
 
 // adjustReceive posts or cancels the kernel receive according to current
@@ -389,7 +398,7 @@ func (tr *Transport) adjustReceive(p *sim.Proc, es *endState) {
 // the peer forbade us while we still have stashed traffic).
 func (tr *Transport) expectingCtrl(es *endState) bool {
 	for _, om := range es.outbound {
-		if om.awaitGoahead {
+		if om != nil && om.awaitGoahead {
 			return true
 		}
 	}
@@ -408,7 +417,7 @@ func (tr *Transport) StartSend(te core.TransEnd, m *core.WireMsg, tag uint64) er
 		encl[i] = e.(charlotte.EndRef)
 	}
 	om := &outMsg{wire: m, tag: tag, encl: encl}
-	es.outbound[m.Kind] = om
+	es.outbound[slot(m.Kind)] = om
 	// An enclosed end must have no outstanding kernel activities: the
 	// run-time package "never tries to send on a moving end"; it also
 	// withdraws its posted receives before the move (SetInterest will
@@ -426,7 +435,7 @@ func (tr *Transport) StartSend(te core.TransEnd, m *core.WireMsg, tag uint64) er
 			// A message is arriving on (or leaving) the end being moved:
 			// the move cannot proceed right now. Surface a retryable
 			// failure instead of wedging the kernel.
-			delete(es.outbound, m.Kind)
+			es.outbound[slot(m.Kind)] = nil
 			return core.ErrEndMoving
 		}
 	}
@@ -440,50 +449,62 @@ func (tr *Transport) StartSend(te core.TransEnd, m *core.WireMsg, tag uint64) er
 }
 
 // shipFirstPacket queues the first kernel packet of a LYNX message.
+// The packet is encoded only when its kernel send starts, so a message
+// over the size, op-length or enclosure-count limits fails here, at
+// once, with EvSendFailed.
 func (tr *Transport) shipFirstPacket(p *sim.Proc, es *endState, om *outMsg) {
-	// The control byte leads; the message is encoded straight after it.
-	buf, err := om.wire.AppendEncoded(append(make([]byte, 0, 1+om.wire.EncodedLen()), byte(ctrlData)))
-	if err == nil && len(buf) > tr.bufCap {
-		err = fmt.Errorf("chbind: message %dB exceeds buffer capacity %dB", len(buf), tr.bufCap)
+	err := om.wire.Check()
+	if n := 1 + om.wire.EncodedLen(); err == nil && n > tr.bufCap {
+		err = fmt.Errorf("chbind: message %dB exceeds buffer capacity %dB", n, tr.bufCap)
 	}
 	if err != nil {
-		delete(es.outbound, om.wire.Kind)
-		tr.sink(core.Event{Kind: core.EvSendFailed, End: es.ref, Tag: om.tag, Err: err})
+		es.outbound[slot(om.wire.Kind)] = nil
+		tr.sink(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: om.tag, Err: err})
 		return
 	}
 	var enc charlotte.EndRef
 	if len(om.encl) > 0 {
 		enc = om.encl[0]
 	}
-	km := &kmsg{payload: buf, enclosure: enc, isData: true, onSent: func(p *sim.Proc, ok bool) {
-		if om.cancelled {
-			return
-		}
-		if !ok {
-			// The kernel rejected or the link died mid-protocol; tell the
-			// run-time package so the sending coroutine unblocks.
-			if !om.delivered {
-				delete(es.outbound, om.wire.Kind)
-				tr.sink(core.Event{Kind: core.EvSendFailed, End: es.ref, Tag: om.tag, Err: core.ErrLinkDestroyed})
-			}
-			return
-		}
-		om.firstSent = true
-		switch {
-		case len(om.encl) > 1 && om.wire.Kind == core.KindRequest:
-			// Wait for GOAHEAD before shipping more enclosures (the
-			// receiver must prove it wants the request).
-			om.awaitGoahead = true
-			tr.adjustReceive(p, es)
-		case len(om.encl) > 1:
-			// Replies are always wanted: no goahead needed (figure 2).
-			om.nextEnc = 1
+	tr.enqueueKernel(p, es, kmsg{c: ctrlData, om: om, enclosure: enc})
+}
+
+// onSent runs when the kernel reports the send of a kernel message of
+// type c carrying om complete (ok: the far side received it), or when
+// the kernel refused to start it. Control messages need no follow-up.
+func (tr *Transport) onSent(p *sim.Proc, es *endState, c ctrl, om *outMsg, ok bool) {
+	if om == nil || om.cancelled {
+		return
+	}
+	if c == ctrlEnc {
+		if ok {
 			tr.shipNextEnc(p, es, om)
-		default:
-			tr.deliverComplete(p, es, om)
 		}
-	}}
-	tr.enqueueKernel(p, es, km)
+		return
+	}
+	if !ok {
+		// The kernel rejected or the link died mid-protocol; tell the
+		// run-time package so the sending coroutine unblocks.
+		if !om.delivered {
+			es.outbound[slot(om.wire.Kind)] = nil
+			tr.sink(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: om.tag, Err: core.ErrLinkDestroyed})
+		}
+		return
+	}
+	om.firstSent = true
+	switch {
+	case len(om.encl) > 1 && om.wire.Kind == core.KindRequest:
+		// Wait for GOAHEAD before shipping more enclosures (the
+		// receiver must prove it wants the request).
+		om.awaitGoahead = true
+		tr.adjustReceive(p, es)
+	case len(om.encl) > 1:
+		// Replies are always wanted: no goahead needed (figure 2).
+		om.nextEnc = 1
+		tr.shipNextEnc(p, es, om)
+	default:
+		tr.deliverComplete(p, es, om)
+	}
 }
 
 // shipNextEnc sends the next ENC packet, or completes the message.
@@ -498,17 +519,7 @@ func (tr *Transport) shipNextEnc(p *sim.Proc, es *endState, om *outMsg) {
 	if tr.rec.Active() { // gate here: String() allocates even when emit drops the event
 		tr.emit(obs.KindEnc, es, om.wire.Seq, om.encl[idx].String())
 	}
-	km := &kmsg{
-		payload:   []byte{byte(ctrlEnc), byte(om.wire.Kind)},
-		enclosure: om.encl[idx],
-		onSent: func(p *sim.Proc, ok bool) {
-			if !ok || om.cancelled {
-				return
-			}
-			tr.shipNextEnc(p, es, om)
-		},
-	}
-	tr.enqueueKernel(p, es, km)
+	tr.enqueueKernel(p, es, kmsg{c: ctrlEnc, om: om, enclosure: om.encl[idx]})
 }
 
 // deliverComplete reports the whole LYNX message received. For requests
@@ -519,49 +530,92 @@ func (tr *Transport) shipNextEnc(p *sim.Proc, es *endState, om *outMsg) {
 // package (its reply matching is by seq, so transparency is safe).
 func (tr *Transport) deliverComplete(p *sim.Proc, es *endState, om *outMsg) {
 	if om.wire.Kind == core.KindRequest && !om.cancelled {
-		es.bounceable[om.wire.Seq] = om
+		es.setBounceable(om)
 	}
 	if om.delivered {
 		return
 	}
 	om.delivered = true
-	delete(es.outbound, om.wire.Kind)
-	tr.sink(core.Event{Kind: core.EvDelivered, End: es.ref, Tag: om.tag})
+	es.outbound[slot(om.wire.Kind)] = nil
+	tr.sink(core.Event{Kind: core.EvDelivered, End: es.te, Tag: om.tag})
 	tr.adjustReceive(p, es)
 }
 
+// setBounceable records the delivered request om as bounceable,
+// replacing any record with its seq.
+func (es *endState) setBounceable(om *outMsg) {
+	for i, b := range es.bounceable {
+		if b.wire.Seq == om.wire.Seq {
+			es.bounceable[i] = om
+			return
+		}
+	}
+	es.bounceable = append(es.bounceable, om)
+}
+
+// takeBounceable removes and returns the bounceable request with the
+// given seq, or nil.
+func (es *endState) takeBounceable(seq uint64) *outMsg {
+	for i, om := range es.bounceable {
+		if om.wire.Seq == seq {
+			n := i + copy(es.bounceable[i:], es.bounceable[i+1:])
+			es.bounceable[n] = nil
+			es.bounceable = es.bounceable[:n]
+			return om
+		}
+	}
+	return nil
+}
+
 // enqueueKernel queues a kernel message for the end's single send slot.
-func (tr *Transport) enqueueKernel(p *sim.Proc, es *endState, km *kmsg) {
+func (tr *Transport) enqueueKernel(p *sim.Proc, es *endState, km kmsg) {
 	es.sendQ = append(es.sendQ, km)
 	tr.pumpSend(p, es)
 }
 
 // sendCtrl queues a control message at the front of the send queue.
-// extra carries protocol payload (the bounced request's seq for
-// RETRY/FORBID).
-func (tr *Transport) sendCtrl(p *sim.Proc, es *endState, c ctrl, enclosure charlotte.EndRef, extra []byte) {
-	km := &kmsg{payload: append([]byte{byte(c)}, extra...), enclosure: enclosure, onSent: func(*sim.Proc, bool) {}}
+func (tr *Transport) sendCtrl(p *sim.Proc, es *endState, km kmsg) {
 	// Control messages preempt queued data packets.
-	es.sendQ = append([]*kmsg{km}, es.sendQ...)
+	es.sendQ = append(es.sendQ, kmsg{})
+	copy(es.sendQ[1:], es.sendQ)
+	es.sendQ[0] = km
 	tr.pumpSend(p, es)
 }
 
-// pumpSend starts the next kernel send if the slot is free. State is
-// updated before the (parking) kernel call so interleaved contexts see a
-// busy slot.
+// dropQueued removes sendQ[i], clearing the vacated tail slot.
+func (es *endState) dropQueued(i int) {
+	n := i + copy(es.sendQ[i:], es.sendQ[i+1:])
+	es.sendQ[n] = kmsg{}
+	es.sendQ = es.sendQ[:n]
+}
+
+// pumpSend starts the next kernel send if the slot is free, encoding it
+// into the end's buffer. State is updated before the (parking) kernel
+// call so interleaved contexts see a busy slot.
 func (tr *Transport) pumpSend(p *sim.Proc, es *endState) {
 	if es.sendBusy || es.dead || len(es.sendQ) == 0 {
 		return
 	}
 	km := es.sendQ[0]
-	es.sendQ = es.sendQ[0:copy(es.sendQ, es.sendQ[1:])]
+	es.dropQueued(0)
 	es.sendBusy = true
-	es.curSend = km
-	st := tr.kp.Send(p, es.ref, km.payload, km.enclosure)
+	es.curCtrl, es.curMsg = km.c, km.om
+	buf := append(es.buf[:0], byte(km.c))
+	switch km.c {
+	case ctrlData:
+		// shipFirstPacket checked the message, so encoding cannot fail.
+		buf, _ = km.om.wire.AppendEncoded(buf)
+	case ctrlEnc:
+		buf = append(buf, byte(km.om.wire.Kind))
+	case ctrlRetry, ctrlForbid:
+		buf = binary.LittleEndian.AppendUint64(buf, km.seq)
+	}
+	es.buf = buf
+	st := tr.kp.Send(p, es.ref, buf, km.enclosure)
 	if st != charlotte.OK {
 		es.sendBusy = false
-		es.curSend = nil
-		km.onSent(p, false)
+		es.curMsg = nil
+		tr.onSent(p, es, km.c, km.om, false)
 		if st == charlotte.Destroyed {
 			tr.endDied(es)
 		}
@@ -578,15 +632,13 @@ func (tr *Transport) handleCompletion(p *sim.Proc, d charlotte.Description) {
 	}
 	if d.Dir == charlotte.SendDir {
 		es.sendBusy = false
-		km := es.curSend
-		es.curSend = nil
+		c, om := es.curCtrl, es.curMsg
+		es.curMsg = nil
 		if d.Status == charlotte.Destroyed {
 			tr.endDied(es)
 			return
 		}
-		if km != nil {
-			km.onSent(p, d.Status == charlotte.OK)
-		}
+		tr.onSent(p, es, c, om, d.Status == charlotte.OK)
 		tr.pumpSend(p, es)
 		return
 	}
@@ -608,15 +660,19 @@ func (tr *Transport) endDied(es *endState) {
 		return
 	}
 	es.dead = true
+	// Request first, then reply: the order of the slots.
 	for _, om := range es.outbound {
-		if !om.delivered {
-			tr.sink(core.Event{Kind: core.EvSendFailed, End: es.ref, Tag: om.tag, Err: core.ErrLinkDestroyed})
+		if om != nil && !om.delivered {
+			tr.sink(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: om.tag, Err: core.ErrLinkDestroyed})
 		}
 	}
-	es.outbound = make(map[core.MsgKind]*outMsg)
+	es.outbound = [2]*outMsg{}
 	es.stashed = nil
-	es.bounceable = make(map[uint64]*outMsg)
-	tr.sink(core.Event{Kind: core.EvLinkDead, End: es.ref, Err: core.ErrLinkDestroyed})
+	es.bounceable = nil
+	es.sendQ = nil
+	es.curMsg = nil
+	es.buf = nil
+	tr.sink(core.Event{Kind: core.EvLinkDead, End: es.te, Err: core.ErrLinkDestroyed})
 }
 
 // handleInbound runs the receive-side protocol.
@@ -633,7 +689,7 @@ func (tr *Transport) handleInbound(p *sim.Proc, es *endState, d charlotte.Descri
 		tr.handleEncPacket(es, d)
 	case ctrlGoahead:
 		for _, om := range es.outbound {
-			if om.awaitGoahead {
+			if om != nil && om.awaitGoahead {
 				om.awaitGoahead = false
 				om.nextEnc = 1
 				tr.shipNextEnc(p, es, om)
@@ -659,11 +715,11 @@ func (tr *Transport) handleInbound(p *sim.Proc, es *endState, d charlotte.Descri
 // requeueBouncedRequest pulls the bounced request (identified by seq in
 // the RETRY/FORBID payload) back into the stash for resending.
 func (tr *Transport) requeueBouncedRequest(es *endState, seq uint64) {
-	om := es.bounceable[seq]
+	om := es.takeBounceable(seq)
 	if om == nil {
 		// Maybe still protocol-in-flight (multi-enclosure awaiting
 		// goahead that turned into a bounce instead).
-		if o, ok := es.outbound[core.KindRequest]; ok && o.wire.Seq == seq {
+		if o := es.outbound[slot(core.KindRequest)]; o != nil && o.wire.Seq == seq {
 			om = o
 			om.awaitGoahead = false
 		}
@@ -671,7 +727,6 @@ func (tr *Transport) requeueBouncedRequest(es *endState, seq uint64) {
 	if om == nil || om.cancelled {
 		return
 	}
-	delete(es.bounceable, seq)
 	for _, s := range es.stashed {
 		if s == om {
 			return
@@ -679,15 +734,6 @@ func (tr *Transport) requeueBouncedRequest(es *endState, seq uint64) {
 	}
 	om.firstSent = false
 	es.stashed = append(es.stashed, om)
-}
-
-// seqBytes encodes a request seq for a bounce payload.
-func seqBytes(seq uint64) []byte {
-	b := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(seq >> (8 * i))
-	}
-	return b
 }
 
 // parseSeq decodes a bounce payload.
@@ -708,7 +754,7 @@ func (tr *Transport) handleDataPacket(p *sim.Proc, es *endState, d charlotte.Des
 	if wire.Kind == core.KindReply {
 		// The reply is the request's true top-level acknowledgment: the
 		// request with this seq can no longer bounce.
-		delete(es.bounceable, wire.Seq)
+		es.takeBounceable(wire.Seq)
 	}
 	wanted := (wire.Kind == core.KindRequest && es.wantReq) ||
 		(wire.Kind == core.KindReply && es.wantRep)
@@ -728,11 +774,11 @@ func (tr *Transport) handleDataPacket(p *sim.Proc, es *endState, d charlotte.Des
 			tr.c.forbids.Inc()
 			tr.emit(obs.KindForbid, es, wire.Seq, "")
 			es.weForbade = true
-			tr.sendCtrl(p, es, ctrlForbid, d.Enclosure, seqBytes(wire.Seq))
+			tr.sendCtrl(p, es, kmsg{c: ctrlForbid, seq: wire.Seq, enclosure: d.Enclosure})
 		} else {
 			tr.c.retries.Inc()
 			tr.emit(obs.KindRetry, es, wire.Seq, "")
-			tr.sendCtrl(p, es, ctrlRetry, d.Enclosure, seqBytes(wire.Seq))
+			tr.sendCtrl(p, es, kmsg{c: ctrlRetry, seq: wire.Seq, enclosure: d.Enclosure})
 		}
 		return
 	}
@@ -747,7 +793,7 @@ func (tr *Transport) handleDataPacket(p *sim.Proc, es *endState, d charlotte.Des
 		if wire.Kind == core.KindRequest {
 			tr.c.goaheads.Inc()
 			tr.emit(obs.KindGoahead, es, wire.Seq, "")
-			tr.sendCtrl(p, es, ctrlGoahead, charlotte.EndRef{}, nil)
+			tr.sendCtrl(p, es, kmsg{c: ctrlGoahead})
 		}
 		return
 	}
@@ -772,10 +818,9 @@ func (tr *Transport) handleEncPacket(es *endState, d charlotte.Description) {
 func (tr *Transport) finishInbound(es *endState, wire *core.WireMsg, encl []charlotte.EndRef) {
 	wire.Encl = make([]core.TransEnd, len(encl))
 	for i, ref := range encl {
-		tr.ensureEnd(ref)
-		wire.Encl[i] = ref
+		wire.Encl[i] = tr.ensureEnd(ref).te
 	}
-	tr.sink(core.Event{Kind: core.EvIncoming, End: es.ref, Msg: wire})
+	tr.sink(core.Event{Kind: core.EvIncoming, End: es.te, Msg: wire})
 }
 
 // recoverReturnedEnclosure re-adopts an end the peer sent back in a
@@ -808,12 +853,12 @@ func (tr *Transport) resendStashed(p *sim.Proc, es *endState) {
 func (tr *Transport) CancelSend(te core.TransEnd, tag uint64) bool {
 	ref := te.(charlotte.EndRef)
 	es := tr.ensureEnd(ref)
-	for kind, om := range es.outbound {
-		if om.tag != tag {
+	for i, om := range es.outbound {
+		if om == nil || om.tag != tag {
 			continue
 		}
 		om.cancelled = true
-		delete(es.outbound, kind)
+		es.outbound[i] = nil
 		// Remove from stash if bounced.
 		for i, s := range es.stashed {
 			if s == om {
@@ -827,11 +872,11 @@ func (tr *Transport) CancelSend(te core.TransEnd, tag uint64) bool {
 			return false
 		}
 		// Maybe still occupying our kernel send slot: try to recall it.
-		if es.sendBusy && es.curSend != nil && es.curSend.isData {
+		if es.sendBusy && es.curCtrl == ctrlData {
 			st := tr.kp.Cancel(tr.proc, es.ref, charlotte.SendDir)
 			if st == charlotte.OK {
 				es.sendBusy = false
-				es.curSend = nil
+				es.curMsg = nil
 				tr.pumpSend(tr.proc, es)
 				return true
 			}
@@ -840,8 +885,8 @@ func (tr *Transport) CancelSend(te core.TransEnd, tag uint64) bool {
 		}
 		// Still in the binding queue: remove it.
 		for i, km := range es.sendQ {
-			if km.isData {
-				es.sendQ = append(es.sendQ[:i], es.sendQ[i+1:]...)
+			if km.c == ctrlData && km.om == om {
+				es.dropQueued(i)
 				break
 			}
 		}

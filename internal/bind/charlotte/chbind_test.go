@@ -1,7 +1,9 @@
 package chbind_test
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	chbind "repro/internal/bind/charlotte"
@@ -320,6 +322,69 @@ func TestCharlotteUnwantedRequestBounced(t *testing.T) {
 	}
 }
 
+// pattern returns n bytes that differ from those of any other seed.
+func pattern(n int, seed byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = seed + byte(i*7)
+	}
+	return b
+}
+
+func TestCharlotteBouncedRequestResentExact(t *testing.T) {
+	// TestCharlotteUnwantedRequestBounced with payloads of four
+	// different lengths. B's end encodes its reverse request, then its
+	// reply to A, in the same buffer; after A's FORBID the request is
+	// re-encoded from its message and must arrive byte for byte.
+	aReq, aRep := pattern(300, 1), pattern(7, 2)
+	bReq, bRep := pattern(40, 3), pattern(1000, 4)
+	r, _, _ := newPair(t,
+		func(th *core.Thread, e *core.End) {
+			reply, err := th.Connect(e, "svc", core.Msg{Data: aReq})
+			if err != nil {
+				t.Errorf("A connect: %v", err)
+			} else if !bytes.Equal(reply.Data, bRep) {
+				t.Errorf("A got reply of %d bytes, not B's %d", len(reply.Data), len(bRep))
+			}
+			req, err := th.Receive(e)
+			if err != nil {
+				t.Errorf("A receive: %v", err)
+				return
+			}
+			if req.Op() != "reverse" || !bytes.Equal(req.Data(), bReq) {
+				t.Errorf("A got request %q of %d bytes, not B's resent %d", req.Op(), len(req.Data()), len(bReq))
+			}
+			if err := th.Reply(req, core.Msg{Data: aRep}); err != nil {
+				t.Errorf("A reply: %v", err)
+			}
+			th.Destroy(e)
+		},
+		func(th *core.Thread, e *core.End) {
+			th.Serve(e, func(st *core.Thread, req *core.Request) {
+				if !bytes.Equal(req.Data(), aReq) {
+					t.Errorf("B got request of %d bytes, not A's %d", len(req.Data()), len(aReq))
+				}
+				st.Sleep(200 * sim.Millisecond) // let the reverse request go first
+				st.Reply(req, core.Msg{Data: bRep})
+			})
+			rep, err := th.Connect(e, "reverse", core.Msg{Data: bReq})
+			if err != nil {
+				t.Errorf("B reverse connect: %v", err)
+				return
+			}
+			if !bytes.Equal(rep.Data, aRep) {
+				t.Errorf("B got reply %q, want %q", rep.Data, aRep)
+			}
+		},
+	)
+	if err := r.env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if count(r.trA, obs.MForbids) == 0 || count(r.trB, obs.MResentRequests) == 0 {
+		t.Fatal("B's request was never bounced and resent")
+	}
+}
+
 func TestCharlotteDestroyNotifiesPeer(t *testing.T) {
 	var errB error
 	r, _, _ := newPair(t,
@@ -443,4 +508,67 @@ func TestCharlotteAbortedConnectorDropsReply(t *testing.T) {
 	if count(r.trA, obs.MDroppedReplies) == 0 {
 		t.Fatal("reply was not recorded as dropped")
 	}
+}
+
+// When a link dies with a request and a reply both undelivered on one
+// end, the binding fails them in a fixed order (request, then reply),
+// so same-seed runs trace and wake threads identically.
+func TestCharlotteDeadEndFailsSendsInOrder(t *testing.T) {
+	wantTrace, wantOrder := deadEndRun(t)
+	for run := 1; run < 20; run++ {
+		trace, order := deadEndRun(t)
+		if order != wantOrder {
+			t.Fatalf("run %d: threads woke in order %s, run 0 in %s", run, order, wantOrder)
+		}
+		if !bytes.Equal(trace, wantTrace) {
+			t.Fatalf("run %d: JSONL stream differs from run 0", run)
+		}
+	}
+	if wantOrder != "[connect reply]" {
+		t.Fatalf("threads woke in order %s, want the request's first", wantOrder)
+	}
+}
+
+// deadEndRun runs one episode and returns its JSONL trace and the order
+// in which A's two failed operations returned. B asks A for an
+// operation, and just before B destroys the link, A starts both its
+// reply and a request of its own on the same end.
+func deadEndRun(t *testing.T) ([]byte, string) {
+	t.Helper()
+	var order []string
+	r, _, _ := newPair(t,
+		func(th *core.Thread, e *core.End) {
+			req, err := th.Receive(e)
+			if err != nil {
+				t.Errorf("A receive: %v", err)
+				return
+			}
+			th.Sleep(450 * sim.Millisecond)
+			th.Fork("asker", func(tx *core.Thread) {
+				if _, err := tx.Connect(e, "back", core.Msg{Data: []byte("q")}); err != nil {
+					order = append(order, "connect")
+				}
+			})
+			if err := th.Reply(req, core.Msg{Data: []byte("r")}); err != nil {
+				order = append(order, "reply")
+			}
+			th.Sleep(100 * sim.Millisecond)
+		},
+		func(th *core.Thread, e *core.End) {
+			th.Fork("caller", func(tc *core.Thread) {
+				tc.Connect(e, "op", core.Msg{})
+			})
+			th.Sleep(485 * sim.Millisecond)
+			th.Destroy(e)
+		},
+	)
+	var trace bytes.Buffer
+	r.kernel.Obs().Attach(&obs.JSONLExporter{W: &trace})
+	if err := r.env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 2 {
+		t.Fatalf("%d of A's 2 operations failed (%v)", len(order), order)
+	}
+	return trace.Bytes(), fmt.Sprint(order)
 }

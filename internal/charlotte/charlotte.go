@@ -182,6 +182,34 @@ type kgroup struct {
 	nextLink int
 	nextPID  int
 	stride   int
+
+	// free holds activity records for reuse. Only this group's
+	// processes and deliveries take from and return to it, so groups
+	// never share one.
+	free []*activity
+}
+
+// newActivity takes an activity record from the group's free list, or
+// makes one. A Charlotte end has at most one outstanding activity per
+// direction (§3.1), so the list never holds more records than the
+// group's processes once had outstanding at the same time.
+func (g *kgroup) newActivity() *activity {
+	if n := len(g.free); n > 0 {
+		a := g.free[n-1]
+		g.free = g.free[:n-1]
+		return a
+	}
+	a := &activity{}
+	a.deliver = func() { a.g.k.deliver(a) }
+	return a
+}
+
+// release clears a and returns it to the group's free list. A matched
+// send is released only by its own delivery callback, which is still
+// scheduled until it runs.
+func (g *kgroup) release(a *activity) {
+	*a = activity{deliver: a.deliver}
+	g.free = append(g.free, a)
 }
 
 // findLink resolves a link id against the group overlay, then the
@@ -268,20 +296,27 @@ type link struct {
 }
 
 type endState struct {
-	owner    *Process
-	moving   bool // enclosed in an in-flight message
-	send     *activity
-	recv     *activity
-	sendSeq  int64 // per-end send ordering (trace/debug)
-	deadSeen bool  // destruction already reported via a completion
+	owner  *Process
+	moving bool // enclosed in an in-flight message
+	send   *activity
+	recv   *activity
 }
 
+// activity is one outstanding send or receive. Records are reused
+// through their partition group's free list.
 type activity struct {
-	dir       Direction
 	data      []byte // send: payload
 	capacity  int    // recv: buffer capacity
 	enclosure EndRef
 	matched   bool // transfer in flight; Cancel must fail
+
+	// A matched send's transfer: the link and side it leaves from and
+	// the group whose env times it. deliver completes the transfer; it
+	// is made once per record and survives release.
+	l       *link
+	side    int
+	g       *kgroup
+	deliver func()
 }
 
 // Process is a Charlotte process: the unit of link ownership and the
@@ -291,7 +326,7 @@ type Process struct {
 	g           *kgroup
 	id          int
 	node        netsim.NodeID
-	completions *sim.Mailbox
+	completions sim.Queue[Description]
 	dead        bool
 	ends        map[EndRef]bool
 }
@@ -314,24 +349,20 @@ func (k *Kernel) newProcessIn(g *kgroup, node netsim.NodeID) *Process {
 	id := g.nextPID
 	g.nextPID += g.stride
 	pr := &Process{
-		k:           k,
-		g:           g,
-		id:          id,
-		node:        node,
-		completions: sim.NewMailbox(g.env, fmt.Sprintf("charlotte.p%d.completions", id)),
-		ends:        make(map[EndRef]bool),
+		k:    k,
+		g:    g,
+		id:   id,
+		node: node,
+		ends: make(map[EndRef]bool),
 	}
+	pr.completions.Init(g.env, fmt.Sprintf("charlotte.p%d.completions", id))
 	return pr
 }
 
 // AssignGroup moves a boot-time process into partition group g (its
-// home shard). The completion mailbox is recreated on the group's env —
-// safe before the run starts, when no waiter exists.
-func (pr *Process) AssignGroup(g int) {
-	kg := pr.k.groups[g]
-	pr.g = kg
-	pr.completions = sim.NewMailbox(kg.env, fmt.Sprintf("charlotte.p%d.completions", pr.id))
-}
+// home shard). The completion queue stays: a wait queue wakes each
+// waiter through the waiter's own env.
+func (pr *Process) AssignGroup(g int) { pr.g = pr.k.groups[g] }
 
 // Group reports the partition group pr was assigned to, or -1 before
 // partitioning.
@@ -452,10 +483,12 @@ func (pr *Process) Send(p *sim.Proc, e EndRef, data []byte, enclosure EndRef) St
 		// stays unusable until delivery (or send failure).
 		ees.moving = true
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	es.send = &activity{dir: SendDir, data: buf, enclosure: enclosure}
-	es.sendSeq++
+	// The kernel's one copy: it becomes the receiver's Data.
+	a := pr.g.newActivity()
+	a.data = make([]byte, len(data))
+	copy(a.data, data)
+	a.enclosure = enclosure
+	es.send = a
 	if pr.k.rec.Active() {
 		var detail string
 		if pr.k.rec.WantDetail() {
@@ -485,7 +518,9 @@ func (pr *Process) Receive(p *sim.Proc, e EndRef, capacity int) Status {
 	if es.recv != nil {
 		return Busy
 	}
-	es.recv = &activity{dir: RecvDir, capacity: capacity}
+	a := pr.g.newActivity()
+	a.capacity = capacity
+	es.recv = a
 	if pr.k.rec.Active() {
 		var detail string
 		if pr.k.rec.WantDetail() {
@@ -529,6 +564,7 @@ func (pr *Process) Cancel(p *sim.Proc, e EndRef, d Direction) Status {
 			el.ends[(*slot).enclosure.side].moving = false
 		}
 	}
+	pr.g.release(*slot)
 	*slot = nil
 	if pr.k.rec.Active() {
 		var detail string
@@ -546,7 +582,7 @@ func (pr *Process) Cancel(p *sim.Proc, e EndRef, d Direction) Status {
 // Wait blocks until an activity completes and returns its description.
 func (pr *Process) Wait(p *sim.Proc) Description {
 	pr.k.countCall("Wait")
-	d := pr.completions.Get(p).(Description)
+	d := pr.completions.Get(p)
 	p.Delay(pr.k.costs.KernelCall)
 	if pr.k.rec.Active() {
 		var detail string
@@ -563,13 +599,13 @@ func (pr *Process) Wait(p *sim.Proc) Description {
 
 // TryWait returns a completion if one is queued, without blocking.
 func (pr *Process) TryWait(p *sim.Proc) (Description, bool) {
-	v, ok := pr.completions.TryGet()
+	d, ok := pr.completions.TryGet()
 	if !ok {
 		return Description{}, false
 	}
 	pr.k.countCall("Wait")
 	p.Delay(pr.k.costs.KernelCall)
-	return v.(Description), true
+	return d, true
 }
 
 // Destroy destroys the link with the given end. Outstanding activities
@@ -646,11 +682,15 @@ func (k *Kernel) destroyLink(g *kgroup, l *link) {
 				}
 			}
 			owner.complete(Description{End: EndRef{l.id, side}, Dir: SendDir, Status: Destroyed})
+			if !es.send.matched {
+				g.release(es.send)
+			}
 			es.send = nil
 			notified = true
 		}
 		if es.recv != nil {
 			owner.complete(Description{End: EndRef{l.id, side}, Dir: RecvDir, Status: Destroyed})
+			g.release(es.recv)
 			es.recv = nil
 			notified = true
 		}
@@ -686,21 +726,21 @@ func (k *Kernel) tryMatch(l *link, sendSide int) {
 	if snd.owner == nil || rcv.owner == nil || snd.moving || rcv.moving {
 		return
 	}
-	snd.send.matched = true
+	act := snd.send
+	act.matched = true
 	rcv.recv.matched = true
+	act.l, act.side, act.g = l, sendSide, snd.owner.g
 
-	n := len(snd.send.data)
+	n := len(act.data)
 	cost := k.costs.MessagePath + sim.Duration(n)*k.costs.PerByte
-	if !snd.send.enclosure.Nil() {
+	if !act.enclosure.Nil() {
 		cost += k.costs.MoveAgreement
 	}
-	sendEnd := EndRef{l.id, sendSide}
-	g := snd.owner.g
 	if snd.owner.node != rcv.owner.node {
-		g.transmit(snd.owner.node, rcv.owner.node, n, cost, func() { k.deliver(g, l, sendEnd) })
+		act.g.transmit(snd.owner.node, rcv.owner.node, n, cost, act.deliver)
 	} else {
 		wire := sim.Duration(n) * 100 * sim.Nanosecond // local loopback copy
-		g.env.After(cost+wire, func() { k.deliver(g, l, sendEnd) })
+		act.g.env.After(cost+wire, act.deliver)
 	}
 }
 
@@ -740,29 +780,34 @@ func (g *kgroup) transmit(src, dst netsim.NodeID, nbytes int, cpu sim.Duration, 
 	g.env.After(cpu+wire, done)
 }
 
-// deliver completes a matched transfer: payload and enclosure reach the
-// receiver, and both parties get completion descriptions.
-func (k *Kernel) deliver(g *kgroup, l *link, sendEnd EndRef) {
+// deliver completes the matched send act: payload and enclosure reach
+// the receiver, and both parties get completion descriptions. It runs
+// on the env of act's group, and both activity records go back to that
+// group's free list.
+func (k *Kernel) deliver(act *activity) {
+	g, l := act.g, act.l
+	sendEnd := EndRef{l.id, act.side}
 	snd := &l.ends[sendEnd.side]
 	rcv := &l.ends[1-sendEnd.side]
-	act := snd.send
 	ract := rcv.recv
-	if act == nil || ract == nil {
-		return // link destroyed while in flight; completions already sent
-	}
-	if l.destroyed {
+	if snd.send != act || ract == nil || l.destroyed {
+		// The link was destroyed in flight; its completions went out
+		// then, and only this record waited for the callback.
+		g.release(act)
 		return
 	}
 	sender, receiver := snd.owner, rcv.owner
 	snd.send = nil
 	rcv.recv = nil
+	data, enclosure, capacity := act.data, act.enclosure, ract.capacity
+	g.release(act)
+	g.release(ract)
 
 	st := OK
-	n := len(act.data)
-	data := act.data
-	if n > ract.capacity {
+	n := len(data)
+	if n > capacity {
 		st = Truncated
-		n = ract.capacity
+		n = capacity
 		data = data[:n]
 	}
 	k.cMessages.Inc()
@@ -776,20 +821,20 @@ func (k *Kernel) deliver(g *kgroup, l *link, sendEnd EndRef) {
 
 	// Move the enclosure: ownership passes to the receiver; the
 	// three-party agreement concludes.
-	if !act.enclosure.Nil() {
-		if el, ok := g.findLink(act.enclosure.link); ok {
-			ees := &el.ends[act.enclosure.side]
+	if !enclosure.Nil() {
+		if el, ok := g.findLink(enclosure.link); ok {
+			ees := &el.ends[enclosure.side]
 			ees.moving = false
 			if ees.owner != nil {
-				delete(ees.owner.ends, act.enclosure)
+				delete(ees.owner.ends, enclosure)
 			}
 			ees.owner = receiver
-			receiver.ends[act.enclosure] = true
+			receiver.ends[enclosure] = true
 			k.cEnclosures.Inc()
 			if k.rec.Active() {
 				k.rec.EmitEnv(g.env, obs.Event{
 					Kind: obs.KindLinkMove, Proc: sender.id, Peer: receiver.id,
-					Link: act.enclosure.link, Detail: act.enclosure.String(),
+					Link: enclosure.link, Detail: enclosure.String(),
 				})
 			}
 		}
@@ -798,6 +843,6 @@ func (k *Kernel) deliver(g *kgroup, l *link, sendEnd EndRef) {
 	sender.complete(Description{End: sendEnd, Dir: SendDir, Status: OK, Length: n})
 	receiver.complete(Description{
 		End: sendEnd.peer(), Dir: RecvDir, Status: st,
-		Length: n, Data: data, Enclosure: act.enclosure,
+		Length: n, Data: data, Enclosure: enclosure,
 	})
 }

@@ -50,7 +50,7 @@ type Process struct {
 	ends         map[TransEnd]*End
 	endOrder     []TransEnd // creation order, for seed-stable exit teardown
 	dropped      []TransEnd // ends dropped since endOrder was last compacted
-	events       eventQueue
+	events       sim.Queue[Event]
 	pendingSends map[uint64]*sendRecord
 	pendingWakes []pendingWake
 	nextSeq      uint64
@@ -84,7 +84,7 @@ func NewProcess(env *sim.Env, name string, tr Transport, costs calib.LynxRuntime
 	}
 	pr.blockHist = pr.rec.Histogram(obs.MProcBlockNs)
 	pr.queueHist = pr.rec.Histogram(obs.MQueueWaitNs)
-	pr.events.init(env, "lynx:"+name+".events")
+	pr.events.Init(env, "lynx:"+name+".events")
 	pr.spawnThread("main", false, mainFn)
 	pr.sp = env.Spawn("lynx:"+name, func(p *sim.Proc) {
 		p.OnKill(func() {
@@ -96,7 +96,7 @@ func NewProcess(env *sim.Env, name string, tr Transport, costs calib.LynxRuntime
 	})
 	// The simproc exists but has not run yet: safe to hand it to the
 	// binding before any traffic.
-	tr.SetSink(func(ev Event) { pr.events.put(ev) }, pr.sp)
+	tr.SetSink(func(ev Event) { pr.events.Put(ev) }, pr.sp)
 	if sc, ok := tr.(Screened); ok {
 		sc.SetScreen(pr.screen)
 	}
@@ -221,7 +221,7 @@ func (pr *Process) run() {
 func (pr *Process) step() *Thread {
 	for {
 		for {
-			ev, ok := pr.events.tryGet()
+			ev, ok := pr.events.TryGet()
 			if !ok {
 				break
 			}
@@ -241,7 +241,7 @@ func (pr *Process) step() *Thread {
 		}
 		// Block point: wait for one of the open queues or a completion.
 		blockedAt := pr.env.Now()
-		ev := pr.events.get(pr.sp)
+		ev := pr.events.Get(pr.sp)
 		wait := sim.Duration(pr.env.Now() - blockedAt)
 		pr.blockHist.Observe(wait)
 		if pr.rec.Active() {

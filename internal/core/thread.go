@@ -133,7 +133,7 @@ func (t *Thread) Sleep(d sim.Duration) error {
 	th := t
 	pr.env.After(d, func() {
 		pr.wakeThread(th, wake{})
-		pr.events.put(Event{Kind: EvTick})
+		pr.events.Put(Event{Kind: EvTick})
 	})
 	t.blocked = blockState{kind: blockSleep}
 	w := t.park()
@@ -153,7 +153,7 @@ func (t *Thread) SleepUntil(at sim.Time) error {
 	th := t
 	pr.env.At(at, func() {
 		pr.wakeThread(th, wake{})
-		pr.events.put(Event{Kind: EvTick})
+		pr.events.Put(Event{Kind: EvTick})
 	})
 	t.blocked = blockState{kind: blockSleep}
 	w := t.park()

@@ -79,14 +79,24 @@ func (m *WireMsg) Encode() ([]byte, error) {
 	return m.AppendEncoded(make([]byte, 0, m.EncodedLen()))
 }
 
+// Check reports the error AppendEncoded would return for m, without
+// encoding it, so a transport that encodes later can refuse the
+// message up front.
+func (m *WireMsg) Check() error {
+	if len(m.Op) > maxOpLen {
+		return fmt.Errorf("core: op name %q too long (%d > %d)", m.Op, len(m.Op), maxOpLen)
+	}
+	if len(m.Encl) > 255 {
+		return fmt.Errorf("core: too many enclosures (%d)", len(m.Encl))
+	}
+	return nil
+}
+
 // AppendEncoded appends Encode's bytes to dst, so a transport can put
 // its own header in front without a second copy.
 func (m *WireMsg) AppendEncoded(dst []byte) ([]byte, error) {
-	if len(m.Op) > maxOpLen {
-		return nil, fmt.Errorf("core: op name %q too long (%d > %d)", m.Op, len(m.Op), maxOpLen)
-	}
-	if len(m.Encl) > 255 {
-		return nil, fmt.Errorf("core: too many enclosures (%d)", len(m.Encl))
+	if err := m.Check(); err != nil {
+		return nil, err
 	}
 	dst = append(dst, byte(m.Kind), byte(len(m.Encl)))
 	dst = binary.LittleEndian.AppendUint64(dst, m.Seq)

@@ -183,19 +183,20 @@ func TestSemaphore(t *testing.T) {
 	}
 }
 
-func TestMailbox(t *testing.T) {
+func TestQueue(t *testing.T) {
 	e := NewEnv(1)
-	mb := NewMailbox(e, "mb")
-	var got []any
+	var q Queue[int]
+	q.Init(e, "q")
+	var got []int
 	e.Spawn("recv", func(p *Proc) {
 		for i := 0; i < 3; i++ {
-			got = append(got, mb.Get(p))
+			got = append(got, q.Get(p))
 		}
 	})
 	e.Spawn("send", func(p *Proc) {
 		for i := 0; i < 3; i++ {
 			p.Delay(Millisecond)
-			mb.Put(i)
+			q.Put(i)
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -204,19 +205,35 @@ func TestMailbox(t *testing.T) {
 	if fmt.Sprint(got) != "[0 1 2]" {
 		t.Fatalf("got %v", got)
 	}
-}
-
-func TestMailboxTryGet(t *testing.T) {
-	e := NewEnv(1)
-	mb := NewMailbox(e, "mb")
-	if _, ok := mb.TryGet(); ok {
+	if _, ok := q.TryGet(); ok {
 		t.Fatal("TryGet on empty succeeded")
 	}
-	mb.Put("x")
-	if v, ok := mb.TryGet(); !ok || v != "x" {
-		t.Fatalf("TryGet = %v, %v", v, ok)
+	q.Put(7)
+	if v, ok := q.TryGet(); !ok || v != 7 || q.Len() != 0 {
+		t.Fatalf("TryGet = %v, %v; Len %d", v, ok, q.Len())
 	}
-	_ = e
+}
+
+// A queue that never drains moves its backlog down over the consumed
+// head instead of growing, and keeps no value it handed out.
+func TestQueueNeverEmptyStaysBounded(t *testing.T) {
+	var q Queue[*int]
+	q.Init(NewEnv(1), "q")
+	q.Put(new(int))
+	for i := 0; i < 1000; i++ {
+		q.Put(new(int))
+		if _, ok := q.TryGet(); !ok {
+			t.Fatal("TryGet on a backlog of 2 failed")
+		}
+	}
+	if q.Len() != 1 || cap(q.items) > 4 {
+		t.Fatalf("backlog %d in a backing array of %d", q.Len(), cap(q.items))
+	}
+	for i, v := range q.items[:q.head] {
+		if v != nil {
+			t.Fatalf("consumed slot %d still holds a value", i)
+		}
+	}
 }
 
 func TestKillParkedProc(t *testing.T) {

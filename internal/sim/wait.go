@@ -118,48 +118,64 @@ func (s *Semaphore) Release() {
 // Count reports the current count.
 func (s *Semaphore) Count() int { return s.count }
 
-// Mailbox is an unbounded FIFO of values with blocking receive; the
-// lowest-level message queue used by the kernel models.
-type Mailbox struct {
+// Queue is an unbounded FIFO of T values with blocking receive: the
+// message queue the kernel models and the run-time package build on.
+// It holds values, not interfaces, so queuing one boxes nothing. The
+// zero Queue is ready once Init has named it.
+type Queue[T any] struct {
 	wq    *WaitQueue
-	items []any
+	items []T
+	head  int
 }
 
-// NewMailbox creates an empty mailbox.
-func NewMailbox(env *Env, name string) *Mailbox {
-	return &Mailbox{wq: NewWaitQueue(env, name)}
-}
+// Init names the queue for deadlock diagnostics; call it before use.
+func (q *Queue[T]) Init(env *Env, name string) { q.wq = NewWaitQueue(env, name) }
 
-// Put appends v and wakes one blocked receiver.
-func (m *Mailbox) Put(v any) {
-	m.items = append(m.items, v)
-	m.wq.Wake()
-}
-
-// Get removes and returns the oldest value, parking p while empty.
-func (m *Mailbox) Get(p *Proc) any {
-	for len(m.items) == 0 {
-		m.wq.Wait(p)
+// Put appends v and wakes one blocked receiver. Before the backing
+// array would grow, the live values move down over the consumed head,
+// so a queue that is never empty stays as large as its longest backlog.
+func (q *Queue[T]) Put(v T) {
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items = q.items[:n]
+		q.head = 0
 	}
-	return m.pop()
+	q.items = append(q.items, v)
+	q.wq.Wake()
+}
+
+// Get removes and returns the oldest value, parking p while the queue
+// is empty.
+func (q *Queue[T]) Get(p *Proc) T {
+	for q.head == len(q.items) {
+		q.wq.Wait(p)
+	}
+	return q.pop()
 }
 
 // TryGet removes and returns the oldest value without blocking.
-func (m *Mailbox) TryGet() (any, bool) {
-	if len(m.items) == 0 {
-		return nil, false
+func (q *Queue[T]) TryGet() (T, bool) {
+	if q.head == len(q.items) {
+		var zero T
+		return zero, false
 	}
-	return m.pop(), true
-}
-
-// pop removes the oldest value, clearing the vacated slot.
-func (m *Mailbox) pop() any {
-	v := m.items[0]
-	n := copy(m.items, m.items[1:])
-	m.items[n] = nil
-	m.items = m.items[:n]
-	return v
+	return q.pop(), true
 }
 
 // Len reports the number of queued values.
-func (m *Mailbox) Len() int { return len(m.items) }
+func (q *Queue[T]) Len() int { return len(q.items) - q.head }
+
+// pop removes the oldest value, clearing its slot so the queue keeps
+// nothing it has handed out reachable.
+func (q *Queue[T]) pop() T {
+	v := q.items[q.head]
+	var zero T
+	q.items[q.head] = zero
+	q.head++
+	if q.head == len(q.items) {
+		q.items = q.items[:0]
+		q.head = 0
+	}
+	return v
+}
