@@ -37,7 +37,7 @@ func (tr *Transport) scheduleRecovery(es *endState, ps *pendingSend) {
 	if es.dead {
 		if ps != nil {
 			tr.releaseEnclosures(nil, ps)
-			tr.emit(core.Event{Kind: core.EvSendFailed, End: es.myName, Tag: ps.tag, Err: core.ErrLinkDestroyed})
+			tr.emit(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: ps.tag, Err: core.ErrLinkDestroyed})
 		}
 		return
 	}
@@ -167,6 +167,9 @@ func (tr *Transport) onFreeze(ir soda.Interrupt) {
 		tr.thawSelf() // searcher vanished; resume
 		return
 	}
+	if tr.unfreezePending == nil {
+		tr.unfreezePending = make(map[soda.ReqID]bool)
+	}
 	tr.unfreezePending[id] = true
 }
 
@@ -203,6 +206,9 @@ func (tr *Transport) thawSelf() {
 // when the search finishes (thawOthers), keeping the sender frozen.
 func (tr *Transport) onUnfreezeArrived(ir soda.Interrupt) {
 	_, arg := unpackOOB(ir.OOB)
+	if tr.unfreezeReq == nil {
+		tr.unfreezeReq = make(map[soda.ReqID]bool)
+	}
 	tr.unfreezeReq[ir.Req] = true
 	if tr.searchActive {
 		tr.searchLeft--

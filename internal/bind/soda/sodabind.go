@@ -27,6 +27,7 @@ package sodabind
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -56,11 +57,15 @@ func unpackOOB(o soda.OOB) (verb byte, arg uint64) {
 	return byte(v & 0xFF), v >> 8
 }
 
+// seqMask keeps the low 31 bits of a seq: all the data put's OOB has
+// room for.
+const seqMask = 0x7FFF_FFFF
+
 // packDataArg encodes message kind and seq (low 31 bits) for the data
 // put's OOB: the 48-bit limit §4.2.1 worries about forces truncation;
 // the full seq rides in the payload and is recovered after accept.
 func packDataArg(kind core.MsgKind, seq uint64) uint64 {
-	return uint64(kind) | (seq&0x7FFF_FFFF)<<8
+	return uint64(kind) | (seq&seqMask)<<8
 }
 
 func unpackDataArg(arg uint64) (core.MsgKind, uint64) {
@@ -76,7 +81,7 @@ type enclRecord struct {
 
 const enclRecordLen = 24
 
-func encodeEncl(buf []byte, recs []enclRecord) []byte {
+func encodeEncl(buf []byte, recs ...enclRecord) []byte {
 	for _, r := range recs {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.name))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.farName))
@@ -175,17 +180,21 @@ type Transport struct {
 	screen core.ScreenFunc
 	proc   *sim.Proc
 	cfg    Config
-	rec    *obs.Recorder
 	c      counters
 
 	ends map[soda.Name]*endState
 	// moveCache: forwarding addresses for ends we moved away; their
-	// names stay advertised so we can answer MOVED.
+	// names stay advertised so we can answer MOVED. It, saved and the
+	// unfreeze tables are made on first use.
 	moveCache map[soda.Name]soda.ProcID
 	cacheFIFO []soda.Name
 
 	// pending: our outstanding puts/signals by request id.
-	pending map[soda.ReqID]*pendingSend
+	pending map[soda.ReqID]posted
+	// free and freeIn hold finished sends and surfaced incoming
+	// messages for reuse.
+	free   []*pendingSend
+	freeIn []*incoming
 	// saved: inbound wanted-later data requests by end name.
 	saved map[soda.Name][]savedReq
 
@@ -205,11 +214,10 @@ type Transport struct {
 	// unfreezePending: unfreeze requests we posted while frozen, keyed
 	// for the resume completion.
 	unfreezePending map[soda.ReqID]bool
-	freezeName      soda.Name
-	searchActive    bool
 	searchWait      *sim.WaitQueue
 	searchHint      soda.ProcID
 	searchLeft      int
+	searchActive    bool
 
 	dead bool
 }
@@ -221,25 +229,63 @@ var _ core.Screened = (*Transport)(nil)
 // endState is the binding's view of one owned link end.
 type endState struct {
 	myName  soda.Name
+	te      core.TransEnd // myName, boxed once for every event and handle
 	farName soda.Name
 	hint    soda.ProcID
 	dead    bool
 	moving  bool
+	wantReq bool
+	wantRep bool
 	// movingTo is the believed destination while moving: incoming
 	// traffic is redirected there instead of being held, which breaks
 	// cross-move cycles (two processes moving ends over each other's
 	// moving links would otherwise deadlock).
 	movingTo soda.ProcID
-	wantReq  bool
-	wantRep  bool
 
 	// watch: our posted status signal's request id (0 = none).
 	watch soda.ReqID
 	// peerWatch: the far end's status signal, held unaccepted.
 	peerWatch soda.ReqID
-	// outstanding maps a request's low-31 seq bits to the full seq (the
-	// OOB field is too small for the whole thing — §4.2.1).
-	outstanding map[uint64]uint64
+	// outstanding holds the full seq of each request sent on the end
+	// whose reply has not arrived, one per low-31 value: the OOB field
+	// carries only the low bits (§4.2.1).
+	outstanding []uint64
+}
+
+// fullSeq returns the outstanding request seq whose low 31 bits are low.
+func (es *endState) fullSeq(low uint64) (uint64, bool) {
+	for _, s := range es.outstanding {
+		if s&seqMask == low {
+			return s, true
+		}
+	}
+	return 0, false
+}
+
+// addOutstanding records a request seq, replacing one with the same
+// low 31 bits.
+func (es *endState) addOutstanding(seq uint64) {
+	for i, s := range es.outstanding {
+		if s&seqMask == seq&seqMask {
+			es.outstanding[i] = seq
+			return
+		}
+	}
+	es.outstanding = append(es.outstanding, seq)
+}
+
+// dropOutstanding forgets the request seq whose low 31 bits are low.
+func (es *endState) dropOutstanding(low uint64) {
+	for i, s := range es.outstanding {
+		if s&seqMask == low {
+			es.outstanding = slices.Delete(es.outstanding, i, i+1)
+			return
+		}
+	}
+}
+
+func newEndState(myName, farName soda.Name, hint soda.ProcID) *endState {
+	return &endState{myName: myName, te: myName, farName: farName, hint: hint}
 }
 
 // savedReq is an inbound request held unaccepted until wanted.
@@ -250,32 +296,101 @@ type savedReq struct {
 	seq  uint64 // truncated (low 31 bits)
 }
 
-// pendingSend tracks one posted put/signal.
+// posted is one of our outstanding requests: a data put, or the status
+// signal watching end's far side (ps nil).
+type posted struct {
+	end *endState
+	ps  *pendingSend
+}
+
+// pendingSend tracks one LYNX message from StartSend until it is
+// delivered, fails or is cancelled. Records are reused through the
+// transport's free list, each with its encode buffer.
 type pendingSend struct {
-	end      *endState
-	isWatch  bool
-	wire     *core.WireMsg // data puts only
-	payload  []byte
-	tag      uint64
-	encl     []*endState
-	enclRecs []enclRecord
-	done     bool
-	cancel   bool
-	// gen counts re-posts (MOVED redirects, recoveries); each post's
-	// hint timeout is valid only for its own generation.
-	gen int
+	end     *endState
+	wire    *core.WireMsg
+	payload []byte // the encoded message, then its enclosure records
+	tag     uint64
+	encl    []*endState
+	done    bool
+	cancel  bool
+	id      soda.ReqID // the current put's request
+	// posts counts this message's puts (MOVED redirects and recoveries
+	// re-post). gen numbers the record's puts across reuses: a hint
+	// check is valid only for the put it was armed for.
+	posts, gen int
+	// checks counts the record's scheduled hint checks, across reuses,
+	// and armed is the put the latest was armed for. All wait
+	// HintTimeout on the same env, so they fire in the order they were
+	// armed: only the latest can be valid, and only while armed == gen.
+	checks, armed int
+	check         func() // the checks' callback, made once per record
+}
+
+// newPending takes a send record for es from the free list, or makes
+// one.
+func (tr *Transport) newPending(es *endState) *pendingSend {
+	var ps *pendingSend
+	if n := len(tr.free); n > 0 {
+		ps = tr.free[n-1]
+		tr.free = tr.free[:n-1]
+	} else {
+		ps = &pendingSend{}
+		ps.check = func() { tr.checkHint(ps) }
+	}
+	ps.end = es
+	return ps
+}
+
+// release returns a finished send's record to the free list. Call it
+// only once no table, recovery or retry timer can reach ps; a hint
+// check still scheduled finds the generation moved on and does
+// nothing.
+func (tr *Transport) release(ps *pendingSend) {
+	clear(ps.encl)
+	ps.end, ps.wire, ps.tag, ps.id = nil, nil, 0, 0
+	ps.payload, ps.encl = ps.payload[:0], ps.encl[:0]
+	ps.done, ps.cancel = false, false
+	ps.posts = 0
+	ps.gen++
+	tr.free = append(tr.free, ps)
+}
+
+// incoming is an accepted message waiting out its transfer time before
+// EvIncoming surfaces it. Records are reused through the transport's
+// free list; each makes its timer callback once.
+type incoming struct {
+	ev   core.Event
+	fire func()
+}
+
+// deferIncoming surfaces ev after d.
+func (tr *Transport) deferIncoming(d sim.Duration, ev core.Event) {
+	var in *incoming
+	if n := len(tr.freeIn); n > 0 {
+		in = tr.freeIn[n-1]
+		tr.freeIn = tr.freeIn[:n-1]
+	} else {
+		in = &incoming{}
+		in.fire = func() {
+			ev := in.ev
+			in.ev = core.Event{}
+			tr.freeIn = append(tr.freeIn, in)
+			tr.emit(ev)
+		}
+	}
+	in.ev = ev
+	tr.env.After(d, in.fire)
 }
 
 // New creates the binding for one LYNX process on the given SODA node.
 func New(env *sim.Env, kernel *soda.Kernel, kp *soda.Process, cfg Config) *Transport {
-	rec := kernel.Obs()
-	b := rec.ProcCounters(counterSet, int(kp.ID()))
+	b := kernel.Obs().ProcCounters(counterSet, int(kp.ID()))
 	tr := &Transport{
 		env:    env,
 		kernel: kernel,
 		kp:     kp,
 		cfg:    cfg,
-		rec:    rec,
 		c: counters{
 			puts:             b.Counter(obs.MPuts),
 			accepts:          b.Counter(obs.MAccepts),
@@ -293,19 +408,14 @@ func New(env *sim.Env, kernel *soda.Kernel, kp *soda.Process, cfg Config) *Trans
 			cacheEvictions:   b.Counter(obs.MCacheEvictions),
 			pairLimitRetries: b.Counter(obs.MPairLimitRetries),
 		},
-		ends:        make(map[soda.Name]*endState),
-		moveCache:   make(map[soda.Name]soda.ProcID),
-		pending:     make(map[soda.ReqID]*pendingSend),
-		saved:       make(map[soda.Name][]savedReq),
-		unfreezeReq: make(map[soda.ReqID]bool),
+		ends:    make(map[soda.Name]*endState),
+		pending: make(map[soda.ReqID]posted),
 	}
-	tr.unfreezePending = make(map[soda.ReqID]bool)
-	tr.freezeName = soda.Name(uint64(1)<<48 | uint64(kp.ID()))
 	return tr
 }
 
 // Obs returns the recorder this binding reports into (the kernel's).
-func (tr *Transport) Obs() *obs.Recorder { return tr.rec }
+func (tr *Transport) Obs() *obs.Recorder { return tr.kernel.Obs() }
 
 // SetEnv rebinds the transport's scheduling env. A partitioned run
 // calls this (before SetSink spawns the binding's simprocs) so its
@@ -315,8 +425,8 @@ func (tr *Transport) SetEnv(env *sim.Env) { tr.env = env }
 // obsEmit records a binding-protocol event when a trace sink is
 // attached; counters are maintained unconditionally.
 func (tr *Transport) obsEmit(kind obs.Kind, seq uint64, detail string) {
-	if tr.rec.Active() {
-		tr.rec.EmitEnv(tr.env, obs.Event{Kind: kind, Proc: int(tr.kp.ID()), Seq: seq, Detail: detail})
+	if rec := tr.kernel.Obs(); rec.Active() {
+		rec.EmitEnv(tr.env, obs.Event{Kind: kind, Proc: int(tr.kp.ID()), Seq: seq, Detail: detail})
 	}
 }
 
@@ -340,7 +450,7 @@ func (tr *Transport) SetSink(sink func(core.Event), sp *sim.Proc) {
 	tr.sink = sink
 	tr.proc = sp
 	tr.kp.SetHandler(tr.interrupt)
-	tr.kp.Advertise(nil, tr.freezeName)
+	tr.kp.Advertise(nil, freezeNameOf(tr.kp.ID()))
 }
 
 // emit delivers an event unless the process is frozen, in which case the
@@ -363,13 +473,13 @@ func (tr *Transport) emit(ev core.Event) {
 func BootLink(a, b *Transport) (core.TransEnd, core.TransEnd) {
 	nameA := a.kp.NewName(nil)
 	nameB := b.kp.NewName(nil)
-	esA := &endState{myName: nameA, farName: nameB, hint: b.kp.ID(), outstanding: map[uint64]uint64{}}
-	esB := &endState{myName: nameB, farName: nameA, hint: a.kp.ID(), outstanding: map[uint64]uint64{}}
+	esA := newEndState(nameA, nameB, b.kp.ID())
+	esB := newEndState(nameB, nameA, a.kp.ID())
 	a.ends[nameA] = esA
 	b.ends[nameB] = esB
 	a.kp.Advertise(nil, nameA)
 	b.kp.Advertise(nil, nameB)
-	return nameA, nameB
+	return esA.te, esB.te
 }
 
 // MakeLink implements core.Transport: both ends local, hints self.
@@ -377,13 +487,13 @@ func (tr *Transport) MakeLink() (core.TransEnd, core.TransEnd, error) {
 	n1 := tr.kp.NewName(tr.proc)
 	n2 := tr.kp.NewName(tr.proc)
 	self := tr.kp.ID()
-	e1 := &endState{myName: n1, farName: n2, hint: self, outstanding: map[uint64]uint64{}}
-	e2 := &endState{myName: n2, farName: n1, hint: self, outstanding: map[uint64]uint64{}}
+	e1 := newEndState(n1, n2, self)
+	e2 := newEndState(n2, n1, self)
 	tr.ends[n1] = e1
 	tr.ends[n2] = e2
 	tr.kp.Advertise(tr.proc, n1)
 	tr.kp.Advertise(tr.proc, n2)
-	return n1, n2, nil
+	return e1.te, e2.te, nil
 }
 
 func (tr *Transport) end(te core.TransEnd) (*endState, bool) {
@@ -471,7 +581,7 @@ func (tr *Transport) postWatch(p *sim.Proc, es *endState) {
 		return
 	}
 	es.watch = id
-	tr.pending[id] = &pendingSend{end: es, isWatch: true}
+	tr.pending[id] = posted{end: es}
 }
 
 // drainSaved accepts saved requests that the screen now wants.
@@ -501,13 +611,13 @@ func (tr *Transport) drainSaved(p *sim.Proc, es *endState) {
 // wantSaved screens a saved request.
 func (tr *Transport) wantSaved(es *endState, sr savedReq) bool {
 	if sr.kind == core.KindRequest {
-		return tr.screen(es.myName, core.KindRequest, 0)
+		return tr.screen(es.te, core.KindRequest, 0)
 	}
-	full, ok := es.outstanding[sr.seq]
+	full, ok := es.fullSeq(sr.seq)
 	if !ok {
 		return false
 	}
-	return tr.screen(es.myName, core.KindReply, full)
+	return tr.screen(es.te, core.KindReply, full)
 }
 
 // StartSend implements core.Transport.
@@ -516,32 +626,38 @@ func (tr *Transport) StartSend(te core.TransEnd, m *core.WireMsg, tag uint64) er
 	if !ok || es.dead {
 		return core.ErrLinkDestroyed
 	}
-	payload, err := m.Encode()
+	ps := tr.newPending(es)
+	if n := m.EncodedLen() + len(m.Encl)*enclRecordLen; cap(ps.payload) < n {
+		ps.payload = make([]byte, 0, n)
+	}
+	payload, err := m.AppendEncoded(ps.payload)
 	if err != nil {
+		tr.release(ps)
 		return err
 	}
-	var encl []*endState
-	var recs []enclRecord
 	for _, e := range m.Encl {
 		ees, ok := tr.end(e)
 		if !ok || ees.dead {
+			tr.release(ps)
 			return core.ErrLinkDestroyed
 		}
 		ees.moving = true
 		ees.movingTo = es.hint
-		encl = append(encl, ees)
-		recs = append(recs, enclRecord{name: ees.myName, farName: ees.farName, hint: ees.hint})
+		ps.encl = append(ps.encl, ees)
+		payload = encodeEncl(payload, enclRecord{name: ees.myName, farName: ees.farName, hint: ees.hint})
 	}
-	payload = encodeEncl(payload, recs)
-	if len(payload) > tr.cfg.BufCap {
-		for _, e := range encl {
+	ps.payload = payload
+	if len(ps.payload) > tr.cfg.BufCap {
+		for _, e := range ps.encl {
 			e.moving = false
 		}
-		return fmt.Errorf("sodabind: message %dB exceeds buffer capacity %dB", len(payload), tr.cfg.BufCap)
+		err := fmt.Errorf("sodabind: message %dB exceeds buffer capacity %dB", len(ps.payload), tr.cfg.BufCap)
+		tr.release(ps)
+		return err
 	}
-	ps := &pendingSend{end: es, wire: m, payload: payload, tag: tag, encl: encl, enclRecs: recs}
+	ps.wire, ps.tag = m, tag
 	if m.Kind == core.KindRequest {
-		es.outstanding[m.Seq&0x7FFF_FFFF] = m.Seq
+		es.addOutstanding(m.Seq)
 	}
 	tr.post(tr.proc, ps)
 	return nil
@@ -553,20 +669,22 @@ func (tr *Transport) post(p *sim.Proc, ps *pendingSend) {
 	es := ps.end
 	if es.dead {
 		tr.releaseEnclosures(p, ps)
-		tr.emit(core.Event{Kind: core.EvSendFailed, End: es.myName, Tag: ps.tag, Err: core.ErrLinkDestroyed})
+		tr.emit(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: ps.tag, Err: core.ErrLinkDestroyed})
 		return
 	}
 	for _, e := range ps.encl {
 		e.movingTo = es.hint
 	}
 	arg := packDataArg(ps.wire.Kind, ps.wire.Seq)
+	ps.posts++
 	ps.gen++
 	id, st := tr.kp.Request(p, es.hint, es.farName, packOOB(oobData, arg), ps.payload, 0)
 	switch st {
 	case soda.OK:
 		tr.c.puts.Inc()
-		tr.pending[id] = ps
-		tr.armTimeout(ps, id)
+		ps.id = id
+		tr.pending[id] = posted{end: es, ps: ps}
+		tr.armTimeout(ps)
 	case soda.DeadProc, soda.NoSuchProc:
 		tr.scheduleRecovery(es, ps)
 	case soda.TooManyRequests:
@@ -580,59 +698,64 @@ func (tr *Transport) post(p *sim.Proc, ps *pendingSend) {
 		})
 	default:
 		tr.releaseEnclosures(p, ps)
-		tr.emit(core.Event{Kind: core.EvSendFailed, End: es.myName, Tag: ps.tag, Err: fmt.Errorf("sodabind: put: %v", st)})
+		tr.emit(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: ps.tag, Err: fmt.Errorf("sodabind: put: %v", st)})
 	}
 }
 
-// armTimeout starts hint-staleness detection for a posted put.
-func (tr *Transport) armTimeout(ps *pendingSend, id soda.ReqID) {
+// armTimeout schedules a hint-staleness check of ps's current put.
+func (tr *Transport) armTimeout(ps *pendingSend) {
 	if tr.cfg.HintTimeout <= 0 {
 		return
 	}
-	gen := ps.gen
-	var check func()
-	check = func() {
-		// A crashed process's watchdog must not outlive it: the kernel
-		// only raises IntCrash to live requesters, so a put from a dead
-		// process to a dead target stays ReqInFlight forever and an
-		// unconditional rearm would keep the simulation alive.
-		if ps.done || ps.cancel || ps.gen != gen || tr.dead {
-			return
-		}
-		switch tr.kp.RequestState(id) {
-		case soda.ReqDelivered, soda.ReqGone:
-			// Delivered: the target saw it and is simply not accepting
-			// yet (its queue is closed) — normal stop-and-wait blocking.
-			// Gone: completion or crash already handled elsewhere.
-			return
-		case soda.ReqInFlight:
-			// The frame is still crossing the bus. Congestion is not
-			// evidence of a stale hint — under overload a saturated
-			// medium holds frames far past any staleness timeout, and
-			// reacting with rediscovery broadcasts only feeds the
-			// congestion. Keep waiting.
-			tr.env.After(tr.cfg.HintTimeout, check)
-			return
-		}
-		// Undeliverable: the frame reached the hinted process and found
-		// the name unadvertised. Withdraw and repair the hint.
-		tr.kp.Withdraw(nil, id)
-		delete(tr.pending, id)
-		tr.scheduleRecovery(ps.end, ps)
+	ps.checks++
+	ps.armed = ps.gen
+	tr.env.After(tr.cfg.HintTimeout, ps.check)
+}
+
+// checkHint runs the oldest of ps's scheduled hint-staleness checks.
+func (tr *Transport) checkHint(ps *pendingSend) {
+	ps.checks--
+	// A crashed process's watchdog must not outlive it: the kernel
+	// only raises IntCrash to live requesters, so a put from a dead
+	// process to a dead target stays ReqInFlight forever and an
+	// unconditional rearm would keep the simulation alive.
+	if ps.checks > 0 || ps.armed != ps.gen || ps.done || ps.cancel || tr.dead {
+		return
 	}
-	tr.env.After(tr.cfg.HintTimeout, check)
+	switch tr.kp.RequestState(ps.id) {
+	case soda.ReqDelivered, soda.ReqGone:
+		// Delivered: the target saw it and is simply not accepting
+		// yet (its queue is closed) — normal stop-and-wait blocking.
+		// Gone: completion or crash already handled elsewhere.
+		return
+	case soda.ReqInFlight:
+		// The frame is still crossing the bus. Congestion is not
+		// evidence of a stale hint — under overload a saturated
+		// medium holds frames far past any staleness timeout, and
+		// reacting with rediscovery broadcasts only feeds the
+		// congestion. Keep waiting.
+		tr.armTimeout(ps)
+		return
+	}
+	// Undeliverable: the frame reached the hinted process and found
+	// the name unadvertised. Withdraw and repair the hint.
+	tr.kp.Withdraw(nil, ps.id)
+	delete(tr.pending, ps.id)
+	tr.scheduleRecovery(ps.end, ps)
 }
 
 // CancelSend implements core.Transport: withdraw the put if unaccepted.
 func (tr *Transport) CancelSend(te core.TransEnd, tag uint64) bool {
-	for id, ps := range tr.pending {
-		if ps.tag != tag || ps.isWatch {
+	for id, pp := range tr.pending {
+		ps := pp.ps
+		if ps == nil || ps.tag != tag {
 			continue
 		}
 		if tr.kp.Withdraw(tr.proc, id) == soda.OK {
 			ps.cancel = true
 			delete(tr.pending, id)
 			tr.releaseEnclosures(tr.proc, ps)
+			tr.release(ps)
 			return true
 		}
 		return false
@@ -728,11 +851,14 @@ func (tr *Transport) onRequest(ir soda.Interrupt) {
 			tr.kp.Accept(nil, ir.Req, packOOB(oobRejected, 0), nil, 0)
 			return
 		}
-		if kind == core.KindRequest && !tr.screen(es.myName, core.KindRequest, 0) {
+		if kind == core.KindRequest && !tr.screen(es.te, core.KindRequest, 0) {
 			// Unwanted request: simply don't accept yet. No bounce
 			// traffic; the sender's coroutine stays blocked, which is
 			// exactly LYNX's stop-and-wait semantics.
 			tr.c.savedRequests.Inc()
+			if tr.saved == nil {
+				tr.saved = make(map[soda.Name][]savedReq)
+			}
 			tr.saved[es.myName] = append(tr.saved[es.myName], sr)
 			return
 		}
@@ -741,64 +867,69 @@ func (tr *Transport) onRequest(ir soda.Interrupt) {
 }
 
 // acceptData accepts a data put, decodes the LYNX message, adopts any
-// enclosed ends, and surfaces EvIncoming after the transfer time.
+// enclosed ends, and surfaces EvIncoming after the transfer time. A
+// payload that does not split into a message and its enclosure records
+// is dropped.
 func (tr *Transport) acceptData(p *sim.Proc, es *endState, req soda.ReqID) {
 	got, st := tr.kp.Accept(p, req, packOOB(oobOK, 0), nil, tr.cfg.BufCap)
 	if st != soda.OK {
 		return
 	}
 	tr.c.accepts.Inc()
-	wire, nencl, err := core.DecodeWire(got[:len(got)-nenclTrailer(got)])
-	if err != nil {
-		// Re-derive split: payload is wire||enclRecords; decode needs
-		// the exact boundary, recover via trailer helper below.
-		return
-	}
-	recs, err := decodeEncl(got[len(got)-nencl*enclRecordLen:], nencl)
+	wire, recs, err := splitPayload(got)
 	if err != nil {
 		return
 	}
 	if wire.Kind == core.KindReply {
-		delete(es.outstanding, wire.Seq&0x7FFF_FFFF)
+		es.dropOutstanding(wire.Seq & seqMask)
 	}
 	wire.Encl = make([]core.TransEnd, 0, len(recs))
 	for _, r := range recs {
-		tr.adoptEnd(p, r)
-		wire.Encl = append(wire.Encl, r.name)
+		wire.Encl = append(wire.Encl, tr.adoptEnd(p, r).te)
 	}
 	// The payload physically crosses the bus at accept time; surface the
 	// message after its transfer time so latency accounting holds.
-	delay := tr.kernel.DataDelay(len(got))
-	endName := es.myName
-	tr.env.After(delay, func() {
-		tr.emit(core.Event{Kind: core.EvIncoming, End: endName, Msg: wire})
-	})
+	tr.deferIncoming(tr.kernel.DataDelay(len(got)), core.Event{Kind: core.EvIncoming, End: es.te, Msg: wire})
 }
 
-// nenclTrailer computes the enclosure-block length at the payload tail.
-func nenclTrailer(got []byte) int {
-	if len(got) < 2 {
-		return 0
+// splitPayload splits an accepted payload into its LYNX message and the
+// enclosure records that trail it; byte 1 of the wire encoding counts
+// them. The message's Data aliases got.
+func splitPayload(got []byte) (*core.WireMsg, []enclRecord, error) {
+	cut := len(got)
+	if len(got) >= 2 {
+		cut -= int(got[1]) * enclRecordLen
 	}
-	// Byte 1 of the wire encoding is the enclosure count.
-	return int(got[1]) * enclRecordLen
+	if cut < 0 {
+		return nil, nil, fmt.Errorf("sodabind: %dB payload too short for %d enclosure records", len(got), got[1])
+	}
+	wire, nencl, err := core.DecodeWire(got[:cut])
+	if err != nil {
+		return nil, nil, err
+	}
+	recs, err := decodeEncl(got[cut:], nencl)
+	if err != nil {
+		return nil, nil, err
+	}
+	return wire, recs, nil
 }
 
 // adoptEnd takes ownership of a moved end.
-func (tr *Transport) adoptEnd(p *sim.Proc, r enclRecord) {
+func (tr *Transport) adoptEnd(p *sim.Proc, r enclRecord) *endState {
 	tr.c.linkMoves.Inc()
-	if tr.rec.Active() { // gate here: Sprintf allocates even when obsEmit drops the event
+	if tr.kernel.Obs().Active() { // gate here: Sprintf allocates even when obsEmit drops the event
 		tr.obsEmit(obs.KindLinkMove, uint64(r.name), fmt.Sprintf("adopt name=%d from hint=%d", r.name, r.hint))
 	}
-	es := &endState{myName: r.name, farName: r.farName, hint: r.hint, outstanding: map[uint64]uint64{}}
+	es := newEndState(r.name, r.farName, r.hint)
 	tr.ends[r.name] = es
 	tr.kp.Advertise(p, r.name)
 	delete(tr.moveCache, r.name) // it came back to us
+	return es
 }
 
 // onCompletion handles an accept of one of our requests.
 func (tr *Transport) onCompletion(ir soda.Interrupt) {
-	ps, ok := tr.pending[ir.Req]
+	pp, ok := tr.pending[ir.Req]
 	if !ok {
 		// A freeze-search answer, perhaps.
 		tr.onSearchAnswer(ir)
@@ -806,8 +937,8 @@ func (tr *Transport) onCompletion(ir soda.Interrupt) {
 	}
 	delete(tr.pending, ir.Req)
 	verb, arg := unpackOOB(ir.OOB)
-	es := ps.end
-	if ps.isWatch {
+	es, ps := pp.end, pp.ps
+	if ps == nil {
 		es.watch = 0
 		switch verb {
 		case oobMoved:
@@ -825,7 +956,7 @@ func (tr *Transport) onCompletion(ir soda.Interrupt) {
 		// The far run-time package took the message: true receipt. A put
 		// accepted on its first post means the hint was right (E10's hit
 		// rate); re-posts mean the hint machinery had to intervene.
-		if ps.gen == 1 {
+		if ps.posts == 1 {
 			tr.c.hintHits.Inc()
 		} else {
 			tr.c.hintMisses.Inc()
@@ -839,21 +970,23 @@ func (tr *Transport) onCompletion(ir soda.Interrupt) {
 			tr.c.hintFixes.Inc()
 		}
 		tr.ensureWatch(nil, es)
-		tr.emit(core.Event{Kind: core.EvDelivered, End: es.myName, Tag: ps.tag})
+		tr.emit(core.Event{Kind: core.EvDelivered, End: es.te, Tag: ps.tag})
 	case oobMoved:
 		es.hint = soda.ProcID(arg)
 		tr.c.hintFixes.Inc()
 		tr.ensureWatch(nil, es)
 		ps.done = false
 		tr.post(nil, ps)
+		return
 	case oobDestroyed:
 		tr.releaseEnclosures(nil, ps)
-		tr.emit(core.Event{Kind: core.EvSendFailed, End: es.myName, Tag: ps.tag, Err: core.ErrLinkDestroyed})
+		tr.emit(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: ps.tag, Err: core.ErrLinkDestroyed})
 		tr.linkDead(es)
 	case oobRejected:
 		tr.releaseEnclosures(nil, ps)
-		tr.emit(core.Event{Kind: core.EvSendFailed, End: es.myName, Tag: ps.tag, Err: core.ErrUnwantedReply})
+		tr.emit(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: ps.tag, Err: core.ErrUnwantedReply})
 	}
+	tr.release(ps)
 }
 
 // releaseEnclosures undoes the moving mark after a failed or cancelled
@@ -921,6 +1054,9 @@ func (tr *Transport) cacheMove(name soda.Name, to soda.ProcID) {
 		tr.kp.Unadvertise(nil, name)
 		return
 	}
+	if tr.moveCache == nil {
+		tr.moveCache = make(map[soda.Name]soda.ProcID)
+	}
 	tr.moveCache[name] = to
 	tr.cacheFIFO = append(tr.cacheFIFO, name)
 	for len(tr.moveCache) > tr.cfg.CacheSize && len(tr.cacheFIFO) > 0 {
@@ -939,24 +1075,17 @@ func (tr *Transport) onCrash(ir soda.Interrupt) {
 	if tr.onUnfreezeAccepted(ir.Req) {
 		return // the searcher crashed; we resume
 	}
-	ps, ok := tr.pending[ir.Req]
+	pp, ok := tr.pending[ir.Req]
 	if !ok {
 		return
 	}
 	delete(tr.pending, ir.Req)
-	if ps.isWatch {
-		ps.end.watch = 0
+	if pp.ps == nil {
+		pp.end.watch = 0
 	}
 	// The hinted owner died. The end may have moved on before the
 	// crash: try recovery before declaring the link dead.
-	tr.scheduleRecovery(ps.end, psIfData(ps))
-}
-
-func psIfData(ps *pendingSend) *pendingSend {
-	if ps.isWatch {
-		return nil
-	}
-	return ps
+	tr.scheduleRecovery(pp.end, pp.ps)
 }
 
 // linkDead marks an end destroyed and tells the run-time package.
@@ -965,7 +1094,7 @@ func (tr *Transport) linkDead(es *endState) {
 		return
 	}
 	tr.killEnd(nil, es, false)
-	tr.emit(core.Event{Kind: core.EvLinkDead, End: es.myName, Err: core.ErrLinkDestroyed})
+	tr.emit(core.Event{Kind: core.EvLinkDead, End: es.te, Err: core.ErrLinkDestroyed})
 }
 
 // Shutdown implements core.Transport.

@@ -27,6 +27,7 @@ package soda
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/calib"
@@ -256,6 +257,36 @@ type kgroup struct {
 	// NoSuchProc. Both are allocated on the first termination.
 	gone map[ProcID]struct{}
 	tomb *Process
+
+	// free holds request records for reuse. Only this group's processes
+	// and frames take from and return to it, so groups never share one.
+	free []*request
+}
+
+// newRequest takes a request record from the group's free list, or
+// makes one with its two frame callbacks bound.
+func (g *kgroup) newRequest() *request {
+	if n := len(g.free); n > 0 {
+		r := g.free[n-1]
+		g.free = g.free[:n-1]
+		return r
+	}
+	r := &request{g: g}
+	r.arrive = r.onArrive
+	r.complete = r.onComplete
+	return r
+}
+
+// drop releases one of r's holds. The last one clears r and returns it
+// to its group's free list; the payload copy r held already belongs to
+// the accepter, or to nobody.
+func (r *request) drop() {
+	if r.holds--; r.holds > 0 {
+		return
+	}
+	g := r.g
+	*r = request{g: g, arrive: r.arrive, complete: r.complete}
+	g.free = append(g.free, r)
 }
 
 // findProc resolves a process id against the group overlay, then the
@@ -424,10 +455,11 @@ func (g *kgroup) liveIDs(want *kgroup) []ProcID {
 	return ids
 }
 
-// request is the kernel-side record of an outstanding request.
+// request is the kernel-side record of an outstanding request. Records
+// are reused through their partition group's free list.
 type request struct {
 	id        ReqID
-	from, to  ProcID
+	from, to  *Process // requester and target
 	name      Name
 	oob       OOB
 	data      []byte // requester's outgoing payload
@@ -436,6 +468,23 @@ type request struct {
 	delivered bool   // interrupt raised at target (name was advertised)
 	accepted  bool
 	withdrawn bool
+
+	// The accept's half of the transfer, raised at the requester when
+	// the completion frame arrives.
+	reply    []byte
+	replyOOB OOB
+	sent     int
+
+	// holds counts what can still reach the record: the target's
+	// inbound table, the requester's outbound table, and each of its
+	// frames on the bus. A terminated requester drops its outbound
+	// table without counting down, so its records are left to the
+	// collector.
+	holds int
+	g     *kgroup
+	// arrive and complete are the descriptor's and the completion's
+	// frame callbacks, made once per record; they survive release.
+	arrive, complete func()
 }
 
 // Process is one SODA node: client processor + kernel processor.
@@ -447,12 +496,12 @@ type Process struct {
 	advertised map[Name]bool
 	handler    Handler
 	open       bool
+	dead       bool
 	queue      []Interrupt // interrupts queued while closed
-	// inbound: requests addressed to this process, by id.
-	inbound map[ReqID]*request
-	// outbound: requests this process posted, by id.
-	outbound map[ReqID]*request
-	dead     bool
+	// inbound: requests addressed to this process.
+	inbound reqTable
+	// outbound: requests this process posted.
+	outbound reqTable
 }
 
 // NewProcess registers a process on the given node with its interrupt
@@ -476,8 +525,6 @@ func newProcessIn(g *kgroup, node netsim.NodeID) *Process {
 		node:       node,
 		advertised: make(map[Name]bool),
 		open:       true,
-		inbound:    make(map[ReqID]*request),
-		outbound:   make(map[ReqID]*request),
 	}
 	g.nextProc += ProcID(g.stride)
 	g.procs[pr.id] = pr
@@ -536,28 +583,59 @@ func (pr *Process) Unadvertise(p *sim.Proc, n Name) {
 func (pr *Process) Advertises(n Name) bool { return pr.advertised[n] }
 
 // pendingFor returns undelivered inbound requests naming n, oldest
-// first (ascending request id; ids order by posting time within a
-// group, and all of a process's inbound traffic is one group's).
+// first.
 func (pr *Process) pendingFor(n Name) []*request {
 	var rs []*request
-	for _, id := range pr.inboundIDs() {
+	for _, r := range pr.inbound {
 		// Only frames that have physically arrived: an Advertise must not
 		// deliver a request still serializing onto the bus.
-		if r := pr.inbound[id]; r.arrived && !r.delivered && !r.accepted && r.name == n {
+		if r.arrived && !r.delivered && !r.accepted && r.name == n {
 			rs = append(rs, r)
 		}
 	}
 	return rs
 }
 
-// inboundIDs returns the keys of pr.inbound in ascending order.
-func (pr *Process) inboundIDs() []ReqID {
-	ids := make([]ReqID, 0, len(pr.inbound))
-	for id := range pr.inbound {
-		ids = append(ids, id)
+// reqTable is a process's inbound or outbound requests in ascending id
+// order, which is posting order: ids grow with posting time within a
+// group, and all of a process's traffic is one group's.
+type reqTable []*request
+
+// find returns where id is in t, or where it would go.
+func (t reqTable) find(id ReqID) (int, bool) {
+	lo, hi := 0, len(t)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); t[m].id < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return lo, lo < len(t) && t[lo].id == id
+}
+
+// get returns the request with the given id, or nil.
+func (t reqTable) get(id ReqID) *request {
+	if i, ok := t.find(id); ok {
+		return t[i]
+	}
+	return nil
+}
+
+func (t *reqTable) insert(r *request) {
+	i, _ := t.find(r.id)
+	*t = slices.Insert(*t, i, r)
+}
+
+// remove takes the request with the given id out of the table.
+func (t *reqTable) remove(id ReqID) (*request, bool) {
+	i, ok := t.find(id)
+	if !ok {
+		return nil, false
+	}
+	r := (*t)[i]
+	*t = slices.Delete(*t, i, i+1)
+	return r, true
 }
 
 // SetHandler installs the single software-interrupt handler.
@@ -591,7 +669,9 @@ func (pr *Process) raise(ir Interrupt) {
 	if ir.IKind == IntCompletion {
 		// The transfer's bookkeeping ends only now that the requester
 		// actually sees the completion (see Accept).
-		delete(pr.outbound, ir.Req)
+		if r, ok := pr.outbound.remove(ir.Req); ok {
+			r.drop()
+		}
 	}
 	pr.k.cInterrupts.Inc()
 	pr.handler(ir)
@@ -619,7 +699,7 @@ func (pr *Process) Request(p *sim.Proc, to ProcID, name Name, oob OOB, data []by
 	if lim := pr.k.PairLimit; lim > 0 {
 		n := 0
 		for _, r := range pr.outbound {
-			if r.to == to && !r.accepted {
+			if r.to.id == to && !r.accepted {
 				n++
 			}
 		}
@@ -627,48 +707,58 @@ func (pr *Process) Request(p *sim.Proc, to ProcID, name Name, oob OOB, data []by
 			return 0, TooManyRequests
 		}
 	}
-	rid := pr.g.nextReq
+	r := pr.g.newRequest()
+	r.id = pr.g.nextReq
 	pr.g.nextReq += ReqID(pr.g.stride)
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	r := &request{
-		id: rid, from: pr.id, to: to, name: name,
-		oob: oob, data: buf, recvBytes: recvBytes,
-	}
-	if pr.outbound == nil { // terminated: Terminate dropped the table
-		pr.outbound = make(map[ReqID]*request)
-	}
-	pr.outbound[r.id] = r
-	target.inbound[r.id] = r
+	r.from, r.to = pr, target
+	r.name, r.oob, r.recvBytes = name, oob, recvBytes
+	// The kernel's one copy: it becomes the accepter's data.
+	r.data = make([]byte, len(data))
+	copy(r.data, data)
+	pr.outbound.insert(r)
+	target.inbound.insert(r)
+	r.holds = 3 // both tables and the descriptor frame
 
 	// The request descriptor crosses the bus (a small frame).
 	k := pr.k
-	pr.g.transmit(pr.node, target.node, 32, k.costs.RequestPath, k.costs.InterruptDelivery, func() {
-		if r.withdrawn || r.accepted || target.dead {
-			return
-		}
-		r.arrived = true
-		if target.advertised[r.name] {
-			target.deliverRequest(r)
-		}
-		// Else: parked; Advertise will deliver it (the kernel's
-		// periodic retry, modeled without the bus traffic).
-	})
+	pr.g.transmit(pr.node, target.node, 32, k.costs.RequestPath, k.costs.InterruptDelivery, r.arrive)
 	if k.rec.Active() {
 		k.rec.EmitEnv(pr.g.env, obs.Event{
 			Kind: eventKind(KindOf(len(data), recvBytes)),
-			Proc: int(pr.id), Peer: int(to), Seq: uint64(r.id), Bytes: len(buf),
+			Proc: int(pr.id), Peer: int(to), Seq: uint64(r.id), Bytes: len(r.data),
 			Detail: fmt.Sprintf("name=%d recv=%d", name, recvBytes),
 		})
 	}
 	return r.id, OK
 }
 
+// onArrive is the descriptor frame's arrival at the target.
+func (r *request) onArrive() {
+	if !r.withdrawn && !r.accepted && !r.to.dead {
+		r.arrived = true
+		if r.to.advertised[r.name] {
+			r.to.deliverRequest(r)
+		}
+		// Else: parked; Advertise will deliver it (the kernel's
+		// periodic retry, modeled without the bus traffic).
+	}
+	r.drop()
+}
+
+// onComplete is the completion frame's arrival at the requester.
+func (r *request) onComplete() {
+	r.from.raise(Interrupt{
+		IKind: IntCompletion, Req: r.id, From: r.to.id, OOB: r.replyOOB,
+		Data: r.reply, Sent: r.sent,
+	})
+	r.drop()
+}
+
 // deliverRequest raises the request interrupt at the target.
 func (pr *Process) deliverRequest(r *request) {
 	r.delivered = true
 	pr.raise(Interrupt{
-		IKind: IntRequest, Req: r.id, From: r.from, Name: r.name,
+		IKind: IntRequest, Req: r.id, From: r.from.id, Name: r.name,
 		OOB: r.oob, ReqKind: KindOf(len(r.data), r.recvBytes),
 		SendBytes: len(r.data), RecvBytes: r.recvBytes,
 	})
@@ -682,17 +772,19 @@ func (pr *Process) deliverRequest(r *request) {
 // interrupt carrying oob. Accepting does not block the accepter.
 func (pr *Process) Accept(p *sim.Proc, id ReqID, oob OOB, data []byte, recvBytes int) (got []byte, st Status) {
 	charge(p, pr.k.costs.ClientCall)
-	r, ok := pr.inbound[id]
-	if !ok || r.accepted {
+	r := pr.inbound.get(id)
+	if r == nil || r.accepted {
 		return nil, NoSuchRequest
 	}
-	requester, ok := pr.g.findProc(r.from)
-	if !ok || requester.dead {
-		delete(pr.inbound, id)
+	requester := r.from
+	if requester.dead {
+		pr.inbound.remove(id)
+		r.drop()
 		return nil, DeadProc
 	}
 	r.accepted = true
-	delete(pr.inbound, id)
+	// The inbound table's hold passes to the completion frame.
+	pr.inbound.remove(id)
 	// The requester's outbound entry survives (marked accepted) until its
 	// completion interrupt is actually dispatched: RequestDelivered must
 	// keep answering true across the accept→interrupt window, or a hint
@@ -713,24 +805,18 @@ func (pr *Process) Accept(p *sim.Proc, id ReqID, oob OOB, data []byte, recvBytes
 	pr.k.cBytes.Add(int64(n))
 
 	copyCost := sim.Duration(n) * pr.k.costs.PerByte
-	reply := make([]byte, len(toRequester))
-	copy(reply, toRequester)
-	sent := len(toAccepter)
+	r.reply = make([]byte, len(toRequester))
+	copy(r.reply, toRequester)
+	r.replyOOB, r.sent = oob, len(toAccepter)
 	k := pr.k
-	fromID := pr.id
-	pr.g.transmit(pr.node, requester.node, n+32, k.costs.RequestPath, copyCost+k.costs.InterruptDelivery, func() {
-		requester.raise(Interrupt{
-			IKind: IntCompletion, Req: id, From: fromID, OOB: oob,
-			Data: reply, Sent: sent,
-		})
-	})
 	if k.rec.Active() {
 		k.rec.EmitEnv(pr.g.env, obs.Event{
-			Kind: obs.KindAccept, Proc: int(pr.id), Peer: int(r.from),
+			Kind: obs.KindAccept, Proc: int(pr.id), Peer: int(requester.id),
 			Seq: uint64(id), Bytes: n,
-			Detail: fmt.Sprintf("%dB back, %dB taken", len(reply), sent),
+			Detail: fmt.Sprintf("%dB back, %dB taken", len(r.reply), r.sent),
 		})
 	}
+	pr.g.transmit(pr.node, requester.node, n+32, k.costs.RequestPath, copyCost+k.costs.InterruptDelivery, r.complete)
 	return toAccepter, OK
 }
 
@@ -808,9 +894,9 @@ const (
 // apart from a stale hint (ReqUndeliverable): only the latter should
 // trigger rediscovery.
 func (pr *Process) RequestState(id ReqID) ReqState {
-	r, ok := pr.outbound[id]
+	r := pr.outbound.get(id)
 	switch {
-	case !ok:
+	case r == nil:
 		return ReqGone
 	case r.delivered:
 		return ReqDelivered
@@ -827,8 +913,8 @@ func (pr *Process) RequestState(id ReqID) ReqState {
 // distinguish "hint is stale / name unadvertised" (recovery needed) from
 // "delivered but not yet accepted" (normal stop-and-wait blocking).
 func (pr *Process) RequestDelivered(id ReqID) bool {
-	r, ok := pr.outbound[id]
-	return ok && r.delivered
+	r := pr.outbound.get(id)
+	return r != nil && r.delivered
 }
 
 // Withdraw retracts an unaccepted request this process posted: the
@@ -837,15 +923,16 @@ func (pr *Process) RequestDelivered(id ReqID) bool {
 // accepted (the transfer happened).
 func (pr *Process) Withdraw(p *sim.Proc, id ReqID) Status {
 	charge(p, pr.k.costs.ClientCall)
-	r, ok := pr.outbound[id]
-	if !ok || r.accepted {
+	r := pr.outbound.get(id)
+	if r == nil || r.accepted {
 		return NoSuchRequest
 	}
 	r.withdrawn = true
-	delete(pr.outbound, id)
-	if target, tok := pr.g.findProc(r.to); tok {
-		delete(target.inbound, id)
+	if _, ok := r.to.inbound.remove(id); ok {
+		r.drop()
 	}
+	pr.outbound.remove(id)
+	r.drop()
 	return OK
 }
 
@@ -854,7 +941,7 @@ func (pr *Process) Withdraw(p *sim.Proc, id ReqID) Status {
 func (pr *Process) OutstandingTo(to ProcID) int {
 	n := 0
 	for _, r := range pr.outbound {
-		if r.to == to && !r.accepted {
+		if r.to.id == to && !r.accepted {
 			n++
 		}
 	}
@@ -865,9 +952,9 @@ func (pr *Process) OutstandingTo(to ProcID) int {
 // in arrival order (for tests and the freeze protocol).
 func (pr *Process) InboundRequests() []ReqID {
 	var ids []ReqID
-	for _, id := range pr.inboundIDs() {
-		if r := pr.inbound[id]; r.delivered && !r.accepted {
-			ids = append(ids, id)
+	for _, r := range pr.inbound {
+		if r.delivered && !r.accepted {
+			ids = append(ids, r.id)
 		}
 	}
 	return ids
@@ -890,20 +977,20 @@ func (pr *Process) Terminate() {
 		pr.k.rec.EmitEnv(pr.g.env, obs.Event{Kind: obs.KindMark, Proc: int(pr.id), Detail: "terminate"})
 	}
 	// Walk inbound in request-id order: each entry schedules a timer,
-	// and timer ties break by scheduling sequence, so randomized map
-	// order would make same-seed runs diverge. The crash interrupts fire
-	// on the group env — inbound traffic is group-local by construction.
-	for _, id := range pr.inboundIDs() {
-		r := pr.inbound[id]
-		requester, live := pr.g.findProc(r.from)
-		if !live || requester.dead {
-			continue
+	// and timer ties break by scheduling sequence. The crash interrupts
+	// fire on the group env — inbound traffic is group-local by
+	// construction.
+	for _, r := range pr.inbound {
+		if requester := r.from; !requester.dead {
+			if _, ok := requester.outbound.remove(r.id); ok {
+				r.drop()
+			}
+			reqID, from := r.id, pr.id
+			pr.g.env.After(pr.k.costs.RetryInterval, func() {
+				requester.raise(Interrupt{IKind: IntCrash, Req: reqID, From: from})
+			})
 		}
-		delete(requester.outbound, id)
-		reqID, from := id, pr.id
-		pr.g.env.After(pr.k.costs.RetryInterval, func() {
-			requester.raise(Interrupt{IKind: IntCrash, Req: reqID, From: from})
-		})
+		r.drop() // the inbound table's hold
 	}
 	pr.inbound, pr.outbound, pr.advertised = nil, nil, nil
 	pr.handler, pr.queue = nil, nil
