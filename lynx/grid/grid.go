@@ -333,23 +333,10 @@ func (t *Table) Render() string {
 		t.Name, t.axisNames(), len(t.Cells), t.Replicas, t.RootSeed, t.Errs())
 	for _, cr := range t.Cells {
 		fmt.Fprintf(&b, "== %s\n", cr.Cell.Key())
-		writeStats(&b, "value", cr.Agg.Values)
-		writeStats(&b, "metric", cr.Agg.Metrics)
+		sweep.WriteStats(&b, "value", cr.Agg.Values)
+		sweep.WriteStats(&b, "metric", cr.Agg.Metrics())
 	}
 	return b.String()
-}
-
-// writeStats renders one stat map sorted by key (the sweep report
-// line format).
-func writeStats(b *strings.Builder, kind string, stats map[string]sweep.Stat) {
-	names := make([]string, 0, len(stats))
-	for n := range stats {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(b, "  %s %-40s %s\n", kind, n, stats[n])
-	}
 }
 
 // RenderCSV writes the table as CSV: one row per (cell, kind, stat),
@@ -369,7 +356,7 @@ func (t *Table) RenderCSV() string {
 			prefix += "," + fmt.Sprint(cr.Cell.coord[i])
 		}
 		writeCSVStats(&b, prefix, "value", cr.Agg.Values)
-		writeCSVStats(&b, prefix, "metric", cr.Agg.Metrics)
+		writeCSVStats(&b, prefix, "metric", cr.Agg.Metrics())
 	}
 	return b.String()
 }
@@ -418,7 +405,7 @@ func (t *Table) RenderJSONL() string {
 			Replicas: t.Replicas,
 			Errors:   len(cr.Agg.Errs),
 			Values:   cr.Agg.Values,
-			Metrics:  cr.Agg.Metrics,
+			Metrics:  cr.Agg.Metrics(),
 		}
 		line, err := json.Marshal(rec)
 		if err != nil {

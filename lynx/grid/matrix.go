@@ -117,7 +117,7 @@ func (t *Table) matrixCell(ri, ci int, rv, cv any, rest Cell, stat string) strin
 	if s, ok := cr.Agg.Values[stat]; ok {
 		return fmt.Sprintf("%.3f", s.Mean)
 	}
-	if s, ok := cr.Agg.Metrics[stat]; ok {
+	if s, ok := cr.Agg.Metrics()[stat]; ok {
 		return fmt.Sprintf("%.3f", s.Mean)
 	}
 	return "-"
@@ -141,7 +141,7 @@ func (t *Table) MatrixStats() []string {
 		for n := range cr.Agg.Values {
 			seen[n] = true
 		}
-		for n := range cr.Agg.Metrics {
+		for n := range cr.Agg.Metrics() {
 			seen[n] = true
 		}
 	}

@@ -238,7 +238,6 @@ func (s *Service) cacheHook(j *job, bodyID string, replicas int, root uint64) fu
 			return &sweep.Aggregate{
 				Replicas: replicas,
 				Values:   map[string]sweep.Stat{},
-				Metrics:  map[string]sweep.Stat{},
 				Merged:   obs.NewMetrics(),
 				Errs:     []error{err},
 			}

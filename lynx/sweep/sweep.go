@@ -26,6 +26,13 @@
 //	        }
 //	    })
 //	st := agg.Values["rtt_ms"]   // Mean, P50/P95/P99, CI95 over 32 replicas
+//
+// Values and the pooled Merged registry are built when the sweep
+// returns. The per-replica metric statistics (Aggregate.Metrics) are
+// built from the replicas' registries the first time a caller asks for
+// them, so a sweep whose caller reads only Values, Merged or Outcomes
+// never pays to flatten every registry. That is why a body's registry
+// must not change once the body has returned.
 package sweep
 
 import (
@@ -120,6 +127,10 @@ type Run struct {
 // Outcome is one replica's report: named scalar measurements, an
 // optional metric registry, and an error if the run failed. A failed
 // replica's Values/Metrics are still aggregated if present.
+//
+// Metrics is read after the body returns, at the latest when
+// Aggregate.Metrics is first called, so nothing may change the
+// registry once the body has returned.
 type Outcome struct {
 	Values  map[string]float64
 	Metrics *obs.Metrics
@@ -137,16 +148,14 @@ type Stat struct {
 	CI95          float64
 }
 
-// Aggregate is the sweep's combined result.
+// Aggregate is the sweep's combined result. Its per-replica metric
+// statistics are built on first use (see Metrics); every other field
+// is filled when Sweep returns.
 type Aggregate struct {
 	Replicas int
 	RootSeed uint64
 	// Values holds a Stat per Outcome.Values key.
 	Values map[string]Stat
-	// Metrics holds a Stat per metric-snapshot key (counters under
-	// their names, histograms as name_count/name_sum_ns/name_max_ns),
-	// each series being that key's per-replica values.
-	Metrics map[string]Stat
 	// Merged pools every replica's registry: counter sums, histogram
 	// bucket merges. Quantiles of pooled histograms come from
 	// Merged.Histogram(name).Quantile.
@@ -155,6 +164,31 @@ type Aggregate struct {
 	Outcomes []Outcome
 	// Errs collects the non-nil replica errors (replica order).
 	Errs []error
+
+	metricsOnce sync.Once
+	metrics     map[string]Stat
+}
+
+// Metrics returns a Stat per metric-snapshot key (counters under their
+// names, histograms as name_count/name_sum_ns/name_max_ns), each series
+// being that key's values over the replicas whose registry has it, in
+// replica order. The map is built from Outcomes on the first call and
+// shared by every later one, so callers must not modify it. Safe for
+// concurrent use.
+func (a *Aggregate) Metrics() map[string]Stat {
+	a.metricsOnce.Do(func() {
+		series := map[string][]float64{}
+		for _, out := range a.Outcomes {
+			for k, v := range out.Metrics.Snapshot() {
+				series[k] = append(series[k], float64(v))
+			}
+		}
+		a.metrics = make(map[string]Stat, len(series))
+		for k, s := range series {
+			a.metrics[k] = Summarize(s)
+		}
+	})
+	return a.metrics
 }
 
 // Sweep runs body for replicas 0..R-1 across the configured workers and
@@ -218,12 +252,10 @@ func aggregate(o Options, outcomes []Outcome) *Aggregate {
 		Replicas: o.Replicas,
 		RootSeed: o.RootSeed,
 		Values:   map[string]Stat{},
-		Metrics:  map[string]Stat{},
 		Merged:   obs.NewMetrics(),
 		Outcomes: outcomes,
 	}
 	valueSeries := map[string][]float64{}
-	metricSeries := map[string][]float64{}
 	for _, out := range outcomes {
 		if out.Err != nil {
 			a.Errs = append(a.Errs, out.Err)
@@ -231,16 +263,10 @@ func aggregate(o Options, outcomes []Outcome) *Aggregate {
 		for k, v := range out.Values {
 			valueSeries[k] = append(valueSeries[k], v)
 		}
-		for k, v := range out.Metrics.Snapshot() {
-			metricSeries[k] = append(metricSeries[k], float64(v))
-		}
 		a.Merged.Merge(out.Metrics)
 	}
 	for k, s := range valueSeries {
 		a.Values[k] = Summarize(s)
-	}
-	for k, s := range metricSeries {
-		a.Metrics[k] = Summarize(s)
 	}
 	return a
 }
@@ -311,13 +337,15 @@ func (s Stat) String() string {
 func (a *Aggregate) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sweep: R=%d rootseed=%d errors=%d\n", a.Replicas, a.RootSeed, len(a.Errs))
-	writeStats(&b, "value", a.Values)
-	writeStats(&b, "metric", a.Metrics)
+	WriteStats(&b, "value", a.Values)
+	WriteStats(&b, "metric", a.Metrics())
 	return b.String()
 }
 
-// writeStats renders one stat map sorted by key.
-func writeStats(b *strings.Builder, kind string, stats map[string]Stat) {
+// WriteStats renders one stat map as report lines sorted by key, one
+// "  kind name stat" line each: the line format of Aggregate.Render and
+// the lynx/grid text table.
+func WriteStats(b *strings.Builder, kind string, stats map[string]Stat) {
 	names := make([]string, 0, len(stats))
 	for n := range stats {
 		names = append(names, n)

@@ -3,11 +3,14 @@ package sweep
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/lynx"
 )
 
@@ -83,9 +86,9 @@ func TestSweepMergedMetrics(t *testing.T) {
 	// The echo exchange is structurally identical in every replica, so
 	// the per-replica dual-queue enqueue count is a constant series and
 	// the pooled counter is exactly reps times it.
-	st, ok := agg.Metrics["queue_enqueues_total"]
+	st, ok := agg.Metrics()["queue_enqueues_total"]
 	if !ok {
-		t.Fatalf("no per-replica stat for queue_enqueues_total; have %d metric stats", len(agg.Metrics))
+		t.Fatalf("no per-replica stat for queue_enqueues_total; have %d metric stats", len(agg.Metrics()))
 	}
 	if st.N != reps || st.Min == 0 || st.Min != st.Max || st.CI95 != 0 {
 		t.Fatalf("per-replica stat = %+v, want N=%d and a constant nonzero series", st, reps)
@@ -237,4 +240,153 @@ func TestForEachCallsEveryIndexOnce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mixedBody reports registries whose name sets differ by replica, with
+// a histogram and a per-process counter block in some of them. Replica
+// 2 reports no registry, replica 3 fails with one and replica 5 fails
+// without.
+func mixedBody(r Run) Outcome {
+	if r.Replica == 5 {
+		return Outcome{Err: fmt.Errorf("replica %d failed", r.Replica)}
+	}
+	out := Outcome{Values: map[string]float64{"v": float64(r.Seed % 97)}}
+	if r.Replica == 2 {
+		return out
+	}
+	m := obs.NewMetrics()
+	m.Counter("all_total").Add(int64(r.Seed % 1000))
+	m.Counter(fmt.Sprintf("mod%d_total", r.Replica%3)).Add(int64(r.Replica + 1))
+	if r.Replica%2 == 0 {
+		m.Histogram("lat").Observe(sim.Duration(r.Seed % 5000))
+	}
+	set := obs.NewCounterSet("sends_total", "recvs_total")
+	m.ProcCounters(set, r.Replica%4).Counter("sends_total").Add(int64(r.Replica))
+	out.Metrics = m
+	if r.Replica == 3 {
+		out.Err = fmt.Errorf("replica %d failed", r.Replica)
+	}
+	return out
+}
+
+// eagerMetrics is the reference for Aggregate.Metrics: every replica's
+// registry snapshotted in replica order, one Stat per key.
+func eagerMetrics(outs []Outcome) map[string]Stat {
+	series := map[string][]float64{}
+	for _, o := range outs {
+		for k, v := range o.Metrics.Snapshot() {
+			series[k] = append(series[k], float64(v))
+		}
+	}
+	stats := make(map[string]Stat, len(series))
+	for k, s := range series {
+		stats[k] = Summarize(s)
+	}
+	return stats
+}
+
+// Metrics built on first read equals the eager per-replica snapshot
+// statistics, whatever the parallelism, for replicas with differing
+// name sets, no registry, or an error.
+func TestAggregateMetricsMatchesEagerSnapshots(t *testing.T) {
+	const reps = 8
+	serial := Sweep(Options{Replicas: reps, Parallel: 1, RootSeed: 4}, mixedBody)
+	wide := Sweep(Options{Replicas: reps, Parallel: 4, RootSeed: 4}, mixedBody)
+	want := eagerMetrics(serial.Outcomes)
+	if got := serial.Metrics(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Metrics() = %v\nwant eager %v", got, want)
+	}
+	if got := wide.Metrics(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Metrics() at Parallel=4 = %v\nwant %v", got, want)
+	}
+	if len(serial.Errs) != 2 {
+		t.Fatalf("errs = %v, want replicas 3 and 5", serial.Errs)
+	}
+	// The series skip replicas without the key: all_total misses the
+	// registry-less replica 2 and the failed replica 5 only.
+	if n := want["all_total"].N; n != reps-2 {
+		t.Fatalf("all_total series has %d samples, want %d", n, reps-2)
+	}
+	if _, ok := want[obs.ProcKey("sends_total", 1)]; !ok {
+		t.Fatalf("no stat for the block counter %s; have %v", obs.ProcKey("sends_total", 1), want)
+	}
+}
+
+// Concurrent first readers share one build and get the same map: the
+// lynxd cell cache hands one *Aggregate to several jobs.
+func TestAggregateMetricsConcurrentReaders(t *testing.T) {
+	agg := Sweep(Options{Replicas: 6, Parallel: 2, RootSeed: 9}, mixedBody)
+	const readers = 8
+	got := make([]map[string]Stat, readers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(readers)
+	for i := 0; i < readers; i++ {
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i] = agg.Metrics()
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	first := reflect.ValueOf(got[0]).Pointer()
+	for i, m := range got {
+		if reflect.ValueOf(m).Pointer() != first {
+			t.Fatalf("reader %d got a different map", i)
+		}
+	}
+	if !reflect.DeepEqual(got[0], eagerMetrics(agg.Outcomes)) {
+		t.Fatal("concurrently built Metrics differs from the eager reference")
+	}
+}
+
+// unreadMetricsCeiling is the allocation count of a 100-replica Sweep
+// over prebuilt 150-name registries whose caller never reads
+// Aggregate.Metrics (go1.24, amd64), pinned so that it can only fall.
+// Three per replica are Merge's copies of the replica's entry lists;
+// the rest build the Aggregate and the pooled registry's instruments
+// once. When the sweep snapshotted every registry up front to build the
+// per-replica statistics, the same run took 4,636 allocations, a
+// figure that grows with replicas × names.
+const unreadMetricsCeiling = 361
+
+// TestSweepUnreadMetricsAllocs is the gate that unread per-replica
+// statistics cost nothing: the registries are built outside the
+// measured call, so every allocation counted is the sweep's own.
+func TestSweepUnreadMetricsAllocs(t *testing.T) {
+	const reps = 100
+	set := obs.NewCounterSet(gateBlockNames()...)
+	regs := make([]*obs.Metrics, reps)
+	for r := range regs {
+		m := obs.NewMetrics()
+		for i := 0; i < 30; i++ {
+			m.Counter(fmt.Sprintf("counter%02d_total", i)).Add(int64(r + i))
+		}
+		for i := 0; i < 5; i++ {
+			m.Histogram(fmt.Sprintf("hist%d", i)).Observe(sim.Duration(r*1000 + i))
+		}
+		for p := 0; p < 3; p++ {
+			m.ProcCounters(set, p).Counter("block00_total").Add(int64(r))
+		}
+		regs[r] = m
+	}
+	if n := len(regs[0].Snapshot()); n != 150 {
+		t.Fatalf("registry has %d snapshot names, want 150", n)
+	}
+	body := func(r Run) Outcome { return Outcome{Metrics: regs[r.Replica]} }
+	allocs := testing.AllocsPerRun(5, func() { Sweep(Options{Replicas: reps, Parallel: 1}, body) })
+	if allocs > unreadMetricsCeiling {
+		t.Fatalf("100-replica sweep with unread metrics: %v allocations, want <= %d", allocs, unreadMetricsCeiling)
+	}
+}
+
+// gateBlockNames is the 35-name counter set of the allocation gate's
+// per-process blocks.
+func gateBlockNames() []string {
+	names := make([]string, 35)
+	for i := range names {
+		names[i] = fmt.Sprintf("block%02d_total", i)
+	}
+	return names
 }
