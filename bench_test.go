@@ -148,7 +148,7 @@ func BenchmarkWireEncode(b *testing.B) {
 	b.ReportAllocs()
 	m := &wireMsgForBench
 	for i := 0; i < b.N; i++ {
-		buf, err := m.Encode()
+		buf, err := m.AppendEncoded(nil)
 		if err != nil {
 			b.Fatal(err)
 		}

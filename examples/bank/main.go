@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/cli"
 	"repro/lynx"
 	"repro/lynx/codec"
 )
@@ -29,12 +30,8 @@ func main() {
 	nMigrations := flag.Int("migrations", 3, "account migrations to perform")
 	deposits := flag.Int("deposits", 5, "deposits per account")
 	flag.Parse()
-	sub := map[string]lynx.Substrate{
-		"charlotte": lynx.Charlotte,
-		"soda":      lynx.SODA,
-		"chrysalis": lynx.Chrysalis,
-		"ideal":     lynx.Ideal,
-	}[*subName]
+	sub, err := lynx.ParseSubstrate(*subName)
+	cli.CheckUsage("bank", err)
 	runBank(sub, *nAccounts, *nMigrations, *deposits)
 }
 

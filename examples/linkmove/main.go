@@ -14,6 +14,7 @@ import (
 	"log"
 	"os"
 
+	"repro/internal/cli"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/lynx"
@@ -23,12 +24,8 @@ func main() {
 	subName := flag.String("substrate", "soda", "charlotte|soda|chrysalis|ideal")
 	verbose := flag.Bool("v", false, "show the kernel-level protocol trace")
 	flag.Parse()
-	sub := map[string]lynx.Substrate{
-		"charlotte": lynx.Charlotte,
-		"soda":      lynx.SODA,
-		"chrysalis": lynx.Chrysalis,
-		"ideal":     lynx.Ideal,
-	}[*subName]
+	sub, err := lynx.ParseSubstrate(*subName)
+	cli.CheckUsage("linkmove", err)
 
 	sys := lynx.NewSystem(lynx.Config{Substrate: sub, Seed: 1})
 	recorded := &sim.RecordingTracer{}

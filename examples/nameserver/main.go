@@ -19,18 +19,15 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/cli"
 	"repro/lynx"
 )
 
 func main() {
 	subName := flag.String("substrate", "chrysalis", "charlotte|soda|chrysalis|ideal")
 	flag.Parse()
-	sub := map[string]lynx.Substrate{
-		"charlotte": lynx.Charlotte,
-		"soda":      lynx.SODA,
-		"chrysalis": lynx.Chrysalis,
-		"ideal":     lynx.Ideal,
-	}[*subName]
+	sub, err := lynx.ParseSubstrate(*subName)
+	cli.CheckUsage("nameserver", err)
 
 	sys := lynx.NewSystem(lynx.Config{Substrate: sub, Seed: 1})
 

@@ -15,6 +15,7 @@ import (
 	"log"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/lynx"
 )
 
@@ -22,12 +23,8 @@ func main() {
 	subName := flag.String("substrate", "chrysalis", "charlotte|soda|chrysalis|ideal")
 	items := flag.Int("items", 4, "work items to push through (max 6)")
 	flag.Parse()
-	sub := map[string]lynx.Substrate{
-		"charlotte": lynx.Charlotte,
-		"soda":      lynx.SODA,
-		"chrysalis": lynx.Chrysalis,
-		"ideal":     lynx.Ideal,
-	}[*subName]
+	sub, err := lynx.ParseSubstrate(*subName)
+	cli.CheckUsage("pipeline", err)
 
 	sys := lynx.NewSystem(lynx.Config{Substrate: sub, Seed: 1})
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/cli"
 	"repro/lynx"
 )
 
@@ -17,12 +18,8 @@ func main() {
 	subName := flag.String("substrate", "charlotte", "charlotte|soda|chrysalis|ideal")
 	flag.Parse()
 
-	sub := map[string]lynx.Substrate{
-		"charlotte": lynx.Charlotte,
-		"soda":      lynx.SODA,
-		"chrysalis": lynx.Chrysalis,
-		"ideal":     lynx.Ideal,
-	}[*subName]
+	sub, err := lynx.ParseSubstrate(*subName)
+	cli.CheckUsage("quickstart", err)
 
 	sys := lynx.NewSystem(lynx.Config{Substrate: sub, Seed: 1})
 

@@ -9,7 +9,7 @@ import (
 
 // payloadOf encodes m followed by recs, the way StartSend builds a put.
 func payloadOf(t testing.TB, m *core.WireMsg, recs ...enclRecord) []byte {
-	b, err := m.Encode()
+	b, err := m.AppendEncoded(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -273,9 +273,6 @@ func (k *Kernel) Partition(envs []*sim.Env, nets []netsim.Network) {
 	}
 }
 
-// Env returns the simulation environment the kernel runs in.
-func (k *Kernel) Env() *sim.Env { return k.env }
-
 // Obs returns the kernel's observability recorder; the binding shares
 // it, and sinks attach to it.
 func (k *Kernel) Obs() *obs.Recorder { return k.rec }
@@ -364,18 +361,11 @@ func (k *Kernel) newProcessIn(g *kgroup, node netsim.NodeID) *Process {
 // waiter through the waiter's own env.
 func (pr *Process) AssignGroup(g int) { pr.g = pr.k.groups[g] }
 
-// Group reports the partition group pr was assigned to, or -1 before
-// partitioning.
-func (pr *Process) Group() int { return pr.g.idx }
-
 // ID returns the process id.
 func (pr *Process) ID() int { return pr.id }
 
 // Kernel returns the kernel the process belongs to.
 func (pr *Process) Kernel() *Kernel { return pr.k }
-
-// Node returns the process's node.
-func (pr *Process) Node() netsim.NodeID { return pr.node }
 
 // Owns reports whether the process currently owns the given end.
 func (pr *Process) Owns(e EndRef) bool { return pr.ends[e] }
@@ -595,17 +585,6 @@ func (pr *Process) Wait(p *sim.Proc) Description {
 		})
 	}
 	return d
-}
-
-// TryWait returns a completion if one is queued, without blocking.
-func (pr *Process) TryWait(p *sim.Proc) (Description, bool) {
-	d, ok := pr.completions.TryGet()
-	if !ok {
-		return Description{}, false
-	}
-	pr.k.countCall("Wait")
-	p.Delay(pr.k.costs.KernelCall)
-	return d, true
 }
 
 // Destroy destroys the link with the given end. Outstanding activities

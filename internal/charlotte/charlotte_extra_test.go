@@ -8,7 +8,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Additional Charlotte kernel tests: TryWait, boot links, status
+// Additional Charlotte kernel tests: boot links, status
 // plumbing, destroy/move interactions.
 
 func TestBootLinkOwnership(t *testing.T) {
@@ -25,27 +25,6 @@ func TestBootLinkOwnership(t *testing.T) {
 	// BootLink charges no time: the clock must not have moved.
 	if env.Now() != 0 {
 		t.Fatalf("clock at %v", env.Now())
-	}
-}
-
-func TestTryWait(t *testing.T) {
-	env, k := newTestKernel()
-	a := k.NewProcess(0)
-	b := k.NewProcess(1)
-	env.Spawn("x", func(p *sim.Proc) {
-		ea, eb := k.BootLink(a, b)
-		if _, ok := a.TryWait(p); ok {
-			t.Error("TryWait on empty returned a completion")
-		}
-		b.Receive(p, eb, 64)
-		a.Send(p, ea, []byte("x"), EndRef{})
-		p.Delay(100 * sim.Millisecond)
-		if d, ok := a.TryWait(p); !ok || d.Dir != SendDir {
-			t.Errorf("TryWait after send: %v %v", d, ok)
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 

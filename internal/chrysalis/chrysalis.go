@@ -251,9 +251,6 @@ func (k *Kernel) Partition(envs []*sim.Env, bps []*netsim.Backplane) {
 	}
 }
 
-// Env returns the simulation environment.
-func (k *Kernel) Env() *sim.Env { return k.env }
-
 // Obs returns the kernel's observability recorder; the binding shares
 // it, and sinks attach to it.
 func (k *Kernel) Obs() *obs.Recorder { return k.rec }
@@ -417,15 +414,8 @@ func newProcessIn(g *kgroup, node netsim.NodeID) *Process {
 // Call after Kernel.Partition, before the run starts.
 func (pr *Process) AssignGroup(g int) { pr.g = pr.k.groups[g] }
 
-// Group returns the index of the process's partition group (-1 when
-// unpartitioned).
-func (pr *Process) Group() int { return pr.g.idx }
-
 // ID returns the process id.
 func (pr *Process) ID() int { return pr.id }
-
-// Node returns the processor node.
-func (pr *Process) Node() netsim.NodeID { return pr.node }
 
 // AllocObject creates a memory object of the given size, mapped into the
 // caller's address space with reference count 1. The object's memory

@@ -488,7 +488,7 @@ func TestWireRoundTripProperty(t *testing.T) {
 			kind = core.KindReply
 		}
 		m := &core.WireMsg{Kind: kind, Op: op, Seq: seq, Data: data}
-		buf, err := m.Encode()
+		buf, err := m.AppendEncoded(nil)
 		if err != nil {
 			return false
 		}
@@ -509,7 +509,7 @@ func TestWireRoundTripProperty(t *testing.T) {
 
 func TestWireDecodeRejectsCorrupt(t *testing.T) {
 	m := &core.WireMsg{Kind: core.KindRequest, Op: "op", Data: []byte("data")}
-	buf, _ := m.Encode()
+	buf, _ := m.AppendEncoded(nil)
 	if _, _, err := core.DecodeWire(buf[:len(buf)-1]); err == nil {
 		t.Fatal("truncated message decoded")
 	}
@@ -526,7 +526,7 @@ func TestWireDecodeRejectsCorrupt(t *testing.T) {
 func TestEncodeLimits(t *testing.T) {
 	long := make([]byte, 300)
 	m := &core.WireMsg{Kind: core.KindRequest, Op: string(long)}
-	if _, err := m.Encode(); err == nil {
+	if _, err := m.AppendEncoded(nil); err == nil {
 		t.Fatal("overlong op encoded")
 	}
 }

@@ -29,11 +29,4 @@ var (
 	ErrBadReply = errors.New("lynx: reply does not match request")
 	// ErrProcessDown: operation on a process that has terminated.
 	ErrProcessDown = errors.New("lynx: process terminated")
-	// ErrWrongThread: a blocking operation was invoked outside the
-	// thread that owns the process token (implementation misuse).
-	ErrWrongThread = errors.New("lynx: operation called from wrong thread context")
-	// ErrEnclosureLost: an enclosed link end was lost because the
-	// enclosing message was aborted and the peer crashed before
-	// returning it (§3.2.2's Charlotte deviation; E8).
-	ErrEnclosureLost = errors.New("lynx: enclosed link end lost")
 )

@@ -11,8 +11,8 @@ import (
 // panic. A message it accepts must account for exactly the bytes it
 // was given (header, operation name and data), so no part of a decoded
 // message lies beyond the buffer, and must encode back to those bytes
-// when given as many enclosures as the header counts, by Encode and by
-// AppendEncoded behind a prefix. Plain `go test` runs the seeds: the
+// when given as many enclosures as the header counts, by AppendEncoded
+// alone and behind a prefix. Plain `go test` runs the seeds: the
 // encodings the wire tests use, and their corrupt variants.
 func FuzzDecodeWire(f *testing.F) {
 	for _, m := range []*core.WireMsg{
@@ -20,7 +20,7 @@ func FuzzDecodeWire(f *testing.F) {
 		{Kind: core.KindReply, Op: "echo", Seq: 1<<64 - 1},
 		{Kind: core.KindRequest, Seq: 7, Encl: make([]core.TransEnd, 3)},
 	} {
-		buf, err := m.Encode()
+		buf, err := m.AppendEncoded(nil)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func FuzzDecodeWire(f *testing.F) {
 			t.Fatalf("enclosure count %d outside the header's range", n)
 		}
 		m.Encl = make([]core.TransEnd, n)
-		out, err := m.Encode()
+		out, err := m.AppendEncoded(nil)
 		if err != nil {
 			t.Fatalf("decoded message does not encode: %v", err)
 		}

@@ -71,14 +71,6 @@ func (m *WireMsg) EncodedLen() int {
 	return headerLen + len(m.Op) + len(m.Data)
 }
 
-// Encode marshals header and payload into a fresh byte slice of
-// exactly EncodedLen bytes. Enclosure handles are NOT encoded — each
-// transport moves them its own way — but their count is, so the
-// receiver can verify none were lost.
-func (m *WireMsg) Encode() ([]byte, error) {
-	return m.AppendEncoded(make([]byte, 0, m.EncodedLen()))
-}
-
 // Check reports the error AppendEncoded would return for m, without
 // encoding it, so a transport that encodes later can refuse the
 // message up front.
@@ -92,8 +84,11 @@ func (m *WireMsg) Check() error {
 	return nil
 }
 
-// AppendEncoded appends Encode's bytes to dst, so a transport can put
-// its own header in front without a second copy.
+// AppendEncoded appends the message's EncodedLen bytes of header and
+// payload to dst, so a transport can put its own header in front
+// without a second copy. Enclosure handles are NOT encoded — each
+// transport moves them its own way — but their count is, so the
+// receiver can verify none were lost.
 func (m *WireMsg) AppendEncoded(dst []byte) ([]byte, error) {
 	if err := m.Check(); err != nil {
 		return nil, err

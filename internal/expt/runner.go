@@ -26,18 +26,14 @@ type Options struct {
 	Reps int
 	// RootSeed seeds replicas 1..R-1. Default 1.
 	RootSeed uint64
-	// ShapeThreshold is the replication tolerance policy: an aggregated
-	// result passes when at least this fraction of its replicas match
-	// the paper's shape. Stochastic SODA experiments (broadcast loss,
-	// backoff jitter) can legitimately miss the shape at exotic seeds,
-	// so the default is 0.8 rather than the strict all-replicas AND;
-	// set 1 to restore the AND. Values are clamped into (0, 1].
-	ShapeThreshold float64
 }
 
-// DefaultShapeThreshold is the fraction of replicas that must match
-// the paper's shape for a replicated experiment to pass.
-const DefaultShapeThreshold = 0.8
+// shapeThreshold is the replication tolerance policy: an aggregated
+// result passes when at least this fraction of its replicas match the
+// paper's shape. Stochastic SODA experiments (broadcast loss, backoff
+// jitter) can legitimately miss the shape at exotic seeds, so it is 0.8
+// rather than the strict all-replicas AND.
+const shapeThreshold = 0.8
 
 // normalized fills in defaults.
 func (o Options) normalized() Options {
@@ -49,12 +45,6 @@ func (o Options) normalized() Options {
 	}
 	if o.RootSeed == 0 {
 		o.RootSeed = 1
-	}
-	if o.ShapeThreshold <= 0 {
-		o.ShapeThreshold = DefaultShapeThreshold
-	}
-	if o.ShapeThreshold > 1 {
-		o.ShapeThreshold = 1
 	}
 	return o
 }
@@ -157,7 +147,7 @@ func runJobs(o Options, exps []Experiment) []*Result {
 // aggregateResults folds R replica results into one: cell-wise table
 // aggregation (identical cells kept, numeric cells replaced by
 // "mean ±ci", anything else marked varying), Pass under the
-// replication tolerance policy (at least ShapeThreshold of the
+// replication tolerance policy (at least shapeThreshold of the
 // replicas match the paper's shape), and metric snapshots averaged per
 // key. With one replica the result passes through untouched.
 func aggregateResults(rs []*Result, o Options) *Result {
@@ -178,7 +168,7 @@ func aggregateResults(rs []*Result, o Options) *Result {
 			passes++
 		}
 	}
-	agg.Pass = float64(passes) >= o.ShapeThreshold*float64(len(rs))-1e-9
+	agg.Pass = float64(passes) >= shapeThreshold*float64(len(rs))-1e-9
 	for row := range rs[0].Rows {
 		cells := make([]string, len(rs[0].Rows[row]))
 		for col := range cells {
@@ -202,7 +192,7 @@ func aggregateResults(rs []*Result, o Options) *Result {
 	agg.Metrics = aggregateMetrics(rs)
 	agg.Notes = append(agg.Notes, fmt.Sprintf(
 		"replication: R=%d (replica 0 = canonical seeds, rest from root seed %d); shape pass %d/%d (threshold %.2f); varying cells shown as mean ±1.96·sd/√R",
-		len(rs), o.RootSeed, passes, len(rs), o.ShapeThreshold))
+		len(rs), o.RootSeed, passes, len(rs), shapeThreshold))
 	return agg
 }
 

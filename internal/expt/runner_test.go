@@ -75,9 +75,8 @@ func TestNonReplicableRunsOnce(t *testing.T) {
 }
 
 // The replication tolerance policy: an aggregated result passes when
-// ≥ShapeThreshold of its replicas match the shape (default 0.8),
-// replacing the old all-replicas AND, and the annotation reports
-// "shape pass k/R (threshold m)".
+// ≥0.8 of its replicas match the shape, replacing the old all-replicas
+// AND, and the annotation reports "shape pass k/R (threshold m)".
 func TestShapeTolerancePolicy(t *testing.T) {
 	mk := func(pass bool) *Result {
 		return &Result{ID: "EX", Title: "x", Columns: []string{"a"},
@@ -95,21 +94,17 @@ func TestShapeTolerancePolicy(t *testing.T) {
 	}
 	cases := []struct {
 		passes, fails int
-		threshold     float64
 		want          bool
 	}{
-		{4, 1, 0, true},    // 4/5 = 0.8 meets the default threshold exactly
-		{3, 2, 0, false},   // 3/5 < 0.8
-		{4, 1, 1.0, false}, // strict AND restored by threshold 1
-		{5, 0, 1.0, true},
-		{1, 1, 0.5, true}, // 1/2 meets a 50% threshold
+		{4, 1, true},  // 4/5 = 0.8 meets the threshold exactly
+		{3, 2, false}, // 3/5 < 0.8
 	}
 	for _, c := range cases {
-		o := Options{Reps: c.passes + c.fails, ShapeThreshold: c.threshold}.normalized()
+		o := Options{Reps: c.passes + c.fails}.normalized()
 		agg := aggregateResults(replicas(c.passes, c.fails), o)
 		if agg.Pass != c.want {
-			t.Errorf("passes=%d fails=%d threshold=%v: Pass=%v, want %v",
-				c.passes, c.fails, c.threshold, agg.Pass, c.want)
+			t.Errorf("passes=%d fails=%d: Pass=%v, want %v",
+				c.passes, c.fails, agg.Pass, c.want)
 		}
 	}
 	o := Options{Reps: 5}.normalized()

@@ -51,9 +51,6 @@ func (p *Proc) Env() *Env { return p.env }
 // Now reports current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
 
-// Killed reports whether Kill has been called on p.
-func (p *Proc) Killed() bool { return p.killed }
-
 // Done reports whether the proc's function has returned.
 func (p *Proc) Done() bool { return p.done }
 

@@ -47,17 +47,6 @@ func (r *Rand) DurationN(d Duration) Duration {
 	return Duration(r.Uint64() % uint64(d))
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Fork derives an independent child source; streams do not overlap for
 // practical purposes.
 func (r *Rand) Fork() *Rand {

@@ -156,33 +156,6 @@ func TestWakeAll(t *testing.T) {
 	}
 }
 
-func TestSemaphore(t *testing.T) {
-	e := NewEnv(1)
-	sem := NewSemaphore(e, "sem", 2)
-	running, maxRunning := 0, 0
-	for i := 0; i < 6; i++ {
-		e.Spawn(fmt.Sprint("w", i), func(p *Proc) {
-			sem.Acquire(p)
-			running++
-			if running > maxRunning {
-				maxRunning = running
-			}
-			p.Delay(Millisecond)
-			running--
-			sem.Release()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if maxRunning != 2 {
-		t.Fatalf("max concurrent holders = %d, want 2", maxRunning)
-	}
-	if sem.Count() != 2 {
-		t.Fatalf("final count %d", sem.Count())
-	}
-}
-
 func TestQueue(t *testing.T) {
 	e := NewEnv(1)
 	var q Queue[int]
@@ -485,25 +458,6 @@ func TestTimerMonotonicityProperty(t *testing.T) {
 	}
 }
 
-// Property: Rand.Perm returns a permutation.
-func TestPermProperty(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := NewRand(seed).Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return len(p) == n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: Intn stays in range and Float64 in [0,1).
 func TestRandRangesProperty(t *testing.T) {
 	f := func(seed uint64, nRaw uint16) bool {
@@ -543,21 +497,6 @@ func TestYield(t *testing.T) {
 	}
 	if e.Now() != 0 {
 		t.Fatalf("Yield advanced the clock to %v", e.Now())
-	}
-}
-
-func TestSemaphoreTryAcquire(t *testing.T) {
-	e := NewEnv(1)
-	sem := NewSemaphore(e, "s", 1)
-	if !sem.TryAcquire() {
-		t.Fatal("first TryAcquire failed")
-	}
-	if sem.TryAcquire() {
-		t.Fatal("second TryAcquire succeeded")
-	}
-	sem.Release()
-	if !sem.TryAcquire() {
-		t.Fatal("TryAcquire after release failed")
 	}
 }
 
@@ -626,7 +565,7 @@ func TestTimeDurationStrings(t *testing.T) {
 	}
 }
 
-func TestSemaphoreNameAndQueueName(t *testing.T) {
+func TestWaitQueueNameAndLen(t *testing.T) {
 	e := NewEnv(1)
 	wq := NewWaitQueue(e, "queue-name")
 	if wq.Name() != "queue-name" || wq.Len() != 0 {

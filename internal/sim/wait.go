@@ -81,43 +81,6 @@ func (wq *WaitQueue) cut(i int) {
 	wq.waiters = wq.waiters[:n]
 }
 
-// Semaphore is a counting semaphore built on a WaitQueue.
-type Semaphore struct {
-	wq    *WaitQueue
-	count int
-}
-
-// NewSemaphore creates a semaphore with the given initial count.
-func NewSemaphore(env *Env, name string, initial int) *Semaphore {
-	return &Semaphore{wq: NewWaitQueue(env, name), count: initial}
-}
-
-// Acquire decrements the count, parking p while the count is zero.
-func (s *Semaphore) Acquire(p *Proc) {
-	for s.count == 0 {
-		s.wq.Wait(p)
-	}
-	s.count--
-}
-
-// TryAcquire decrements without blocking; reports success.
-func (s *Semaphore) TryAcquire() bool {
-	if s.count == 0 {
-		return false
-	}
-	s.count--
-	return true
-}
-
-// Release increments the count and wakes one waiter if any.
-func (s *Semaphore) Release() {
-	s.count++
-	s.wq.Wake()
-}
-
-// Count reports the current count.
-func (s *Semaphore) Count() int { return s.count }
-
 // Queue is an unbounded FIFO of T values with blocking receive: the
 // message queue the kernel models and the run-time package build on.
 // It holds values, not interfaces, so queuing one boxes nothing. The

@@ -389,9 +389,6 @@ func (g *kgroup) transmit(src, dst netsim.NodeID, nbytes int, pre, post sim.Dura
 	g.env.After(pre+wire+post, deliver)
 }
 
-// Env returns the simulation environment.
-func (k *Kernel) Env() *sim.Env { return k.env }
-
 // Obs returns the kernel's observability recorder; the binding shares
 // it, and sinks attach to it.
 func (k *Kernel) Obs() *obs.Recorder { return k.rec }
@@ -535,15 +532,8 @@ func newProcessIn(g *kgroup, node netsim.NodeID) *Process {
 // Call after Kernel.Partition, before the run starts.
 func (pr *Process) AssignGroup(g int) { pr.g = pr.k.groups[g] }
 
-// Group returns the index of the process's partition group (-1 when
-// unpartitioned).
-func (pr *Process) Group() int { return pr.g.idx }
-
 // ID returns the process id.
 func (pr *Process) ID() ProcID { return pr.id }
-
-// Node returns the process's node.
-func (pr *Process) Node() netsim.NodeID { return pr.node }
 
 // NewName generates a name unique over space and time.
 func (pr *Process) NewName(p *sim.Proc) Name {
@@ -653,9 +643,6 @@ func (pr *Process) OpenHandler() {
 		pr.raise(ir)
 	}
 }
-
-// HandlerOpen reports the mask state.
-func (pr *Process) HandlerOpen() bool { return pr.open }
 
 // raise delivers an interrupt to the handler, or queues it while masked.
 func (pr *Process) raise(ir Interrupt) {

@@ -37,9 +37,6 @@ type Match struct {
 	Bcast    bool
 }
 
-// MatchAll matches every point-to-point frame.
-func MatchAll() Match { return Match{From: Any, To: Any} }
-
 func (m Match) String() string {
 	if m.Bcast {
 		return "bcast"

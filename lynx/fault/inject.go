@@ -1,8 +1,6 @@
 package fault
 
 import (
-	"sort"
-
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -57,9 +55,6 @@ func NewInjector(env *sim.Env, plan *Plan, seed uint64, nodes int) *Injector {
 	}
 }
 
-// Plan returns the compiled plan.
-func (in *Injector) Plan() *Plan { return in.plan }
-
 // Split compiles the plan into one child injector per partition group
 // of a parallel run. Child i runs on envs[i], keeps its own counters
 // (each group's medium segment and churn timers touch only that
@@ -108,18 +103,6 @@ func (in *Injector) Counts() map[string]int64 {
 		}
 	}
 	return out
-}
-
-// CountKeys returns the recorded effect names in sorted order, for
-// deterministic rendering.
-func (in *Injector) CountKeys() []string {
-	agg := in.Counts()
-	keys := make([]string, 0, len(agg))
-	for k := range agg {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Frame decides the fate of one point-to-point frame. Rules are

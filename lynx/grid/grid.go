@@ -34,7 +34,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -313,70 +312,6 @@ func (t *Table) Merged() *obs.Metrics {
 		m.MergePrefixed(cr.Cell.Key(), cr.Agg.Merged)
 	}
 	return m
-}
-
-// axisNames renders the axis names for headers.
-func (t *Table) axisNames() string {
-	names := make([]string, len(t.Axes))
-	for i, a := range t.Axes {
-		names[i] = a.Name
-	}
-	return strings.Join(names, " ")
-}
-
-// Render writes the table as a deterministic text report: a grid
-// header, then one block per cell in enumeration order with every
-// value and metric stat sorted by name.
-func (t *Table) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "grid: %s axes=[%s] cells=%d R=%d rootseed=%d errors=%d\n",
-		t.Name, t.axisNames(), len(t.Cells), t.Replicas, t.RootSeed, t.Errs())
-	for _, cr := range t.Cells {
-		fmt.Fprintf(&b, "== %s\n", cr.Cell.Key())
-		sweep.WriteStats(&b, "value", cr.Agg.Values)
-		sweep.WriteStats(&b, "metric", cr.Agg.Metrics())
-	}
-	return b.String()
-}
-
-// RenderCSV writes the table as CSV: one row per (cell, kind, stat),
-// with one column per axis ahead of the stat columns. CI95 is "n/a"
-// for singleton series, matching the text renderer.
-func (t *Table) RenderCSV() string {
-	var b strings.Builder
-	b.WriteString("cell")
-	for _, a := range t.Axes {
-		b.WriteByte(',')
-		b.WriteString(a.Name)
-	}
-	b.WriteString(",kind,name,n,mean,p50,p95,p99,min,max,ci95\n")
-	for _, cr := range t.Cells {
-		prefix := cr.Cell.Key()
-		for i := range t.Axes {
-			prefix += "," + fmt.Sprint(cr.Cell.coord[i])
-		}
-		writeCSVStats(&b, prefix, "value", cr.Agg.Values)
-		writeCSVStats(&b, prefix, "metric", cr.Agg.Metrics())
-	}
-	return b.String()
-}
-
-// writeCSVStats renders one stat map as CSV rows sorted by name.
-func writeCSVStats(b *strings.Builder, prefix, kind string, stats map[string]sweep.Stat) {
-	names := make([]string, 0, len(stats))
-	for n := range stats {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		s := stats[n]
-		ci := "n/a"
-		if s.N >= 2 {
-			ci = fmt.Sprintf("%g", s.CI95)
-		}
-		fmt.Fprintf(b, "%s,%s,%s,%d,%g,%g,%g,%g,%g,%g,%s\n",
-			prefix, kind, n, s.N, s.Mean, s.P50, s.P95, s.P99, s.Min, s.Max, ci)
-	}
 }
 
 // jsonCell is the JSONL record schema: one object per cell.

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -56,17 +57,17 @@ func spec(parallel int) Spec {
 	}
 }
 
-// The PR's acceptance contract: every rendering of the Table — text,
-// CSV, JSONL — is byte-identical for Parallel=1 and Parallel=8. Run
+// The determinism contract: every cell's stats are identical, and the
+// JSONL rendering byte-identical, for Parallel=1 and Parallel=8. Run
 // under -race by `make race`.
 func TestGridDeterministicAcrossParallelism(t *testing.T) {
 	serial := Run(spec(1))
 	wide := Run(spec(8))
-	if s, w := serial.Render(), wide.Render(); s != w {
-		t.Fatalf("text render differs:\n--- serial\n%s\n--- parallel\n%s", s, w)
-	}
-	if s, w := serial.RenderCSV(), wide.RenderCSV(); s != w {
-		t.Fatalf("CSV render differs:\n--- serial\n%s\n--- parallel\n%s", s, w)
+	for i := range serial.Cells {
+		s, w := serial.Cells[i].Agg, wide.Cells[i].Agg
+		if !reflect.DeepEqual(s.Values, w.Values) || !reflect.DeepEqual(s.Metrics(), w.Metrics()) {
+			t.Fatalf("cell %s: stats differ across parallelism", serial.Cells[i].Cell.Key())
+		}
 	}
 	if s, w := serial.RenderJSONL(), wide.RenderJSONL(); s != w {
 		t.Fatalf("JSONL render differs:\n--- serial\n%s\n--- parallel\n%s", s, w)
@@ -192,21 +193,14 @@ func TestGridNoAxes(t *testing.T) {
 	if tbl.CellAt() == nil {
 		t.Fatal("CellAt() should find the single cell")
 	}
-	if !strings.Contains(tbl.Render(), "== all\n") {
-		t.Fatalf("render missing the all cell:\n%s", tbl.Render())
+	if jl := tbl.RenderJSONL(); !strings.HasPrefix(jl, `{"cell":"all",`) {
+		t.Fatalf("render missing the all cell:\n%s", jl)
 	}
 }
 
-// CSV and JSONL carry the expected headers/shape.
+// JSONL carries the expected shape.
 func TestGridRenderFormats(t *testing.T) {
 	tbl := Run(spec(2))
-	csv := tbl.RenderCSV()
-	if !strings.HasPrefix(csv, "cell,substrate,payload,kind,name,n,mean,p50,p95,p99,min,max,ci95\n") {
-		t.Fatalf("CSV header wrong:\n%s", csv[:120])
-	}
-	if !strings.Contains(csv, "substrate=chrysalis/payload=0,chrysalis,0,value,rtt_ns,2,") {
-		t.Fatalf("CSV missing value row:\n%s", csv)
-	}
 	jl := tbl.RenderJSONL()
 	lines := strings.Split(strings.TrimSuffix(jl, "\n"), "\n")
 	if len(lines) != len(tbl.Cells) {

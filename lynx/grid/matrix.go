@@ -2,7 +2,6 @@ package grid
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -130,25 +129,4 @@ func renderVals(vals []any) []string {
 		out[i] = fmt.Sprint(v)
 	}
 	return out
-}
-
-// MatrixStats lists every stat name present in any cell (Values and
-// Metrics pooled), sorted — a convenience for callers choosing what to
-// pivot.
-func (t *Table) MatrixStats() []string {
-	seen := map[string]bool{}
-	for _, cr := range t.Cells {
-		for n := range cr.Agg.Values {
-			seen[n] = true
-		}
-		for n := range cr.Agg.Metrics() {
-			seen[n] = true
-		}
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -77,10 +77,6 @@ func TestRenderMatrixTwoAxes(t *testing.T) {
 	if !strings.Contains(out, `substrate\rate`) {
 		t.Fatalf("matrix missing corner header:\n%s", out)
 	}
-	stats := tbl.MatrixStats()
-	if len(stats) == 0 || stats[0] != "v" {
-		t.Fatalf("MatrixStats = %v", stats)
-	}
 	for _, bad := range []func(){
 		func() { tbl.RenderMatrix("nope", "rate") },
 		func() { tbl.RenderMatrix("rate", "rate") },

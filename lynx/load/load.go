@@ -79,9 +79,6 @@ type Options struct {
 	Window lynx.Duration
 	// Mix is the traffic mix. Default DefaultMix.
 	Mix *Mix
-	// Nodes is the simulated machine size (lynx.Config.Nodes). 0 =
-	// lynx default.
-	Nodes int
 	// SimWorkers is lynx.Config.SimWorkers: the in-System parallel
 	// worker cap. It never changes results — with Gens <= 1 the boot
 	// graph is the single loadgen process (nothing to partition); with
@@ -101,13 +98,8 @@ type Options struct {
 	// Gens changes the arrival schedule and so the results: it is a
 	// workload parameter and part of sweep keys. Default (and any
 	// value <= 1): the classic single-loadgen run, stream-for-stream
-	// identical to previous releases. With Gens >= 2 and a Deadline,
-	// which breach fires the (trace-only) anomaly dump first is
-	// execution-order dependent; results are unaffected.
+	// identical to previous releases.
 	Gens int
-	// MaxUnits caps the number of arrivals as a runaway guard when
-	// Rate×Window is enormous. Default 100000.
-	MaxUnits int
 	// Faults is an optional declarative fault plan applied to the run
 	// (lynx.Config.Faults). The injector draws from its own seed
 	// streams, so a nil plan leaves the run byte-identical and the
@@ -119,16 +111,15 @@ type Options struct {
 	// Mode/SampleK/Ring shape lynx.Config.Trace, Sink receives the
 	// exported event stream, DumpTo receives ring dumps. Dumps fire on
 	// the run's anomaly hooks — a run error or fault-plan panic, a
-	// Deadline breach, a shape-check failure — and once at end of run.
-	// Recording never changes Result, so Trace is excluded from sweep
-	// keys and cache identity.
+	// shape-check failure — and once at end of run. Recording never
+	// changes Result, so Trace is excluded from sweep keys and cache
+	// identity.
 	Trace *flight.Config
-	// Deadline, when positive, is the per-unit virtual sojourn budget:
-	// the first completion whose arrival→completion sojourn exceeds it
-	// fires the deadline-breach anomaly hook (recording only — units
-	// are never cancelled). 0 = no deadline.
-	Deadline lynx.Duration
 }
+
+// maxUnits caps the number of arrivals in one run as a runaway guard
+// when Rate×Window is enormous.
+const maxUnits = 100000
 
 // TraceConfig lowers a thread-through flight config onto
 // lynx.Config.Trace (the zero TraceOptions for nil — mode Off).
@@ -203,9 +194,6 @@ func Run(o Options) (*Result, error) {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.MaxUnits <= 0 {
-		o.MaxUnits = 100000
-	}
 	mix := o.Mix
 	if mix == nil {
 		var err error
@@ -217,7 +205,6 @@ func Run(o Options) (*Result, error) {
 	sys := lynx.NewSystem(lynx.Config{
 		Substrate:  o.Substrate,
 		Seed:       sim.StreamSeed(o.Seed, 0),
-		Nodes:      o.Nodes,
 		SimWorkers: o.SimWorkers,
 		Faults:     o.Faults,
 		Trace:      TraceConfig(o.Trace),
@@ -241,7 +228,6 @@ func Run(o Options) (*Result, error) {
 		arrivals   int
 		completed  int
 		lastDone   lynx.Duration
-		breached   bool
 	)
 	for gi := 0; gi < gens; gi++ {
 		gi := gi
@@ -264,7 +250,7 @@ func Run(o Options) (*Result, error) {
 		sys.Spawn(name, func(t *lynx.Thread, _ []*lynx.End) {
 			arr := sim.NewArrivalStream(arrSeed, rate)
 			kindRnd := sim.NewRand(kindSeed)
-			for seq := gi; seq < o.MaxUnits; seq += gens {
+			for seq := gi; seq < maxUnits; seq += gens {
 				at := arr.Next()
 				if lynx.Duration(at) > o.Window {
 					return
@@ -285,13 +271,6 @@ func Run(o Options) (*Result, error) {
 					done := lynx.Duration(st.Now())
 					ms := float64(sojourn) / 1e6
 					mu.Lock()
-					if o.Deadline > 0 && sojourn > o.Deadline && !breached {
-						// First breach only: one dump shows the lead-up, and
-						// an overloaded run would otherwise dump per unit.
-						breached = true
-						fr.Anomaly(fmt.Sprintf("deadline breach: unit sojourn %v > %v",
-							sojourn, o.Deadline))
-					}
 					if done > lastDone {
 						lastDone = done
 					}

@@ -209,6 +209,10 @@ func ParseSubstrates(csv string) ([]Substrate, error) {
 	return out, nil
 }
 
+// nodes is the machine size: processes are placed round-robin over 20
+// nodes, the Crystal multicomputer's size.
+const nodes = 20
+
 // Config parameterizes a System. The zero value is a working Charlotte
 // machine with default sizing. Substrate-specific knobs live in the
 // per-substrate option blocks; options for substrates other than the
@@ -218,11 +222,8 @@ type Config struct {
 	Substrate Substrate
 	// Seed drives all randomness; same seed ⇒ identical run.
 	Seed uint64
-	// Nodes is the machine size (processes are placed round-robin).
-	// Default 20 (the Crystal multicomputer's size).
-	Nodes int
-	// BufCap is the maximum message size, inherited by every substrate
-	// whose own BufCap is unset. Default 4096.
+	// BufCap is the maximum message size on every substrate. Default
+	// 4096.
 	BufCap int
 	// SimWorkers caps how many event-loop shards execute concurrently
 	// inside this System. The run is partitioned into shards whenever
@@ -255,8 +256,7 @@ type Config struct {
 	// plans with fault.Parse).
 	Faults *fault.Plan
 
-	// Charlotte, SODA, and Chrysalis hold the substrate-specific knobs.
-	Charlotte CharlotteOptions
+	// SODA and Chrysalis hold the substrate-specific knobs.
 	SODA      SODAOptions
 	Chrysalis ChrysalisOptions
 }
@@ -315,11 +315,17 @@ type System struct {
 	// sequence.
 	groupNode []int
 	// injKids are the per-group fault injectors of a partitioned faulted
-	// run; churnHits counts, per churn event, how many processes it hit
-	// across all groups (shared atomics — misses are derived at
-	// FaultStats time).
-	injKids   []*fault.Injector
-	churnHits []int64
+	// run; churn tallies each churn event across all groups (misses are
+	// derived at FaultStats time).
+	injKids []*fault.Injector
+	churn   []churnTally
+}
+
+// churnTally counts, for one crash or restart event of the fault plan,
+// the groups whose timer for it has fired and the processes it hit.
+// Shards of a partitioned run update it concurrently.
+type churnTally struct {
+	fired, hits atomic.Int64
 }
 
 // relaunchRec is what restartNamed needs of a mid-run spec.
@@ -350,11 +356,11 @@ type ProcRef struct {
 func NewSystem(cfg Config) *System {
 	cfg = cfg.normalized()
 	env := sim.NewEnv(cfg.Seed)
-	s := &System{cfg: cfg, sodaCfg: cfg.SODA.bindConfig(), env: env,
+	s := &System{cfg: cfg, sodaCfg: cfg.SODA.bindConfig(cfg.BufCap), env: env,
 		byProc: make(map[*core.Process]*ProcRef)}
 	switch cfg.Substrate {
 	case Charlotte:
-		ring := netsim.NewTokenRing(cfg.Nodes)
+		ring := netsim.NewTokenRing(nodes)
 		s.net = ring
 		s.charK = charlotte.NewKernel(env, ring, calib.DefaultCharlotte())
 	case SODA:
@@ -393,7 +399,7 @@ func NewSystem(cfg Config) *System {
 		// compiles onto hooks and timers at materialize — after the
 		// partition decision — so a partitioned run can install
 		// per-group children instead of one shared schedule.
-		s.inj = fault.NewInjector(env, cfg.Faults, cfg.Seed, cfg.Nodes)
+		s.inj = fault.NewInjector(env, cfg.Faults, cfg.Seed, nodes)
 		for _, ev := range cfg.Faults.Events {
 			if r, ok := ev.(fault.Restart); ok {
 				if s.restartable == nil {
@@ -414,12 +420,20 @@ func (s *System) installFaults() {
 	if s.inj == nil {
 		return
 	}
+	n := 0
+	for _, ev := range s.cfg.Faults.Events {
+		switch ev.(type) {
+		case fault.Crash, fault.Restart:
+			n++
+		}
+	}
+	s.churn = make([]churnTally, n)
 	if !s.partitioned {
 		if s.net != nil {
 			s.net.SetFaultHook(s.inj)
 			s.inj.StartStorms(s.net)
 		}
-		s.scheduleChurn()
+		s.scheduleChurn(s.env, s.inj, -1)
 		return
 	}
 	s.injKids = s.inj.Split(s.shards)
@@ -431,81 +445,42 @@ func (s *System) installFaults() {
 		seg.SetFaultHook(s.injKids[g])
 		s.injKids[g].StartStorms(seg)
 	}
-	s.scheduleChurnPartitioned()
+	for g, env := range s.shards {
+		s.scheduleChurn(env, s.injKids[g], g)
+	}
 }
 
 // scheduleChurn registers the plan's process-level events as
-// virtual-time timers. Names are resolved at fire time over the
+// virtual-time timers on env, acting through inj on the processes homed
+// on group g (-1: every process, on an unpartitioned run). A partitioned
+// run schedules each event on every shard, so a crash pattern spanning
+// groups kills each group's matches at that group's virtual time with no
+// cross-shard access. Names are resolved at fire time over the
 // then-current process population (which grows under Launch), in spawn
-// order, so the event schedule composes with dynamic workloads; an
-// event that resolves to nothing is counted as a miss.
-func (s *System) scheduleChurn() {
-	for _, ev := range s.cfg.Faults.Events {
-		switch e := ev.(type) {
-		case fault.Crash:
-			proc := e.Proc
-			s.env.At(sim.Time(e.At), func() {
-				if s.crashMatching(proc, -1, s.inj) == 0 {
-					s.inj.Note("miss")
-				}
-			})
-		case fault.Restart:
-			proc := e.Proc
-			s.env.At(sim.Time(e.At), func() {
-				if s.restartNamed(proc, -1) {
-					s.inj.Note("restart")
-				} else {
-					s.inj.Note("miss")
-				}
-			})
-		}
-	}
-}
-
-// scheduleChurnPartitioned is scheduleChurn for a partitioned run: each
-// churn event is scheduled on EVERY shard env and acts only on that
-// shard's processes, through that shard's injector child — so a crash
-// pattern spanning groups kills each group's matches at that group's
-// virtual time with no cross-shard access. Per-event hit counters are
-// shared atomics; an event no shard matched surfaces as a miss in
-// FaultStats.
-func (s *System) scheduleChurnPartitioned() {
-	nChurn := 0
-	for _, ev := range s.cfg.Faults.Events {
-		switch ev.(type) {
-		case fault.Crash, fault.Restart:
-			nChurn++
-		}
-	}
-	s.churnHits = make([]int64, nChurn)
+// order, so the event schedule composes with dynamic workloads. Each
+// event's tally is shared by all groups; an event that fired and hit
+// nothing in any group is a miss (see FaultStats).
+func (s *System) scheduleChurn(env *sim.Env, inj *fault.Injector, g int) {
 	j := 0
 	for _, ev := range s.cfg.Faults.Events {
 		switch e := ev.(type) {
 		case fault.Crash:
-			proc := e.Proc
-			hit := &s.churnHits[j]
+			tally := &s.churn[j]
 			j++
-			for g := range s.shards {
-				g := g
-				s.shards[g].At(sim.Time(e.At), func() {
-					if n := s.crashMatching(proc, g, s.injKids[g]); n > 0 {
-						atomic.AddInt64(hit, int64(n))
-					}
-				})
-			}
+			env.At(sim.Time(e.At), func() {
+				tally.hits.Add(int64(s.crashMatching(e.Proc, g, inj)))
+				tally.fired.Add(1)
+			})
 		case fault.Restart:
-			proc := e.Proc
-			hit := &s.churnHits[j]
+			tally := &s.churn[j]
 			j++
-			for g := range s.shards {
-				g := g
-				s.shards[g].At(sim.Time(e.At), func() {
-					if s.restartNamed(proc, g) {
-						s.injKids[g].Note("restart")
-						atomic.AddInt64(hit, 1)
-					}
-				})
-			}
+			env.At(sim.Time(e.At), func() {
+				if s.restartNamed(e.Proc, g) {
+					inj.Note("restart")
+					tally.hits.Add(1)
+				}
+				tally.fired.Add(1)
+			})
 		}
 	}
 }
@@ -564,16 +539,7 @@ func (s *System) restartNamed(name string, g int) bool {
 	if main == nil {
 		return false
 	}
-	child := s.newProcRef(name, main, g)
-	env := s.env
-	if g >= 0 {
-		env = s.shards[g]
-	}
-	costs := s.runtimeCosts()
-	child.proc = core.NewProcess(env, child.name, child.tr, costs, func(t *Thread) {
-		child.main(t, nil)
-	})
-	s.track(child)
+	s.start(s.newProcRef(name, main, g), s.envOf(g))
 	return true
 }
 
@@ -622,16 +588,17 @@ func (s *System) retire(pr *ProcRef) {
 // FaultStats returns the fault injector's per-effect occurrence
 // counters (drop, dup, reorder, partition, slow, storm, crash,
 // restart, miss), or nil when the system runs without a fault plan.
-// On a partitioned run it aggregates the per-group injector children
-// and derives misses from the shared per-event hit counters; read it
-// from serial context (before the run or after it ends).
+// On a partitioned run it aggregates the per-group injector children.
+// A miss is a crash or restart event that fired and hit no process in
+// any group; an event not yet due is not counted. Read it from serial
+// context (before the run or after it ends).
 func (s *System) FaultStats() map[string]int64 {
 	if s.inj == nil {
 		return nil
 	}
 	out := s.inj.Counts()
-	for i := range s.churnHits {
-		if atomic.LoadInt64(&s.churnHits[i]) == 0 {
+	for i := range s.churn {
+		if s.churn[i].fired.Load() > 0 && s.churn[i].hits.Load() == 0 {
 			out["miss"]++
 		}
 	}
@@ -663,14 +630,13 @@ func (s *System) newProcRef(name string, main func(*Thread, []*End), g int) *Pro
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	pr := &ProcRef{sys: s, name: name, idx: len(s.specs), group: g, main: main}
-	env := s.env
+	env := s.envOf(g)
 	var node netsim.NodeID
 	if g >= 0 {
-		node = netsim.NodeID(s.groupNode[g] % s.cfg.Nodes)
+		node = netsim.NodeID(s.groupNode[g] % nodes)
 		s.groupNode[g]++
-		env = s.shards[g]
 	} else {
-		node = netsim.NodeID(s.nextNode % s.cfg.Nodes)
+		node = netsim.NodeID(s.nextNode % nodes)
 		s.nextNode++
 	}
 	switch s.cfg.Substrate {
@@ -681,7 +647,7 @@ func (s *System) newProcRef(name string, main func(*Thread, []*End), g int) *Pro
 		} else {
 			kp = s.charK.NewProcess(node)
 		}
-		pr.chTr = chbind.New(env, kp, s.cfg.Charlotte.BufCap)
+		pr.chTr = chbind.New(env, kp, s.cfg.BufCap)
 		pr.tr = pr.chTr
 	case SODA:
 		var kp *soda.Process
@@ -699,7 +665,7 @@ func (s *System) newProcRef(name string, main func(*Thread, []*End), g int) *Pro
 		} else {
 			kp = s.chrK.NewProcess(node)
 		}
-		pr.chrTr = chrbind.New(env, s.chrK, kp, s.cfg.Chrysalis.BufCap)
+		pr.chrTr = chrbind.New(env, s.chrK, kp, s.cfg.BufCap)
 		pr.tr = pr.chrTr
 	case Ideal:
 		if g >= 0 {
@@ -787,15 +753,14 @@ func (s *System) runtimeCosts() calib.LynxRuntimeCosts {
 //
 // When eligible it partitions the env into one shard per component,
 // splits the medium into per-group segments, partitions the kernel's
-// state, and returns the spec → shard mapping; otherwise it returns
-// the identity mapping onto the serial env.
-func (s *System) planParallel() func(*ProcRef) *sim.Env {
-	serial := func(*ProcRef) *sim.Env { return s.env }
+// state, and homes each boot spec on its component's group; otherwise
+// every spec stays on the serial env (group -1).
+func (s *System) planParallel() {
 	if len(s.specs) < 2 {
-		return serial
+		return
 	}
 	if s.cfg.Substrate != Ideal && netsim.MinLatency(s.net) <= 0 {
-		return serial
+		return
 	}
 	// Union-find over the boot-join edges.
 	parent := make([]int, len(s.specs))
@@ -829,7 +794,7 @@ func (s *System) planParallel() func(*ProcRef) *sim.Env {
 	}
 	k := len(groupOf)
 	if k < 2 {
-		return serial
+		return
 	}
 	workers := s.cfg.SimWorkers
 	if workers < 1 {
@@ -882,7 +847,6 @@ func (s *System) planParallel() func(*ProcRef) *sim.Env {
 	case Ideal:
 		s.fab.Partition(k)
 	}
-	return func(pr *ProcRef) *sim.Env { return shards[pr.group] }
 }
 
 // Parallel reports whether shards actually execute concurrently this
@@ -923,26 +887,40 @@ func (s *System) materialize() {
 		return
 	}
 	s.ran = true
-	envFor := s.planParallel()
+	s.planParallel()
 	s.installFaults()
-	costs := s.runtimeCosts()
 	for _, pr := range s.specs {
-		spec := pr
-		env := envFor(pr)
+		env := s.envOf(pr.group)
 		if s.partitioned {
 			// Both ends of every link live in one component, so a
 			// link's traffic always runs on one shard.
 			pr.assignGroup(pr.group, env)
 		}
-		pr.proc = core.NewProcess(env, spec.name, spec.tr, costs, func(t *Thread) {
-			boot := make([]*End, len(spec.boots))
-			for i, te := range spec.boots {
-				boot[i] = t.AdoptBootEnd(te)
-			}
-			spec.main(t, boot)
-		})
-		s.track(pr)
+		s.start(pr, env)
 	}
+}
+
+// envOf returns the env of partition group g: its shard, or the serial
+// env for g = -1.
+func (s *System) envOf(g int) *sim.Env {
+	if g >= 0 {
+		return s.shards[g]
+	}
+	return s.env
+}
+
+// start creates pr's core process on env, whose main adopts pr's boot
+// ends before running pr.main, and tracks it. Every process starts
+// here: boot specs at materialize, launched groups, and restarts.
+func (s *System) start(pr *ProcRef, env *sim.Env) {
+	pr.proc = core.NewProcess(env, pr.name, pr.tr, s.runtimeCosts(), func(t *Thread) {
+		boot := make([]*End, len(pr.boots))
+		for i, te := range pr.boots {
+			boot[i] = t.AdoptBootEnd(te)
+		}
+		pr.main(t, boot)
+	})
+	s.track(pr)
 }
 
 // Launch creates a NEW process while the system is running — the paper's
@@ -999,10 +977,6 @@ func (s *System) LaunchGroup(t *Thread, specs []ProcSpec, wires [][2]int) (*End,
 	// parallel. Unpartitioned runs (g = -1) keep the classic global
 	// sequences.
 	g := parent.group
-	env := s.env
-	if g >= 0 {
-		env = s.shards[g]
-	}
 	refs := make([]*ProcRef, len(specs))
 	for i, spec := range specs {
 		refs[i] = s.newProcRef(spec.Name, spec.Main, g)
@@ -1021,17 +995,8 @@ func (s *System) LaunchGroup(t *Thread, specs []ProcSpec, wires [][2]int) (*End,
 		}
 		s.join(refs[w[0]], refs[w[1]])
 	}
-	costs := s.runtimeCosts()
 	for _, child := range refs {
-		childSpec := child
-		child.proc = core.NewProcess(env, childSpec.name, child.tr, costs, func(ct *Thread) {
-			boot := make([]*End, len(childSpec.boots))
-			for i, te := range childSpec.boots {
-				boot[i] = ct.AdoptBootEnd(te)
-			}
-			childSpec.main(ct, boot)
-		})
-		s.track(child)
+		s.start(child, s.envOf(g))
 	}
 	return t.AdoptBootEnd(parentTE), refs
 }

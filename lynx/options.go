@@ -19,21 +19,12 @@ type TraceOptions struct {
 	Ring int
 }
 
-// CharlotteOptions are the knobs specific to the Charlotte substrate.
-// The zero value inherits every default.
-type CharlotteOptions struct {
-	// BufCap overrides Config.BufCap for this substrate (0 = inherit).
-	BufCap int
-}
-
 // SODAOptions are the knobs specific to the SODA substrate. The zero
 // value inherits every default (move cache of 64 entries, 250 ms hint
 // timeout, 3 discover retries, freeze fallback enabled, no pair limit).
 // Fields whose useful setting is zero use a negative sentinel to
 // distinguish "off" from "default".
 type SODAOptions struct {
-	// BufCap overrides Config.BufCap for this substrate (0 = inherit).
-	BufCap int
 	// PairLimit caps outstanding requests between one process pair
 	// (§4.2.1's "unspecified constant"). 0 = unlimited — the default,
 	// because every link awaiting traffic pins one status signal, so any
@@ -57,18 +48,12 @@ type SODAOptions struct {
 // ChrysalisOptions are the knobs specific to the Chrysalis substrate.
 // The zero value inherits every default.
 type ChrysalisOptions struct {
-	// BufCap overrides Config.BufCap for this substrate (0 = inherit).
-	BufCap int
 	// Tuned applies the §5.3 "30-40%" optimizations (E9).
 	Tuned bool
 }
 
-// normalized resolves defaults and folds the deprecated top-level
-// aliases into the per-substrate blocks.
+// normalized resolves defaults.
 func (cfg Config) normalized() Config {
-	if cfg.Nodes <= 0 {
-		cfg.Nodes = 20
-	}
 	if cfg.BufCap <= 0 {
 		cfg.BufCap = 4096
 	}
@@ -77,23 +62,14 @@ func (cfg Config) normalized() Config {
 	if cfg.SimWorkers <= 0 {
 		cfg.SimWorkers = 1
 	}
-	if cfg.Charlotte.BufCap <= 0 {
-		cfg.Charlotte.BufCap = cfg.BufCap
-	}
-	if cfg.SODA.BufCap <= 0 {
-		cfg.SODA.BufCap = cfg.BufCap
-	}
-	if cfg.Chrysalis.BufCap <= 0 {
-		cfg.Chrysalis.BufCap = cfg.BufCap
-	}
 	return cfg
 }
 
-// bindConfig lowers the options onto the SODA binding's config struct.
-// Called after normalized(), so BufCap is already resolved.
-func (o SODAOptions) bindConfig() sodabind.Config {
+// bindConfig lowers the options onto the SODA binding's config struct,
+// with bufCap the System's resolved message size.
+func (o SODAOptions) bindConfig(bufCap int) sodabind.Config {
 	c := sodabind.DefaultConfig()
-	c.BufCap = o.BufCap
+	c.BufCap = bufCap
 	switch {
 	case o.CacheSize > 0:
 		c.CacheSize = o.CacheSize

@@ -1,6 +1,7 @@
 package lynx_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/lynx"
@@ -41,6 +42,46 @@ func TestRestartLaunchedProcess(t *testing.T) {
 		st := sys.FaultStats()
 		if st["crash"] != 1 || st["restart"] != 1 || st["miss"] != 0 {
 			t.Errorf("%v: fault stats %v, want one crash, one restart, no miss", sub, st)
+		}
+	}
+}
+
+// TestChurnMissRuleSameForBothShapes: a churn event is a miss only when
+// it fired and hit no process in any group, whether or not the run is
+// partitioned. An event not yet due when RunFor stops is no miss; an
+// event that fires on a name nothing carries is one.
+func TestChurnMissRuleSameForBothShapes(t *testing.T) {
+	build := func(pairs int, plan string) *lynx.System {
+		sys := lynx.NewSystem(lynx.Config{Substrate: lynx.Ideal, Seed: 1, Faults: fault.MustParse(plan)})
+		for i := 0; i < pairs; i++ {
+			c := sys.Spawn(fmt.Sprintf("c%d", i), func(th *lynx.Thread, boot []*lynx.End) {
+				th.Sleep(200 * lynx.Millisecond)
+				th.Destroy(boot[0])
+			})
+			s := sys.Spawn(fmt.Sprintf("s%d", i), func(th *lynx.Thread, boot []*lynx.End) {
+				th.Serve(boot[0], func(st *lynx.Thread, req *lynx.Request) { st.Reply(req, lynx.Msg{}) })
+			})
+			sys.Join(c, s)
+		}
+		return sys
+	}
+	for _, pairs := range []int{1, 2} {
+		sys := build(pairs, "crash(s0,500ms)")
+		if err := sys.RunFor(100 * lynx.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sys.Partitioned(), pairs > 1; got != want {
+			t.Fatalf("%d pairs: partitioned = %v, want %v", pairs, got, want)
+		}
+		if st := sys.FaultStats(); len(st) != 0 {
+			t.Errorf("%d pairs, event not yet due: fault stats %v, want none", pairs, st)
+		}
+		sys = build(pairs, "crash(nobody,50ms)")
+		if err := sys.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if st := sys.FaultStats(); len(st) != 1 || st["miss"] != 1 {
+			t.Errorf("%d pairs, event fired on no process: fault stats %v, want one miss", pairs, st)
 		}
 	}
 }

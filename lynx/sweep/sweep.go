@@ -40,7 +40,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -330,28 +329,4 @@ func (s Stat) String() string {
 	}
 	return fmt.Sprintf("%.3f ±%s [p50 %.3f, p95 %.3f, p99 %.3f]",
 		s.Mean, ci, s.P50, s.P95, s.P99)
-}
-
-// Render writes the aggregate as a deterministic text report: header,
-// then every value and metric stat sorted by name.
-func (a *Aggregate) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "sweep: R=%d rootseed=%d errors=%d\n", a.Replicas, a.RootSeed, len(a.Errs))
-	WriteStats(&b, "value", a.Values)
-	WriteStats(&b, "metric", a.Metrics())
-	return b.String()
-}
-
-// WriteStats renders one stat map as report lines sorted by key, one
-// "  kind name stat" line each: the line format of Aggregate.Render and
-// the lynx/grid text table.
-func WriteStats(b *strings.Builder, kind string, stats map[string]Stat) {
-	names := make([]string, 0, len(stats))
-	for n := range stats {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(b, "  %s %-40s %s\n", kind, n, stats[n])
-	}
 }

