@@ -95,11 +95,6 @@ func All() []*Result {
 	return AllWith(Options{})
 }
 
-// ByID runs one experiment by id ("E1".."E13"), or nil if unknown.
-func ByID(id string) *Result {
-	return ByIDWith(id, Options{})
-}
-
 // The single-shot exported experiment entry points (benchmarks and
 // tests call these): the canonical paper-seed run of each experiment.
 func E1() *Result  { return e1(0) }

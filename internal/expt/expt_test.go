@@ -52,10 +52,10 @@ func TestE5OutsideModule(t *testing.T) {
 }
 
 func TestByID(t *testing.T) {
-	if ByID("e3") == nil || ByID("E11") == nil {
-		t.Fatal("ByID lookup failed")
+	if ByIDWith("e3", Options{}) == nil || ByIDWith("E11", Options{}) == nil {
+		t.Fatal("ByIDWith lookup failed")
 	}
-	if ByID("E99") != nil {
+	if ByIDWith("E99", Options{}) != nil {
 		t.Fatal("bogus id resolved")
 	}
 }

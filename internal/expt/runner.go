@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -248,27 +247,4 @@ func aggregateMetrics(rs []*Result) map[string]int64 {
 		out[k] = s / counts[k]
 	}
 	return out
-}
-
-// RenderAll renders a result list the way lynxbench prints it — one
-// table per experiment, blank-line separated, in a deterministic
-// order. (Used by the determinism tests to pin parallel == serial.)
-func RenderAll(rs []*Result) string {
-	var b strings.Builder
-	for _, r := range rs {
-		b.WriteString(r.Render())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// sortedMetricKeys is a test helper exposed for deterministic metric
-// dumps.
-func sortedMetricKeys(m map[string]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

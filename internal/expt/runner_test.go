@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestAllWithDeterministicAcrossParallelism(t *testing.T) {
 	optsWide := Options{Parallel: 8, Reps: 2, RootSeed: 7}
 	serial := AllWith(optsSerial)
 	wide := AllWith(optsWide)
-	if s, w := RenderAll(serial), RenderAll(wide); s != w {
+	if s, w := renderAll(serial), renderAll(wide); s != w {
 		t.Fatalf("rendered catalog differs between Parallel=1 and Parallel=8:\n--- serial\n%s\n--- parallel\n%s", s, w)
 	}
 	for i := range serial {
@@ -39,7 +40,7 @@ func TestAllWithDeterministicAcrossParallelism(t *testing.T) {
 func TestSingleRepMatchesLegacy(t *testing.T) {
 	legacy := E4()
 	viaRunner := ByIDWith("E4", Options{Parallel: 2, Reps: 1})
-	if RenderAll([]*Result{legacy}) != RenderAll([]*Result{viaRunner}) {
+	if renderAll([]*Result{legacy}) != renderAll([]*Result{viaRunner}) {
 		t.Fatalf("Reps=1 runner output diverged from the single-shot experiment:\n%s\nvs\n%s",
 			legacy.Render(), viaRunner.Render())
 	}
@@ -157,11 +158,32 @@ func TestAggregateCell(t *testing.T) {
 
 func TestCatalogMatchesByID(t *testing.T) {
 	for _, e := range Catalog() {
-		if ByID(e.ID) == nil {
-			t.Errorf("catalog id %s not resolvable via ByID", e.ID)
+		if ByIDWith(e.ID, Options{}) == nil {
+			t.Errorf("catalog id %s not resolvable via ByIDWith", e.ID)
 		}
 	}
 	if got := len(Catalog()); got != 13 {
 		t.Fatalf("catalog size = %d, want 13", got)
 	}
+}
+
+// renderAll renders a result list the way lynxbench prints it: one
+// table per experiment, blank-line separated, in a deterministic order.
+func renderAll(rs []*Result) string {
+	var b strings.Builder
+	for _, r := range rs {
+		b.WriteString(r.Render())
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// sortedMetricKeys returns the metric names, sorted.
+func sortedMetricKeys(m map[string]int64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

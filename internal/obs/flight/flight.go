@@ -1,8 +1,7 @@
 // Package flight is the bounded recording layer of the observability
 // subsystem: a zero-alloc fixed-size ring buffer that always holds the
-// last N protocol events, with per-kind counters, seed-deterministic
-// sampling, anomaly-triggered dumps, and incremental export for long
-// runs.
+// last N protocol events, with seed-deterministic sampling,
+// anomaly-triggered dumps, and incremental export for long runs.
 //
 // The full obs recorder pays for what it exports: at millions of
 // events per second, marshalling every event is the hot path. A flight
@@ -15,8 +14,8 @@
 //	           delivered in the engine's (time, shard) merge order even
 //	           under sim.EnterParallel, so a sampled trace is
 //	           byte-identical at any worker count.
-//	Counters — nothing is forwarded; only the ring and the per-kind
-//	           counters update.
+//	Counters — nothing is forwarded; only the ring and the event
+//	           counts update.
 //
 // In every mode the ring holds the most recent events, so a dump —
 // requested on demand or fired by an anomaly hook (shape-check
@@ -138,12 +137,9 @@ type Recorder struct {
 
 	seen     uint64
 	exported uint64
-	kinds    [obs.NumKinds]uint64
 
-	sinks     []obs.Sink
-	dumpTo    io.Writer
-	anomalies []string
-	dumps     int
+	sinks  []obs.Sink
+	dumpTo io.Writer
 
 	scratch bytes.Buffer
 }
@@ -201,18 +197,15 @@ func (f *Recorder) SetDumpWriter(w io.Writer) {
 	}
 }
 
-// Event implements obs.Sink: ring the event, count its kind, and
-// forward it downstream according to the mode. This is the hot path —
-// it performs no allocation (the slot copy reuses the event's string
-// headers) and no locking (delivery is serial by the obs.Recorder's
-// replay contract).
+// Event implements obs.Sink: ring and count the event, and forward it
+// downstream according to the mode. This is the hot path — it performs
+// no allocation (the slot copy reuses the event's string headers) and
+// no locking (delivery is serial by the obs.Recorder's replay
+// contract).
 func (f *Recorder) Event(ev obs.Event) {
 	f.ring[f.head&f.mask] = ev
 	f.head++
 	f.seen++
-	if int(ev.Kind) < len(f.kinds) {
-		f.kinds[ev.Kind]++
-	}
 	switch f.mode {
 	case Counters:
 		return
@@ -270,14 +263,6 @@ func (f *Recorder) Exported() uint64 {
 	return f.exported
 }
 
-// KindCount returns how many events of kind k were observed.
-func (f *Recorder) KindCount(k obs.Kind) uint64 {
-	if f == nil || int(k) >= len(f.kinds) {
-		return 0
-	}
-	return f.kinds[k]
-}
-
 // RingLen returns how many events the ring currently holds (up to its
 // capacity).
 func (f *Recorder) RingLen() int {
@@ -304,34 +289,17 @@ func (f *Recorder) Snapshot() []obs.Event {
 	return out
 }
 
-// Anomaly records an anomaly reason and, when a dump writer is
-// attached, dumps the ring so the events leading up to the anomaly are
-// preserved even in sampled or counters mode. Nil-safe, so
+// Anomaly dumps the ring, when a dump writer is attached, so the
+// events leading up to the anomaly are preserved even in sampled or
+// counters mode; the dump's reason names the anomaly. Nil-safe, so
 // instrumented code calls it unconditionally.
 func (f *Recorder) Anomaly(reason string) {
 	if f == nil {
 		return
 	}
-	f.anomalies = append(f.anomalies, reason)
 	if f.dumpTo != nil {
 		f.dump(f.dumpTo, "anomaly: "+reason)
 	}
-}
-
-// Anomalies returns the recorded anomaly reasons in occurrence order.
-func (f *Recorder) Anomalies() []string {
-	if f == nil {
-		return nil
-	}
-	return f.anomalies
-}
-
-// Dumps returns how many ring dumps were written.
-func (f *Recorder) Dumps() int {
-	if f == nil {
-		return 0
-	}
-	return f.dumps
 }
 
 // Dump writes the ring to the configured dump writer (no-op without
@@ -355,19 +323,12 @@ type dumpHeader struct {
 	Ring     int    `json:"ring"`
 }
 
-// DumpJSONL writes the ring as JSONL to w: one header object
+// dump writes the ring as JSONL to w: one header object
 // ({"type":"dump",...}), then the ringed events oldest-first, one per
 // line. The whole dump is assembled in one buffer and issued as a
 // single Write, so a line-splitting consumer (the lynxd job trace
 // stream) never interleaves another writer's lines into the middle of
 // a dump.
-func (f *Recorder) DumpJSONL(w io.Writer, reason string) error {
-	if f == nil {
-		return nil
-	}
-	return f.dump(w, reason)
-}
-
 func (f *Recorder) dump(w io.Writer, reason string) error {
 	f.scratch.Reset()
 	hdr, err := json.Marshal(dumpHeader{
@@ -392,11 +353,8 @@ func (f *Recorder) dump(w io.Writer, reason string) error {
 		f.scratch.Write(line)
 		f.scratch.WriteByte('\n')
 	}
-	if _, err := w.Write(f.scratch.Bytes()); err != nil {
-		return err
-	}
-	f.dumps++
-	return nil
+	_, err = w.Write(f.scratch.Bytes())
+	return err
 }
 
 // mix64 is the SplitMix64 finalizer — the same mixer internal/sim uses

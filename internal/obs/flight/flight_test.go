@@ -65,9 +65,6 @@ func TestRingWrap(t *testing.T) {
 	if f.Seen() != 20 {
 		t.Errorf("Seen = %d, want 20", f.Seen())
 	}
-	if f.KindCount(obs.KindQueueService) != 20 {
-		t.Errorf("KindCount = %d, want 20", f.KindCount(obs.KindQueueService))
-	}
 }
 
 // Non-power-of-two capacities round up.
@@ -192,7 +189,7 @@ func TestDumpJSONL(t *testing.T) {
 	feed(f, 40)
 	var buf bytes.Buffer
 	writes := 0
-	if err := f.DumpJSONL(writerFunc(func(p []byte) (int, error) {
+	if err := f.dump(writerFunc(func(p []byte) (int, error) {
 		writes++
 		return buf.Write(p)
 	}), "test-dump"); err != nil {
@@ -223,23 +220,22 @@ func TestDumpJSONL(t *testing.T) {
 	if lines != 16 {
 		t.Fatalf("dump carried %d events, want 16", lines)
 	}
-	if f.Dumps() != 1 {
-		t.Fatalf("Dumps = %d, want 1", f.Dumps())
-	}
 }
 
-// Anomaly records the reason and dumps the ring when a writer is
+// Anomaly dumps the ring, named by the anomaly, when a writer is
 // attached; the nil recorder swallows it.
 func TestAnomalyDump(t *testing.T) {
 	var buf bytes.Buffer
 	f := New(Config{Mode: Counters, Ring: 8, DumpTo: &buf})
 	feed(f, 4)
 	f.Anomaly("shape-check failure")
-	if got := f.Anomalies(); len(got) != 1 || got[0] != "shape-check failure" {
-		t.Fatalf("Anomalies = %v", got)
-	}
-	if f.Dumps() != 1 || buf.Len() == 0 {
+	sc := bufio.NewScanner(&buf)
+	var hdr dumpHeader
+	if !sc.Scan() || json.Unmarshal(sc.Bytes(), &hdr) != nil {
 		t.Fatal("anomaly did not dump the ring")
+	}
+	if hdr.Reason != "anomaly: shape-check failure" || hdr.Ring != 4 {
+		t.Fatalf("anomaly dump header = %+v", hdr)
 	}
 	var nilRec *Recorder
 	nilRec.Anomaly("ignored") // must not panic

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -190,4 +191,44 @@ func TestMetricsMerge(t *testing.T) {
 	var nilM *Metrics
 	nilM.Merge(a)
 	a.Merge(nil)
+}
+
+// Merges into one registry from several goroutines at once, while that
+// registry is itself merged into another, pool every count: the entry
+// lists a merge borrows from its destination are never shared.
+func TestMetricsMergeConcurrent(t *testing.T) {
+	set := NewCounterSet("a_total")
+	src := NewMetrics()
+	src.Counter("ops").Add(1)
+	src.Histogram("lat").Observe(100)
+	src.ProcCounters(set, 1).Counter("a_total").Add(2)
+	dst, side := NewMetrics(), NewMetrics()
+	const workers, merges = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < merges; i++ {
+				dst.Merge(src)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < merges; i++ {
+			side.MergePrefixed("side", dst)
+		}
+	}()
+	wg.Wait()
+	if got := dst.Value("ops"); got != workers*merges {
+		t.Fatalf("ops = %d, want %d", got, workers*merges)
+	}
+	if got := dst.Histogram("lat").Count(); got != workers*merges {
+		t.Fatalf("lat count = %d, want %d", got, workers*merges)
+	}
+	if got := dst.ProcValue("a_total", 1); got != 2*workers*merges {
+		t.Fatalf("a_total = %d, want %d", got, 2*workers*merges)
+	}
 }

@@ -230,6 +230,9 @@ type Metrics struct {
 	blocks  []procBlock
 	index   map[blockKey]int
 	indexed int
+	// scratch holds the entry lists of the registry last merged into m,
+	// cleared, for the next merge to refill; nil while a merge has them.
+	scratch *mergeScratch
 }
 
 // NewMetrics creates an empty registry.
@@ -371,16 +374,15 @@ func (m *Metrics) Merge(other *Metrics) {
 	if m == nil || other == nil {
 		return
 	}
-	other.mu.RLock()
-	counters, hists, blocks := collect(other)
-	other.mu.RUnlock()
-	for _, e := range counters {
+	sc := m.collect(other)
+	for _, e := range sc.counters {
 		m.Counter(e.name).Add(e.c.n.Load())
 	}
-	for _, e := range hists {
+	for _, e := range sc.hists {
 		m.Histogram(e.name).Merge(e.h)
 	}
-	m.mergeBlocks("", blocks)
+	m.mergeBlocks("", sc.blocks)
+	m.putScratch(sc)
 }
 
 type counterEntry struct {
@@ -393,18 +395,47 @@ type histEntry struct {
 	h    *Histogram
 }
 
-// collect snapshots the registry's entries (caller holds the lock) so
+// mergeScratch is a snapshot of one registry's entries, taken so that
 // merges never hold two registry locks at once.
-func collect(m *Metrics) ([]counterEntry, []histEntry, []procBlock) {
-	cs := make([]counterEntry, 0, len(m.counters))
-	for name, c := range m.counters {
-		cs = append(cs, counterEntry{name, c})
+type mergeScratch struct {
+	counters []counterEntry
+	hists    []histEntry
+	blocks   []procBlock
+}
+
+// collect snapshots other's entries into m's scratch lists, so merging
+// many registries into m allocates the lists once. Concurrent merges
+// into m find the lists taken and make their own.
+func (m *Metrics) collect(other *Metrics) *mergeScratch {
+	m.mu.Lock()
+	sc := m.scratch
+	m.scratch = nil
+	m.mu.Unlock()
+	if sc == nil {
+		sc = &mergeScratch{}
 	}
-	hs := make([]histEntry, 0, len(m.hists))
-	for name, h := range m.hists {
-		hs = append(hs, histEntry{name, h})
+	other.mu.RLock()
+	for name, c := range other.counters {
+		sc.counters = append(sc.counters, counterEntry{name, c})
 	}
-	return cs, hs, append([]procBlock(nil), m.blocks...)
+	for name, h := range other.hists {
+		sc.hists = append(sc.hists, histEntry{name, h})
+	}
+	sc.blocks = append(sc.blocks, other.blocks...)
+	other.mu.RUnlock()
+	return sc
+}
+
+// putScratch clears sc, so m keeps nothing of the merged registry
+// reachable, and gives it back to m.
+func (m *Metrics) putScratch(sc *mergeScratch) {
+	clear(sc.counters)
+	clear(sc.hists)
+	clear(sc.blocks)
+	sc.counters, sc.hists, sc.blocks = sc.counters[:0], sc.hists[:0], sc.blocks[:0]
+	m.mu.Lock()
+	m.scratch = sc
+	m.mu.Unlock()
 }
 
 // MergePrefixed folds other into m like Merge, but files every
@@ -418,16 +449,15 @@ func (m *Metrics) MergePrefixed(prefix string, other *Metrics) {
 	if m == nil || other == nil {
 		return
 	}
-	other.mu.RLock()
-	counters, hists, blocks := collect(other)
-	other.mu.RUnlock()
-	for _, e := range counters {
+	sc := m.collect(other)
+	for _, e := range sc.counters {
 		m.Counter(prefix + "/" + e.name).Add(e.c.n.Load())
 	}
-	for _, e := range hists {
+	for _, e := range sc.hists {
 		m.Histogram(prefix + "/" + e.name).Merge(e.h)
 	}
-	m.mergeBlocks(prefix, blocks)
+	m.mergeBlocks(prefix, sc.blocks)
+	m.putScratch(sc)
 }
 
 // Names returns every counter and histogram name, sorted (for render

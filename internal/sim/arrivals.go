@@ -62,7 +62,3 @@ func (s *ArrivalStream) Next() Time {
 	s.at += gap
 	return s.at
 }
-
-// Last reports the most recently returned arrival instant (zero before
-// the first Next).
-func (s *ArrivalStream) Last() Time { return s.at }

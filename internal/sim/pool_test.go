@@ -57,35 +57,33 @@ func TestCoroRunsBodiesToCompletion(t *testing.T) {
 	}
 }
 
-// TestCoroReuse runs 1,000 short procs one after another: each starts
-// on a coroutine the previous ones returned, so the goroutine count
-// never grows past the pool's idle cap.
+// TestCoroReuse runs 1,000 short bodies one after another, each
+// parking once: each starts on a coroutine the previous ones returned,
+// so the goroutine count never grows past the pool's idle cap, and a
+// new body takes an idle coroutine rather than a new one.
 func TestCoroReuse(t *testing.T) {
 	base := runtime.NumGoroutine()
-	e := NewEnv(1)
 	var ran int
 	for i := 0; i < 1000; i++ {
-		e.At(Time(i)*Time(Microsecond), func() {
-			e.Spawn("short", func(p *Proc) {
-				p.Delay(Nanosecond)
-				ran++
-			})
+		var c *Coro
+		c = NewCoro(func() {
+			c.Park()
+			ran++
 		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+		if c.Resume() || !c.Resume() {
+			t.Fatal("a body did not park exactly once")
+		}
 	}
 	if ran != 1000 {
-		t.Fatalf("%d of 1000 procs ran", ran)
+		t.Fatalf("%d of 1000 bodies ran", ran)
 	}
 	if !waitFor(func() bool { return runtime.NumGoroutine() <= base+poolIdleCap }) {
-		t.Fatalf("%d goroutines after 1000 sequential procs, want <= %d (baseline %d + idle cap %d)",
+		t.Fatalf("%d goroutines after 1000 sequential bodies, want <= %d (baseline %d + idle cap %d)",
 			runtime.NumGoroutine(), base+poolIdleCap, base, poolIdleCap)
 	}
-	// A new body takes an idle coroutine rather than a new one.
 	idle := idleCoros()
 	if idle == 0 {
-		t.Fatal("no idle coroutine after the run")
+		t.Fatal("no idle coroutine after the bodies returned")
 	}
 	c := NewCoro(func() {})
 	if got := idleCoros(); got != idle-1 {
@@ -114,9 +112,12 @@ func TestIdleCoroKeepsNothingReachable(t *testing.T) {
 
 // TestNestedCoroParksProc has a proc body resume a second coroutine
 // that blocks the proc (Delay, WaitQueue.Wait): each park suspends the
-// inner coroutine, and the proc's resume continues it there. A Kill
-// while the inner coroutine has the proc parked unwinds it there, and
-// the proc ends through its own kill path.
+// inner coroutine, and the proc's resume continues it there. Every
+// park from the inner coroutine has another proc as its successor (the
+// unstarted waker at first, then the waker's timer), so it switches
+// straight there. A Kill while the inner coroutine has the proc parked
+// unwinds it there, resumed by the killer's own park, and the proc
+// ends through its own kill path.
 func TestNestedCoroParksProc(t *testing.T) {
 	e := NewEnv(1)
 	wq := NewWaitQueue(e, "q")
@@ -142,14 +143,23 @@ func TestNestedCoroParksProc(t *testing.T) {
 		inner.Resume()
 		t.Error("host body continued past the killed inner coroutine")
 	})
+	var hostDoneAfterKill bool
 	e.Spawn("waker", func(p *Proc) {
 		p.Delay(5 * Millisecond)
 		wq.Wake()
 		p.Delay(3 * Millisecond)
 		host.Kill()
+		// The killed host is the waker's successor: the waker's park
+		// switches straight to the inner coroutine, which unwinds, and
+		// the host's end hands the processor back.
+		p.Yield()
+		hostDoneAfterKill = host.Done()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if !hostDoneAfterKill {
+		t.Fatal("the waker continued before the killed host had ended")
 	}
 	if want := []Time{Time(2 * Millisecond), Time(5 * Millisecond)}; len(at) != 2 || at[0] != want[0] || at[1] != want[1] {
 		t.Fatalf("inner coroutine ran at %v, want %v", at, want)
@@ -162,5 +172,172 @@ func TestNestedCoroParksProc(t *testing.T) {
 	}
 	if !host.Done() || e.Now() != Time(8*Millisecond) {
 		t.Fatalf("host done %v at %v, want done at 8ms", host.Done(), e.Now())
+	}
+}
+
+// idleProcGoroutines reports the simproc goroutines on the shared idle
+// list.
+func idleProcGoroutines() int {
+	procIdle.Lock()
+	defer procIdle.Unlock()
+	return len(procIdle.s)
+}
+
+// leafTracer keeps a leaf reachable from the env that it traces.
+type leafTracer struct {
+	RecordingTracer
+	leaf *coroLeaf
+}
+
+// TestIdleProcGoroutineKeepsNothingReachable: once a run is over, the
+// goroutines that ran its procs sit idle, and neither a finished body's
+// captures nor the env is reachable from them.
+func TestIdleProcGoroutineKeepsNothingReachable(t *testing.T) {
+	var bodyLeaf, envLeaf atomic.Bool
+	func() {
+		e := NewEnv(1)
+		l := &coroLeaf{data: make([]byte, 64)}
+		runtime.SetFinalizer(l, func(*coroLeaf) { envLeaf.Store(true) })
+		e.SetTracer(&leafTracer{leaf: l})
+		leaf := &coroLeaf{data: make([]byte, 64)}
+		runtime.SetFinalizer(leaf, func(*coroLeaf) { bodyLeaf.Store(true) })
+		for i := 0; i < 3; i++ {
+			e.Spawn("leaf", func(p *Proc) {
+				p.Delay(Nanosecond)
+				p.Yield()
+				leaf.data[0]++
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if idleProcGoroutines() == 0 {
+			t.Fatal("no idle simproc goroutine after the run")
+		}
+	}()
+	if !waitFor(func() bool { runtime.GC(); return bodyLeaf.Load() && envLeaf.Load() }) {
+		t.Fatalf("reachable from an idle simproc goroutine: body capture %v, env %v",
+			!bodyLeaf.Load(), !envLeaf.Load())
+	}
+}
+
+// churn spawns procs in waves on e: each wave's procs park, spawn a
+// helper mid-run and finish, so the goroutines that ran them are
+// reused within the run and handed back at its end.
+func churn(e *Env) {
+	for w := 0; w < 3; w++ {
+		e.At(Time(w)*Time(Millisecond), func() {
+			for i := 0; i < 4; i++ {
+				e.Spawn("churn", func(p *Proc) {
+					p.Delay(Microsecond)
+					e.Spawn("helper", func(h *Proc) { h.Yield() })
+					p.Yield()
+				})
+			}
+		})
+	}
+}
+
+// TestProcGoroutinesFlat runs 200 envs one after another, then 200
+// two-worker partitioned runs: simproc goroutines are reused through
+// the idle list, so the goroutine count does not grow.
+func TestProcGoroutinesFlat(t *testing.T) {
+	serial := func() {
+		e := NewEnv(1)
+		churn(e)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parallel := func() {
+		root := NewEnv(1)
+		for _, sh := range root.EnterParallel(ParallelOptions{Groups: 2, Workers: 2}) {
+			churn(sh)
+		}
+		if err := root.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Sixteen procs live at once leave enough idle goroutines for both
+	// shards' peaks, however the two shard runs overlap.
+	fill := NewEnv(1)
+	wq := NewWaitQueue(fill, "fill")
+	for i := 0; i < 16; i++ {
+		fill.Spawn("fill", func(p *Proc) { wq.Wait(p) })
+	}
+	fill.Spawn("waker", func(p *Proc) { p.Yield(); wq.WakeAll() })
+	if err := fill.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range []func(){serial, parallel} {
+		base := runtime.NumGoroutine()
+		for i := 0; i < 200; i++ {
+			run()
+		}
+		if !waitFor(func() bool { return runtime.NumGoroutine() <= base }) {
+			t.Fatalf("%d goroutines after 200 runs, want <= %d", runtime.NumGoroutine(), base)
+		}
+	}
+}
+
+// TestProcGoexitEndsRunGoroutine: a body that calls runtime.Goexit
+// (t.FailNow in a simproc) exits the goroutine that called Run, as a
+// direct call would; Run does not return nil. Runs afterwards are
+// unaffected.
+func TestProcGoexitEndsRunGoroutine(t *testing.T) {
+	returned := make(chan error, 1)
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		e := NewEnv(1)
+		e.Spawn("other", func(p *Proc) { p.Delay(Millisecond) })
+		e.Spawn("exit", func(p *Proc) {
+			p.Yield()
+			runtime.Goexit()
+		})
+		returned <- e.Run()
+	}()
+	<-exited
+	select {
+	case err := <-returned:
+		if err == nil {
+			t.Fatal("Run returned nil after a simproc called runtime.Goexit")
+		}
+	default:
+	}
+	var ran int
+	e := NewEnv(1)
+	churn(e)
+	e.Spawn("after", func(p *Proc) { p.Yield(); ran++ })
+	if err := e.Run(); err != nil || ran != 1 {
+		t.Fatalf("run after a Goexit: err %v, ran %d", err, ran)
+	}
+}
+
+// TestCallbackPanicReachesRunCaller: a panic raised on a simproc
+// goroutine outside the body's own recovery (here a timer callback
+// fired while a finishing proc picks its successor) panics in Run's
+// caller with the same value. Runs afterwards are unaffected.
+func TestCallbackPanicReachesRunCaller(t *testing.T) {
+	e := NewEnv(1)
+	e.Spawn("a", func(p *Proc) {
+		p.Yield()
+		e.After(Millisecond, func() { panic("boom") })
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("Run's caller recovered %v, want boom", r)
+			}
+		}()
+		e.Run()
+		t.Fatal("Run returned")
+	}()
+	var ran int
+	e2 := NewEnv(1)
+	churn(e2)
+	e2.Spawn("after", func(p *Proc) { p.Yield(); ran++ })
+	if err := e2.Run(); err != nil || ran != 1 {
+		t.Fatalf("run after a panic: err %v, ran %d", err, ran)
 	}
 }

@@ -17,14 +17,17 @@ func (k killedPanic) Error() string {
 // ErrProcDone is returned by operations attempted on a finished proc.
 var ErrProcDone = errors.New("sim: proc already finished")
 
-// Proc is a simulated process: a coroutine scheduled by an Env.
+// Proc is a simulated process: a body run on a goroutine scheduled by
+// an Env.
 type Proc struct {
 	env  *Env
 	id   int
 	name string
 	fn   func(p *Proc)
-	// co runs the proc's body; nil until the first dispatch.
-	co     *Coro
+	// sp is the switch point the proc's goroutine is parked on while the
+	// proc is parked; nil while it runs, before it starts and after it
+	// finishes.
+	sp     *switchPoint
 	done   bool
 	killed bool
 
@@ -54,18 +57,7 @@ func (p *Proc) Now() Time { return p.env.now }
 // Done reports whether the proc's function has returned.
 func (p *Proc) Done() bool { return p.done }
 
-// resume switches to p's coroutine, starting it on first dispatch,
-// until p parks or finishes.
-func (p *Proc) resume() {
-	if p.co == nil {
-		p.co = NewCoro(p.run)
-	}
-	if p.co.Resume() {
-		p.co = nil
-	}
-}
-
-// run is the coroutine body wrapping the user function.
+// run is the proc's body wrapping the user function, run by runBody.
 func (p *Proc) run() {
 	defer func() {
 		if r := recover(); r != nil {
@@ -79,7 +71,6 @@ func (p *Proc) run() {
 			}
 		}
 		p.done = true
-		p.env.finish(p)
 	}()
 	// Run the body — unless the proc was killed before it ever ran
 	// (spawned and killed within the same scheduling step, e.g. a helper
@@ -97,18 +88,70 @@ func (p *Proc) run() {
 // park gives up the processor until woken. The parking proc runs the
 // scheduling decision itself: if it is its own successor, park returns
 // with no switch at all (the fast path); otherwise it records the
-// successor for the driver and suspends its coroutine. On wake, if the
-// proc was killed while parked, park panics with killedPanic, unwinding
-// the user function (deferred cleanups run).
+// switch point it parks on and transfers there, resuming its successor
+// (or the driver, when the run is over) in one coroutine switch. On
+// wake, if the proc was killed while parked, park panics with
+// killedPanic, unwinding the user function (deferred cleanups run).
 func (p *Proc) park() {
 	e := p.env
 	if n := e.next(); n != p {
-		e.succ = n
-		p.co.Park()
+		s := e.pointOf(n)
+		p.sp = s
+		s.transfer()
 	}
 	if p.killed {
 		panic(killedPanic{p})
 	}
+}
+
+// pointOf returns the switch point to transfer on to resume n: the
+// point n's goroutine is parked on, or the driver's when n is nil. The
+// caller is about to park there, so the record is cleared. An unstarted
+// proc gets an idle goroutine, which starts its body when resumed.
+func (e *Env) pointOf(n *Proc) *switchPoint {
+	if n == nil {
+		s := e.drv
+		e.drv = nil
+		return s
+	}
+	s := n.sp
+	if s == nil {
+		s = e.idleG()
+		s.start = n
+		return s
+	}
+	n.sp = nil
+	return s
+}
+
+// runBody runs p's body on the calling goroutine, retires p and returns
+// its successor.
+func (e *Env) runBody(p *Proc) (succ *Proc) {
+	finished := false
+	defer func() {
+		if finished {
+			return
+		}
+		if r := recover(); r != nil {
+			// A panic that escaped the body's own recovery (an OnKill
+			// hook, or a timer callback fired while the successor was
+			// picked) ends the run; the driver raises it again.
+			e.panicked = r
+			succ = nil
+			return
+		}
+		// runtime.Goexit in the body (t.FailNow in a simproc) cannot be
+		// stopped: the goroutine ends the run, so that the driver exits
+		// the goroutine that called Run, as a direct call would. It
+		// stays parked on the driver's switch point for good, since its
+		// own exit would wake whatever is parked on its own point.
+		e.goexit = true
+		e.pointOf(nil).transfer()
+	}()
+	p.run()
+	succ = e.finish(p)
+	finished = true
+	return succ
 }
 
 // Yield gives up the processor until the scheduler next reaches this proc

@@ -7,22 +7,24 @@
 // lets the experiment harness reproduce the paper's latency tables as
 // stable virtual-time measurements.
 //
-// A simproc is a function body wrapped by a *Proc and run on a runtime
-// coroutine (see Coro) recycled from earlier bodies, so it starts on a
-// stack they already grew. It may block on timers (Delay), on wait
-// queues (WaitQueue), or simply finish. The scheduler resumes runnable
+// A simproc is a function body wrapped by a *Proc and run on a
+// goroutine recycled from earlier bodies, so it starts on a stack they
+// already grew. It may block on timers (Delay), on wait queues
+// (WaitQueue), or simply finish. The scheduler resumes runnable
 // simprocs in deterministic FIFO order and, when none are runnable,
 // pops the earliest timer and advances the virtual clock.
 //
-// One driver loop (runCore, on Env.Run's goroutine or a shard's
-// worker) resumes the proc that the scheduler picks. The simproc that
-// gives up the processor makes the next scheduling decision itself: a
-// parking proc records its successor in the Env and switches back to
-// the driver, a finishing one records it and returns. A switch is a
-// coroutine switch, not a trip through the Go scheduler. When a simproc
-// is its own successor (it yielded but is already runnable again, the
-// common case for a lone proc driving timers) park returns with no
-// switch at all.
+// The simproc that gives up the processor makes the next scheduling
+// decision itself and hands the processor straight to its successor,
+// as Modula-2's TRANSFER does: one runtime coroutine switch (see
+// switchPoint), never a trip through the Go scheduler. A parking proc
+// records the switch point it parks on; a finishing one starts an
+// unstarted successor on its own goroutine, with no switch, or else
+// goes idle. When a simproc is its own successor (it yielded but is
+// already runnable again, the common case for a lone proc driving
+// timers) park returns with no switch at all. The driver (runCore, on
+// Env.Run's goroutine or a shard's worker) resumes the first proc and
+// is resumed only when the run is over.
 //
 // Token discipline: a *Proc's identity may be borrowed by another
 // coroutine (a LYNX thread parks its process's simproc from its own
@@ -34,6 +36,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 )
@@ -99,9 +102,16 @@ type Env struct {
 	// limit and end are the active run's horizon and exit reason.
 	limit Time
 	end   endReason
-	// succ is the proc the driver resumes next, recorded by the proc
-	// that gave up the processor; nil ends the run.
-	succ *Proc
+	// drv is the switch point the driver is parked on during a run; the
+	// goroutine that ends the run transfers there.
+	drv *switchPoint
+	// idle lists the goroutines that finished bodies during the current
+	// run, by the switch point each is parked on (see releaseIdle).
+	idle []*switchPoint
+	// panicked and goexit record a panic or runtime.Goexit that ended
+	// the run from a simproc goroutine, for the driver to raise again.
+	panicked any
+	goexit   bool
 	// timerFree is a freelist of recycled timers (hot paths schedule
 	// and retire one timer per scheduling decision).
 	timerFree *timer
@@ -322,8 +332,10 @@ func (e *Env) RunUntil(limit Time) error {
 	}
 }
 
-// runCore is the driver loop: it resumes the proc each scheduling
-// decision picks until the run is over; e.end records why it stopped.
+// runCore is the driver: it resumes the first proc the scheduler picks
+// and is itself resumed when the run is over; e.end records why it
+// stopped. In between, simproc goroutines hand the processor straight
+// to one another.
 func (e *Env) runCore(limit Time) {
 	e.limit = limit
 	if t := e.overHorizon; t != nil {
@@ -332,15 +344,27 @@ func (e *Env) runCore(limit Time) {
 		e.overHorizon = nil
 		e.timers.push(t)
 	}
-	for p := e.next(); p != nil; p = e.succ {
-		p.resume()
+	if n := e.next(); n != nil {
+		s := e.pointOf(n)
+		e.drv = s
+		s.transfer()
+	}
+	e.releaseIdle()
+	if e.goexit {
+		e.goexit = false
+		runtime.Goexit()
+	}
+	if r := e.panicked; r != nil {
+		e.panicked = nil
+		panic(r)
 	}
 }
 
 // next makes one scheduling decision on behalf of the proc giving up
-// the processor (or the driver, at the start of a run): it returns the next proc to run, firing due timers
-// (which advances the virtual clock) until one becomes runnable. A nil
-// result means the run is over; e.end says why.
+// the processor (or the driver, at the start of a run): it returns the
+// next proc to run, firing due timers (which advances the virtual
+// clock) until one becomes runnable. A nil result means the run is
+// over; e.end says why.
 func (e *Env) next() *Proc {
 	for {
 		if e.stopped {
@@ -410,10 +434,10 @@ func (e *Env) fire(t *timer) {
 }
 
 // finish retires p, the current proc (already marked done), and
-// records its successor. Called from the proc's own coroutine as its
-// body ends. Unlinking p from the live list leaves the env holding no
+// returns its successor. Called on the proc's goroutine as its body
+// ends. Unlinking p from the live list leaves the env holding no
 // reference to it.
-func (e *Env) finish(p *Proc) {
+func (e *Env) finish(p *Proc) *Proc {
 	e.live--
 	if p.prevLive != nil {
 		p.prevLive.nextLive = p.nextLive
@@ -424,7 +448,7 @@ func (e *Env) finish(p *Proc) {
 		p.nextLive.prevLive = p.prevLive
 	}
 	p.prevLive, p.nextLive = nil, nil
-	e.succ = e.next()
+	return e.next()
 }
 
 // wake moves p to the back of the ready queue. It is idempotent per park:

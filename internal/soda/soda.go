@@ -935,18 +935,6 @@ func (pr *Process) OutstandingTo(to ProcID) int {
 	return n
 }
 
-// InboundRequests returns ids of delivered, unaccepted inbound requests
-// in arrival order (for tests and the freeze protocol).
-func (pr *Process) InboundRequests() []ReqID {
-	var ids []ReqID
-	for _, r := range pr.inbound {
-		if r.delivered && !r.accepted {
-			ids = append(ids, r.id)
-		}
-	}
-	return ids
-}
-
 // Terminate kills the process: its advertisements vanish, inbound
 // requests die, and every process with an outstanding request to it
 // feels a crash interrupt. Safe to call from OnKill hooks.

@@ -29,7 +29,7 @@ func TestWithdrawUnaccepted(t *testing.T) {
 		// advertised later.
 		b.Advertise(p, n)
 		p.Delay(50 * sim.Millisecond)
-		if len(b.InboundRequests()) != 0 {
+		if len(inboundRequests(b)) != 0 {
 			t.Fatal("withdrawn request still inbound")
 		}
 		if _, st := b.Accept(p, id, OOB{}, nil, 10); st != NoSuchRequest {
@@ -188,4 +188,16 @@ func TestInterruptKindStrings(t *testing.T) {
 			t.Errorf("kind %d unnamed", kd)
 		}
 	}
+}
+
+// inboundRequests returns the ids of pr's delivered, unaccepted inbound
+// requests, in arrival order.
+func inboundRequests(pr *Process) []ReqID {
+	var ids []ReqID
+	for _, r := range pr.inbound {
+		if r.delivered && !r.accepted {
+			ids = append(ids, r.id)
+		}
+	}
+	return ids
 }

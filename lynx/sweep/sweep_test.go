@@ -349,12 +349,14 @@ func TestAggregateMetricsConcurrentReaders(t *testing.T) {
 // unreadMetricsCeiling is the allocation count of a 100-replica Sweep
 // over prebuilt 150-name registries whose caller never reads
 // Aggregate.Metrics (go1.24, amd64), pinned so that it can only fall.
-// Three per replica are Merge's copies of the replica's entry lists;
-// the rest build the Aggregate and the pooled registry's instruments
-// once. When the sweep snapshotted every registry up front to build the
-// per-replica statistics, the same run took 4,636 allocations, a
-// figure that grows with replicas × names.
-const unreadMetricsCeiling = 361
+// All of it is made once: the Aggregate, the pooled registry's
+// instruments, and the entry lists Merge copies each replica's entries
+// into, which the pooled registry keeps for the next merge. When Merge
+// made fresh lists for every replica the same run took 361 allocations,
+// and when the sweep snapshotted every registry up front to build the
+// per-replica statistics, 4,636, a figure that grows with replicas ×
+// names.
+const unreadMetricsCeiling = 73
 
 // TestSweepUnreadMetricsAllocs is the gate that unread per-replica
 // statistics cost nothing: the registries are built outside the
