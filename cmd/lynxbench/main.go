@@ -49,10 +49,10 @@ func run(args []string, stdout io.Writer) {
 		return
 	}
 	if *one != "" {
-		r := expt.ByIDWith(*one, opts)
-		if r == nil {
+		if _, ok := expt.Lookup(*one); !ok {
 			cli.Usagef("lynxbench", "unknown experiment %q", *one)
 		}
+		r := expt.ByIDWith(*one, opts)
 		if *asJSON {
 			emitJSON(stdout, r)
 		} else {

@@ -13,7 +13,8 @@ import (
 //   - Connect's request WireMsg, and its sendRecord (startSend);
 //   - the server's Request record (handleIncoming);
 //   - spawnThread's Thread, its body closure over the handler and the
-//     Request, and the Thread's sim.Coro handle (Thread.resume);
+//     Request, and the method value its strand runs (Thread.run; the
+//     sim.Strand itself is a value inside the Thread);
 //   - Reply's WireMsg, and its sendRecord (startSend);
 //   - the client's reply Msg (handleIncoming).
 //

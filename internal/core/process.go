@@ -42,10 +42,6 @@ type Process struct {
 	readyThreads []*Thread
 	nextTID      int
 	liveThreads  int
-	// succ is the thread the driver (run) resumes next, recorded by
-	// the thread that gave up the processor; nil when the process is
-	// idle.
-	succ *Thread
 
 	ends         map[TransEnd]*End
 	endOrder     []TransEnd // creation order, for seed-stable exit teardown
@@ -85,7 +81,6 @@ func NewProcess(env *sim.Env, name string, tr Transport, costs calib.LynxRuntime
 	pr.blockHist = pr.rec.Histogram(obs.MProcBlockNs)
 	pr.queueHist = pr.rec.Histogram(obs.MQueueWaitNs)
 	pr.events.Init(env, "lynx:"+name+".events")
-	pr.spawnThread("main", false, mainFn)
 	pr.sp = env.Spawn("lynx:"+name, func(p *sim.Proc) {
 		p.OnKill(func() {
 			pr.dead = true
@@ -94,6 +89,7 @@ func NewProcess(env *sim.Env, name string, tr Transport, costs calib.LynxRuntime
 		})
 		pr.run()
 	})
+	pr.spawnThread("main", false, mainFn)
 	// The simproc exists but has not run yet: safe to hand it to the
 	// binding before any traffic.
 	tr.SetSink(func(ev Event) { pr.events.Put(ev) }, pr.sp)
@@ -168,8 +164,8 @@ func (pr *Process) DebugState() string {
 	return b.String()
 }
 
-// spawnThread creates a thread and marks it ready. Its coroutine
-// starts when it is first dispatched. A Serve handler thread is named
+// spawnThread creates a thread and marks it ready. Its strand starts
+// when it is first dispatched. A Serve handler thread is named
 // by its operation (serve), so serving a request formats no string.
 func (pr *Process) spawnThread(name string, serve bool, fn func(*Thread)) *Thread {
 	pr.nextTID++
@@ -180,20 +176,20 @@ func (pr *Process) spawnThread(name string, serve bool, fn func(*Thread)) *Threa
 		serve: serve,
 		fn:    fn,
 	}
+	t.st = pr.sp.NewStrand(t.run)
 	pr.threads[t.id] = t
 	pr.liveThreads++
 	pr.readyThreads = append(pr.readyThreads, t)
 	return t
 }
 
-// run is the body of the process's simproc and the thread driver: it
-// resumes the thread each dispatcher step picks (see step) until the
-// process is idle, then tears the process down. The kill signal, raised
-// in whichever thread has the simproc parked, reaches it through that
-// thread's Resume, so the simproc's own kill path runs.
+// run is the body of the process's simproc: it lends the simproc to
+// its threads (see step) until the process is idle, then tears the
+// process down. The kill signal, raised in whichever thread has the
+// simproc parked, is raised again here by Lend.
 func (pr *Process) run() {
-	for t := pr.step(); t != nil; t = pr.succ {
-		t.resume()
+	if t := pr.step(); t != nil {
+		pr.sp.Lend(&t.st)
 	}
 	pr.dead = true
 	// Orderly exit: destroy every still-live end first, so peers get the
@@ -213,7 +209,7 @@ func (pr *Process) run() {
 }
 
 // step is the dispatcher, run by the thread giving up the processor
-// (or the driver, at the start): drain the events that arrived
+// (or the simproc, at the start): drain the events that arrived
 // while threads ran, so woken threads and fresh messages interleave
 // fairly, then pick the next ready thread. When none is ready, this is
 // the process's block point: wait for transport events on the simproc.

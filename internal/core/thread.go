@@ -11,11 +11,12 @@ import (
 // time, and control changes hands only at well-defined block points —
 // mirroring §2's "threads execute in mutual exclusion and may be
 // managed by the language run-time package, much like the coroutines of
-// Modula-2". Each thread runs on its own coroutine: the blocking thread
-// runs the dispatcher itself, records the next thread, and switches
-// back to the process's driver, which resumes that thread.
+// Modula-2". Each thread is a strand of the process's simproc (see
+// sim.Strand), run on a goroutine of its own: the blocking thread runs
+// the dispatcher itself and switches straight to the next thread, as
+// Modula-2's TRANSFER does.
 //
-// All Thread methods must be called from the thread's own coroutine
+// All Thread methods must be called from the thread's own goroutine
 // while it is the running thread.
 type Thread struct {
 	pr *Process
@@ -24,10 +25,10 @@ type Thread struct {
 	// set) it is the operation name, and Name adds the "serve:" prefix.
 	name  string
 	serve bool
-	// fn is the thread's body until its coroutine starts it.
+	// fn is the thread's body until its strand starts it.
 	fn func(*Thread)
-	// co runs the thread; nil until its first dispatch.
-	co   *sim.Coro
+	// st is the strand the thread runs on, a value to save an allocation.
+	st   sim.Strand
 	dead bool
 	// abortErr, when set by Abort, is delivered at the thread's next
 	// (or current) block point.
@@ -84,12 +85,11 @@ func (t *Thread) Process() *Process { return t.pr }
 // park gives up the processor and blocks until this thread is
 // rescheduled, returning the wake value. It runs the dispatcher itself:
 // if this thread is its own successor it continues with no switch;
-// otherwise it records the next thread and suspends its coroutine. If
-// an abort is pending it is delivered here.
+// otherwise it switches straight to the next thread. If an abort is
+// pending it is delivered here.
 func (t *Thread) park() wake {
 	if n := t.pr.step(); n != t {
-		t.pr.succ = n
-		t.co.Park()
+		t.st.Switch(&n.st)
 	}
 	w := t.takeWake()
 	if t.abortErr != nil && w.err == nil {
@@ -182,20 +182,9 @@ func (t *Thread) Abort(target *Thread) {
 	t.pr.abortThread(target, ErrAborted)
 }
 
-// resume switches to t's coroutine, starting it on first dispatch,
-// until t parks or finishes.
-func (t *Thread) resume() {
-	if t.co == nil {
-		t.co = sim.NewCoro(t.run)
-	}
-	if t.co.Resume() {
-		t.co = nil
-	}
-}
-
-// run is the coroutine body of a thread: its function, then the
-// dispatcher step that picks whatever runs next.
-func (t *Thread) run() {
+// run is the body of a thread's strand: its function, then the
+// dispatcher step that picks the strand that runs next.
+func (t *Thread) run() *sim.Strand {
 	pr := t.pr
 	fn := t.fn
 	t.fn = nil
@@ -205,11 +194,15 @@ func (t *Thread) run() {
 	t.dead = true
 	pr.liveThreads--
 	delete(pr.threads, t.id)
-	pr.succ = pr.step()
+	if n := pr.step(); n != nil {
+		return &n.st
+	}
+	return nil
 }
 
 // call runs the thread's function. A panic stops the run, except the
-// kill signal, which passes through to the driver's Resume.
+// kill signal, which passes through to the simproc's goroutine (see
+// sim.Proc.Lend) and unwinds it.
 func (t *Thread) call(fn func(*Thread)) {
 	defer func() {
 		if r := recover(); r != nil {

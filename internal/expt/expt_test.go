@@ -52,11 +52,16 @@ func TestE5OutsideModule(t *testing.T) {
 }
 
 func TestByID(t *testing.T) {
-	if ByIDWith("e3", Options{}) == nil || ByIDWith("E11", Options{}) == nil {
-		t.Fatal("ByIDWith lookup failed")
+	for id, want := range map[string]string{"e3": "E3", "E11": "E11"} {
+		if e, ok := Lookup(id); !ok || e.ID != want {
+			t.Fatalf("Lookup(%q) = %q, %v, want %s", id, e.ID, ok, want)
+		}
+	}
+	if _, ok := Lookup("E99"); ok {
+		t.Fatal("bogus id resolved")
 	}
 	if ByIDWith("E99", Options{}) != nil {
-		t.Fatal("bogus id resolved")
+		t.Fatal("ByIDWith ran a bogus id")
 	}
 }
 

@@ -102,16 +102,25 @@ func AllWith(o Options) []*Result {
 	return runJobs(o, catalog)
 }
 
+// Lookup resolves an experiment id ("E1".."E13", any case) without
+// running the experiment, and reports false if the id is unknown.
+func Lookup(id string) (Experiment, bool) {
+	for _, e := range catalog {
+		if strings.EqualFold(e.ID, id) {
+			return e, true
+		}
+	}
+	return Experiment{}, false
+}
+
 // ByIDWith is AllWith for a single experiment id ("E1".."E13"); nil if
 // unknown.
 func ByIDWith(id string, o Options) *Result {
-	o = o.normalized()
-	for _, e := range catalog {
-		if strings.EqualFold(e.ID, id) {
-			return runJobs(o, []Experiment{e})[0]
-		}
+	e, ok := Lookup(id)
+	if !ok {
+		return nil
 	}
-	return nil
+	return runJobs(o.normalized(), []Experiment{e})[0]
 }
 
 // runJobs fans (experiment, replica) jobs across o.Parallel workers

@@ -158,8 +158,8 @@ func TestAggregateCell(t *testing.T) {
 
 func TestCatalogMatchesByID(t *testing.T) {
 	for _, e := range Catalog() {
-		if ByIDWith(e.ID, Options{}) == nil {
-			t.Errorf("catalog id %s not resolvable via ByIDWith", e.ID)
+		if got, ok := Lookup(e.ID); !ok || got.ID != e.ID {
+			t.Errorf("catalog id %s resolves to %q, %v", e.ID, got.ID, ok)
 		}
 	}
 	if got := len(Catalog()); got != 13 {

@@ -2,21 +2,14 @@ package sim
 
 import (
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// idleCoros reports the coroutines on the free list.
-func idleCoros() int {
-	pool.Lock()
-	defer pool.Unlock()
-	return len(pool.idle)
-}
-
-// waitFor polls cond for up to a second: a stopped coroutine's
-// goroutine exits, and a finalizer runs, a moment after the event that
-// causes it.
+// waitFor polls cond for up to a second: an exiting goroutine is gone,
+// and a finalizer runs, a moment after the event that causes it.
 func waitFor(cond func() bool) bool {
 	for i := 0; i < 200; i++ {
 		if cond() {
@@ -27,121 +20,48 @@ func waitFor(cond func() bool) bool {
 	return cond()
 }
 
-func TestCoroRunsBodiesToCompletion(t *testing.T) {
-	const bodies = poolIdleCap + 36
-	var ran int
-	cs := make([]*Coro, bodies)
-	for i := range cs {
-		var c *Coro
-		c = NewCoro(func() {
-			c.Park() // all live at once: more coroutines than the cap
-			ran++
-		})
-		cs[i] = c
-	}
-	for _, c := range cs {
-		if c.Resume() {
-			t.Fatal("a body returned before its first Park")
-		}
-	}
-	for _, c := range cs {
-		if !c.Resume() {
-			t.Fatal("a body parked again after its only Park")
-		}
-	}
-	if ran != bodies {
-		t.Fatalf("%d of %d bodies ran", ran, bodies)
-	}
-	if got := idleCoros(); got != poolIdleCap {
-		t.Fatalf("%d idle coroutines after a burst, want the cap %d", got, poolIdleCap)
-	}
-}
-
-// TestCoroReuse runs 1,000 short bodies one after another, each
-// parking once: each starts on a coroutine the previous ones returned,
-// so the goroutine count never grows past the pool's idle cap, and a
-// new body takes an idle coroutine rather than a new one.
-func TestCoroReuse(t *testing.T) {
-	base := runtime.NumGoroutine()
-	var ran int
-	for i := 0; i < 1000; i++ {
-		var c *Coro
-		c = NewCoro(func() {
-			c.Park()
-			ran++
-		})
-		if c.Resume() || !c.Resume() {
-			t.Fatal("a body did not park exactly once")
-		}
-	}
-	if ran != 1000 {
-		t.Fatalf("%d of 1000 bodies ran", ran)
-	}
-	if !waitFor(func() bool { return runtime.NumGoroutine() <= base+poolIdleCap }) {
-		t.Fatalf("%d goroutines after 1000 sequential bodies, want <= %d (baseline %d + idle cap %d)",
-			runtime.NumGoroutine(), base+poolIdleCap, base, poolIdleCap)
-	}
-	idle := idleCoros()
-	if idle == 0 {
-		t.Fatal("no idle coroutine after the bodies returned")
-	}
-	c := NewCoro(func() {})
-	if got := idleCoros(); got != idle-1 {
-		t.Fatalf("idle coroutines %d after NewCoro, want %d", got, idle-1)
-	}
-	c.Resume()
-}
-
-// coroLeaf is captured by a pooled body; its finalizer reports that the
-// idle coroutine no longer reaches it.
-type coroLeaf struct{ data []byte }
-
-func TestIdleCoroKeepsNothingReachable(t *testing.T) {
-	var collected atomic.Bool
-	func() {
-		leaf := &coroLeaf{data: make([]byte, 64)}
-		runtime.SetFinalizer(leaf, func(*coroLeaf) { collected.Store(true) })
-		if !NewCoro(func() { leaf.data[0]++ }).Resume() {
-			t.Fatal("body did not return")
-		}
-	}()
-	if !waitFor(func() bool { runtime.GC(); return collected.Load() }) {
-		t.Fatal("an object captured by a finished body is still reachable from its idle coroutine")
-	}
-}
-
-// TestNestedCoroParksProc has a proc body resume a second coroutine
-// that blocks the proc (Delay, WaitQueue.Wait): each park suspends the
-// inner coroutine, and the proc's resume continues it there. Every
-// park from the inner coroutine has another proc as its successor (the
-// unstarted waker at first, then the waker's timer), so it switches
-// straight there. A Kill while the inner coroutine has the proc parked
-// unwinds it there, resumed by the killer's own park, and the proc
+// TestStrandParksProc has a proc lend itself to two strands that block
+// the proc (Delay, WaitQueue.Wait): each park suspends the strand that
+// parked, and the proc's resume continues it there. Every park from a
+// strand has another proc as its successor (the unstarted waker at
+// first, then the waker's timer), so it switches straight there. The
+// first strand switches to the second, unstarted one, which ends by
+// handing the processor back. A Kill while a strand has the proc parked
+// unwinds that strand, resumed by the killer's own park, and the proc
 // ends through its own kill path.
-func TestNestedCoroParksProc(t *testing.T) {
+func TestStrandParksProc(t *testing.T) {
 	e := NewEnv(1)
 	wq := NewWaitQueue(e, "q")
 	var at []Time
-	var innerUnwound bool
+	var order []string
+	var strandUnwound bool
 	var killHooks int
 	host := e.Spawn("host", func(p *Proc) {
 		p.OnKill(func() { killHooks++ })
-		inner := NewCoro(func() {
+		var a, b Strand
+		a = p.NewStrand(func() *Strand {
 			defer func() {
 				if r := recover(); r != nil {
-					innerUnwound = IsKilled(r)
+					strandUnwound = IsKilled(r)
 					panic(r)
 				}
 			}()
 			p.Delay(2 * Millisecond)
 			at = append(at, p.Now())
+			a.Switch(&b)
+			order = append(order, "a")
 			wq.Wait(p)
 			at = append(at, p.Now())
 			wq.Wait(p) // killed here
-			t.Error("inner coroutine resumed after Kill")
+			t.Error("strand resumed after Kill")
+			return nil
 		})
-		inner.Resume()
-		t.Error("host body continued past the killed inner coroutine")
+		b = p.NewStrand(func() *Strand {
+			order = append(order, "b")
+			return &a
+		})
+		p.Lend(&a)
+		t.Error("host body continued past the killed strand")
 	})
 	var hostDoneAfterKill bool
 	e.Spawn("waker", func(p *Proc) {
@@ -150,8 +70,8 @@ func TestNestedCoroParksProc(t *testing.T) {
 		p.Delay(3 * Millisecond)
 		host.Kill()
 		// The killed host is the waker's successor: the waker's park
-		// switches straight to the inner coroutine, which unwinds, and
-		// the host's end hands the processor back.
+		// switches straight to the strand, which unwinds, and the
+		// host's end hands the processor back.
 		p.Yield()
 		hostDoneAfterKill = host.Done()
 	})
@@ -162,16 +82,52 @@ func TestNestedCoroParksProc(t *testing.T) {
 		t.Fatal("the waker continued before the killed host had ended")
 	}
 	if want := []Time{Time(2 * Millisecond), Time(5 * Millisecond)}; len(at) != 2 || at[0] != want[0] || at[1] != want[1] {
-		t.Fatalf("inner coroutine ran at %v, want %v", at, want)
+		t.Fatalf("strand ran at %v, want %v", at, want)
 	}
-	if !innerUnwound {
-		t.Fatal("the kill did not unwind the inner coroutine")
+	if len(order) != 2 || order[0] != "b" || order[1] != "a" {
+		t.Fatalf("strands ran in order %v, want [b a]", order)
+	}
+	if !strandUnwound {
+		t.Fatal("the kill did not unwind the strand")
 	}
 	if killHooks != 1 {
 		t.Fatalf("OnKill ran %d times, want 1", killHooks)
 	}
 	if !host.Done() || e.Now() != Time(8*Millisecond) {
 		t.Fatalf("host done %v at %v, want done at 8ms", host.Done(), e.Now())
+	}
+}
+
+// TestStrandsHandBack: a finishing strand starts an unstarted successor
+// on its own goroutine, resumes a parked one, or hands the processor
+// back to the proc, whose Lend then returns.
+func TestStrandsHandBack(t *testing.T) {
+	e := NewEnv(1)
+	var order []string
+	e.Spawn("host", func(p *Proc) {
+		var a, b, c Strand
+		a = p.NewStrand(func() *Strand {
+			a.Switch(&b)
+			order = append(order, "a")
+			p.Delay(Millisecond)
+			return nil
+		})
+		b = p.NewStrand(func() *Strand {
+			order = append(order, "b")
+			return &c
+		})
+		c = p.NewStrand(func() *Strand {
+			order = append(order, "c")
+			return &a
+		})
+		p.Lend(&a)
+		order = append(order, "host")
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(order, " "); got != "b c a host" || e.Now() != Time(Millisecond) {
+		t.Fatalf("ran %q ending at %v, want \"b c a host\" at 1ms", got, e.Now())
 	}
 }
 
@@ -183,24 +139,28 @@ func idleProcGoroutines() int {
 	return len(procIdle.s)
 }
 
+// gcLeaf is captured by a body; its finalizer reports that nothing
+// reaches it any more.
+type gcLeaf struct{ data []byte }
+
 // leafTracer keeps a leaf reachable from the env that it traces.
 type leafTracer struct {
 	RecordingTracer
-	leaf *coroLeaf
+	leaf *gcLeaf
 }
 
 // TestIdleProcGoroutineKeepsNothingReachable: once a run is over, the
-// goroutines that ran its procs sit idle, and neither a finished body's
-// captures nor the env is reachable from them.
+// goroutines that ran its procs and strands sit idle, and neither a
+// finished body's captures nor the env is reachable from them.
 func TestIdleProcGoroutineKeepsNothingReachable(t *testing.T) {
 	var bodyLeaf, envLeaf atomic.Bool
 	func() {
 		e := NewEnv(1)
-		l := &coroLeaf{data: make([]byte, 64)}
-		runtime.SetFinalizer(l, func(*coroLeaf) { envLeaf.Store(true) })
+		l := &gcLeaf{data: make([]byte, 64)}
+		runtime.SetFinalizer(l, func(*gcLeaf) { envLeaf.Store(true) })
 		e.SetTracer(&leafTracer{leaf: l})
-		leaf := &coroLeaf{data: make([]byte, 64)}
-		runtime.SetFinalizer(leaf, func(*coroLeaf) { bodyLeaf.Store(true) })
+		leaf := &gcLeaf{data: make([]byte, 64)}
+		runtime.SetFinalizer(leaf, func(*gcLeaf) { bodyLeaf.Store(true) })
 		for i := 0; i < 3; i++ {
 			e.Spawn("leaf", func(p *Proc) {
 				p.Delay(Nanosecond)
@@ -208,6 +168,12 @@ func TestIdleProcGoroutineKeepsNothingReachable(t *testing.T) {
 				leaf.data[0]++
 			})
 		}
+		e.Spawn("lender", func(p *Proc) {
+			var a, b Strand
+			a = p.NewStrand(func() *Strand { a.Switch(&b); leaf.data[0]++; return nil })
+			b = p.NewStrand(func() *Strand { p.Yield(); leaf.data[0]++; return &a })
+			p.Lend(&a)
+		})
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -24,10 +24,13 @@ type Proc struct {
 	id   int
 	name string
 	fn   func(p *Proc)
-	// sp is the switch point the proc's goroutine is parked on while the
-	// proc is parked; nil while it runs, before it starts and after it
-	// finishes.
-	sp     *switchPoint
+	// sp is the switch point the goroutine that parked the proc (its
+	// own, or a strand's) is parked on while the proc is parked; nil
+	// while it runs, before it starts and after it finishes.
+	sp *switchPoint
+	// lent is the switch point the proc's own goroutine is parked on
+	// while the proc is lent to its strands (see Lend).
+	lent   *switchPoint
 	done   bool
 	killed bool
 
@@ -95,9 +98,8 @@ func (p *Proc) run() {
 func (p *Proc) park() {
 	e := p.env
 	if n := e.next(); n != p {
-		s := e.pointOf(n)
-		p.sp = s
-		s.transfer()
+		p.sp = e.pointOf(n)
+		p.sp.transfer()
 	}
 	if p.killed {
 		panic(killedPanic{p})
@@ -110,17 +112,21 @@ func (p *Proc) park() {
 // proc gets an idle goroutine, which starts its body when resumed.
 func (e *Env) pointOf(n *Proc) *switchPoint {
 	if n == nil {
-		s := e.drv
-		e.drv = nil
-		return s
+		return take(&e.drv)
 	}
-	s := n.sp
-	if s == nil {
-		s = e.idleG()
+	if n.sp == nil {
+		s := e.idleG()
 		s.start = n
 		return s
 	}
-	n.sp = nil
+	return take(&n.sp)
+}
+
+// take clears the record *sp of a parked goroutine's switch point and
+// returns the point.
+func take(sp **switchPoint) *switchPoint {
+	s := *sp
+	*sp = nil
 	return s
 }
 
@@ -152,6 +158,85 @@ func (e *Env) runBody(p *Proc) (succ *Proc) {
 	succ = e.finish(p)
 	finished = true
 	return succ
+}
+
+// A Strand is a line of control that runs under a simproc's identity
+// on a goroutine of its own; a LYNX thread is a strand of its process's
+// simproc. The proc's goroutine lends the proc to its strands (Lend).
+// They take turns, handing the processor straight to one another
+// (Switch), and a strand that parks the proc (Delay, WaitQueue.Wait) is
+// the one the proc's next resume continues. A Strand is kept by value
+// and must not move once it has started.
+type Strand struct {
+	p *Proc
+	// fn is the body until the strand starts. It returns the strand to
+	// hand the processor to as it ends, nil for the proc's goroutine.
+	fn func() *Strand
+	// sp is the switch point the strand's goroutine is parked on while
+	// the strand is parked.
+	sp *switchPoint
+}
+
+// NewStrand returns a strand of p that runs fn once switched to.
+func (p *Proc) NewStrand(fn func() *Strand) Strand { return Strand{p: p, fn: fn} }
+
+// Lend parks p's goroutine, switching to first, until a strand hands
+// the processor back. A panic or runtime.Goexit that ends a strand's
+// turn is raised again here, so a kill raised in a strand unwinds p
+// through its own kill path.
+func (p *Proc) Lend(first *Strand) {
+	p.lent = p.strandPoint(first)
+	p.lent.transfer()
+	p.env.raise()
+}
+
+// Switch hands the processor from st, the running strand, to n, in one
+// coroutine switch; it returns when a strand switches back to st.
+func (st *Strand) Switch(n *Strand) {
+	st.sp = st.p.strandPoint(n)
+	st.sp.transfer()
+}
+
+// strandPoint is pointOf for p's strands, with p's own goroutine in the
+// driver's place.
+func (p *Proc) strandPoint(n *Strand) *switchPoint {
+	if n == nil {
+		return take(&p.lent)
+	}
+	if n.sp == nil {
+		s := p.env.idleG()
+		s.strand = n
+		return s
+	}
+	return take(&n.sp)
+}
+
+// runStrands runs st's body on the calling goroutine, then each
+// unstarted successor in turn, and returns the switch point of the
+// first successor that has started. Like runBody, it hands a panic or
+// runtime.Goexit that escapes a body to p's goroutine to raise again.
+func runStrands(st *Strand) (s *switchPoint) {
+	p := st.p
+	defer func() {
+		if s != nil {
+			return
+		}
+		if r := recover(); r != nil {
+			p.env.panicked = r
+			s = take(&p.lent)
+			return
+		}
+		// runtime.Goexit: the goroutine stays parked there for good.
+		p.env.goexit = true
+		take(&p.lent).transfer()
+	}()
+	for {
+		fn := st.fn
+		st.fn = nil
+		if st = fn(); st == nil || st.fn == nil {
+			return p.strandPoint(st)
+		}
+	}
 }
 
 // Yield gives up the processor until the scheduler next reaches this proc
@@ -205,8 +290,8 @@ func (p *Proc) KillAt(t Time) {
 }
 
 // IsKilled reports whether a recovered panic value is the kill signal a
-// parked proc receives after Kill. Coroutines that borrow a proc's
-// identity use it to distinguish crash unwinding from real panics.
+// parked proc receives after Kill. Strands use it to distinguish crash
+// unwinding from real panics.
 func IsKilled(r any) bool {
 	_, ok := r.(killedPanic)
 	return ok

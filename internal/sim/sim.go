@@ -26,11 +26,12 @@
 // Env.Run's goroutine or a shard's worker) resumes the first proc and
 // is resumed only when the run is over.
 //
-// Token discipline: a *Proc's identity may be borrowed by another
-// coroutine (a LYNX thread parks its process's simproc from its own
-// coroutine), as long as at most one of them uses the Proc at a time.
-// Parking from a borrowing coroutine suspends that coroutine, so it is
-// the one the proc's next resume continues.
+// Token discipline: a simproc may lend its identity to strands (a LYNX
+// thread is a strand of its process's simproc; see Strand). Its own
+// goroutine parks while they run, and they hand the processor among
+// themselves the same way, one switch per handoff, so at most one of
+// them uses the Proc at a time. Parking the proc from a strand suspends
+// that strand, so it is the one the proc's next resume continues.
 package sim
 
 import (
@@ -109,7 +110,8 @@ type Env struct {
 	// run, by the switch point each is parked on (see releaseIdle).
 	idle []*switchPoint
 	// panicked and goexit record a panic or runtime.Goexit that ended
-	// the run from a simproc goroutine, for the driver to raise again.
+	// the run (or a strand's turn) on another goroutine, for the driver
+	// (or Lend) to raise again.
 	panicked any
 	goexit   bool
 	// timerFree is a freelist of recycled timers (hot paths schedule
@@ -345,11 +347,16 @@ func (e *Env) runCore(limit Time) {
 		e.timers.push(t)
 	}
 	if n := e.next(); n != nil {
-		s := e.pointOf(n)
-		e.drv = s
-		s.transfer()
+		e.drv = e.pointOf(n)
+		e.drv.transfer()
 	}
 	e.releaseIdle()
+	e.raise()
+}
+
+// raise raises again, on the calling goroutine, the panic or
+// runtime.Goexit recorded in panicked or goexit.
+func (e *Env) raise() {
 	if e.goexit {
 		e.goexit = false
 		runtime.Goexit()

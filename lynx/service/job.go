@@ -387,17 +387,8 @@ func (s *Service) buildJob(req JobRequest, client string, now time.Time) (*job, 
 func buildExptJob(spec ExptJob, client string, now time.Time) (*job, error) {
 	id := strings.ToUpper(strings.TrimSpace(spec.ID))
 	all := strings.EqualFold(spec.ID, "all")
-	if !all {
-		found := false
-		for _, e := range expt.Catalog() {
-			if strings.EqualFold(e.ID, id) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown experiment %q (want E1..E%d or all)", spec.ID, len(expt.Catalog()))
-		}
+	if _, ok := expt.Lookup(id); !all && !ok {
+		return nil, fmt.Errorf("unknown experiment %q (want E1..E%d or all)", spec.ID, len(expt.Catalog()))
 	}
 	opts := expt.Options{Parallel: spec.Parallel, Reps: spec.Reps, RootSeed: spec.Seed}
 	key := fmt.Sprintf("expt:%s reps=%d seed=%d", strings.ToLower(id), max(1, spec.Reps), defaultSeed(spec.Seed))
