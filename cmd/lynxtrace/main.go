@@ -146,7 +146,7 @@ func renderLine(line []byte, emit func(obs.Event), stderr io.Writer) {
 
 // attachOutput wires the chosen format into the system's recorder and
 // tracer slot. It returns where narration goes and a finish func to
-// call after the run (flushes buffered formats).
+// call after the run (closes the Chrome document).
 func attachOutput(sys *lynx.System, format string, stdout, stderr io.Writer) (narrate io.Writer, finish func()) {
 	switch format {
 	case "jsonl":
@@ -155,9 +155,9 @@ func attachOutput(sys *lynx.System, format string, stdout, stderr io.Writer) (na
 		return stderr, func() {}
 	case "chrome":
 		sys.Env().SetTracer(&obs.TraceAdapter{R: sys.Obs()})
-		ch := obs.NewChromeExporter()
+		ch := obs.NewChromeStream(stdout)
 		sys.Obs().Attach(ch)
-		return stderr, func() { cli.Check("lynxtrace", ch.Flush(stdout)) }
+		return stderr, func() { cli.Check("lynxtrace", ch.Close()) }
 	}
 	// Text: free-text Trace() marks via the classic writer tracer; typed
 	// kernel events via the text exporter. Same layout, one stream.

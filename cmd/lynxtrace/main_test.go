@@ -2,14 +2,17 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/cli"
 	"repro/internal/golden"
+	"repro/internal/obs"
 )
 
 // updateGolden regenerates the figure goldens:
@@ -56,5 +59,50 @@ func TestNegativeEnclosuresIsUsageError(t *testing.T) {
 	}
 	if _, errOut, code := runCLI("-fig", "2", "-enclosures", "0", "-format", "jsonl"); code != 0 {
 		t.Fatalf("zero enclosures: exit %d, want 0 (stderr %q)", code, errOut)
+	}
+}
+
+// -format chrome renders each figure as one Chrome trace document
+// carrying exactly the JSONL golden's events: the same count, kinds,
+// processes and threads, with ts = at/1000 in the same order.
+func TestChromeMatchesJSONLGolden(t *testing.T) {
+	for _, fig := range []string{"1", "2"} {
+		for _, sub := range []string{"charlotte", "soda", "chrysalis", "ideal"} {
+			t.Run(fmt.Sprintf("fig%s_%s", fig, sub), func(t *testing.T) {
+				out, errOut, code := runCLI("-fig", fig, "-substrate", sub, "-format", "chrome")
+				if code != 0 {
+					t.Fatalf("exit %d: %s", code, errOut)
+				}
+				var doc struct {
+					TraceEvents []struct {
+						Name string  `json:"name"`
+						Ts   float64 `json:"ts"`
+						Pid  int     `json:"pid"`
+						Tid  int     `json:"tid"`
+					} `json:"traceEvents"`
+				}
+				if err := json.Unmarshal([]byte(out), &doc); err != nil {
+					t.Fatalf("chrome output is not one JSON document: %v", err)
+				}
+				golden, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("fig%s_%s.jsonl", fig, sub)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				lines := strings.Split(strings.TrimRight(string(golden), "\n"), "\n")
+				if len(doc.TraceEvents) != len(lines) {
+					t.Fatalf("chrome has %d events, JSONL golden %d", len(doc.TraceEvents), len(lines))
+				}
+				for i, line := range lines {
+					var ev obs.Event
+					if err := json.Unmarshal([]byte(line), &ev); err != nil {
+						t.Fatalf("golden line %d: %v", i+1, err)
+					}
+					ce := doc.TraceEvents[i]
+					if ce.Name != ev.Kind.String() || ce.Ts != float64(ev.At)/1e3 || ce.Pid != ev.Proc || ce.Tid != ev.Thread {
+						t.Fatalf("event %d: chrome %+v, golden %s", i, ce, line)
+					}
+				}
+			})
+		}
 	}
 }

@@ -28,11 +28,11 @@ func main() {
 	cli.CheckUsage("linkmove", err)
 
 	sys := lynx.NewSystem(lynx.Config{Substrate: sub, Seed: 1})
-	recorded := &sim.RecordingTracer{}
+	tracer := &countingTracer{WriterTracer: sim.WriterTracer{W: os.Stdout}}
 	if *verbose {
-		// Fan the one tracer slot out: live terminal trace + in-memory
-		// recording; typed kernel events join the same stream.
-		sys.Env().SetTracer(obs.NewMultiTracer(&sim.WriterTracer{W: os.Stdout}, recorded))
+		// Live terminal trace of the annotations; typed kernel events
+		// join the same stream.
+		sys.Env().SetTracer(tracer)
 		sys.Obs().Attach(&obs.TextExporter{W: os.Stdout})
 	}
 	say := func(who, format string, args ...any) {
@@ -98,6 +98,18 @@ func main() {
 	fmt.Printf("\nfigure 1 complete on %s at %v of virtual time\n", sub, sys.Now())
 	if *verbose {
 		fmt.Printf("(%d annotations recorded, %d bytes moved by the kernel)\n",
-			len(recorded.Events), sys.Stats().Bytes())
+			tracer.n, sys.Stats().Bytes())
 	}
+}
+
+// countingTracer prints annotations like sim.WriterTracer and counts
+// them.
+type countingTracer struct {
+	sim.WriterTracer
+	n int
+}
+
+func (c *countingTracer) Event(now sim.Time, source, msg string) {
+	c.n++
+	c.WriterTracer.Event(now, source, msg)
 }

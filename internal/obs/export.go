@@ -81,20 +81,6 @@ func (j *JSONLExporter) Flush() error {
 	return nil
 }
 
-// ChromeExporter buffers events and renders them as Chrome
-// trace-event JSON (the "JSON Array Format"), loadable in Perfetto or
-// chrome://tracing. Every event becomes a thread-scoped instant event;
-// virtual nanoseconds map onto trace microseconds.
-type ChromeExporter struct {
-	events []Event
-}
-
-// NewChromeExporter creates an empty exporter.
-func NewChromeExporter() *ChromeExporter { return &ChromeExporter{} }
-
-// Event implements Sink.
-func (c *ChromeExporter) Event(ev Event) { c.events = append(c.events, ev) }
-
 // chromeEvent is one entry in the traceEvents array. Args is a map, but
 // encoding/json sorts map keys, so output stays deterministic.
 type chromeEvent struct {
@@ -108,8 +94,9 @@ type chromeEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// newChromeEvent converts one typed event into its trace-array entry
-// (shared by the buffered and streaming Chrome exporters).
+// newChromeEvent converts one typed event into its trace-array entry:
+// a thread-scoped instant event, with virtual nanoseconds mapped onto
+// trace microseconds.
 func newChromeEvent(ev Event) chromeEvent {
 	ce := chromeEvent{
 		Name:  ev.Kind.String(),
@@ -151,30 +138,12 @@ func newChromeEvent(ev Event) chromeEvent {
 	return ce
 }
 
-// Flush writes the buffered events as a complete Chrome trace JSON
-// document and clears the buffer.
-func (c *ChromeExporter) Flush(w io.Writer) error {
-	doc := struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-	}{TraceEvents: make([]chromeEvent, 0, len(c.events))}
-	for _, ev := range c.events {
-		doc.TraceEvents = append(doc.TraceEvents, newChromeEvent(ev))
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(doc); err != nil {
-		return err
-	}
-	c.events = c.events[:0]
-	return nil
-}
-
-// ChromeStream renders events as Chrome trace JSON incrementally: each
-// event is written (and flushed, when W supports it) as it arrives, so
-// a long run streams in constant memory — the flight recorder's
-// long-run export path. The JSON Array Format tolerates a missing
-// closing bracket, so even an aborted stream loads in Perfetto; Close
-// writes the proper terminator.
+// ChromeStream renders events as Chrome trace-event JSON (the "JSON
+// Array Format", loadable in Perfetto or chrome://tracing)
+// incrementally: each event is written (and flushed, when W supports
+// it) as it arrives, so a long run streams in constant memory. The
+// format tolerates a missing closing bracket, so even an aborted stream
+// loads in Perfetto; Close writes the proper terminator.
 type ChromeStream struct {
 	W io.Writer
 	// Err records the first write error; once set, events are dropped.

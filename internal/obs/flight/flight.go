@@ -1,6 +1,6 @@
 // Package flight is the bounded recording layer of the observability
 // subsystem: a zero-alloc fixed-size ring buffer that always holds the
-// last N protocol events, with seed-deterministic sampling,
+// last RingSize protocol events, with seed-deterministic sampling,
 // anomaly-triggered dumps, and incremental export for long runs.
 //
 // The full obs recorder pays for what it exports: at millions of
@@ -36,7 +36,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/bits"
 
 	"repro/internal/obs"
 )
@@ -86,24 +85,17 @@ func ParseMode(name string) (Mode, error) {
 	}
 }
 
-// Config parameterizes a Recorder. The same struct doubles as the
-// thread-through carrier in lynx/load, lynx/sweep and lynx/grid: the
-// Mode/SampleK/Ring/Seed fields shape the per-run recorder, Sink and
+// Config is the flight-recorder request that travels unchanged from a
+// caller to the System that builds the recorder: lynx.Config.Trace,
+// load.Options.Trace, load.SweepOptions.Trace, grid.Spec.Trace,
+// sweep.Run.Trace and every lynxd trace job carry this one pointer,
+// and nil means "no recorder". Mode shapes the recording; Sink and
 // DumpTo say where its output goes.
 type Config struct {
 	// Mode selects full / sampled / counters recording. Off builds a
 	// recorder that still rings and counts (useful standalone), but the
 	// lynx layers skip recorder creation entirely for Off.
 	Mode Mode
-	// SampleK is the sampling divisor for Sampled mode: one event in K
-	// is exported. <= 0 defaults to 64. Ignored by other modes.
-	SampleK int
-	// Ring is the ring-buffer capacity in events, rounded up to a power
-	// of two. <= 0 defaults to 4096.
-	Ring int
-	// Seed salts the sampling hash so distinct runs sample distinct
-	// subsequences; the same seed always samples the same ordinals.
-	Seed uint64
 	// Sink, when non-nil, receives the exported (full or sampled)
 	// events — typically an obs.JSONLExporter or obs.ChromeStream for
 	// incremental streaming on long runs.
@@ -114,63 +106,46 @@ type Config struct {
 	DumpTo io.Writer
 }
 
-// DefaultSampleK is the Sampled-mode divisor when Config.SampleK is
-// unset.
-const DefaultSampleK = 64
+// SampleK is the Sampled-mode divisor: one event in SampleK is
+// exported.
+const SampleK = 64
 
-// DefaultRing is the ring capacity when Config.Ring is unset.
-const DefaultRing = 4096
+// RingSize is the ring-buffer capacity in events. It is a power of two,
+// so slot indexing is a mask, not a mod.
+const RingSize = 4096
 
 // Recorder is the flight recorder. It implements obs.Sink, so it
-// attaches to an obs.Recorder like any exporter; export sinks attach
-// to it (not to the obs.Recorder directly, which would bypass
-// sampling). The nil *Recorder is valid everywhere and does nothing —
-// anomaly hooks fire unconditionally in instrumented code.
+// attaches to an obs.Recorder like any exporter; the export sink named
+// in its Config sits behind it, so sampling applies. The nil *Recorder
+// is valid everywhere and does nothing — anomaly hooks fire
+// unconditionally in instrumented code.
 type Recorder struct {
 	mode Mode
-	k    uint64
 	seed uint64
 
-	ring []obs.Event
-	mask uint64
-	head uint64 // total events ringed; next slot is head & mask
+	ring *[RingSize]obs.Event
+	head uint64 // total events ringed; next slot is head % RingSize
 
 	seen     uint64
 	exported uint64
 
-	sinks  []obs.Sink
+	sink   obs.Sink
 	dumpTo io.Writer
 
 	scratch bytes.Buffer
 }
 
-// New creates a recorder for the given config (Sink and DumpTo may
-// also be attached later).
-func New(cfg Config) *Recorder {
-	k := uint64(cfg.SampleK)
-	if cfg.SampleK <= 0 {
-		k = DefaultSampleK
-	}
-	n := cfg.Ring
-	if n <= 0 {
-		n = DefaultRing
-	}
-	// Round up to a power of two so slot indexing is a mask, not a mod.
-	if n&(n-1) != 0 {
-		n = 1 << bits.Len(uint(n))
-	}
-	f := &Recorder{
+// New creates a recorder for the given config. The seed salts the
+// sampling hash so distinct runs sample distinct subsequences; the
+// same seed always samples the same ordinals.
+func New(cfg Config, seed uint64) *Recorder {
+	return &Recorder{
 		mode:   cfg.Mode,
-		k:      k,
-		seed:   cfg.Seed,
-		ring:   make([]obs.Event, n),
-		mask:   uint64(n - 1),
+		seed:   seed,
+		ring:   new([RingSize]obs.Event),
+		sink:   cfg.Sink,
 		dumpTo: cfg.DumpTo,
 	}
-	if cfg.Sink != nil {
-		f.sinks = append(f.sinks, cfg.Sink)
-	}
-	return f
 }
 
 // Mode returns the recorder's mode (Off for nil).
@@ -181,29 +156,13 @@ func (f *Recorder) Mode() Mode {
 	return f.mode
 }
 
-// Attach adds a downstream export sink; Full forwards every event to
-// it, Sampled one in K, Counters none.
-func (f *Recorder) Attach(s obs.Sink) {
-	if f != nil && s != nil {
-		f.sinks = append(f.sinks, s)
-	}
-}
-
-// SetDumpWriter directs ring dumps to w (replacing any earlier
-// destination).
-func (f *Recorder) SetDumpWriter(w io.Writer) {
-	if f != nil {
-		f.dumpTo = w
-	}
-}
-
 // Event implements obs.Sink: ring and count the event, and forward it
 // downstream according to the mode. This is the hot path — it performs
 // no allocation (the slot copy reuses the event's string headers) and
 // no locking (delivery is serial by the obs.Recorder's replay
 // contract).
 func (f *Recorder) Event(ev obs.Event) {
-	f.ring[f.head&f.mask] = ev
+	f.ring[f.head%RingSize] = ev
 	f.head++
 	f.seen++
 	switch f.mode {
@@ -213,19 +172,19 @@ func (f *Recorder) Event(ev obs.Event) {
 		// Hash the event ordinal with the seed: the same seed exports
 		// the same 1-in-K ordinals at any parallelism, because ordinals
 		// are assigned in the deterministic delivery order.
-		if mix64(f.seed^f.seen)%f.k != 0 {
+		if mix64(f.seed^f.seen)%SampleK != 0 {
 			return
 		}
 	}
 	f.exported++
-	for _, s := range f.sinks {
-		s.Event(ev)
+	if f.sink != nil {
+		f.sink.Event(ev)
 	}
 }
 
 // WantDetail implements obs.DetailHinter: full mode keeps every
 // event's Detail string, counters-only keeps none (events live only in
-// the ring and the per-kind counters), and sampled mode keeps Detail
+// the ring and the seen count), and sampled mode keeps Detail
 // exactly for the ordinals the deterministic sampler will export. The
 // next-event prediction is exact under the same serial-delivery
 // contract the ring relies on: between a site's WantDetail check and
@@ -241,7 +200,7 @@ func (f *Recorder) WantDetail() bool {
 	case Counters:
 		return false
 	case Sampled:
-		return mix64(f.seed^(f.seen+1))%f.k == 0
+		return mix64(f.seed^(f.seen+1))%SampleK == 0
 	default:
 		return true
 	}
@@ -269,10 +228,10 @@ func (f *Recorder) RingLen() int {
 	if f == nil {
 		return 0
 	}
-	if f.head < uint64(len(f.ring)) {
+	if f.head < RingSize {
 		return int(f.head)
 	}
-	return len(f.ring)
+	return RingSize
 }
 
 // Snapshot copies the ring's events oldest-first into a fresh slice
@@ -284,7 +243,7 @@ func (f *Recorder) Snapshot() []obs.Event {
 	n := uint64(f.RingLen())
 	out := make([]obs.Event, 0, n)
 	for i := f.head - n; i < f.head; i++ {
-		out = append(out, f.ring[i&f.mask])
+		out = append(out, f.ring[i%RingSize])
 	}
 	return out
 }
@@ -346,7 +305,7 @@ func (f *Recorder) dump(w io.Writer, reason string) error {
 	f.scratch.WriteByte('\n')
 	n := uint64(f.RingLen())
 	for i := f.head - n; i < f.head; i++ {
-		line, err := json.Marshal(f.ring[i&f.mask])
+		line, err := json.Marshal(f.ring[i%RingSize])
 		if err != nil {
 			return err
 		}

@@ -49,12 +49,13 @@ func TestParseMode(t *testing.T) {
 	}
 }
 
-// The ring keeps exactly the last N events, oldest-first, across wrap.
+// The ring keeps exactly the last RingSize events, oldest-first, across
+// wrap.
 func TestRingWrap(t *testing.T) {
-	f := New(Config{Mode: Counters, Ring: 8})
-	feed(f, 20)
-	if got := f.RingLen(); got != 8 {
-		t.Fatalf("RingLen = %d, want 8", got)
+	f := New(Config{Mode: Counters}, 0)
+	feed(f, RingSize+12)
+	if got := f.RingLen(); got != RingSize {
+		t.Fatalf("RingLen = %d, want %d", got, RingSize)
 	}
 	snap := f.Snapshot()
 	for i, ev := range snap {
@@ -62,16 +63,8 @@ func TestRingWrap(t *testing.T) {
 			t.Errorf("snapshot[%d].Seq = %d, want %d", i, ev.Seq, want)
 		}
 	}
-	if f.Seen() != 20 {
-		t.Errorf("Seen = %d, want 20", f.Seen())
-	}
-}
-
-// Non-power-of-two capacities round up.
-func TestRingRoundsUp(t *testing.T) {
-	f := New(Config{Ring: 5})
-	if got := len(f.ring); got != 8 {
-		t.Fatalf("ring capacity = %d, want 8", got)
+	if f.Seen() != RingSize+12 {
+		t.Errorf("Seen = %d, want %d", f.Seen(), RingSize+12)
 	}
 }
 
@@ -82,7 +75,7 @@ func TestModesForwarding(t *testing.T) {
 		want int
 	}{{Full, 100}, {Counters, 0}} {
 		sink := &collectSink{}
-		f := New(Config{Mode: tc.mode, Sink: sink})
+		f := New(Config{Mode: tc.mode, Sink: sink}, 0)
 		feed(f, 100)
 		if len(sink.evs) != tc.want {
 			t.Errorf("%v forwarded %d events, want %d", tc.mode, len(sink.evs), tc.want)
@@ -94,12 +87,14 @@ func TestModesForwarding(t *testing.T) {
 }
 
 // Sampled mode exports the same ordinals for the same seed, different
-// ordinals for a different seed, and roughly 1-in-K of the stream.
+// ordinals for a different seed, and roughly 1-in-SampleK of the
+// stream.
 func TestSampledDeterminism(t *testing.T) {
+	const events = 256 * SampleK
 	run := func(seed uint64) []uint64 {
 		sink := &collectSink{}
-		f := New(Config{Mode: Sampled, SampleK: 16, Seed: seed, Sink: sink})
-		feed(f, 4096)
+		f := New(Config{Mode: Sampled, Sink: sink}, seed)
+		feed(f, events)
 		var seqs []uint64
 		for _, ev := range sink.evs {
 			seqs = append(seqs, ev.Seq)
@@ -108,7 +103,7 @@ func TestSampledDeterminism(t *testing.T) {
 	}
 	a, b := run(7), run(7)
 	if len(a) == 0 {
-		t.Fatal("seed 7 sampled nothing in 4096 events at K=16")
+		t.Fatalf("seed 7 sampled nothing in %d events at K=%d", events, SampleK)
 	}
 	if len(a) != len(b) {
 		t.Fatalf("same seed sampled %d vs %d events", len(a), len(b))
@@ -118,9 +113,9 @@ func TestSampledDeterminism(t *testing.T) {
 			t.Fatalf("same seed diverged at export %d: %d vs %d", i, a[i], b[i])
 		}
 	}
-	// ~4096/16 = 256 expected; a hash this uniform stays well inside 2x.
+	// ~256 expected; a hash this uniform stays well inside 2x.
 	if n := len(a); n < 128 || n > 512 {
-		t.Errorf("sampled %d of 4096 at K=16, want ~256", n)
+		t.Errorf("sampled %d of %d at K=%d, want ~256", n, events, SampleK)
 	}
 	if c := run(8); len(c) == len(a) && func() bool {
 		for i := range c {
@@ -139,8 +134,8 @@ func TestSampledDeterminism(t *testing.T) {
 // any exported event, and counters mode never wants any.
 func TestWantDetailMatchesSampling(t *testing.T) {
 	sink := &collectSink{}
-	f := New(Config{Mode: Sampled, SampleK: 8, Seed: 3, Sink: sink})
-	for i := 0; i < 2048; i++ {
+	f := New(Config{Mode: Sampled, Sink: sink}, 3)
+	for i := 0; i < 256*SampleK; i++ {
 		var detail string
 		if f.WantDetail() {
 			detail = "kept"
@@ -155,11 +150,11 @@ func TestWantDetailMatchesSampling(t *testing.T) {
 			t.Fatalf("exported event %d lost its Detail", ev.Seq)
 		}
 	}
-	ctr := New(Config{Mode: Counters})
+	ctr := New(Config{Mode: Counters}, 0)
 	if ctr.WantDetail() {
 		t.Error("counters mode wants Detail")
 	}
-	full := New(Config{Mode: Full})
+	full := New(Config{Mode: Full}, 0)
 	if !full.WantDetail() {
 		t.Error("full mode declines Detail")
 	}
@@ -174,7 +169,7 @@ func TestWantDetailMatchesSampling(t *testing.T) {
 func TestEventZeroAlloc(t *testing.T) {
 	discard := &collectSink{evs: make([]obs.Event, 0, 1<<16)}
 	for _, mode := range []Mode{Full, Sampled, Counters} {
-		f := New(Config{Mode: mode, Ring: 1024, Sink: discard})
+		f := New(Config{Mode: mode, Sink: discard}, 0)
 		ev := obs.Event{Kind: obs.KindQueueService, Proc: 1, Seq: 42, Detail: "d"}
 		if n := testing.AllocsPerRun(1000, func() { f.Event(ev) }); n != 0 {
 			t.Errorf("%v mode: %v allocs per Event, want 0", mode, n)
@@ -185,8 +180,8 @@ func TestEventZeroAlloc(t *testing.T) {
 // A dump is one header line plus the ringed events, all valid JSON,
 // delivered in a single Write.
 func TestDumpJSONL(t *testing.T) {
-	f := New(Config{Mode: Counters, Ring: 16})
-	feed(f, 40)
+	f := New(Config{Mode: Counters}, 0)
+	feed(f, RingSize+24)
 	var buf bytes.Buffer
 	writes := 0
 	if err := f.dump(writerFunc(func(p []byte) (int, error) {
@@ -206,7 +201,7 @@ func TestDumpJSONL(t *testing.T) {
 	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
 		t.Fatalf("bad dump header: %v", err)
 	}
-	if hdr.Type != "dump" || hdr.Reason != "test-dump" || hdr.Seen != 40 || hdr.Ring != 16 {
+	if hdr.Type != "dump" || hdr.Reason != "test-dump" || hdr.Seen != RingSize+24 || hdr.Ring != RingSize {
 		t.Fatalf("header = %+v", hdr)
 	}
 	lines := 0
@@ -217,8 +212,8 @@ func TestDumpJSONL(t *testing.T) {
 		}
 		lines++
 	}
-	if lines != 16 {
-		t.Fatalf("dump carried %d events, want 16", lines)
+	if lines != RingSize {
+		t.Fatalf("dump carried %d events, want %d", lines, RingSize)
 	}
 }
 
@@ -226,7 +221,7 @@ func TestDumpJSONL(t *testing.T) {
 // attached; the nil recorder swallows it.
 func TestAnomalyDump(t *testing.T) {
 	var buf bytes.Buffer
-	f := New(Config{Mode: Counters, Ring: 8, DumpTo: &buf})
+	f := New(Config{Mode: Counters, DumpTo: &buf}, 0)
 	feed(f, 4)
 	f.Anomaly("shape-check failure")
 	sc := bufio.NewScanner(&buf)

@@ -35,7 +35,6 @@ func TestRecorderOverhead(t *testing.T) {
 		rate      = 400
 		window    = lynx.Second
 		baseTries = 5
-		sampleK   = 64
 		// Bounds: events/s penalty against the untraced run.
 		maxCountersPct = 5.0
 		maxSampledPct  = 15.0
@@ -72,10 +71,10 @@ func TestRecorderOverhead(t *testing.T) {
 	}
 	baseNs := base * 1e9 / float64(cnt.n)
 
-	countersPct := minEmitNs(flight.Counters, nil, sampleK) / baseNs * 100
-	sampledPct := minEmitNs(flight.Sampled, &obs.JSONLExporter{W: io.Discard}, sampleK) / baseNs * 100
+	countersPct := minEmitNs(flight.Counters, nil) / baseNs * 100
+	sampledPct := minEmitNs(flight.Sampled, &obs.JSONLExporter{W: io.Discard}) / baseNs * 100
 	t.Logf("%d events at %.0f ns each untraced: counters-only %+.1f%%, sampled(K=%d) %+.1f%%",
-		cnt.n, baseNs, countersPct, sampleK, sampledPct)
+		cnt.n, baseNs, countersPct, flight.SampleK, sampledPct)
 	if countersPct > maxCountersPct {
 		t.Errorf("counters-only recorder penalty %.1f%%, want <= %.0f%%", countersPct, maxCountersPct)
 	}
@@ -93,10 +92,10 @@ func (c *countSink) Event(obs.Event) { c.n++ }
 // the given mode is attached: the instrumented-site shape the kernels
 // use (gate on Active, build a Detail string only when the recorder
 // wants it, emit) as a benchmark loop, fastest ns/op of three runs.
-func minEmitNs(mode flight.Mode, sink obs.Sink, sampleK int) float64 {
+func minEmitNs(mode flight.Mode, sink obs.Sink) float64 {
 	bench := func(b *testing.B) {
 		rec := obs.NewRecorder(sim.NewEnv(1), "bench")
-		rec.Attach(flight.New(flight.Config{Mode: mode, SampleK: sampleK, Sink: sink}))
+		rec.Attach(flight.New(flight.Config{Mode: mode, Sink: sink}, 0))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if rec.Active() {

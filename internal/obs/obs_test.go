@@ -121,48 +121,50 @@ func TestKindJSONNames(t *testing.T) {
 	}
 }
 
-func TestChromeExporter(t *testing.T) {
-	c := NewChromeExporter()
-	c.Event(Event{At: sim.Time(1500), Substrate: "charlotte", Kind: KindKernelSend, Proc: 1, Link: 3})
-	c.Event(Event{At: sim.Time(2500), Substrate: "charlotte", Kind: KindKernelDeliver, Proc: 2, Link: 3, Bytes: 10})
-	var buf bytes.Buffer
-	if err := c.Flush(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !json.Valid(buf.Bytes()) {
-		t.Fatal("invalid JSON")
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string  `json:"name"`
-			Ph   string  `json:"ph"`
-			Ts   float64 `json:"ts"`
-			Pid  int     `json:"pid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.TraceEvents) != 2 || doc.TraceEvents[0].Name != "kernel.send" ||
-		doc.TraceEvents[0].Ts != 1.5 || doc.TraceEvents[1].Pid != 2 {
-		t.Fatalf("chrome doc %+v", doc)
-	}
+// chromeEntry is the part of a Chrome trace-array entry the tests read.
+type chromeEntry struct {
+	Name string  `json:"name"`
+	Ph   string  `json:"ph"`
+	Ts   float64 `json:"ts"`
+	Pid  int     `json:"pid"`
 }
 
-func TestMultiTracerFanOut(t *testing.T) {
-	env := sim.NewEnv(1)
-	a, b := &sim.RecordingTracer{}, &sim.RecordingTracer{}
-	env.SetTracer(NewMultiTracer(a, nil, b))
-	env.Spawn("p", func(p *sim.Proc) {
-		env.Trace("src", "hello %d", 7)
-	})
-	if err := env.Run(); err != nil {
+// chromeDoc decodes a Chrome trace document, failing unless it is one
+// valid JSON value.
+func chromeDoc(t *testing.T, b []byte) []chromeEntry {
+	t.Helper()
+	if !json.Valid(b) {
+		t.Fatalf("invalid JSON: %s", b)
+	}
+	var doc struct {
+		TraceEvents []chromeEntry `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
 		t.Fatal(err)
 	}
-	for _, rt := range []*sim.RecordingTracer{a, b} {
-		if len(rt.Events) != 1 || rt.Events[0].Msg != "hello 7" || rt.Events[0].Source != "src" {
-			t.Fatalf("fan-out events %+v", rt.Events)
-		}
+	return doc.TraceEvents
+}
+
+func TestChromeStream(t *testing.T) {
+	var buf bytes.Buffer
+	c := NewChromeStream(&buf)
+	c.Event(Event{At: sim.Time(1500), Substrate: "charlotte", Kind: KindKernelSend, Proc: 1, Link: 3})
+	c.Event(Event{At: sim.Time(2500), Substrate: "charlotte", Kind: KindKernelDeliver, Proc: 2, Link: 3, Bytes: 10})
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	evs := chromeDoc(t, buf.Bytes())
+	if len(evs) != 2 || evs[0].Name != "kernel.send" || evs[0].Ph != "i" || evs[0].Ts != 1.5 || evs[1].Pid != 2 {
+		t.Fatalf("chrome events %+v", evs)
+	}
+
+	// A stream that saw no events still closes as a complete document.
+	var empty bytes.Buffer
+	if err := NewChromeStream(&empty).Close(); err != nil {
+		t.Fatal(err)
+	}
+	if evs := chromeDoc(t, empty.Bytes()); len(evs) != 0 {
+		t.Fatalf("empty stream carried events %+v", evs)
 	}
 }
 

@@ -2,49 +2,10 @@ package obs
 
 import "repro/internal/sim"
 
-// MultiTracer fans one sim.Env tracer slot out to several tracers, so
-// a terminal WriterTracer, a RecordingTracer, and a TraceAdapter can
-// all watch the same run. It implements sim.Tracer.
-type MultiTracer struct {
-	Tracers []sim.Tracer
-}
-
-// NewMultiTracer builds a fan-out over the given tracers (nils are
-// dropped).
-func NewMultiTracer(ts ...sim.Tracer) *MultiTracer {
-	m := &MultiTracer{}
-	for _, t := range ts {
-		m.Add(t)
-	}
-	return m
-}
-
-// Add appends another tracer to the fan-out.
-func (m *MultiTracer) Add(t sim.Tracer) {
-	if t != nil {
-		m.Tracers = append(m.Tracers, t)
-	}
-}
-
-// Resume implements sim.Tracer.
-func (m *MultiTracer) Resume(now sim.Time, pid int, name string) {
-	for _, t := range m.Tracers {
-		t.Resume(now, pid, name)
-	}
-}
-
-// Event implements sim.Tracer.
-func (m *MultiTracer) Event(now sim.Time, source, msg string) {
-	for _, t := range m.Tracers {
-		t.Event(now, source, msg)
-	}
-}
-
 // TraceAdapter bridges free-text sim.Env.Trace annotations into a
 // Recorder as mark events, so user commentary lands in the same JSONL
 // or Chrome stream as the typed kernel events. It implements
-// sim.Tracer; install it (alone or inside a MultiTracer) with
-// Env.SetTracer.
+// sim.Tracer; install it with Env.SetTracer.
 type TraceAdapter struct {
 	R *Recorder
 }

@@ -2,7 +2,6 @@ package lynx_test
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"repro/internal/obs"
@@ -10,38 +9,21 @@ import (
 	"repro/lynx"
 )
 
+// trioRounds is how many round trips each echo-trio client makes under
+// the flight recorder: enough events that a 1-in-flight.SampleK sample
+// is non-empty yet strict.
+const trioRounds = 60
+
 // runTrioFlight runs the echo-trio workload (three independent
 // client/server pairs — the partitionable shape, see runEchoTrio) with
-// the System's flight recorder wired to a JSONL exporter, and returns
-// the exported trace plus whether the parallel engine engaged.
-func runTrioFlight(t *testing.T, cfg lynx.Config) ([]byte, *flight.Recorder, bool) {
+// the given recorder mode, its export sink a JSONL exporter, and
+// returns the exported trace plus whether the parallel engine engaged.
+func runTrioFlight(t *testing.T, cfg lynx.Config, mode flight.Mode, rounds int) ([]byte, *flight.Recorder, bool) {
 	t.Helper()
-	sys := lynx.NewSystem(cfg)
 	var buf bytes.Buffer
-	sys.Flight().Attach(&obs.JSONLExporter{W: &buf})
-	for i := 0; i < 3; i++ {
-		i := i
-		client := sys.Spawn(fmt.Sprintf("client-%d", i), func(th *lynx.Thread, boot []*lynx.End) {
-			for n := 0; n < 3; n++ {
-				reply, err := th.Connect(boot[0], "echo", lynx.Msg{Data: []byte{byte(i), byte(n)}})
-				if err != nil {
-					t.Errorf("client-%d: %v", i, err)
-					return
-				}
-				if len(reply.Data) != 2 {
-					t.Errorf("client-%d: bad echo %v", i, reply.Data)
-				}
-				th.Delay(lynx.Duration(i+1) * 100 * lynx.Microsecond)
-			}
-			th.Destroy(boot[0])
-		})
-		server := sys.Spawn(fmt.Sprintf("server-%d", i), func(th *lynx.Thread, boot []*lynx.End) {
-			th.Serve(boot[0], func(st *lynx.Thread, req *lynx.Request) {
-				st.Reply(req, lynx.Msg{Data: req.Data()})
-			})
-		})
-		sys.Join(client, server)
-	}
+	cfg.Trace = &flight.Config{Mode: mode, Sink: &obs.JSONLExporter{W: &buf}}
+	sys := lynx.NewSystem(cfg)
+	spawnEchoTrio(t, sys, rounds)
 	if err := sys.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -55,9 +37,7 @@ func runTrioFlight(t *testing.T, cfg lynx.Config) ([]byte, *flight.Recorder, boo
 // scheduler goldens valid for traced runs.
 func TestFlightFullModeMatchesDirectTrace(t *testing.T) {
 	cfg := lynx.Config{Substrate: lynx.Ideal, Seed: 7}
-	full := cfg
-	full.Trace = lynx.TraceOptions{Mode: flight.Full}
-	got, fr, _ := runTrioFlight(t, full)
+	got, fr, _ := runTrioFlight(t, cfg, flight.Full, 3)
 
 	// The identical workload, untraced, with the exporter attached
 	// directly to the obs recorder (runEchoTrio's wiring).
@@ -80,9 +60,8 @@ func TestFlightFullModeMatchesDirectTrace(t *testing.T) {
 // the engine's deterministic replay order, not arrival order.
 func TestSampledTraceWorkerInvariance(t *testing.T) {
 	trace := func(workers int) []byte {
-		cfg := lynx.Config{Substrate: lynx.Ideal, Seed: 7, SimWorkers: workers,
-			Trace: lynx.TraceOptions{Mode: flight.Sampled, SampleK: 4}}
-		got, fr, parallel := runTrioFlight(t, cfg)
+		cfg := lynx.Config{Substrate: lynx.Ideal, Seed: 7, SimWorkers: workers}
+		got, fr, parallel := runTrioFlight(t, cfg, flight.Sampled, trioRounds)
 		if wantPar := workers > 1; parallel != wantPar {
 			t.Fatalf("Parallel() = %v at SimWorkers=%d, want %v", parallel, workers, wantPar)
 		}
@@ -94,7 +73,7 @@ func TestSampledTraceWorkerInvariance(t *testing.T) {
 	}
 	base := trace(1)
 	if len(base) == 0 {
-		t.Fatal("no events sampled at SimWorkers=1 (K=4)")
+		t.Fatalf("no events sampled at SimWorkers=1 (K=%d)", flight.SampleK)
 	}
 	for _, workers := range []int{2, 4} {
 		if got := trace(workers); !bytes.Equal(got, base) {
@@ -107,9 +86,8 @@ func TestSampledTraceWorkerInvariance(t *testing.T) {
 // TestCountersModeExportsNothing: counters-only still rings and counts
 // but forwards no events downstream.
 func TestCountersModeExportsNothing(t *testing.T) {
-	cfg := lynx.Config{Substrate: lynx.Ideal, Seed: 7,
-		Trace: lynx.TraceOptions{Mode: flight.Counters, Ring: 64}}
-	got, fr, _ := runTrioFlight(t, cfg)
+	cfg := lynx.Config{Substrate: lynx.Ideal, Seed: 7}
+	got, fr, _ := runTrioFlight(t, cfg, flight.Counters, trioRounds)
 	if len(got) != 0 {
 		t.Errorf("counters mode exported %d bytes", len(got))
 	}

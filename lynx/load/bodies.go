@@ -45,8 +45,7 @@ func echoBody(c grid.Cell, r sweep.Run) sweep.Outcome {
 		return sweep.Outcome{Err: err}
 	}
 	payload := c.Int("payload")
-	sys := lynx.NewSystem(lynx.Config{Substrate: sub, Seed: r.Seed, Trace: TraceConfig(r.Trace)})
-	AttachTrace(sys, r.Trace)
+	sys := lynx.NewSystem(lynx.Config{Substrate: sub, Seed: r.Seed, Trace: r.Trace})
 	data := make([]byte, payload)
 	var rtt lynx.Duration
 	cl := sys.Spawn("client", func(th *lynx.Thread, boot []*lynx.End) {
@@ -81,8 +80,7 @@ func unitBody(kind string) func(c grid.Cell, r sweep.Run) sweep.Outcome {
 		if err != nil {
 			return sweep.Outcome{Err: err}
 		}
-		sys := lynx.NewSystem(lynx.Config{Substrate: sub, Seed: r.Seed, Trace: TraceConfig(r.Trace)})
-		AttachTrace(sys, r.Trace)
+		sys := lynx.NewSystem(lynx.Config{Substrate: sub, Seed: r.Seed, Trace: r.Trace})
 		if err := Build(sys, kind); err != nil {
 			return sweep.Outcome{Err: err}
 		}

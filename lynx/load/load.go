@@ -107,45 +107,19 @@ type Options struct {
 	// that crashes the generator ("loadgen") or work-unit processes
 	// ("u<seq>.<role>") makes Completed lag Arrivals — see CheckShape.
 	Faults *fault.Plan
-	// Trace, when non-nil, engages the flight recorder for the run:
-	// Mode/SampleK/Ring shape lynx.Config.Trace, Sink receives the
-	// exported event stream, DumpTo receives ring dumps. Dumps fire on
-	// the run's anomaly hooks — a run error or fault-plan panic, a
-	// shape-check failure — and once at end of run. Recording never
-	// changes Result, so Trace is excluded from sweep keys and cache
-	// identity.
+	// Trace, when non-nil, engages the flight recorder for the run (it
+	// becomes lynx.Config.Trace): Mode shapes the recording, Sink
+	// receives the exported event stream, DumpTo receives ring dumps.
+	// Dumps fire on the run's anomaly hooks — a run error or
+	// fault-plan panic, a shape-check failure — and once at end of run.
+	// Recording never changes Result, so Trace is excluded from sweep
+	// keys and cache identity.
 	Trace *flight.Config
 }
 
 // maxUnits caps the number of arrivals in one run as a runaway guard
 // when Rate×Window is enormous.
 const maxUnits = 100000
-
-// TraceConfig lowers a thread-through flight config onto
-// lynx.Config.Trace (the zero TraceOptions for nil — mode Off).
-func TraceConfig(t *flight.Config) lynx.TraceOptions {
-	if t == nil {
-		return lynx.TraceOptions{}
-	}
-	return lynx.TraceOptions{Mode: t.Mode, SampleK: t.SampleK, Ring: t.Ring}
-}
-
-// AttachTrace wires a thread-through flight config's destinations onto
-// a freshly built System's flight recorder: the export sink attaches
-// to the recorder (so sampling applies) and the dump writer is set.
-// No-op when either side is absent.
-func AttachTrace(sys *lynx.System, t *flight.Config) {
-	fr := sys.Flight()
-	if t == nil || fr == nil {
-		return
-	}
-	if t.Sink != nil {
-		fr.Attach(t.Sink)
-	}
-	if t.DumpTo != nil {
-		fr.SetDumpWriter(t.DumpTo)
-	}
-}
 
 // Result is one run's report. Every field is virtual-time derived and
 // therefore deterministic in Options.
@@ -207,9 +181,8 @@ func Run(o Options) (*Result, error) {
 		Seed:       sim.StreamSeed(o.Seed, 0),
 		SimWorkers: o.SimWorkers,
 		Faults:     o.Faults,
-		Trace:      TraceConfig(o.Trace),
+		Trace:      o.Trace,
 	})
-	AttachTrace(sys, o.Trace)
 	fr := sys.Flight()
 	m := sys.Metrics()
 	gens := o.Gens

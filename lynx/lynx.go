@@ -237,13 +237,14 @@ type Config struct {
 	// sweep cache keys.
 	SimWorkers int
 
-	// Trace configures the flight recorder (internal/obs/flight): a
-	// bounded ring of the last-N protocol events with full, sampled, or
-	// counters-only export. The zero value (mode Off) creates no
-	// recorder and leaves the untraced fast path untouched. Like
-	// SimWorkers, the mode never changes simulation results — it only
-	// shapes what is recorded — so it is excluded from sweep cache keys.
-	Trace TraceOptions
+	// Trace requests the flight recorder (internal/obs/flight): a
+	// bounded ring of the last protocol events with full, sampled, or
+	// counters-only export to Trace.Sink and ring dumps to
+	// Trace.DumpTo. Nil (or mode Off) creates no recorder and leaves
+	// the untraced fast path untouched. Like SimWorkers, recording never
+	// changes simulation results — it only shapes what is recorded — so
+	// it is excluded from sweep cache keys.
+	Trace *flight.Config
 
 	// Faults is an optional declarative fault plan (crash/restart
 	// schedules, frame drop/duplication/reorder, partitions, slow
@@ -380,18 +381,14 @@ func NewSystem(cfg Config) *System {
 	default:
 		panic(fmt.Sprintf("lynx: unknown substrate %v", cfg.Substrate))
 	}
-	if cfg.Trace.Mode != flight.Off {
+	if cfg.Trace != nil && cfg.Trace.Mode != flight.Off {
 		// The flight recorder attaches as an ordinary obs sink, which
 		// makes the recorder Active(): instrumented code builds events
 		// and (under a parallel partition) replays them in (time, shard)
 		// merge order — the property the sampled mode's determinism
-		// rests on.
-		s.fr = flight.New(flight.Config{
-			Mode:    cfg.Trace.Mode,
-			SampleK: cfg.Trace.SampleK,
-			Ring:    cfg.Trace.Ring,
-			Seed:    cfg.Seed,
-		})
+		// rests on. The request's Sink sits behind the recorder, so
+		// sampling applies to it.
+		s.fr = flight.New(*cfg.Trace, cfg.Seed)
 		s.Obs().Attach(s.fr)
 	}
 	if !cfg.Faults.Empty() {
@@ -1047,8 +1044,10 @@ func (p *ProcRef) Crash() {
 }
 
 // Obs returns the active substrate's observability recorder: attach
-// exporters (obs.TextExporter, obs.JSONLExporter, obs.ChromeExporter)
-// for typed event streams, or read Metrics() for the counter registry.
+// exporters (obs.TextExporter, obs.JSONLExporter, obs.ChromeStream)
+// for the full typed event stream, or read Metrics() for the counter
+// registry. A sampled or counters-only stream comes from Config.Trace
+// instead: its Sink sits behind the flight recorder.
 func (s *System) Obs() *obs.Recorder {
 	switch {
 	case s.charK != nil:
@@ -1063,12 +1062,10 @@ func (s *System) Obs() *obs.Recorder {
 	return nil
 }
 
-// Flight returns the system's flight recorder, or nil when
-// Config.Trace.Mode is Off. When a mode is engaged, export sinks must
-// attach here — not to Obs() directly, which would bypass sampling:
-//
-//	sys.Flight().Attach(&obs.JSONLExporter{W: out})
-//	sys.Flight().SetDumpWriter(out)
+// Flight returns the system's flight recorder, built from
+// Config.Trace, or nil when Config.Trace is nil or Off. Its export sink
+// and dump writer are the ones Config.Trace names; read it for counts
+// and snapshots, or call Dump and Anomaly on it.
 func (s *System) Flight() *flight.Recorder { return s.fr }
 
 // Metrics returns the active substrate's metric registry. It is

@@ -98,11 +98,11 @@ func TestJSONLDeterminism(t *testing.T) {
 // valid JSON, show events from both moving link ends, and keep
 // timestamps non-decreasing (virtual time never runs backwards).
 func TestChromeExport(t *testing.T) {
-	ch := obs.NewChromeExporter()
-	runFigure1(t, lynx.Charlotte, ch)
 	var buf bytes.Buffer
-	if err := ch.Flush(&buf); err != nil {
-		t.Fatalf("flush: %v", err)
+	ch := obs.NewChromeStream(&buf)
+	runFigure1(t, lynx.Charlotte, ch)
+	if err := ch.Close(); err != nil {
+		t.Fatalf("close: %v", err)
 	}
 	if !json.Valid(buf.Bytes()) {
 		t.Fatal("chrome export is not valid JSON")

@@ -1,23 +1,6 @@
 package lynx
 
-import (
-	sodabind "repro/internal/bind/soda"
-	"repro/internal/obs/flight"
-)
-
-// TraceOptions configures the flight recorder for a System. The zero
-// value (mode Off) records nothing and creates no recorder.
-type TraceOptions struct {
-	// Mode selects flight.Full, flight.Sampled or flight.Counters;
-	// flight.Off (the zero value) disables recording.
-	Mode flight.Mode
-	// SampleK is the Sampled-mode divisor (one event in K exported).
-	// 0 = default (64).
-	SampleK int
-	// Ring is the ring-buffer capacity in events, rounded up to a
-	// power of two. 0 = default (4096).
-	Ring int
-}
+import sodabind "repro/internal/bind/soda"
 
 // SODAOptions are the knobs specific to the SODA substrate. The zero
 // value inherits every default (move cache of 64 entries, 250 ms hint

@@ -65,10 +65,20 @@ func runEchoTrio(t *testing.T, cfg lynx.Config) ([]byte, *lynx.System) {
 	sys := lynx.NewSystem(cfg)
 	var buf bytes.Buffer
 	sys.Obs().Attach(&obs.JSONLExporter{W: &buf})
+	spawnEchoTrio(t, sys, 3)
+	if err := sys.Run(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return buf.Bytes(), sys
+}
+
+// spawnEchoTrio spawns and joins runEchoTrio's three client/server
+// pairs, each client making the given number of round trips.
+func spawnEchoTrio(t *testing.T, sys *lynx.System, rounds int) {
 	for i := 0; i < 3; i++ {
 		i := i
 		client := sys.Spawn(fmt.Sprintf("client-%d", i), func(th *lynx.Thread, boot []*lynx.End) {
-			for n := 0; n < 3; n++ {
+			for n := 0; n < rounds; n++ {
 				reply, err := th.Connect(boot[0], "echo", lynx.Msg{Data: []byte{byte(i), byte(n)}})
 				if err != nil {
 					t.Errorf("client-%d: %v", i, err)
@@ -88,10 +98,6 @@ func runEchoTrio(t *testing.T, cfg lynx.Config) ([]byte, *lynx.System) {
 		})
 		sys.Join(client, server)
 	}
-	if err := sys.Run(); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	return buf.Bytes(), sys
 }
 
 // checkPartition asserts the partition/parallel state the new contract

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -126,10 +127,10 @@ type JobStatus struct {
 	Submitted       string `json:"submitted"`
 }
 
-// job is the daemon-side state of one submission. The stream history
-// (lines) is append-only: every subscriber replays it from the start
-// and then follows live appends, so a client attaching after completion
-// still reads the full deterministic stream.
+// job is the daemon-side state of one submission. Its two logs are
+// append-only: every subscriber replays one from the start and then
+// follows live appends, so a client attaching after completion still
+// reads the full deterministic stream.
 type job struct {
 	id     string
 	kind   string
@@ -154,18 +155,15 @@ type job struct {
 	// racing it, and must be tallied exactly once.
 	counted     bool
 	errText     string
-	lines       [][]byte
 	resultLines int
-	changed     chan struct{}
-	// traceLines is the append-only trace stream history (event lines
-	// and ring-dump lines), replayed+followed by /jobs/{id}/trace
-	// subscribers exactly like lines is by /stream subscribers.
-	traceLines   [][]byte
-	traceChanged chan struct{}
-	done         int
-	total        int
-	cacheHits    int64
-	cacheMisses  int64
+	// stream is the /jobs/{id}/stream log (envelopes and result lines);
+	// trace is the /jobs/{id}/trace log (event and ring-dump lines).
+	stream      lineLog
+	trace       lineLog
+	done        int
+	total       int
+	cacheHits   int64
+	cacheMisses int64
 	// rollup is the per-job pooled metric registry (every cell's
 	// instruments under its cell-key prefix), served at
 	// /jobs/{id}/metrics.
@@ -177,19 +175,84 @@ func newJob(id, kind, client, key string, now time.Time) *job {
 	return &job{
 		id: id, kind: kind, client: client, key: key,
 		ctx: ctx, cancel: cancel, submitted: now,
-		state: StateQueued, changed: make(chan struct{}),
-		traceChanged: make(chan struct{}),
+		state:  StateQueued,
+		stream: lineLog{changed: make(chan struct{})},
+		trace:  lineLog{changed: make(chan struct{})},
 	}
 }
 
-// append adds one stream line (no trailing newline) and wakes
-// subscribers.
-func (j *job) append(line []byte) {
+// lineLog is one of a job's append-only logs of JSONL lines (no
+// trailing newlines). Lines are shared by every follower and never
+// mutated. Its fields are guarded by the owning job's mu.
+type lineLog struct {
+	lines   [][]byte
+	changed chan struct{} // closed and replaced on every append
+}
+
+// add appends lines and wakes the log's followers; the caller holds
+// the job's mu.
+func (l *lineLog) add(lines ...[]byte) {
+	if len(lines) == 0 {
+		return
+	}
+	l.lines = append(l.lines, lines...)
+	l.wake()
+}
+
+// wake releases every follower waiting on the log.
+func (l *lineLog) wake() {
+	close(l.changed)
+	l.changed = make(chan struct{})
+}
+
+// log appends lines to one of the job's logs in one lock acquisition,
+// so a multi-line ring dump lands atomically.
+func (j *job) log(l *lineLog, lines ...[]byte) {
 	j.mu.Lock()
-	j.lines = append(j.lines, line)
-	close(j.changed)
-	j.changed = make(chan struct{})
+	l.add(lines...)
 	j.mu.Unlock()
+}
+
+// follow writes l to w from its start, then follows live appends,
+// flushing after every batch; it returns when the job reaches a
+// terminal state or ctx ends (the client hung up). Lines, terminal
+// state and the wake channel are read under one j.mu hold, so no
+// append between them is missed.
+func (j *job) follow(ctx context.Context, w http.ResponseWriter, l *lineLog) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("X-Accel-Buffering", "no")
+	fl, _ := w.(http.Flusher)
+	i := 0
+	for {
+		j.mu.Lock()
+		lines := l.lines[i:]
+		i = len(l.lines)
+		terminal := j.terminal()
+		changed := l.changed
+		j.mu.Unlock()
+		for _, ln := range lines {
+			// Two writes, not append(ln, '\n'): lines are shared across
+			// subscribers and must never be mutated (append could write
+			// into spare capacity of the shared backing array).
+			if _, err := w.Write(ln); err != nil {
+				return
+			}
+			if _, err := w.Write([]byte{'\n'}); err != nil {
+				return
+			}
+		}
+		if len(lines) > 0 && fl != nil {
+			fl.Flush()
+		}
+		if terminal {
+			return
+		}
+		select {
+		case <-changed:
+		case <-ctx.Done():
+			return
+		}
+	}
 }
 
 // emit marshals an envelope record onto the stream.
@@ -198,21 +261,7 @@ func (j *job) emit(v any) {
 	if err != nil {
 		return
 	}
-	j.append(b)
-}
-
-// appendTrace adds trace stream lines (no trailing newlines) in one
-// lock acquisition — a multi-line ring dump lands atomically — and
-// wakes trace subscribers.
-func (j *job) appendTrace(lines [][]byte) {
-	if len(lines) == 0 {
-		return
-	}
-	j.mu.Lock()
-	j.traceLines = append(j.traceLines, lines...)
-	close(j.traceChanged)
-	j.traceChanged = make(chan struct{})
-	j.mu.Unlock()
+	j.log(&j.stream, b)
 }
 
 // jobTraceSink adapts the job trace stream to obs.Sink: each exported
@@ -226,7 +275,7 @@ func (t jobTraceSink) Event(ev obs.Event) {
 	if err != nil {
 		return
 	}
-	t.j.appendTrace([][]byte{b})
+	t.j.log(&t.j.trace, b)
 }
 
 // jobTraceWriter adapts the job trace stream to io.Writer for ring
@@ -236,13 +285,7 @@ func (t jobTraceSink) Event(ev obs.Event) {
 type jobTraceWriter struct{ j *job }
 
 func (t jobTraceWriter) Write(p []byte) (int, error) {
-	var lines [][]byte
-	for _, ln := range strings.Split(strings.TrimRight(string(p), "\n"), "\n") {
-		if ln != "" {
-			lines = append(lines, []byte(ln))
-		}
-	}
-	t.j.appendTrace(lines)
+	t.j.log(&t.j.trace, splitLines(string(p))...)
 	return len(p), nil
 }
 
@@ -305,23 +348,19 @@ func (j *job) finish(state string, result [][]byte, err error) {
 		j.errText = err.Error()
 	}
 	j.resultLines = len(result)
-	hits, misses := j.cacheHits, j.cacheMisses
+	var lines [][]byte
 	if len(result) > 0 {
 		head, _ := json.Marshal(envelope{Type: "result", Lines: len(result)})
-		j.lines = append(j.lines, head)
-		j.lines = append(j.lines, result...)
+		lines = append([][]byte{head}, result...)
 	}
 	tail, _ := json.Marshal(envelope{
 		Type: "done", State: state, Error: j.errText,
-		CacheHits: hits, CacheMisses: misses,
+		CacheHits: j.cacheHits, CacheMisses: j.cacheMisses,
 	})
-	j.lines = append(j.lines, tail)
-	close(j.changed)
-	j.changed = make(chan struct{})
+	j.stream.add(append(lines, tail)...)
 	// Wake trace followers too: they return at terminal state and would
 	// otherwise wait for a trace line that never comes.
-	close(j.traceChanged)
-	j.traceChanged = make(chan struct{})
+	j.trace.wake()
 	j.mu.Unlock()
 }
 
@@ -334,7 +373,7 @@ func (j *job) status() JobStatus {
 		State: j.state, CancelRequested: j.cancelRequested,
 		Done: j.done, Total: j.total,
 		CacheHits: j.cacheHits, CacheMisses: j.cacheMisses,
-		ResultLines: j.resultLines, TraceLines: len(j.traceLines),
+		ResultLines: j.resultLines, TraceLines: len(j.trace.lines),
 		Error:     j.errText,
 		Submitted: j.submitted.UTC().Format(time.RFC3339Nano),
 	}

@@ -492,84 +492,18 @@ func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "job %s was not submitted with a trace mode", j.id)
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no")
-	fl, _ := w.(http.Flusher)
-	i := 0
-	for {
-		j.mu.Lock()
-		lines := j.traceLines[i:]
-		i = len(j.traceLines)
-		terminal := j.terminal()
-		changed := j.traceChanged
-		j.mu.Unlock()
-		for _, ln := range lines {
-			// Two writes, never append(ln, '\n'): trace lines are shared
-			// across subscribers and must not be mutated.
-			if _, err := w.Write(ln); err != nil {
-				return
-			}
-			if _, err := w.Write([]byte{'\n'}); err != nil {
-				return
-			}
-		}
-		if len(lines) > 0 && fl != nil {
-			fl.Flush()
-		}
-		if terminal {
-			return
-		}
-		select {
-		case <-changed:
-		case <-r.Context().Done():
-			return
-		}
-	}
+	j.follow(r.Context(), w, &j.trace)
 }
 
 // handleStream replays the job's full line history and then follows
-// live appends as chunked JSONL, flushing after every batch so clients
-// see progress as it happens; it returns when the job reaches a
-// terminal state (after emitting its "done" envelope) or the client
-// hangs up.
+// live appends as chunked JSONL, so clients see progress as it
+// happens; it returns when the job reaches a terminal state (after
+// emitting its "done" envelope) or the client hangs up.
 func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	j := s.job(r.PathValue("id"))
 	if j == nil {
 		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Accel-Buffering", "no")
-	fl, _ := w.(http.Flusher)
-	i := 0
-	for {
-		j.mu.Lock()
-		lines := j.lines[i:]
-		i = len(j.lines)
-		terminal := j.terminal()
-		changed := j.changed
-		j.mu.Unlock()
-		for _, ln := range lines {
-			// Two writes, not append(ln, '\n'): lines are shared across
-			// subscribers and must never be mutated (append could write
-			// into spare capacity of the shared backing array).
-			if _, err := w.Write(ln); err != nil {
-				return
-			}
-			if _, err := w.Write([]byte{'\n'}); err != nil {
-				return
-			}
-		}
-		if len(lines) > 0 && fl != nil {
-			fl.Flush()
-		}
-		if terminal {
-			return
-		}
-		select {
-		case <-changed:
-		case <-r.Context().Done():
-			return
-		}
-	}
+	j.follow(r.Context(), w, &j.stream)
 }

@@ -2,10 +2,14 @@ package service
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -153,4 +157,81 @@ func TestTraceModeSharesCache(t *testing.T) {
 	if got, want := strings.Join(sampledLines, "\n"), strings.Join(fullLines, "\n"); got != want {
 		t.Fatalf("trace mode changed the table:\n%s\nvs\n%s", got, want)
 	}
+}
+
+// TestTraceFollowerEndsOnQueuedCancel: a trace follower attached to a
+// traced job while it is still queued returns, having read no lines,
+// once the job is canceled — reaching a terminal state wakes trace
+// followers, not only stream ones. The request carries a deadline, so
+// a follower that is never woken fails the test instead of hanging it.
+func TestTraceFollowerEndsOnQueuedCancel(t *testing.T) {
+	s := New(Config{Workers: 1, QueueLimit: 8})
+	h := s.Handler()
+	following := make(chan struct{}, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/trace") {
+			following <- struct{}{}
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	release := make(chan struct{})
+	defer close(release)
+	runner := blockingJob(release)
+	if _, err := s.enqueue(runner); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, ts, runner.id, StateRunning)
+	req := loadReq()
+	req.Load.Trace = "sampled"
+	_, queued := submit(t, ts, req)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	type followed struct {
+		lines int
+		err   error
+	}
+	done := make(chan followed, 1)
+	go func() {
+		n, err := followLines(ctx, ts.URL+"/jobs/"+queued.ID+"/trace")
+		done <- followed{n, err}
+	}()
+	<-following
+	time.Sleep(20 * time.Millisecond) // let the follower wait on the trace log
+	if _, ok := s.Cancel(queued.ID); !ok {
+		t.Fatalf("no job %s to cancel", queued.ID)
+	}
+	got := <-done
+	if got.err != nil {
+		t.Fatalf("trace follower did not return when the queued job was canceled: %v", got.err)
+	}
+	if got.lines != 0 {
+		t.Fatalf("trace follower read %d lines from a job that never ran, want 0", got.lines)
+	}
+}
+
+// followLines reads a JSONL endpoint to its end and counts its lines.
+func followLines(ctx context.Context, url string) (int, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return 0, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return 0, fmt.Errorf("GET %s: %s", url, resp.Status)
+	}
+	n := 0
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		n++
+	}
+	return n, sc.Err()
 }

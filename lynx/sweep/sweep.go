@@ -78,11 +78,10 @@ type Options struct {
 	// to every replica via Run.Trace. Like Parallel it is pure
 	// observation — recording never changes simulation results — so it
 	// is no part of a sweep's identity (cache keys exclude it). Bodies
-	// that honor it configure lynx.Config.Trace from its mode fields and
-	// attach its Sink/DumpTo to the System's flight recorder; with
-	// Parallel > 1 those destinations receive events from several
-	// replicas concurrently and must serialize internally (the lynxd job
-	// trace writer does).
+	// that honor it pass it on as lynx.Config.Trace; with Parallel > 1
+	// its Sink and DumpTo receive events from several replicas
+	// concurrently and must serialize internally (the lynxd job trace
+	// writer does).
 	Trace *flight.Config
 }
 
