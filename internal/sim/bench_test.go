@@ -11,7 +11,8 @@ import (
 // performs ops scheduler operations on it.
 
 // timerWorkload: procs procs sleeping 1µs in lockstep — the timer-heap
-// pop + proc wakeup path (one sched event per op).
+// pop + proc wakeup path (one sched event per op). A lone proc has
+// nothing to wait behind, so its Delay advances the clock in place.
 func timerWorkload(procs int) func(ops int) func() error {
 	return func(ops int) func() error {
 		env := sim.NewEnv(1)
@@ -49,6 +50,7 @@ var schedWorkloads = []struct {
 	{"timer_8", timerWorkload(8)},
 	{"yield", yieldWorkload},
 	{"timer_256", timerWorkload(256)},
+	{"timer_1", timerWorkload(1)},
 }
 
 // benchSched times one workload's run over b.N ops, setup excluded.
@@ -66,6 +68,9 @@ func BenchmarkSchedTimer8(b *testing.B) { benchSched(b, timerWorkload(8)) }
 
 // BenchmarkSchedYield: two procs yielding to each other.
 func BenchmarkSchedYield(b *testing.B) { benchSched(b, yieldWorkload) }
+
+// BenchmarkSchedTimer1: one proc sleeping alone — Delay's in-place path.
+func BenchmarkSchedTimer1(b *testing.B) { benchSched(b, timerWorkload(1)) }
 
 // BenchmarkSchedTimer256: 256 sleeping procs — timer-heap depth stress.
 func BenchmarkSchedTimer256(b *testing.B) { benchSched(b, timerWorkload(256)) }

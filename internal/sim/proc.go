@@ -246,12 +246,32 @@ func (p *Proc) Yield() {
 	p.park()
 }
 
-// Delay parks the proc for d of virtual time. Delay(0) still yields.
+// Delay parks the proc for d of virtual time. It yields to procs
+// already ready and to timers due at or before its wake time, so
+// Delay(0) still yields to those due at the same instant.
+//
+// When nothing could run before the wake (the ready queue is empty and
+// no timer is due by then) Delay advances the clock in place and
+// returns: the sleep timer it would push is the one the scheduler
+// would pop next, handing the processor straight back. A killed proc,
+// a stopped run and a wake past the horizon take the timer path, whose
+// park raises the kill, ends the run or stops at the horizon.
 func (p *Proc) Delay(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.sleepTmr = p.env.schedSleep(p.env.now+Time(d), p)
+	e := p.env
+	t := e.now + Time(d)
+	if !p.killed && !e.stopped && e.ready.n == 0 &&
+		(e.timers.len() == 0 || e.timers.s[0].at > t) &&
+		(e.limit < 0 || t <= e.limit) {
+		e.now = t
+		if e.tracer != nil {
+			e.traceResume(p)
+		}
+		return
+	}
+	p.sleepTmr = e.schedSleep(t, p)
 	p.park()
 }
 

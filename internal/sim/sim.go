@@ -21,10 +21,12 @@
 // records the switch point it parks on; a finishing one starts an
 // unstarted successor on its own goroutine, with no switch, or else
 // goes idle. When a simproc is its own successor (it yielded but is
-// already runnable again, the common case for a lone proc driving
-// timers) park returns with no switch at all. The driver (runCore, on
-// Env.Run's goroutine or a shard's worker) resumes the first proc and
-// is resumed only when the run is over.
+// already runnable again) park returns with no switch at all, and a
+// Delay that nothing could interrupt (no proc ready, no timer due by
+// its wake) does not park: it advances the clock in place, with no
+// timer pushed, popped or fired (see Proc.Delay). The driver (runCore,
+// on Env.Run's goroutine or a shard's worker) resumes the first proc
+// and is resumed only when the run is over.
 //
 // Token discipline: a simproc may lend its identity to strands (a LYNX
 // thread is a strand of its process's simproc; see Strand). Its own
