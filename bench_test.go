@@ -17,12 +17,13 @@ import (
 	"repro/lynx"
 )
 
-// benchExperiment runs one experiment per iteration, failing the bench
-// if the measured shape stops matching the paper.
-func benchExperiment(b *testing.B, run func() *expt.Result) {
+// benchExperiment runs experiment id once per iteration at its paper
+// seeds, failing the bench if the measured shape stops matching the
+// paper.
+func benchExperiment(b *testing.B, id string) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := run()
+		r := expt.ByIDWith(id, expt.Options{})
 		if !r.Pass {
 			b.Fatalf("%s: shape mismatch:\n%s", r.ID, r.Render())
 		}
@@ -30,37 +31,37 @@ func benchExperiment(b *testing.B, run func() *expt.Result) {
 }
 
 // BenchmarkE1_CharlotteLatency regenerates §3.3's latency table.
-func BenchmarkE1_CharlotteLatency(b *testing.B) { benchExperiment(b, expt.E1) }
+func BenchmarkE1_CharlotteLatency(b *testing.B) { benchExperiment(b, "E1") }
 
 // BenchmarkE2_EnclosureProtocol regenerates figure 2's message counts.
-func BenchmarkE2_EnclosureProtocol(b *testing.B) { benchExperiment(b, expt.E2) }
+func BenchmarkE2_EnclosureProtocol(b *testing.B) { benchExperiment(b, "E2") }
 
 // BenchmarkE3_SodaCrossover regenerates §4.3's sweep and crossover.
-func BenchmarkE3_SodaCrossover(b *testing.B) { benchExperiment(b, expt.E3) }
+func BenchmarkE3_SodaCrossover(b *testing.B) { benchExperiment(b, "E3") }
 
 // BenchmarkE4_ChrysalisLatency regenerates §5.3's latency table.
-func BenchmarkE4_ChrysalisLatency(b *testing.B) { benchExperiment(b, expt.E4) }
+func BenchmarkE4_ChrysalisLatency(b *testing.B) { benchExperiment(b, "E4") }
 
 // BenchmarkE5_CodeSize regenerates the implementation-size comparison.
-func BenchmarkE5_CodeSize(b *testing.B) { benchExperiment(b, expt.E5) }
+func BenchmarkE5_CodeSize(b *testing.B) { benchExperiment(b, "E5") }
 
 // BenchmarkE6_SimultaneousMove regenerates figure 1 on all substrates.
-func BenchmarkE6_SimultaneousMove(b *testing.B) { benchExperiment(b, expt.E6) }
+func BenchmarkE6_SimultaneousMove(b *testing.B) { benchExperiment(b, "E6") }
 
 // BenchmarkE7_UnwantedMessages regenerates the screening comparison.
-func BenchmarkE7_UnwantedMessages(b *testing.B) { benchExperiment(b, expt.E7) }
+func BenchmarkE7_UnwantedMessages(b *testing.B) { benchExperiment(b, "E7") }
 
 // BenchmarkE8_EnclosureLoss regenerates the lost-enclosure scenario.
-func BenchmarkE8_EnclosureLoss(b *testing.B) { benchExperiment(b, expt.E8) }
+func BenchmarkE8_EnclosureLoss(b *testing.B) { benchExperiment(b, "E8") }
 
 // BenchmarkE9_ChrysalisTuning regenerates the tuning ablation.
-func BenchmarkE9_ChrysalisTuning(b *testing.B) { benchExperiment(b, expt.E9) }
+func BenchmarkE9_ChrysalisTuning(b *testing.B) { benchExperiment(b, "E9") }
 
 // BenchmarkE10_HintHeuristics regenerates the hint-repair economics.
-func BenchmarkE10_HintHeuristics(b *testing.B) { benchExperiment(b, expt.E10) }
+func BenchmarkE10_HintHeuristics(b *testing.B) { benchExperiment(b, "E10") }
 
 // BenchmarkE11_Fairness regenerates the queue-fairness measurement.
-func BenchmarkE11_Fairness(b *testing.B) { benchExperiment(b, expt.E11) }
+func BenchmarkE11_Fairness(b *testing.B) { benchExperiment(b, "E11") }
 
 // benchRPC measures the real (wall-clock) cost of simulated LYNX remote
 // operations on one substrate, and reports the virtual-time RTT as a
@@ -160,8 +161,8 @@ func BenchmarkWireEncode(b *testing.B) {
 
 // BenchmarkE12_PairLimits regenerates the §4.2.1 limit-pressure table
 // (extension experiment: the paper predicted, we measure).
-func BenchmarkE12_PairLimits(b *testing.B) { benchExperiment(b, expt.E12) }
+func BenchmarkE12_PairLimits(b *testing.B) { benchExperiment(b, "E12") }
 
 // BenchmarkE13_DiscoverLoss regenerates the discover-success-vs-loss
 // sweep (extension experiment: §4.2's open question, answered).
-func BenchmarkE13_DiscoverLoss(b *testing.B) { benchExperiment(b, expt.E13) }
+func BenchmarkE13_DiscoverLoss(b *testing.B) { benchExperiment(b, "E13") }

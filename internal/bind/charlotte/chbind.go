@@ -18,7 +18,7 @@
 //     is silently discarded, because a top-level acknowledgment for
 //     every reply "would increase message traffic by 50%" — so, unlike
 //     the SODA and Chrysalis bindings, this transport CANNOT raise
-//     ErrUnwantedReply at the server (Capabilities reflect that).
+//     ErrUnwantedReply at the server.
 //
 // Concurrency discipline: binding code runs in two simproc contexts —
 // the LYNX process itself (core-facing methods) and the completion pump.
@@ -104,7 +104,6 @@ type Transport struct {
 }
 
 var _ core.Transport = (*Transport)(nil)
-var _ core.Capable = (*Transport)(nil)
 
 // endState is the binding's per-link-end protocol state. The binding
 // keeps one for every end it has seen, for the whole run.
@@ -260,13 +259,6 @@ func (tr *Transport) emit(kind obs.Kind, es *endState, seq uint64, detail string
 
 // KernelProcess returns the underlying Charlotte process (harness use).
 func (tr *Transport) KernelProcess() *charlotte.Process { return tr.kp }
-
-// Capabilities implements core.Capable: Charlotte cannot reject unwanted
-// replies (no final acknowledgment) nor guarantee enclosure recovery
-// across crashes (§3.2.2).
-func (tr *Transport) Capabilities() core.Capabilities {
-	return core.Capabilities{}
-}
 
 // SetSink implements core.Transport and starts the completion pump: a
 // helper context that performs the process's kernel Wait calls and runs
@@ -471,23 +463,24 @@ func (tr *Transport) shipFirstPacket(p *sim.Proc, es *endState, om *outMsg) {
 
 // onSent runs when the kernel reports the send of a kernel message of
 // type c carrying om complete (ok: the far side received it), or when
-// the kernel refused to start it. Control messages need no follow-up.
-func (tr *Transport) onSent(p *sim.Proc, es *endState, c ctrl, om *outMsg, ok bool) {
+// the kernel refused to start it on a live link (st, never Destroyed:
+// link death goes to endDied). Control messages need no follow-up.
+func (tr *Transport) onSent(p *sim.Proc, es *endState, c ctrl, om *outMsg, st charlotte.Status) {
 	if om == nil || om.cancelled {
 		return
 	}
 	if c == ctrlEnc {
-		if ok {
+		if st == charlotte.OK {
 			tr.shipNextEnc(p, es, om)
 		}
 		return
 	}
-	if !ok {
-		// The kernel rejected or the link died mid-protocol; tell the
-		// run-time package so the sending coroutine unblocks.
+	if st != charlotte.OK {
+		// The kernel refused the send; tell the run-time package so the
+		// sending coroutine unblocks.
 		if !om.delivered {
 			es.outbound[slot(om.wire.Kind)] = nil
-			tr.sink(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: om.tag, Err: core.ErrLinkDestroyed})
+			tr.sink(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: om.tag, Err: fmt.Errorf("chbind: send: %v", st)})
 		}
 		return
 	}
@@ -615,9 +608,10 @@ func (tr *Transport) pumpSend(p *sim.Proc, es *endState) {
 	if st != charlotte.OK {
 		es.sendBusy = false
 		es.curMsg = nil
-		tr.onSent(p, es, km.c, km.om, false)
 		if st == charlotte.Destroyed {
 			tr.endDied(es)
+		} else {
+			tr.onSent(p, es, km.c, km.om, st)
 		}
 		return
 	}
@@ -638,7 +632,7 @@ func (tr *Transport) handleCompletion(p *sim.Proc, d charlotte.Description) {
 			tr.endDied(es)
 			return
 		}
-		tr.onSent(p, es, c, om, d.Status == charlotte.OK)
+		tr.onSent(p, es, c, om, d.Status)
 		tr.pumpSend(p, es)
 		return
 	}
@@ -660,19 +654,14 @@ func (tr *Transport) endDied(es *endState) {
 		return
 	}
 	es.dead = true
-	// Request first, then reply: the order of the slots.
-	for _, om := range es.outbound {
-		if om != nil && !om.delivered {
-			tr.sink(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: om.tag, Err: core.ErrLinkDestroyed})
-		}
-	}
+	// EvLinkDead alone settles the sends still outstanding.
 	es.outbound = [2]*outMsg{}
 	es.stashed = nil
 	es.bounceable = nil
 	es.sendQ = nil
 	es.curMsg = nil
 	es.buf = nil
-	tr.sink(core.Event{Kind: core.EvLinkDead, End: es.te, Err: core.ErrLinkDestroyed})
+	tr.sink(core.Event{Kind: core.EvLinkDead, End: es.te})
 }
 
 // handleInbound runs the receive-side protocol.

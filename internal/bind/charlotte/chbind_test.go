@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/bind/bindtest"
 	chbind "repro/internal/bind/charlotte"
 	"repro/internal/calib"
 	"repro/internal/charlotte"
@@ -48,15 +49,27 @@ func newRig() (*rig, charlotte.EndRef, charlotte.EndRef) {
 
 // newPair builds the rig and both processes in one call.
 func newPair(t *testing.T, mainA, mainB func(*core.Thread, *core.End)) (*rig, *core.Process, *core.Process) {
+	return newPairVia(func(tr core.Transport) core.Transport { return tr }, mainA, mainB)
+}
+
+// newPairVia is newPair with each transport handed to core through wrap.
+func newPairVia(wrap func(core.Transport) core.Transport, mainA, mainB func(*core.Thread, *core.End)) (*rig, *core.Process, *core.Process) {
 	r, ea, eb := newRig()
 	costs := calib.DefaultCharlotteRuntime()
-	pa := core.NewProcess(r.env, "A", r.trA, costs, func(th *core.Thread) {
+	pa := core.NewProcess(r.env, "A", wrap(r.trA), costs, func(th *core.Thread) {
 		mainA(th, th.AdoptBootEnd(r.trA.AdoptBootEnd(ea)))
 	})
-	pb := core.NewProcess(r.env, "B", r.trB, costs, func(th *core.Thread) {
+	pb := core.NewProcess(r.env, "B", wrap(r.trB), costs, func(th *core.Thread) {
 		mainB(th, th.AdoptBootEnd(r.trB.AdoptBootEnd(eb)))
 	})
 	return r, pa, pb
+}
+
+func TestCharlotteSendFate(t *testing.T) {
+	bindtest.CheckSendFate(t, func(wrap func(core.Transport) core.Transport, mainA, mainB func(*core.Thread, *core.End)) *sim.Env {
+		r, _, _ := newPairVia(wrap, mainA, mainB)
+		return r.env
+	}, false)
 }
 
 func TestCharlotteSimpleRPC(t *testing.T) {

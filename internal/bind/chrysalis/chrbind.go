@@ -153,7 +153,6 @@ type Transport struct {
 }
 
 var _ core.Transport = (*Transport)(nil)
-var _ core.Capable = (*Transport)(nil)
 
 // endState is the binding's view of one owned link end.
 type endState struct {
@@ -235,15 +234,6 @@ func (tr *Transport) obsEmit(kind obs.Kind, link int, detail string) {
 
 // KernelProcess returns the underlying Chrysalis process (harness use).
 func (tr *Transport) KernelProcess() *chrysalis.Process { return tr.kp }
-
-// Capabilities implements core.Capable: the shared-memory protocol
-// detects every exceptional condition without extra acknowledgments.
-func (tr *Transport) Capabilities() core.Capabilities {
-	return core.Capabilities{
-		RejectsUnwantedReplies:    true,
-		RecoversAbortedEnclosures: true,
-	}
-}
 
 // objSize is the link object's total size for a given buffer capacity.
 func objSize(bufCap int) int { return offBufs + 4*(4+bufCap) }
@@ -336,7 +326,7 @@ func (tr *Transport) Destroy(te core.TransEnd) error {
 	if other, ok := tr.ends[EndID{Obj: id.Obj, Side: id.peerSide()}]; ok {
 		other.dead = true
 		delete(tr.ends, other.id)
-		tr.sink(core.Event{Kind: core.EvLinkDead, End: other.te, Err: core.ErrLinkDestroyed})
+		tr.sink(core.Event{Kind: core.EvLinkDead, End: other.te})
 	}
 	tr.kp.Unmap(tr.proc, id.Obj)
 	return nil
@@ -614,7 +604,7 @@ func (tr *Transport) endDead(es *endState) {
 	}
 	es.dead = true
 	delete(tr.ends, es.id)
-	tr.sink(core.Event{Kind: core.EvLinkDead, End: es.te, Err: core.ErrLinkDestroyed})
+	tr.sink(core.Event{Kind: core.EvLinkDead, End: es.te})
 }
 
 // Shutdown implements core.Transport: "before terminating, each process

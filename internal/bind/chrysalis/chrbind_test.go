@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/bind/bindtest"
 	chrbind "repro/internal/bind/chrysalis"
 	"repro/internal/calib"
 	"repro/internal/chrysalis"
@@ -37,16 +38,27 @@ func newRig(nodes int) *rig {
 }
 
 func newPair(mainA, mainB func(*core.Thread, *core.End)) *rig {
+	return newPairVia(func(tr core.Transport) core.Transport { return tr }, mainA, mainB)
+}
+
+// newPairVia is newPair with each transport handed to core through wrap.
+func newPairVia(wrap func(core.Transport) core.Transport, mainA, mainB func(*core.Thread, *core.End)) *rig {
 	r := newRig(2)
 	ea, eb := chrbind.BootLink(r.trs[0], r.trs[1])
 	costs := calib.DefaultChrysalisRuntime()
-	core.NewProcess(r.env, "A", r.trs[0], costs, func(th *core.Thread) {
+	core.NewProcess(r.env, "A", wrap(r.trs[0]), costs, func(th *core.Thread) {
 		mainA(th, th.AdoptBootEnd(ea))
 	})
-	core.NewProcess(r.env, "B", r.trs[1], costs, func(th *core.Thread) {
+	core.NewProcess(r.env, "B", wrap(r.trs[1]), costs, func(th *core.Thread) {
 		mainB(th, th.AdoptBootEnd(eb))
 	})
 	return r
+}
+
+func TestChrysalisSendFate(t *testing.T) {
+	bindtest.CheckSendFate(t, func(wrap func(core.Transport) core.Transport, mainA, mainB func(*core.Thread, *core.End)) *sim.Env {
+		return newPairVia(wrap, mainA, mainB).env
+	}, true)
 }
 
 func TestChrysalisSimpleRPC(t *testing.T) {

@@ -158,7 +158,6 @@ type Transport struct {
 }
 
 var _ core.Transport = (*Transport)(nil)
-var _ core.Capable = (*Transport)(nil)
 
 // NewTransport creates a process's transport.
 func (f *Fabric) NewTransport(name string) *Transport {
@@ -198,15 +197,6 @@ func (tr *Transport) SetSink(sink func(core.Event), _ *sim.Proc) { tr.sink = sin
 
 // Obs returns the fabric's recorder.
 func (tr *Transport) Obs() *obs.Recorder { return tr.f.rec }
-
-// Capabilities reports the full feature set: the ideal kernel does
-// everything the language needs.
-func (tr *Transport) Capabilities() core.Capabilities {
-	return core.Capabilities{
-		RejectsUnwantedReplies:    true,
-		RecoversAbortedEnclosures: true,
-	}
-}
 
 // MakeLink implements core.Transport. The link table and id sequence
 // are per partition group, so mid-run link creation is legal under a
@@ -265,17 +255,15 @@ func (tr *Transport) destroyLink(l *link, cause EndID) {
 		es := &l.ends[side]
 		owner := es.owner
 		delete(owner.owned, EndID{l.id, side})
-		// Fail every undelivered send from this side.
-		for tag, fl := range es.inFlight {
-			fl.cancelled = true
-			delete(es.inFlight, tag)
-			owner.sink(core.Event{Kind: core.EvSendFailed, End: EndID{l.id, side}, Tag: tag, Err: core.ErrLinkDestroyed})
-		}
+		// Undelivered sends from this side never arrive (StartSend's
+		// timer checks l.dead); EvLinkDead settles them in the run-time
+		// package.
+		clear(es.inFlight)
 		es.held = nil
 		// The destroying end learns synchronously (core handles it);
 		// every other end is notified by event.
 		if (EndID{l.id, side}) != cause {
-			owner.sink(core.Event{Kind: core.EvLinkDead, End: EndID{l.id, side}, Err: core.ErrLinkDestroyed})
+			owner.sink(core.Event{Kind: core.EvLinkDead, End: EndID{l.id, side}})
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bind/bindtest"
 	"repro/internal/bind/ideal"
 	"repro/internal/calib"
 	"repro/internal/core"
@@ -16,6 +17,11 @@ func costs() calib.LynxRuntimeCosts {
 }
 
 func pairRig(t *testing.T, mainA, mainB func(*core.Thread, *core.End)) *sim.Env {
+	return pairVia(t, func(tr core.Transport) core.Transport { return tr }, mainA, mainB)
+}
+
+// pairVia is pairRig with each transport handed to core through wrap.
+func pairVia(t *testing.T, wrap func(core.Transport) core.Transport, mainA, mainB func(*core.Thread, *core.End)) *sim.Env {
 	env := sim.NewEnv(1)
 	fab := ideal.NewFabric(env, sim.Millisecond, sim.Microsecond)
 	trA := fab.NewTransport("A")
@@ -25,13 +31,19 @@ func pairRig(t *testing.T, mainA, mainB func(*core.Thread, *core.End)) *sim.Env 
 		t.Fatal(err)
 	}
 	ideal.MoveOwnership(fab, trA, trB, eb.(ideal.EndID))
-	core.NewProcess(env, "A", trA, costs(), func(th *core.Thread) {
+	core.NewProcess(env, "A", wrap(trA), costs(), func(th *core.Thread) {
 		mainA(th, th.AdoptBootEnd(ea))
 	})
-	core.NewProcess(env, "B", trB, costs(), func(th *core.Thread) {
+	core.NewProcess(env, "B", wrap(trB), costs(), func(th *core.Thread) {
 		mainB(th, th.AdoptBootEnd(eb))
 	})
 	return env
+}
+
+func TestIdealSendFate(t *testing.T) {
+	bindtest.CheckSendFate(t, func(wrap func(core.Transport) core.Transport, mainA, mainB func(*core.Thread, *core.End)) *sim.Env {
+		return pairVia(t, wrap, mainA, mainB)
+	}, true)
 }
 
 func TestIdealLatencyIsConfigured(t *testing.T) {

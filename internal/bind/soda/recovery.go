@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/soda"
@@ -35,9 +34,9 @@ type recovery struct {
 // is running.
 func (tr *Transport) scheduleRecovery(es *endState, ps *pendingSend) {
 	if es.dead {
+		// The run-time package learns of the dead end by EvLinkDead.
 		if ps != nil {
 			tr.releaseEnclosures(nil, ps)
-			tr.emit(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: ps.tag, Err: core.ErrLinkDestroyed})
 		}
 		return
 	}

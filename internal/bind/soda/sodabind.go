@@ -223,7 +223,6 @@ type Transport struct {
 }
 
 var _ core.Transport = (*Transport)(nil)
-var _ core.Capable = (*Transport)(nil)
 var _ core.Screened = (*Transport)(nil)
 
 // endState is the binding's view of one owned link end.
@@ -432,15 +431,6 @@ func (tr *Transport) obsEmit(kind obs.Kind, seq uint64, detail string) {
 
 // KernelProcess returns the underlying SODA process (harness use).
 func (tr *Transport) KernelProcess() *soda.Process { return tr.kp }
-
-// Capabilities implements core.Capable: SODA detects all the exceptional
-// conditions in the language definition without extra acknowledgments.
-func (tr *Transport) Capabilities() core.Capabilities {
-	return core.Capabilities{
-		RejectsUnwantedReplies:    true,
-		RecoversAbortedEnclosures: true,
-	}
-}
 
 // SetScreen implements core.Screened.
 func (tr *Transport) SetScreen(s core.ScreenFunc) { tr.screen = s }
@@ -668,8 +658,8 @@ func (tr *Transport) StartSend(te core.TransEnd, m *core.WireMsg, tag uint64) er
 func (tr *Transport) post(p *sim.Proc, ps *pendingSend) {
 	es := ps.end
 	if es.dead {
+		// The run-time package learns of the dead end by EvLinkDead.
 		tr.releaseEnclosures(p, ps)
-		tr.emit(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: ps.tag, Err: core.ErrLinkDestroyed})
 		return
 	}
 	for _, e := range ps.encl {
@@ -980,7 +970,6 @@ func (tr *Transport) onCompletion(ir soda.Interrupt) {
 		return
 	case oobDestroyed:
 		tr.releaseEnclosures(nil, ps)
-		tr.emit(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: ps.tag, Err: core.ErrLinkDestroyed})
 		tr.linkDead(es)
 	case oobRejected:
 		tr.releaseEnclosures(nil, ps)
@@ -1094,7 +1083,7 @@ func (tr *Transport) linkDead(es *endState) {
 		return
 	}
 	tr.killEnd(nil, es, false)
-	tr.emit(core.Event{Kind: core.EvLinkDead, End: es.te, Err: core.ErrLinkDestroyed})
+	tr.emit(core.Event{Kind: core.EvLinkDead, End: es.te})
 }
 
 // Shutdown implements core.Transport.

@@ -13,13 +13,13 @@ import (
 // stop-and-wait per message kind, implemented as lists of blocked
 // sending coroutines — "request and reply queues can be implemented by
 // lists of blocked coroutines in the run-time package for each sending
-// process".
+// process". All of an end's pending work sits in ordered lists on the
+// end, so link death (killEnd) settles it in one seed-stable pass.
 type End struct {
 	pr *Process
 	te TransEnd
 
-	dead    bool
-	deadErr error
+	dead bool
 	// moving is set while the end is enclosed in an in-flight message.
 	moving bool
 	// killed is set when the end's link died under it and the process
@@ -27,15 +27,14 @@ type End struct {
 	// the dead end, so enclosing it reports ErrLinkDestroyed.
 	killed bool
 
-	// Outbound stop-and-wait queues: the head record of each is in
-	// flight at the transport; the rest wait their turn.
+	// Outbound stop-and-wait queues: only the head record of each can be
+	// in flight at the transport; the rest wait their turn.
 	outReq []*sendRecord
 	outRep []*sendRecord
+	// awaiting holds delivered requests whose connectors wait for the
+	// reply, in seq order.
+	awaiting []*sendRecord
 
-	// sentUnreceived counts this process's messages on this end that
-	// have not yet been received by the far run-time package — the §2.1
-	// move rule's first clause.
-	sentUnreceived int
 	// owedReplies counts requests received on this end and not yet
 	// replied to — the move rule's second clause.
 	owedReplies int
@@ -44,17 +43,8 @@ type End struct {
 	explicitOpen bool    // user opened the request queue without a pending Receive
 	handler      Handler // Serve handler (spawns a thread per request)
 	recvWaiters  []*Thread
-	inReq        []*WireMsg         // wanted requests not yet claimed by a thread
-	inReqAt      []sim.Time         // arrival time of each queued request (queue_wait_ns)
-	replyWaiters map[uint64]*Thread // request seq -> blocked connector
-	// earlyReplies holds replies that overtook the delivery confirmation
-	// of the request they answer: the sender is still in its send block
-	// (the request record is settling), so no replyWaiter exists yet.
-	// finishSend hands the reply over the moment the record settles. A
-	// transport whose receipt confirmation travels separately from the
-	// reply (SODA's completion frame can be dropped and retried while
-	// the reply proceeds) makes this ordering routine.
-	earlyReplies map[uint64]*Msg
+	inReq        []*WireMsg // wanted requests not yet claimed by a thread
+	inReqAt      []sim.Time // arrival time of each queued request (queue_wait_ns)
 
 	// lastInterest caches what we last told the transport, to avoid
 	// redundant kernel traffic.
@@ -74,6 +64,13 @@ type sendRecord struct {
 	tag      uint64
 	inFlight bool
 	encl     []*End // language-level ends enclosed in msg
+	// early holds a reply that overtook this request's delivery
+	// confirmation: the connector is still in its send block, so
+	// finishSend hands the reply over the moment the record settles. A
+	// transport whose receipt confirmation travels separately from the
+	// reply (SODA's completion frame can be dropped and retried while
+	// the reply proceeds) makes this ordering routine.
+	early *Msg
 }
 
 func (e *End) String() string {
@@ -82,7 +79,7 @@ func (e *End) String() string {
 
 // takeQueued pops the head of e's request queue, recording how long the
 // message sat waiting for a thread to claim it (queue_wait_ns).
-func (e *End) takeQueued() *WireMsg {
+func (e *End) takeQueued() *Request {
 	m := e.inReq[0]
 	e.inReq = e.inReq[0:copy(e.inReq, e.inReq[1:])]
 	if len(e.inReqAt) > 0 {
@@ -95,7 +92,7 @@ func (e *End) takeQueued() *WireMsg {
 			pr.rec.EmitEnv(pr.env, obs.Event{Kind: obs.KindQueueService, Src: pr.name, Seq: m.Seq, Wait: wait, Detail: m.Op})
 		}
 	}
-	return m
+	return &Request{end: e, op: m.Op, seq: m.Seq, data: m.Data, links: e.pr.adoptAll(m.Encl)}
 }
 
 // Dead reports whether the link has been destroyed.
@@ -119,7 +116,7 @@ func (e *End) wantReplies() bool {
 	if e.dead {
 		return false
 	}
-	if len(e.replyWaiters) > 0 {
+	if len(e.awaiting) > 0 {
 		return true
 	}
 	for _, rec := range e.outReq {
@@ -128,6 +125,22 @@ func (e *End) wantReplies() bool {
 		}
 	}
 	return false
+}
+
+// request returns the request with the given seq whose connector still
+// wants the reply, even while the request is settling.
+func (e *End) request(seq uint64) *sendRecord {
+	for _, rec := range e.awaiting {
+		if rec.msg.Seq == seq {
+			return rec
+		}
+	}
+	for _, rec := range e.outReq {
+		if rec.msg.Seq == seq && rec.t != nil {
+			return rec
+		}
+	}
+	return nil
 }
 
 // syncInterest pushes the current queue-open state to the transport if
@@ -149,7 +162,7 @@ func (e *End) movable() error {
 		return ErrLinkDestroyed
 	case e.moving:
 		return ErrEndMoving
-	case e.sentUnreceived > 0:
+	case e.inFlight(KindRequest) != nil || e.inFlight(KindReply) != nil:
 		return ErrMoveUnreceived
 	case e.owedReplies > 0:
 		return ErrMoveOwedReply
@@ -163,6 +176,26 @@ func (e *End) queueFor(k MsgKind) *[]*sendRecord {
 		return &e.outReq
 	}
 	return &e.outRep
+}
+
+// inFlight returns the send of kind k the far run-time package may not
+// yet have received, or nil.
+func (e *End) inFlight(k MsgKind) *sendRecord {
+	if q := *e.queueFor(k); len(q) > 0 && q[0].inFlight {
+		return q[0]
+	}
+	return nil
+}
+
+// remove deletes the first x from *s and reports whether it was there.
+func remove[T comparable](s *[]T, x T) bool {
+	for i, y := range *s {
+		if y == x {
+			*s = append((*s)[:i], (*s)[i+1:]...)
+			return true
+		}
+	}
+	return false
 }
 
 // Request is an incoming remote-operation request, handed to a Receive

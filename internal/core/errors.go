@@ -21,8 +21,8 @@ var (
 	// blocked.
 	ErrAborted = errors.New("lynx: coroutine aborted")
 	// ErrUnwantedReply: the reply's target coroutine no longer exists.
-	// Only transports with RejectsUnwantedReplies can raise it at the
-	// replying server (the paper's Charlotte implementation cannot).
+	// SODA, Chrysalis and the ideal kernel raise it at the replying
+	// server; the paper's Charlotte implementation cannot.
 	ErrUnwantedReply = errors.New("lynx: reply no longer wanted")
 	// ErrBadReply: a reply arrived whose operation name does not match
 	// the outstanding request (type confirmation failure).

@@ -55,7 +55,7 @@ func (t *Thread) Destroy(e *End) error {
 		return ErrEndMoving
 	}
 	err := t.pr.tr.Destroy(e.te)
-	t.pr.killEnd(e, ErrLinkDestroyed)
+	t.pr.killEnd(e)
 	delete(t.pr.ends, e.te)
 	return err
 }
@@ -94,7 +94,6 @@ func (t *Thread) startSend(e *End, m *WireMsg, encl []*End) (*sendRecord, error)
 	pr := t.pr
 	pr.nextTag++
 	rec := &sendRecord{end: e, msg: m, t: t, tag: pr.nextTag, encl: encl}
-	pr.pendingSends[rec.tag] = rec
 	q := e.queueFor(m.Kind)
 	*q = append(*q, rec)
 	pr.stats.EnclosuresSent += int64(len(encl))
@@ -117,7 +116,7 @@ func (t *Thread) Connect(e *End, op string, msg Msg) (*Msg, error) {
 		return nil, ErrNotOwner
 	}
 	if e.dead {
-		return nil, e.deadError()
+		return nil, ErrLinkDestroyed
 	}
 	if e.moving {
 		return nil, ErrEndMoving
@@ -156,16 +155,11 @@ func (t *Thread) Receive(e *End) (*Request, error) {
 		return nil, ErrNotOwner
 	}
 	if e.dead {
-		return nil, e.deadError()
+		return nil, ErrLinkDestroyed
 	}
 	// A request may already be queued (explicitly-opened queue).
 	if len(e.inReq) > 0 {
-		m := e.takeQueued()
-		links := make([]*End, 0, len(m.Encl))
-		for _, te := range m.Encl {
-			links = append(links, pr.adoptEnd(te))
-		}
-		return &Request{end: e, op: m.Op, seq: m.Seq, data: m.Data, links: links}, nil
+		return e.takeQueued(), nil
 	}
 	e.recvWaiters = append(e.recvWaiters, t)
 	e.syncInterest()
@@ -207,12 +201,7 @@ func (t *Thread) ReceiveAny(ends ...*End) (*Request, error) {
 		// list ends in their preferred order, and arrival order decided
 		// what is queued).
 		if len(e.inReq) > 0 {
-			m := e.takeQueued()
-			links := make([]*End, 0, len(m.Encl))
-			for _, te := range m.Encl {
-				links = append(links, pr.adoptEnd(te))
-			}
-			return &Request{end: e, op: m.Op, seq: m.Seq, data: m.Data, links: links}, nil
+			return e.takeQueued(), nil
 		}
 	}
 	if live == 0 {
@@ -230,12 +219,7 @@ func (t *Thread) ReceiveAny(ends ...*End) (*Request, error) {
 	w := t.park()
 	// Deregister from all ends (the one that woke us already removed us).
 	for _, e := range ends {
-		for i, wt := range e.recvWaiters {
-			if wt == t {
-				e.recvWaiters = append(e.recvWaiters[:i], e.recvWaiters[i+1:]...)
-				break
-			}
-		}
+		remove(&e.recvWaiters, t)
 		if !e.dead {
 			e.syncInterest()
 		}
@@ -262,7 +246,7 @@ func (t *Thread) Reply(req *Request, msg Msg) error {
 		return fmt.Errorf("lynx: request %q already replied", req.op)
 	}
 	if e.dead {
-		return e.deadError()
+		return ErrLinkDestroyed
 	}
 	tes, err := t.validateEnclosures(e, msg.Links)
 	if err != nil {
@@ -288,7 +272,7 @@ func (pr *Process) ServeEnd(e *End, h Handler) error {
 		return ErrNotOwner
 	}
 	if e.dead {
-		return e.deadError()
+		return ErrLinkDestroyed
 	}
 	e.handler = h
 	e.syncInterest()
@@ -311,7 +295,7 @@ func (t *Thread) OpenRequests(e *End) error {
 		return ErrNotOwner
 	}
 	if e.dead {
-		return e.deadError()
+		return ErrLinkDestroyed
 	}
 	e.explicitOpen = true
 	e.syncInterest()
@@ -336,12 +320,4 @@ func (t *Thread) CloseRequests(e *End) error {
 func (t *Thread) AdoptBootEnd(te TransEnd) *End {
 	t.checkContext()
 	return t.pr.adoptEnd(te)
-}
-
-// deadError returns the recorded cause of death.
-func (e *End) deadError() error {
-	if e.deadErr != nil {
-		return e.deadErr
-	}
-	return ErrLinkDestroyed
 }

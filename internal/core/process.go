@@ -35,7 +35,6 @@ type Process struct {
 	env   *sim.Env
 	sp    *sim.Proc
 	tr    Transport
-	caps  Capabilities
 	costs calib.LynxRuntimeCosts
 
 	threads      map[int]*Thread
@@ -47,7 +46,6 @@ type Process struct {
 	endOrder     []TransEnd // creation order, for seed-stable exit teardown
 	dropped      []TransEnd // ends dropped since endOrder was last compacted
 	events       sim.Queue[Event]
-	pendingSends map[uint64]*sendRecord
 	pendingWakes []pendingWake
 	nextSeq      uint64
 	nextTag      uint64
@@ -66,14 +64,12 @@ type Process struct {
 // process. Runtime overhead is charged per costs.
 func NewProcess(env *sim.Env, name string, tr Transport, costs calib.LynxRuntimeCosts, mainFn func(*Thread)) *Process {
 	pr := &Process{
-		name:         name,
-		env:          env,
-		tr:           tr,
-		caps:         TransportCaps(tr),
-		costs:        costs,
-		threads:      make(map[int]*Thread),
-		ends:         make(map[TransEnd]*End),
-		pendingSends: make(map[uint64]*sendRecord),
+		name:    name,
+		env:     env,
+		tr:      tr,
+		costs:   costs,
+		threads: make(map[int]*Thread),
+		ends:    make(map[TransEnd]*End),
 	}
 	if o, ok := tr.(Observed); ok {
 		pr.rec = o.Obs()
@@ -100,9 +96,8 @@ func NewProcess(env *sim.Env, name string, tr Transport, costs calib.LynxRuntime
 }
 
 // screen is the process's message-screening predicate (see ScreenFunc).
-// A reply is wanted if a coroutine awaits that seq — or if the request
-// with that seq is still settling (its EvDelivered is queued but not yet
-// processed, so the waiter registration is imminent).
+// A reply is wanted if a coroutine awaits that seq, even while its
+// request is still settling.
 func (pr *Process) screen(te TransEnd, kind MsgKind, seq uint64) bool {
 	e, ok := pr.ends[te]
 	if !ok || e.dead {
@@ -111,15 +106,7 @@ func (pr *Process) screen(te TransEnd, kind MsgKind, seq uint64) bool {
 	if kind == KindRequest {
 		return e.wantRequests()
 	}
-	if _, ok := e.replyWaiters[seq]; ok {
-		return true
-	}
-	for _, rec := range e.outReq {
-		if rec.msg.Seq == seq && rec.t != nil {
-			return true
-		}
-	}
-	return false
+	return e.request(seq) != nil
 }
 
 // Name returns the process name.
@@ -142,24 +129,30 @@ func (pr *Process) Crash() { pr.sp.Kill() }
 func (pr *Process) Dead() bool { return pr.dead || pr.sp.Done() }
 
 // DebugState renders the process's run-time state — live threads with
-// their block reasons, pending sends, and per-end queue state — for
-// diagnosing a wedged system.
+// their block reasons, and per-end queue state and pending sends, ends
+// in creation order — for diagnosing a wedged system.
 func (pr *Process) DebugState() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "process %s: dead=%v liveThreads=%d pendingSends=%d ends=%d\n",
-		pr.name, pr.dead, pr.liveThreads, len(pr.pendingSends), len(pr.ends))
+	fmt.Fprintf(&b, "process %s: dead=%v liveThreads=%d ends=%d\n",
+		pr.name, pr.dead, pr.liveThreads, len(pr.ends))
 	for _, t := range pr.threads {
 		fmt.Fprintf(&b, "  thread %d (%s): blocked=%v end=%v\n",
 			t.id, t.Name(), t.blocked.kind, t.blocked.end)
 	}
-	for _, e := range pr.ends {
+	for _, te := range pr.endOrder {
+		e, ok := pr.ends[te]
+		if !ok {
+			continue
+		}
 		fmt.Fprintf(&b, "  end %v: dead=%v moving=%v handler=%v outReq=%d outRep=%d owed=%d inReq=%d recvWait=%d replyWait=%d\n",
 			e.te, e.dead, e.moving, e.handler != nil, len(e.outReq), len(e.outRep),
-			e.owedReplies, len(e.inReq), len(e.recvWaiters), len(e.replyWaiters))
-	}
-	for tag, rec := range pr.pendingSends {
-		fmt.Fprintf(&b, "  pending send tag=%d kind=%v end=%v inFlight=%v detached=%v\n",
-			tag, rec.msg.Kind, rec.end.te, rec.inFlight, rec.t == nil)
+			e.owedReplies, len(e.inReq), len(e.recvWaiters), len(e.awaiting))
+		for _, q := range [2][]*sendRecord{e.outReq, e.outRep} {
+			for _, rec := range q {
+				fmt.Fprintf(&b, "    pending send tag=%d kind=%v inFlight=%v detached=%v\n",
+					rec.tag, rec.msg.Kind, rec.inFlight, rec.t == nil)
+			}
+		}
 	}
 	return b.String()
 }
@@ -267,14 +260,11 @@ func (pr *Process) idle() bool {
 	if pr.liveThreads > 0 {
 		return false
 	}
-	if len(pr.pendingSends) > 0 {
-		return false
-	}
 	for _, e := range pr.ends {
 		if e.handler != nil && !e.dead {
 			return false
 		}
-		if len(e.inReq) > 0 {
+		if len(e.inReq) > 0 || len(e.outReq) > 0 || len(e.outRep) > 0 {
 			return false
 		}
 	}
@@ -298,20 +288,14 @@ type pendingWake struct {
 // others must forget it immediately or a second delivery could double-
 // wake it).
 func (pr *Process) deregisterReceiver(t *Thread) {
-	remove := func(e *End) {
-		for i, wt := range e.recvWaiters {
-			if wt == t {
-				e.recvWaiters = append(e.recvWaiters[:i], e.recvWaiters[i+1:]...)
-				e.syncInterest()
-				return
-			}
-		}
-	}
+	ends := t.blocked.multi
 	if t.blocked.end != nil {
-		remove(t.blocked.end)
+		ends = []*End{t.blocked.end}
 	}
-	for _, e := range t.blocked.multi {
-		remove(e)
+	for _, e := range ends {
+		if remove(&e.recvWaiters, t) {
+			e.syncInterest()
+		}
 	}
 }
 
@@ -337,20 +321,13 @@ func (pr *Process) abortThread(target *Thread, err error) {
 			}
 		} else {
 			// Still queued locally: just remove it.
-			q := rec.end.queueFor(rec.msg.Kind)
-			for i, r := range *q {
-				if r == rec {
-					*q = append((*q)[:i], (*q)[i+1:]...)
-					break
-				}
-			}
-			delete(pr.pendingSends, rec.tag)
+			remove(rec.end.queueFor(rec.msg.Kind), rec)
 			pr.unmoveEnclosures(rec)
 		}
 		rec.end.syncInterest()
 		pr.wakeThread(target, wake{err: err})
 	case blockReply:
-		delete(b.end.replyWaiters, b.seq)
+		remove(&b.end.awaiting, b.sendRec)
 		b.end.syncInterest()
 		pr.wakeThread(target, wake{err: err})
 	case blockReceive:
@@ -368,37 +345,38 @@ func (pr *Process) handleEvent(ev Event) {
 	case EvIncoming:
 		pr.handleIncoming(ev)
 	case EvDelivered:
-		rec, ok := pr.pendingSends[ev.Tag]
-		if !ok {
-			return
+		if rec := pr.sendOf(ev); rec != nil {
+			pr.finishSend(rec, true)
 		}
-		pr.finishSend(rec, true)
 	case EvSendFailed:
-		rec, ok := pr.pendingSends[ev.Tag]
-		if !ok {
-			return
-		}
-		pr.finishSend(rec, false)
-		pr.unmoveEnclosures(rec)
-		if rec.t != nil {
-			err := ev.Err
-			if err == nil {
-				err = ErrLinkDestroyed
-			}
-			pr.wakeThread(rec.t, wake{err: err})
-			rec.t = nil
+		if rec := pr.sendOf(ev); rec != nil {
+			pr.failSend(rec, ev.Err)
 		}
 	case EvLinkDead:
 		e, ok := pr.ends[ev.End]
 		if !ok {
 			return
 		}
-		pr.killEnd(e, ev.Err)
+		pr.killEnd(e)
 		pr.dropKilled(e)
 	case EvTick:
 		// Internal wakeup; the work is in pendingWakes.
 	}
 	pr.flushWakes()
+}
+
+// sendOf returns the in-flight send an event settles, or nil.
+func (pr *Process) sendOf(ev Event) *sendRecord {
+	e, ok := pr.ends[ev.End]
+	if !ok {
+		return nil
+	}
+	for _, k := range [2]MsgKind{KindRequest, KindReply} {
+		if rec := e.inFlight(k); rec != nil && rec.tag == ev.Tag {
+			return rec
+		}
+	}
+	return nil
 }
 
 // flushWakes moves pending wakes into the ready queue, attaching each
@@ -431,11 +409,8 @@ func (pr *Process) handleIncoming(ev Event) {
 	// Charge scatter/type-check cost for accepting the message.
 	pr.sp.Delay(sim.Duration(len(m.Data)) * pr.costs.PerByte)
 	// Adopt enclosures: the moved ends now belong to this process.
-	links := make([]*End, 0, len(m.Encl))
-	for _, te := range m.Encl {
-		links = append(links, pr.adoptEnd(te))
-		pr.stats.EnclosuresRecv++
-	}
+	links := pr.adoptAll(m.Encl)
+	pr.stats.EnclosuresRecv += int64(len(links))
 	switch m.Kind {
 	case KindRequest:
 		e.owedReplies++
@@ -459,42 +434,39 @@ func (pr *Process) handleIncoming(ev Event) {
 		}
 		e.syncInterest()
 	case KindReply:
-		t, ok := e.replyWaiters[m.Seq]
-		if !ok {
-			// The reply may have overtaken the delivery confirmation of
-			// the request it answers: the connector is then still in its
-			// send block, registered on a settling record rather than as
-			// a replyWaiter (the same window screen() admits). Hold the
-			// reply; finishSend delivers it when the record settles.
-			for _, rec := range e.outReq {
-				if rec.msg.Seq == m.Seq && rec.t != nil {
-					if e.earlyReplies == nil {
-						e.earlyReplies = make(map[uint64]*Msg)
-					}
-					e.earlyReplies[m.Seq] = &Msg{Data: m.Data, Links: links, op: m.Op}
-					return
-				}
-			}
+		rec := e.request(m.Seq)
+		if rec == nil {
 			// No coroutine wants this reply (it was aborted). On
-			// capable transports the *sender* has already been failed by
-			// the binding; here we just account for it and recover any
+			// transports that can, the binding has already failed the
+			// *sender*; here we just account for it and recover any
 			// enclosures back to... nobody: they stay adopted by this
 			// process (the language calls this situation a program
 			// error; the ends are reachable via Stats for the harness).
 			pr.stats.UnwantedReplies++
 			return
 		}
-		delete(e.replyWaiters, m.Seq)
-		e.syncInterest()
-		if t.blocked.kind == blockReply && t.blocked.op != "" && t.blocked.op != m.Op {
-			// Operation-name confirmation failure: the reply does not
-			// match the request the coroutine made.
-			pr.wakeThread(t, wake{err: ErrBadReply})
+		reply := &Msg{Data: m.Data, Links: links, op: m.Op}
+		if rec.inFlight {
+			// The reply overtook the delivery confirmation of the
+			// request it answers: hold it for finishSend.
+			rec.early = reply
 			return
 		}
-		reply := &Msg{Data: m.Data, Links: links, op: m.Op}
-		pr.wakeThread(t, wake{val: reply})
+		remove(&e.awaiting, rec)
+		e.syncInterest()
+		pr.answer(rec, reply)
 	}
+}
+
+// answer wakes rec's connector with reply, or with ErrBadReply if the
+// reply's operation name does not confirm the request's.
+func (pr *Process) answer(rec *sendRecord, reply *Msg) {
+	if rec.msg.Op != "" && reply.op != rec.msg.Op {
+		pr.wakeThread(rec.t, wake{err: ErrBadReply})
+	} else {
+		pr.wakeThread(rec.t, wake{val: reply})
+	}
+	rec.t = nil
 }
 
 // adoptEnd registers ownership of a transport end that just moved here
@@ -504,37 +476,31 @@ func (pr *Process) adoptEnd(te TransEnd) *End {
 		e.moving = false
 		return e
 	}
-	e := pr.newEnd(te)
-	return e
+	return pr.newEnd(te)
+}
+
+// adoptAll adopts each of tes (see adoptEnd).
+func (pr *Process) adoptAll(tes []TransEnd) []*End {
+	links := make([]*End, 0, len(tes))
+	for _, te := range tes {
+		links = append(links, pr.adoptEnd(te))
+	}
+	return links
 }
 
 func (pr *Process) newEnd(te TransEnd) *End {
-	e := &End{
-		pr:           pr,
-		te:           te,
-		replyWaiters: make(map[uint64]*Thread),
-	}
+	e := &End{pr: pr, te: te}
 	pr.ends[te] = e
 	pr.endOrder = append(pr.endOrder, te)
 	return e
 }
 
-// finishSend settles a send record: removes it from the pending map and
-// the end's queue head, updates move-rule accounting, wakes the sender
-// (delivered case), and pumps the next queued message of that kind.
+// finishSend settles a send record: removes it from the end's queue,
+// wakes the sender (delivered case), and pumps the next queued message
+// of that kind.
 func (pr *Process) finishSend(rec *sendRecord, delivered bool) {
-	delete(pr.pendingSends, rec.tag)
 	e := rec.end
-	q := e.queueFor(rec.msg.Kind)
-	for i, r := range *q {
-		if r == rec {
-			*q = append((*q)[:i], (*q)[i+1:]...)
-			break
-		}
-	}
-	if rec.inFlight {
-		e.sentUnreceived--
-	}
+	remove(e.queueFor(rec.msg.Kind), rec)
 	rec.inFlight = false
 	if delivered {
 		// Enclosed ends have left this process for good — unless the
@@ -557,28 +523,21 @@ func (pr *Process) finishSend(rec *sendRecord, delivered bool) {
 		// their block state — unless the reply already overtook this
 		// confirmation, in which case hand it over now.
 		if rec.msg.Kind == KindRequest && rec.t != nil {
-			if reply, ok := e.earlyReplies[rec.msg.Seq]; ok {
-				delete(e.earlyReplies, rec.msg.Seq)
-				if rec.msg.Op != "" && reply.op != rec.msg.Op {
-					pr.wakeThread(rec.t, wake{err: ErrBadReply})
-				} else {
-					pr.wakeThread(rec.t, wake{val: reply})
-				}
-				rec.t = nil
+			if rec.early != nil {
+				pr.answer(rec, rec.early)
+				rec.early = nil
 			} else {
-				rec.t.blocked = blockState{kind: blockReply, end: e, seq: rec.msg.Seq, op: rec.msg.Op}
-				e.replyWaiters[rec.msg.Seq] = rec.t
+				rec.t.blocked = blockState{kind: blockReply, end: e, sendRec: rec}
+				e.awaiting = append(e.awaiting, rec)
 				e.syncInterest()
 			}
 		}
 	}
-	if rec.msg.Kind == KindRequest {
-		if _, ok := e.earlyReplies[rec.msg.Seq]; ok {
-			// Settled without a live waiter (failed send or aborted
-			// connector): the held reply is unwanted after all.
-			delete(e.earlyReplies, rec.msg.Seq)
-			pr.stats.UnwantedReplies++
-		}
+	if rec.early != nil {
+		// Settled without a live waiter (failed send or aborted
+		// connector): the held reply is unwanted after all.
+		rec.early = nil
+		pr.stats.UnwantedReplies++
 	}
 	pr.pump(e, rec.msg.Kind)
 	e.syncInterest()
@@ -596,16 +555,18 @@ func (pr *Process) pump(e *End, k MsgKind) {
 	}
 	rec := q[0]
 	rec.inFlight = true
-	e.sentUnreceived++
 	if err := pr.tr.StartSend(e.te, rec.msg, rec.tag); err != nil {
-		rec.inFlight = false
-		e.sentUnreceived--
-		pr.finishSend(rec, false)
-		pr.unmoveEnclosures(rec)
-		if rec.t != nil {
-			pr.wakeThread(rec.t, wake{err: err})
-			rec.t = nil
-		}
+		pr.failSend(rec, err)
+	}
+}
+
+// failSend settles rec as never received and raises err in its sender.
+func (pr *Process) failSend(rec *sendRecord, err error) {
+	pr.finishSend(rec, false)
+	pr.unmoveEnclosures(rec)
+	if rec.t != nil {
+		pr.wakeThread(rec.t, wake{err: err})
+		rec.t = nil
 	}
 }
 
@@ -647,26 +608,29 @@ func (pr *Process) dropKilled(e *End) {
 	pr.dropped = pr.dropped[:0]
 }
 
-// killEnd marks an end dead and raises exceptions in every thread
-// touching it.
-func (pr *Process) killEnd(e *End, cause error) {
+// killEnd marks an end dead and raises ErrLinkDestroyed in every thread
+// touching it. This settles all of the end's pending work: transports
+// announce link death with EvLinkDead alone. Connectors wake in seq
+// order (delivered requests, then queued ones), then repliers, then
+// receivers.
+func (pr *Process) killEnd(e *End) {
 	if e.dead {
 		return
 	}
-	if cause == nil {
-		cause = ErrLinkDestroyed
-	}
 	e.dead = true
-	e.deadErr = cause
-	for _, rec := range append(append([]*sendRecord{}, e.outReq...), e.outRep...) {
-		delete(pr.pendingSends, rec.tag)
-		pr.unmoveEnclosures(rec)
-		if rec.t != nil {
-			pr.wakeThread(rec.t, wake{err: cause})
-			rec.t = nil
+	for _, rec := range e.awaiting {
+		pr.wakeThread(rec.t, wake{err: ErrLinkDestroyed})
+	}
+	for _, q := range [2][]*sendRecord{e.outReq, e.outRep} {
+		for _, rec := range q {
+			pr.unmoveEnclosures(rec)
+			if rec.t != nil {
+				pr.wakeThread(rec.t, wake{err: ErrLinkDestroyed})
+				rec.t = nil
+			}
 		}
 	}
-	e.outReq, e.outRep = nil, nil
+	e.awaiting, e.outReq, e.outRep = nil, nil, nil
 	for len(e.recvWaiters) > 0 {
 		t := e.recvWaiters[0]
 		e.recvWaiters = e.recvWaiters[0:copy(e.recvWaiters, e.recvWaiters[1:])]
@@ -685,11 +649,7 @@ func (pr *Process) killEnd(e *End, cause error) {
 			}
 		}
 		pr.deregisterReceiver(t)
-		pr.wakeThread(t, wake{err: cause})
-	}
-	for seq, t := range e.replyWaiters {
-		delete(e.replyWaiters, seq)
-		pr.wakeThread(t, wake{err: cause})
+		pr.wakeThread(t, wake{err: ErrLinkDestroyed})
 	}
 	e.handler = nil
 	e.inReq = nil

@@ -52,9 +52,7 @@ type wake struct {
 type blockState struct {
 	kind    blockKind
 	end     *End
-	sendRec *sendRecord // kind == blockSend
-	seq     uint64      // kind == blockReply
-	op      string      // kind == blockReply: expected operation name
+	sendRec *sendRecord // kind == blockSend or blockReply
 	multi   []*End      // kind == blockReceive via ReceiveAny
 }
 
@@ -129,15 +127,7 @@ func (t *Thread) Delay(d sim.Duration) {
 // a block point: other threads (and incoming messages) run meanwhile.
 // It returns early with an error only if the thread is aborted.
 func (t *Thread) Sleep(d sim.Duration) error {
-	pr := t.pr
-	th := t
-	pr.env.After(d, func() {
-		pr.wakeThread(th, wake{})
-		pr.events.Put(Event{Kind: EvTick})
-	})
-	t.blocked = blockState{kind: blockSleep}
-	w := t.park()
-	return w.err
+	return t.sleepUntil(t.Now() + sim.Time(max(d, 0)))
 }
 
 // SleepUntil blocks this thread until absolute virtual time at (or
@@ -149,15 +139,18 @@ func (t *Thread) SleepUntil(at sim.Time) error {
 	if at <= t.Now() {
 		return nil
 	}
+	return t.sleepUntil(at)
+}
+
+// sleepUntil parks this thread until at, which may be now.
+func (t *Thread) sleepUntil(at sim.Time) error {
 	pr := t.pr
-	th := t
 	pr.env.At(at, func() {
-		pr.wakeThread(th, wake{})
+		pr.wakeThread(t, wake{})
 		pr.events.Put(Event{Kind: EvTick})
 	})
 	t.blocked = blockState{kind: blockSleep}
-	w := t.park()
-	return w.err
+	return t.park().err
 }
 
 // Now reports current virtual time.

@@ -3,7 +3,7 @@ package core
 import "repro/internal/sim"
 
 // TransEnd is a transport's opaque handle for one end of a link. Handles
-// must be comparable (they key maps in the run-time package): Charlotte
+// must be comparable (they key the run-time package's end table): Charlotte
 // uses kernel link-end capabilities, SODA a pair of advertised names,
 // Chrysalis a memory-object name.
 type TransEnd any
@@ -22,12 +22,16 @@ const (
 	// been received by the far end's run-time package. Unblocks the
 	// sending coroutine per §2.1's stop-and-wait discipline.
 	EvDelivered
-	// EvSendFailed: a sent message will never be received (link
-	// destroyed, peer crashed, or — on transports that can detect it —
-	// the reply was no longer wanted). Err says why.
+	// EvSendFailed: a message sent on a live link will never be
+	// received: the kernel refused it, it was oversize, or — on
+	// transports that can detect it — the reply was no longer wanted.
+	// Err says why. A send on a dead end gets no EvSendFailed: its
+	// EvLinkDead settles it.
 	EvSendFailed
 	// EvLinkDead: the link was destroyed by the far end or its owner
-	// crashed. All operations on End must raise exceptions.
+	// crashed. All operations on End must raise exceptions. This one
+	// event settles all of the end's pending work: the run-time package
+	// fails its sends and wakes its waiters itself.
 	EvLinkDead
 	// EvTick is an internal wakeup used by the run-time package itself
 	// (thread sleeps). Bindings never emit it.
@@ -54,10 +58,10 @@ func (k EventKind) String() string {
 // Event is one transport notification.
 type Event struct {
 	Kind EventKind
-	End  TransEnd
+	End  TransEnd // every kind but EvTick
 	Msg  *WireMsg // EvIncoming only
 	Tag  uint64   // EvDelivered / EvSendFailed
-	Err  error    // EvSendFailed / EvLinkDead
+	Err  error    // EvSendFailed only
 }
 
 // Transport is the kernel-specific half of a LYNX implementation: one
@@ -91,10 +95,11 @@ type Transport interface {
 	// this process.
 	MakeLink() (TransEnd, TransEnd, error)
 	// Destroy destroys the link one of whose ends is te. The far end's
-	// process learns via EvLinkDead.
+	// process learns via EvLinkDead; this process already knows.
 	Destroy(te TransEnd) error
 	// StartSend begins transmitting m on te. The send is identified by
-	// tag; its fate arrives as EvDelivered or EvSendFailed. Enclosed
+	// tag; its fate arrives as EvDelivered or EvSendFailed while the
+	// link lives, and as te's EvLinkDead once it dies. Enclosed
 	// ends in m.Encl leave this process's ownership when delivery
 	// succeeds. At most one send per (end, message-kind) is in flight;
 	// the run-time package serializes the rest (stop-and-wait).
@@ -125,30 +130,4 @@ type ScreenFunc func(te TransEnd, kind MsgKind, seq uint64) bool
 // Screened is implemented by transports that accept a screen function.
 type Screened interface {
 	SetScreen(ScreenFunc)
-}
-
-// Capabilities describes optional transport behaviors that change
-// language-level semantics; the run-time package consults them to decide
-// which exceptions it can promise (§3.2.2's deviations).
-type Capabilities struct {
-	// RejectsUnwantedReplies: a reply arriving for an aborted coroutine
-	// fails the *sender* with ErrUnwantedReply (SODA, Chrysalis). False
-	// for Charlotte: that acknowledgment would add 50% message traffic.
-	RejectsUnwantedReplies bool
-	// RecoversAbortedEnclosures: enclosures in a message whose send was
-	// aborted are guaranteed returned even across peer crashes.
-	RecoversAbortedEnclosures bool
-}
-
-// Capable is implemented by transports to advertise capabilities.
-type Capable interface {
-	Capabilities() Capabilities
-}
-
-// TransportCaps returns t's capabilities (zero value if not Capable).
-func TransportCaps(t Transport) Capabilities {
-	if c, ok := t.(Capable); ok {
-		return c.Capabilities()
-	}
-	return Capabilities{}
 }

@@ -86,31 +86,6 @@ func (r *Result) Render() string {
 	return b.String()
 }
 
-// All runs every experiment in order: the paper's E1-E11 plus the
-// extension experiments E12-E13 (questions the paper could not answer
-// without a SODA implementation). Experiments execute concurrently
-// across GOMAXPROCS workers; the output is identical to a serial run
-// (see AllWith for the replication/parallelism knobs).
-func All() []*Result {
-	return AllWith(Options{})
-}
-
-// The single-shot exported experiment entry points (benchmarks and
-// tests call these): the canonical paper-seed run of each experiment.
-func E1() *Result  { return e1(0) }
-func E2() *Result  { return e2(0) }
-func E3() *Result  { return e3(0) }
-func E4() *Result  { return e4(0) }
-func E5() *Result  { return e5() }
-func E6() *Result  { return e6(0) }
-func E7() *Result  { return e7(0) }
-func E8() *Result  { return e8(0) }
-func E9() *Result  { return e9(0) }
-func E10() *Result { return e10(0) }
-func E11() *Result { return e11(0) }
-func E12() *Result { return e12(0) }
-func E13() *Result { return e13(0) }
-
 // sysSeed derives the seed for one System an experiment builds. Each
 // call site passes the canonical seed its system used before
 // replication existed; the legacy single-shot run (replica seed 0)

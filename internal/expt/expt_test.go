@@ -20,17 +20,17 @@ func checkResult(t *testing.T, r *Result) {
 	}
 }
 
-func TestE1(t *testing.T)  { checkResult(t, E1()) }
-func TestE2(t *testing.T)  { checkResult(t, E2()) }
-func TestE3(t *testing.T)  { checkResult(t, E3()) }
-func TestE4(t *testing.T)  { checkResult(t, E4()) }
-func TestE5(t *testing.T)  { checkResult(t, E5()) }
-func TestE6(t *testing.T)  { checkResult(t, E6()) }
-func TestE7(t *testing.T)  { checkResult(t, E7()) }
-func TestE8(t *testing.T)  { checkResult(t, E8()) }
-func TestE9(t *testing.T)  { checkResult(t, E9()) }
-func TestE10(t *testing.T) { checkResult(t, E10()) }
-func TestE11(t *testing.T) { checkResult(t, E11()) }
+func TestE1(t *testing.T)  { checkResult(t, e1(0)) }
+func TestE2(t *testing.T)  { checkResult(t, e2(0)) }
+func TestE3(t *testing.T)  { checkResult(t, e3(0)) }
+func TestE4(t *testing.T)  { checkResult(t, e4(0)) }
+func TestE5(t *testing.T)  { checkResult(t, e5()) }
+func TestE6(t *testing.T)  { checkResult(t, e6(0)) }
+func TestE7(t *testing.T)  { checkResult(t, e7(0)) }
+func TestE8(t *testing.T)  { checkResult(t, e8(0)) }
+func TestE9(t *testing.T)  { checkResult(t, e9(0)) }
+func TestE10(t *testing.T) { checkResult(t, e10(0)) }
+func TestE11(t *testing.T) { checkResult(t, e11(0)) }
 
 // E5 counts the module's own source, so it must find that source from
 // any working directory, not only from inside the module. (os.Chdir,
@@ -48,7 +48,7 @@ func TestE5OutsideModule(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	checkResult(t, E5())
+	checkResult(t, e5())
 }
 
 func TestByID(t *testing.T) {
@@ -65,13 +65,13 @@ func TestByID(t *testing.T) {
 	}
 }
 
-func TestE12(t *testing.T) { checkResult(t, E12()) }
-func TestE13(t *testing.T) { checkResult(t, E13()) }
+func TestE12(t *testing.T) { checkResult(t, e12(0)) }
+func TestE13(t *testing.T) { checkResult(t, e13(0)) }
 
 // TestE7JSONRoundTrip: `lynxbench -e E7 -json` must round-trip through
 // encoding/json, metric snapshot included.
 func TestE7JSONRoundTrip(t *testing.T) {
-	r := E7()
+	r := e7(0)
 	if len(r.Metrics) == 0 {
 		t.Fatal("E7 result carries no obs metric snapshot")
 	}

@@ -38,7 +38,7 @@ func TestAllWithDeterministicAcrossParallelism(t *testing.T) {
 // Replicated runs must keep the canonical replica-0 output embedded:
 // with Reps=1 the result is bit-for-bit the single-shot experiment.
 func TestSingleRepMatchesLegacy(t *testing.T) {
-	legacy := E4()
+	legacy := e4(0)
 	viaRunner := ByIDWith("E4", Options{Parallel: 2, Reps: 1})
 	if renderAll([]*Result{legacy}) != renderAll([]*Result{viaRunner}) {
 		t.Fatalf("Reps=1 runner output diverged from the single-shot experiment:\n%s\nvs\n%s",

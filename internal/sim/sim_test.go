@@ -299,7 +299,8 @@ func TestKillAt(t *testing.T) {
 	e := NewEnv(1)
 	steps := 0
 	victim := e.Spawn("victim", func(p *Proc) {
-		for {
+		// Bounded so that a run that misses the kill ends.
+		for steps < 100 {
 			p.Delay(Millisecond)
 			steps++
 		}
@@ -342,7 +343,8 @@ func TestRunUntil(t *testing.T) {
 	e := NewEnv(1)
 	ticks := 0
 	e.Spawn("loop", func(p *Proc) {
-		for {
+		// Bounded so that a run that ignores the horizon ends.
+		for ticks < 100 {
 			p.Delay(Millisecond)
 			ticks++
 		}
