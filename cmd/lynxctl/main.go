@@ -42,7 +42,7 @@ commands:
   metrics [ID]              service counters, or one job's metric rollup`
 
 func main() {
-	addr := flag.String("addr", defaultAddr(), "lynxd base URL")
+	addr := flag.String("addr", cli.DaemonAddr(), "lynxd base URL")
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, usage)
 		fmt.Fprintln(os.Stderr, "\nflags:")
@@ -80,13 +80,6 @@ func main() {
 	default:
 		cli.Usagef("lynxctl", "unknown command %q\n%s", cmd, usage)
 	}
-}
-
-func defaultAddr() string {
-	if a := os.Getenv("LYNXD_ADDR"); a != "" {
-		return a
-	}
-	return "http://127.0.0.1:8077"
 }
 
 // fail reports the error payload of a non-2xx response and exits 1.

@@ -6,7 +6,7 @@
 //	lynxtrace -fig 2 -substrate soda
 //	lynxtrace -fig 1 -format jsonl  # machine-readable event stream
 //	lynxtrace -fig 1 -format chrome > trace.json   # chrome://tracing
-//	lynxtrace -follow JOB -addr localhost:8080     # live lynxd job trace
+//	lynxtrace -follow JOB                          # live lynxd job trace
 //
 // The trace shows every kernel call and protocol message with its
 // virtual timestamp, making the difference between the substrates'
@@ -19,9 +19,10 @@
 //
 // -follow switches lynxtrace from replaying a built-in figure to
 // tailing a running lynxd job's flight-recorder stream
-// (GET /jobs/{id}/trace): JSONL lines pass through verbatim ("jsonl",
-// the default here) or re-render as a Chrome trace document ("chrome");
-// the command exits when the job reaches a terminal state.
+// (GET /jobs/{id}/trace): JSONL lines pass through verbatim ("jsonl")
+// or re-render as text or as a Chrome trace document ("chrome"); the
+// command exits when the job reaches a terminal state. The daemon
+// address comes from -addr or LYNXD_ADDR, as for lynxctl.
 package main
 
 import (
@@ -36,7 +37,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/lynx"
 )
 
@@ -52,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) {
 	subName := fs.String("substrate", "charlotte", "charlotte|soda|chrysalis|ideal")
 	format := fs.String("format", "text", "trace output format: text|jsonl|chrome")
 	follow := fs.String("follow", "", "follow a lynxd job's live trace stream by job ID (exits at job completion)")
-	addr := fs.String("addr", "localhost:8080", "lynxd address for -follow")
+	addr := fs.String("addr", cli.DaemonAddr(), "lynxd address for -follow")
 	fs.Parse(args)
 
 	switch *format {
@@ -144,26 +144,34 @@ func renderLine(line []byte, emit func(obs.Event), stderr io.Writer) {
 	emit(ev)
 }
 
-// attachOutput wires the chosen format into the system's recorder and
-// tracer slot. It returns where narration goes and a finish func to
-// call after the run (closes the Chrome document).
+// attachOutput attaches the chosen format's exporter to the system's
+// recorder. It returns where narration goes and a finish func to call
+// after the run (closes the Chrome document).
 func attachOutput(sys *lynx.System, format string, stdout, stderr io.Writer) (narrate io.Writer, finish func()) {
 	switch format {
 	case "jsonl":
-		sys.Env().SetTracer(&obs.TraceAdapter{R: sys.Obs()})
 		sys.Obs().Attach(&obs.JSONLExporter{W: stdout})
 		return stderr, func() {}
 	case "chrome":
-		sys.Env().SetTracer(&obs.TraceAdapter{R: sys.Obs()})
 		ch := obs.NewChromeStream(stdout)
 		sys.Obs().Attach(ch)
 		return stderr, func() { cli.Check("lynxtrace", ch.Close()) }
 	}
-	// Text: free-text Trace() marks via the classic writer tracer; typed
-	// kernel events via the text exporter. Same layout, one stream.
-	sys.Env().SetTracer(&sim.WriterTracer{W: stdout})
 	sys.Obs().Attach(&obs.TextExporter{W: stdout})
 	return stdout, func() {}
+}
+
+// mark narrates one trace line as a mark event from src.
+func mark(sys *lynx.System, src, format string, args ...any) {
+	sys.Obs().Emit(obs.Event{Kind: obs.KindMark, Src: src, Detail: fmt.Sprintf(format, args...)})
+}
+
+// spawn is sys.Spawn with the process's exit narrated.
+func spawn(sys *lynx.System, name string, main func(*lynx.Thread, []*lynx.End)) *lynx.ProcRef {
+	return sys.Spawn(name, func(th *lynx.Thread, boot []*lynx.End) {
+		th.Process().OnExit(func() { mark(sys, "lynx", "%s exits", name) })
+		main(th, boot)
+	})
 }
 
 // figure2 traces one request moving k link ends (and its reply).
@@ -171,7 +179,7 @@ func figure2(sub lynx.Substrate, format string, k int, stdout, stderr io.Writer)
 	sys := lynx.NewSystem(lynx.Config{Substrate: sub, Seed: 1})
 	narrate, finish := attachOutput(sys, format, stdout, stderr)
 	fmt.Fprintf(narrate, "figure 2 on %v: request moving %d link end(s)\n\n", sub, k)
-	a := sys.Spawn("A", func(th *lynx.Thread, boot []*lynx.End) {
+	a := spawn(sys, "A", func(th *lynx.Thread, boot []*lynx.End) {
 		var give []*lynx.End
 		for i := 0; i < k; i++ {
 			_, o, err := th.NewLink()
@@ -180,17 +188,17 @@ func figure2(sub lynx.Substrate, format string, k int, stdout, stderr io.Writer)
 			}
 			give = append(give, o)
 		}
-		sys.Env().Trace("A", ">>> connect with %d enclosures", k)
+		mark(sys, "A", ">>> connect with %d enclosures", k)
 		if _, err := th.Connect(boot[0], "move", lynx.Msg{Links: give}); err != nil {
-			sys.Env().Trace("A", "connect failed: %v", err)
+			mark(sys, "A", "connect failed: %v", err)
 			return
 		}
-		sys.Env().Trace("A", "<<< reply received")
+		mark(sys, "A", "<<< reply received")
 		th.Destroy(boot[0])
 	})
-	b := sys.Spawn("B", func(th *lynx.Thread, boot []*lynx.End) {
+	b := spawn(sys, "B", func(th *lynx.Thread, boot []*lynx.End) {
 		th.Serve(boot[0], func(st *lynx.Thread, req *lynx.Request) {
-			sys.Env().Trace("B", "request %q arrived with %d links", req.Op(), len(req.Links()))
+			mark(sys, "B", "request %q arrived with %d links", req.Op(), len(req.Links()))
 			st.Reply(req, lynx.Msg{})
 		})
 	})
@@ -209,40 +217,40 @@ func figure1(sub lynx.Substrate, format string, stdout, stderr io.Writer) {
 	sys := lynx.NewSystem(lynx.Config{Substrate: sub, Seed: 1})
 	narrate, finish := attachOutput(sys, format, stdout, stderr)
 	fmt.Fprintf(narrate, "figure 1 on %v: link 3 moving at both ends (A->B and D->C)\n\n", sub)
-	a := sys.Spawn("A", func(th *lynx.Thread, boot []*lynx.End) {
-		sys.Env().Trace("A", "moving link3 end to B")
+	a := spawn(sys, "A", func(th *lynx.Thread, boot []*lynx.End) {
+		mark(sys, "A", "moving link3 end to B")
 		th.Connect(boot[0], "take3a", lynx.Msg{Links: []*lynx.End{boot[1]}})
 		th.Destroy(boot[0])
 	})
-	d := sys.Spawn("D", func(th *lynx.Thread, boot []*lynx.End) {
-		sys.Env().Trace("D", "moving link3 end to C")
+	d := spawn(sys, "D", func(th *lynx.Thread, boot []*lynx.End) {
+		mark(sys, "D", "moving link3 end to C")
 		th.Connect(boot[0], "take3d", lynx.Msg{Links: []*lynx.End{boot[1]}})
 		th.Destroy(boot[0])
 	})
-	b := sys.Spawn("B", func(th *lynx.Thread, boot []*lynx.End) {
+	b := spawn(sys, "B", func(th *lynx.Thread, boot []*lynx.End) {
 		req, err := th.Receive(boot[0])
 		if err != nil {
 			return
 		}
 		l3 := req.Links()[0]
 		th.Reply(req, lynx.Msg{})
-		sys.Env().Trace("B", "got link3 end; calling through it")
+		mark(sys, "B", "got link3 end; calling through it")
 		reply, err := th.Connect(l3, "hello", lynx.Msg{Data: []byte("B")})
 		if err != nil {
-			sys.Env().Trace("B", "call failed: %v", err)
+			mark(sys, "B", "call failed: %v", err)
 			return
 		}
-		sys.Env().Trace("B", "reply: %q (link3 now connects B and C)", reply.Data)
+		mark(sys, "B", "reply: %q (link3 now connects B and C)", reply.Data)
 		th.Destroy(l3)
 	})
-	c := sys.Spawn("C", func(th *lynx.Thread, boot []*lynx.End) {
+	c := spawn(sys, "C", func(th *lynx.Thread, boot []*lynx.End) {
 		req, err := th.Receive(boot[0])
 		if err != nil {
 			return
 		}
 		l3 := req.Links()[0]
 		th.Reply(req, lynx.Msg{})
-		sys.Env().Trace("C", "got link3 end; serving on it")
+		mark(sys, "C", "got link3 end; serving on it")
 		r2, err := th.Receive(l3)
 		if err != nil {
 			return

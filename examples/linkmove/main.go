@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/lynx"
 )
 
@@ -28,19 +27,28 @@ func main() {
 	cli.CheckUsage("linkmove", err)
 
 	sys := lynx.NewSystem(lynx.Config{Substrate: sub, Seed: 1})
-	tracer := &countingTracer{WriterTracer: sim.WriterTracer{W: os.Stdout}}
 	if *verbose {
-		// Live terminal trace of the annotations; typed kernel events
-		// join the same stream.
-		sys.Env().SetTracer(tracer)
+		// Live terminal trace of typed kernel events and the exit
+		// annotations.
 		sys.Obs().Attach(&obs.TextExporter{W: os.Stdout})
 	}
 	say := func(who, format string, args ...any) {
 		fmt.Printf("%10v  %s: %s\n", sys.Now(), who, fmt.Sprintf(format, args...))
 	}
+	// spawn is sys.Spawn with each process's exit annotated and counted.
+	var annotations int
+	spawn := func(name string, main func(*lynx.Thread, []*lynx.End)) *lynx.ProcRef {
+		return sys.Spawn(name, func(t *lynx.Thread, boot []*lynx.End) {
+			t.Process().OnExit(func() {
+				annotations++
+				sys.Obs().Emit(obs.Event{Kind: obs.KindMark, Src: "lynx", Detail: name + " exits"})
+			})
+			main(t, boot)
+		})
+	}
 
 	// Links at boot: 1 connects A-B, 2 connects D-C, 3 connects A-D.
-	a := sys.Spawn("A", func(t *lynx.Thread, boot []*lynx.End) {
+	a := spawn("A", func(t *lynx.Thread, boot []*lynx.End) {
 		toB, l3 := boot[0], boot[1]
 		say("A", "enclosing my end of link3 in a message to B")
 		if _, err := t.Connect(toB, "take", lynx.Msg{Links: []*lynx.End{l3}}); err != nil {
@@ -49,7 +57,7 @@ func main() {
 		say("A", "done — I no longer hold link3")
 		t.Destroy(toB)
 	})
-	d := sys.Spawn("D", func(t *lynx.Thread, boot []*lynx.End) {
+	d := spawn("D", func(t *lynx.Thread, boot []*lynx.End) {
 		toC, l3 := boot[0], boot[1]
 		say("D", "enclosing my end of link3 in a message to C (simultaneously)")
 		if _, err := t.Connect(toC, "take", lynx.Msg{Links: []*lynx.End{l3}}); err != nil {
@@ -58,7 +66,7 @@ func main() {
 		say("D", "done — I no longer hold link3")
 		t.Destroy(toC)
 	})
-	b := sys.Spawn("B", func(t *lynx.Thread, boot []*lynx.End) {
+	b := spawn("B", func(t *lynx.Thread, boot []*lynx.End) {
 		req, err := t.Receive(boot[0])
 		if err != nil {
 			log.Fatalf("B: %v", err)
@@ -73,7 +81,7 @@ func main() {
 		say("B", "link3 answered: %q", reply.Data)
 		t.Destroy(l3)
 	})
-	c := sys.Spawn("C", func(t *lynx.Thread, boot []*lynx.End) {
+	c := spawn("C", func(t *lynx.Thread, boot []*lynx.End) {
 		req, err := t.Receive(boot[0])
 		if err != nil {
 			log.Fatalf("C: %v", err)
@@ -98,18 +106,6 @@ func main() {
 	fmt.Printf("\nfigure 1 complete on %s at %v of virtual time\n", sub, sys.Now())
 	if *verbose {
 		fmt.Printf("(%d annotations recorded, %d bytes moved by the kernel)\n",
-			tracer.n, sys.Stats().Bytes())
+			annotations, sys.Stats().Bytes())
 	}
-}
-
-// countingTracer prints annotations like sim.WriterTracer and counts
-// them.
-type countingTracer struct {
-	sim.WriterTracer
-	n int
-}
-
-func (c *countingTracer) Event(now sim.Time, source, msg string) {
-	c.n++
-	c.WriterTracer.Event(now, source, msg)
 }

@@ -340,13 +340,17 @@ func (tr *Transport) sendAllow(p *sim.Proc, es *endState) {
 
 // adjustReceive posts or cancels the kernel receive according to current
 // interest and protocol obligations. It reconverges until stable (the
-// desired state can change while a kernel call parks us).
+// desired state can change while a kernel call parks us). A delivered
+// request keeps the receive posted until its reply arrives, even when
+// its connector has aborted: replies are always accepted, so the
+// server's send completes and the reply is discarded here.
 func (tr *Transport) adjustReceive(p *sim.Proc, es *endState) {
 	for {
 		if es.dead || es.recvBusy {
 			return
 		}
-		want := es.wantReq || es.wantRep || es.peerForbade || es.partial != nil || tr.expectingCtrl(es)
+		want := es.wantReq || es.wantRep || es.peerForbade || es.partial != nil ||
+			len(es.bounceable) > 0 || tr.expectingCtrl(es)
 		if want == es.recvPosted {
 			return
 		}

@@ -66,10 +66,15 @@ func newPairVia(wrap func(core.Transport) core.Transport, mainA, mainB func(*cor
 }
 
 func TestCharlotteSendFate(t *testing.T) {
+	var r *rig
 	bindtest.CheckSendFate(t, func(wrap func(core.Transport) core.Transport, mainA, mainB func(*core.Thread, *core.End)) *sim.Env {
-		r, _, _ := newPairVia(wrap, mainA, mainB)
+		r, _, _ = newPairVia(wrap, mainA, mainB)
 		return r.env
 	}, false)
+	// The check's last run is the unwanted reply: A discards it.
+	if n := count(r.trA, obs.MDroppedReplies); n != 1 {
+		t.Errorf("A dropped %d replies, want the unwanted one", n)
+	}
 }
 
 func TestCharlotteSimpleRPC(t *testing.T) {

@@ -1,7 +1,6 @@
 package sodabind
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/calib"
@@ -12,35 +11,28 @@ import (
 	"repro/internal/soda"
 )
 
-// janitorRuns counts the scheduler dispatches of janitor simprocs.
-type janitorRuns struct{ n int }
-
-func (j *janitorRuns) Resume(_ sim.Time, _ int, name string) {
-	if strings.HasPrefix(name, "sodabind.janitor.") {
-		j.n++
-	}
-}
-
-func (j *janitorRuns) Event(sim.Time, string, string) {}
-
-// janitorRig is three SODA processes, A–B and B–C joined by boot links,
-// with a tracer that sees every janitor dispatch.
+// janitorRig is three SODA processes, A–B and B–C joined by boot links.
 type janitorRig struct {
 	env   *sim.Env
 	trs   []*Transport
-	runs  *janitorRuns
 	costs calib.LynxRuntimeCosts
 }
 
 func newJanitorRig(cfgB Config) *janitorRig {
 	env := sim.NewEnv(1)
 	k := soda.NewKernel(env, netsim.NewCSMABus(env.Rand().Fork()), calib.DefaultSODA())
-	r := &janitorRig{env: env, runs: &janitorRuns{}, costs: calib.DefaultSODARuntime()}
+	r := &janitorRig{env: env, costs: calib.DefaultSODARuntime()}
 	for i, cfg := range []Config{DefaultConfig(), cfgB, DefaultConfig()} {
 		r.trs = append(r.trs, New(env, k, k.NewProcess(netsim.NodeID(i)), cfg))
 	}
-	env.SetTracer(r.runs)
 	return r
+}
+
+// janitors returns how many janitor simprocs the run spawned beside
+// its procs processes. Pids go out in spawn order, so a probe spawned
+// after the run takes the one after every pid handed out.
+func (r *janitorRig) janitors(procs int) int {
+	return r.env.Spawn("probe", func(*sim.Proc) {}).ID() - 1 - procs
 }
 
 // checkIdle fails unless every janitor has exited with nothing queued.
@@ -76,8 +68,8 @@ func TestJanitorNotStartedForPlainRPC(t *testing.T) {
 	if err := r.env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if r.runs.n != 0 {
-		t.Errorf("janitor dispatched %d times in a plain RPC run, want 0", r.runs.n)
+	if n := r.janitors(2); n != 0 {
+		t.Errorf("%d janitors spawned in a plain RPC run, want 0", n)
 	}
 	r.checkIdle(t)
 }
@@ -136,8 +128,8 @@ func TestJanitorStartsForRepairAndExits(t *testing.T) {
 		t.Errorf("A: discovers=%d hint fixes=%d, want both > 0",
 			m.ProcValue(obs.MDiscovers, pid), m.ProcValue(obs.MHintFixes, pid))
 	}
-	if r.runs.n == 0 {
-		t.Error("the repair ran without a janitor dispatch")
+	if r.janitors(3) == 0 {
+		t.Error("the repair ran without a janitor")
 	}
 	r.checkIdle(t)
 }

@@ -52,7 +52,7 @@ type Process struct {
 
 	dead   bool
 	stats  Stats
-	onExit func()
+	onExit []func()
 
 	rec       *obs.Recorder  // nil when the transport is unobserved
 	blockHist *obs.Histogram // proc_block_ns: time parked at the block point
@@ -197,7 +197,6 @@ func (pr *Process) run() {
 		}
 	}
 	pr.tr.Shutdown()
-	pr.env.Trace("lynx", "%s exits", pr.name)
 	pr.exited()
 }
 
@@ -241,14 +240,16 @@ func (pr *Process) step() *Thread {
 }
 
 // OnExit registers fn to run once when the process ends, by orderly
-// exit or crash, after its transport has shut down. It runs on the
-// process's own simproc; register it before the process first runs.
-func (pr *Process) OnExit(fn func()) { pr.onExit = fn }
+// exit or crash, after its transport has shut down. Hooks run on the
+// process's own simproc, in registration order; register them before
+// the process ends (its threads may register their own).
+func (pr *Process) OnExit(fn func()) { pr.onExit = append(pr.onExit, fn) }
 
-// exited runs the OnExit hook, at most once.
+// exited runs the OnExit hooks, at most once.
 func (pr *Process) exited() {
-	if fn := pr.onExit; fn != nil {
-		pr.onExit = nil
+	hooks := pr.onExit
+	pr.onExit = nil
+	for _, fn := range hooks {
 		fn()
 	}
 }

@@ -65,7 +65,8 @@ const (
 	KindQueueWait    // a process blocked waiting for transport events
 	KindQueueService // a queued request was claimed by a thread
 
-	// Mark is a free-text annotation (bridged from sim.Env.Trace).
+	// Mark is a free-text annotation: narration when Src names its
+	// source, else a kernel's note on the event's Proc or Link.
 	KindMark
 )
 

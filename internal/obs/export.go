@@ -6,20 +6,25 @@ import (
 	"io"
 )
 
-// TextExporter renders events as human-readable lines in the same
-// layout as sim.WriterTracer, so typed kernel events and free-text
-// annotations interleave cleanly in one terminal stream.
+// TextExporter renders events as human-readable lines, one per event:
+// virtual time, source (the substrate when the event names none), then
+// the event. A mark that names its source is free-text narration and
+// prints as just its detail, so narration and typed kernel events
+// interleave cleanly in one terminal stream.
 type TextExporter struct {
 	W io.Writer
 }
 
 // Event implements Sink.
 func (t *TextExporter) Event(ev Event) {
-	src := ev.Src
+	src, text := ev.Src, ev.Detail
+	if ev.Kind != KindMark || src == "" {
+		text = ev.text()
+	}
 	if src == "" {
 		src = ev.Substrate
 	}
-	fmt.Fprintf(t.W, "%12v  %-12s %s\n", ev.At, src, ev.text())
+	fmt.Fprintf(t.W, "%12v  %-12s %s\n", ev.At, src, text)
 }
 
 // JSONLExporter writes one JSON object per event per line, directly to

@@ -168,30 +168,6 @@ func TestChromeStream(t *testing.T) {
 	}
 }
 
-func TestTraceAdapterBridgesMarks(t *testing.T) {
-	env := sim.NewEnv(1)
-	r := NewRecorder(env, "ideal")
-	rs := &RecordingSink{}
-	r.Attach(rs)
-	env.SetTracer(&TraceAdapter{R: r})
-	env.Spawn("p", func(p *sim.Proc) {
-		p.Delay(time3())
-		env.Trace("A", "moving link %d", 3)
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(rs.Events) != 1 {
-		t.Fatalf("events = %d", len(rs.Events))
-	}
-	ev := rs.Events[0]
-	if ev.Kind != KindMark || ev.Src != "A" || ev.Detail != "moving link 3" || ev.At == 0 {
-		t.Fatalf("mark %+v", ev)
-	}
-}
-
-func time3() sim.Duration { return 3 * sim.Millisecond }
-
 func TestTextExporterFormat(t *testing.T) {
 	var buf bytes.Buffer
 	te := &TextExporter{W: &buf}
@@ -200,6 +176,12 @@ func TestTextExporterFormat(t *testing.T) {
 	if !strings.Contains(out, "soda") || !strings.Contains(out, "soda.accept") ||
 		!strings.Contains(out, "p2") || !strings.Contains(out, "seq=9") {
 		t.Fatalf("text %q", out)
+	}
+	// A mark that names its source is narration: source, then detail.
+	buf.Reset()
+	te.Event(Event{At: sim.Time(3 * sim.Millisecond), Substrate: "soda", Kind: KindMark, Src: "A", Detail: "moving link 3"})
+	if got, want := buf.String(), "     3.000ms  A            moving link 3\n"; got != want {
+		t.Fatalf("mark %q, want %q", got, want)
 	}
 }
 

@@ -125,19 +125,6 @@ func (r *Recorder) EmitEnv(env *sim.Env, ev Event) {
 	r.deliver(ev)
 }
 
-// EmitAt is Emit with an explicit timestamp, for sinks fed from replayed
-// trace callbacks whose env clock no longer matches the event.
-func (r *Recorder) EmitAt(at sim.Time, ev Event) {
-	if !r.Active() {
-		return
-	}
-	ev.At = at
-	if ev.Substrate == "" {
-		ev.Substrate = r.sub
-	}
-	r.deliver(ev)
-}
-
 func (r *Recorder) deliver(ev Event) {
 	for _, s := range r.sinks {
 		s.Event(ev)

@@ -89,26 +89,3 @@ func TestDelayInPlaceHorizon(t *testing.T) {
 		t.Fatalf("ticks = %d at %v, want 3 at 9.000ms", ticks, e.Now())
 	}
 }
-
-// A lone sleeping proc is reported resumed at each wake.
-func TestDelayInPlaceTrace(t *testing.T) {
-	var buf strings.Builder
-	e := NewEnv(1)
-	e.SetTracer(&WriterTracer{W: &buf, ShowResumes: true})
-	e.Spawn("sleeper", func(p *Proc) {
-		p.Delay(Millisecond)
-		p.Delay(2 * Millisecond)
-		e.Trace("sleeper", "woke")
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	const want = "" +
-		"     0.000ms  run   p1(sleeper)\n" +
-		"     1.000ms  run   p1(sleeper)\n" +
-		"     3.000ms  run   p1(sleeper)\n" +
-		"     3.000ms  sleeper      woke\n"
-	if got := buf.String(); got != want {
-		t.Fatalf("trace:\n%s\nwant:\n%s", got, want)
-	}
-}

@@ -18,9 +18,9 @@
 // internally deterministic, and shard-crossing state is commutative
 // (atomic counters).
 //
-// Observed runs (a tracer or an obs recorder attached) must produce the
-// same output bytes at any worker count. Each shard logs its trace and
-// metric emissions as deferred closures tagged with their virtual time,
+// Observed runs (ParallelOptions.ObservedFn reports true) must produce
+// the same output bytes at any worker count. Each shard logs its event
+// emissions as deferred closures tagged with their virtual time,
 // in execution order. After the run the logs are merged by (time, shard
 // index) and replayed: within a shard emissions keep execution order, so
 // each group's projection of the output equals that group's lines in a
@@ -29,7 +29,7 @@
 // fixes it.
 //
 // Everything that touches shared state mid-run is either deferred into
-// those logs (traces, obs events via Env.Sequenced), made commutative
+// those logs (obs events via Env.Sequenced), made commutative
 // (obs counters/histograms are atomic), made shard-local (mid-run Spawn
 // on a shard env lands on that home shard, with pids drawn from the
 // shard's strided allocator), or forbidden and enforced by panics
@@ -52,10 +52,10 @@ type ParallelOptions struct {
 	// mean 1. Workers=1 still runs the partitioned engine, but shards
 	// execute sequentially in index order.
 	Workers int
-	// ObservedFn, when set, is consulted at the start of each run (in
-	// addition to the tracer): it lets callers whose observers attach
-	// after partitioning (e.g. obs sinks added between System
-	// construction and Run) still engage deterministic logging.
+	// ObservedFn, when set, is consulted at the start of each run: a
+	// true result engages deterministic logging. Consulting it per run
+	// lets observers attach after partitioning (e.g. obs sinks added
+	// between System construction and Run).
 	ObservedFn func() bool
 }
 
@@ -84,14 +84,23 @@ func (e *Env) EnterParallel(opt ParallelOptions) []*Env {
 	co := &parCoord{root: e, workers: workers, observedFn: opt.ObservedFn}
 	envs := make([]*Env, opt.Groups)
 	for i := range envs {
-		sh := NewEnv(e.rng.Uint64())
-		sh.tracer = e.tracer
+		pad := new(shardEnv)
+		pad.Env = *NewEnv(e.rng.Uint64())
+		sh := &pad.Env
 		sh.sh = &shardState{co: co, idx: i}
 		co.shards = append(co.shards, sh)
 		envs[i] = sh
 	}
 	e.par = co
 	return envs
+}
+
+// shardEnv gives a shard env cache lines of its own. Shard envs are
+// allocated back to back and run on different workers; two sharing a
+// line would contend on every scheduling decision.
+type shardEnv struct {
+	Env
+	_ [64]byte
 }
 
 // ParallelRunning reports whether e is a partitioned root env currently
@@ -109,8 +118,8 @@ func (e *Env) Sequencing() bool {
 
 // Sequenced runs fn now when e executes serially, or defers it into the
 // shard's log to run in (time, shard) merge order after the parallel
-// run. Observers (trace sinks, obs recorders) route their emissions
-// through it so output bytes are identical at any worker count.
+// run. Obs recorders route their emissions through it so output bytes
+// are identical at any worker count.
 func (e *Env) Sequenced(fn func()) {
 	if e.Sequencing() {
 		e.sh.log = append(e.sh.log, emitRec{at: e.now, fn: fn})
@@ -183,9 +192,8 @@ func (co *parCoord) runRoot(limit Time) error {
 		}
 	}
 
-	logging := root.tracer != nil || (co.observedFn != nil && co.observedFn())
+	logging := co.observedFn != nil && co.observedFn()
 	for _, sh := range co.shards {
-		sh.tracer = root.tracer
 		sh.sh.logging = logging
 	}
 

@@ -8,22 +8,25 @@ import (
 	"testing"
 )
 
-// fullTracer records both scheduling resumes and user events, so the
-// serial-vs-parallel comparisons pin every line, not just user trace
-// points. ats holds each line's virtual time.
-type fullTracer struct {
+// lineLog records workload lines through Env.Sequenced, so a partitioned
+// run delivers them in the engine's merge order. ats holds each line's
+// virtual time. A nil *lineLog records nothing.
+type lineLog struct {
 	lines []string
 	ats   []Time
 }
 
-func (t *fullTracer) Resume(now Time, pid int, name string) {
-	t.lines = append(t.lines, fmt.Sprintf("%v run p%d(%s)", now, pid, name))
-	t.ats = append(t.ats, now)
-}
-
-func (t *fullTracer) Event(now Time, source, msg string) {
-	t.lines = append(t.lines, fmt.Sprintf("%v %s %s", now, source, msg))
-	t.ats = append(t.ats, now)
+// add records "<now> <src> g<group> <msg>" as of env's clock.
+func (l *lineLog) add(env *Env, src string, g int, format string, args ...any) {
+	if l == nil {
+		return
+	}
+	now := env.Now()
+	line := fmt.Sprintf("%v %s g%d %s", now, src, g, fmt.Sprintf(format, args...))
+	env.Sequenced(func() {
+		l.lines = append(l.lines, line)
+		l.ats = append(l.ats, now)
+	})
 }
 
 // buildMixedWorkload constructs the same program over envs[g] per group:
@@ -31,78 +34,82 @@ func (t *fullTracer) Event(now Time, source, msg string) {
 // passes the shard envs. It exercises boot-FIFO interleaving, timer
 // cascades (callbacks waking waiters), nested callbacks, same-instant
 // timer ties across groups, Yield churn, and a cancelled sleep timer.
-func buildMixedWorkload(envs []*Env) {
+// Each proc logs its start and every return from Delay, Wait and Yield,
+// so the log pins each group's scheduling order.
+func buildMixedWorkload(envs []*Env, log *lineLog) {
 	for g := range envs {
 		g := g
 		env := envs[g]
 		wq := NewWaitQueue(env, fmt.Sprintf("q%d", g))
 		env.Spawn(fmt.Sprintf("cons%d", g), func(p *Proc) {
+			log.add(env, "cons", g, "start")
 			for i := 0; i < 3; i++ {
 				v := wq.Wait(p)
-				env.Trace("cons", "g%d got %v", g, v)
+				log.add(env, "cons", g, "got %v", v)
 				p.Delay(2 * Microsecond)
+				log.add(env, "cons", g, "delayed")
 			}
 		})
 		env.Spawn(fmt.Sprintf("prod%d", g), func(p *Proc) {
+			log.add(env, "prod", g, "start")
 			for i := 0; i < 3; i++ {
 				p.Delay(10 * Microsecond) // same instants in every group
-				env.Trace("prod", "g%d tick %d", g, i)
+				log.add(env, "prod", g, "tick %d", i)
 				wq.WakeValue(i)
 			}
 		})
 		env.After(25*Microsecond, func() {
-			env.Trace("cb", "g%d outer", g)
+			log.add(env, "cb", g, "outer")
 			env.After(5*Microsecond, func() {
-				env.Trace("cb", "g%d inner", g)
+				log.add(env, "cb", g, "inner")
 			})
 		})
 		victim := env.Spawn(fmt.Sprintf("victim%d", g), func(p *Proc) {
+			log.add(env, "victim", g, "start")
 			p.Delay(Second) // killed long before this completes
 		})
 		victim.KillAt(Time(40 * Microsecond))
 		env.Spawn(fmt.Sprintf("yield%d", g), func(p *Proc) {
+			log.add(env, "yield", g, "start")
 			p.Yield()
+			log.add(env, "yield", g, "yielded")
 			p.Yield()
-			env.Trace("yield", "g%d done", g)
+			log.add(env, "yield", g, "done")
 		})
 	}
 }
 
-func runMixedSerial(groups int, limit Time) (*fullTracer, Time, error) {
+func runMixedSerial(groups int, limit Time) (*lineLog, Time, error) {
 	env := NewEnv(42)
-	tr := &fullTracer{}
-	env.SetTracer(tr)
+	log := &lineLog{}
 	envs := make([]*Env, groups)
 	for i := range envs {
 		envs[i] = env
 	}
-	buildMixedWorkload(envs)
+	buildMixedWorkload(envs, log)
 	err := env.RunUntil(limit)
-	return tr, env.Now(), err
+	return log, env.Now(), err
 }
 
-func runMixedParallel(groups, workers int, limit Time) (*fullTracer, Time, error) {
+func runMixedParallel(groups, workers int, limit Time) (*lineLog, Time, error) {
 	root := NewEnv(42)
-	tr := &fullTracer{}
-	root.SetTracer(tr)
-	shards := root.EnterParallel(ParallelOptions{Groups: groups, Workers: workers})
-	buildMixedWorkload(shards)
+	log := &lineLog{}
+	shards := root.EnterParallel(ParallelOptions{Groups: groups, Workers: workers, ObservedFn: func() bool { return true }})
+	buildMixedWorkload(shards, log)
 	err := root.RunUntil(limit)
-	return tr, root.Now(), err
+	return log, root.Now(), err
 }
 
-// mixedGroupRE extracts the group index of a mixed-workload trace line:
-// proc names ("run p3(prod0)") and event messages ("prod g0 tick 0")
-// both carry it.
-var mixedGroupRE = regexp.MustCompile(`\(\D+(\d+)\)$| g(\d+) `)
+// mixedGroupRE extracts the group index of a mixed-workload log line.
+var mixedGroupRE = regexp.MustCompile(` g(\d+) `)
 
 func lineGroup(t *testing.T, line string) int {
 	t.Helper()
 	m := mixedGroupRE.FindStringSubmatch(line)
 	if m == nil {
-		t.Fatalf("trace line %q names no group", line)
+		t.Fatalf("log line %q names no group", line)
 	}
-	g, err := strconv.Atoi(m[1] + m[2])
+	g, err := strconv.Atoi(m[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,9 +121,9 @@ func lineGroup(t *testing.T, line string) int {
 // for that group, and the whole trace is ordered by (time, group). It
 // returns how many lines tie an earlier line of another group at the
 // same instant, so callers can require the tie-break to be exercised.
-func checkMergeOrder(t *testing.T, label string, groups int, serial, got *fullTracer) (ties int) {
+func checkMergeOrder(t *testing.T, label string, groups int, serial, got *lineLog) (ties int) {
 	t.Helper()
-	project := func(tr *fullTracer) [][]string {
+	project := func(tr *lineLog) [][]string {
 		per := make([][]string, groups)
 		for _, l := range tr.lines {
 			g := lineGroup(t, l)
@@ -297,7 +304,7 @@ func TestParallelDeadlockMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelUnobserved checks the logging-free path (no tracer): the
+// TestParallelUnobserved checks the logging-free path (no ObservedFn): the
 // run completes, clocks agree with serial, and no replay machinery is
 // engaged.
 func TestParallelUnobserved(t *testing.T) {
@@ -308,7 +315,7 @@ func TestParallelUnobserved(t *testing.T) {
 	}
 	root := NewEnv(42)
 	shards := root.EnterParallel(ParallelOptions{Groups: groups, Workers: 4})
-	buildMixedWorkload(shards)
+	buildMixedWorkload(shards, nil)
 	if err := root.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -143,12 +143,6 @@ func idleProcGoroutines() int {
 // reaches it any more.
 type gcLeaf struct{ data []byte }
 
-// leafTracer keeps a leaf reachable from the env that it traces.
-type leafTracer struct {
-	RecordingTracer
-	leaf *gcLeaf
-}
-
 // TestIdleProcGoroutineKeepsNothingReachable: once a run is over, the
 // goroutines that ran its procs and strands sit idle, and neither a
 // finished body's captures nor the env is reachable from them.
@@ -158,7 +152,9 @@ func TestIdleProcGoroutineKeepsNothingReachable(t *testing.T) {
 		e := NewEnv(1)
 		l := &gcLeaf{data: make([]byte, 64)}
 		runtime.SetFinalizer(l, func(*gcLeaf) { envLeaf.Store(true) })
-		e.SetTracer(&leafTracer{leaf: l})
+		// The env keeps l through a timer the run stops short of.
+		e.At(Time(Second), func() { l.data[0]++ })
+		e.At(Time(Millisecond), func() { e.Stop(nil) })
 		leaf := &gcLeaf{data: make([]byte, 64)}
 		runtime.SetFinalizer(leaf, func(*gcLeaf) { bodyLeaf.Store(true) })
 		for i := 0; i < 3; i++ {

@@ -266,9 +266,6 @@ func (p *Proc) Delay(d Duration) {
 		(e.timers.len() == 0 || e.timers.s[0].at > t) &&
 		(e.limit < 0 || t <= e.limit) {
 		e.now = t
-		if e.tracer != nil {
-			e.traceResume(p)
-		}
 		return
 	}
 	p.sleepTmr = e.schedSleep(t, p)

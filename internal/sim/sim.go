@@ -94,7 +94,6 @@ type Env struct {
 	nextPID int
 	live    int // procs spawned and not yet finished
 	rng     *Rand
-	tracer  Tracer
 	running bool
 	stopped bool
 	stopErr error
@@ -144,25 +143,6 @@ func (e *Env) Now() Time { return e.now }
 
 // Rand returns the environment's deterministic random source.
 func (e *Env) Rand() *Rand { return e.rng }
-
-// SetTracer installs a tracer that observes scheduling and user events.
-// A nil tracer disables tracing.
-func (e *Env) SetTracer(t Tracer) { e.tracer = t }
-
-// Trace emits a user trace event if a tracer is installed. It may be
-// called from simproc context or from timer callbacks.
-func (e *Env) Trace(source, event string, args ...any) {
-	if e.tracer == nil {
-		return
-	}
-	if e.Sequencing() {
-		// Defer to the merged replay (see parallel.go).
-		tr, now, msg := e.tracer, e.now, fmt.Sprintf(event, args...)
-		e.Sequenced(func() { tr.Event(now, source, msg) })
-		return
-	}
-	e.tracer.Event(e.now, source, fmt.Sprintf(event, args...))
-}
 
 // Spawn creates a new simproc running fn and places it at the back of the
 // ready queue. It may be called before Run, from simproc/timer context,
@@ -381,9 +361,6 @@ func (e *Env) next() *Proc {
 			return nil
 		}
 		if p := e.ready.pop(); p != nil {
-			if e.tracer != nil {
-				e.traceResume(p)
-			}
 			return p
 		}
 		if e.timers.len() > 0 {
@@ -415,17 +392,6 @@ func (e *Env) next() *Proc {
 		e.end = endDeadlock
 		return nil
 	}
-}
-
-// traceResume reports p's resumption to the tracer, deferred into the
-// merged replay on an observed shard.
-func (e *Env) traceResume(p *Proc) {
-	if e.Sequencing() {
-		tr, now, id, name := e.tracer, e.now, p.id, p.name
-		e.Sequenced(func() { tr.Resume(now, id, name) })
-		return
-	}
-	e.tracer.Resume(e.now, p.id, p.name)
 }
 
 // fire runs one due timer and recycles it.

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -374,22 +373,6 @@ func TestSpawnFromProc(t *testing.T) {
 	}
 }
 
-func TestTraceRecording(t *testing.T) {
-	e := NewEnv(1)
-	rec := &RecordingTracer{}
-	e.SetTracer(rec)
-	e.Spawn("p", func(p *Proc) {
-		p.Delay(Millisecond)
-		e.Trace("p", "hello %d", 7)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Events) != 1 || rec.Events[0].Msg != "hello 7" || rec.Events[0].At != Time(Millisecond) {
-		t.Fatalf("events %+v", rec.Events)
-	}
-}
-
 // Property: with the same seed, two identical simulations produce
 // identical interleavings.
 func TestDeterminism(t *testing.T) {
@@ -499,35 +482,6 @@ func TestYield(t *testing.T) {
 	}
 	if e.Now() != 0 {
 		t.Fatalf("Yield advanced the clock to %v", e.Now())
-	}
-}
-
-func TestWriterTracerOutput(t *testing.T) {
-	var buf strings.Builder
-	e := NewEnv(1)
-	e.SetTracer(&WriterTracer{W: &buf, ShowResumes: true})
-	e.Spawn("worker", func(p *Proc) {
-		p.Delay(Millisecond)
-		e.Trace("worker", "did %s", "thing")
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "did thing") {
-		t.Fatalf("missing event line: %q", out)
-	}
-	if !strings.Contains(out, "run") || !strings.Contains(out, "worker") {
-		t.Fatalf("missing resume line: %q", out)
-	}
-}
-
-func TestTraceWithoutTracerIsNoop(t *testing.T) {
-	e := NewEnv(1)
-	e.Trace("x", "ignored %d", 1) // must not panic
-	e.Spawn("p", func(p *Proc) {})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -368,7 +368,10 @@ func NewSystem(cfg Config) *System {
 		bus := netsim.NewCSMABus(env.Rand().Fork())
 		s.net = bus
 		s.sodaK = soda.NewKernel(env, bus, calib.DefaultSODA())
-		s.sodaK.PairLimit = cfg.SODA.PairLimit
+		// No pair limit: every link awaiting traffic pins one status
+		// signal, so any finite limit livelocks once links per pair
+		// exceed it (§4.2.1's "unspecified constant"; measured in E12).
+		s.sodaK.PairLimit = 0
 	case Chrysalis:
 		bp := netsim.NewBackplane()
 		s.net = bp
@@ -602,7 +605,7 @@ func (s *System) FaultStats() map[string]int64 {
 	return out
 }
 
-// Env exposes the simulation environment (tracing, custom events).
+// Env exposes the simulation environment (clock, timers, custom events).
 func (s *System) Env() *sim.Env { return s.env }
 
 // Network exposes the network model's counters (nil for Ideal).

@@ -4,16 +4,10 @@ import sodabind "repro/internal/bind/soda"
 
 // SODAOptions are the knobs specific to the SODA substrate. The zero
 // value inherits every default (move cache of 64 entries, 250 ms hint
-// timeout, 3 discover retries, freeze fallback enabled, no pair limit).
-// Fields whose useful setting is zero use a negative sentinel to
-// distinguish "off" from "default".
+// timeout, 3 discover retries, freeze fallback enabled). Fields whose
+// useful setting is zero use a negative sentinel to distinguish "off"
+// from "default".
 type SODAOptions struct {
-	// PairLimit caps outstanding requests between one process pair
-	// (§4.2.1's "unspecified constant"). 0 = unlimited — the default,
-	// because every link awaiting traffic pins one status signal, so any
-	// finite limit livelocks once links-per-pair exceed it (measured in
-	// E12; the paper predicted exactly this).
-	PairLimit int
 	// CacheSize is the move-cache capacity in entries. 0 = default (64);
 	// negative = cache disabled.
 	CacheSize int

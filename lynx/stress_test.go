@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/lynx"
 )
@@ -37,16 +38,14 @@ type stressResult struct {
 	runtimeErr error
 }
 
-// stressTracer, when set, observes stress runs (debugging aid).
-var stressTracer sim.Tracer
+// stressSink, when set, observes stress runs (debugging aid).
+var stressSink obs.Sink
 
 // runStress executes one randomized workload.
 func runStress(sub lynx.Substrate, seed uint64, nProcs, opsPerProc int) stressResult {
 	var res stressResult
 	sys := lynx.NewSystem(lynx.Config{Substrate: sub, Seed: seed})
-	if stressTracer != nil {
-		sys.Env().SetTracer(stressTracer)
-	}
+	sys.Obs().Attach(stressSink)
 	rng := sim.NewRand(seed * 7777)
 
 	refs := make([]*lynx.ProcRef, nProcs)

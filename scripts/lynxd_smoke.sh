@@ -68,13 +68,14 @@ fi
 
 # Third leg: the flight recorder. Submit a sampled-mode job at a rate
 # no earlier leg used (25/s — a cached cell would run nothing and emit
-# no events), follow its live trace with `lynxtrace -follow`, and
-# assert the stream is well-formed JSONL carrying both sampled events
-# and a non-empty end-of-run ring dump.
+# no events), follow its live trace with `lynxtrace -follow` (which,
+# like lynxctl, finds the daemon through LYNXD_ADDR), and assert the
+# stream is well-formed JSONL carrying both sampled events and a
+# non-empty end-of-run ring dump.
 "$BIN/lynxctl" submit '{"kind":"load","client":"smoke","load":{"substrates":["charlotte"],"rates":[25],"window":"200ms","seed":1,"trace":"sampled"}}' >"$OUT/submit3.json"
 TID=$(sed -n 's/.*"id":"\([^"]*\)".*/\1/p' "$OUT/submit3.json")
 [ -n "$TID" ] || { echo "lynxd-smoke: traced submit returned no job id"; cat "$OUT/submit3.json"; exit 1; }
-"$BIN/lynxtrace" -follow "$TID" -addr "$ADDR" -format jsonl >"$OUT/trace.jsonl"
+"$BIN/lynxtrace" -follow "$TID" -format jsonl >"$OUT/trace.jsonl"
 [ -s "$OUT/trace.jsonl" ] || { echo "lynxd-smoke: traced job streamed no trace lines"; exit 1; }
 # Every line must be a JSON object (JSONL), and the stream must carry a
 # dump header whose ring is non-empty.
