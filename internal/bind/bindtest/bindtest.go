@@ -5,6 +5,7 @@ package bindtest
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -22,7 +23,20 @@ type Pair func(wrap func(core.Transport) core.Transport, mainA, mainB func(*core
 // the binding as it would unwrapped.
 type sink struct {
 	core.Transport
-	events []core.Event
+	events  []core.Event
+	cancels []cancelCall
+}
+
+// cancelCall is one CancelSend the run-time package made, and its answer.
+type cancelCall struct {
+	m        *core.WireMsg
+	recalled bool
+}
+
+func (s *sink) CancelSend(te core.TransEnd, m *core.WireMsg) bool {
+	ok := s.Transport.CancelSend(te, m)
+	s.cancels = append(s.cancels, cancelCall{m, ok})
+	return ok
 }
 
 func (s *sink) SetSink(f func(core.Event), sp *sim.Proc) {
@@ -52,8 +66,8 @@ func (s *sink) count(te core.TransEnd, k core.EventKind, err error) (n int) {
 }
 
 // run builds pair with both transports wrapped in sinks, runs it, and
-// returns A's and B's sinks.
-func run(t *testing.T, pair Pair, mainA, mainB func(*core.Thread, *core.End)) (a, b *sink) {
+// returns A's and B's sinks. name labels a failed run.
+func run(t *testing.T, name string, pair Pair, mainA, mainB func(*core.Thread, *core.End)) (a, b *sink) {
 	env := pair(func(tr core.Transport) core.Transport {
 		s := &sink{Transport: tr}
 		if a == nil {
@@ -64,7 +78,7 @@ func run(t *testing.T, pair Pair, mainA, mainB func(*core.Thread, *core.End)) (a
 		return s
 	}, mainA, mainB)
 	if err := env.Run(); err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", name, err)
 	}
 	return a, b
 }
@@ -80,7 +94,7 @@ func run(t *testing.T, pair Pair, mainA, mainB func(*core.Thread, *core.End)) (a
 func CheckSendFate(t *testing.T, pair Pair, rejectsUnwanted bool) {
 	var te core.TransEnd
 	var err error
-	a, _ := run(t, pair, func(th *core.Thread, e *core.End) {
+	a, _ := run(t, "link death", pair, func(th *core.Thread, e *core.End) {
 		te = e.Transport()
 		_, err = th.Connect(e, "op", core.Msg{})
 		th.Sleep(100 * sim.Millisecond) // record any late word on the send
@@ -94,7 +108,7 @@ func CheckSendFate(t *testing.T, pair Pair, rejectsUnwanted bool) {
 			err, dead, failed, core.ErrLinkDestroyed)
 	}
 	var served, aborted, replied bool
-	_, b := run(t, pair, func(th *core.Thread, e *core.End) {
+	_, b := run(t, "unwanted reply", pair, func(th *core.Thread, e *core.End) {
 		victim := th.Fork("victim", func(v *core.Thread) { v.Connect(e, "op", core.Msg{}) })
 		waitFor(th, &served)
 		th.Abort(victim)
@@ -118,6 +132,103 @@ func CheckSendFate(t *testing.T, pair Pair, rejectsUnwanted bool) {
 		t.Errorf("unwanted reply: Reply = %v with %d EvSendFailed, want %v with %d",
 			err, failed, wantErr, wantFailed)
 	}
+}
+
+// CheckCancel checks what CancelSend's answer promises. A's victim
+// thread connects to B with encl fresh link ends enclosed, and A aborts
+// it abortAt later. B opens its request queue at openAt. With cross, B
+// first sends A a request with two enclosures, and the victim starts
+// while A's reply to it is leaving, so its request waits its turn.
+//
+// If CancelSend answers true, B never gets the message, A hears
+// nothing more of it, and the enclosures stay with A, which sends them
+// in its next request. If false, B gets the message exactly once,
+// enclosures and all, and A gets its EvDelivered. CheckCancel returns
+// how many cancels recalled their message and how many came too late,
+// so that a binding's test can see both of its answers driven.
+func CheckCancel(t *testing.T, pair Pair) (recalled, tooLate int) {
+	for _, encl := range []int{0, 2} {
+		for _, cross := range []bool{false, true} {
+			for _, openAt := range []sim.Duration{0, 30 * sim.Millisecond} {
+				for abortAt := sim.Millisecond; abortAt <= 60*sim.Millisecond; abortAt += sim.Millisecond {
+					r, l := checkCancel(t, pair, encl, cross, openAt, abortAt)
+					recalled += r
+					tooLate += l
+				}
+			}
+		}
+	}
+	return recalled, tooLate
+}
+
+func checkCancel(t *testing.T, pair Pair, encl int, cross bool, openAt, abortAt sim.Duration) (recalled, tooLate int) {
+	name := fmt.Sprintf("encl=%d cross=%v open=%v abort=%v", encl, cross, openAt, abortAt)
+	var teB core.TransEnd
+	var afterErr error
+	a, b := run(t, name, pair, func(th *core.Thread, e *core.End) {
+		links := make([]*core.End, encl)
+		for i := range links {
+			links[i], _, _ = th.NewLink()
+		}
+		if cross {
+			req, _ := th.Receive(e)
+			th.Fork("reply", func(r *core.Thread) { r.Reply(req, core.Msg{}) })
+		}
+		victim := th.Fork("victim", func(v *core.Thread) { v.Connect(e, "victim", core.Msg{Links: links}) })
+		th.Sleep(abortAt)
+		th.Abort(victim)
+		th.Sleep(300 * sim.Millisecond)
+		// Enclosures that moved with the victim are not A's to send.
+		if _, err := th.Connect(e, "after", core.Msg{Links: links}); !errors.Is(err, core.ErrNotOwner) {
+			afterErr = err
+		}
+		th.Destroy(e)
+	}, func(th *core.Thread, e *core.End) {
+		teB = e.Transport()
+		if cross {
+			th.Fork("cross", func(x *core.Thread) {
+				l1, _, _ := x.NewLink()
+				l2, _, _ := x.NewLink()
+				x.Connect(e, "cross", core.Msg{Links: []*core.End{l1, l2}})
+			})
+		}
+		th.Sleep(openAt)
+		th.Serve(e, func(st *core.Thread, req *core.Request) { st.Reply(req, core.Msg{}) })
+	})
+	got, moved := map[uint64]int{}, 0
+	for _, ev := range b.events {
+		if ev.Kind == core.EvIncoming && ev.End == teB && ev.Msg.Kind == core.KindRequest {
+			got[ev.Msg.Seq]++
+			moved += len(ev.Msg.Encl)
+		}
+	}
+	if moved != encl || afterErr != nil {
+		t.Errorf("%s: B got %d enclosures, next Connect = %v; want %d, once each, and nil", name, moved, afterErr, encl)
+	}
+	for _, c := range a.cancels {
+		fates, delivered := 0, 0
+		for _, ev := range a.events {
+			if ev.Msg == c.m && ev.Kind != core.EvIncoming {
+				fates++
+				if ev.Kind == core.EvDelivered {
+					delivered++
+				}
+			}
+		}
+		if c.recalled {
+			recalled++
+			if got[c.m.Seq] != 0 || fates != 0 {
+				t.Errorf("%s: recalled send: B got it %d times, A got %d fate events; want 0 and 0", name, got[c.m.Seq], fates)
+			}
+		} else {
+			tooLate++
+			if got[c.m.Seq] != 1 || fates != 1 || delivered != 1 {
+				t.Errorf("%s: send too late to recall: B got it %d times, A got %d fate events, %d EvDelivered; want 1 of each",
+					name, got[c.m.Seq], fates, delivered)
+			}
+		}
+	}
+	return recalled, tooLate
 }
 
 // waitFor sleeps th in 1 ms steps until *flag is set, for at most 1 s.

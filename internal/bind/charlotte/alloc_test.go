@@ -73,7 +73,7 @@ func TestWarmStartSendAllocFree(t *testing.T) {
 				t.Errorf("Receive: %v", st)
 			}
 			want := delivered + 1
-			if err := a.StartSend(te, msg, 1); err != nil {
+			if err := a.StartSend(te, msg); err != nil {
 				t.Error(err)
 			}
 			if d := kpB.Wait(p); d.Status != charlotte.OK || len(d.Data) != 1+msg.EncodedLen() {

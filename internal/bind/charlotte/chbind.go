@@ -31,6 +31,7 @@ package chbind
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/charlotte"
 	"repro/internal/core"
@@ -158,9 +159,6 @@ type endState struct {
 	stashed []*outMsg
 }
 
-// slot indexes endState.outbound by message kind.
-func slot(k core.MsgKind) int { return int(k - core.KindRequest) }
-
 // kmsg is one kernel message queued for the end's send slot. pumpSend
 // encodes it when its kernel send starts: the control byte, then the
 // LYNX message om for ctrlData, om's kind for ctrlEnc, or the bounced
@@ -175,14 +173,12 @@ type kmsg struct {
 // outMsg tracks one LYNX message through the multi-packet protocol.
 type outMsg struct {
 	wire *core.WireMsg
-	tag  uint64
 	encl []charlotte.EndRef
 	// state
 	firstSent    bool
 	awaitGoahead bool
 	nextEnc      int // index of next enclosure to ship (≥1; #0 rode the first packet)
 	cancelled    bool
-	delivered    bool
 }
 
 // inAssembly collects a multi-enclosure message on the receive side.
@@ -402,7 +398,7 @@ func (tr *Transport) expectingCtrl(es *endState) bool {
 }
 
 // StartSend implements core.Transport.
-func (tr *Transport) StartSend(te core.TransEnd, m *core.WireMsg, tag uint64) error {
+func (tr *Transport) StartSend(te core.TransEnd, m *core.WireMsg) error {
 	ref := te.(charlotte.EndRef)
 	es := tr.ensureEnd(ref)
 	if es.dead {
@@ -412,8 +408,8 @@ func (tr *Transport) StartSend(te core.TransEnd, m *core.WireMsg, tag uint64) er
 	for i, e := range m.Encl {
 		encl[i] = e.(charlotte.EndRef)
 	}
-	om := &outMsg{wire: m, tag: tag, encl: encl}
-	es.outbound[slot(m.Kind)] = om
+	om := &outMsg{wire: m, encl: encl}
+	es.outbound[m.Kind.Slot()] = om
 	// An enclosed end must have no outstanding kernel activities: the
 	// run-time package "never tries to send on a moving end"; it also
 	// withdraws its posted receives before the move (SetInterest will
@@ -431,7 +427,7 @@ func (tr *Transport) StartSend(te core.TransEnd, m *core.WireMsg, tag uint64) er
 			// A message is arriving on (or leaving) the end being moved:
 			// the move cannot proceed right now. Surface a retryable
 			// failure instead of wedging the kernel.
-			es.outbound[slot(m.Kind)] = nil
+			es.outbound[m.Kind.Slot()] = nil
 			return core.ErrEndMoving
 		}
 	}
@@ -454,8 +450,8 @@ func (tr *Transport) shipFirstPacket(p *sim.Proc, es *endState, om *outMsg) {
 		err = fmt.Errorf("chbind: message %dB exceeds buffer capacity %dB", n, tr.bufCap)
 	}
 	if err != nil {
-		es.outbound[slot(om.wire.Kind)] = nil
-		tr.sink(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: om.tag, Err: err})
+		es.outbound[om.wire.Kind.Slot()] = nil
+		tr.sink(core.Event{Kind: core.EvSendFailed, End: es.te, Msg: om.wire, Err: err})
 		return
 	}
 	var enc charlotte.EndRef
@@ -481,10 +477,11 @@ func (tr *Transport) onSent(p *sim.Proc, es *endState, c ctrl, om *outMsg, st ch
 	}
 	if st != charlotte.OK {
 		// The kernel refused the send; tell the run-time package so the
-		// sending coroutine unblocks.
-		if !om.delivered {
-			es.outbound[slot(om.wire.Kind)] = nil
-			tr.sink(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: om.tag, Err: fmt.Errorf("chbind: send: %v", st)})
+		// sending coroutine unblocks (unless this was a resend after a
+		// bounce, which the run-time package has seen delivered).
+		if es.outbound[om.wire.Kind.Slot()] == om {
+			es.outbound[om.wire.Kind.Slot()] = nil
+			tr.sink(core.Event{Kind: core.EvSendFailed, End: es.te, Msg: om.wire, Err: fmt.Errorf("chbind: send: %v", st)})
 		}
 		return
 	}
@@ -529,12 +526,11 @@ func (tr *Transport) deliverComplete(p *sim.Proc, es *endState, om *outMsg) {
 	if om.wire.Kind == core.KindRequest && !om.cancelled {
 		es.setBounceable(om)
 	}
-	if om.delivered {
-		return
+	if es.outbound[om.wire.Kind.Slot()] != om {
+		return // a resend after a bounce: reported the first time
 	}
-	om.delivered = true
-	es.outbound[slot(om.wire.Kind)] = nil
-	tr.sink(core.Event{Kind: core.EvDelivered, End: es.te, Tag: om.tag})
+	es.outbound[om.wire.Kind.Slot()] = nil
+	tr.sink(core.Event{Kind: core.EvDelivered, End: es.te, Msg: om.wire})
 	tr.adjustReceive(p, es)
 }
 
@@ -712,18 +708,13 @@ func (tr *Transport) requeueBouncedRequest(es *endState, seq uint64) {
 	if om == nil {
 		// Maybe still protocol-in-flight (multi-enclosure awaiting
 		// goahead that turned into a bounce instead).
-		if o := es.outbound[slot(core.KindRequest)]; o != nil && o.wire.Seq == seq {
+		if o := es.outbound[core.KindRequest.Slot()]; o != nil && o.wire.Seq == seq {
 			om = o
 			om.awaitGoahead = false
 		}
 	}
-	if om == nil || om.cancelled {
+	if om == nil || om.cancelled || slices.Contains(es.stashed, om) {
 		return
-	}
-	for _, s := range es.stashed {
-		if s == om {
-			return
-		}
 	}
 	om.firstSent = false
 	es.stashed = append(es.stashed, om)
@@ -842,50 +833,37 @@ func (tr *Transport) resendStashed(p *sim.Proc, es *endState) {
 	}
 }
 
-// CancelSend implements core.Transport.
-func (tr *Transport) CancelSend(te core.TransEnd, tag uint64) bool {
-	ref := te.(charlotte.EndRef)
-	es := tr.ensureEnd(ref)
-	for i, om := range es.outbound {
-		if om == nil || om.tag != tag {
-			continue
-		}
-		om.cancelled = true
-		es.outbound[i] = nil
-		// Remove from stash if bounced.
-		for i, s := range es.stashed {
-			if s == om {
-				es.stashed = append(es.stashed[:i], es.stashed[i+1:]...)
-				break
-			}
-		}
-		if om.firstSent {
-			// First packet already received by the peer: too late.
-			tr.c.failedCancels.Inc()
-			return false
-		}
-		// Maybe still occupying our kernel send slot: try to recall it.
-		if es.sendBusy && es.curCtrl == ctrlData {
-			st := tr.kp.Cancel(tr.proc, es.ref, charlotte.SendDir)
-			if st == charlotte.OK {
-				es.sendBusy = false
-				es.curMsg = nil
-				tr.pumpSend(tr.proc, es)
-				return true
-			}
-			tr.c.failedCancels.Inc()
-			return false
-		}
-		// Still in the binding queue: remove it.
-		for i, km := range es.sendQ {
-			if km.c == ctrlData && km.om == om {
-				es.dropQueued(i)
-				break
-			}
-		}
-		return true
+// CancelSend implements core.Transport. A message recalled from the
+// stash, the send queue or the kernel's send slot never reaches the
+// peer. Once the peer's kernel has taken its first packet it is too
+// late: the message completes, and its fate arrives as an event.
+func (tr *Transport) CancelSend(te core.TransEnd, m *core.WireMsg) bool {
+	es := tr.ensureEnd(te.(charlotte.EndRef))
+	om := es.outbound[m.Kind.Slot()]
+	if om == nil || om.wire != m {
+		return false
 	}
-	return false
+	if i := slices.Index(es.stashed, om); i >= 0 {
+		// Bounced or forbidden: the peer holds no copy.
+		es.stashed = slices.Delete(es.stashed, i, i+1)
+	} else if om.firstSent {
+		tr.c.failedCancels.Inc()
+		return false
+	} else if es.sendBusy && es.curMsg == om {
+		// Still occupying our kernel send slot: try to recall it.
+		if tr.kp.Cancel(tr.proc, es.ref, charlotte.SendDir) != charlotte.OK {
+			tr.c.failedCancels.Inc()
+			return false
+		}
+		es.sendBusy = false
+		es.curMsg = nil
+		tr.pumpSend(tr.proc, es)
+	} else if i := slices.IndexFunc(es.sendQ, func(km kmsg) bool { return km.om == om }); i >= 0 {
+		es.dropQueued(i)
+	}
+	om.cancelled = true
+	es.outbound[m.Kind.Slot()] = nil
+	return true
 }
 
 // Shutdown implements core.Transport: kernel-level process termination

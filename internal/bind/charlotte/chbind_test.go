@@ -77,6 +77,16 @@ func TestCharlotteSendFate(t *testing.T) {
 	}
 }
 
+func TestCharlotteCancel(t *testing.T) {
+	recalled, tooLate := bindtest.CheckCancel(t, func(wrap func(core.Transport) core.Transport, mainA, mainB func(*core.Thread, *core.End)) *sim.Env {
+		r, _, _ := newPairVia(wrap, mainA, mainB)
+		return r.env
+	})
+	if recalled == 0 || tooLate == 0 {
+		t.Errorf("%d cancels recalled, %d too late: want both answers driven", recalled, tooLate)
+	}
+}
+
 func TestCharlotteSimpleRPC(t *testing.T) {
 	var rtt sim.Duration
 	r, _, _ := newPair(t,

@@ -48,7 +48,7 @@ func TestWarmStartSendAllocFree(t *testing.T) {
 	env.Spawn("sender", func(p *sim.Proc) {
 		a.proc = p
 		send := func() {
-			if err := a.StartSend(ea, msg, 1); err != nil {
+			if err := a.StartSend(ea, msg); err != nil {
 				t.Fatal(err)
 			}
 			// Take the notice off b's dual queue so the queue never grows.

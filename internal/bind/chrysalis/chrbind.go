@@ -71,16 +71,8 @@ const (
 // in flight.
 var slotKinds = [2]core.MsgKind{core.KindRequest, core.KindReply}
 
-// kindSlot returns the slot of kind k (the inverse of slotKinds).
-func kindSlot(k core.MsgKind) int {
-	if k == core.KindReply {
-		return 1
-	}
-	return 0
-}
-
 // bufIndex returns the region index for messages of kind k sent by side.
-func bufIndex(side int, k core.MsgKind) int { return side*2 + kindSlot(k) }
+func bufIndex(side int, k core.MsgKind) int { return side*2 + k.Slot() }
 
 // fullBit returns the "message waiting" bit for kind k sent by side.
 func fullBit(side int, k core.MsgKind) uint16 {
@@ -170,8 +162,7 @@ type endState struct {
 func newEndState(id EndID) *endState { return &endState{id: id, te: id} }
 
 type outRec struct {
-	pending bool // a send of this kind awaits its ACK
-	tag     uint64
+	msg *core.WireMsg // the send of this kind awaiting its ACK; nil if none
 	// encl holds the endState records captured at send time; if a
 	// loopback self-move re-adopted an end meanwhile, the live map entry
 	// differs and the cleanup must not touch it.
@@ -351,7 +342,7 @@ func (tr *Transport) SetInterest(te core.TransEnd, wantRequests, wantReplies boo
 
 // StartSend implements core.Transport: gather into the link buffer, set
 // the full flag, notice the far owner.
-func (tr *Transport) StartSend(te core.TransEnd, m *core.WireMsg, tag uint64) error {
+func (tr *Transport) StartSend(te core.TransEnd, m *core.WireMsg) error {
 	id := te.(EndID)
 	es, ok := tr.ends[id]
 	if !ok || es.dead {
@@ -385,7 +376,7 @@ func (tr *Transport) StartSend(te core.TransEnd, m *core.WireMsg, tag uint64) er
 	if st := tr.kp.WriteBytes(tr.proc, id.Obj, base+4, payload); st != chrysalis.OK {
 		return tr.objGone(es, st)
 	}
-	es.out[kindSlot(m.Kind)] = outRec{pending: true, tag: tag, encl: encl}
+	es.out[m.Kind.Slot()] = outRec{msg: m, encl: encl}
 	old, st := tr.kp.OrFlag16(tr.proc, id.Obj, offFlags, fullBit(id.Side, m.Kind))
 	if st != chrysalis.OK {
 		return tr.objGone(es, st)
@@ -409,29 +400,27 @@ func (tr *Transport) objGone(es *endState, st chrysalis.Status) error {
 
 // CancelSend implements core.Transport: atomically clear the full flag;
 // whoever clears it first (canceller or consumer) wins.
-func (tr *Transport) CancelSend(te core.TransEnd, tag uint64) bool {
+func (tr *Transport) CancelSend(te core.TransEnd, m *core.WireMsg) bool {
 	id := te.(EndID)
 	es, ok := tr.ends[id]
 	if !ok {
 		return true
 	}
-	for slot, rec := range es.out {
-		if !rec.pending || rec.tag != tag {
-			continue
-		}
-		bit := fullBit(id.Side, slotKinds[slot])
-		old, st := tr.kp.AndFlag16(tr.proc, id.Obj, offFlags, ^bit)
-		if st != chrysalis.OK {
-			return true // link gone; nothing will be received
-		}
-		if old&bit != 0 {
-			// We cleared it before the receiver consumed: recalled.
-			es.out[slot] = outRec{}
-			return true
-		}
-		return false // already consumed (ack on the way)
+	slot := m.Kind.Slot()
+	if es.out[slot].msg != m {
+		return false
 	}
-	return false
+	bit := fullBit(id.Side, m.Kind)
+	old, st := tr.kp.AndFlag16(tr.proc, id.Obj, offFlags, ^bit)
+	if st != chrysalis.OK {
+		return true // link gone; nothing will be received
+	}
+	if old&bit != 0 {
+		// We cleared it before the receiver consumed: recalled.
+		es.out[slot] = outRec{}
+		return true
+	}
+	return false // already consumed (ack on the way)
 }
 
 // handleNotice validates and processes one dequeued notice (a hint).
@@ -467,7 +456,7 @@ func (tr *Transport) scanEnd(p *sim.Proc, es *endState) {
 	// ACKs for our sends.
 	for slot, kind := range slotKinds {
 		rec := es.out[slot]
-		if !rec.pending {
+		if rec.msg == nil {
 			continue
 		}
 		ab := ackBit(id.Side, kind)
@@ -485,12 +474,12 @@ func (tr *Transport) scanEnd(p *sim.Proc, es *endState) {
 					tr.kp.Unmap(p, ees.id.Obj)
 				}
 			}
-			tr.sink(core.Event{Kind: core.EvDelivered, End: es.te, Tag: rec.tag})
+			tr.sink(core.Event{Kind: core.EvDelivered, End: es.te, Msg: rec.msg})
 		}
 		if kind == core.KindReply && flags&rejBit(id.Side) != 0 {
 			tr.kp.AndFlag16(p, id.Obj, offFlags, ^rejBit(id.Side))
 			es.out[slot] = outRec{}
-			tr.sink(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: rec.tag, Err: core.ErrUnwantedReply})
+			tr.sink(core.Event{Kind: core.EvSendFailed, End: es.te, Msg: rec.msg, Err: core.ErrUnwantedReply})
 		}
 	}
 	// Incoming messages from the far side.

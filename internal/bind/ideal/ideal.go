@@ -128,10 +128,12 @@ type link struct {
 }
 
 type endState struct {
-	owner    *Transport
-	wantReq  bool
-	wantRep  bool
-	inFlight map[uint64]*flight // tag -> undelivered send FROM this end
+	owner   *Transport
+	wantReq bool
+	wantRep bool
+	// inFlight holds the undelivered send FROM this end of each kind,
+	// by slot: core's stop-and-wait allows one per (end, kind).
+	inFlight [2]*flight
 	// held are arrived-but-unwanted messages parked at the receiving
 	// side until interest opens (the ideal kernel screens perfectly, so
 	// they are invisible to the far process).
@@ -139,12 +141,9 @@ type endState struct {
 }
 
 type flight struct {
-	msg       *core.WireMsg
-	tag       uint64
-	from      *Transport
-	fromEnd   EndID
-	delivered bool
-	cancelled bool
+	msg     *core.WireMsg
+	from    *Transport
+	fromEnd EndID
 }
 
 // Transport is one process's view of the fabric.
@@ -208,7 +207,6 @@ func (tr *Transport) MakeLink() (core.TransEnd, core.TransEnd, error) {
 	g.nextLink += g.stride
 	for i := range l.ends {
 		l.ends[i].owner = tr
-		l.ends[i].inFlight = make(map[uint64]*flight)
 	}
 	g.links[l.id] = l
 	a, b := EndID{l.id, 0}, EndID{l.id, 1}
@@ -256,9 +254,9 @@ func (tr *Transport) destroyLink(l *link, cause EndID) {
 		owner := es.owner
 		delete(owner.owned, EndID{l.id, side})
 		// Undelivered sends from this side never arrive (StartSend's
-		// timer checks l.dead); EvLinkDead settles them in the run-time
-		// package.
-		clear(es.inFlight)
+		// timer finds its slot cleared); EvLinkDead settles them in the
+		// run-time package.
+		es.inFlight = [2]*flight{}
 		es.held = nil
 		// The destroying end learns synchronously (core handles it);
 		// every other end is notified by event.
@@ -271,7 +269,7 @@ func (tr *Transport) destroyLink(l *link, cause EndID) {
 // StartSend implements core.Transport: the message (with all enclosures)
 // crosses the fabric in one piece and is delivered as soon as the far
 // side's interest admits its kind.
-func (tr *Transport) StartSend(te core.TransEnd, m *core.WireMsg, tag uint64) error {
+func (tr *Transport) StartSend(te core.TransEnd, m *core.WireMsg) error {
 	l, id, es, err := tr.end(te)
 	if err != nil {
 		return err
@@ -282,15 +280,15 @@ func (tr *Transport) StartSend(te core.TransEnd, m *core.WireMsg, tag uint64) er
 	if es.owner != tr {
 		return core.ErrNotOwner
 	}
-	fl := &flight{msg: m, tag: tag, from: tr, fromEnd: id}
-	es.inFlight[tag] = fl
+	fl := &flight{msg: m, from: tr, fromEnd: id}
+	es.inFlight[m.Kind.Slot()] = fl
 	if tr.f.rec.Active() {
 		tr.f.rec.EmitEnv(tr.env, obs.Event{Kind: obs.KindKernelSend, Link: l.id, Seq: m.Seq, Bytes: len(m.Data), Detail: id.String()})
 	}
 	delay := tr.f.Latency + sim.Duration(len(m.Data))*tr.f.PerByte
 	tr.env.After(delay, func() {
-		if fl.cancelled || l.dead {
-			return
+		if es.inFlight[m.Kind.Slot()] != fl {
+			return // cancelled, or the link died
 		}
 		far := &l.ends[1-id.Side]
 		far.held = append(far.held, fl)
@@ -312,10 +310,9 @@ func (f *Fabric) flush(l *link, side int, env *sim.Env) {
 			if fl.msg.Kind == core.KindReply && !es.wantRep {
 				// The ideal kernel tells the replier immediately that
 				// the reply is unwanted, returning its enclosures.
-				src := &l.ends[fl.fromEnd.Side]
-				delete(src.inFlight, fl.tag)
+				l.ends[fl.fromEnd.Side].inFlight[fl.msg.Kind.Slot()] = nil
 				fl.from.sink(core.Event{
-					Kind: core.EvSendFailed, End: fl.fromEnd, Tag: fl.tag,
+					Kind: core.EvSendFailed, End: fl.fromEnd, Msg: fl.msg,
 					Err: core.ErrUnwantedReply,
 				})
 				continue
@@ -323,9 +320,7 @@ func (f *Fabric) flush(l *link, side int, env *sim.Env) {
 			kept = append(kept, fl)
 			continue
 		}
-		fl.delivered = true
-		src := &l.ends[fl.fromEnd.Side]
-		delete(src.inFlight, fl.tag)
+		l.ends[fl.fromEnd.Side].inFlight[fl.msg.Kind.Slot()] = nil
 		f.msgs.Inc()
 		f.bytes.Add(int64(len(fl.msg.Data)))
 		if f.rec.Active() {
@@ -348,26 +343,24 @@ func (f *Fabric) flush(l *link, side int, env *sim.Env) {
 			}
 		}
 		es.owner.sink(core.Event{Kind: core.EvIncoming, End: farEnd, Msg: fl.msg})
-		fl.from.sink(core.Event{Kind: core.EvDelivered, End: fl.fromEnd, Tag: fl.tag})
+		fl.from.sink(core.Event{Kind: core.EvDelivered, End: fl.fromEnd, Msg: fl.msg})
 	}
 	es.held = kept
 }
 
 // CancelSend implements core.Transport: succeeds unless delivered.
-func (tr *Transport) CancelSend(te core.TransEnd, tag uint64) bool {
-	_, _, es, err := tr.end(te)
+func (tr *Transport) CancelSend(te core.TransEnd, m *core.WireMsg) bool {
+	l, id, es, err := tr.end(te)
 	if err != nil {
 		return true // link gone: nothing will be received
 	}
-	fl, ok := es.inFlight[tag]
-	if !ok || fl.delivered {
+	fl := es.inFlight[m.Kind.Slot()]
+	if fl == nil || fl.msg != m {
 		return false
 	}
-	fl.cancelled = true
-	delete(es.inFlight, tag)
+	es.inFlight[m.Kind.Slot()] = nil
 	// Remove from the far side's held list if it already arrived there.
-	l, _ := tr.g.findLink(te.(EndID).Link)
-	far := &l.ends[1-te.(EndID).Side]
+	far := &l.ends[1-id.Side]
 	for i, h := range far.held {
 		if h == fl {
 			far.held = append(far.held[:i], far.held[i+1:]...)

@@ -46,6 +46,17 @@ func TestIdealSendFate(t *testing.T) {
 	}, true)
 }
 
+// The ideal fabric tells the sender of a delivery the instant it
+// happens, so no cancel comes too late.
+func TestIdealCancel(t *testing.T) {
+	recalled, tooLate := bindtest.CheckCancel(t, func(wrap func(core.Transport) core.Transport, mainA, mainB func(*core.Thread, *core.End)) *sim.Env {
+		return pairVia(t, wrap, mainA, mainB)
+	})
+	if recalled == 0 {
+		t.Errorf("%d cancels recalled, %d too late: want recalls driven", recalled, tooLate)
+	}
+}
+
 func TestIdealLatencyIsConfigured(t *testing.T) {
 	var rtt sim.Duration
 	env := pairRig(t,

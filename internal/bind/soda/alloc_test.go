@@ -88,7 +88,7 @@ func TestWarmStartSendAllocFree(t *testing.T) {
 		r.tr.SetSink(sink, p)
 		send := func() {
 			want := delivered + 1
-			if err := r.tr.StartSend(r.es.te, msg, 1); err != nil {
+			if err := r.tr.StartSend(r.es.te, msg); err != nil {
 				t.Error(err)
 			}
 			r.acceptNext(t, p)
@@ -118,7 +118,7 @@ func TestStaleHintCheckAfterReuse(t *testing.T) {
 	r.env.Spawn("sender", func(p *sim.Proc) {
 		r.tr.SetSink(func(core.Event) {}, p)
 		t0 := p.Now()
-		if err := r.tr.StartSend(r.es.te, msg, 1); err != nil {
+		if err := r.tr.StartSend(r.es.te, msg); err != nil {
 			t.Fatal(err)
 		}
 		first := r.onlyPut(t)
@@ -131,7 +131,7 @@ func TestStaleHintCheckAfterReuse(t *testing.T) {
 		// it unadvertised, which only its own hint check may act on.
 		r.far.Unadvertise(nil, r.es.farName)
 		t1 := p.Now()
-		if err := r.tr.StartSend(r.es.te, msg, 2); err != nil {
+		if err := r.tr.StartSend(r.es.te, msg); err != nil {
 			t.Fatal(err)
 		}
 		second := r.onlyPut(t)

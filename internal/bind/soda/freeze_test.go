@@ -176,6 +176,86 @@ func TestSodaCancelSendWithdraws(t *testing.T) {
 	}
 }
 
+// TestSodaCancelDuringPairLimitRetry: a put that waits out a pair-limit
+// retry is not posted, so there is nothing to withdraw. Aborting its
+// connector marks it cancelled, and the retry drops it instead of
+// posting it: the peer never serves it, and its enclosure stays with
+// the sender, which moves it in its next request. Five puts on other
+// links, unaccepted until B starts receiving at 100 ms, hold every pair
+// slot.
+func TestSodaCancelDuringPairLimitRetry(t *testing.T) {
+	for limit := 1; limit <= 4; limit++ {
+		r := newRig(2)
+		r.kernel.PairLimit = limit
+		var as, bs [6]core.TransEnd
+		for i := range as {
+			as[i], bs[i] = sodabind.BootLink(r.trs[0], r.trs[1])
+		}
+		costs := calib.DefaultSODARuntime()
+		var pa *core.Process
+		var afterErr error
+		victims, moved := 0, 0
+		pa = core.NewProcess(r.env, "A", r.trs[0], costs, func(th *core.Thread) {
+			var ends [6]*core.End
+			for i, te := range as {
+				ends[i] = th.AdoptBootEnd(te)
+				if i < 5 {
+					th.Fork("blocked", func(x *core.Thread) { x.Connect(ends[i], "blocked", core.Msg{}) })
+				}
+			}
+			enc, _, _ := th.NewLink()
+			links := []*core.End{enc}
+			victim := th.Fork("victim", func(v *core.Thread) { v.Connect(ends[5], "victim", core.Msg{Links: links}) })
+			th.Sleep(20 * sim.Millisecond)
+			th.Abort(victim)
+			th.Sleep(200 * sim.Millisecond)
+			_, afterErr = th.Connect(ends[5], "after", core.Msg{Links: links})
+			for _, e := range ends {
+				th.Destroy(e)
+			}
+		})
+		core.NewProcess(r.env, "B", r.trs[1], costs, func(th *core.Thread) {
+			var ends [6]*core.End
+			for i, te := range bs {
+				ends[i] = th.AdoptBootEnd(te)
+			}
+			// One link at a time: B's status signals to A take pair
+			// slots too, and its replies need one.
+			th.Sleep(100 * sim.Millisecond)
+			for i, e := range ends {
+				for {
+					req, err := th.Receive(e)
+					if err != nil {
+						return
+					}
+					moved += len(req.Links())
+					th.Reply(req, core.Msg{})
+					if req.Op() == "victim" {
+						victims++
+					}
+					if i < 5 || req.Op() == "after" {
+						break
+					}
+				}
+			}
+		})
+		// A horizon, not Run: a put that nothing drops retries forever.
+		if err := r.env.RunUntil(sim.Time(2 * sim.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if !pa.Dead() {
+			t.Errorf("limit %d: A still running at the horizon:\n%s", limit, pa.DebugState())
+		}
+		if retries := count(r.trs[0], obs.MPairLimitRetries); retries == 0 {
+			t.Fatalf("limit %d: no pair-limit retries", limit)
+		}
+		if victims != 0 || moved != 1 || afterErr != nil || pa.Stats().CancelFailures != 0 {
+			t.Errorf("limit %d: B served the aborted request %d times and got %d enclosures, next Connect = %v, %d cancel failures; want 0, 1, nil, 0",
+				limit, victims, moved, afterErr, pa.Stats().CancelFailures)
+		}
+	}
+}
+
 // TestSodaCacheEviction: a tiny cache evicts (and unadvertises) old
 // forwarding entries.
 func TestSodaCacheEviction(t *testing.T) {

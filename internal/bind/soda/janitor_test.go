@@ -133,3 +133,69 @@ func TestJanitorStartsForRepairAndExits(t *testing.T) {
 	}
 	r.checkIdle(t)
 }
+
+// TestCancelDuringRepair: a put whose hint is being repaired is not
+// posted, so there is nothing to withdraw. Aborting its connector
+// marks it cancelled, and the repair drops it instead of posting it to
+// the repaired hint: C never serves it, and its enclosure stays with
+// A, which moves it in its next request.
+func TestCancelDuringRepair(t *testing.T) {
+	noCache := DefaultConfig()
+	noCache.CacheSize = 0
+	r := newJanitorRig(noCache)
+	l1a, l1b := BootLink(r.trs[0], r.trs[1])
+	l2b, l2c := BootLink(r.trs[1], r.trs[2])
+	var pa *core.Process
+	var afterErr error
+	victims, moved := 0, 0
+	pa = core.NewProcess(r.env, "A", r.trs[0], r.costs, func(th *core.Thread) {
+		e := th.AdoptBootEnd(l1a)
+		enc, _, _ := th.NewLink()
+		links := []*core.End{enc}
+		th.Sleep(400 * sim.Millisecond) // let the move finish first
+		victim := th.Fork("victim", func(v *core.Thread) { v.Connect(e, "victim", core.Msg{Links: links}) })
+		for i := 0; r.trs[0].janitor == nil && i < 1000; i++ {
+			th.Sleep(sim.Millisecond) // until the put's hint check starts a repair
+		}
+		th.Abort(victim)
+		th.Sleep(sim.Second)
+		_, afterErr = th.Connect(e, "after", core.Msg{Links: links})
+		th.Destroy(e)
+	})
+	core.NewProcess(r.env, "B", r.trs[1], r.costs, func(th *core.Thread) {
+		e := th.AdoptBootEnd(l1b)
+		toC := th.AdoptBootEnd(l2b)
+		if _, err := th.Connect(toC, "take", core.Msg{Links: []*core.End{e}}); err != nil {
+			t.Errorf("B move: %v", err)
+		}
+		th.Destroy(toC)
+	})
+	core.NewProcess(r.env, "C", r.trs[2], r.costs, func(th *core.Thread) {
+		req, err := th.Receive(th.AdoptBootEnd(l2c))
+		if err != nil {
+			t.Errorf("C receive: %v", err)
+			return
+		}
+		th.Reply(req, core.Msg{})
+		th.Sleep(900 * sim.Millisecond) // dormant until A has discovered
+		th.Serve(req.Links()[0], func(st *core.Thread, r2 *core.Request) {
+			if r2.Op() == "victim" {
+				victims++
+			}
+			moved += len(r2.Links())
+			st.Reply(r2, core.Msg{})
+		})
+	})
+	// A horizon, not Run: a wedged send keeps its process alive.
+	if err := r.env.RunUntil(sim.Time(5 * sim.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if r.janitors(3) == 0 {
+		t.Error("no repair ran")
+	}
+	if victims != 0 || moved != 1 || afterErr != nil || pa.Stats().CancelFailures != 0 {
+		t.Errorf("C served the aborted request %d times and got %d enclosures, next Connect = %v, %d cancel failures; want 0, 1, nil, 0",
+			victims, moved, afterErr, pa.Stats().CancelFailures)
+	}
+	r.checkIdle(t)
+}

@@ -84,7 +84,7 @@ func (tr *Transport) recoverHint(p *sim.Proc, es *endState, ps *pendingSend) {
 	}
 	// "A process that is unable to find the far end of a link must
 	// assume it has been destroyed."
-	if ps != nil {
+	if ps != nil && !ps.cancel {
 		tr.releaseEnclosures(p, ps)
 	}
 	tr.linkDead(es)
@@ -97,7 +97,9 @@ func (tr *Transport) hintFixed(p *sim.Proc, es *endState, ps *pendingSend, id so
 	}
 	es.hint = id
 	tr.c.hintFixes.Inc()
-	if ps != nil && !ps.cancel && !ps.done {
+	if ps != nil && ps.cancel {
+		tr.release(ps)
+	} else if ps != nil && !ps.done {
 		tr.post(p, ps)
 	}
 	if es.watch == 0 && (es.wantReq || es.wantRep) {

@@ -249,6 +249,10 @@ type endState struct {
 	// whose reply has not arrived, one per low-31 value: the OOB field
 	// carries only the low bits (§4.2.1).
 	outstanding []uint64
+	// sends holds each kind's send, by slot, from StartSend until its
+	// fate is told or it is cancelled: core's stop-and-wait allows one
+	// per (end, kind).
+	sends [2]*pendingSend
 }
 
 // fullSeq returns the outstanding request seq whose low 31 bits are low.
@@ -304,12 +308,13 @@ type posted struct {
 
 // pendingSend tracks one LYNX message from StartSend until it is
 // delivered, fails or is cancelled. Records are reused through the
-// transport's free list, each with its encode buffer.
+// transport's free list, each with its encode buffer. A put cancelled
+// while it waits out a pair-limit retry or a hint repair goes back to
+// the free list when that path drops it.
 type pendingSend struct {
 	end     *endState
 	wire    *core.WireMsg
 	payload []byte // the encoded message, then its enclosure records
-	tag     uint64
 	encl    []*endState
 	done    bool
 	cancel  bool
@@ -347,7 +352,7 @@ func (tr *Transport) newPending(es *endState) *pendingSend {
 // nothing.
 func (tr *Transport) release(ps *pendingSend) {
 	clear(ps.encl)
-	ps.end, ps.wire, ps.tag, ps.id = nil, nil, 0, 0
+	ps.end, ps.wire, ps.id = nil, nil, 0
 	ps.payload, ps.encl = ps.payload[:0], ps.encl[:0]
 	ps.done, ps.cancel = false, false
 	ps.posts = 0
@@ -523,6 +528,7 @@ func (tr *Transport) killEnd(p *sim.Proc, es *endState, announce bool) {
 		tr.kp.Withdraw(p, es.watch)
 		es.watch = 0
 	}
+	es.sends = [2]*pendingSend{} // EvLinkDead settles them
 	tr.kp.Unadvertise(p, es.myName)
 	delete(tr.ends, es.myName)
 }
@@ -611,7 +617,7 @@ func (tr *Transport) wantSaved(es *endState, sr savedReq) bool {
 }
 
 // StartSend implements core.Transport.
-func (tr *Transport) StartSend(te core.TransEnd, m *core.WireMsg, tag uint64) error {
+func (tr *Transport) StartSend(te core.TransEnd, m *core.WireMsg) error {
 	es, ok := tr.end(te)
 	if !ok || es.dead {
 		return core.ErrLinkDestroyed
@@ -645,7 +651,8 @@ func (tr *Transport) StartSend(te core.TransEnd, m *core.WireMsg, tag uint64) er
 		tr.release(ps)
 		return err
 	}
-	ps.wire, ps.tag = m, tag
+	ps.wire = m
+	es.sends[m.Kind.Slot()] = ps
 	if m.Kind == core.KindRequest {
 		es.addOutstanding(m.Seq)
 	}
@@ -682,13 +689,15 @@ func (tr *Transport) post(p *sim.Proc, ps *pendingSend) {
 		// could deadlock; backing off and retrying turns it into latency.
 		tr.c.pairLimitRetries.Inc()
 		tr.env.After(10*sim.Millisecond, func() {
-			if !ps.cancel && !ps.done && !tr.dead {
+			if ps.cancel {
+				tr.release(ps)
+			} else if !ps.done && !tr.dead {
 				tr.post(nil, ps)
 			}
 		})
 	default:
 		tr.releaseEnclosures(p, ps)
-		tr.emit(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: ps.tag, Err: fmt.Errorf("sodabind: put: %v", st)})
+		tr.settle(ps, core.EvSendFailed, fmt.Errorf("sodabind: put: %v", st))
 	}
 }
 
@@ -734,23 +743,37 @@ func (tr *Transport) checkHint(ps *pendingSend) {
 	tr.scheduleRecovery(ps.end, ps)
 }
 
+// settle tells the run-time package ps's fate and clears its slot.
+func (tr *Transport) settle(ps *pendingSend, k core.EventKind, err error) {
+	ps.end.sends[ps.wire.Kind.Slot()] = nil
+	tr.emit(core.Event{Kind: k, End: ps.end.te, Msg: ps.wire, Err: err})
+}
+
 // CancelSend implements core.Transport: withdraw the put if unaccepted.
-func (tr *Transport) CancelSend(te core.TransEnd, tag uint64) bool {
-	for id, pp := range tr.pending {
-		ps := pp.ps
-		if ps == nil || ps.tag != tag {
-			continue
-		}
-		if tr.kp.Withdraw(tr.proc, id) == soda.OK {
-			ps.cancel = true
-			delete(tr.pending, id)
-			tr.releaseEnclosures(tr.proc, ps)
-			tr.release(ps)
-			return true
-		}
+// A put waiting out a pair-limit retry or a hint repair is not posted:
+// it is marked cancelled, and that path drops it instead of posting it.
+func (tr *Transport) CancelSend(te core.TransEnd, m *core.WireMsg) bool {
+	es, ok := tr.end(te)
+	if !ok {
 		return false
 	}
-	// Not currently posted (mid-recovery): cancellable.
+	ps := es.sends[m.Kind.Slot()]
+	if ps == nil || ps.wire != m {
+		return false // its fate is told, or on its way
+	}
+	posted := tr.pending[ps.id].ps == ps
+	if posted {
+		if tr.kp.Withdraw(tr.proc, ps.id) != soda.OK {
+			return false
+		}
+		delete(tr.pending, ps.id)
+	}
+	ps.cancel = true
+	es.sends[m.Kind.Slot()] = nil
+	tr.releaseEnclosures(tr.proc, ps)
+	if posted {
+		tr.release(ps)
+	}
 	return true
 }
 
@@ -960,7 +983,7 @@ func (tr *Transport) onCompletion(ir soda.Interrupt) {
 			tr.c.hintFixes.Inc()
 		}
 		tr.ensureWatch(nil, es)
-		tr.emit(core.Event{Kind: core.EvDelivered, End: es.te, Tag: ps.tag})
+		tr.settle(ps, core.EvDelivered, nil)
 	case oobMoved:
 		es.hint = soda.ProcID(arg)
 		tr.c.hintFixes.Inc()
@@ -973,7 +996,7 @@ func (tr *Transport) onCompletion(ir soda.Interrupt) {
 		tr.linkDead(es)
 	case oobRejected:
 		tr.releaseEnclosures(nil, ps)
-		tr.emit(core.Event{Kind: core.EvSendFailed, End: es.te, Tag: ps.tag, Err: core.ErrUnwantedReply})
+		tr.settle(ps, core.EvSendFailed, core.ErrUnwantedReply)
 	}
 	tr.release(ps)
 }

@@ -63,6 +63,15 @@ func TestSodaSendFate(t *testing.T) {
 	}, true)
 }
 
+func TestSodaCancel(t *testing.T) {
+	recalled, tooLate := bindtest.CheckCancel(t, func(wrap func(core.Transport) core.Transport, mainA, mainB func(*core.Thread, *core.End)) *sim.Env {
+		return newPairVia(wrap, mainA, mainB).env
+	})
+	if recalled == 0 || tooLate == 0 {
+		t.Errorf("%d cancels recalled, %d too late: want both answers driven", recalled, tooLate)
+	}
+}
+
 func TestSodaSimpleRPC(t *testing.T) {
 	var rtt sim.Duration
 	r := newPair(

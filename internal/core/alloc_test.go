@@ -8,21 +8,22 @@ import (
 
 // warmConnectReplyCeiling is the allocation count of one warm
 // Connect/Reply round trip on the ideal fabric (go1.24, amd64), pinned
-// so that it can only fall. Nine are the run-time package's:
+// so that it can only fall. Seven are the run-time package's:
 //
-//   - Connect's request WireMsg, and its sendRecord (startSend);
+//   - Connect's sendRecord, which holds the request WireMsg (startSend);
 //   - the server's Request record (handleIncoming);
 //   - spawnThread's Thread, its body closure over the handler and the
 //     Request, and the method value its strand runs (Thread.run; the
 //     sim.Strand itself is a value inside the Thread);
-//   - Reply's WireMsg, and its sendRecord (startSend);
+//   - Reply's sendRecord, which holds the reply WireMsg (startSend);
 //   - the client's reply Msg (handleIncoming).
 //
 // Eight are the ideal fabric's, four per message: the flight record,
-// its delivery closure (StartSend), and the end handles boxed for
-// EvIncoming and EvDelivered (flush). On a real binding the receiver's
-// DecodeWire adds its WireMsg and op string per message instead.
-const warmConnectReplyCeiling = 17
+// which waits in the sending end's per-kind slot, its delivery closure
+// (StartSend), and the end handles boxed for EvIncoming and EvDelivered
+// (flush). On a real binding the receiver's DecodeWire adds its WireMsg
+// and op string per message instead.
+const warmConnectReplyCeiling = 15
 
 // TestWarmConnectReplyAllocs is the run-time package's allocation gate:
 // one warm Connect served by a Serve handler's Reply, on the ideal

@@ -27,10 +27,10 @@ type End struct {
 	// the dead end, so enclosing it reports ErrLinkDestroyed.
 	killed bool
 
-	// Outbound stop-and-wait queues: only the head record of each can be
-	// in flight at the transport; the rest wait their turn.
-	outReq []*sendRecord
-	outRep []*sendRecord
+	// Outbound stop-and-wait queues, by MsgKind.Slot: only the head
+	// record of each can be in flight at the transport; the rest wait
+	// their turn.
+	out [2][]*sendRecord
 	// awaiting holds delivered requests whose connectors wait for the
 	// reply, in seq order.
 	awaiting []*sendRecord
@@ -56,12 +56,13 @@ type End struct {
 type Handler func(t *Thread, req *Request)
 
 // sendRecord tracks one outbound message through the stop-and-wait
-// pipeline.
+// pipeline. It holds the message itself: &msg is what the transport is
+// handed, and that pointer is the send's identity in every event and
+// CancelSend.
 type sendRecord struct {
 	end      *End
-	msg      *WireMsg
+	msg      WireMsg
 	t        *Thread // blocked sender; nil after an abort detached it
-	tag      uint64
 	inFlight bool
 	encl     []*End // language-level ends enclosed in msg
 	// early holds a reply that overtook this request's delivery
@@ -119,7 +120,7 @@ func (e *End) wantReplies() bool {
 	if len(e.awaiting) > 0 {
 		return true
 	}
-	for _, rec := range e.outReq {
+	for _, rec := range e.out[KindRequest.Slot()] {
 		if rec.t != nil {
 			return true
 		}
@@ -135,7 +136,7 @@ func (e *End) request(seq uint64) *sendRecord {
 			return rec
 		}
 	}
-	for _, rec := range e.outReq {
+	for _, rec := range e.out[KindRequest.Slot()] {
 		if rec.msg.Seq == seq && rec.t != nil {
 			return rec
 		}
@@ -170,18 +171,10 @@ func (e *End) movable() error {
 	return nil
 }
 
-// queueFor returns the outbound queue for the given kind.
-func (e *End) queueFor(k MsgKind) *[]*sendRecord {
-	if k == KindRequest {
-		return &e.outReq
-	}
-	return &e.outRep
-}
-
 // inFlight returns the send of kind k the far run-time package may not
 // yet have received, or nil.
 func (e *End) inFlight(k MsgKind) *sendRecord {
-	if q := *e.queueFor(k); len(q) > 0 && q[0].inFlight {
+	if q := e.out[k.Slot()]; len(q) > 0 && q[0].inFlight {
 		return q[0]
 	}
 	return nil

@@ -90,11 +90,10 @@ func (t *Thread) validateEnclosures(onEnd *End, links []*End) ([]TransEnd, error
 // blocks the thread until the far run-time package receives it (replies)
 // or until the reply arrives (requests, handled by caller via the
 // blockReply transition in finishSend).
-func (t *Thread) startSend(e *End, m *WireMsg, encl []*End) (*sendRecord, error) {
+func (t *Thread) startSend(e *End, m WireMsg, encl []*End) (*sendRecord, error) {
 	pr := t.pr
-	pr.nextTag++
-	rec := &sendRecord{end: e, msg: m, t: t, tag: pr.nextTag, encl: encl}
-	q := e.queueFor(m.Kind)
+	rec := &sendRecord{end: e, msg: m, t: t, encl: encl}
+	q := &e.out[m.Kind.Slot()]
 	*q = append(*q, rec)
 	pr.stats.EnclosuresSent += int64(len(encl))
 	// Charge the run-time package's gather/type-check/table overhead.
@@ -126,7 +125,7 @@ func (t *Thread) Connect(e *End, op string, msg Msg) (*Msg, error) {
 		return nil, err
 	}
 	pr.nextSeq++
-	wm := &WireMsg{Kind: KindRequest, Op: op, Seq: pr.nextSeq, Data: msg.Data, Encl: tes}
+	wm := WireMsg{Kind: KindRequest, Op: op, Seq: pr.nextSeq, Data: msg.Data, Encl: tes}
 	pr.stats.RequestsSent++
 	rec, err := t.startSend(e, wm, msg.Links)
 	if err != nil {
@@ -253,7 +252,7 @@ func (t *Thread) Reply(req *Request, msg Msg) error {
 		return err
 	}
 	req.replied = true
-	wm := &WireMsg{Kind: KindReply, Op: req.op, Seq: req.seq, Data: msg.Data, Encl: tes}
+	wm := WireMsg{Kind: KindReply, Op: req.op, Seq: req.seq, Data: msg.Data, Encl: tes}
 	pr.stats.RepliesSent++
 	rec, err := t.startSend(e, wm, msg.Links)
 	if err != nil {

@@ -48,7 +48,6 @@ type Process struct {
 	events       sim.Queue[Event]
 	pendingWakes []pendingWake
 	nextSeq      uint64
-	nextTag      uint64
 
 	dead   bool
 	stats  Stats
@@ -145,12 +144,12 @@ func (pr *Process) DebugState() string {
 			continue
 		}
 		fmt.Fprintf(&b, "  end %v: dead=%v moving=%v handler=%v outReq=%d outRep=%d owed=%d inReq=%d recvWait=%d replyWait=%d\n",
-			e.te, e.dead, e.moving, e.handler != nil, len(e.outReq), len(e.outRep),
+			e.te, e.dead, e.moving, e.handler != nil, len(e.out[0]), len(e.out[1]),
 			e.owedReplies, len(e.inReq), len(e.recvWaiters), len(e.awaiting))
-		for _, q := range [2][]*sendRecord{e.outReq, e.outRep} {
+		for _, q := range e.out {
 			for _, rec := range q {
-				fmt.Fprintf(&b, "    pending send tag=%d kind=%v inFlight=%v detached=%v\n",
-					rec.tag, rec.msg.Kind, rec.inFlight, rec.t == nil)
+				fmt.Fprintf(&b, "    pending send seq=%d kind=%v inFlight=%v detached=%v\n",
+					rec.msg.Seq, rec.msg.Kind, rec.inFlight, rec.t == nil)
 			}
 		}
 	}
@@ -265,7 +264,7 @@ func (pr *Process) idle() bool {
 		if e.handler != nil && !e.dead {
 			return false
 		}
-		if len(e.inReq) > 0 || len(e.outReq) > 0 || len(e.outRep) > 0 {
+		if len(e.inReq) > 0 || len(e.out[0]) > 0 || len(e.out[1]) > 0 {
 			return false
 		}
 	}
@@ -308,7 +307,7 @@ func (pr *Process) abortThread(target *Thread, err error) {
 	case blockSend:
 		rec := b.sendRec
 		if rec.inFlight {
-			if pr.tr.CancelSend(rec.end.te, rec.tag) {
+			if pr.tr.CancelSend(rec.end.te, &rec.msg) {
 				// Recalled before receipt: detach cleanly.
 				pr.finishSend(rec, false)
 				pr.unmoveEnclosures(rec)
@@ -322,7 +321,7 @@ func (pr *Process) abortThread(target *Thread, err error) {
 			}
 		} else {
 			// Still queued locally: just remove it.
-			remove(rec.end.queueFor(rec.msg.Kind), rec)
+			remove(&rec.end.out[rec.msg.Kind.Slot()], rec)
 			pr.unmoveEnclosures(rec)
 		}
 		rec.end.syncInterest()
@@ -366,16 +365,16 @@ func (pr *Process) handleEvent(ev Event) {
 	pr.flushWakes()
 }
 
-// sendOf returns the in-flight send an event settles, or nil.
+// sendOf returns the in-flight send an event settles, or nil: an event
+// about a send that has already settled finds another record, or none,
+// in flight.
 func (pr *Process) sendOf(ev Event) *sendRecord {
 	e, ok := pr.ends[ev.End]
 	if !ok {
 		return nil
 	}
-	for _, k := range [2]MsgKind{KindRequest, KindReply} {
-		if rec := e.inFlight(k); rec != nil && rec.tag == ev.Tag {
-			return rec
-		}
+	if rec := e.inFlight(ev.Msg.Kind); rec != nil && &rec.msg == ev.Msg {
+		return rec
 	}
 	return nil
 }
@@ -501,7 +500,7 @@ func (pr *Process) newEnd(te TransEnd) *End {
 // of that kind.
 func (pr *Process) finishSend(rec *sendRecord, delivered bool) {
 	e := rec.end
-	remove(e.queueFor(rec.msg.Kind), rec)
+	remove(&e.out[rec.msg.Kind.Slot()], rec)
 	rec.inFlight = false
 	if delivered {
 		// Enclosed ends have left this process for good — unless the
@@ -550,13 +549,13 @@ func (pr *Process) pump(e *End, k MsgKind) {
 	if e.dead {
 		return
 	}
-	q := *e.queueFor(k)
+	q := e.out[k.Slot()]
 	if len(q) == 0 || q[0].inFlight {
 		return
 	}
 	rec := q[0]
 	rec.inFlight = true
-	if err := pr.tr.StartSend(e.te, rec.msg, rec.tag); err != nil {
+	if err := pr.tr.StartSend(e.te, &rec.msg); err != nil {
 		pr.failSend(rec, err)
 	}
 }
@@ -622,7 +621,7 @@ func (pr *Process) killEnd(e *End) {
 	for _, rec := range e.awaiting {
 		pr.wakeThread(rec.t, wake{err: ErrLinkDestroyed})
 	}
-	for _, q := range [2][]*sendRecord{e.outReq, e.outRep} {
+	for _, q := range e.out {
 		for _, rec := range q {
 			pr.unmoveEnclosures(rec)
 			if rec.t != nil {
@@ -631,7 +630,7 @@ func (pr *Process) killEnd(e *End) {
 			}
 		}
 	}
-	e.awaiting, e.outReq, e.outRep = nil, nil, nil
+	e.awaiting, e.out = nil, [2][]*sendRecord{}
 	for len(e.recvWaiters) > 0 {
 		t := e.recvWaiters[0]
 		e.recvWaiters = e.recvWaiters[0:copy(e.recvWaiters, e.recvWaiters[1:])]

@@ -18,11 +18,11 @@ const (
 	// (all enclosures present, already re-homed to this process's
 	// transport).
 	EvIncoming EventKind = iota
-	// EvDelivered: a message this process sent (identified by Tag) has
-	// been received by the far end's run-time package. Unblocks the
-	// sending coroutine per §2.1's stop-and-wait discipline.
+	// EvDelivered: the send Msg has been received by the far end's
+	// run-time package. Unblocks the sending coroutine per §2.1's
+	// stop-and-wait discipline.
 	EvDelivered
-	// EvSendFailed: a message sent on a live link will never be
+	// EvSendFailed: the send Msg, on a live link, will never be
 	// received: the kernel refused it, it was oversize, or — on
 	// transports that can detect it — the reply was no longer wanted.
 	// Err says why. A send on a dead end gets no EvSendFailed: its
@@ -59,8 +59,7 @@ func (k EventKind) String() string {
 type Event struct {
 	Kind EventKind
 	End  TransEnd // every kind but EvTick
-	Msg  *WireMsg // EvIncoming only
-	Tag  uint64   // EvDelivered / EvSendFailed
+	Msg  *WireMsg // EvIncoming: the message; EvDelivered, EvSendFailed: the send
 	Err  error    // EvSendFailed only
 }
 
@@ -97,18 +96,21 @@ type Transport interface {
 	// Destroy destroys the link one of whose ends is te. The far end's
 	// process learns via EvLinkDead; this process already knows.
 	Destroy(te TransEnd) error
-	// StartSend begins transmitting m on te. The send is identified by
-	// tag; its fate arrives as EvDelivered or EvSendFailed while the
-	// link lives, and as te's EvLinkDead once it dies. Enclosed
-	// ends in m.Encl leave this process's ownership when delivery
-	// succeeds. At most one send per (end, message-kind) is in flight;
-	// the run-time package serializes the rest (stop-and-wait).
-	StartSend(te TransEnd, m *WireMsg, tag uint64) error
-	// CancelSend tries to abort an in-flight send (a coroutine aborted
-	// by an exception). It reports whether the message is guaranteed
-	// unreceived; false means it was (or may yet be) received — the
-	// paper's problematic case.
-	CancelSend(te TransEnd, tag uint64) bool
+	// StartSend begins transmitting m on te. The pointer m, fresh and
+	// unchanging for each send, is the send's identity: its fate names
+	// it in Msg — EvDelivered or EvSendFailed while the link lives —
+	// or is te's EvLinkDead once it dies. Enclosed ends in m.Encl leave
+	// this process's ownership when delivery succeeds. At most one send
+	// per (end, m.Kind.Slot()) is in flight; the run-time package
+	// serializes the rest (stop-and-wait).
+	StartSend(te TransEnd, m *WireMsg) error
+	// CancelSend tries to abort the in-flight send m on te (a coroutine
+	// aborted by an exception). It reports whether the message is
+	// guaranteed unreceived: true means the far process never gets it,
+	// and its enclosures stay here; false means it was (or may yet be)
+	// received exactly once, enclosures and all — the paper's
+	// problematic case — and its fate still arrives as an event.
+	CancelSend(te TransEnd, m *WireMsg) bool
 	// SetInterest declares which incoming message kinds are currently
 	// wanted on te (the end's request queue open state, and whether any
 	// coroutine awaits a reply).

@@ -28,6 +28,11 @@ const (
 	KindReply   MsgKind = 2
 )
 
+// Slot indexes a per-kind pair by k: 0 for requests, 1 for replies.
+// A binding keeps an end's one in-flight send of each kind in such a
+// pair (see Transport.StartSend).
+func (k MsgKind) Slot() int { return int(k - KindRequest) }
+
 func (k MsgKind) String() string {
 	switch k {
 	case KindRequest:
