@@ -75,35 +75,7 @@ func parseFaults(s string) ([]*fault.Plan, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
 	}
-	var out []*fault.Plan
-	for _, part := range strings.Split(s, "/") {
-		part = strings.TrimSpace(part)
-		if part == "default" {
-			out = append(out, defaultScenarios()...)
-			continue
-		}
-		p, err := fault.ParseScenario(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// defaultScenarios resolves the registered scenario set, in registry
-// order.
-func defaultScenarios() []*fault.Plan {
-	names := fault.ScenarioNames()
-	plans := make([]*fault.Plan, len(names))
-	for i, name := range names {
-		p, err := fault.ParseScenario(name)
-		if err != nil {
-			panic(err) // registered scenarios always parse
-		}
-		plans[i] = p
-	}
-	return plans
+	return fault.ParseScenarios(strings.Split(s, "/"))
 }
 
 // loadConfig is the resolved workload configuration.

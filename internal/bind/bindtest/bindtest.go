@@ -136,9 +136,14 @@ func CheckSendFate(t *testing.T, pair Pair, rejectsUnwanted bool) {
 
 // CheckCancel checks what CancelSend's answer promises. A's victim
 // thread connects to B with encl fresh link ends enclosed, and A aborts
-// it abortAt later. B opens its request queue at openAt. With cross, B
-// first sends A a request with two enclosures, and the victim starts
-// while A's reply to it is leaving, so its request waits its turn.
+// it abortAt later, at each millisecond up to 60 ms or until B opens
+// its request queue at openAt, whichever is later. With a cross mode,
+// B first sends A a request with two enclosures. Under "first", A
+// receives it at once and the victim starts while A's reply to it is
+// leaving, so its request waits its turn. Under "late", A receives it
+// only after the abort, so the victim's request can reach a B that
+// awaits a reply and wants no requests yet (Charlotte's binding
+// bounces it).
 //
 // If CancelSend answers true, B never gets the message, A hears
 // nothing more of it, and the enclosures stay with A, which sends them
@@ -146,11 +151,15 @@ func CheckSendFate(t *testing.T, pair Pair, rejectsUnwanted bool) {
 // enclosures and all, and A gets its EvDelivered. CheckCancel returns
 // how many cancels recalled their message and how many came too late,
 // so that a binding's test can see both of its answers driven.
+//
+// It also checks that CancelSend answers false for a send that is not
+// the end's current one (see checkNotThisSend).
 func CheckCancel(t *testing.T, pair Pair) (recalled, tooLate int) {
+	checkNotThisSend(t, pair)
 	for _, encl := range []int{0, 2} {
-		for _, cross := range []bool{false, true} {
-			for _, openAt := range []sim.Duration{0, 30 * sim.Millisecond} {
-				for abortAt := sim.Millisecond; abortAt <= 60*sim.Millisecond; abortAt += sim.Millisecond {
+		for _, cross := range []string{"", "first", "late"} {
+			for _, openAt := range []sim.Duration{0, 30 * sim.Millisecond, 120 * sim.Millisecond} {
+				for abortAt := sim.Millisecond; abortAt <= max(60*sim.Millisecond, openAt); abortAt += sim.Millisecond {
 					r, l := checkCancel(t, pair, encl, cross, openAt, abortAt)
 					recalled += r
 					tooLate += l
@@ -161,8 +170,8 @@ func CheckCancel(t *testing.T, pair Pair) (recalled, tooLate int) {
 	return recalled, tooLate
 }
 
-func checkCancel(t *testing.T, pair Pair, encl int, cross bool, openAt, abortAt sim.Duration) (recalled, tooLate int) {
-	name := fmt.Sprintf("encl=%d cross=%v open=%v abort=%v", encl, cross, openAt, abortAt)
+func checkCancel(t *testing.T, pair Pair, encl int, cross string, openAt, abortAt sim.Duration) (recalled, tooLate int) {
+	name := fmt.Sprintf("encl=%d cross=%q open=%v abort=%v", encl, cross, openAt, abortAt)
 	var teB core.TransEnd
 	var afterErr error
 	a, b := run(t, name, pair, func(th *core.Thread, e *core.End) {
@@ -170,13 +179,17 @@ func checkCancel(t *testing.T, pair Pair, encl int, cross bool, openAt, abortAt 
 		for i := range links {
 			links[i], _, _ = th.NewLink()
 		}
-		if cross {
+		if cross == "first" {
 			req, _ := th.Receive(e)
 			th.Fork("reply", func(r *core.Thread) { r.Reply(req, core.Msg{}) })
 		}
 		victim := th.Fork("victim", func(v *core.Thread) { v.Connect(e, "victim", core.Msg{Links: links}) })
 		th.Sleep(abortAt)
 		th.Abort(victim)
+		if cross == "late" {
+			req, _ := th.Receive(e)
+			th.Reply(req, core.Msg{})
+		}
 		th.Sleep(300 * sim.Millisecond)
 		// Enclosures that moved with the victim are not A's to send.
 		if _, err := th.Connect(e, "after", core.Msg{Links: links}); !errors.Is(err, core.ErrNotOwner) {
@@ -185,7 +198,7 @@ func checkCancel(t *testing.T, pair Pair, encl int, cross bool, openAt, abortAt 
 		th.Destroy(e)
 	}, func(th *core.Thread, e *core.End) {
 		teB = e.Transport()
-		if cross {
+		if cross != "" {
 			th.Fork("cross", func(x *core.Thread) {
 				l1, _, _ := x.NewLink()
 				l2, _, _ := x.NewLink()
@@ -229,6 +242,59 @@ func checkCancel(t *testing.T, pair Pair, encl int, cross bool, openAt, abortAt 
 		}
 	}
 	return recalled, tooLate
+}
+
+// checkNotThisSend checks CancelSend on a send the end does not hold:
+// one never started, while another request is pending on the end, and
+// one already settled. Both answers must be false, the pending request
+// must still complete, and no event about either message may follow.
+func checkNotThisSend(t *testing.T, pair Pair) {
+	var a *sink
+	foreign := &core.WireMsg{Kind: core.KindRequest, Seq: 1 << 40}
+	var settled *core.WireMsg
+	var answers []bool
+	var pendErr error
+	var done bool
+	mark := 0
+	env := pair(func(tr core.Transport) core.Transport {
+		s := &sink{Transport: tr}
+		if a == nil {
+			a = s
+		}
+		return s
+	}, func(th *core.Thread, e *core.End) {
+		te := e.Transport()
+		th.Fork("pending", func(p *core.Thread) {
+			_, pendErr = p.Connect(e, "op", core.Msg{})
+			done = true
+		})
+		th.Sleep(5 * sim.Millisecond) // B has not opened its queue yet
+		answers = append(answers, a.Transport.CancelSend(te, foreign))
+		waitFor(th, &done)
+		for _, ev := range a.events {
+			if ev.Kind == core.EvDelivered && ev.End == te {
+				settled = ev.Msg
+			}
+		}
+		mark = len(a.events)
+		answers = append(answers, a.Transport.CancelSend(te, settled))
+		th.Sleep(100 * sim.Millisecond) // record any late word on either
+		th.Destroy(e)
+	}, func(th *core.Thread, e *core.End) {
+		th.Sleep(30 * sim.Millisecond)
+		th.Serve(e, func(st *core.Thread, req *core.Request) { st.Reply(req, core.Msg{}) })
+	})
+	if err := env.Run(); err != nil {
+		t.Fatalf("not this send: %v", err)
+	}
+	if len(answers) != 2 || answers[0] || answers[1] || settled == nil || pendErr != nil {
+		t.Fatalf("not this send: CancelSend answered %v (foreign, settled), pending Connect = %v; want false, false and nil", answers, pendErr)
+	}
+	for i, ev := range a.events {
+		if ev.Msg == foreign || (i >= mark && ev.Msg == settled) {
+			t.Errorf("not this send: event %v about a message CancelSend does not hold", ev.Kind)
+		}
+	}
 }
 
 // waitFor sleeps th in 1 ms steps until *flag is set, for at most 1 s.

@@ -568,10 +568,13 @@ func (tr *Transport) enqueueKernel(p *sim.Proc, es *endState, km kmsg) {
 
 // sendCtrl queues a control message at the front of the send queue.
 func (tr *Transport) sendCtrl(p *sim.Proc, es *endState, km kmsg) {
-	// Control messages preempt queued data packets.
-	es.sendQ = append(es.sendQ, kmsg{})
-	copy(es.sendQ[1:], es.sendQ)
-	es.sendQ[0] = km
+	// Control messages preempt queued data packets but keep their own
+	// order: an ALLOW must not overtake the FORBID it lifts.
+	i := slices.IndexFunc(es.sendQ, func(q kmsg) bool { return q.c == ctrlData || q.c == ctrlEnc })
+	if i < 0 {
+		i = len(es.sendQ)
+	}
+	es.sendQ = slices.Insert(es.sendQ, i, km)
 	tr.pumpSend(p, es)
 }
 

@@ -14,6 +14,7 @@ package ideal
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/core"
@@ -26,16 +27,13 @@ import (
 //
 // The fabric itself holds no timing state: every mutable structure is
 // either per-link (links connect transports of one proc group, so only
-// that group touches them), per partition group (the link table and id
-// sequence — see Partition), or a commutative atomic counter.
-// Transports carry the env that schedules them (a shard env under
-// partitioned runs; see SetEnv).
+// that group touches them), per group (the link table and id sequence:
+// one group from construction, one per shard after Partition), or a
+// commutative atomic counter. Transports carry the env that schedules
+// them (a shard env under partitioned runs; see SetEnv).
 type Fabric struct {
-	env   *sim.Env
-	links map[int]*link // boot map; read-only once partitioned
-
-	def    *fgroup   // the unpartitioned group (boot allocator)
-	groups []*fgroup // non-nil after Partition
+	env    *sim.Env
+	groups []*fgroup // one until Partition, then one per shard
 
 	rec *obs.Recorder
 	// Message counters are pre-created so the hot path never inserts
@@ -54,7 +52,7 @@ func NewFabric(env *sim.Env, latency sim.Duration, perByte sim.Duration) *Fabric
 	rec := obs.NewRecorder(env, "ideal")
 	f := &Fabric{
 		env:          env,
-		links:        make(map[int]*link),
+		groups:       []*fgroup{{links: make(map[int]*link), nextLink: 1, stride: 1}},
 		rec:          rec,
 		msgs:         rec.Counter(obs.MKernelMessages),
 		bytes:        rec.Counter(obs.MKernelBytes),
@@ -62,48 +60,33 @@ func NewFabric(env *sim.Env, latency sim.Duration, perByte sim.Duration) *Fabric
 		Latency:      latency,
 		PerByte:      perByte,
 	}
-	f.def = &fgroup{f: f, idx: -1, links: f.links, nextLink: 1, stride: 1}
 	return f
 }
 
-// fgroup is one partition group of the fabric: an overlay map for
-// links created mid-run plus a strided id allocator whose output
-// depends only on this group's own call order.
+// fgroup is one group of the fabric: its link table plus a strided id
+// allocator whose output depends only on this group's own call order.
 type fgroup struct {
-	f        *Fabric
-	idx      int // -1 for the default (unpartitioned) group
 	links    map[int]*link
 	nextLink int
 	stride   int
 }
 
-// findLink resolves a link id against the group overlay, then the
-// shared boot map.
-func (g *fgroup) findLink(id int) (*link, bool) {
-	if l, ok := g.links[id]; ok {
-		return l, true
-	}
-	if g.idx >= 0 {
-		l, ok := g.f.links[id]
-		return l, ok
-	}
-	return nil, false
-}
-
 // Partition splits the fabric into k groups for a conservative
-// parallel run. Link ids allocated from here on are strided per group,
-// so mid-run MakeLink stays deterministic at any worker count. Call
-// before the run starts, then AssignGroup every transport.
+// parallel run. Each group gets its own copy of the boot group's link
+// table, so the copies cost k × (links made so far). Link ids allocated
+// from here on are strided per group, so mid-run MakeLink stays
+// deterministic at any worker count. Call once, before the run starts,
+// then AssignGroup every transport.
 func (f *Fabric) Partition(k int) {
-	if f.groups != nil {
+	if len(f.groups) != 1 {
 		panic("ideal: Partition called twice")
 	}
+	boot := f.groups[0]
 	f.groups = make([]*fgroup, k)
 	for i := range f.groups {
 		f.groups[i] = &fgroup{
-			f: f, idx: i,
-			links:    make(map[int]*link),
-			nextLink: f.def.nextLink + i,
+			links:    maps.Clone(boot.links),
+			nextLink: boot.nextLink + i,
 			stride:   k,
 		}
 	}
@@ -158,11 +141,11 @@ type Transport struct {
 
 var _ core.Transport = (*Transport)(nil)
 
-// NewTransport creates a process's transport.
+// NewTransport creates a process's transport, in group 0.
 func (f *Fabric) NewTransport(name string) *Transport {
 	return &Transport{
 		f:     f,
-		g:     f.def,
+		g:     f.groups[0],
 		env:   f.env,
 		name:  name,
 		owned: make(map[EndID]bool),
@@ -223,7 +206,7 @@ func (tr *Transport) end(te core.TransEnd) (*link, EndID, *endState, error) {
 	if !ok {
 		return nil, EndID{}, nil, fmt.Errorf("ideal: bad TransEnd %T", te)
 	}
-	l, ok := tr.g.findLink(id.Link)
+	l, ok := tr.g.links[id.Link]
 	if !ok {
 		return nil, id, nil, core.ErrLinkDestroyed
 	}
@@ -330,7 +313,7 @@ func (f *Fabric) flush(l *link, side int, env *sim.Env) {
 		// enclosure travels between transports of one partition group).
 		for _, enc := range fl.msg.Encl {
 			id := enc.(EndID)
-			el, ok := es.owner.g.findLink(id.Link)
+			el, ok := es.owner.g.links[id.Link]
 			if !ok {
 				continue
 			}
@@ -396,7 +379,7 @@ func (tr *Transport) Shutdown() {
 		return ids[i].Side < ids[j].Side
 	})
 	for _, id := range ids {
-		if l, ok := tr.g.findLink(id.Link); ok {
+		if l, ok := tr.g.links[id.Link]; ok {
 			tr.destroyLink(l, id)
 		}
 	}
@@ -406,7 +389,7 @@ func (tr *Transport) Shutdown() {
 // message — boot-time wiring for tests and examples (the loader handing
 // a newborn process its initial links).
 func MoveOwnership(f *Fabric, from, to *Transport, id EndID) {
-	l, ok := from.g.findLink(id.Link)
+	l, ok := from.g.links[id.Link]
 	if !ok {
 		return
 	}

@@ -28,6 +28,7 @@ package charlotte
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/calib"
@@ -145,22 +146,18 @@ type Description struct {
 // value serves all nodes; per-node CPU costs are charged to the calling
 // process's simproc and internode wire time to the netsim model.
 //
-// For conservative parallel runs the kernel is split into groups
-// (Partition): each group owns a shard env, a network segment, a
-// strided id allocator, and an overlay link map, so processes of
-// different groups share no mutable kernel state mid-run. The links
-// created before partitioning stay in the shared boot map, which is
-// read-only from then on (destruction tombstones the link record, it
-// never deletes the map entry).
+// The kernel's state lives in groups: one from construction, and one
+// per shard env after Partition, each with its own link table, network
+// segment and strided id allocators, so processes of different groups
+// share no mutable kernel state mid-run. Destruction marks a link
+// record destroyed; its table entry stays, so stale EndRefs keep
+// resolving to Destroyed.
 type Kernel struct {
 	env   *sim.Env
 	net   netsim.Network
 	costs calib.CharlotteCosts
 
-	links map[int]*link // boot map; read-only once partitioned
-
-	def    *kgroup   // the unpartitioned group (boot allocator)
-	groups []*kgroup // non-nil after Partition
+	groups []*kgroup // one until Partition, then one per shard env
 
 	rec   *obs.Recorder
 	calls map[string]*obs.Counter // kernel-call name -> counter handle
@@ -168,17 +165,16 @@ type Kernel struct {
 	cDestroys, cMessages, cBytes, cEnclosures *obs.Counter
 }
 
-// kgroup is one partition group of the kernel: the shard env its
-// processes run on, the network segment they transmit over, an overlay
-// map for links created mid-run, and strided id allocators whose output
-// depends only on this group's own call order.
+// kgroup is one group of the kernel: the env its processes run on,
+// the network segment they transmit over, its link table, and strided
+// id allocators whose output depends only on this group's own call
+// order.
 type kgroup struct {
 	k   *Kernel
-	idx int // -1 for the default (unpartitioned) group
 	env *sim.Env
 	net netsim.Network
 
-	links    map[int]*link // == k.links for the default group
+	links    map[int]*link
 	nextLink int
 	nextPID  int
 	stride   int
@@ -212,19 +208,6 @@ func (g *kgroup) release(a *activity) {
 	g.free = append(g.free, a)
 }
 
-// findLink resolves a link id against the group overlay, then the
-// shared boot map.
-func (g *kgroup) findLink(id int) (*link, bool) {
-	if l, ok := g.links[id]; ok {
-		return l, true
-	}
-	if g.idx >= 0 {
-		l, ok := g.k.links[id]
-		return l, ok
-	}
-	return nil, false
-}
-
 // NewKernel creates a Charlotte kernel over the given network model.
 func NewKernel(env *sim.Env, net netsim.Network, costs calib.CharlotteCosts) *Kernel {
 	rec := obs.NewRecorder(env, "charlotte")
@@ -232,7 +215,6 @@ func NewKernel(env *sim.Env, net netsim.Network, costs calib.CharlotteCosts) *Ke
 		env:         env,
 		net:         net,
 		costs:       costs,
-		links:       make(map[int]*link),
 		rec:         rec,
 		calls:       make(map[string]*obs.Counter),
 		cDestroys:   rec.Counter(obs.MLinkDestroys),
@@ -240,7 +222,7 @@ func NewKernel(env *sim.Env, net netsim.Network, costs calib.CharlotteCosts) *Ke
 		cBytes:      rec.Counter(obs.MKernelBytes),
 		cEnclosures: rec.Counter(obs.MEnclosureMoves),
 	}
-	k.def = &kgroup{k: k, idx: -1, env: env, net: net, links: k.links, nextLink: 1, nextPID: 1, stride: 1}
+	k.groups = []*kgroup{{k: k, env: env, net: net, links: make(map[int]*link), nextLink: 1, nextPID: 1, stride: 1}}
 	for _, what := range []string{"MakeLink", "Send", "Receive", "Cancel", "Wait", "Destroy"} {
 		k.calls[what] = rec.Counter(obs.MKernelCalls + "{call=" + what + "}")
 	}
@@ -249,26 +231,28 @@ func NewKernel(env *sim.Env, net netsim.Network, costs calib.CharlotteCosts) *Ke
 
 // Partition splits the kernel into one group per shard env for a
 // conservative parallel run: group i's processes run on envs[i] and
-// transmit over nets[i] (its per-group medium segment). Ids allocated
-// from here on are strided per group, so mid-run MakeLink/NewProcessIn
-// stay deterministic at any worker count. Call before the run starts,
+// transmit over nets[i] (its per-group medium segment). Each group
+// gets its own copy of the boot group's link table, so the copies cost
+// len(envs) × (links made so far). Ids allocated from here on are
+// strided per group, so mid-run MakeLink/NewProcessIn stay
+// deterministic at any worker count. Call once, before the run starts,
 // then AssignGroup every process.
 func (k *Kernel) Partition(envs []*sim.Env, nets []netsim.Network) {
 	if len(envs) != len(nets) {
 		panic("charlotte: Partition needs one network segment per shard env")
 	}
-	if k.groups != nil {
+	if len(k.groups) != 1 {
 		panic("charlotte: Partition called twice")
 	}
-	stride := len(envs)
-	k.groups = make([]*kgroup, stride)
+	boot := k.groups[0]
+	k.groups = make([]*kgroup, len(envs))
 	for i := range envs {
 		k.groups[i] = &kgroup{
-			k: k, idx: i, env: envs[i], net: nets[i],
-			links:    make(map[int]*link),
-			nextLink: k.def.nextLink + i,
-			nextPID:  k.def.nextPID + i,
-			stride:   stride,
+			k: k, env: envs[i], net: nets[i],
+			links:    maps.Clone(boot.links),
+			nextLink: boot.nextLink + i,
+			nextPID:  boot.nextPID + i,
+			stride:   len(envs),
 		}
 	}
 }
@@ -328,11 +312,11 @@ type Process struct {
 	ends        map[EndRef]bool
 }
 
-// NewProcess registers a process living on the given node. The returned
-// Process's kernel calls must be made from simproc context (they charge
-// virtual CPU time via p).
+// NewProcess registers a process living on the given node, in group 0.
+// The returned Process's kernel calls must be made from simproc context
+// (they charge virtual CPU time via p).
 func (k *Kernel) NewProcess(node netsim.NodeID) *Process {
-	return k.newProcessIn(k.def, node)
+	return k.newProcessIn(k.groups[0], node)
 }
 
 // NewProcessIn registers a process directly into partition group g —
@@ -405,8 +389,8 @@ func (pr *Process) MakeLink(p *sim.Proc) (end1, end2 EndRef, st Status) {
 // without charging kernel time: the loader's initial wiring. The link
 // is allocated from a's group, so mid-run launches (both processes on
 // one shard, per lynx's home-shard placement) get group-local strided
-// ids; before partitioning a's group is the default group and the
-// allocation is the classic serial sequence.
+// ids; before partitioning a's group is group 0 and the allocation is
+// the classic serial sequence.
 func (k *Kernel) BootLink(a, b *Process) (EndRef, EndRef) {
 	g := a.g
 	l := &link{id: g.nextLink}
@@ -424,7 +408,7 @@ func (k *Kernel) BootLink(a, b *Process) (EndRef, EndRef) {
 // lookup validates that e names a live link end owned by pr and returns
 // the link. It maps every failure to the status the real kernel returns.
 func (pr *Process) lookup(e EndRef) (*link, Status) {
-	l, ok := pr.g.findLink(e.link)
+	l, ok := pr.g.links[e.link]
 	if !ok {
 		return nil, Destroyed
 	}
@@ -550,7 +534,7 @@ func (pr *Process) Cancel(p *sim.Proc, e EndRef, d Direction) Status {
 	}
 	if d == SendDir && !(*slot).enclosure.Nil() {
 		// Release the moving end: the move never happened.
-		if el, ok := pr.g.findLink((*slot).enclosure.link); ok {
+		if el, ok := pr.g.links[(*slot).enclosure.link]; ok {
 			el.ends[(*slot).enclosure.side].moving = false
 		}
 	}
@@ -628,7 +612,7 @@ func (pr *Process) Terminate() {
 		return ends[i].side < ends[j].side
 	})
 	for _, e := range ends {
-		if l, ok := pr.g.findLink(e.link); ok && !l.destroyed {
+		if l, ok := pr.g.links[e.link]; ok && !l.destroyed {
 			pr.k.destroyLink(pr.g, l)
 		}
 	}
@@ -656,7 +640,7 @@ func (k *Kernel) destroyLink(g *kgroup, l *link) {
 				// The move never completes; the enclosed end is released
 				// back to the sender (best case; E8 explores the crash
 				// case where even this is impossible).
-				if el, ok := g.findLink(es.send.enclosure.link); ok {
+				if el, ok := g.links[es.send.enclosure.link]; ok {
 					el.ends[es.send.enclosure.side].moving = false
 				}
 			}
@@ -801,7 +785,7 @@ func (k *Kernel) deliver(act *activity) {
 	// Move the enclosure: ownership passes to the receiver; the
 	// three-party agreement concludes.
 	if !enclosure.Nil() {
-		if el, ok := g.findLink(enclosure.link); ok {
+		if el, ok := g.links[enclosure.link]; ok {
 			ees := &el.ends[enclosure.side]
 			ees.moving = false
 			if ees.owner != nil {

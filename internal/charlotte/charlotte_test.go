@@ -52,7 +52,7 @@ func TestSimpleSendReceive(t *testing.T) {
 		}
 		// Hand e2 to b out of band (simulating initial configuration).
 		delete(a.ends, e2)
-		k.links[e2.link].ends[e2.side].owner = b
+		k.groups[0].links[e2.link].ends[e2.side].owner = b
 		b.ends[e2] = true
 
 		env.Spawn("sender", func(p *sim.Proc) {
@@ -88,7 +88,7 @@ func TestSimpleSendReceive(t *testing.T) {
 // giveEnd transfers an end between processes out of band (test setup).
 func giveEnd(k *Kernel, e EndRef, from, to *Process) {
 	delete(from.ends, e)
-	k.links[e.link].ends[e.side].owner = to
+	k.groups[0].links[e.link].ends[e.side].owner = to
 	to.ends[e] = true
 }
 
@@ -417,7 +417,7 @@ func TestSimultaneousBothEndsMove(t *testing.T) {
 		t.Fatal(err)
 	}
 	// After both moves: link3 connects B and C.
-	l3 := k.links[3]
+	l3 := k.groups[0].links[3]
 	owners := map[int]bool{l3.ends[0].owner.ID(): true, l3.ends[1].owner.ID(): true}
 	if !owners[b.ID()] || !owners[c.ID()] {
 		t.Fatalf("link3 owners: %v and %v, want B and C",

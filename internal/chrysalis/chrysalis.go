@@ -25,6 +25,7 @@ package chrysalis
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -96,28 +97,19 @@ type QueueName uint32
 // Kernel is the Chrysalis instance shared by all processors of one
 // Butterfly machine.
 //
-// For conservative parallel runs the kernel is split into groups
-// (Partition): each group owns a shard env, a backplane segment,
-// strided allocators, and overlay maps for objects/events/queues
-// created mid-run, so processes of different groups share no mutable
-// kernel state. Structures allocated before partitioning stay in the
-// shared boot maps, which are read-only from then on (reclaiming a
-// boot object tombstones its record; the map entry survives). Kernel
-// names are unforgeable capabilities handed over links, and links
-// never cross partition groups, so no correct program reaches another
-// group's structures.
+// The kernel's state lives in groups: one from construction, and one
+// per shard env after Partition, each with its own object, event and
+// queue tables, backplane segment and strided allocators, so processes
+// of different groups share no mutable kernel state. Kernel names are
+// unforgeable capabilities handed over links, and links never cross
+// partition groups, so no correct program reaches another group's
+// structures.
 type Kernel struct {
 	env   *sim.Env
 	bp    *netsim.Backplane
 	costs calib.ChrysalisCosts
 
-	// Boot maps; read-only once partitioned.
-	objects map[ObjName]*memObject
-	events  map[EventName]*eventBlock
-	queues  map[QueueName]*dualQueue
-
-	def    *kgroup   // the unpartitioned group (boot allocator)
-	groups []*kgroup // non-nil after Partition
+	groups []*kgroup // one until Partition, then one per shard env
 
 	rec *obs.Recorder
 	// Cached counter handles: atomic flag ops are the hottest path in
@@ -132,20 +124,18 @@ type Kernel struct {
 	TuneFactor float64
 }
 
-// kgroup is one partition group of the kernel: the shard env its
-// processes run on, the backplane segment their remote accesses
-// charge, overlay maps for structures allocated mid-run, and strided
-// id allocators whose output depends only on this group's own call
-// order.
+// kgroup is one group of the kernel: the env its processes run on,
+// the backplane segment their remote accesses charge, its tables, and
+// strided id allocators whose output depends only on this group's own
+// call order.
 type kgroup struct {
 	k   *Kernel
-	idx int // -1 for the default (unpartitioned) group
 	env *sim.Env
 	bp  *netsim.Backplane
 
-	objects map[ObjName]*memObject    // == k.objects for the default group
-	events  map[EventName]*eventBlock // == k.events for the default group
-	queues  map[QueueName]*dualQueue  // == k.queues for the default group
+	objects map[ObjName]*memObject
+	events  map[EventName]*eventBlock
+	queues  map[QueueName]*dualQueue
 
 	nextID  uint32
 	nextPID int
@@ -158,40 +148,6 @@ func (g *kgroup) newID() uint32 {
 	return id
 }
 
-func (g *kgroup) findObj(name ObjName) (*memObject, bool) {
-	if o, ok := g.objects[name]; ok {
-		return o, !o.dead
-	}
-	if g.idx >= 0 {
-		if o, ok := g.k.objects[name]; ok {
-			return o, !o.dead
-		}
-	}
-	return nil, false
-}
-
-func (g *kgroup) findEvent(name EventName) (*eventBlock, bool) {
-	if ev, ok := g.events[name]; ok {
-		return ev, true
-	}
-	if g.idx >= 0 {
-		ev, ok := g.k.events[name]
-		return ev, ok
-	}
-	return nil, false
-}
-
-func (g *kgroup) findQueue(name QueueName) (*dualQueue, bool) {
-	if q, ok := g.queues[name]; ok {
-		return q, true
-	}
-	if g.idx >= 0 {
-		q, ok := g.k.queues[name]
-		return q, ok
-	}
-	return nil, false
-}
-
 // NewKernel creates a Chrysalis kernel over the given backplane.
 func NewKernel(env *sim.Env, bp *netsim.Backplane, costs calib.ChrysalisCosts) *Kernel {
 	rec := obs.NewRecorder(env, "chrysalis")
@@ -199,9 +155,6 @@ func NewKernel(env *sim.Env, bp *netsim.Backplane, costs calib.ChrysalisCosts) *
 		env:         env,
 		bp:          bp,
 		costs:       costs,
-		objects:     make(map[ObjName]*memObject),
-		events:      make(map[EventName]*eventBlock),
-		queues:      make(map[QueueName]*dualQueue),
 		rec:         rec,
 		cAtomicOps:  rec.Counter(obs.MAtomicOps),
 		cEnqueues:   rec.Counter(obs.MQueueEnqueues),
@@ -215,38 +168,42 @@ func NewKernel(env *sim.Env, bp *netsim.Backplane, costs calib.ChrysalisCosts) *
 		cTornRead:   rec.Counter(obs.MTornReads),
 		TuneFactor:  1.0,
 	}
-	k.def = &kgroup{
-		k: k, idx: -1, env: env, bp: bp,
-		objects: k.objects, events: k.events, queues: k.queues,
-		nextID: 1, nextPID: 1, stride: 1,
-	}
+	k.groups = []*kgroup{{
+		k: k, env: env, bp: bp,
+		objects: make(map[ObjName]*memObject),
+		events:  make(map[EventName]*eventBlock),
+		queues:  make(map[QueueName]*dualQueue),
+		nextID:  1, nextPID: 1, stride: 1,
+	}}
 	return k
 }
 
 // Partition splits the kernel into one group per shard env for a
 // conservative parallel run: group i's processes run on envs[i] and
 // charge remote accesses to bps[i] (its per-group backplane segment).
-// Ids allocated from here on are strided per group, so mid-run
-// allocation stays deterministic at any worker count. Call before the
-// run starts, then AssignGroup every process.
+// Each group gets its own copy of the boot group's tables, so the
+// copies cost len(envs) × (objects, events and queues allocated so
+// far). Ids allocated from here on are strided per group, so mid-run
+// allocation stays deterministic at any worker count. Call once,
+// before the run starts, then AssignGroup every process.
 func (k *Kernel) Partition(envs []*sim.Env, bps []*netsim.Backplane) {
 	if len(envs) != len(bps) {
 		panic("chrysalis: Partition needs one backplane segment per shard env")
 	}
-	if k.groups != nil {
+	if len(k.groups) != 1 {
 		panic("chrysalis: Partition called twice")
 	}
-	stride := len(envs)
-	k.groups = make([]*kgroup, stride)
+	boot := k.groups[0]
+	k.groups = make([]*kgroup, len(envs))
 	for i := range envs {
 		k.groups[i] = &kgroup{
-			k: k, idx: i, env: envs[i], bp: bps[i],
-			objects: make(map[ObjName]*memObject),
-			events:  make(map[EventName]*eventBlock),
-			queues:  make(map[QueueName]*dualQueue),
-			nextID:  k.def.nextID + uint32(i),
-			nextPID: k.def.nextPID + i,
-			stride:  stride,
+			k: k, env: envs[i], bp: bps[i],
+			objects: maps.Clone(boot.objects),
+			events:  maps.Clone(boot.events),
+			queues:  maps.Clone(boot.queues),
+			nextID:  boot.nextID + uint32(i),
+			nextPID: boot.nextPID + i,
+			stride:  len(envs),
 		}
 	}
 }
@@ -288,11 +245,7 @@ type memObject struct {
 	pages        []*page
 	refs         int
 	freeWhenZero bool
-	// dead marks a reclaimed boot object: once the kernel is
-	// partitioned the shared boot map is read-only, so reclamation
-	// tombstones the record instead of deleting the entry.
-	dead bool
-	home netsim.NodeID // memory module holding the object
+	home         netsim.NodeID // memory module holding the object
 	// midWrite lists the offsets of 32-bit fields currently half-written
 	// (a set: each offset at most once). Read32 during the window returns
 	// the torn mix.
@@ -375,7 +328,6 @@ type dualQueue struct {
 	capacity int
 	data     []uint32
 	waiters  []EventName // event names enqueued by dequeues-on-empty
-	dead     bool
 }
 
 // Process is a Chrysalis process: an address space plus owned event
@@ -392,9 +344,9 @@ type Process struct {
 	dead   bool
 }
 
-// NewProcess registers a process on the given node.
+// NewProcess registers a process on the given node, in group 0.
 func (k *Kernel) NewProcess(node netsim.NodeID) *Process {
-	return newProcessIn(k.def, node)
+	return newProcessIn(k.groups[0], node)
 }
 
 // NewProcessIn registers a process directly in partition group g: the
@@ -440,7 +392,7 @@ func (pr *Process) AllocObject(p *sim.Proc, size int) ObjName {
 // incrementing its reference count.
 func (pr *Process) Map(p *sim.Proc, name ObjName) Status {
 	charge(p, pr.k.cost(pr.k.costs.MapObject))
-	o, ok := pr.g.findObj(name)
+	o, ok := pr.g.objects[name]
 	if !ok {
 		return NoSuchObject
 	}
@@ -473,7 +425,7 @@ func (pr *Process) Unmap(p *sim.Proc, name ObjName) Status {
 // FreeWhenUnreferenced tells the kernel to reclaim the object when its
 // reference count reaches zero.
 func (pr *Process) FreeWhenUnreferenced(p *sim.Proc, name ObjName) Status {
-	o, ok := pr.g.findObj(name)
+	o, ok := pr.g.objects[name]
 	if !ok {
 		return NoSuchObject
 	}
@@ -483,14 +435,8 @@ func (pr *Process) FreeWhenUnreferenced(p *sim.Proc, name ObjName) Status {
 }
 
 func (g *kgroup) maybeReclaim(o *memObject) {
-	if o.refs <= 0 && o.freeWhenZero && !o.dead {
-		o.dead = true
-		if _, mine := g.objects[o.name]; mine {
-			// The overlay (or the unpartitioned boot map) is private to
-			// this group, so the entry itself can go; a boot object under
-			// a partitioned kernel keeps its tombstoned entry instead.
-			delete(g.objects, o.name)
-		}
+	if o.refs <= 0 && o.freeWhenZero {
+		delete(g.objects, o.name)
 		k := g.k
 		k.cReclaimed.Inc()
 		if k.rec.Active() {
@@ -501,10 +447,11 @@ func (g *kgroup) maybeReclaim(o *memObject) {
 	}
 }
 
-// Refs reports the object's reference count (tests and invariants).
+// Refs reports the reference count of an object in group 0's table
+// (tests and invariants).
 func (k *Kernel) Refs(name ObjName) (int, bool) {
-	o, ok := k.objects[name]
-	if !ok || o.dead {
+	o, ok := k.groups[0].objects[name]
+	if !ok {
 		return 0, false
 	}
 	return o.refs, true
@@ -515,7 +462,7 @@ func (pr *Process) obj(name ObjName) (*memObject, Status) {
 	if o, ok := pr.mapped[name]; ok {
 		return o, OK
 	}
-	if _, ok := pr.g.findObj(name); ok {
+	if _, ok := pr.g.objects[name]; ok {
 		return nil, NotMapped
 	}
 	return nil, NoSuchObject
@@ -722,7 +669,7 @@ func (pr *Process) NewEvent(p *sim.Proc) EventName {
 // EventPost performs V: it posts the event with a 32-bit datum, waking
 // the owner if it is waiting. Any process that knows the name may post.
 func (pr *Process) EventPost(p *sim.Proc, name EventName, datum uint32) Status {
-	ev, ok := pr.g.findEvent(name)
+	ev, ok := pr.g.events[name]
 	if !ok {
 		return NoSuchEvent
 	}
@@ -742,7 +689,7 @@ func (pr *Process) EventPost(p *sim.Proc, name EventName, datum uint32) Status {
 // EventWait performs P: the owner blocks until the event is posted and
 // receives the datum. Only the owner may wait.
 func (pr *Process) EventWait(p *sim.Proc, name EventName) (uint32, Status) {
-	ev, ok := pr.g.findEvent(name)
+	ev, ok := pr.g.events[name]
 	if !ok {
 		return 0, NoSuchEvent
 	}
@@ -760,9 +707,10 @@ func (pr *Process) EventWait(p *sim.Proc, name EventName) (uint32, Status) {
 	return v, OK
 }
 
-// EventPosted reports whether the event is currently posted (tests).
+// EventPosted reports whether an event of group 0's table is currently
+// posted (tests).
 func (k *Kernel) EventPosted(name EventName) bool {
-	ev, ok := k.events[name]
+	ev, ok := k.groups[0].events[name]
 	return ok && ev.posted
 }
 
@@ -779,8 +727,8 @@ func (pr *Process) NewDualQueue(p *sim.Proc, capacity int) QueueName {
 // datum instead ("an enqueue operation on a queue containing event block
 // names actually posts a queued event").
 func (pr *Process) Enqueue(p *sim.Proc, name QueueName, datum uint32) Status {
-	q, ok := pr.g.findQueue(name)
-	if !ok || q.dead {
+	q, ok := pr.g.queues[name]
+	if !ok {
 		return NoSuchQueue
 	}
 	if p != nil {
@@ -790,7 +738,7 @@ func (pr *Process) Enqueue(p *sim.Proc, name QueueName, datum uint32) Status {
 	if len(q.waiters) > 0 {
 		evName := q.waiters[0]
 		q.waiters = q.waiters[0:copy(q.waiters, q.waiters[1:])]
-		if ev, ok := pr.g.findEvent(evName); ok && !ev.posted {
+		if ev, ok := pr.g.events[evName]; ok && !ev.posted {
 			pr.k.cEventPosts.Inc()
 			if pr.k.rec.Active() {
 				pr.k.rec.EmitEnv(pr.g.env, obs.Event{
@@ -817,8 +765,8 @@ func (pr *Process) Enqueue(p *sim.Proc, name QueueName, datum uint32) Status {
 // empty, subsequent dequeue operations actually enqueue event block
 // names").
 func (pr *Process) Dequeue(p *sim.Proc, name QueueName, ev EventName) (uint32, bool, Status) {
-	q, ok := pr.g.findQueue(name)
-	if !ok || q.dead {
+	q, ok := pr.g.queues[name]
+	if !ok {
 		return 0, false, NoSuchQueue
 	}
 	charge(p, pr.k.cost(pr.k.costs.Dequeue))
@@ -838,9 +786,10 @@ func (pr *Process) Dequeue(p *sim.Proc, name QueueName, ev EventName) (uint32, b
 	return 0, false, OK
 }
 
-// QueueLen reports buffered data count (tests).
+// QueueLen reports the buffered data count of a queue of group 0's
+// table (tests).
 func (k *Kernel) QueueLen(name QueueName) int {
-	if q, ok := k.queues[name]; ok {
+	if q, ok := k.groups[0].queues[name]; ok {
 		return len(q.data)
 	}
 	return 0

@@ -453,3 +453,34 @@ func TestDualQueueFIFOProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReclaimBootObjectPartitioned: under a partition, an object
+// allocated before the split and reclaimed mid-run answers
+// NoSuchObject to Map from every process of its group.
+func TestReclaimBootObjectPartitioned(t *testing.T) {
+	root := sim.NewEnv(1)
+	bp := netsim.NewBackplane()
+	k := NewKernel(root, bp, calib.DefaultChrysalis())
+	a, b := k.NewProcess(0), k.NewProcess(1)
+	name := a.AllocObject(nil, 64)
+	envs := root.EnterParallel(sim.ParallelOptions{Groups: 2, Workers: 1})
+	k.Partition(envs, bp.Partition(2))
+	a.AssignGroup(1)
+	b.AssignGroup(1)
+	envs[1].Spawn("g1", func(p *sim.Proc) {
+		if st := a.FreeWhenUnreferenced(p, name); st != OK {
+			t.Fatalf("FreeWhenUnreferenced: %v", st)
+		}
+		if st := a.Unmap(p, name); st != OK {
+			t.Fatalf("Unmap: %v", st)
+		}
+		for _, pr := range []*Process{a, b} {
+			if st := pr.Map(p, name); st != NoSuchObject {
+				t.Errorf("Map by %d after reclaim: %v, want NoSuchObject", pr.ID(), st)
+			}
+		}
+	})
+	if err := root.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -146,7 +146,7 @@ func checkMemOps(t *testing.T, size int, ops []memOp) {
 	var obj *memObject
 	env.Spawn("driver", func(p *sim.Proc) {
 		name := a.AllocObject(p, size)
-		obj = k.objects[name]
+		obj = k.groups[0].objects[name]
 		for i, op := range ops {
 			fail := func(format string, args ...any) {
 				t.Errorf("size %d, op %d %+v: "+format, append([]any{size, i, op}, args...)...)

@@ -27,6 +27,7 @@ package soda
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -208,23 +209,18 @@ func charge(p *sim.Proc, d sim.Duration) {
 
 // Kernel is the SODA network: the set of kernel processors and the bus.
 //
-// For conservative parallel runs the kernel is split into groups
-// (Partition): each group owns a shard env, a bus segment, strided id
-// allocators, and an overlay process map, so processes of different
-// groups share no mutable kernel state mid-run. Processes registered
-// before partitioning stay in the shared boot map, which is read-only
-// from then on. A request addressed across groups fails with
-// NoSuchProc — partition groups are connected components of the boot
-// wiring, so no correct program crosses them.
+// The kernel's state lives in groups: one from construction, and one
+// per shard env after Partition, each with its own process table, bus
+// segment and strided id allocators, so processes of different groups
+// share no mutable kernel state mid-run. A request addressed across
+// groups fails with NoSuchProc — partition groups are connected
+// components of the boot wiring, so no correct program crosses them.
 type Kernel struct {
 	env   *sim.Env
 	bus   *netsim.CSMABus
 	costs calib.SODACosts
 
-	procs map[ProcID]*Process // boot map; read-only once partitioned
-
-	def    *kgroup   // the unpartitioned group (boot allocator)
-	groups []*kgroup // non-nil after Partition
+	groups []*kgroup // one until Partition, then one per shard env
 
 	rec *obs.Recorder
 	// Instrument handles, resolved once so hot paths skip the registry.
@@ -235,28 +231,25 @@ type Kernel struct {
 	PairLimit int
 }
 
-// kgroup is one partition group of the kernel: the shard env its
-// processes run on, the bus segment they transmit over, an overlay map
-// for processes registered mid-run, and strided id allocators whose
-// output depends only on this group's own call order.
+// kgroup is one group of the kernel: the env its processes run on,
+// the bus segment they transmit over, its process table, and strided
+// id allocators whose output depends only on this group's own call
+// order.
 type kgroup struct {
 	k   *Kernel
-	idx int // -1 for the default (unpartitioned) group
 	env *sim.Env
 	bus *netsim.CSMABus
 
-	procs    map[ProcID]*Process // == k.procs for the default group
+	procs    map[ProcID]*Process
 	nextProc ProcID
 	nextName uint64
 	nextReq  ReqID
 	stride   int
 
 	// gone holds the ids of this group's terminated processes, dropped
-	// from procs; findProc answers them with tomb, a shared dead record,
-	// so requests to them still fail with DeadProc rather than
-	// NoSuchProc. Both are allocated on the first termination.
+	// from procs, so requests to them still fail with DeadProc rather
+	// than NoSuchProc. It is allocated on the first termination.
 	gone map[ProcID]struct{}
-	tomb *Process
 
 	// free holds request records for reuse. Only this group's processes
 	// and frames take from and return to it, so groups never share one.
@@ -289,23 +282,6 @@ func (r *request) drop() {
 	g.free = append(g.free, r)
 }
 
-// findProc resolves a process id against the group overlay, then the
-// shared boot map. The caller checks group membership before touching
-// any mutable field of the result.
-func (g *kgroup) findProc(id ProcID) (*Process, bool) {
-	if p, ok := g.procs[id]; ok {
-		return p, true
-	}
-	if _, ok := g.gone[id]; ok {
-		return g.tomb, true
-	}
-	if g.idx >= 0 {
-		p, ok := g.k.procs[id]
-		return p, ok
-	}
-	return nil, false
-}
-
 // NewKernel creates a SODA kernel over the given bus.
 func NewKernel(env *sim.Env, bus *netsim.CSMABus, costs calib.SODACosts) *Kernel {
 	rec := obs.NewRecorder(env, "soda")
@@ -313,7 +289,6 @@ func NewKernel(env *sim.Env, bus *netsim.CSMABus, costs calib.SODACosts) *Kernel
 		env:         env,
 		bus:         bus,
 		costs:       costs,
-		procs:       make(map[ProcID]*Process),
 		rec:         rec,
 		cRequests:   rec.Counter(obs.MKernelRequests),
 		cAccepts:    rec.Counter(obs.MKernelAccepts),
@@ -324,33 +299,37 @@ func NewKernel(env *sim.Env, bus *netsim.CSMABus, costs calib.SODACosts) *Kernel
 		cBytes:      rec.Counter(obs.MKernelBytes),
 		PairLimit:   8,
 	}
-	k.def = &kgroup{k: k, idx: -1, env: env, bus: bus, procs: k.procs, nextProc: 1, nextName: 1, nextReq: 1, stride: 1}
+	k.groups = []*kgroup{{k: k, env: env, bus: bus, procs: make(map[ProcID]*Process),
+		nextProc: 1, nextName: 1, nextReq: 1, stride: 1}}
 	return k
 }
 
 // Partition splits the kernel into one group per shard env for a
 // conservative parallel run: group i's processes run on envs[i] and
-// transmit over buses[i] (its per-group medium segment). Ids allocated
-// from here on are strided per group, so mid-run NewName/Request/
-// NewProcessIn stay deterministic at any worker count. Call before the
-// run starts, then AssignGroup every process.
+// transmit over buses[i] (its per-group medium segment). Each group
+// gets its own copy of the boot group's process table, so the copies
+// cost len(envs) × (processes registered so far). Ids allocated from
+// here on are strided per group, so mid-run NewName/Request/
+// NewProcessIn stay deterministic at any worker count. Call once,
+// before the run starts, then AssignGroup every process.
 func (k *Kernel) Partition(envs []*sim.Env, buses []*netsim.CSMABus) {
 	if len(envs) != len(buses) {
 		panic("soda: Partition needs one bus segment per shard env")
 	}
-	if k.groups != nil {
+	if len(k.groups) != 1 {
 		panic("soda: Partition called twice")
 	}
-	stride := len(envs)
-	k.groups = make([]*kgroup, stride)
+	boot := k.groups[0]
+	k.groups = make([]*kgroup, len(envs))
 	for i := range envs {
 		k.groups[i] = &kgroup{
-			k: k, idx: i, env: envs[i], bus: buses[i],
-			procs:    make(map[ProcID]*Process),
-			nextProc: k.def.nextProc + ProcID(i),
-			nextName: k.def.nextName + uint64(i),
-			nextReq:  k.def.nextReq + ReqID(i),
-			stride:   stride,
+			k: k, env: envs[i], bus: buses[i],
+			procs:    maps.Clone(boot.procs),
+			gone:     maps.Clone(boot.gone),
+			nextProc: boot.nextProc + ProcID(i),
+			nextName: boot.nextName + uint64(i),
+			nextReq:  boot.nextReq + ReqID(i),
+			stride:   len(envs),
 		}
 	}
 }
@@ -416,36 +395,23 @@ func (k *Kernel) DataDelay(n int) sim.Duration {
 	return sim.Duration(n) * (k.costs.PerByte + wirePerByte)
 }
 
-// LiveIDs returns the ids of all live processes in ascending order.
-// SODA "makes it easy to guess their ids"; the freeze protocol needs
-// this. On a partitioned kernel use Process.LiveIDs, which scopes the
-// scan to the caller's group.
-func (k *Kernel) LiveIDs() []ProcID {
-	return k.def.liveIDs(nil)
-}
-
 // LiveIDs returns the ids of all live processes in this process's
-// partition group, ascending. Groups are connected components of the
+// group, ascending. SODA "makes it easy to guess their ids"; the
+// freeze protocol needs this. Groups are connected components of the
 // boot wiring, so the group is "every process in existence" as far as
 // any protocol of pr's can observe.
 func (pr *Process) LiveIDs() []ProcID {
-	return pr.g.liveIDs(pr.g)
+	return pr.g.liveIDs()
 }
 
-// liveIDs scans the boot map plus the group overlay for live processes
-// of group want (nil: no membership filter), ascending by id.
-func (g *kgroup) liveIDs(want *kgroup) []ProcID {
+// liveIDs lists the group's live member processes, ascending by id.
+// The table also holds copies of other groups' boot processes, which
+// are skipped.
+func (g *kgroup) liveIDs() []ProcID {
 	var ids []ProcID
-	for id, p := range g.k.procs {
-		if (want == nil || p.g == want) && !p.dead {
+	for id, p := range g.procs {
+		if p.g == g && !p.dead {
 			ids = append(ids, id)
-		}
-	}
-	if g.idx >= 0 {
-		for id, p := range g.procs {
-			if (want == nil || p.g == want) && !p.dead {
-				ids = append(ids, id)
-			}
 		}
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -501,10 +467,10 @@ type Process struct {
 	outbound reqTable
 }
 
-// NewProcess registers a process on the given node with its interrupt
-// handler initially open.
+// NewProcess registers a process on the given node in group 0 with its
+// interrupt handler initially open.
 func (k *Kernel) NewProcess(node netsim.NodeID) *Process {
-	return newProcessIn(k.def, node)
+	return newProcessIn(k.groups[0], node)
 }
 
 // NewProcessIn registers a process directly in partition group g: the
@@ -672,16 +638,17 @@ func (pr *Process) raise(ir Interrupt) {
 func (pr *Process) Request(p *sim.Proc, to ProcID, name Name, oob OOB, data []byte, recvBytes int) (ReqID, Status) {
 	charge(p, pr.k.costs.ClientCall)
 	pr.k.cRequests.Inc()
-	target, ok := pr.g.findProc(to)
+	target, ok := pr.g.procs[to]
 	if !ok || target.g != pr.g {
+		if _, dead := pr.g.gone[to]; dead {
+			return 0, DeadProc
+		}
 		// A target outside the partition group is unreachable: groups are
 		// connected components of the boot wiring, and its state belongs
 		// to a concurrently executing shard. (Membership is checked before
-		// any mutable field of target is read.)
+		// any mutable field of target is read; a member in the table is
+		// alive, for Terminate moves it to gone.)
 		return 0, NoSuchProc
-	}
-	if target.dead {
-		return 0, DeadProc
 	}
 	if lim := pr.k.PairLimit; lim > 0 {
 		n := 0
@@ -827,8 +794,8 @@ func (pr *Process) Discover(p *sim.Proc, n Name) (ProcID, Status) {
 	// partition group: a broadcast never leaves its bus segment, and the
 	// rng draw per candidate must follow the group's own stream.
 	var found, foundNode = ProcID(0), netsim.NodeID(0)
-	for _, id := range g.liveIDs(liveWant(g)) {
-		q, _ := g.findProc(id)
+	for _, id := range g.liveIDs() {
+		q := g.procs[id]
 		if q.id == pr.id || !q.advertised[n] {
 			continue
 		}
@@ -846,15 +813,6 @@ func (pr *Process) Discover(p *sim.Proc, n Name) (ProcID, Status) {
 	back := g.bus.SendTime(g.env.Now(), foundNode, pr.node, 16)
 	p.Delay(back)
 	return found, OK
-}
-
-// liveWant is the membership filter for group-scoped scans: none for
-// the default group (everything is one group), g itself otherwise.
-func liveWant(g *kgroup) *kgroup {
-	if g.idx < 0 {
-		return nil
-	}
-	return g
 }
 
 // ReqState is the requester-visible lifecycle of an outstanding request.
@@ -940,9 +898,9 @@ func (pr *Process) OutstandingTo(to ProcID) int {
 // feels a crash interrupt. Safe to call from OnKill hooks.
 //
 // The kernel then forgets everything but the id: the process leaves its
-// group's table for a tombstone (the DeadProc answer), and its handler,
-// queue and request tables are dropped, so nothing the handler reached
-// stays alive through the kernel.
+// group's table for the group's gone set (the DeadProc answer), and its
+// handler, queue and request tables are dropped, so nothing the handler
+// reached stays alive through the kernel.
 func (pr *Process) Terminate() {
 	if pr.dead {
 		return
@@ -970,16 +928,11 @@ func (pr *Process) Terminate() {
 	pr.inbound, pr.outbound, pr.advertised = nil, nil, nil
 	pr.handler, pr.queue = nil, nil
 	g := pr.g
-	// A boot process of a partitioned kernel lives in the shared boot
-	// map, which is read-only mid-run: it stays there, stripped.
-	if g.procs[pr.id] == pr {
-		delete(g.procs, pr.id)
-		if g.gone == nil {
-			g.gone = make(map[ProcID]struct{})
-			g.tomb = &Process{k: g.k, g: g, dead: true}
-		}
-		g.gone[pr.id] = struct{}{}
+	delete(g.procs, pr.id)
+	if g.gone == nil {
+		g.gone = make(map[ProcID]struct{})
 	}
+	g.gone[pr.id] = struct{}{}
 }
 
 // Dead reports whether the process has terminated.

@@ -417,12 +417,12 @@ func TestLiveIDs(t *testing.T) {
 	b := k.NewProcess(1)
 	c := k.NewProcess(2)
 	env.Spawn("x", func(p *sim.Proc) {
-		ids := k.LiveIDs()
+		ids := a.LiveIDs()
 		if len(ids) != 3 {
 			t.Fatalf("live = %v", ids)
 		}
 		b.Terminate()
-		ids = k.LiveIDs()
+		ids = a.LiveIDs()
 		if len(ids) != 2 || ids[0] != a.ID() || ids[1] != c.ID() {
 			t.Fatalf("live after kill = %v", ids)
 		}

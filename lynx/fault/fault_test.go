@@ -129,6 +129,29 @@ func TestScenarioRegistry(t *testing.T) {
 	}
 }
 
+// TestParseScenariosDefault: "default" expands in place to every
+// registered scenario, in registry order, and a bad entry fails the
+// whole list.
+func TestParseScenariosDefault(t *testing.T) {
+	plans, err := ParseScenarios([]string{"drop10", " default "})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := ScenarioNames()
+	if len(plans) != 1+len(names) {
+		t.Fatalf("got %d plans, want %d", len(plans), 1+len(names))
+	}
+	for i, n := range append([]string{"drop10"}, names...) {
+		want, _ := ParseScenario(n)
+		if plans[i].String() != want.String() {
+			t.Errorf("plan %d = %v, want %v (%s)", i, plans[i], want, n)
+		}
+	}
+	if _, err := ParseScenarios([]string{"default", "no-such-scenario"}); err == nil {
+		t.Error("a bad entry should fail the list")
+	}
+}
+
 func TestChurns(t *testing.T) {
 	for src, want := range map[string]bool{
 		"crash(p,10ms)":               true,

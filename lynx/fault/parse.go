@@ -303,6 +303,27 @@ func ScenarioNames() []string {
 	return names
 }
 
+// ParseScenarios resolves a scenario list, each entry a registered
+// name or an inline plan; "default" expands to every registered
+// scenario, in registry order.
+func ParseScenarios(list []string) ([]*Plan, error) {
+	var out []*Plan
+	for _, s := range list {
+		names := []string{s}
+		if strings.TrimSpace(s) == "default" {
+			names = ScenarioNames()
+		}
+		for _, name := range names {
+			p, err := ParseScenario(name)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, p)
+		}
+	}
+	return out, nil
+}
+
 // ParseScenario resolves a registered scenario name, or falls back to
 // parsing s as an inline plan in the canonical grammar.
 func ParseScenario(s string) (*Plan, error) {

@@ -15,7 +15,7 @@ import (
 func echoBody(c Cell, r sweep.Run) Outcome {
 	sub := c.Value("substrate").(lynx.Substrate)
 	payload := c.Int("payload")
-	sys := lynx.NewSystem(lynx.Config{Substrate: sub, Seed: r.Seed, BufCap: payload + 256})
+	sys := lynx.NewSystem(lynx.Config{Substrate: sub, Seed: r.Seed})
 	data := make([]byte, payload)
 	var rtt lynx.Duration
 	cl := sys.Spawn("client", func(th *lynx.Thread, boot []*lynx.End) {

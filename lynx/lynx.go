@@ -213,6 +213,9 @@ func ParseSubstrates(csv string) ([]Substrate, error) {
 // nodes, the Crystal multicomputer's size.
 const nodes = 20
 
+// bufCap is the maximum message size on every substrate.
+const bufCap = 4096
+
 // Config parameterizes a System. The zero value is a working Charlotte
 // machine with default sizing. Substrate-specific knobs live in the
 // per-substrate option blocks; options for substrates other than the
@@ -222,9 +225,6 @@ type Config struct {
 	Substrate Substrate
 	// Seed drives all randomness; same seed ⇒ identical run.
 	Seed uint64
-	// BufCap is the maximum message size on every substrate. Default
-	// 4096.
-	BufCap int
 	// SimWorkers caps how many event-loop shards execute concurrently
 	// inside this System. The run is partitioned into shards whenever
 	// the boot-join graph has >= 2 connected components and the medium
@@ -285,7 +285,6 @@ type System struct {
 	specs    []*ProcRef
 	launched []*ProcRef
 	byProc   map[*core.Process]*ProcRef
-	nextNode int
 	ran      bool
 	// restartable holds the process names the fault plan restarts;
 	// relaunch keeps, for each such name and group, the first mid-run
@@ -306,14 +305,15 @@ type System struct {
 	// SimWorkers > 1, i.e. shards actually executing concurrently.
 	partitioned bool
 	parallel    bool
-	// shards are the per-group envs of a partitioned run; segs the
-	// per-group medium segments (nil on Ideal, which has no medium).
+	// shards are the per-group envs: the serial env alone until a
+	// partition, then one per group. segs are the per-group medium
+	// segments of a partitioned run (nil on Ideal, which has no medium).
 	shards []*sim.Env
 	segs   []netsim.Network
-	// groupNode are per-group node-placement cursors for mid-run
-	// launches, each starting from the boot cursor frozen at partition
-	// time so placement is a group-local (worker-count-invariant)
-	// sequence.
+	// groupNode are the per-group node-placement cursors. Group 0's
+	// places the boot specs; at a partition every group's cursor starts
+	// from it, so mid-run placement is a group-local
+	// (worker-count-invariant) sequence.
 	groupNode []int
 	// injKids are the per-group fault injectors of a partitioned faulted
 	// run; churn tallies each churn event across all groups (misses are
@@ -341,7 +341,7 @@ type ProcRef struct {
 	sys   *System
 	name  string
 	idx   int // boot specs: position in sys.specs (component lookup)
-	group int // partition group (home shard), -1 when unpartitioned
+	group int // partition group (home shard); 0 when unpartitioned
 	main  func(*Thread, []*End)
 	tr    core.Transport
 	boots []core.TransEnd
@@ -357,7 +357,8 @@ type ProcRef struct {
 func NewSystem(cfg Config) *System {
 	cfg = cfg.normalized()
 	env := sim.NewEnv(cfg.Seed)
-	s := &System{cfg: cfg, sodaCfg: cfg.SODA.bindConfig(cfg.BufCap), env: env,
+	s := &System{cfg: cfg, sodaCfg: cfg.SODA.bindConfig(), env: env,
+		shards: []*sim.Env{env}, groupNode: []int{0},
 		byProc: make(map[*core.Process]*ProcRef)}
 	switch cfg.Substrate {
 	case Charlotte:
@@ -433,7 +434,7 @@ func (s *System) installFaults() {
 			s.net.SetFaultHook(s.inj)
 			s.inj.StartStorms(s.net)
 		}
-		s.scheduleChurn(s.env, s.inj, -1)
+		s.scheduleChurn(s.env, s.inj, 0)
 		return
 	}
 	s.injKids = s.inj.Split(s.shards)
@@ -452,14 +453,14 @@ func (s *System) installFaults() {
 
 // scheduleChurn registers the plan's process-level events as
 // virtual-time timers on env, acting through inj on the processes homed
-// on group g (-1: every process, on an unpartitioned run). A partitioned
-// run schedules each event on every shard, so a crash pattern spanning
-// groups kills each group's matches at that group's virtual time with no
-// cross-shard access. Names are resolved at fire time over the
-// then-current process population (which grows under Launch), in spawn
-// order, so the event schedule composes with dynamic workloads. Each
-// event's tally is shared by all groups; an event that fired and hit
-// nothing in any group is a miss (see FaultStats).
+// on group g (on an unpartitioned run, group 0 holds every process). A
+// partitioned run schedules each event on every shard, so a crash
+// pattern spanning groups kills each group's matches at that group's
+// virtual time with no cross-shard access. Names are resolved at fire
+// time over the then-current process population (which grows under
+// Launch), in spawn order, so the event schedule composes with dynamic
+// workloads. Each event's tally is shared by all groups; an event that
+// fired and hit nothing in any group is a miss (see FaultStats).
 func (s *System) scheduleChurn(env *sim.Env, inj *fault.Injector, g int) {
 	j := 0
 	for _, ev := range s.cfg.Faults.Events {
@@ -498,13 +499,13 @@ func (s *System) snapshotSpecs() []*ProcRef {
 
 // crashMatching kills every live process whose name matches pattern
 // (exact, or a trailing-* prefix like "u1.*") and returns how many it
-// killed. With g >= 0 only processes homed on group g are touched (the
-// group filter reads only the immutable group field of foreign specs,
-// never their procs).
+// killed. Only processes homed on group g are touched (the group
+// filter reads only the immutable group field of foreign specs, never
+// their procs).
 func (s *System) crashMatching(pattern string, g int, inj *fault.Injector) int {
 	n := 0
 	for _, pr := range s.snapshotSpecs() {
-		if g >= 0 && pr.group != g {
+		if pr.group != g {
 			continue
 		}
 		if pr.proc == nil || pr.proc.Dead() || !nameMatches(pattern, pr.name) {
@@ -529,9 +530,8 @@ func nameMatches(pattern, name string) bool {
 // like any launch, with an empty boot slice — a restarted process
 // re-acquires capabilities through the substrate (Discover, Launch);
 // it inherits nothing from the dead incarnation. Returns false when no
-// spec carries the name. With g >= 0 (a partitioned run's per-shard
-// churn timer) only a spec homed on group g qualifies, and the new
-// incarnation is born on that same shard.
+// spec homed on group g carries the name; the new incarnation is born
+// on that group's shard.
 func (s *System) restartNamed(name string, g int) bool {
 	s.mu.Lock()
 	main := s.mainNamed(name, g)
@@ -539,22 +539,22 @@ func (s *System) restartNamed(name string, g int) bool {
 	if main == nil {
 		return false
 	}
-	s.start(s.newProcRef(name, main, g), s.envOf(g))
+	s.start(s.newProcRef(name, main, g), s.shards[g])
 	return true
 }
 
 // mainNamed returns the main function of the first spec, in spec order,
-// named name (and homed on group g when g >= 0), or nil; the caller
-// holds mu. Boot specs precede every mid-run one, and relaunch holds the
-// first mid-run spec of each restartable name and group.
+// named name and homed on group g, or nil; the caller holds mu. Boot
+// specs precede every mid-run one, and relaunch holds the first mid-run
+// spec of each restartable name and group.
 func (s *System) mainNamed(name string, g int) func(*Thread, []*End) {
 	for _, pr := range s.specs {
-		if pr.name == name && (g < 0 || pr.group == g) {
+		if pr.name == name && pr.group == g {
 			return pr.main
 		}
 	}
 	for _, r := range s.relaunch {
-		if r.name == name && (g < 0 || r.group == g) {
+		if r.name == name && r.group == g {
 			return r.main
 		}
 	}
@@ -618,62 +618,34 @@ func (s *System) Spawn(name string, main func(t *Thread, boot []*End)) *ProcRef 
 	if s.ran {
 		panic("lynx: Spawn after Run")
 	}
-	return s.newProcRef(name, main, -1)
+	return s.newProcRef(name, main, 0)
 }
 
 // newProcRef allocates a spec and its substrate transport (shared by
-// Spawn, Launch, and restart). g >= 0 homes the process on that
-// partition group: kernel process and transport allocate from the
-// group's strided id space, node placement advances the group's own
-// cursor, and the transport is born on the group's shard env.
+// Spawn, Launch, and restart), homed on partition group g: kernel
+// process and transport allocate from the group's strided id space,
+// node placement advances the group's own cursor, and the transport is
+// born on the group's shard env.
 func (s *System) newProcRef(name string, main func(*Thread, []*End), g int) *ProcRef {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	pr := &ProcRef{sys: s, name: name, idx: len(s.specs), group: g, main: main}
-	env := s.envOf(g)
-	var node netsim.NodeID
-	if g >= 0 {
-		node = netsim.NodeID(s.groupNode[g] % nodes)
-		s.groupNode[g]++
-	} else {
-		node = netsim.NodeID(s.nextNode % nodes)
-		s.nextNode++
-	}
+	env := s.shards[g]
+	node := netsim.NodeID(s.groupNode[g] % nodes)
+	s.groupNode[g]++
 	switch s.cfg.Substrate {
 	case Charlotte:
-		var kp *charlotte.Process
-		if g >= 0 {
-			kp = s.charK.NewProcessIn(g, node)
-		} else {
-			kp = s.charK.NewProcess(node)
-		}
-		pr.chTr = chbind.New(env, kp, s.cfg.BufCap)
+		pr.chTr = chbind.New(env, s.charK.NewProcessIn(g, node), bufCap)
 		pr.tr = pr.chTr
 	case SODA:
-		var kp *soda.Process
-		if g >= 0 {
-			kp = s.sodaK.NewProcessIn(g, node)
-		} else {
-			kp = s.sodaK.NewProcess(node)
-		}
-		pr.sodaTr = sodabind.New(env, s.sodaK, kp, s.sodaCfg)
+		pr.sodaTr = sodabind.New(env, s.sodaK, s.sodaK.NewProcessIn(g, node), s.sodaCfg)
 		pr.tr = pr.sodaTr
 	case Chrysalis:
-		var kp *chrysalis.Process
-		if g >= 0 {
-			kp = s.chrK.NewProcessIn(g, node)
-		} else {
-			kp = s.chrK.NewProcess(node)
-		}
-		pr.chrTr = chrbind.New(env, s.chrK, kp, s.cfg.BufCap)
+		pr.chrTr = chrbind.New(env, s.chrK, s.chrK.NewProcessIn(g, node), bufCap)
 		pr.tr = pr.chrTr
 	case Ideal:
-		if g >= 0 {
-			pr.idTr = s.fab.NewTransportIn(g, pr.name)
-			pr.idTr.SetEnv(env)
-		} else {
-			pr.idTr = s.fab.NewTransport(pr.name)
-		}
+		pr.idTr = s.fab.NewTransportIn(g, pr.name)
+		pr.idTr.SetEnv(env)
 		pr.tr = pr.idTr
 	}
 	if !s.ran {
@@ -754,7 +726,7 @@ func (s *System) runtimeCosts() calib.LynxRuntimeCosts {
 // When eligible it partitions the env into one shard per component,
 // splits the medium into per-group segments, partitions the kernel's
 // state, and homes each boot spec on its component's group; otherwise
-// every spec stays on the serial env (group -1).
+// every spec stays in group 0, on the serial env.
 func (s *System) planParallel() {
 	if len(s.specs) < 2 {
 		return
@@ -817,9 +789,10 @@ func (s *System) planParallel() {
 	}
 	// Mid-run launches place round-robin per group, each cursor starting
 	// from the boot cursor frozen here.
+	boot := s.groupNode[0]
 	s.groupNode = make([]int, k)
 	for g := range s.groupNode {
-		s.groupNode[g] = s.nextNode
+		s.groupNode[g] = boot
 	}
 	// Split the medium into per-group segments and shard the kernel.
 	switch s.cfg.Substrate {
@@ -890,7 +863,7 @@ func (s *System) materialize() {
 	s.planParallel()
 	s.installFaults()
 	for _, pr := range s.specs {
-		env := s.envOf(pr.group)
+		env := s.shards[pr.group]
 		if s.partitioned {
 			// Both ends of every link live in one component, so a
 			// link's traffic always runs on one shard.
@@ -898,15 +871,6 @@ func (s *System) materialize() {
 		}
 		s.start(pr, env)
 	}
-}
-
-// envOf returns the env of partition group g: its shard, or the serial
-// env for g = -1.
-func (s *System) envOf(g int) *sim.Env {
-	if g >= 0 {
-		return s.shards[g]
-	}
-	return s.env
 }
 
 // start creates pr's core process on env, whose main adopts pr's boot
@@ -974,7 +938,7 @@ func (s *System) LaunchGroup(t *Thread, specs []ProcSpec, wires [][2]int) (*End,
 	// on the launcher's shard — kernel processes, transports, and boot
 	// links all allocate from that group's strided id space — so the
 	// launch touches no other shard's state and the engine stays
-	// parallel. Unpartitioned runs (g = -1) keep the classic global
+	// parallel. Unpartitioned runs (g = 0) keep the classic global
 	// sequences.
 	g := parent.group
 	refs := make([]*ProcRef, len(specs))
@@ -996,7 +960,7 @@ func (s *System) LaunchGroup(t *Thread, specs []ProcSpec, wires [][2]int) (*End,
 		s.join(refs[w[0]], refs[w[1]])
 	}
 	for _, child := range refs {
-		s.start(child, s.envOf(g))
+		s.start(child, s.shards[g])
 	}
 	return t.AdoptBootEnd(parentTE), refs
 }

@@ -31,9 +31,6 @@ type ChrysalisOptions struct {
 
 // normalized resolves defaults.
 func (cfg Config) normalized() Config {
-	if cfg.BufCap <= 0 {
-		cfg.BufCap = 4096
-	}
 	// SimWorkers <= 0 is the serial default; the value never affects
 	// results (see Config.SimWorkers), only wall-clock execution.
 	if cfg.SimWorkers <= 0 {
@@ -43,8 +40,8 @@ func (cfg Config) normalized() Config {
 }
 
 // bindConfig lowers the options onto the SODA binding's config struct,
-// with bufCap the System's resolved message size.
-func (o SODAOptions) bindConfig(bufCap int) sodabind.Config {
+// with the System's message size.
+func (o SODAOptions) bindConfig() sodabind.Config {
 	c := sodabind.DefaultConfig()
 	c.BufCap = bufCap
 	switch {

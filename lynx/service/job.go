@@ -72,7 +72,8 @@ type GridJob struct {
 // the grid `lynxload -rates` builds, so the streamed result table is
 // byte-identical to the CLI run of the same options. Faults optionally
 // crosses the sweep with fault scenarios (registered names like
-// "drop10" or inline fault-plan strings), mirroring `lynxload -faults`.
+// "drop10", inline fault-plan strings, or "default" for every
+// registered scenario), mirroring `lynxload -faults`.
 type LoadJob struct {
 	Substrates []string  `json:"substrates"`
 	Rates      []float64 `json:"rates"`
@@ -487,13 +488,9 @@ func (s *Service) buildLoadJob(spec LoadJob, client string, now time.Time) (*job
 		}
 		mix = m
 	}
-	var plans []*fault.Plan
-	for _, f := range spec.Faults {
-		p, err := fault.ParseScenario(f)
-		if err != nil {
-			return nil, err
-		}
-		plans = append(plans, p)
+	plans, err := fault.ParseScenarios(spec.Faults)
+	if err != nil {
+		return nil, err
 	}
 	opts := load.SweepOptions{
 		Substrates: subs,

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/expt"
 	"repro/lynx"
+	"repro/lynx/fault"
 	"repro/lynx/grid"
 	"repro/lynx/load"
 )
@@ -402,6 +403,28 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 
 // Validation failures surface as 400 at submit time, not as failed
 // jobs.
+// TestLoadJobDefaultFaults: a load job's fault list may say "default",
+// as lynxload -faults does, and builds the same job as one that names
+// every registered scenario.
+func TestLoadJobDefaultFaults(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	key := func(faults []string) string {
+		t.Helper()
+		j, err := s.buildJob(JobRequest{Kind: "load", Load: &LoadJob{
+			Substrates: []string{"charlotte"}, Rates: []float64{40}, Window: "200ms", Faults: faults,
+		}}, "test", time.Unix(0, 0))
+		if err != nil {
+			t.Fatalf("faults %v: %v", faults, err)
+		}
+		j.cancel()
+		return j.key
+	}
+	if def, all := key([]string{"default"}), key(fault.ScenarioNames()); def != all {
+		t.Fatalf("default key = %q, want %q", def, all)
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	_, ts := startService(t, Config{Workers: 1})
 	cases := []JobRequest{
