@@ -101,7 +101,7 @@ func TestChromeMatchesJSONLGolden(t *testing.T) {
 						t.Fatalf("golden line %d: %v", i+1, err)
 					}
 					ce := doc.TraceEvents[i]
-					if ce.Name != ev.Kind.String() || ce.Ts != float64(ev.At)/1e3 || ce.Pid != ev.Proc || ce.Tid != ev.Thread {
+					if ce.Name != ev.Kind.String() || ce.Ts != float64(ev.At)/1e3 || ce.Pid != ev.Proc || ce.Tid != 0 {
 						t.Fatalf("event %d: chrome %+v, golden %s", i, ce, line)
 					}
 				}

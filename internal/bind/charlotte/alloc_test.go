@@ -20,7 +20,7 @@ func TestFreshLinkHeap(t *testing.T) {
 	const links = 1000
 	env := sim.NewEnv(1)
 	k := charlotte.NewKernel(env, netsim.NewTokenRing(20), calib.DefaultCharlotte())
-	tr := New(env, k.NewProcess(0), 4096)
+	tr := New(k.NewProcess(0))
 	var perLink uint64
 	env.Spawn("maker", func(p *sim.Proc) {
 		tr.proc = p
@@ -53,7 +53,7 @@ func TestFreshLinkHeap(t *testing.T) {
 func TestWarmStartSendAllocFree(t *testing.T) {
 	env := sim.NewEnv(1)
 	k := charlotte.NewKernel(env, netsim.NewTokenRing(20), calib.DefaultCharlotte())
-	a := New(env, k.NewProcess(0), 4096)
+	a := New(k.NewProcess(0))
 	kpB := k.NewProcess(1)
 	ea, eb := k.BootLink(a.kp, kpB)
 	msg := &core.WireMsg{Kind: core.KindRequest, Op: "op", Seq: 1, Data: make([]byte, 64)}

@@ -89,7 +89,6 @@ type counters struct {
 
 // Transport is one LYNX process's Charlotte binding.
 type Transport struct {
-	env  *sim.Env
 	kp   *charlotte.Process
 	sink func(core.Event)
 	proc *sim.Proc // the LYNX process's simproc
@@ -98,10 +97,7 @@ type Transport struct {
 	c    counters
 
 	ends map[charlotte.EndRef]*endState
-	// bufCap is the receive buffer capacity posted with every kernel
-	// Receive (the run-time package uses maximum-size buffers).
-	bufCap int
-	dead   bool
+	dead bool
 }
 
 var _ core.Transport = (*Transport)(nil)
@@ -204,12 +200,11 @@ var counterSet = obs.NewCounterSet(
 )
 
 // New creates the binding for one LYNX process hosted on the given
-// Charlotte kernel process. bufCap is the maximum message size.
-func New(env *sim.Env, kp *charlotte.Process, bufCap int) *Transport {
+// Charlotte kernel process; it schedules on kp's env.
+func New(kp *charlotte.Process) *Transport {
 	rec := kp.Kernel().Obs()
 	b := rec.ProcCounters(counterSet, kp.ID())
 	return &Transport{
-		env: env,
 		kp:  kp,
 		rec: rec,
 		c: counters{
@@ -224,18 +219,12 @@ func New(env *sim.Env, kp *charlotte.Process, bufCap int) *Transport {
 			resentRequests: b.Counter(obs.MResentRequests),
 			failedCancels:  b.Counter(obs.MFailedCancels),
 		},
-		ends:   make(map[charlotte.EndRef]*endState),
-		bufCap: bufCap,
+		ends: make(map[charlotte.EndRef]*endState),
 	}
 }
 
 // Obs returns the recorder this binding reports into (the kernel's).
 func (tr *Transport) Obs() *obs.Recorder { return tr.rec }
-
-// SetEnv rebinds the transport's scheduling env. A partitioned run
-// calls this (before SetSink spawns the pump) so the binding's
-// simprocs and events live on its process's home shard env.
-func (tr *Transport) SetEnv(env *sim.Env) { tr.env = env }
 
 // emit records a binding-protocol event when a trace sink is attached.
 // Counters are maintained unconditionally; events cost only when someone
@@ -249,7 +238,7 @@ func (tr *Transport) emit(kind obs.Kind, es *endState, seq uint64, detail string
 				d = detail + " " + d
 			}
 		}
-		tr.rec.EmitEnv(tr.env, obs.Event{Kind: kind, Proc: tr.kp.ID(), Seq: seq, Detail: d})
+		tr.rec.EmitEnv(tr.kp.Env(), obs.Event{Kind: kind, Proc: tr.kp.ID(), Seq: seq, Detail: d})
 	}
 }
 
@@ -262,7 +251,7 @@ func (tr *Transport) KernelProcess() *charlotte.Process { return tr.kp }
 func (tr *Transport) SetSink(sink func(core.Event), sp *sim.Proc) {
 	tr.sink = sink
 	tr.proc = sp
-	tr.pump = tr.env.Spawn(fmt.Sprintf("chbind.pump.p%d", tr.kp.ID()), func(p *sim.Proc) {
+	tr.pump = tr.kp.Env().Spawn(fmt.Sprintf("chbind.pump.p%d", tr.kp.ID()), func(p *sim.Proc) {
 		for {
 			d := tr.kp.Wait(p)
 			tr.handleCompletion(p, d)
@@ -354,7 +343,7 @@ func (tr *Transport) adjustReceive(p *sim.Proc, es *endState) {
 		if want {
 			// Mark posted optimistically; roll back on failure.
 			es.recvPosted = true
-			st := tr.kp.Receive(p, es.ref, tr.bufCap)
+			st := tr.kp.Receive(p, es.ref, core.MaxMessage)
 			es.recvBusy = false
 			if st != charlotte.OK {
 				es.recvPosted = false
@@ -446,8 +435,8 @@ func (tr *Transport) StartSend(te core.TransEnd, m *core.WireMsg) error {
 // once, with EvSendFailed.
 func (tr *Transport) shipFirstPacket(p *sim.Proc, es *endState, om *outMsg) {
 	err := om.wire.Check()
-	if n := 1 + om.wire.EncodedLen(); err == nil && n > tr.bufCap {
-		err = fmt.Errorf("chbind: message %dB exceeds buffer capacity %dB", n, tr.bufCap)
+	if n := 1 + om.wire.EncodedLen(); err == nil && n > core.MaxMessage {
+		err = fmt.Errorf("chbind: message %dB exceeds buffer capacity %dB", n, core.MaxMessage)
 	}
 	if err != nil {
 		es.outbound[om.wire.Kind.Slot()] = nil

@@ -41,8 +41,8 @@ func newRig() (*rig, charlotte.EndRef, charlotte.EndRef) {
 	r := &rig{
 		env:    env,
 		kernel: k,
-		trA:    chbind.New(env, kpA, 4096),
-		trB:    chbind.New(env, kpB, 4096),
+		trA:    chbind.New(kpA),
+		trB:    chbind.New(kpB),
 	}
 	return r, ea, eb
 }

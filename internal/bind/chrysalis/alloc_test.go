@@ -18,7 +18,7 @@ func TestFreshLinkHeap(t *testing.T) {
 	const links = 1000
 	env := sim.NewEnv(1)
 	k := chrysalis.NewKernel(env, netsim.NewBackplane(), calib.DefaultChrysalis())
-	tr := New(env, k, k.NewProcess(0), 4096)
+	tr := New(k, k.NewProcess(0))
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -40,8 +40,8 @@ func TestFreshLinkHeap(t *testing.T) {
 func TestWarmStartSendAllocFree(t *testing.T) {
 	env := sim.NewEnv(1)
 	k := chrysalis.NewKernel(env, netsim.NewBackplane(), calib.DefaultChrysalis())
-	a := New(env, k, k.NewProcess(0), 4096)
-	b := New(env, k, k.NewProcess(1), 4096)
+	a := New(k, k.NewProcess(0))
+	b := New(k, k.NewProcess(1))
 	ea, _ := BootLink(a, b)
 	msg := &core.WireMsg{Kind: core.KindRequest, Op: "op", Seq: 1, Data: make([]byte, 64)}
 	var allocs float64

@@ -47,8 +47,14 @@ const (
 	offFlags  = 0  // 16-bit atomic flag word
 	offQName0 = 4  // side 0 owner's dual queue name (non-atomic 32-bit)
 	offQName1 = 8  // side 1 owner's dual queue name
-	offBufs   = 12 // four buffer regions follow, each 4-byte length + cap
+	offBufs   = 12 // four buffer regions follow, each 4-byte length + core.MaxMessage
+
+	// objSize is the link object's total size.
+	objSize = offBufs + 4*(4+core.MaxMessage)
 )
+
+// bufOffset returns the byte offset of buffer region i.
+func bufOffset(i int) int { return offBufs + i*(4+core.MaxMessage) }
 
 // Flag bits. "Full" means a message waits in the buffer; "ack" means the
 // receiver consumed it; "rej" NAKs an unwanted reply.
@@ -124,7 +130,6 @@ type counters struct {
 
 // Transport is one LYNX process's Chrysalis binding.
 type Transport struct {
-	env  *sim.Env
 	k    *chrysalis.Kernel
 	kp   *chrysalis.Process
 	sink func(core.Event)
@@ -136,9 +141,8 @@ type Transport struct {
 	queue chrysalis.QueueName
 	event chrysalis.EventName
 
-	bufCap int
-	ends   map[EndID]*endState
-	dead   bool
+	ends map[EndID]*endState
+	dead bool
 	// sendBuf is StartSend's encode buffer, reused across sends: the
 	// message is gathered here, then copied into the link object.
 	sendBuf []byte
@@ -182,12 +186,12 @@ var counterSet = obs.NewCounterSet(
 )
 
 // New creates the binding for one LYNX process. The process's dual queue
-// and event block are allocated immediately (boot-time, uncharged).
-func New(env *sim.Env, k *chrysalis.Kernel, kp *chrysalis.Process, bufCap int) *Transport {
+// and event block are allocated immediately (boot-time, uncharged). It
+// schedules on kp's env.
+func New(k *chrysalis.Kernel, kp *chrysalis.Process) *Transport {
 	rec := k.Obs()
 	b := rec.ProcCounters(counterSet, kp.ID())
 	tr := &Transport{
-		env: env,
 		k:   k,
 		kp:  kp,
 		rec: rec,
@@ -199,8 +203,7 @@ func New(env *sim.Env, k *chrysalis.Kernel, kp *chrysalis.Process, bufCap int) *
 			rejections:   b.Counter(obs.MRejections),
 			lostNotices:  b.Counter(obs.MLostNotices),
 		},
-		bufCap: bufCap,
-		ends:   make(map[EndID]*endState),
+		ends: make(map[EndID]*endState),
 	}
 	tr.queue = kp.NewDualQueue(nil, 1024)
 	tr.event = kp.NewEvent(nil)
@@ -210,33 +213,22 @@ func New(env *sim.Env, k *chrysalis.Kernel, kp *chrysalis.Process, bufCap int) *
 // Obs returns the recorder this binding reports into (the kernel's).
 func (tr *Transport) Obs() *obs.Recorder { return tr.rec }
 
-// SetEnv rebinds the transport's scheduling env. A partitioned run
-// calls this (before SetSink spawns the binding's simprocs) so its
-// timers, mailboxes, and pumps live on its process's home shard env.
-func (tr *Transport) SetEnv(env *sim.Env) { tr.env = env }
-
 // obsEmit records a binding-protocol event when a trace sink is
 // attached; counters are maintained unconditionally.
 func (tr *Transport) obsEmit(kind obs.Kind, link int, detail string) {
 	if tr.rec.Active() {
-		tr.rec.EmitEnv(tr.env, obs.Event{Kind: kind, Proc: tr.kp.ID(), Link: link, Detail: detail})
+		tr.rec.EmitEnv(tr.kp.Env(), obs.Event{Kind: kind, Proc: tr.kp.ID(), Link: link, Detail: detail})
 	}
 }
 
 // KernelProcess returns the underlying Chrysalis process (harness use).
 func (tr *Transport) KernelProcess() *chrysalis.Process { return tr.kp }
 
-// objSize is the link object's total size for a given buffer capacity.
-func objSize(bufCap int) int { return offBufs + 4*(4+bufCap) }
-
-// bufOffset returns the byte offset of buffer region i.
-func (tr *Transport) bufOffset(i int) int { return offBufs + i*(4+tr.bufCap) }
-
 // SetSink implements core.Transport and starts the notice pump.
 func (tr *Transport) SetSink(sink func(core.Event), sp *sim.Proc) {
 	tr.sink = sink
 	tr.proc = sp
-	tr.pump = tr.env.Spawn(fmt.Sprintf("chrbind.pump.p%d", tr.kp.ID()), func(p *sim.Proc) {
+	tr.pump = tr.kp.Env().Spawn(fmt.Sprintf("chrbind.pump.p%d", tr.kp.ID()), func(p *sim.Proc) {
 		for {
 			v, ok, st := tr.kp.Dequeue(p, tr.queue, tr.event)
 			if st != chrysalis.OK {
@@ -257,7 +249,7 @@ func (tr *Transport) SetSink(sink func(core.Event), sp *sim.Proc) {
 // BootLink creates a link between two bindings before their processes
 // start (loader wiring).
 func BootLink(a, b *Transport) (core.TransEnd, core.TransEnd) {
-	obj := a.kp.AllocObject(nil, objSize(a.bufCap))
+	obj := a.kp.AllocObject(nil, objSize)
 	b.kp.Map(nil, obj)
 	a.kp.Write32(nil, obj, offQName0, uint32(a.queue))
 	b.kp.Write32(nil, obj, offQName1, uint32(b.queue))
@@ -271,7 +263,7 @@ func BootLink(a, b *Transport) (core.TransEnd, core.TransEnd) {
 // MakeLink implements core.Transport: both sides owned locally until one
 // end moves.
 func (tr *Transport) MakeLink() (core.TransEnd, core.TransEnd, error) {
-	obj := tr.kp.AllocObject(tr.proc, objSize(tr.bufCap))
+	obj := tr.kp.AllocObject(tr.proc, objSize)
 	tr.kp.Write32(tr.proc, obj, offQName0, uint32(tr.queue))
 	tr.kp.Write32(tr.proc, obj, offQName1, uint32(tr.queue))
 	ea := newEndState(EndID{Obj: obj, Side: 0})
@@ -364,10 +356,10 @@ func (tr *Transport) StartSend(te core.TransEnd, m *core.WireMsg) error {
 		payload = append(payload, byte(eid.Side))
 	}
 	tr.sendBuf = payload
-	if len(payload)+4 > tr.bufCap+4 {
-		return fmt.Errorf("chrbind: message %dB exceeds buffer %dB", len(payload), tr.bufCap)
+	if len(payload) > core.MaxMessage {
+		return fmt.Errorf("chrbind: message %dB exceeds buffer %dB", len(payload), core.MaxMessage)
 	}
-	base := tr.bufOffset(bufIndex(id.Side, m.Kind))
+	base := bufOffset(bufIndex(id.Side, m.Kind))
 	var lenb [4]byte
 	binary.LittleEndian.PutUint32(lenb[:], uint32(len(payload)))
 	if st := tr.kp.WriteBytes(tr.proc, id.Obj, base, lenb[:]); st != chrysalis.OK {
@@ -519,13 +511,13 @@ func (tr *Transport) scanEnd(p *sim.Proc, es *endState) {
 // ACKs, and surfaces it.
 func (tr *Transport) consume(p *sim.Proc, es *endState, fromSide int, kind core.MsgKind) {
 	id := es.id
-	base := tr.bufOffset(bufIndex(fromSide, kind))
+	base := bufOffset(bufIndex(fromSide, kind))
 	var lenb [4]byte
 	if st := tr.kp.ReadBytes(p, id.Obj, base, lenb[:]); st != chrysalis.OK {
 		return
 	}
 	n := int(binary.LittleEndian.Uint32(lenb[:]))
-	if n < 0 || n > tr.bufCap {
+	if n < 0 || n > core.MaxMessage {
 		return
 	}
 	// The decoded message's Data aliases payload, so it is fresh per

@@ -47,7 +47,7 @@ func TestChrysalisSelfLoopRPC(t *testing.T) {
 	env := sim.NewEnv(1)
 	k := newRigKernel(env)
 	kp := k.NewProcess(0)
-	tr := chrbind.New(env, k, kp, 1024)
+	tr := chrbind.New(k, kp)
 	core.NewProcess(env, "solo", tr, calib.DefaultChrysalisRuntime(), func(th *core.Thread) {
 		a, b, err := th.NewLink()
 		if err != nil {

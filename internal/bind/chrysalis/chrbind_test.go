@@ -32,7 +32,7 @@ func newRig(nodes int) *rig {
 	r := &rig{env: env, kernel: k}
 	for i := 0; i < nodes; i++ {
 		kp := k.NewProcess(netsim.NodeID(i))
-		r.trs = append(r.trs, chrbind.New(env, k, kp, 4096))
+		r.trs = append(r.trs, chrbind.New(k, kp))
 	}
 	return r
 }

@@ -29,10 +29,8 @@ import (
 // either per-link (links connect transports of one proc group, so only
 // that group touches them), per group (the link table and id sequence:
 // one group from construction, one per shard after Partition), or a
-// commutative atomic counter. Transports carry the env that schedules
-// them (a shard env under partitioned runs; see SetEnv).
+// commutative atomic counter. A transport schedules on its group's env.
 type Fabric struct {
-	env    *sim.Env
 	groups []*fgroup // one until Partition, then one per shard
 
 	rec *obs.Recorder
@@ -51,8 +49,7 @@ type Fabric struct {
 func NewFabric(env *sim.Env, latency sim.Duration, perByte sim.Duration) *Fabric {
 	rec := obs.NewRecorder(env, "ideal")
 	f := &Fabric{
-		env:          env,
-		groups:       []*fgroup{{links: make(map[int]*link), nextLink: 1, stride: 1}},
+		groups:       []*fgroup{{env: env, links: make(map[int]*link), nextLink: 1, stride: 1}},
 		rec:          rec,
 		msgs:         rec.Counter(obs.MKernelMessages),
 		bytes:        rec.Counter(obs.MKernelBytes),
@@ -63,31 +60,35 @@ func NewFabric(env *sim.Env, latency sim.Duration, perByte sim.Duration) *Fabric
 	return f
 }
 
-// fgroup is one group of the fabric: its link table plus a strided id
-// allocator whose output depends only on this group's own call order.
+// fgroup is one group of the fabric: the env its transports schedule
+// on, its link table, and a strided id allocator whose output depends
+// only on this group's own call order.
 type fgroup struct {
+	env      *sim.Env
 	links    map[int]*link
 	nextLink int
 	stride   int
 }
 
-// Partition splits the fabric into k groups for a conservative
-// parallel run. Each group gets its own copy of the boot group's link
-// table, so the copies cost k × (links made so far). Link ids allocated
+// Partition splits the fabric into one group per shard env for a
+// conservative parallel run: group i's transports schedule on envs[i].
+// Each group gets its own copy of the boot group's link table, so the
+// copies cost len(envs) × (links made so far). Link ids allocated
 // from here on are strided per group, so mid-run MakeLink stays
 // deterministic at any worker count. Call once, before the run starts,
 // then AssignGroup every transport.
-func (f *Fabric) Partition(k int) {
+func (f *Fabric) Partition(envs []*sim.Env) {
 	if len(f.groups) != 1 {
 		panic("ideal: Partition called twice")
 	}
 	boot := f.groups[0]
-	f.groups = make([]*fgroup, k)
+	f.groups = make([]*fgroup, len(envs))
 	for i := range f.groups {
 		f.groups[i] = &fgroup{
+			env:      envs[i],
 			links:    maps.Clone(boot.links),
 			nextLink: boot.nextLink + i,
-			stride:   k,
+			stride:   len(envs),
 		}
 	}
 }
@@ -133,7 +134,6 @@ type flight struct {
 type Transport struct {
 	f     *Fabric
 	g     *fgroup
-	env   *sim.Env
 	name  string
 	sink  func(core.Event)
 	owned map[EndID]bool
@@ -146,7 +146,6 @@ func (f *Fabric) NewTransport(name string) *Transport {
 	return &Transport{
 		f:     f,
 		g:     f.groups[0],
-		env:   f.env,
 		name:  name,
 		owned: make(map[EndID]bool),
 	}
@@ -161,17 +160,12 @@ func (f *Fabric) NewTransportIn(g int, name string) *Transport {
 	return tr
 }
 
-// AssignGroup moves a boot-created transport into partition group g.
-// Call after Fabric.Partition, before the run starts.
+// AssignGroup moves a boot-created transport into partition group g,
+// whose env then schedules its message-delay timers. Call after
+// Fabric.Partition, before the run starts. Linked transports always
+// share a group (links are created inside one process and enclosure
+// passing cannot leave the group), so delivery stays group-local.
 func (tr *Transport) AssignGroup(g int) { tr.g = tr.f.groups[g] }
-
-// SetEnv rebinds the transport's scheduling env. A partitioned run
-// assigns each process's transport the shard env its proc group runs
-// on, so message-delay timers land on that group's event set. Linked
-// transports always share a group (links are created inside one
-// process and enclosure passing cannot leave the group), so delivery
-// stays group-local.
-func (tr *Transport) SetEnv(env *sim.Env) { tr.env = env }
 
 // SetSink implements core.Transport. The ideal fabric charges no kernel
 // CPU, so the simproc is unused.
@@ -196,7 +190,7 @@ func (tr *Transport) MakeLink() (core.TransEnd, core.TransEnd, error) {
 	tr.owned[a] = true
 	tr.owned[b] = true
 	if f.rec.Active() {
-		f.rec.EmitEnv(tr.env, obs.Event{Kind: obs.KindLinkMake, Link: l.id})
+		f.rec.EmitEnv(tr.g.env, obs.Event{Kind: obs.KindLinkMake, Link: l.id})
 	}
 	return a, b, nil
 }
@@ -230,7 +224,7 @@ func (tr *Transport) destroyLink(l *link, cause EndID) {
 	l.dead = true
 	tr.f.linkDestroys.Inc()
 	if tr.f.rec.Active() {
-		tr.f.rec.EmitEnv(tr.env, obs.Event{Kind: obs.KindLinkDestroy, Link: l.id})
+		tr.f.rec.EmitEnv(tr.g.env, obs.Event{Kind: obs.KindLinkDestroy, Link: l.id})
 	}
 	for side := range l.ends {
 		es := &l.ends[side]
@@ -266,22 +260,22 @@ func (tr *Transport) StartSend(te core.TransEnd, m *core.WireMsg) error {
 	fl := &flight{msg: m, from: tr, fromEnd: id}
 	es.inFlight[m.Kind.Slot()] = fl
 	if tr.f.rec.Active() {
-		tr.f.rec.EmitEnv(tr.env, obs.Event{Kind: obs.KindKernelSend, Link: l.id, Seq: m.Seq, Bytes: len(m.Data), Detail: id.String()})
+		tr.f.rec.EmitEnv(tr.g.env, obs.Event{Kind: obs.KindKernelSend, Link: l.id, Seq: m.Seq, Bytes: len(m.Data), Detail: id.String()})
 	}
 	delay := tr.f.Latency + sim.Duration(len(m.Data))*tr.f.PerByte
-	tr.env.After(delay, func() {
+	tr.g.env.After(delay, func() {
 		if es.inFlight[m.Kind.Slot()] != fl {
 			return // cancelled, or the link died
 		}
 		far := &l.ends[1-id.Side]
 		far.held = append(far.held, fl)
-		tr.f.flush(l, 1-id.Side, tr.env)
+		tr.f.flush(l, 1-id.Side, tr.g.env)
 	})
 	return nil
 }
 
 // flush delivers held messages on l's given side that are now wanted.
-// env is the shard env executing the flush (the fabric env when serial).
+// env is the shard env executing the flush (group 0's env when serial).
 func (f *Fabric) flush(l *link, side int, env *sim.Env) {
 	es := &l.ends[side]
 	farEnd := EndID{l.id, side}
@@ -360,7 +354,7 @@ func (tr *Transport) SetInterest(te core.TransEnd, wantRequests, wantReplies boo
 		return
 	}
 	es.wantReq, es.wantRep = wantRequests, wantReplies
-	tr.f.flush(l, id.Side, tr.env)
+	tr.f.flush(l, id.Side, tr.g.env)
 }
 
 // Shutdown implements core.Transport: destroy everything still owned.

@@ -24,7 +24,7 @@ type sendRig struct {
 func newSendRig() *sendRig {
 	env := sim.NewEnv(1)
 	k := soda.NewKernel(env, netsim.NewCSMABus(env.Rand().Fork()), calib.DefaultSODA())
-	r := &sendRig{env: env, tr: New(env, k, k.NewProcess(0), DefaultConfig()), far: k.NewProcess(1)}
+	r := &sendRig{env: env, tr: New(k, k.NewProcess(0), DefaultConfig()), far: k.NewProcess(1)}
 	farName := r.far.NewName(nil)
 	r.far.Advertise(nil, farName)
 	r.far.SetHandler(func(ir soda.Interrupt) {

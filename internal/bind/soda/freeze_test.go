@@ -16,7 +16,7 @@ func newRigCfg(nodes int, cfg sodabind.Config) *rig {
 	r := newRig(0)
 	for i := 0; i < nodes; i++ {
 		kp := r.kernel.NewProcess(0)
-		r.trs = append(r.trs, sodabind.New(r.env, r.kernel, kp, cfg))
+		r.trs = append(r.trs, sodabind.New(r.kernel, kp, cfg))
 	}
 	return r
 }

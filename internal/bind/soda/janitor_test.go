@@ -23,7 +23,7 @@ func newJanitorRig(cfgB Config) *janitorRig {
 	k := soda.NewKernel(env, netsim.NewCSMABus(env.Rand().Fork()), calib.DefaultSODA())
 	r := &janitorRig{env: env, costs: calib.DefaultSODARuntime()}
 	for i, cfg := range []Config{DefaultConfig(), cfgB, DefaultConfig()} {
-		r.trs = append(r.trs, New(env, k, k.NewProcess(netsim.NodeID(i)), cfg))
+		r.trs = append(r.trs, New(k, k.NewProcess(netsim.NodeID(i)), cfg))
 	}
 	return r
 }

@@ -45,7 +45,7 @@ func (tr *Transport) scheduleRecovery(es *endState, ps *pendingSend) {
 	}
 	tr.recoveries = append(tr.recoveries, recovery{es, ps})
 	if tr.janitor == nil {
-		tr.janitor = tr.env.Spawn(fmt.Sprintf("sodabind.janitor.p%d", tr.kp.ID()), tr.runJanitor)
+		tr.janitor = tr.kp.Env().Spawn(fmt.Sprintf("sodabind.janitor.p%d", tr.kp.ID()), tr.runJanitor)
 	}
 }
 
@@ -115,7 +115,7 @@ func (tr *Transport) freezeSearch(p *sim.Proc, target soda.Name) (soda.ProcID, b
 	tr.c.freezes.Inc()
 	tr.obsEmit(obs.KindFreeze, uint64(target), "absolute search")
 	if tr.searchWait == nil {
-		tr.searchWait = sim.NewWaitQueue(tr.env, "sodabind.search")
+		tr.searchWait = sim.NewWaitQueue(tr.kp.Env(), "sodabind.search")
 	}
 	tr.searchActive = true
 	tr.searchHint = 0
@@ -132,7 +132,7 @@ func (tr *Transport) freezeSearch(p *sim.Proc, target soda.Name) (soda.ProcID, b
 	// Wait for answers (with a straggler deadline: frozen processes that
 	// die never answer).
 	deadline := false
-	tr.env.After(2*sim.Second, func() {
+	tr.kp.Env().After(2*sim.Second, func() {
 		deadline = true
 		tr.searchWait.WakeAll()
 	})
@@ -179,7 +179,7 @@ func (tr *Transport) onFreeze(ir soda.Interrupt) {
 func (tr *Transport) freezeSelf() {
 	tr.c.freezeHalts.Inc()
 	if tr.frozen == 0 {
-		tr.frozeAt = tr.env.Now()
+		tr.frozeAt = tr.kp.Env().Now()
 	}
 	tr.frozen++
 }
@@ -192,7 +192,7 @@ func (tr *Transport) thawSelf() {
 	}
 	tr.frozen--
 	if tr.frozen == 0 {
-		tr.c.frozenNs.Add(int64(tr.env.Now() - tr.frozeAt))
+		tr.c.frozenNs.Add(int64(tr.kp.Env().Now() - tr.frozeAt))
 		tr.obsEmit(obs.KindUnfreeze, 0, "thawed")
 		held := tr.heldEvents
 		tr.heldEvents = nil

@@ -145,8 +145,6 @@ var counterSet = obs.NewCounterSet(
 
 // Config tunes the hint machinery.
 type Config struct {
-	// BufCap is the maximum LYNX message size.
-	BufCap int
 	// CacheSize bounds the move cache ("a cache of links it has known
 	// about recently"); 0 disables forwarding.
 	CacheSize int
@@ -163,7 +161,6 @@ type Config struct {
 // DefaultConfig returns sensible defaults.
 func DefaultConfig() Config {
 	return Config{
-		BufCap:          4096,
 		CacheSize:       64,
 		HintTimeout:     250 * sim.Millisecond,
 		DiscoverRetries: 3,
@@ -173,7 +170,6 @@ func DefaultConfig() Config {
 
 // Transport is one LYNX process's SODA binding.
 type Transport struct {
-	env    *sim.Env
 	kernel *soda.Kernel
 	kp     *soda.Process
 	sink   func(core.Event)
@@ -384,14 +380,14 @@ func (tr *Transport) deferIncoming(d sim.Duration, ev core.Event) {
 		}
 	}
 	in.ev = ev
-	tr.env.After(d, in.fire)
+	tr.kp.Env().After(d, in.fire)
 }
 
-// New creates the binding for one LYNX process on the given SODA node.
-func New(env *sim.Env, kernel *soda.Kernel, kp *soda.Process, cfg Config) *Transport {
+// New creates the binding for one LYNX process on the given SODA node;
+// it schedules on kp's env.
+func New(kernel *soda.Kernel, kp *soda.Process, cfg Config) *Transport {
 	b := kernel.Obs().ProcCounters(counterSet, int(kp.ID()))
 	tr := &Transport{
-		env:    env,
 		kernel: kernel,
 		kp:     kp,
 		cfg:    cfg,
@@ -421,16 +417,11 @@ func New(env *sim.Env, kernel *soda.Kernel, kp *soda.Process, cfg Config) *Trans
 // Obs returns the recorder this binding reports into (the kernel's).
 func (tr *Transport) Obs() *obs.Recorder { return tr.kernel.Obs() }
 
-// SetEnv rebinds the transport's scheduling env. A partitioned run
-// calls this (before SetSink spawns the binding's simprocs) so its
-// timers, mailboxes, and pumps live on its process's home shard env.
-func (tr *Transport) SetEnv(env *sim.Env) { tr.env = env }
-
 // obsEmit records a binding-protocol event when a trace sink is
 // attached; counters are maintained unconditionally.
 func (tr *Transport) obsEmit(kind obs.Kind, seq uint64, detail string) {
 	if rec := tr.kernel.Obs(); rec.Active() {
-		rec.EmitEnv(tr.env, obs.Event{Kind: kind, Proc: int(tr.kp.ID()), Seq: seq, Detail: detail})
+		rec.EmitEnv(tr.kp.Env(), obs.Event{Kind: kind, Proc: int(tr.kp.ID()), Seq: seq, Detail: detail})
 	}
 }
 
@@ -643,11 +634,11 @@ func (tr *Transport) StartSend(te core.TransEnd, m *core.WireMsg) error {
 		payload = encodeEncl(payload, enclRecord{name: ees.myName, farName: ees.farName, hint: ees.hint})
 	}
 	ps.payload = payload
-	if len(ps.payload) > tr.cfg.BufCap {
+	if len(ps.payload) > core.MaxMessage {
 		for _, e := range ps.encl {
 			e.moving = false
 		}
-		err := fmt.Errorf("sodabind: message %dB exceeds buffer capacity %dB", len(ps.payload), tr.cfg.BufCap)
+		err := fmt.Errorf("sodabind: message %dB exceeds buffer capacity %dB", len(ps.payload), core.MaxMessage)
 		tr.release(ps)
 		return err
 	}
@@ -688,7 +679,7 @@ func (tr *Transport) post(p *sim.Proc, ps *pendingSend) {
 		// Per-pair limit (§4.2.1): retry shortly. The paper worries this
 		// could deadlock; backing off and retrying turns it into latency.
 		tr.c.pairLimitRetries.Inc()
-		tr.env.After(10*sim.Millisecond, func() {
+		tr.kp.Env().After(10*sim.Millisecond, func() {
 			if ps.cancel {
 				tr.release(ps)
 			} else if !ps.done && !tr.dead {
@@ -708,7 +699,7 @@ func (tr *Transport) armTimeout(ps *pendingSend) {
 	}
 	ps.checks++
 	ps.armed = ps.gen
-	tr.env.After(tr.cfg.HintTimeout, ps.check)
+	tr.kp.Env().After(tr.cfg.HintTimeout, ps.check)
 }
 
 // checkHint runs the oldest of ps's scheduled hint-staleness checks.
@@ -884,7 +875,7 @@ func (tr *Transport) onRequest(ir soda.Interrupt) {
 // payload that does not split into a message and its enclosure records
 // is dropped.
 func (tr *Transport) acceptData(p *sim.Proc, es *endState, req soda.ReqID) {
-	got, st := tr.kp.Accept(p, req, packOOB(oobOK, 0), nil, tr.cfg.BufCap)
+	got, st := tr.kp.Accept(p, req, packOOB(oobOK, 0), nil, core.MaxMessage)
 	if st != soda.OK {
 		return
 	}

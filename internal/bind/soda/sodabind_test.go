@@ -34,7 +34,7 @@ func newRig(nodes int) *rig {
 	r := &rig{env: env, kernel: k}
 	for i := 0; i < nodes; i++ {
 		kp := k.NewProcess(netsim.NodeID(i))
-		r.trs = append(r.trs, sodabind.New(env, k, kp, sodabind.DefaultConfig()))
+		r.trs = append(r.trs, sodabind.New(k, kp, sodabind.DefaultConfig()))
 	}
 	return r
 }
@@ -401,7 +401,7 @@ func TestSodaDiscoverFallbackAfterCacheEviction(t *testing.T) {
 	cfgNoCache := sodabind.DefaultConfig()
 	cfgNoCache.CacheSize = 0
 	// Rebuild B's binding with no cache.
-	r.trs[1] = sodabind.New(r.env, r.kernel, kpOf(r, 1), cfgNoCache)
+	r.trs[1] = sodabind.New(r.kernel, kpOf(r, 1), cfgNoCache)
 	l1a, l1b := sodabind.BootLink(r.trs[0], r.trs[1])
 	l2b, l2c := sodabind.BootLink(r.trs[1], r.trs[2])
 	costs := calib.DefaultSODARuntime()

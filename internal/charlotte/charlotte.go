@@ -345,6 +345,10 @@ func (k *Kernel) newProcessIn(g *kgroup, node netsim.NodeID) *Process {
 // waiter through the waiter's own env.
 func (pr *Process) AssignGroup(g int) { pr.g = pr.k.groups[g] }
 
+// Env returns the env of the process's group: the env its binding
+// schedules on.
+func (pr *Process) Env() *sim.Env { return pr.g.env }
+
 // ID returns the process id.
 func (pr *Process) ID() int { return pr.id }
 

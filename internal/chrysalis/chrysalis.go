@@ -366,6 +366,10 @@ func newProcessIn(g *kgroup, node netsim.NodeID) *Process {
 // Call after Kernel.Partition, before the run starts.
 func (pr *Process) AssignGroup(g int) { pr.g = pr.k.groups[g] }
 
+// Env returns the env of the process's group: the env its binding
+// schedules on.
+func (pr *Process) Env() *sim.Env { return pr.g.env }
+
 // ID returns the process id.
 func (pr *Process) ID() int { return pr.id }
 

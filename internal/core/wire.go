@@ -62,6 +62,11 @@ type WireMsg struct {
 	Encl []TransEnd
 }
 
+// MaxMessage is the largest LYNX message, in bytes, on every
+// substrate: the run-time package posts maximum-size buffers, and each
+// binding refuses a message that does not fit.
+const MaxMessage = 4096
+
 // maxOpLen bounds operation names on the wire.
 const maxOpLen = 255
 

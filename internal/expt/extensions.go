@@ -82,8 +82,8 @@ func runE12(seed uint64, links, pairLimit int) (completed int, retries int64, ru
 	kpA := k.NewProcess(0)
 	kpB := k.NewProcess(1)
 	cfg := sodabind.DefaultConfig()
-	trA := sodabind.New(env, k, kpA, cfg)
-	trB := sodabind.New(env, k, kpB, cfg)
+	trA := sodabind.New(k, kpA, cfg)
+	trB := sodabind.New(k, kpB, cfg)
 	endsA := make([]core.TransEnd, links)
 	endsB := make([]core.TransEnd, links)
 	for i := range endsA {

@@ -141,12 +141,11 @@ type Event struct {
 	At        sim.Time     `json:"at"`
 	Substrate string       `json:"sub,omitempty"`
 	Kind      Kind         `json:"kind"`
-	Src       string       `json:"src,omitempty"`    // annotation source (mark events)
-	Proc      int          `json:"proc,omitempty"`   // kernel process id
-	Peer      int          `json:"peer,omitempty"`   // remote kernel process id
-	Link      int          `json:"link,omitempty"`   // link / object id
-	Thread    int          `json:"thread,omitempty"` // run-time coroutine id
-	Seq       uint64       `json:"seq,omitempty"`    // message / request sequence
+	Src       string       `json:"src,omitempty"`  // annotation source (mark events)
+	Proc      int          `json:"proc,omitempty"` // kernel process id
+	Peer      int          `json:"peer,omitempty"` // remote kernel process id
+	Link      int          `json:"link,omitempty"` // link / object id
+	Seq       uint64       `json:"seq,omitempty"`  // message / request sequence
 	Bytes     int          `json:"bytes,omitempty"`
 	Wait      sim.Duration `json:"wait,omitempty"` // queue/block duration
 	Detail    string       `json:"detail,omitempty"`
@@ -165,9 +164,6 @@ func (ev Event) text() string {
 	}
 	if ev.Link != 0 {
 		fmt.Fprintf(&b, " link=%d", ev.Link)
-	}
-	if ev.Thread != 0 {
-		fmt.Fprintf(&b, " tid=%d", ev.Thread)
 	}
 	if ev.Seq != 0 {
 		fmt.Fprintf(&b, " seq=%d", ev.Seq)

@@ -94,7 +94,7 @@ type chromeEvent struct {
 	Ph    string         `json:"ph"`
 	Ts    float64        `json:"ts"`
 	Pid   int            `json:"pid"`
-	Tid   int            `json:"tid"`
+	Tid   int            `json:"tid"` // always 0: events carry no thread id
 	Scope string         `json:"s"`
 	Args  map[string]any `json:"args,omitempty"`
 }
@@ -109,7 +109,6 @@ func newChromeEvent(ev Event) chromeEvent {
 		Ph:    "i",
 		Ts:    float64(ev.At) / 1e3, // virtual ns -> trace µs
 		Pid:   ev.Proc,
-		Tid:   ev.Thread,
 		Scope: "t",
 	}
 	if ce.Cat == "" {

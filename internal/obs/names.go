@@ -61,7 +61,9 @@ const (
 	MLostNotices      = "lost_notices_total"         // Chrysalis binding: notice enqueue failed
 	MTornNameReads    = "torn_name_reads_total"      // Chrysalis binding: torn queue-name reads
 
-	// Run-time package (core) histograms, per process (ProcKey).
+	// Run-time package (core) histograms: one unlabelled histogram of
+	// each per recorder (a System has one), which every process on it
+	// records into.
 	MQueueWaitNs = "queue_wait_ns" // request sat in an explicit queue before Receive
 	MProcBlockNs = "proc_block_ns" // process block point waiting for transport events
 )

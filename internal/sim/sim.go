@@ -124,9 +124,8 @@ type Env struct {
 	// partition. See parallel.go.
 	sh  *shardState
 	par *parCoord
-	// overHorizon stashes the timer a shard run popped beyond its
-	// horizon, so the partition's next RunUntil can re-arm it. A serial
-	// RunUntil abandons that timer.
+	// overHorizon stashes the timer a run popped beyond its horizon, so
+	// the next RunUntil can re-arm it.
 	overHorizon *timer
 }
 
@@ -291,7 +290,8 @@ func (e *Env) Run() error {
 
 // RunUntil is Run with a horizon: once virtual time would advance past
 // limit (limit >= 0), the run stops cleanly and returns nil. Procs still
-// live at the horizon are abandoned.
+// live at the horizon stay parked, and a later RunUntil or Run resumes
+// them.
 func (e *Env) RunUntil(limit Time) error {
 	if e.par != nil {
 		return e.par.runRoot(limit)
@@ -323,8 +323,7 @@ func (e *Env) RunUntil(limit Time) error {
 func (e *Env) runCore(limit Time) {
 	e.limit = limit
 	if t := e.overHorizon; t != nil {
-		// Re-arm the timer the previous shard run popped beyond its
-		// horizon.
+		// Re-arm the timer the previous run popped beyond its horizon.
 		e.overHorizon = nil
 		e.timers.push(t)
 	}
@@ -370,12 +369,7 @@ func (e *Env) next() *Proc {
 				continue // discard without advancing the clock
 			}
 			if e.limit >= 0 && t.at > e.limit {
-				if e.sh != nil {
-					// A shard re-arms the timer at the partition's
-					// next run; a serial RunUntil abandons it along
-					// with the procs.
-					e.overHorizon = t
-				}
+				e.overHorizon = t
 				e.end = endLimit
 				return nil
 			}

@@ -356,6 +356,38 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// TestSerialRunUntilResumes is the serial twin of
+// TestParallelRunUntilResumes: the timer a RunUntil stops at is
+// re-armed by the next run, so procs sleeping across the horizon wake
+// on time.
+func TestSerialRunUntilResumes(t *testing.T) {
+	e := NewEnv(3)
+	woke := make([]Time, 2)
+	for g := range woke {
+		g := g
+		e.Spawn(fmt.Sprintf("sleeper%d", g), func(p *Proc) {
+			p.Delay(Duration(10*(g+1)) * Microsecond)
+			woke[g] = e.Now()
+		})
+	}
+	if err := e.RunUntil(Time(5 * Microsecond)); err != nil {
+		t.Fatalf("first RunUntil: %v", err)
+	}
+	if woke[0] != 0 || woke[1] != 0 {
+		t.Fatalf("sleepers woke before the horizon: %v", woke)
+	}
+	if err := e.RunUntil(Time(15 * Microsecond)); err != nil {
+		t.Fatalf("second RunUntil: %v", err)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatalf("final Run: %v", err)
+	}
+	want := []Time{Time(10 * Microsecond), Time(20 * Microsecond)}
+	if fmt.Sprint(woke) != fmt.Sprint(want) {
+		t.Fatalf("sleepers woke at %v, want %v", woke, want)
+	}
+}
+
 func TestSpawnFromProc(t *testing.T) {
 	e := NewEnv(1)
 	var childRan bool

@@ -1,10 +1,6 @@
 package lynx
 
-import (
-	"fmt"
-
-	"repro/internal/core"
-)
+import "fmt"
 
 // Entries maps operation names to handlers — the LYNX "entry procedure"
 // model, where a process declares the remote operations it implements
@@ -58,6 +54,3 @@ func Call(t *Thread, e *End, op string, msg Msg) (*Msg, error) {
 	}
 	return reply, nil
 }
-
-// compile-time re-export sanity.
-var _ = core.KindRequest

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/obs/flight"
 	"repro/lynx"
 	"repro/lynx/fault"
 	"repro/lynx/grid"
@@ -49,16 +48,6 @@ type SweepOptions struct {
 	// cell's arrival schedule — so it IS part of Key(), but only when
 	// set above 1: the default keys exactly as before the knob existed.
 	Gens int
-	// Trace is the flight-recorder configuration handed to every cell's
-	// run (load.Options.Trace). Recording never changes results, so —
-	// exactly like SimWorkers — Trace is EXCLUDED from Key(): a sampled
-	// or counters-only sweep keys identically to an untraced one and
-	// must hit the same cache entries and match the same gates.
-	Trace *flight.Config
-	// Hook and Progress pass through to the grid spec (cache injection
-	// and progress streaming; see grid.Spec).
-	Hook     func(c grid.Cell, run func() *sweep.Aggregate) *sweep.Aggregate
-	Progress func(done, total int)
 }
 
 // normalized fills in defaults and validates.
@@ -135,6 +124,8 @@ func (o SweepOptions) Key() string {
 // SweepSpec builds the substrate × rate (× scenario) grid: each cell is
 // one load.Run, seeded by the grid's two-level stream split, so the
 // whole table is a pure function of (options, seed) at any Parallel.
+// A caller sets the spec's Hook, Progress and Trace (cache injection,
+// progress streaming, and the flight recorder each cell's run gets).
 // The scenario axis exists only when Faults is non-empty; without it
 // the grid's enumeration order and per-cell seeds are unchanged from
 // the pre-fault layout.
@@ -156,9 +147,6 @@ func SweepSpec(o SweepOptions) (grid.Spec, error) {
 		Replicas: 1,
 		Parallel: o.Parallel,
 		RootSeed: o.Seed,
-		Hook:     o.Hook,
-		Progress: o.Progress,
-		Trace:    o.Trace,
 		Body: func(cell grid.Cell, r sweep.Run) sweep.Outcome {
 			opts := Options{
 				Substrate:  grid.MustAs[lynx.Substrate](cell, "substrate"),

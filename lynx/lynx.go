@@ -213,9 +213,6 @@ func ParseSubstrates(csv string) ([]Substrate, error) {
 // nodes, the Crystal multicomputer's size.
 const nodes = 20
 
-// bufCap is the maximum message size on every substrate.
-const bufCap = 4096
-
 // Config parameterizes a System. The zero value is a working Charlotte
 // machine with default sizing. Substrate-specific knobs live in the
 // per-substrate option blocks; options for substrates other than the
@@ -300,14 +297,13 @@ type System struct {
 	// joins records boot-time Join edges as spec-index pairs; materialize
 	// runs union-find over them to find independent components.
 	joins [][2]int
-	// partitioned is set when materialize split the run into shards
-	// (at any SimWorkers value); parallel additionally requires
-	// SimWorkers > 1, i.e. shards actually executing concurrently.
-	partitioned bool
-	parallel    bool
-	// shards are the per-group envs: the serial env alone until a
-	// partition, then one per group. segs are the per-group medium
-	// segments of a partitioned run (nil on Ideal, which has no medium).
+	// parallel is set when a partitioned run executes its shards
+	// concurrently (SimWorkers > 1).
+	parallel bool
+	// shards are the per-group envs and segs the per-group medium
+	// segments (nil on Ideal, which has no medium): the serial env and
+	// the whole medium as the one group until a partition, then one of
+	// each per group.
 	shards []*sim.Env
 	segs   []netsim.Network
 	// groupNode are the per-group node-placement cursors. Group 0's
@@ -315,11 +311,9 @@ type System struct {
 	// from it, so mid-run placement is a group-local
 	// (worker-count-invariant) sequence.
 	groupNode []int
-	// injKids are the per-group fault injectors of a partitioned faulted
-	// run; churn tallies each churn event across all groups (misses are
+	// churn tallies each churn event across all groups (misses are
 	// derived at FaultStats time).
-	injKids []*fault.Injector
-	churn   []churnTally
+	churn []churnTally
 }
 
 // churnTally counts, for one crash or restart event of the fault plan,
@@ -385,6 +379,7 @@ func NewSystem(cfg Config) *System {
 	default:
 		panic(fmt.Sprintf("lynx: unknown substrate %v", cfg.Substrate))
 	}
+	s.segs = []netsim.Network{s.net}
 	if cfg.Trace != nil && cfg.Trace.Mode != flight.Off {
 		// The flight recorder attaches as an ordinary obs sink, which
 		// makes the recorder Active(): instrumented code builds events
@@ -413,8 +408,8 @@ func NewSystem(cfg Config) *System {
 	return s
 }
 
-// installFaults compiles the fault plan onto the (possibly partitioned)
-// run: fault hooks on the medium, storm timer chains, churn timers.
+// installFaults compiles the fault plan onto each group of the run:
+// fault hooks on its medium segment, storm timer chains, churn timers.
 // Called from materialize, after planParallel has decided the shape of
 // the run.
 func (s *System) installFaults() {
@@ -429,25 +424,20 @@ func (s *System) installFaults() {
 		}
 	}
 	s.churn = make([]churnTally, n)
-	if !s.partitioned {
-		if s.net != nil {
-			s.net.SetFaultHook(s.inj)
-			s.inj.StartStorms(s.net)
-		}
-		s.scheduleChurn(s.env, s.inj, 0)
-		return
-	}
-	s.injKids = s.inj.Split(s.shards)
-	for g, seg := range s.segs {
-		// Each group's segment gets its own injector child: frame fates
-		// draw from a per-group stream, and each segment runs a full
-		// replica of every storm's arrival schedule (a storm models
-		// medium load, which each segment now carries independently).
-		seg.SetFaultHook(s.injKids[g])
-		s.injKids[g].StartStorms(seg)
+	// A partitioned run gives each group's segment its own injector
+	// child: frame fates draw from a per-group stream, and each segment
+	// runs a full replica of every storm's arrival schedule (a storm
+	// models medium load, which each segment now carries independently).
+	kids := []*fault.Injector{s.inj}
+	if len(s.shards) > 1 {
+		kids = s.inj.Split(s.shards)
 	}
 	for g, env := range s.shards {
-		s.scheduleChurn(env, s.injKids[g], g)
+		if seg := s.segs[g]; seg != nil {
+			seg.SetFaultHook(kids[g])
+			kids[g].StartStorms(seg)
+		}
+		s.scheduleChurn(env, kids[g], g)
 	}
 }
 
@@ -624,28 +614,26 @@ func (s *System) Spawn(name string, main func(t *Thread, boot []*End)) *ProcRef 
 // newProcRef allocates a spec and its substrate transport (shared by
 // Spawn, Launch, and restart), homed on partition group g: kernel
 // process and transport allocate from the group's strided id space,
-// node placement advances the group's own cursor, and the transport is
-// born on the group's shard env.
+// node placement advances the group's own cursor, and the transport
+// schedules on the group's env.
 func (s *System) newProcRef(name string, main func(*Thread, []*End), g int) *ProcRef {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	pr := &ProcRef{sys: s, name: name, idx: len(s.specs), group: g, main: main}
-	env := s.shards[g]
 	node := netsim.NodeID(s.groupNode[g] % nodes)
 	s.groupNode[g]++
 	switch s.cfg.Substrate {
 	case Charlotte:
-		pr.chTr = chbind.New(env, s.charK.NewProcessIn(g, node), bufCap)
+		pr.chTr = chbind.New(s.charK.NewProcessIn(g, node))
 		pr.tr = pr.chTr
 	case SODA:
-		pr.sodaTr = sodabind.New(env, s.sodaK, s.sodaK.NewProcessIn(g, node), s.sodaCfg)
+		pr.sodaTr = sodabind.New(s.sodaK, s.sodaK.NewProcessIn(g, node), s.sodaCfg)
 		pr.tr = pr.sodaTr
 	case Chrysalis:
-		pr.chrTr = chrbind.New(env, s.chrK, s.chrK.NewProcessIn(g, node), bufCap)
+		pr.chrTr = chrbind.New(s.chrK, s.chrK.NewProcessIn(g, node))
 		pr.tr = pr.chrTr
 	case Ideal:
 		pr.idTr = s.fab.NewTransportIn(g, pr.name)
-		pr.idTr.SetEnv(env)
 		pr.tr = pr.idTr
 	}
 	if !s.ran {
@@ -726,7 +714,7 @@ func (s *System) runtimeCosts() calib.LynxRuntimeCosts {
 // When eligible it partitions the env into one shard per component,
 // splits the medium into per-group segments, partitions the kernel's
 // state, and homes each boot spec on its component's group; otherwise
-// every spec stays in group 0, on the serial env.
+// the run stays one group, on the serial env.
 func (s *System) planParallel() {
 	if len(s.specs) < 2 {
 		return
@@ -782,11 +770,7 @@ func (s *System) planParallel() {
 		ObservedFn: func() bool { return rec.Active() },
 	})
 	s.shards = shards
-	s.partitioned = true
 	s.parallel = workers > 1
-	for i, pr := range s.specs {
-		pr.group = comp[i]
-	}
 	// Mid-run launches place round-robin per group, each cursor starting
 	// from the boot cursor frozen here.
 	boot := s.groupNode[0]
@@ -795,30 +779,32 @@ func (s *System) planParallel() {
 		s.groupNode[g] = boot
 	}
 	// Split the medium into per-group segments and shard the kernel.
+	s.segs = make([]netsim.Network, k)
 	switch s.cfg.Substrate {
 	case Charlotte:
-		rings := s.net.(*netsim.TokenRing).Partition(k)
-		s.segs = make([]netsim.Network, k)
-		for i, r := range rings {
+		for i, r := range s.net.(*netsim.TokenRing).Partition(k) {
 			s.segs[i] = r
 		}
 		s.charK.Partition(shards, s.segs)
 	case SODA:
 		buses := s.net.(*netsim.CSMABus).Partition(k)
-		s.segs = make([]netsim.Network, k)
 		for i, b := range buses {
 			s.segs[i] = b
 		}
 		s.sodaK.Partition(shards, buses)
 	case Chrysalis:
 		bps := s.net.(*netsim.Backplane).Partition(k)
-		s.segs = make([]netsim.Network, k)
 		for i, bp := range bps {
 			s.segs[i] = bp
 		}
 		s.chrK.Partition(shards, bps)
 	case Ideal:
-		s.fab.Partition(k)
+		s.fab.Partition(shards)
+	}
+	// Both ends of every boot link live in one component, so a link's
+	// traffic always runs on one shard.
+	for i, pr := range s.specs {
+		pr.assignGroup(comp[i])
 	}
 }
 
@@ -831,26 +817,24 @@ func (s *System) Parallel() bool { return s.parallel }
 
 // Partitioned reports whether materialize split this run into
 // shard-per-component (at any SimWorkers value).
-func (s *System) Partitioned() bool { return s.partitioned }
+func (s *System) Partitioned() bool { return len(s.shards) > 1 }
 
-// assignGroup moves a boot spec onto its partition group: the kernel
-// process (or ideal transport) joins the group's strided id space and
-// the binding's timers/emissions move to the shard env — before any
-// simproc exists, so nothing is in flight.
-func (pr *ProcRef) assignGroup(g int, env *sim.Env) {
+// assignGroup homes a boot spec on partition group g: the kernel
+// process (or ideal transport) joins the group's strided id space, and
+// the binding, which schedules on its kernel process's group, moves to
+// the group's shard env with it — before any simproc exists, so nothing
+// is in flight.
+func (pr *ProcRef) assignGroup(g int) {
+	pr.group = g
 	switch {
 	case pr.chTr != nil:
 		pr.chTr.KernelProcess().AssignGroup(g)
-		pr.chTr.SetEnv(env)
 	case pr.sodaTr != nil:
 		pr.sodaTr.KernelProcess().AssignGroup(g)
-		pr.sodaTr.SetEnv(env)
 	case pr.chrTr != nil:
 		pr.chrTr.KernelProcess().AssignGroup(g)
-		pr.chrTr.SetEnv(env)
 	case pr.idTr != nil:
 		pr.idTr.AssignGroup(g)
-		pr.idTr.SetEnv(env)
 	}
 }
 
@@ -863,13 +847,7 @@ func (s *System) materialize() {
 	s.planParallel()
 	s.installFaults()
 	for _, pr := range s.specs {
-		env := s.shards[pr.group]
-		if s.partitioned {
-			// Both ends of every link live in one component, so a
-			// link's traffic always runs on one shard.
-			pr.assignGroup(pr.group, env)
-		}
-		s.start(pr, env)
+		s.start(pr, s.shards[pr.group])
 	}
 }
 

@@ -39,11 +39,9 @@ func (cfg Config) normalized() Config {
 	return cfg
 }
 
-// bindConfig lowers the options onto the SODA binding's config struct,
-// with the System's message size.
+// bindConfig lowers the options onto the SODA binding's config struct.
 func (o SODAOptions) bindConfig() sodabind.Config {
 	c := sodabind.DefaultConfig()
-	c.BufCap = bufCap
 	switch {
 	case o.CacheSize > 0:
 		c.CacheSize = o.CacheSize

@@ -18,7 +18,7 @@ func FuzzBuildJob(f *testing.F) {
 		`{"kind":"load","client":"smoke","load":{"substrates":["charlotte"],"rates":[40],"window":"200ms","seed":1,"faults":["drop10"]}}`,
 		`{"kind":"load","load":{"substrates":["soda"],"rates":[40],"window":"200ms","faults":["default","crash(u1.*,60ms)"]}}`,
 		`{"kind":"load","client":"smoke","load":{"substrates":["charlotte"],"rates":[25],"window":"200ms","seed":1,"trace":"sampled"}}`,
-		`{"kind":"load","load":{"substrates":["soda"],"rates":[30,60],"window":"100ms","mix":"echo=1","sim_workers":4}}`,
+		`{"kind":"load","load":{"substrates":["soda"],"rates":[30,60],"window":"100ms","mix":"echo=1"}}`,
 		`{"kind":"grid","client":"tester","grid":{"body":"echo","axes":[{"name":"payload","values":[64,1024]},{"name":"substrate","values":["charlotte","soda"]}],"replicas":2,"seed":7}}`,
 		`{"kind":"grid","grid":{"body":"echo","axes":[{"name":"payload","values":[64]}]}}`,
 		`{"kind":"grid","grid":{"body":"mystery"}}`,

@@ -81,19 +81,13 @@ type LoadJob struct {
 	Mix        string    `json:"mix,omitempty"`    // kind=weight pairs, default load.DefaultMix
 	Seed       uint64    `json:"seed,omitempty"`
 	Parallel   int       `json:"parallel,omitempty"`
-	// SimWorkers is the in-System parallel worker cap
-	// (load.SweepOptions.SimWorkers). Like Parallel it never changes
-	// results, so it is excluded from the job key and the cell-cache
-	// body identity: a SimWorkers=4 job hits the cache entries a
-	// SimWorkers=1 job populated.
-	SimWorkers int      `json:"sim_workers,omitempty"`
-	Faults     []string `json:"faults,omitempty"` // scenario names or inline plans
+	Faults     []string  `json:"faults,omitempty"` // scenario names or inline plans
 	// Trace engages the flight recorder for every cell run: "full",
 	// "sampled" or "counters" ("" = off). The live event stream and ring
-	// dumps are served at GET /jobs/{id}/trace as JSONL. Like
-	// SimWorkers, the mode never changes results and is excluded from
-	// the job key and the cell-cache body identity: a sampled job hits
-	// the cache entries a full-mode (or untraced) job populated.
+	// dumps are served at GET /jobs/{id}/trace as JSONL. Like Parallel,
+	// the mode never changes results and is excluded from the job key
+	// and the cell-cache body identity: a sampled job hits the cache
+	// entries a full-mode (or untraced) job populated.
 	Trace string `json:"trace,omitempty"`
 }
 
@@ -499,7 +493,6 @@ func (s *Service) buildLoadJob(spec LoadJob, client string, now time.Time) (*job
 		Mix:        mix,
 		Seed:       spec.Seed,
 		Parallel:   spec.Parallel,
-		SimWorkers: spec.SimWorkers,
 		Faults:     plans,
 	}
 	mode, err := flight.ParseMode(spec.Trace)
@@ -508,7 +501,8 @@ func (s *Service) buildLoadJob(spec LoadJob, client string, now time.Time) (*job
 	}
 	// Validate eagerly so submit reports bad specs as 400, not as a
 	// failed job.
-	if _, err := load.SweepSpec(opts); err != nil {
+	gspec, err := load.SweepSpec(opts)
+	if err != nil {
 		return nil, err
 	}
 	key := opts.Key()
@@ -522,16 +516,11 @@ func (s *Service) buildLoadJob(spec LoadJob, client string, now time.Time) (*job
 	j := newJob("", "load", client, key, now)
 	j.traced = mode != flight.Off
 	j.run = func(s *Service, j *job) {
-		o := opts
-		o.Hook = s.cacheHook(j, bodyID, 1, defaultSeed(o.Seed))
-		o.Progress = j.progress
-		o.Trace = j.traceConfig(mode)
-		gspec, err := load.SweepSpec(o)
-		if err != nil {
-			j.finish(StateFailed, nil, err)
-			return
-		}
-		tbl := grid.Run(gspec)
+		run := gspec
+		run.Hook = s.cacheHook(j, bodyID, 1, defaultSeed(run.RootSeed))
+		run.Progress = j.progress
+		run.Trace = j.traceConfig(mode)
+		tbl := grid.Run(run)
 		s.finishGridJob(j, tbl)
 	}
 	return j, nil
