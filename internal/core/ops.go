@@ -239,7 +239,6 @@ func (t *Thread) ReceiveAny(ends ...*End) (*Request, error) {
 // requesting coroutine aborted.
 func (t *Thread) Reply(req *Request, msg Msg) error {
 	t.checkContext()
-	pr := t.pr
 	e := req.end
 	if req.replied {
 		return fmt.Errorf("lynx: request %q already replied", req.op)
@@ -253,7 +252,6 @@ func (t *Thread) Reply(req *Request, msg Msg) error {
 	}
 	req.replied = true
 	wm := WireMsg{Kind: KindReply, Op: req.op, Seq: req.seq, Data: msg.Data, Encl: tes}
-	pr.stats.RepliesSent++
 	rec, err := t.startSend(e, wm, msg.Links)
 	if err != nil {
 		return err

@@ -18,14 +18,11 @@ type Observed interface {
 
 // Stats counts run-time package activity for the experiment harness.
 type Stats struct {
-	RequestsSent    int64
-	RepliesSent     int64
-	RequestsServed  int64
-	UnwantedReplies int64 // replies that arrived with no waiting coroutine
-	EnclosuresSent  int64
-	EnclosuresRecv  int64
-	Aborts          int64
-	CancelFailures  int64 // aborted sends the transport could not recall
+	RequestsSent   int64
+	RequestsServed int64
+	EnclosuresSent int64
+	EnclosuresRecv int64
+	CancelFailures int64 // aborted sends the transport could not recall
 }
 
 // Process is a LYNX process: an address space with coroutine threads, a
@@ -301,7 +298,6 @@ func (pr *Process) deregisterReceiver(t *Thread) {
 
 // abortThread implements Thread.Abort and link-death unblocking.
 func (pr *Process) abortThread(target *Thread, err error) {
-	pr.stats.Aborts++
 	b := target.blocked
 	switch b.kind {
 	case blockSend:
@@ -438,11 +434,9 @@ func (pr *Process) handleIncoming(ev Event) {
 		if rec == nil {
 			// No coroutine wants this reply (it was aborted). On
 			// transports that can, the binding has already failed the
-			// *sender*; here we just account for it and recover any
-			// enclosures back to... nobody: they stay adopted by this
-			// process (the language calls this situation a program
-			// error; the ends are reachable via Stats for the harness).
-			pr.stats.UnwantedReplies++
+			// *sender*; here the reply is dropped, and its enclosures
+			// stay adopted by this process (the language calls this
+			// situation a program error).
 			return
 		}
 		reply := &Msg{Data: m.Data, Links: links, op: m.Op}
@@ -533,12 +527,9 @@ func (pr *Process) finishSend(rec *sendRecord, delivered bool) {
 			}
 		}
 	}
-	if rec.early != nil {
-		// Settled without a live waiter (failed send or aborted
-		// connector): the held reply is unwanted after all.
-		rec.early = nil
-		pr.stats.UnwantedReplies++
-	}
+	// Settled without a live waiter (failed send or aborted connector):
+	// a held reply is unwanted after all.
+	rec.early = nil
 	pr.pump(e, rec.msg.Kind)
 	e.syncInterest()
 }

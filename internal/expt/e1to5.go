@@ -226,7 +226,7 @@ func e3Grid(seed uint64) *grid.Table {
 			{Name: "payload", Values: sizes},
 		},
 		Body: func(c grid.Cell, r sweep.Run) sweep.Outcome {
-			rtt := echoRTT(seed, c.Value("substrate").(lynx.Substrate), c.Int("payload"), 1, false)
+			rtt := echoRTT(seed, grid.MustAs[lynx.Substrate](c, "substrate"), grid.MustAs[int](c, "payload"), 1, false)
 			return sweep.Outcome{Values: map[string]float64{"rtt_ns": float64(rtt)}}
 		},
 	})

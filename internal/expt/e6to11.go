@@ -333,11 +333,12 @@ func e10(seed uint64) *Result {
 		disc := m.ProcValue(obs.MDiscovers, pids[0])
 		frz := m.ProcValue(obs.MFreezes, pids[0])
 		var frozenMS float64
+		var hits, misses int64
 		for _, pid := range pids {
 			frozenMS += float64(m.ProcValue(obs.MFrozenTimeNs, pid)) / 1e6
+			hits += m.ProcValue(obs.MHintHits, pid)
+			misses += m.ProcValue(obs.MHintMisses, pid)
 		}
-		hits := m.SumPrefix(obs.MHintHits)
-		misses := m.SumPrefix(obs.MHintMisses)
 		rate := "-"
 		if hits+misses > 0 {
 			rate = fmt.Sprintf("%.2f", float64(hits)/float64(hits+misses))

@@ -117,38 +117,6 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	}
 }
 
-// MergePrefixed pools a registry under a key prefix: the table-keyed
-// merge the grid runner uses to keep per-cell registries distinguishable
-// inside one pooled registry.
-func TestMetricsMergePrefixed(t *testing.T) {
-	cell := NewMetrics()
-	cell.Counter("kernel_messages_total").Add(12)
-	cell.Histogram("queue_wait_ns").Observe(500)
-
-	table := NewMetrics()
-	table.MergePrefixed("substrate=soda/payload=1024", cell)
-	table.MergePrefixed("substrate=soda/payload=4096", cell)
-
-	if got := table.Value("substrate=soda/payload=1024/kernel_messages_total"); got != 12 {
-		t.Fatalf("prefixed counter = %d, want 12", got)
-	}
-	if got := table.Histogram("substrate=soda/payload=4096/queue_wait_ns").Count(); got != 1 {
-		t.Fatalf("prefixed histogram count = %d, want 1", got)
-	}
-	// Cross-cell rollup via the existing prefix-sum primitive.
-	if got := table.SumPrefix("substrate=soda/"); got != 24 {
-		t.Fatalf("rollup = %d, want 24", got)
-	}
-	// Unprefixed names must not exist: cells never collapse.
-	if got := table.Value("kernel_messages_total"); got != 0 {
-		t.Fatalf("unprefixed name leaked: %d", got)
-	}
-	// Nil safety.
-	var nilM *Metrics
-	nilM.MergePrefixed("k", cell)
-	table.MergePrefixed("k", nil)
-}
-
 func TestMetricsMerge(t *testing.T) {
 	a, b := NewMetrics(), NewMetrics()
 	a.Counter("ops").Add(3)
@@ -218,7 +186,7 @@ func TestMetricsMergeConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < merges; i++ {
-			side.MergePrefixed("side", dst)
+			side.Merge(dst)
 		}
 	}()
 	wg.Wait()

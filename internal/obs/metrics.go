@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -210,23 +209,23 @@ func bucketBounds(i int) (lo, hi int64) {
 }
 
 // Metrics is a registry of named counters and histograms, plus blocks
-// of per-process counters (ProcCounters) that are stored unnamed and
-// read back under their ProcKey names. Instrument updates are atomic
-// (parallel shard envs increment shared instruments concurrently), and
-// the registry's tables are guarded by a read-write lock so instruments
-// may also be created mid-run — a process launched into a running
-// partition allocates its per-process counters while other shards
-// execute. Kernels resolve their fixed-name instruments once, at
-// construction, so hot paths stay on cached handles. The nil *Metrics
-// hands out nil (no-op) instruments, which is the cheap default the
-// instrumentation relies on.
+// of per-process counters (ProcCounters) that are stored unnamed, read
+// back by ProcValue, and named name{proc=N} only by Snapshot and Names.
+// Instrument updates are atomic (parallel shard envs increment shared
+// instruments concurrently), and the registry's tables are guarded by
+// a read-write lock so instruments may also be created mid-run — a
+// process launched into a running partition allocates its per-process
+// counters while other shards execute. Kernels resolve their
+// fixed-name instruments once, at construction, so hot paths stay on
+// cached handles. The nil *Metrics hands out nil (no-op) instruments,
+// which is the cheap default the instrumentation relies on.
 type Metrics struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	hists    map[string]*Histogram
 	// blocks are the per-process counter blocks, in creation order.
-	// index maps blocks[:indexed] by key for Merge; it exists only in
-	// registries that have been merged into.
+	// index maps blocks[:indexed] by set and process for Merge; it
+	// exists only in registries that have been merged into.
 	blocks  []procBlock
 	index   map[blockKey]int
 	indexed int
@@ -284,40 +283,19 @@ func (m *Metrics) Histogram(name string) *Histogram {
 	return h
 }
 
-// Value returns the named counter's value without creating it.
+// Value returns the named plain counter's value without creating it;
+// per-process block counters are read by ProcValue.
 func (m *Metrics) Value(name string) int64 {
 	if m == nil {
 		return 0
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.counters[name].Value() + m.blockValue(name)
-}
-
-// ProcValue returns the per-process counter's value without creating it.
-func (m *Metrics) ProcValue(name string, proc int) int64 {
-	return m.Value(ProcKey(name, proc))
-}
-
-// SumPrefix sums every counter whose name starts with prefix — the way
-// to aggregate a per-process metric across processes.
-func (m *Metrics) SumPrefix(prefix string) int64 {
-	if m == nil {
-		return 0
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	total := m.blockSumPrefix(prefix)
-	for name, c := range m.counters {
-		if strings.HasPrefix(name, prefix) {
-			total += c.n.Load()
-		}
-	}
-	return total
+	return m.counters[name].Value()
 }
 
 // Snapshot flattens the registry into name→value pairs: counters under
-// their own names (block counters under their ProcKey names),
+// their own names (block counters as name{proc=N}),
 // histograms as name_count / name_sum_ns / name_max_ns. Iteration order
 // is irrelevant (it is a map), but the content is deterministic for a
 // deterministic run.
@@ -337,9 +315,9 @@ func (m *Metrics) Snapshot() map[string]int64 {
 		b := &m.blocks[i]
 		var sfx int
 		buf, sfx = b.appendNames(buf[:0])
-		s, head := string(buf), headLen(b.prefix)
+		s := string(buf)
 		for j, base := range b.set.names {
-			n := head + len(base) + sfx
+			n := len(base) + sfx
 			out[s[:n]] += b.c[j].n.Load()
 			s = s[n:]
 		}
@@ -381,7 +359,7 @@ func (m *Metrics) Merge(other *Metrics) {
 	for _, e := range sc.hists {
 		m.Histogram(e.name).Merge(e.h)
 	}
-	m.mergeBlocks("", sc.blocks)
+	m.mergeBlocks(sc.blocks)
 	m.putScratch(sc)
 }
 
@@ -436,28 +414,6 @@ func (m *Metrics) putScratch(sc *mergeScratch) {
 	m.mu.Lock()
 	m.scratch = sc
 	m.mu.Unlock()
-}
-
-// MergePrefixed folds other into m like Merge, but files every
-// instrument under "prefix/name". A keyed result table uses this to
-// pool per-cell registries into one table-wide registry without
-// collapsing cells into each other: cell keys become name prefixes, so
-// the pooled registry answers both "total kernel messages in cell X"
-// (Value("X/kernel_messages_total")) and, via SumPrefix, cross-cell
-// rollups. No-op on a nil receiver or other.
-func (m *Metrics) MergePrefixed(prefix string, other *Metrics) {
-	if m == nil || other == nil {
-		return
-	}
-	sc := m.collect(other)
-	for _, e := range sc.counters {
-		m.Counter(prefix + "/" + e.name).Add(e.c.n.Load())
-	}
-	for _, e := range sc.hists {
-		m.Histogram(prefix + "/" + e.name).Merge(e.h)
-	}
-	m.mergeBlocks(prefix, sc.blocks)
-	m.putScratch(sc)
 }
 
 // Names returns every counter and histogram name, sorted (for render

@@ -2,16 +2,16 @@ package obs
 
 // Metric name inventory. Each kernel owns one Recorder (and therefore
 // one registry); binding-level counters are per-process, held in one
-// ProcCounters block per process and read back under ProcKey names
-// (name{proc=N}). The README's "Observability" section mirrors this
-// list.
+// ProcCounters block per process, read with ProcValue(name, pid) and
+// named name{proc=N} in Snapshot and Names. The README's
+// "Observability" section mirrors this list.
 const (
 	// Kernel-level (substrate-wide) counters.
 	MKernelMessages   = "kernel_messages_total"   // messages the kernel delivered
 	MKernelBytes      = "kernel_bytes_total"      // payload bytes moved by the kernel
 	MEnclosureMoves   = "enclosure_moves_total"   // Charlotte: enclosed ends rebound
 	MLinkDestroys     = "link_destroys_total"     // Charlotte: links destroyed
-	MKernelCalls      = "kernel_calls_total"      // Charlotte: per-call, ProcKey-style {call=Name}
+	MKernelCalls      = "kernel_calls_total"      // Charlotte: per-call, labelled name{call=Name}
 	MKernelRequests   = "kernel_requests_total"   // SODA: requests issued
 	MKernelAccepts    = "kernel_accepts_total"    // SODA: accepts completed
 	MKernelInterrupts = "kernel_interrupts_total" // SODA: software interrupts raised

@@ -38,7 +38,7 @@ func TestMetricsRegistry(t *testing.T) {
 	m := NewMetrics()
 	m.Counter("a_total").Add(3)
 	m.Counter("a_total").Inc()
-	m.Counter(ProcKey("b_total", 2)).Inc()
+	m.ProcCounters(NewCounterSet("b_total"), 2).Counter("b_total").Inc()
 	m.Histogram("w_ns").Observe(100)
 	m.Histogram("w_ns").Observe(300)
 	if got := m.Value("a_total"); got != 4 {
@@ -46,9 +46,6 @@ func TestMetricsRegistry(t *testing.T) {
 	}
 	if got := m.ProcValue("b_total", 2); got != 1 {
 		t.Fatalf("b_total{proc=2} = %d", got)
-	}
-	if got := m.SumPrefix("b_total"); got != 1 {
-		t.Fatalf("SumPrefix = %d", got)
 	}
 	h := m.Histogram("w_ns")
 	if h.Count() != 2 || h.Sum() != 400 || h.Mean() != 200 || h.Max() != 300 {

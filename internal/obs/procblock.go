@@ -9,8 +9,8 @@ import (
 // CounterSet is a fixed list of per-process counter names: the
 // instruments one binding keeps for each process it serves. A binding
 // declares its set once; Metrics.ProcCounters then gives every process
-// a block of counters for the set, and the registry names a counter
-// (name{proc=N}, see ProcKey) only when it is read.
+// a block of counters for the set. ProcValue reads a counter by set
+// index, and only Snapshot and Names format its name, name{proc=N}.
 type CounterSet struct {
 	names []string
 	index map[string]int
@@ -46,26 +46,22 @@ func (b ProcCounters) Counter(name string) *Counter {
 }
 
 // procBlock is a registry's record of one block: the counters of set
-// for proc, filed under prefix ("" unless merged in by MergePrefixed).
+// for proc.
 type procBlock struct {
-	set    *CounterSet
-	proc   int
-	prefix string
-	c      []Counter
+	set  *CounterSet
+	proc int
+	c    []Counter
 }
 
 // blockKey identifies the blocks Merge folds into one another.
 type blockKey struct {
-	prefix string
-	set    *CounterSet
-	proc   int
+	set  *CounterSet
+	proc int
 }
 
 // ProcCounters allocates proc's block of counters for set: one
-// allocation, no name formatting, no map insert. Counter i reads back
-// as ProcKey(set name i, proc). Two blocks naming the same counter read
-// back as one counter holding their sum, as does a plain counter
-// created under the same formatted name.
+// allocation, no name formatting, no map insert. Two blocks of proc
+// naming the same counter read back as one counter holding their sum.
 func (m *Metrics) ProcCounters(set *CounterSet, proc int) ProcCounters {
 	if m == nil {
 		return ProcCounters{}
@@ -82,16 +78,25 @@ func (r *Recorder) ProcCounters(set *CounterSet, proc int) ProcCounters {
 	return r.Metrics().ProcCounters(set, proc)
 }
 
-// ProcKey derives the per-process variant of a metric name, e.g.
-// ProcKey("unwanted_receives_total", 3) = "unwanted_receives_total{proc=3}".
-func ProcKey(name string, proc int) string {
-	var sfx [32]byte
-	suffix := appendProcSuffix(sfx[:0], proc)
-	var b strings.Builder
-	b.Grow(len(name) + len(suffix))
-	b.WriteString(name)
-	b.Write(suffix)
-	return b.String()
+// ProcValue returns proc's per-process counter name without creating
+// it: the sum over proc's blocks whose set holds name.
+func (m *Metrics) ProcValue(name string, proc int) int64 {
+	if m == nil {
+		return 0
+	}
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	var v int64
+	for i := range m.blocks {
+		b := &m.blocks[i]
+		if b.proc != proc {
+			continue
+		}
+		if j, ok := b.set.index[name]; ok {
+			v += b.c[j].n.Load()
+		}
+	}
+	return v
 }
 
 // appendProcSuffix appends "{proc=N}" to buf.
@@ -102,35 +107,22 @@ func appendProcSuffix(buf []byte, proc int) []byte {
 }
 
 // appendNames appends the registry names of the block's counters to
-// buf back to back, in set order: [prefix/]base{proc=N} for each base.
-// It also returns the length of the {proc=N} suffix, which with the
-// prefix and base lengths cuts the names apart again.
+// buf back to back, in set order: base{proc=N} for each base. It also
+// returns the length of the {proc=N} suffix, which with the base
+// lengths cuts the names apart again.
 func (b *procBlock) appendNames(buf []byte) ([]byte, int) {
 	var sfx [32]byte
 	suffix := appendProcSuffix(sfx[:0], b.proc)
 	for _, base := range b.set.names {
-		if b.prefix != "" {
-			buf = append(buf, b.prefix...)
-			buf = append(buf, '/')
-		}
 		buf = append(buf, base...)
 		buf = append(buf, suffix...)
 	}
 	return buf, len(suffix)
 }
 
-// headLen is the length of a block name's "prefix/" part.
-func headLen(prefix string) int {
-	if prefix == "" {
-		return 0
-	}
-	return len(prefix) + 1
-}
-
-// blockGroup is the formatted blocks of one set under one prefix.
+// blockGroup is the formatted blocks of one set.
 type blockGroup struct {
 	set    *CounterSet
-	head   int   // headLen of the group's prefix
 	offs   []int // offs[j] sums the lengths of the set's names before j
 	blocks []formatted
 }
@@ -141,21 +133,15 @@ type formatted struct {
 	sfx int // length of the {proc=N} suffix
 }
 
-// groupKey identifies a blockGroup.
-type groupKey struct {
-	prefix string
-	set    *CounterSet
-}
-
 // name cuts counter j's registry name out of f.
 func (g *blockGroup) name(f formatted, j int) string {
-	start := j*(g.head+f.sfx) + g.offs[j]
-	return f.s[start : start+g.head+len(g.set.names[j])+f.sfx]
+	start := j*f.sfx + g.offs[j]
+	return f.s[start : start+len(g.set.names[j])+f.sfx]
 }
 
 // suffix returns f's {proc=N} suffix.
 func (g *blockGroup) suffix(f formatted) string {
-	start := g.head + len(g.set.names[0])
+	start := len(g.set.names[0])
 	return f.s[start : start+f.sfx]
 }
 
@@ -173,24 +159,23 @@ type nameRun struct {
 // formatted into one string. Ordering a group's blocks once by their
 // {proc=N} suffix makes counter j of every block a sorted run, so the
 // runs need only be concatenated in order of their first names. A run
-// that starts before the previous one ends (two sets that share a name
-// under one prefix) is merged in instead.
+// that starts before the previous one ends (two sets that share a name)
+// is merged in instead.
 func (m *Metrics) blockNames(spare int) []string {
-	groups := make(map[groupKey]*blockGroup)
+	groups := make(map[*CounterSet]*blockGroup)
 	var buf []byte
 	for i := range m.blocks {
 		b := &m.blocks[i]
 		if len(b.set.names) == 0 {
 			continue
 		}
-		k := groupKey{b.prefix, b.set}
-		g := groups[k]
+		g := groups[b.set]
 		if g == nil {
-			g = &blockGroup{set: b.set, head: headLen(b.prefix), offs: make([]int, len(b.set.names))}
+			g = &blockGroup{set: b.set, offs: make([]int, len(b.set.names))}
 			for j := 1; j < len(g.offs); j++ {
 				g.offs[j] = g.offs[j-1] + len(b.set.names[j-1])
 			}
-			groups[k] = g
+			groups[b.set] = g
 		}
 		var sfx int
 		buf, sfx = b.appendNames(buf[:0])
@@ -224,101 +209,10 @@ func (m *Metrics) blockNames(spare int) []string {
 	return names
 }
 
-// lookup returns the index of the counter whose name, without its
-// {proc=N} suffix, is head.
-func (b *procBlock) lookup(head string) (int, bool) {
-	if b.prefix != "" {
-		if len(head) <= len(b.prefix) || head[len(b.prefix)] != '/' || !strings.HasPrefix(head, b.prefix) {
-			return 0, false
-		}
-		head = head[len(b.prefix)+1:]
-	}
-	i, ok := b.set.index[head]
-	return i, ok
-}
-
-// splitProcKey splits a name of ProcKey's form into the part before
-// "{proc=" and the process id. ok is false for any other name,
-// including ids ProcKey would not print that way ("03", "+3").
-func splitProcKey(name string) (head string, proc int, ok bool) {
-	if !strings.HasSuffix(name, "}") {
-		return "", 0, false
-	}
-	i := strings.LastIndex(name, "{proc=")
-	if i < 0 {
-		return "", 0, false
-	}
-	digits := name[i+len("{proc=") : len(name)-1]
-	proc, err := strconv.Atoi(digits)
-	if err != nil || strconv.Itoa(proc) != digits {
-		return "", 0, false
-	}
-	return name[:i], proc, true
-}
-
-// blockValue sums the block counters named name (caller holds the lock).
-func (m *Metrics) blockValue(name string) int64 {
-	if len(m.blocks) == 0 {
-		return 0
-	}
-	head, proc, ok := splitProcKey(name)
-	if !ok {
-		return 0
-	}
-	var v int64
-	for i := range m.blocks {
-		b := &m.blocks[i]
-		if b.proc != proc {
-			continue
-		}
-		if j, ok := b.lookup(head); ok {
-			v += b.c[j].n.Load()
-		}
-	}
-	return v
-}
-
-// blockSumPrefix sums the block counters whose names start with prefix
-// (caller holds the lock). Names are matched piecewise, not formatted.
-func (m *Metrics) blockSumPrefix(prefix string) int64 {
-	var total int64
-	for i := range m.blocks {
-		b := &m.blocks[i]
-		suffix := "{proc=" + strconv.Itoa(b.proc) + "}"
-		for j, base := range b.set.names {
-			var ok bool
-			if b.prefix == "" {
-				ok = hasPrefixParts(prefix, base, suffix)
-			} else {
-				ok = hasPrefixParts(prefix, b.prefix, "/", base, suffix)
-			}
-			if ok {
-				total += b.c[j].n.Load()
-			}
-		}
-	}
-	return total
-}
-
-// hasPrefixParts reports whether the concatenation of parts starts with
-// prefix.
-func hasPrefixParts(prefix string, parts ...string) bool {
-	for _, p := range parts {
-		if len(prefix) <= len(p) {
-			return strings.HasPrefix(p, prefix)
-		}
-		if !strings.HasPrefix(prefix, p) {
-			return false
-		}
-		prefix = prefix[len(p):]
-	}
-	return prefix == ""
-}
-
-// mergeBlocks folds blocks (copied out of another registry) into m
-// under prefix: a block whose prefix, set and process m already holds
-// adds into it, any other is copied in. Nothing is formatted.
-func (m *Metrics) mergeBlocks(prefix string, blocks []procBlock) {
+// mergeBlocks folds blocks (copied out of another registry) into m: a
+// block whose set and process m already holds adds into it, any other
+// is copied in. Nothing is formatted.
+func (m *Metrics) mergeBlocks(blocks []procBlock) {
 	if len(blocks) == 0 {
 		return
 	}
@@ -330,21 +224,13 @@ func (m *Metrics) mergeBlocks(prefix string, blocks []procBlock) {
 	// Index the blocks created or merged since the last merge.
 	for ; m.indexed < len(m.blocks); m.indexed++ {
 		b := &m.blocks[m.indexed]
-		k := blockKey{b.prefix, b.set, b.proc}
+		k := blockKey{b.set, b.proc}
 		if _, dup := m.index[k]; !dup {
 			m.index[k] = m.indexed
 		}
 	}
 	for _, b := range blocks {
-		p := b.prefix
-		if prefix != "" {
-			if p == "" {
-				p = prefix
-			} else {
-				p = prefix + "/" + p
-			}
-		}
-		k := blockKey{p, b.set, b.proc}
+		k := blockKey{b.set, b.proc}
 		if j, ok := m.index[k]; ok {
 			dst := m.blocks[j].c
 			for i := range b.c {
@@ -357,7 +243,7 @@ func (m *Metrics) mergeBlocks(prefix string, blocks []procBlock) {
 			c[i].n.Store(b.c[i].n.Load())
 		}
 		m.index[k] = len(m.blocks)
-		m.blocks = append(m.blocks, procBlock{set: b.set, proc: b.proc, prefix: p, c: c})
+		m.blocks = append(m.blocks, procBlock{set: b.set, proc: b.proc, c: c})
 		m.indexed = len(m.blocks)
 	}
 }

@@ -17,7 +17,7 @@ const trioRounds = 60
 // runTrioFlight runs the echo-trio workload (three independent
 // client/server pairs — the partitionable shape, see runEchoTrio) with
 // the given recorder mode, its export sink a JSONL exporter, and
-// returns the exported trace plus whether the parallel engine engaged.
+// returns the exported trace plus whether the run partitioned.
 func runTrioFlight(t *testing.T, cfg lynx.Config, mode flight.Mode, rounds int) ([]byte, *flight.Recorder, bool) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -27,7 +27,7 @@ func runTrioFlight(t *testing.T, cfg lynx.Config, mode flight.Mode, rounds int) 
 	if err := sys.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return buf.Bytes(), sys.Flight(), sys.Parallel()
+	return buf.Bytes(), sys.Flight(), sys.Partitioned()
 }
 
 // TestFlightFullModeMatchesDirectTrace: a full-mode flight recorder is
@@ -55,15 +55,16 @@ func TestFlightFullModeMatchesDirectTrace(t *testing.T) {
 
 // TestSampledTraceWorkerInvariance is the tentpole determinism gate for
 // sampled mode: the same seed must export the byte-identical 1-in-K
-// trace at SimWorkers 1, 2 and 4 — with the parallel engine genuinely
-// engaged at the higher counts — because sampling hashes ordinals in
-// the engine's deterministic replay order, not arrival order.
+// trace at SimWorkers 1, 2 and 4 — with the run partitioned, so the
+// parallel engine runs its shards at the higher counts — because
+// sampling hashes ordinals in the engine's deterministic replay order,
+// not arrival order.
 func TestSampledTraceWorkerInvariance(t *testing.T) {
 	trace := func(workers int) []byte {
 		cfg := lynx.Config{Substrate: lynx.Ideal, Seed: 7, SimWorkers: workers}
-		got, fr, parallel := runTrioFlight(t, cfg, flight.Sampled, trioRounds)
-		if wantPar := workers > 1; parallel != wantPar {
-			t.Fatalf("Parallel() = %v at SimWorkers=%d, want %v", parallel, workers, wantPar)
+		got, fr, partitioned := runTrioFlight(t, cfg, flight.Sampled, trioRounds)
+		if !partitioned {
+			t.Fatalf("Partitioned() = false at SimWorkers=%d, want true", workers)
 		}
 		if fr.Exported() == 0 || fr.Exported() >= fr.Seen() {
 			t.Fatalf("SimWorkers=%d: exported %d of %d seen — not a strict sample",

@@ -107,7 +107,7 @@ func TestHookCacheInjection(t *testing.T) {
 		},
 		Body: func(c Cell, r sweep.Run) sweep.Outcome {
 			return sweep.Outcome{Values: map[string]float64{
-				"x": float64(c.Int("n")) * float64(r.Seed%1000),
+				"x": float64(MustAs[int](c, "n")) * float64(r.Seed%1000),
 			}}
 		},
 	}
@@ -170,7 +170,7 @@ func TestGridProgress(t *testing.T) {
 	// their replicas.
 	calls = nil
 	spec.Hook = func(c Cell, run func() *sweep.Aggregate) *sweep.Aggregate {
-		return &sweep.Aggregate{Replicas: 2}
+		return &sweep.Aggregate{}
 	}
 	Run(spec)
 	if len(calls) != 2 || calls[len(calls)-1] != 4 {

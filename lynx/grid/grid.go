@@ -1,11 +1,11 @@
 // Package grid runs keyed configuration-grid sweeps: a Spec declares
 // named axes (substrate, payload bytes, node count — any value list),
-// the runner enumerates their cross product, fans each cell's replicas
-// through the lynx/sweep harness with cell-indexed stream-split seeds,
-// and the results land in a keyed Table with text, CSV, and JSONL
-// renderers.
+// the runner enumerates their cross product, fans cells and replicas
+// out with cell-indexed stream-split seeds, folds each cell's replicas
+// with sweep.Fold, and the results land in a keyed Table with text and
+// JSONL renderers.
 //
-// The determinism contract extends sweep's: cell c's replica k always
+// The determinism contract: cell c's replica k always
 // runs with sweep.CellSeed(RootSeed, c, k) — a two-level stateless
 // SplitMix64 split — and both cells and replicas are assembled in
 // enumeration order, so the Table (and every rendering of it) is
@@ -22,8 +22,8 @@
 //	    },
 //	    Replicas: 8,
 //	    Body: func(c grid.Cell, r sweep.Run) sweep.Outcome {
-//	        sub := c.Value("substrate").(lynx.Substrate)
-//	        n := c.Int("payload")
+//	        sub := grid.MustAs[lynx.Substrate](c, "substrate")
+//	        n := grid.MustAs[int](c, "payload")
 //	        ... build a lynx.System with Seed: r.Seed, run it ...
 //	    },
 //	})
@@ -37,7 +37,6 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/lynx/sweep"
 )
@@ -52,8 +51,8 @@ type Axis struct {
 
 // Spec declares a grid: the axes whose cross product defines the
 // cells, the replication per cell, and the replica body. The zero
-// values of Replicas/Parallel/RootSeed default exactly as in
-// sweep.Options (1 replica, GOMAXPROCS workers, root seed 1).
+// values of Replicas/Parallel/RootSeed default to 1 replica,
+// GOMAXPROCS workers and root seed 1.
 type Spec struct {
 	// Name labels the grid in renderings.
 	Name string
@@ -74,7 +73,7 @@ type Spec struct {
 	Body func(c Cell, r sweep.Run) sweep.Outcome
 
 	// Hook, when non-nil, wraps each cell's execution — the result-cache
-	// injection point. run executes the cell's replica sweep and returns
+	// injection point. run executes the cell's replicas and returns
 	// its aggregate; the hook may call it, or return a previously cached
 	// aggregate for an identical (cell, seeds, body) instead. Returning
 	// a cached aggregate MUST be equivalent to re-running the cell (same
@@ -91,8 +90,8 @@ type Spec struct {
 	// replica count at once. Progress must not mutate grid state.
 	Progress func(done, total int)
 
-	// Trace passes through to every cell's sweep (sweep.Options.Trace):
-	// the flight-recorder configuration bodies may honor. Recording is
+	// Trace passes through to every replica as sweep.Run.Trace: the
+	// flight-recorder configuration bodies may honor. Recording is
 	// pure observation, so Trace is no part of the grid's identity —
 	// spec canonicalization, fingerprints, and cell caches all exclude
 	// it, exactly like Parallel.
@@ -122,35 +121,20 @@ func (c Cell) Key() string {
 	return strings.Join(parts, "/")
 }
 
-// Value returns the cell's value on the named axis; it panics on an
-// unknown axis name (a programming error in the grid body).
-func (c Cell) Value(axis string) any {
+// Str returns the named axis value's fmt.Sprint rendering, so a
+// substrate axis reads the same whether it holds a lynx.Substrate or
+// a name from a lynxd request. It panics on an unknown axis name.
+func (c Cell) Str(axis string) string {
 	for i, a := range c.axes {
 		if a.Name == axis {
-			return c.coord[i]
+			return fmt.Sprint(c.coord[i])
 		}
 	}
 	panic(fmt.Sprintf("grid: cell has no axis %q", axis))
 }
 
-// Int returns the named axis value as an int, panicking if it is not
-// one — the convenience accessor for payload/node/worker-count axes.
-func (c Cell) Int(axis string) int {
-	v := c.Value(axis)
-	n, ok := v.(int)
-	if !ok {
-		panic(fmt.Sprintf("grid: axis %q value %v is %T, not int", axis, v, v))
-	}
-	return n
-}
-
-// Str returns the named axis value's fmt.Sprint rendering.
-func (c Cell) Str(axis string) string {
-	return fmt.Sprint(c.Value(axis))
-}
-
 // CellResult pairs a cell with its replica aggregate: per-metric Stats
-// and the pooled obs registry, exactly as sweep computes them.
+// and the pooled obs registry, as sweep.Fold computes them.
 type CellResult struct {
 	Cell Cell
 	Agg  *sweep.Aggregate
@@ -168,9 +152,10 @@ type Table struct {
 }
 
 // Run enumerates the Spec's cross product and executes every cell,
-// fanning cells across Parallel workers; each cell's replicas run
-// through sweep.Sweep seeded by sweep.CellSeed. The returned Table is
-// byte-identical for any Parallel value.
+// fanning cells across Parallel workers; replica k of cell c runs with
+// seed sweep.CellSeed(RootSeed, c, k), and sweep.Fold folds a cell's
+// replicas in replica order. The returned Table is byte-identical for
+// any Parallel value.
 func Run(s Spec) *Table {
 	if s.Body == nil {
 		panic("grid: Spec.Body is nil")
@@ -197,9 +182,10 @@ func Run(s Spec) *Table {
 		byKey:    make(map[string]*CellResult, len(cells)),
 	}
 	// Parallelism placement: with several cells the pool spans cells
-	// (each cell's sweep runs serially inside one worker); a single-cell
-	// grid hands the whole worker budget to its sweep instead. Either
-	// way every (cell, replica) seed is scheduling-independent.
+	// (each cell's replicas run serially inside one worker); a
+	// single-cell grid hands the whole worker budget to its replicas
+	// instead. Either way every (cell, replica) seed is
+	// scheduling-independent.
 	cellParallel := 1
 	if len(cells) == 1 {
 		cellParallel = parallel
@@ -208,21 +194,15 @@ func Run(s Spec) *Table {
 	var done atomic.Int64
 	runCell := func(i int) *CellResult {
 		c := cells[i]
-		var progress func(completed, n int)
-		if s.Progress != nil {
-			progress = func(completed, n int) {
-				s.Progress(int(done.Add(1)), total)
-			}
-		}
 		run := func() *sweep.Aggregate {
-			return sweep.Sweep(sweep.Options{
-				Replicas: replicas,
-				Parallel: cellParallel,
-				RootSeed: root,
-				Seeds:    func(k int) uint64 { return sweep.CellSeed(root, c.Index, k) },
-				Progress: progress,
-				Trace:    s.Trace,
-			}, func(r sweep.Run) sweep.Outcome { return s.Body(c, r) })
+			outcomes := make([]sweep.Outcome, replicas)
+			sweep.ForEach(replicas, cellParallel, func(k int) {
+				outcomes[k] = s.Body(c, sweep.Run{Replica: k, Seed: sweep.CellSeed(root, c.Index, k), Trace: s.Trace})
+				if s.Progress != nil {
+					s.Progress(int(done.Add(1)), total)
+				}
+			})
+			return sweep.Fold(outcomes)
 		}
 		var agg *sweep.Aggregate
 		if s.Hook != nil {
@@ -300,18 +280,6 @@ func (t *Table) Errs() int {
 		n += len(cr.Agg.Errs)
 	}
 	return n
-}
-
-// Merged pools every cell's merged registry into one table-wide
-// registry, each cell's instruments filed under its key as a name
-// prefix ("substrate=soda/payload=1024/kernel_messages_total"), so
-// cells stay distinguishable and SumPrefix gives cross-cell rollups.
-func (t *Table) Merged() *obs.Metrics {
-	m := obs.NewMetrics()
-	for _, cr := range t.Cells {
-		m.MergePrefixed(cr.Cell.Key(), cr.Agg.Merged)
-	}
-	return m
 }
 
 // jsonCell is the JSONL record schema: one object per cell.

@@ -13,8 +13,8 @@ import (
 // the cell's substrate with the cell's payload, reporting the round
 // trip and the run's metric registry.
 func echoBody(c Cell, r sweep.Run) Outcome {
-	sub := c.Value("substrate").(lynx.Substrate)
-	payload := c.Int("payload")
+	sub := MustAs[lynx.Substrate](c, "substrate")
+	payload := MustAs[int](c, "payload")
 	sys := lynx.NewSystem(lynx.Config{Substrate: sub, Seed: r.Seed})
 	data := make([]byte, payload)
 	var rtt lynx.Duration
@@ -120,8 +120,22 @@ func TestGridEnumerationAndLookup(t *testing.T) {
 		t.Fatal("bad lookups should return nil")
 	}
 	c := tbl.Cells[1].Cell
-	if c.Int("payload") != 256 || c.Str("substrate") != "chrysalis" {
-		t.Fatalf("accessors: payload=%d substrate=%q", c.Int("payload"), c.Str("substrate"))
+	if MustAs[int](c, "payload") != 256 || c.Str("substrate") != "chrysalis" {
+		t.Fatalf("accessors: payload=%d substrate=%q", MustAs[int](c, "payload"), c.Str("substrate"))
+	}
+	for name, read := range map[string]func(){
+		"wrong type":   func() { MustAs[string](c, "payload") },
+		"unknown axis": func() { MustAs[int](c, "nodes") },
+		"unknown Str":  func() { c.Str("nodes") },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			read()
+		}()
 	}
 }
 
@@ -158,23 +172,6 @@ func (s *sweepSeeds) add(cell, rep int, seed uint64) {
 		s.seen[cell] = map[int]uint64{}
 	}
 	s.seen[cell][rep] = seed
-}
-
-// The table-wide pooled registry files every cell's metrics under its
-// key, and rolls up across cells by prefix.
-func TestGridMergedKeyedMetrics(t *testing.T) {
-	tbl := Run(spec(4))
-	m := tbl.Merged()
-	perCell := tbl.Cells[0].Agg.Merged.Value("queue_enqueues_total")
-	if perCell == 0 {
-		t.Fatal("chrysalis cell recorded no dual-queue enqueues")
-	}
-	if got := m.Value("substrate=chrysalis/payload=0/queue_enqueues_total"); got != perCell {
-		t.Fatalf("keyed merge = %d, want %d", got, perCell)
-	}
-	if got := m.SumPrefix("substrate=chrysalis/"); got == 0 {
-		t.Fatal("prefix rollup empty")
-	}
 }
 
 // A grid with no axes is a single "all" cell; its sweep gets the whole

@@ -3,11 +3,10 @@ package grid
 import "fmt"
 
 // Typed axis and cell accessors. Axis.Values is []any because a grid
-// crosses heterogeneous dimensions, but almost every call site knows
-// the concrete type of the axis it built; these generic helpers replace
-// the bare `c.Value(name).(T)` assertion pattern with construction and
-// lookup that keep the type in one place and fail with an error that
-// names the axis, the value, and both types.
+// crosses heterogeneous dimensions, but every call site knows the
+// concrete type of the axis it built; these generic helpers keep the
+// type in one place at construction and lookup, and a mismatch panics
+// with a message that names the axis, the value, and both types.
 
 // AxisOf builds an axis from a typed value slice.
 func AxisOf[T any](name string, values ...T) Axis {
@@ -18,33 +17,21 @@ func AxisOf[T any](name string, values ...T) Axis {
 	return Axis{Name: name, Values: vals}
 }
 
-// As returns the cell's value on the named axis as a T. Unlike
-// Cell.Value it never panics: an unknown axis or a value of a
-// different type returns a descriptive error.
-func As[T any](c Cell, axis string) (T, error) {
-	var zero T
+// MustAs returns the cell's value on the named axis as a T. An unknown
+// axis or a value of another type is a programming error in the grid
+// body, so it panics.
+func MustAs[T any](c Cell, axis string) T {
 	for i, a := range c.axes {
 		if a.Name != axis {
 			continue
 		}
 		v, ok := c.coord[i].(T)
 		if !ok {
-			return zero, fmt.Errorf("grid: axis %q holds %T (%v), not %T",
-				axis, c.coord[i], c.coord[i], zero)
+			panic(fmt.Errorf("grid: axis %q holds %T (%v), not %T", axis, c.coord[i], c.coord[i], v))
 		}
-		return v, nil
+		return v
 	}
-	return zero, fmt.Errorf("grid: cell %s has no axis %q", c.Key(), axis)
-}
-
-// MustAs is As for call sites that built the axis themselves, where a
-// mismatch is a programming error; it panics with As's error text.
-func MustAs[T any](c Cell, axis string) T {
-	v, err := As[T](c, axis)
-	if err != nil {
-		panic(err)
-	}
-	return v
+	panic(fmt.Errorf("grid: cell %s has no axis %q", c.Key(), axis))
 }
 
 // Has reports whether the cell carries the named axis — the guard for

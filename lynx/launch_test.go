@@ -232,9 +232,6 @@ func TestLaunchUnderPartition(t *testing.T) {
 			if !sys.Partitioned() {
 				t.Fatalf("Partitioned() = false at SimWorkers=%d, want true", workers)
 			}
-			if wantPar := workers > 1; sys.Parallel() != wantPar {
-				t.Fatalf("Parallel() = %v at SimWorkers=%d, want %v", sys.Parallel(), workers, wantPar)
-			}
 			return buf.Bytes()
 		}
 		base := trace(1)

@@ -44,7 +44,7 @@ func echoBody(c grid.Cell, r sweep.Run) sweep.Outcome {
 	if err != nil {
 		return sweep.Outcome{Err: err}
 	}
-	payload := c.Int("payload")
+	payload := grid.MustAs[int](c, "payload")
 	sys := lynx.NewSystem(lynx.Config{Substrate: sub, Seed: r.Seed, Trace: r.Trace})
 	data := make([]byte, payload)
 	var rtt lynx.Duration

@@ -31,8 +31,8 @@ func overloadSpec(parallel int) grid.Spec {
 
 func overloadBody(c grid.Cell, r sweep.Run) sweep.Outcome {
 	res, err := Run(Options{
-		Substrate: c.Value("substrate").(lynx.Substrate),
-		Rate:      float64(c.Int("rate")),
+		Substrate: grid.MustAs[lynx.Substrate](c, "substrate"),
+		Rate:      float64(grid.MustAs[int](c, "rate")),
 		Window:    lynx.Second / 2,
 		Seed:      r.Seed,
 	})

@@ -297,9 +297,6 @@ type System struct {
 	// joins records boot-time Join edges as spec-index pairs; materialize
 	// runs union-find over them to find independent components.
 	joins [][2]int
-	// parallel is set when a partitioned run executes its shards
-	// concurrently (SimWorkers > 1).
-	parallel bool
 	// shards are the per-group envs and segs the per-group medium
 	// segments (nil on Ideal, which has no medium): the serial env and
 	// the whole medium as the one group until a partition, then one of
@@ -770,7 +767,6 @@ func (s *System) planParallel() {
 		ObservedFn: func() bool { return rec.Active() },
 	})
 	s.shards = shards
-	s.parallel = workers > 1
 	// Mid-run launches place round-robin per group, each cursor starting
 	// from the boot cursor frozen here.
 	boot := s.groupNode[0]
@@ -807,13 +803,6 @@ func (s *System) planParallel() {
 		pr.assignGroup(comp[i])
 	}
 }
-
-// Parallel reports whether shards actually execute concurrently this
-// run: the topology partitioned AND SimWorkers > 1. False until Run,
-// and false for partitioned runs driven serially (SimWorkers <= 1),
-// which are byte-identical to the concurrent ones. Partitioned reports
-// the split itself.
-func (s *System) Parallel() bool { return s.parallel }
 
 // Partitioned reports whether materialize split this run into
 // shard-per-component (at any SimWorkers value).

@@ -164,7 +164,7 @@ func TestMetricsSnapshot(t *testing.T) {
 	if m.Value(obs.MKernelMessages) == 0 {
 		t.Errorf("kernel_messages_total = 0 after a remote op")
 	}
-	if m.SumPrefix(obs.MBindKernelSends) == 0 {
+	if a.Stats().Value(obs.MBindKernelSends)+b.Stats().Value(obs.MBindKernelSends) == 0 {
 		t.Errorf("no per-proc %s counters after a remote op", obs.MBindKernelSends)
 	}
 	snap := m.Snapshot()

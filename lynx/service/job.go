@@ -159,10 +159,10 @@ type job struct {
 	total       int
 	cacheHits   int64
 	cacheMisses int64
-	// rollup is the per-job pooled metric registry (every cell's
-	// instruments under its cell-key prefix), served at
-	// /jobs/{id}/metrics.
-	rollup *obs.Metrics
+	// rollup is the per-job metric snapshot (every cell's pooled
+	// registry, each name under its cell-key prefix), served at
+	// /jobs/{id}/metrics; nil until the job is done.
+	rollup map[string]int64
 }
 
 func newJob(id, kind, client, key string, now time.Time) *job {

@@ -236,10 +236,9 @@ func (s *Service) cacheHook(j *job, bodyID string, replicas int, root uint64) fu
 	return func(c grid.Cell, run func() *sweep.Aggregate) *sweep.Aggregate {
 		if err := j.ctx.Err(); err != nil {
 			return &sweep.Aggregate{
-				Replicas: replicas,
-				Values:   map[string]sweep.Stat{},
-				Merged:   obs.NewMetrics(),
-				Errs:     []error{err},
+				Values: map[string]sweep.Stat{},
+				Merged: obs.NewMetrics(),
+				Errs:   []error{err},
 			}
 		}
 		key := cellKey(bodyID, c, replicas, root)
@@ -265,8 +264,8 @@ func (s *Service) cacheHook(j *job, bodyID string, replicas int, root uint64) fu
 // finishGridJob folds a completed grid table into the job's terminal
 // state: canceled if the job context was canceled, failed on the first
 // replica error, otherwise done with the table's JSONL rendering as the
-// verbatim result section and its pooled registry as the metrics
-// rollup.
+// verbatim result section and every cell's pooled registry snapshot,
+// each name prefixed by its cell key, as the metrics rollup.
 func (s *Service) finishGridJob(j *job, tbl *grid.Table) {
 	if err := j.ctx.Err(); err != nil {
 		j.finish(StateCanceled, nil, err)
@@ -280,8 +279,15 @@ func (s *Service) finishGridJob(j *job, tbl *grid.Table) {
 			}
 		}
 	}
+	rollup := make(map[string]int64)
+	for _, cr := range tbl.Cells {
+		prefix := cr.Cell.Key() + "/"
+		for name, v := range cr.Agg.Merged.Snapshot() {
+			rollup[prefix+name] = v
+		}
+	}
 	j.mu.Lock()
-	j.rollup = tbl.Merged()
+	j.rollup = rollup
 	j.mu.Unlock()
 	j.finish(StateDone, splitLines(tbl.RenderJSONL()), nil)
 }
@@ -465,7 +471,7 @@ func (s *Service) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "job %s has no metrics rollup (not finished, failed, or not a grid job)", j.id)
 		return
 	}
-	writeJSON(w, http.StatusOK, rollup.Snapshot())
+	writeJSON(w, http.StatusOK, rollup)
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {

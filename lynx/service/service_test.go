@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/expt"
+	"repro/internal/obs"
 	"repro/lynx"
 	"repro/lynx/fault"
 	"repro/lynx/grid"
@@ -277,6 +278,73 @@ func TestGridEchoJobDeterministicAndCached(t *testing.T) {
 	defer mresp.Body.Close()
 	if mresp.StatusCode != http.StatusOK {
 		t.Fatalf("job metrics status = %d", mresp.StatusCode)
+	}
+}
+
+// A finished grid job's /jobs/{id}/metrics body files each cell's
+// pooled registry under its cell key: a plain counter, a histogram's
+// count and a per-process block counter each read there exactly as the
+// cell's own Agg.Merged reads them.
+func TestJobMetricsMatchCells(t *testing.T) {
+	direct := grid.Run(grid.Spec{
+		Axes: []grid.Axis{
+			{Name: "payload", Values: []any{64, 1024}},
+			{Name: "substrate", Values: []any{"charlotte"}},
+		},
+		Replicas: 2,
+		RootSeed: 5,
+		Body:     load.GridBodies()["echo"].Body,
+	})
+	_, ts := startService(t, Config{Workers: 1})
+	resp, st := submit(t, ts, JobRequest{Kind: "grid", Client: "tester", Grid: &GridJob{
+		Body: "echo",
+		Axes: []GridAxis{
+			{Name: "payload", Values: []any{64, 1024}},
+			{Name: "substrate", Values: []any{"charlotte"}},
+		},
+		Replicas: 2,
+		Seed:     5,
+	}})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status = %d", resp.StatusCode)
+	}
+	waitState(t, ts, st.ID, StateDone)
+	mresp, err := http.Get(ts.URL + "/jobs/" + st.ID + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	if mresp.StatusCode != http.StatusOK {
+		t.Fatalf("job metrics status = %d", mresp.StatusCode)
+	}
+	var got map[string]int64
+	if err := json.NewDecoder(mresp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if len(direct.Cells) != 2 {
+		t.Fatalf("grid has %d cells, want 2", len(direct.Cells))
+	}
+	for _, cr := range direct.Cells {
+		m, key := cr.Agg.Merged, cr.Cell.Key()
+		proc := -1
+		for p := 0; p < 16 && proc < 0; p++ {
+			if m.ProcValue(obs.MBindKernelSends, p) > 0 {
+				proc = p
+			}
+		}
+		if proc < 0 {
+			t.Fatalf("%s: no process sent a kernel message", key)
+		}
+		for name, want := range map[string]int64{
+			obs.MKernelMessages:                                    m.Value(obs.MKernelMessages),
+			obs.MQueueWaitNs + "_count":                            m.Histogram(obs.MQueueWaitNs).Count(),
+			fmt.Sprintf("%s{proc=%d}", obs.MBindKernelSends, proc): m.ProcValue(obs.MBindKernelSends, proc),
+		} {
+			v, ok := got[key+"/"+name]
+			if !ok || v != want {
+				t.Errorf("%s/%s = %d (present %v), want %d", key, name, v, ok, want)
+			}
+		}
 	}
 }
 

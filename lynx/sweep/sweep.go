@@ -1,114 +1,57 @@
-// Package sweep is the deterministic parallel run harness: it fans R
-// independent replicas of a simulation out across P worker goroutines
-// and aggregates their measurements into per-metric means, percentiles,
-// and confidence intervals.
+// Package sweep holds the replica plumbing of the deterministic
+// parallel run harness: the Run a replica body receives, the Outcome it
+// reports, the stream-split seeds, the worker pool (ForEach), and the
+// fold of replica outcomes into per-metric means, percentiles and
+// confidence intervals (Fold). lynx/grid fans a configuration grid's
+// cells and replicas out through it.
 //
 // Each lynx.System is single-threaded by construction (the simulation
 // kernel hands one token among its procs), but distinct Systems share
-// no mutable state, so whole runs are embarrassingly parallel. The
-// harness exploits that: replica k receives the seed
-// sim.StreamSeed(RootSeed, k) — a stateless splitmix64 stream split —
-// so its run is a pure function of (k, RootSeed) no matter which worker
-// executes it or in what order, and the aggregate is assembled in
-// replica order. Consequently the output is bit-identical for
-// Parallel=1 and Parallel=N: parallelism changes wall-clock time and
-// nothing else.
+// no mutable state, so whole runs are embarrassingly parallel. Replica
+// k of grid cell c receives the seed CellSeed(root, c, k), a stateless
+// splitmix64 stream split, so its run is a pure function of
+// (root, c, k) no matter which worker executes it or in what order,
+// and Fold assembles outcomes in replica order. Consequently the
+// output is bit-identical at any worker count: parallelism changes
+// wall-clock time and nothing else.
 //
-// Typical use:
+// Typical use, through lynx/grid:
 //
-//	agg := sweep.Sweep(sweep.Options{Replicas: 32, RootSeed: 7},
-//	    func(r sweep.Run) sweep.Outcome {
+//	t := grid.Run(grid.Spec{Replicas: 32, RootSeed: 7,
+//	    Body: func(_ grid.Cell, r sweep.Run) sweep.Outcome {
 //	        sys := lynx.NewSystem(lynx.Config{Substrate: lynx.Chrysalis, Seed: r.Seed})
 //	        ... spawn processes, sys.Run() ...
 //	        return sweep.Outcome{
 //	            Values:  map[string]float64{"rtt_ms": rtt.Milliseconds()},
 //	            Metrics: sys.Metrics(),
 //	        }
-//	    })
-//	st := agg.Values["rtt_ms"]   // Mean, P50/P95/P99, CI95 over 32 replicas
+//	    }})
+//	st := t.Cells[0].Agg.Values["rtt_ms"] // Mean, P50/P95/P99, CI95 over 32 replicas
 //
-// Values and the pooled Merged registry are built when the sweep
-// returns. The per-replica metric statistics (Aggregate.Metrics) are
-// built from the replicas' registries the first time a caller asks for
-// them, so a sweep whose caller reads only Values, Merged or Outcomes
-// never pays to flatten every registry. That is why a body's registry
-// must not change once the body has returned.
+// Fold builds Values and the pooled Merged registry at once. The
+// per-replica metric statistics (Aggregate.Metrics) are built from the
+// replicas' registries the first time a caller asks for them, so a
+// caller that reads only Values, Merged or Outcomes never pays to
+// flatten every registry. That is why a body's registry must not
+// change once the body has returned.
 package sweep
 
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/obs/flight"
 	"repro/internal/sim"
 )
 
-// Options parameterizes a sweep. The zero value runs one replica with
-// root seed 1 on GOMAXPROCS workers.
-type Options struct {
-	// Replicas is R, the number of independent runs. Default 1.
-	Replicas int
-	// Parallel is the worker goroutine count. Default GOMAXPROCS;
-	// values above Replicas are clamped.
-	Parallel int
-	// RootSeed seeds the whole sweep; replica k runs with
-	// sim.StreamSeed(RootSeed, k). Default 1.
-	RootSeed uint64
-	// Seeds, when non-nil, overrides the replica→seed derivation: replica
-	// k runs with Seeds(k) instead of sim.StreamSeed(RootSeed, k). It
-	// must be a pure function of k (no shared mutable state) or the
-	// determinism contract breaks. This is the cell-seeding hook the
-	// lynx/grid runner uses to hand each grid cell its own seed stream
-	// (see CellSeed) while still fanning replicas through Sweep.
-	Seeds func(replica int) uint64
-	// Progress, when non-nil, is called after each replica's body
-	// returns, with the number completed so far and Replicas. With
-	// Parallel > 1 calls arrive concurrently from worker goroutines and
-	// may be slightly out of order (completed is monotonic per call, not
-	// across calls); the callback must be safe for concurrent use and
-	// must not influence results — it is observation only, so the
-	// determinism contract is unaffected.
-	Progress func(completed, total int)
-	// Trace, when non-nil, is the flight-recorder configuration handed
-	// to every replica via Run.Trace. Like Parallel it is pure
-	// observation — recording never changes simulation results — so it
-	// is no part of a sweep's identity (cache keys exclude it). Bodies
-	// that honor it pass it on as lynx.Config.Trace; with Parallel > 1
-	// its Sink and DumpTo receive events from several replicas
-	// concurrently and must serialize internally (the lynxd job trace
-	// writer does).
-	Trace *flight.Config
-}
-
 // CellSeed derives the seed of replica rep of grid cell c under root: a
 // two-level stateless stream split, so the seed depends only on
-// (root, cell, replica) and never on worker scheduling. Pass
-// Options{Seeds: func(k int) uint64 { return CellSeed(root, c, k) }}
-// to run one cell of a keyed configuration grid.
+// (root, cell, replica) and never on worker scheduling.
 func CellSeed(root uint64, cell, rep int) uint64 {
 	return sim.StreamSeed2(root, uint64(cell), uint64(rep))
-}
-
-// normalized fills in defaults.
-func (o Options) normalized() Options {
-	if o.Replicas <= 0 {
-		o.Replicas = 1
-	}
-	if o.Parallel <= 0 {
-		o.Parallel = runtime.GOMAXPROCS(0)
-	}
-	if o.Parallel > o.Replicas {
-		o.Parallel = o.Replicas
-	}
-	if o.RootSeed == 0 {
-		o.RootSeed = 1
-	}
-	return o
 }
 
 // Run identifies one replica: its index and its derived seed. The body
@@ -117,8 +60,11 @@ func (o Options) normalized() Options {
 type Run struct {
 	Replica int
 	Seed    uint64
-	// Trace echoes Options.Trace (nil when the sweep is untraced); see
-	// there for the contract.
+	// Trace, when non-nil, is the flight-recorder configuration the
+	// body passes on as lynx.Config.Trace. Recording never changes
+	// simulation results. When replicas run in parallel, its Sink and
+	// DumpTo receive events from several of them concurrently and must
+	// serialize internally (the lynxd job trace writer does).
 	Trace *flight.Config
 }
 
@@ -146,12 +92,10 @@ type Stat struct {
 	CI95          float64
 }
 
-// Aggregate is the sweep's combined result. Its per-replica metric
-// statistics are built on first use (see Metrics); every other field
-// is filled when Sweep returns.
+// Aggregate is the combined result of one cell's replicas. Its
+// per-replica metric statistics are built on first use (see Metrics);
+// Fold fills every other field.
 type Aggregate struct {
-	Replicas int
-	RootSeed uint64
 	// Values holds a Stat per Outcome.Values key.
 	Values map[string]Stat
 	// Merged pools every replica's registry: counter sums, histogram
@@ -189,28 +133,6 @@ func (a *Aggregate) Metrics() map[string]Stat {
 	return a.metrics
 }
 
-// Sweep runs body for replicas 0..R-1 across the configured workers and
-// aggregates the outcomes. body must be safe to call from multiple
-// goroutines at once (distinct lynx.Systems are; see the lynx package
-// docs for the concurrency contract).
-func Sweep(o Options, body func(r Run) Outcome) *Aggregate {
-	o = o.normalized()
-	seed := o.Seeds
-	if seed == nil {
-		seed = func(i int) uint64 { return sim.StreamSeed(o.RootSeed, uint64(i)) }
-	}
-	outcomes := make([]Outcome, o.Replicas)
-	var completed atomic.Int64
-	runOne := func(i int) {
-		outcomes[i] = body(Run{Replica: i, Seed: seed(i), Trace: o.Trace})
-		if o.Progress != nil {
-			o.Progress(int(completed.Add(1)), o.Replicas)
-		}
-	}
-	ForEach(o.Replicas, o.Parallel, runOne)
-	return aggregate(o, outcomes)
-}
-
 // ForEach calls fn(i) for every i in [0, n) on up to workers goroutines
 // (on the caller's goroutine when workers <= 1) and returns once every
 // call has returned. Indexes are handed out in increasing order; fn must
@@ -243,12 +165,11 @@ func ForEach(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// aggregate folds replica outcomes into the sweep result, in replica
-// order so that every derived number is independent of scheduling.
-func aggregate(o Options, outcomes []Outcome) *Aggregate {
+// Fold folds replica outcomes, given in replica order, into their
+// Aggregate, in that order so that every derived number is independent
+// of scheduling. The Aggregate keeps outcomes as its Outcomes.
+func Fold(outcomes []Outcome) *Aggregate {
 	a := &Aggregate{
-		Replicas: o.Replicas,
-		RootSeed: o.RootSeed,
 		Values:   map[string]Stat{},
 		Merged:   obs.NewMetrics(),
 		Outcomes: outcomes,

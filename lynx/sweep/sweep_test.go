@@ -1,4 +1,4 @@
-package sweep
+package sweep_test
 
 import (
 	"fmt"
@@ -12,12 +12,21 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/lynx"
+	"repro/lynx/grid"
+	"repro/lynx/sweep"
 )
+
+// oneCell runs body as the replicas of a one-cell grid, the way every
+// caller fans replicas out, and returns the cell's aggregate.
+func oneCell(s grid.Spec, body func(sweep.Run) sweep.Outcome) *sweep.Aggregate {
+	s.Body = func(_ grid.Cell, r sweep.Run) sweep.Outcome { return body(r) }
+	return grid.Run(s).Cells[0].Agg
+}
 
 // echoBody is a real whole-system replica: one RPC echo pair on the
 // Chrysalis substrate, measuring the round trip and reporting the run's
 // metric registry.
-func echoBody(r Run) Outcome {
+func echoBody(r sweep.Run) sweep.Outcome {
 	sys := lynx.NewSystem(lynx.Config{Substrate: lynx.Chrysalis, Seed: r.Seed})
 	var rtt lynx.Duration
 	c := sys.Spawn("client", func(th *lynx.Thread, boot []*lynx.End) {
@@ -35,7 +44,7 @@ func echoBody(r Run) Outcome {
 	})
 	sys.Join(c, s)
 	err := sys.Run()
-	return Outcome{
+	return sweep.Outcome{
 		Values:  map[string]float64{"rtt_ms": rtt.Milliseconds()},
 		Metrics: sys.Metrics(),
 		Err:     err,
@@ -46,8 +55,8 @@ func echoBody(r Run) Outcome {
 // Parallel=1 and Parallel=8 at the same root seed, replicas included.
 func TestSweepDeterministicAcrossParallelism(t *testing.T) {
 	const reps = 12
-	serial := Sweep(Options{Replicas: reps, Parallel: 1, RootSeed: 99}, echoBody)
-	wide := Sweep(Options{Replicas: reps, Parallel: 8, RootSeed: 99}, echoBody)
+	serial := oneCell(grid.Spec{Replicas: reps, Parallel: 1, RootSeed: 99}, echoBody)
+	wide := oneCell(grid.Spec{Replicas: reps, Parallel: 8, RootSeed: 99}, echoBody)
 	if !reflect.DeepEqual(serial.Values, wide.Values) || !reflect.DeepEqual(serial.Metrics(), wide.Metrics()) {
 		t.Fatalf("aggregate differs between Parallel=1 and Parallel=8:\n--- serial\n%v %v\n--- parallel\n%v %v",
 			serial.Values, serial.Metrics(), wide.Values, wide.Metrics())
@@ -67,9 +76,9 @@ func TestSweepDeterministicAcrossParallelism(t *testing.T) {
 func TestSweepSeedsStableAcrossReplicaCount(t *testing.T) {
 	seeds := func(r int) []uint64 {
 		var got []uint64
-		Sweep(Options{Replicas: r, Parallel: 1, RootSeed: 5}, func(run Run) Outcome {
+		oneCell(grid.Spec{Replicas: r, Parallel: 1, RootSeed: 5}, func(run sweep.Run) sweep.Outcome {
 			got = append(got, run.Seed)
-			return Outcome{}
+			return sweep.Outcome{}
 		})
 		return got
 	}
@@ -83,7 +92,7 @@ func TestSweepSeedsStableAcrossReplicaCount(t *testing.T) {
 
 func TestSweepMergedMetrics(t *testing.T) {
 	const reps = 5
-	agg := Sweep(Options{Replicas: reps, Parallel: 4, RootSeed: 3}, echoBody)
+	agg := oneCell(grid.Spec{Replicas: reps, Parallel: 4, RootSeed: 3}, echoBody)
 	// The echo exchange is structurally identical in every replica, so
 	// the per-replica dual-queue enqueue count is a constant series and
 	// the pooled counter is exactly reps times it.
@@ -101,7 +110,7 @@ func TestSweepMergedMetrics(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	st := Summarize([]float64{4, 1, 3, 2, 5})
+	st := sweep.Summarize([]float64{4, 1, 3, 2, 5})
 	if st.N != 5 || st.Mean != 3 || st.Min != 1 || st.Max != 5 {
 		t.Fatalf("basic stats wrong: %+v", st)
 	}
@@ -113,35 +122,30 @@ func TestSummarize(t *testing.T) {
 	if math.Abs(st.CI95-want) > 1e-12 {
 		t.Fatalf("CI95 = %v, want %v", st.CI95, want)
 	}
-	if got := Summarize(nil); got != (Stat{}) {
+	if got := sweep.Summarize(nil); got != (sweep.Stat{}) {
 		t.Fatalf("empty series: %+v", got)
 	}
-	if got := Summarize([]float64{7}); got.CI95 != 0 || got.Mean != 7 {
+	if got := sweep.Summarize([]float64{7}); got.CI95 != 0 || got.Mean != 7 {
 		t.Fatalf("singleton series: %+v", got)
 	}
 }
 
-// The Seeds hook overrides seed derivation per replica; CellSeed is the
-// grid runner's two-level split, stable across worker scheduling.
+// Replica k of a one-cell grid runs with sweep.CellSeed(root, 0, k),
+// the grid's two-level split, on the serial and the parallel path.
 func TestSweepSeedsHook(t *testing.T) {
-	const root, cell = uint64(11), 3
+	const root = uint64(11)
 	var got []uint64
-	Sweep(Options{Replicas: 4, Parallel: 1, Seeds: func(k int) uint64 {
-		return CellSeed(root, cell, k)
-	}}, func(r Run) Outcome {
+	oneCell(grid.Spec{Replicas: 4, Parallel: 1, RootSeed: root}, func(r sweep.Run) sweep.Outcome {
 		got = append(got, r.Seed)
-		return Outcome{}
+		return sweep.Outcome{}
 	})
 	for k, s := range got {
-		if want := CellSeed(root, cell, k); s != want {
+		if want := sweep.CellSeed(root, 0, k); s != want {
 			t.Fatalf("replica %d seed = %#x, want CellSeed %#x", k, s, want)
 		}
 	}
-	// The hook must also feed the parallel path identically.
-	wide := Sweep(Options{Replicas: 4, Parallel: 4, Seeds: func(k int) uint64 {
-		return CellSeed(root, cell, k)
-	}}, func(r Run) Outcome {
-		return Outcome{Values: map[string]float64{"seed": float64(r.Seed % 1000)}}
+	wide := oneCell(grid.Spec{Replicas: 4, Parallel: 4, RootSeed: root}, func(r sweep.Run) sweep.Outcome {
+		return sweep.Outcome{Values: map[string]float64{"seed": float64(r.Seed % 1000)}}
 	})
 	for k := range got {
 		if wide.Outcomes[k].Values["seed"] != float64(got[k]%1000) {
@@ -153,7 +157,7 @@ func TestSweepSeedsHook(t *testing.T) {
 // A single-replica sweep has no confidence interval: the stat must
 // carry CI95=0 and render it as "n/a", never NaN or ±0.000.
 func TestSweepSingleReplicaCI(t *testing.T) {
-	agg := Sweep(Options{Replicas: 1, Parallel: 1, RootSeed: 2}, echoBody)
+	agg := oneCell(grid.Spec{Replicas: 1, Parallel: 1, RootSeed: 2}, echoBody)
 	st := agg.Values["rtt_ms"]
 	if st.N != 1 {
 		t.Fatalf("stat N = %d, want 1", st.N)
@@ -165,7 +169,7 @@ func TestSweepSingleReplicaCI(t *testing.T) {
 	if !strings.Contains(s, "±n/a") {
 		t.Fatalf("singleton Stat renders %q, want ±n/a", s)
 	}
-	for _, stats := range []map[string]Stat{agg.Values, agg.Metrics()} {
+	for _, stats := range []map[string]sweep.Stat{agg.Values, agg.Metrics()} {
 		for name, st := range stats {
 			if strings.Contains(st.String(), "NaN") {
 				t.Fatalf("stat %s renders NaN: %s", name, st)
@@ -173,18 +177,18 @@ func TestSweepSingleReplicaCI(t *testing.T) {
 		}
 	}
 	// Two replicas DO have a CI and render it numerically.
-	if s := Summarize([]float64{1, 2}).String(); strings.Contains(s, "n/a") {
+	if s := sweep.Summarize([]float64{1, 2}).String(); strings.Contains(s, "n/a") {
 		t.Fatalf("two-sample stat should render a numeric CI, got %q", s)
 	}
 }
 
 // Failed replicas surface in Errs but do not poison aggregation.
 func TestSweepCollectsErrors(t *testing.T) {
-	agg := Sweep(Options{Replicas: 4, Parallel: 2}, func(r Run) Outcome {
+	agg := oneCell(grid.Spec{Replicas: 4, Parallel: 2}, func(r sweep.Run) sweep.Outcome {
 		if r.Replica%2 == 1 {
-			return Outcome{Err: fmt.Errorf("replica %d failed", r.Replica)}
+			return sweep.Outcome{Err: fmt.Errorf("replica %d failed", r.Replica)}
 		}
-		return Outcome{Values: map[string]float64{"v": 1}}
+		return sweep.Outcome{Values: map[string]float64{"v": 1}}
 	})
 	if len(agg.Errs) != 2 {
 		t.Fatalf("errs = %v, want 2", agg.Errs)
@@ -199,15 +203,15 @@ func TestSweepCollectsErrors(t *testing.T) {
 func TestSweepProgress(t *testing.T) {
 	var mu sync.Mutex
 	var seen []int
-	agg := Sweep(Options{Replicas: 8, Parallel: 4, Progress: func(completed, total int) {
+	agg := oneCell(grid.Spec{Replicas: 8, Parallel: 4, Progress: func(completed, total int) {
 		if total != 8 {
 			t.Errorf("total = %d, want 8", total)
 		}
 		mu.Lock()
 		seen = append(seen, completed)
 		mu.Unlock()
-	}}, func(r Run) Outcome {
-		return Outcome{Values: map[string]float64{"seed": float64(r.Seed % 1000)}}
+	}}, func(r sweep.Run) sweep.Outcome {
+		return sweep.Outcome{Values: map[string]float64{"seed": float64(r.Seed % 1000)}}
 	})
 	if len(seen) != 8 {
 		t.Fatalf("progress called %d times, want 8", len(seen))
@@ -218,8 +222,8 @@ func TestSweepProgress(t *testing.T) {
 			t.Fatalf("completed counts = %v, want a permutation of 1..8", seen)
 		}
 	}
-	want := Sweep(Options{Replicas: 8, Parallel: 1}, func(r Run) Outcome {
-		return Outcome{Values: map[string]float64{"seed": float64(r.Seed % 1000)}}
+	want := oneCell(grid.Spec{Replicas: 8, Parallel: 1}, func(r sweep.Run) sweep.Outcome {
+		return sweep.Outcome{Values: map[string]float64{"seed": float64(r.Seed % 1000)}}
 	})
 	if agg.Values["seed"] != want.Values["seed"] {
 		t.Fatal("progress callback changed the aggregate")
@@ -233,7 +237,7 @@ func TestForEachCallsEveryIndexOnce(t *testing.T) {
 		for _, workers := range []int{0, 1, 3, 16} {
 			var mu sync.Mutex
 			calls := make([]int, n)
-			ForEach(n, workers, func(i int) {
+			sweep.ForEach(n, workers, func(i int) {
 				mu.Lock()
 				calls[i]++
 				mu.Unlock()
@@ -251,11 +255,11 @@ func TestForEachCallsEveryIndexOnce(t *testing.T) {
 // a histogram and a per-process counter block in some of them. Replica
 // 2 reports no registry, replica 3 fails with one and replica 5 fails
 // without.
-func mixedBody(r Run) Outcome {
+func mixedBody(r sweep.Run) sweep.Outcome {
 	if r.Replica == 5 {
-		return Outcome{Err: fmt.Errorf("replica %d failed", r.Replica)}
+		return sweep.Outcome{Err: fmt.Errorf("replica %d failed", r.Replica)}
 	}
-	out := Outcome{Values: map[string]float64{"v": float64(r.Seed % 97)}}
+	out := sweep.Outcome{Values: map[string]float64{"v": float64(r.Seed % 97)}}
 	if r.Replica == 2 {
 		return out
 	}
@@ -276,16 +280,16 @@ func mixedBody(r Run) Outcome {
 
 // eagerMetrics is the reference for Aggregate.Metrics: every replica's
 // registry snapshotted in replica order, one Stat per key.
-func eagerMetrics(outs []Outcome) map[string]Stat {
+func eagerMetrics(outs []sweep.Outcome) map[string]sweep.Stat {
 	series := map[string][]float64{}
 	for _, o := range outs {
 		for k, v := range o.Metrics.Snapshot() {
 			series[k] = append(series[k], float64(v))
 		}
 	}
-	stats := make(map[string]Stat, len(series))
+	stats := make(map[string]sweep.Stat, len(series))
 	for k, s := range series {
-		stats[k] = Summarize(s)
+		stats[k] = sweep.Summarize(s)
 	}
 	return stats
 }
@@ -295,8 +299,8 @@ func eagerMetrics(outs []Outcome) map[string]Stat {
 // name sets, no registry, or an error.
 func TestAggregateMetricsMatchesEagerSnapshots(t *testing.T) {
 	const reps = 8
-	serial := Sweep(Options{Replicas: reps, Parallel: 1, RootSeed: 4}, mixedBody)
-	wide := Sweep(Options{Replicas: reps, Parallel: 4, RootSeed: 4}, mixedBody)
+	serial := oneCell(grid.Spec{Replicas: reps, Parallel: 1, RootSeed: 4}, mixedBody)
+	wide := oneCell(grid.Spec{Replicas: reps, Parallel: 4, RootSeed: 4}, mixedBody)
 	want := eagerMetrics(serial.Outcomes)
 	if got := serial.Metrics(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Metrics() = %v\nwant eager %v", got, want)
@@ -312,17 +316,17 @@ func TestAggregateMetricsMatchesEagerSnapshots(t *testing.T) {
 	if n := want["all_total"].N; n != reps-2 {
 		t.Fatalf("all_total series has %d samples, want %d", n, reps-2)
 	}
-	if _, ok := want[obs.ProcKey("sends_total", 1)]; !ok {
-		t.Fatalf("no stat for the block counter %s; have %v", obs.ProcKey("sends_total", 1), want)
+	if _, ok := want["sends_total{proc=1}"]; !ok {
+		t.Fatalf("no stat for the block counter sends_total{proc=1}; have %v", want)
 	}
 }
 
 // Concurrent first readers share one build and get the same map: the
 // lynxd cell cache hands one *Aggregate to several jobs.
 func TestAggregateMetricsConcurrentReaders(t *testing.T) {
-	agg := Sweep(Options{Replicas: 6, Parallel: 2, RootSeed: 9}, mixedBody)
+	agg := oneCell(grid.Spec{Replicas: 6, Parallel: 2, RootSeed: 9}, mixedBody)
 	const readers = 8
-	got := make([]map[string]Stat, readers)
+	got := make([]map[string]sweep.Stat, readers)
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(readers)
@@ -346,21 +350,21 @@ func TestAggregateMetricsConcurrentReaders(t *testing.T) {
 	}
 }
 
-// unreadMetricsCeiling is the allocation count of a 100-replica Sweep
-// over prebuilt 150-name registries whose caller never reads
+// unreadMetricsCeiling is the allocation count of folding 100 replica
+// outcomes over prebuilt 150-name registries whose caller never reads
 // Aggregate.Metrics (go1.24, amd64), pinned so that it can only fall.
 // All of it is made once: the Aggregate, the pooled registry's
 // instruments, and the entry lists Merge copies each replica's entries
 // into, which the pooled registry keeps for the next merge. When Merge
-// made fresh lists for every replica the same run took 361 allocations,
-// and when the sweep snapshotted every registry up front to build the
-// per-replica statistics, 4,636, a figure that grows with replicas ×
-// names.
-const unreadMetricsCeiling = 73
+// made fresh lists for every replica, a 100-replica sweep of the same
+// registries took 361 allocations, and when the sweep snapshotted
+// every registry up front to build the per-replica statistics, 4,636,
+// a figure that grows with replicas × names.
+const unreadMetricsCeiling = 69
 
 // TestSweepUnreadMetricsAllocs is the gate that unread per-replica
-// statistics cost nothing: the registries are built outside the
-// measured call, so every allocation counted is the sweep's own.
+// statistics cost nothing: the registries and outcomes are built
+// outside the measured call, so every allocation counted is Fold's own.
 func TestSweepUnreadMetricsAllocs(t *testing.T) {
 	const reps = 100
 	set := obs.NewCounterSet(gateBlockNames()...)
@@ -381,10 +385,13 @@ func TestSweepUnreadMetricsAllocs(t *testing.T) {
 	if n := len(regs[0].Snapshot()); n != 150 {
 		t.Fatalf("registry has %d snapshot names, want 150", n)
 	}
-	body := func(r Run) Outcome { return Outcome{Metrics: regs[r.Replica]} }
-	allocs := testing.AllocsPerRun(5, func() { Sweep(Options{Replicas: reps, Parallel: 1}, body) })
+	outs := make([]sweep.Outcome, reps)
+	for r := range outs {
+		outs[r] = sweep.Outcome{Metrics: regs[r]}
+	}
+	allocs := testing.AllocsPerRun(5, func() { sweep.Fold(outs) })
 	if allocs > unreadMetricsCeiling {
-		t.Fatalf("100-replica sweep with unread metrics: %v allocations, want <= %d", allocs, unreadMetricsCeiling)
+		t.Fatalf("100-replica fold with unread metrics: %v allocations, want <= %d", allocs, unreadMetricsCeiling)
 	}
 }
 

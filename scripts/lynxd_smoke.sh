@@ -2,8 +2,9 @@
 # lynxd end-to-end smoke: start the daemon on an ephemeral port, submit
 # a seeded one-cell load job through lynxctl, and assert the streamed
 # result table is byte-identical to the same sweep run via the CLI
-# (`lynxload -json`) — the daemon's determinism contract — then check
-# the daemon shuts down cleanly on SIGTERM.
+# (`lynxload -json`) — the daemon's determinism contract — and that the
+# job's metrics rollup is keyed by its cell, then check the daemon
+# shuts down cleanly on SIGTERM.
 #
 # Usage: scripts/lynxd_smoke.sh [BIN_DIR]   (default ./bin)
 set -eu
@@ -49,6 +50,18 @@ ID=$(sed -n 's/.*"id":"\([^"]*\)".*/\1/p' "$OUT/submit.json")
 if ! cmp -s "$OUT/daemon.jsonl" "$OUT/cli.jsonl"; then
 	echo "lynxd-smoke: daemon result differs from lynxload -json (determinism contract broken)"
 	diff "$OUT/daemon.jsonl" "$OUT/cli.jsonl" | head -10 || true
+	exit 1
+fi
+
+# The finished job's metrics rollup: one non-empty JSON object whose
+# every key is a counter name filed under the job's one cell key.
+"$BIN/lynxctl" metrics "$ID" >"$OUT/metrics.json"
+CELL='substrate=charlotte/rate=40/'
+if ! grep -q "^{\"$CELL.*}\$" "$OUT/metrics.json" ||
+	tr ',' '\n' <"$OUT/metrics.json" | sed 's/^{//' | grep -v "^\"$CELL" | grep -q .; then
+	echo "lynxd-smoke: job metrics is not a non-empty object keyed by cell $CELL"
+	head -c 300 "$OUT/metrics.json"
+	echo
 	exit 1
 fi
 
@@ -104,4 +117,4 @@ if [ "$st" -ne 0 ]; then
 fi
 grep -q "shutting down" "$OUT/lynxd.log" || { echo "lynxd-smoke: no shutdown line"; cat "$OUT/lynxd.log"; exit 1; }
 
-echo "lynxd-smoke: ok (daemon table byte-identical to CLI, clean shutdown)"
+echo "lynxd-smoke: ok (daemon table byte-identical to CLI, metrics keyed by cell, clean shutdown)"
