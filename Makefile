@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-all lynxd-smoke
+.PHONY: check fmt vet build test race bench bench-all lynxd-smoke loc
 
 # check is the local gate: formatting, vet, build, and the full test
 # suite under the race detector. The behaviour goldens and the
@@ -45,3 +45,9 @@ bench-all:
 lynxd-smoke:
 	$(GO) build -o bin/ ./cmd/lynxd ./cmd/lynxctl ./cmd/lynxload ./cmd/lynxtrace
 	sh scripts/lynxd_smoke.sh bin
+
+# loc prints the Go line counts ROADMAP tracks, outside bench/:
+# non-test lines, then test lines.
+loc:
+	@echo "non-test $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
+	@echo "test     $$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"

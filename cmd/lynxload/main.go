@@ -159,9 +159,6 @@ func runOverload(o load.SweepOptions) ([]load.Row, *grid.Table, error) {
 	if err != nil {
 		return nil, tbl, err
 	}
-	if err := load.CheckShape(rows); err != nil {
-		return nil, tbl, err
-	}
 	return rows, tbl, nil
 }
 

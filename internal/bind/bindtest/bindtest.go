@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -45,8 +44,6 @@ func (s *sink) SetSink(f func(core.Event), sp *sim.Proc) {
 		f(ev)
 	}, sp)
 }
-
-func (s *sink) Obs() *obs.Recorder { return s.Transport.(core.Observed).Obs() }
 
 func (s *sink) SetScreen(f core.ScreenFunc) {
 	if sc, ok := s.Transport.(core.Screened); ok {

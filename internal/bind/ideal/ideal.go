@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -75,9 +76,10 @@ type fgroup struct {
 // Each group gets its own copy of the boot group's link table, so the
 // copies cost len(envs) × (links made so far). Link ids allocated
 // from here on are strided per group, so mid-run MakeLink stays
-// deterministic at any worker count. Call once, before the run starts,
+// deterministic at any worker count. The fabric has no medium, so it
+// returns one nil segment per env. Call once, before the run starts,
 // then AssignGroup every transport.
-func (f *Fabric) Partition(envs []*sim.Env) {
+func (f *Fabric) Partition(envs []*sim.Env) []netsim.Network {
 	if len(f.groups) != 1 {
 		panic("ideal: Partition called twice")
 	}
@@ -91,6 +93,7 @@ func (f *Fabric) Partition(envs []*sim.Env) {
 			stride:   len(envs),
 		}
 	}
+	return make([]netsim.Network, len(envs))
 }
 
 // Obs returns the fabric's recorder (the analogue of a kernel's).

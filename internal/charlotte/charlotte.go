@@ -231,30 +231,29 @@ func NewKernel(env *sim.Env, net netsim.Network, costs calib.CharlotteCosts) *Ke
 
 // Partition splits the kernel into one group per shard env for a
 // conservative parallel run: group i's processes run on envs[i] and
-// transmit over nets[i] (its per-group medium segment). Each group
-// gets its own copy of the boot group's link table, so the copies cost
-// len(envs) × (links made so far). Ids allocated from here on are
-// strided per group, so mid-run MakeLink/NewProcessIn stay
-// deterministic at any worker count. Call once, before the run starts,
-// then AssignGroup every process.
-func (k *Kernel) Partition(envs []*sim.Env, nets []netsim.Network) {
-	if len(envs) != len(nets) {
-		panic("charlotte: Partition needs one network segment per shard env")
-	}
+// transmit over segment i of the kernel's medium, which it splits and
+// returns. Each group gets its own copy of the boot group's link
+// table, so the copies cost len(envs) × (links made so far). Ids
+// allocated from here on are strided per group, so mid-run
+// MakeLink/NewProcessIn stay deterministic at any worker count. Call
+// once, before the run starts, then AssignGroup every process.
+func (k *Kernel) Partition(envs []*sim.Env) []netsim.Network {
 	if len(k.groups) != 1 {
 		panic("charlotte: Partition called twice")
 	}
+	segs := k.net.Partition(len(envs))
 	boot := k.groups[0]
 	k.groups = make([]*kgroup, len(envs))
 	for i := range envs {
 		k.groups[i] = &kgroup{
-			k: k, env: envs[i], net: nets[i],
+			k: k, env: envs[i], net: segs[i],
 			links:    maps.Clone(boot.links),
 			nextLink: boot.nextLink + i,
 			nextPID:  boot.nextPID + i,
 			stride:   len(envs),
 		}
 	}
+	return segs
 }
 
 // Obs returns the kernel's observability recorder; the binding shares

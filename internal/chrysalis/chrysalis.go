@@ -131,7 +131,7 @@ type Kernel struct {
 type kgroup struct {
 	k   *Kernel
 	env *sim.Env
-	bp  *netsim.Backplane
+	net netsim.Network
 
 	objects map[ObjName]*memObject
 	events  map[EventName]*eventBlock
@@ -169,7 +169,7 @@ func NewKernel(env *sim.Env, bp *netsim.Backplane, costs calib.ChrysalisCosts) *
 		TuneFactor:  1.0,
 	}
 	k.groups = []*kgroup{{
-		k: k, env: env, bp: bp,
+		k: k, env: env, net: bp,
 		objects: make(map[ObjName]*memObject),
 		events:  make(map[EventName]*eventBlock),
 		queues:  make(map[QueueName]*dualQueue),
@@ -180,24 +180,23 @@ func NewKernel(env *sim.Env, bp *netsim.Backplane, costs calib.ChrysalisCosts) *
 
 // Partition splits the kernel into one group per shard env for a
 // conservative parallel run: group i's processes run on envs[i] and
-// charge remote accesses to bps[i] (its per-group backplane segment).
-// Each group gets its own copy of the boot group's tables, so the
-// copies cost len(envs) × (objects, events and queues allocated so
-// far). Ids allocated from here on are strided per group, so mid-run
-// allocation stays deterministic at any worker count. Call once,
-// before the run starts, then AssignGroup every process.
-func (k *Kernel) Partition(envs []*sim.Env, bps []*netsim.Backplane) {
-	if len(envs) != len(bps) {
-		panic("chrysalis: Partition needs one backplane segment per shard env")
-	}
+// charge remote accesses to segment i of the kernel's backplane, which
+// it splits and returns. Each group gets its own copy of the boot
+// group's tables, so the copies cost len(envs) × (objects, events and
+// queues allocated so far). Ids allocated from here on are strided per
+// group, so mid-run allocation stays deterministic at any worker
+// count. Call once, before the run starts, then AssignGroup every
+// process.
+func (k *Kernel) Partition(envs []*sim.Env) []netsim.Network {
 	if len(k.groups) != 1 {
 		panic("chrysalis: Partition called twice")
 	}
+	segs := k.bp.Partition(len(envs))
 	boot := k.groups[0]
 	k.groups = make([]*kgroup, len(envs))
 	for i := range envs {
 		k.groups[i] = &kgroup{
-			k: k, env: envs[i], bp: bps[i],
+			k: k, env: envs[i], net: segs[i],
 			objects: maps.Clone(boot.objects),
 			events:  maps.Clone(boot.events),
 			queues:  maps.Clone(boot.queues),
@@ -206,6 +205,7 @@ func (k *Kernel) Partition(envs []*sim.Env, bps []*netsim.Backplane) {
 			stride:  len(envs),
 		}
 	}
+	return segs
 }
 
 // Obs returns the kernel's observability recorder; the binding shares
@@ -483,8 +483,8 @@ func (pr *Process) remoteCost(o *memObject, n int) sim.Duration {
 		return 0
 	}
 	g := pr.g
-	d := g.bp.SendTime(g.env.Now(), pr.node, o.home, n)
-	if h := g.bp.FaultHook(); h != nil {
+	d := g.net.SendTime(g.env.Now(), pr.node, o.home, n)
+	if h := g.net.FaultHook(); h != nil {
 		v := h.Frame(g.env.Now(), pr.node, o.home, n, d, false)
 		if v.Drop {
 			d += d // hardware retry: the transfer crosses the switch twice

@@ -464,7 +464,7 @@ func TestReclaimBootObjectPartitioned(t *testing.T) {
 	a, b := k.NewProcess(0), k.NewProcess(1)
 	name := a.AllocObject(nil, 64)
 	envs := root.EnterParallel(sim.ParallelOptions{Groups: 2, Workers: 1})
-	k.Partition(envs, bp.Partition(2))
+	k.Partition(envs)
 	a.AssignGroup(1)
 	b.AssignGroup(1)
 	envs[1].Spawn("g1", func(p *sim.Proc) {

@@ -9,13 +9,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Observed is implemented by transports that report into an obs
-// recorder; core uses it to account its own queue/block points against
-// the same registry as the kernel underneath.
-type Observed interface {
-	Obs() *obs.Recorder
-}
-
 // Stats counts run-time package activity for the experiment harness.
 type Stats struct {
 	RequestsSent   int64
@@ -50,7 +43,7 @@ type Process struct {
 	stats  Stats
 	onExit []func()
 
-	rec       *obs.Recorder  // nil when the transport is unobserved
+	rec       *obs.Recorder  // the transport's recorder
 	blockHist *obs.Histogram // proc_block_ns: time parked at the block point
 	queueHist *obs.Histogram // queue_wait_ns: request time in an open queue
 }
@@ -66,9 +59,7 @@ func NewProcess(env *sim.Env, name string, tr Transport, costs calib.LynxRuntime
 		costs:   costs,
 		threads: make(map[int]*Thread),
 		ends:    make(map[TransEnd]*End),
-	}
-	if o, ok := tr.(Observed); ok {
-		pr.rec = o.Obs()
+		rec:     tr.Obs(),
 	}
 	pr.blockHist = pr.rec.Histogram(obs.MProcBlockNs)
 	pr.queueHist = pr.rec.Histogram(obs.MQueueWaitNs)

@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/sim"
+import (
+	"repro/internal/obs"
+	"repro/internal/sim"
+)
 
 // TransEnd is a transport's opaque handle for one end of a link. Handles
 // must be comparable (they key the run-time package's end table): Charlotte
@@ -118,6 +121,10 @@ type Transport interface {
 	// Shutdown destroys every link still attached (process termination).
 	// It must not block or charge time: it runs from crash hooks.
 	Shutdown()
+	// Obs returns the recorder the binding reports into; the run-time
+	// package accounts its own queue and block points in the same
+	// registry as the kernel underneath.
+	Obs() *obs.Recorder
 }
 
 // ScreenFunc is the run-time package's message-screening predicate: it

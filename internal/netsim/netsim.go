@@ -15,34 +15,20 @@
 // reproduction needs from the network is the correct per-byte slope and
 // ordering of media speeds (10 Mbit ring vs 1 Mbit bus vs memory bus).
 //
-// # Parallel-execution coupling
+// # Partition
 //
-// The parallel engine (sim.EnterParallel) partitions procs into
-// independent groups and needs two facts from a network model:
-//
-//   - A latency lower bound: MinLatency reports the smallest possible
-//     delay between initiating a transfer and any remote effect. For a
-//     model with per-frame serialization this is the zero-payload frame
-//     time, since no message can influence another node sooner.
-//   - Whether the medium couples otherwise-independent node groups. As
-//     built, the ring and bus do: every SendTime call reads and writes
-//     one shared busyUntil reservation (and the bus draws from a shared
-//     rng when found busy). Partition splits that shared state into
-//     per-group SEGMENTS — clones sharing the parent's configuration but
-//     each carrying its own occupancy reservation, its own rng stream
-//     (forked from the parent in segment-index order, so the assignment
-//     of streams to groups is a pure function of the partition, not of
-//     worker scheduling), its own traffic counters, and its own fault
-//     hook slot. A group that only ever talks to itself then touches
-//     only its own segment, which is exactly the case the run-time
-//     layer's partitioner arranges: groups are connected components of
-//     the boot link graph, and processes in different components never
-//     exchange frames. A positive MinLatency bound is what makes the
-//     decomposition sound — no un-modeled faster coupling exists
-//     between segments — and the parent's Stats() aggregates its
-//     own counters with every segment's, so whole-run totals are
-//     unchanged (read it after the run; mid-run aggregation would race
-//     with concurrently-executing segments).
+// The ring and the bus couple every sender through one busyUntil
+// reservation (and the bus through one rng). Partition splits that
+// state into per-group SEGMENTS: clones with the parent's configuration
+// but their own occupancy, counters, fault hook slot and, on the bus,
+// their own rng stream, forked from the parent's in segment-index
+// order so the stream a group draws depends only on the partition,
+// never on worker scheduling. The run-time layer partitions along the
+// connected components of the boot link graph, whose processes never
+// exchange frames, so each group touches only its own segment. The
+// parent's Stats aggregates its own counters with every segment's, so
+// whole-run totals are unchanged; read it after the run (mid-run
+// aggregation would race with concurrently-executing segments).
 package netsim
 
 import (
@@ -112,8 +98,12 @@ type Network interface {
 	// FaultHook returns the installed injector, or nil. Kernels consult
 	// it at each transmission site.
 	FaultHook() FaultHook
-	// Stats exposes traffic counters.
+	// Stats exposes traffic counters, aggregated over any segments.
 	Stats() *Stats
+	// Partition splits the medium into k segments, one per node group
+	// that never exchanges frames with another (see the package
+	// comment), and returns them in group order.
+	Partition(k int) []Network
 }
 
 // faultable is the embeddable FaultHook slot shared by every network
@@ -150,6 +140,36 @@ func (s *Stats) String() string {
 		s.Messages, s.Broadcasts, s.Bytes, s.BusyTime)
 }
 
+// segments is the embeddable per-group split every medium shares: the
+// segments Partition cut from it and the aggregate its Stats reports.
+type segments struct {
+	segs []Network
+	agg  Stats
+}
+
+// split makes k segments with mk, in index order, and records them.
+func (s *segments) split(k int, mk func() Network) []Network {
+	segs := make([]Network, k)
+	for i := range segs {
+		segs[i] = mk()
+	}
+	s.segs = append(s.segs, segs...)
+	return segs
+}
+
+// total returns own when the medium was never partitioned, else own
+// plus every segment's counters.
+func (s *segments) total(own *Stats) *Stats {
+	if len(s.segs) == 0 {
+		return own
+	}
+	s.agg = *own
+	for _, seg := range s.segs {
+		s.agg.add(seg.Stats())
+	}
+	return &s.agg
+}
+
 // medium tracks serialized occupancy of a shared channel.
 type medium struct {
 	busyUntil sim.Time
@@ -179,9 +199,7 @@ type TokenRing struct {
 	BitRate       int64        // bits per second
 	HopLatency    sim.Duration // per-station token forwarding latency
 	FrameOverhead int          // header+trailer bytes per frame
-
-	segs []*TokenRing // per-group segments (see Partition)
-	agg  Stats        // cached aggregate for Stats() when segmented
+	segments
 }
 
 // NewTokenRing creates a ring with the Crystal testbed's parameters:
@@ -215,44 +233,20 @@ func (r *TokenRing) BroadcastTime(sim.Time, NodeID, int) sim.Duration { return -
 // BroadcastDelivers implements Network.
 func (r *TokenRing) BroadcastDelivers(NodeID) bool { return false }
 
-// Stats implements Network. When the ring has been Partitioned, the
-// returned snapshot aggregates the parent's own counters with every
-// segment's; read it only after the run (aggregating mid-run would race
-// with concurrently-executing segments).
-func (r *TokenRing) Stats() *Stats {
-	if len(r.segs) == 0 {
-		return &r.m.stats
-	}
-	r.agg = r.m.stats
-	for _, s := range r.segs {
-		r.agg.add(s.Stats())
-	}
-	return &r.agg
-}
+// Stats implements Network.
+func (r *TokenRing) Stats() *Stats { return r.total(&r.m.stats) }
 
-// Partition splits the ring into k segments for conservative parallel
-// execution: each segment shares the parent's configuration but has its
-// own occupancy reservation, counters, and fault hook slot, so node
-// groups that never exchange frames can drive their segments
-// concurrently. The parent's Stats() aggregates over the segments.
-func (r *TokenRing) Partition(k int) []*TokenRing {
-	segs := make([]*TokenRing, k)
-	for i := range segs {
-		segs[i] = &TokenRing{
+// Partition implements Network.
+func (r *TokenRing) Partition(k int) []Network {
+	return r.split(k, func() Network {
+		return &TokenRing{
 			Nodes:         r.Nodes,
 			BitRate:       r.BitRate,
 			HopLatency:    r.HopLatency,
 			FrameOverhead: r.FrameOverhead,
 		}
-	}
-	r.segs = append(r.segs, segs...)
-	return segs
+	})
 }
-
-// MinLatency reports the smallest possible cross-node delay: even with
-// the token in hand, an empty frame still serializes its header and
-// trailer at the link rate.
-func (r *TokenRing) MinLatency() sim.Duration { return r.serialize(0) }
 
 func (r *TokenRing) serialize(nbytes int) sim.Duration {
 	bits := int64(nbytes+r.FrameOverhead) * 8
@@ -270,9 +264,7 @@ type CSMABus struct {
 	Backoff    sim.Duration // mean extra wait when the bus is found busy
 	FrameOver  int
 	rng        *sim.Rand
-
-	segs []*CSMABus // per-group segments (see Partition)
-	agg  Stats      // cached aggregate for Stats() when segmented
+	segments
 }
 
 // csmaBroadcastLoss is the SODA testbed bus's unfaulted broadcast frame
@@ -330,46 +322,22 @@ func (b *CSMABus) BroadcastDelivers(NodeID) bool {
 	return !b.rng.Bool(rate)
 }
 
-// Stats implements Network. When the bus has been Partitioned, the
-// returned snapshot aggregates the parent's own counters with every
-// segment's; read it only after the run.
-func (b *CSMABus) Stats() *Stats {
-	if len(b.segs) == 0 {
-		return &b.m.stats
-	}
-	b.agg = b.m.stats
-	for _, s := range b.segs {
-		b.agg.add(s.Stats())
-	}
-	return &b.agg
-}
+// Stats implements Network.
+func (b *CSMABus) Stats() *Stats { return b.total(&b.m.stats) }
 
-// Partition splits the bus into k segments for conservative parallel
-// execution: each segment shares the parent's configuration but carries
-// its own occupancy reservation, counters, fault hook slot, and — the
-// part the byte-identity contract leans on — its own rng stream, forked
-// from the parent's in segment-index order so the stream a group draws
-// backoff jitter and broadcast losses from depends only on the
-// partition, never on worker scheduling. The parent's Stats()
-// aggregates over the segments.
-func (b *CSMABus) Partition(k int) []*CSMABus {
-	segs := make([]*CSMABus, k)
-	for i := range segs {
-		segs[i] = &CSMABus{
+// Partition implements Network. Each segment's rng is forked from the
+// bus's, in segment-index order.
+func (b *CSMABus) Partition(k int) []Network {
+	return b.split(k, func() Network {
+		return &CSMABus{
 			BitRate:    b.BitRate,
 			SenseDelay: b.SenseDelay,
 			Backoff:    b.Backoff,
 			FrameOver:  b.FrameOver,
 			rng:        b.rng.Fork(),
 		}
-	}
-	b.segs = append(b.segs, segs...)
-	return segs
+	})
 }
-
-// MinLatency reports the smallest possible cross-node delay: carrier
-// sense on an idle bus plus the zero-payload frame time.
-func (b *CSMABus) MinLatency() sim.Duration { return b.SenseDelay + b.serialize(0) }
 
 func (b *CSMABus) serialize(nbytes int) sim.Duration {
 	bits := int64(nbytes+b.FrameOver) * 8
@@ -385,9 +353,7 @@ type Backplane struct {
 	stats     Stats
 	SetupCost sim.Duration
 	PerByte   sim.Duration
-
-	segs []*Backplane // per-group segments (see Partition)
-	agg  Stats        // cached aggregate for Stats() when segmented
+	segments
 }
 
 // NewBackplane creates a Butterfly-calibrated backplane (68000-era block
@@ -417,49 +383,13 @@ func (bp *Backplane) BroadcastTime(sim.Time, NodeID, int) sim.Duration { return 
 // BroadcastDelivers implements Network.
 func (bp *Backplane) BroadcastDelivers(NodeID) bool { return false }
 
-// Stats implements Network. When the backplane has been Partitioned,
-// the returned snapshot aggregates the parent's own counters with every
-// segment's; read it only after the run.
-func (bp *Backplane) Stats() *Stats {
-	if len(bp.segs) == 0 {
-		return &bp.stats
-	}
-	bp.agg = bp.stats
-	for _, s := range bp.segs {
-		bp.agg.add(s.Stats())
-	}
-	return &bp.agg
-}
+// Stats implements Network.
+func (bp *Backplane) Stats() *Stats { return bp.total(&bp.stats) }
 
-// Partition splits the backplane into k segments for conservative
-// parallel execution. The switch model is contention-free, so the only
-// shared mutable state is the counters and the fault hook slot; each
-// segment gets its own of both. The parent's Stats() aggregates over
-// the segments.
-func (bp *Backplane) Partition(k int) []*Backplane {
-	segs := make([]*Backplane, k)
-	for i := range segs {
-		segs[i] = &Backplane{SetupCost: bp.SetupCost, PerByte: bp.PerByte}
-	}
-	bp.segs = append(bp.segs, segs...)
-	return segs
-}
-
-// MinLatency reports the smallest possible cross-node delay: the
-// per-transfer switch setup cost.
-func (bp *Backplane) MinLatency() sim.Duration { return bp.SetupCost }
-
-// MinLatency reports a conservative latency bound for n: the smallest
-// delay between initiating any transfer and its remote effect, or 0
-// when the model does not expose one (0 disables partitioning). A
-// positive MinLatency is what licenses splitting the medium into
-// per-group segments (Partition): it certifies that the model has no
-// faster coupling between node groups beyond the occupancy and rng
-// state the segments privatize.
-func MinLatency(n Network) sim.Duration {
-	type minLatency interface{ MinLatency() sim.Duration }
-	if m, ok := n.(minLatency); ok {
-		return m.MinLatency()
-	}
-	return 0
+// Partition implements Network. The switch model is contention-free,
+// so a segment privatizes only the counters and the fault hook slot.
+func (bp *Backplane) Partition(k int) []Network {
+	return bp.split(k, func() Network {
+		return &Backplane{SetupCost: bp.SetupCost, PerByte: bp.PerByte}
+	})
 }

@@ -51,7 +51,7 @@ func TestTerminatePartitioned(t *testing.T) {
 	k := NewKernel(root, bus, calib.DefaultSODA())
 	boot := k.NewProcess(0)
 	envs := root.EnterParallel(sim.ParallelOptions{Groups: 2, Workers: 1})
-	k.Partition(envs, bus.Partition(2))
+	k.Partition(envs)
 	boot.AssignGroup(0)
 	a := k.NewProcessIn(0, 1)
 	b := k.NewProcessIn(0, 2)
@@ -93,7 +93,7 @@ func TestBootTerminateDeadInGroup(t *testing.T) {
 	k := NewKernel(root, bus, calib.DefaultSODA())
 	far, peer, victim := k.NewProcess(0), k.NewProcess(1), k.NewProcess(2)
 	envs := root.EnterParallel(sim.ParallelOptions{Groups: 2, Workers: 1})
-	k.Partition(envs, bus.Partition(2))
+	k.Partition(envs)
 	far.AssignGroup(0)
 	peer.AssignGroup(1)
 	victim.AssignGroup(1)

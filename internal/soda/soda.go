@@ -238,7 +238,7 @@ type Kernel struct {
 type kgroup struct {
 	k   *Kernel
 	env *sim.Env
-	bus *netsim.CSMABus
+	net netsim.Network
 
 	procs    map[ProcID]*Process
 	nextProc ProcID
@@ -299,31 +299,29 @@ func NewKernel(env *sim.Env, bus *netsim.CSMABus, costs calib.SODACosts) *Kernel
 		cBytes:      rec.Counter(obs.MKernelBytes),
 		PairLimit:   8,
 	}
-	k.groups = []*kgroup{{k: k, env: env, bus: bus, procs: make(map[ProcID]*Process),
+	k.groups = []*kgroup{{k: k, env: env, net: bus, procs: make(map[ProcID]*Process),
 		nextProc: 1, nextName: 1, nextReq: 1, stride: 1}}
 	return k
 }
 
 // Partition splits the kernel into one group per shard env for a
 // conservative parallel run: group i's processes run on envs[i] and
-// transmit over buses[i] (its per-group medium segment). Each group
-// gets its own copy of the boot group's process table, so the copies
-// cost len(envs) × (processes registered so far). Ids allocated from
-// here on are strided per group, so mid-run NewName/Request/
-// NewProcessIn stay deterministic at any worker count. Call once,
-// before the run starts, then AssignGroup every process.
-func (k *Kernel) Partition(envs []*sim.Env, buses []*netsim.CSMABus) {
-	if len(envs) != len(buses) {
-		panic("soda: Partition needs one bus segment per shard env")
-	}
+// transmit over segment i of the kernel's bus, which it splits and
+// returns. Each group gets its own copy of the boot group's process
+// table, so the copies cost len(envs) × (processes registered so far).
+// Ids allocated from here on are strided per group, so mid-run
+// NewName/Request/NewProcessIn stay deterministic at any worker count.
+// Call once, before the run starts, then AssignGroup every process.
+func (k *Kernel) Partition(envs []*sim.Env) []netsim.Network {
 	if len(k.groups) != 1 {
 		panic("soda: Partition called twice")
 	}
+	segs := k.bus.Partition(len(envs))
 	boot := k.groups[0]
 	k.groups = make([]*kgroup, len(envs))
 	for i := range envs {
 		k.groups[i] = &kgroup{
-			k: k, env: envs[i], bus: buses[i],
+			k: k, env: envs[i], net: segs[i],
 			procs:    maps.Clone(boot.procs),
 			gone:     maps.Clone(boot.gone),
 			nextProc: boot.nextProc + ProcID(i),
@@ -332,6 +330,7 @@ func (k *Kernel) Partition(envs []*sim.Env, buses []*netsim.CSMABus) {
 			stride:   len(envs),
 		}
 	}
+	return segs
 }
 
 // transmit charges one request/accept frame on the bus and schedules
@@ -349,8 +348,8 @@ func (k *Kernel) Partition(envs []*sim.Env, buses []*netsim.CSMABus) {
 // completion handling are idempotent), so only bandwidth is lost. With
 // no hook installed the path is byte-identical to SendTime + After.
 func (g *kgroup) transmit(src, dst netsim.NodeID, nbytes int, pre, post sim.Duration, deliver func()) {
-	wire := g.bus.SendTime(g.env.Now(), src, dst, nbytes)
-	if h := g.bus.FaultHook(); h != nil {
+	wire := g.net.SendTime(g.env.Now(), src, dst, nbytes)
+	if h := g.net.FaultHook(); h != nil {
 		v := h.Frame(g.env.Now(), src, dst, nbytes, wire, false)
 		if v.Drop {
 			g.env.After(pre+g.k.costs.RetryInterval, func() { g.transmit(src, dst, nbytes, 0, post, deliver) })
@@ -359,7 +358,7 @@ func (g *kgroup) transmit(src, dst netsim.NodeID, nbytes int, pre, post sim.Dura
 		wire += v.Extra
 		if v.Dup {
 			g.env.After(pre+wire+post, func() {
-				g.bus.SendTime(g.env.Now(), src, dst, nbytes) // ghost copy occupies the bus
+				g.net.SendTime(g.env.Now(), src, dst, nbytes) // ghost copy occupies the bus
 				deliver()
 			})
 			return
@@ -792,7 +791,7 @@ func (pr *Process) Discover(p *sim.Proc, n Name) (ProcID, Status) {
 	}
 	charge(p, pr.k.costs.ClientCall)
 	g := pr.g
-	wire := g.bus.BroadcastTime(g.env.Now(), pr.node, 16)
+	wire := g.net.BroadcastTime(g.env.Now(), pr.node, 16)
 	p.Delay(wire)
 	// Candidate advertisers, ascending by id, scoped to the caller's
 	// partition group: a broadcast never leaves its bus segment, and the
@@ -803,7 +802,7 @@ func (pr *Process) Discover(p *sim.Proc, n Name) (ProcID, Status) {
 		if q.id == pr.id || !q.advertised[n] {
 			continue
 		}
-		if g.bus.BroadcastDelivers(q.node) {
+		if g.net.BroadcastDelivers(q.node) {
 			found, foundNode = q.id, q.node
 			break
 		}
@@ -814,7 +813,7 @@ func (pr *Process) Discover(p *sim.Proc, n Name) (ProcID, Status) {
 		return 0, NotFound
 	}
 	// The answer frame returns over the bus.
-	back := g.bus.SendTime(g.env.Now(), foundNode, pr.node, 16)
+	back := g.net.SendTime(g.env.Now(), foundNode, pr.node, 16)
 	p.Delay(back)
 	return found, OK
 }

@@ -4,9 +4,11 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/lynx"
 	"repro/lynx/fault"
 	"repro/lynx/grid"
+	"repro/lynx/sweep"
 )
 
 // faultedRun is one cheap faulted load window.
@@ -114,5 +116,45 @@ func TestWholeUnitCrashDrains(t *testing.T) {
 		if res.Completed > res.Arrivals {
 			t.Errorf("seed %d: completed %d > arrivals %d", seed, res.Completed, res.Arrivals)
 		}
+	}
+}
+
+// TestRestartedGeneratorSkipsItsPast: churn-gen crashes the generator
+// at 60 ms and restarts it at 90 ms. The new incarnation must not
+// replay the arrival instants before its own start, which launched
+// them all at once under reused unit seqs and timed their sojourns
+// from the stale instants. So each instant in the window launches at
+// most one unit, and the row (the CLI's `-faults churn-gen -rates 40
+// -substrates ideal -window 200ms -seed 1`) passes CheckShape, which
+// the replay failed on realized throughput.
+func TestRestartedGeneratorSkipsItsPast(t *testing.T) {
+	plan, err := fault.ParseScenario("churn-gen")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := SweepOptions{
+		Substrates: []lynx.Substrate{lynx.Ideal},
+		Rates:      []float64{40},
+		Window:     200 * lynx.Millisecond,
+		Seed:       1,
+		Faults:     []*fault.Plan{plan},
+	}
+	spec, err := SweepSpec(o)
+	if err != nil {
+		t.Fatalf("SweepSpec: %v", err)
+	}
+	rows, err := Rows(grid.Run(spec)) // Rows applies CheckShape
+	if err != nil {
+		t.Fatalf("churn-gen row: %v", err)
+	}
+	// The one cell's generator draws its instants from this stream.
+	arr := sim.NewArrivalStream(sim.StreamSeed(sweep.CellSeed(o.Seed, 0, 0), 1), o.Rates[0])
+	instants := 0
+	for lynx.Duration(arr.Next()) <= o.Window {
+		instants++
+	}
+	if rows[0].Arrivals > instants {
+		t.Errorf("%d units launched from %d arrival instants: a restarted generator replayed its past",
+			rows[0].Arrivals, instants)
 	}
 }

@@ -223,15 +223,25 @@ func Run(o Options) (*Result, error) {
 		sys.Spawn(name, func(t *lynx.Thread, _ []*lynx.End) {
 			arr := sim.NewArrivalStream(arrSeed, rate)
 			kindRnd := sim.NewRand(kindSeed)
+			// A generator a fault plan restarts begins a fresh
+			// incarnation mid-run; it skips the instants before its own
+			// start rather than launching them all at once under seqs
+			// its past incarnation already used. The first incarnation
+			// starts at 0 and skips nothing.
+			start := t.Now()
 			for seq := gi; seq < maxUnits; seq += gens {
 				at := arr.Next()
 				if lynx.Duration(at) > o.Window {
 					return
 				}
+				// Drawn before any skip, so kinds stay aligned with seq.
+				kind := mix.Pick(kindRnd)
+				if at < start {
+					continue
+				}
 				if err := t.SleepUntil(at); err != nil {
 					return
 				}
-				kind := mix.Pick(kindRnd)
 				specs, wires := unitSpecs(kind, seq)
 				head, _ := sys.LaunchGroup(t, specs, wires)
 				mu.Lock()

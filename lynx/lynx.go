@@ -60,13 +60,12 @@
 // shard of a parallel discrete-event engine over independent groups
 // (sim.EnterParallel), with its own event loop, its own segment of the
 // network medium, and its own slice of the kernel's state. Boot
-// components never share a link, so groups can only couple through
-// medium state. On the kernel substrates the medium's MinLatency
-// (token-ring serialization, CSMA sense delay, backplane setup cost)
-// licenses splitting that state into per-group segments (occupancy,
-// counters, forked rng streams): it certifies no other coupling exists.
-// The Ideal fabric, having no shared medium, is trivially
-// partitionable.
+// components never share a link, so their processes never exchange a
+// frame: they are automata with no shared action, which compose by
+// interleaving alone. The topology is therefore the whole license, and
+// each kernel splits its own medium into per-group segments
+// (occupancy, counters, forked rng streams); the Ideal fabric has no
+// medium to split.
 //
 // Partitioning happens whenever the topology is eligible, at every
 // SimWorkers value; Config.SimWorkers only caps how many shards execute
@@ -224,11 +223,10 @@ type Config struct {
 	Seed uint64
 	// SimWorkers caps how many event-loop shards execute concurrently
 	// inside this System. The run is partitioned into shards whenever
-	// the boot-join graph has >= 2 connected components and the medium
-	// can be split (netsim.MinLatency > 0, true of every
-	// substrate under default calibration) — independent of this value;
-	// SimWorkers <= 1 (the default) then runs the shards sequentially
-	// on one OS thread while > 1 runs up to that many concurrently.
+	// the boot-join graph has >= 2 connected components, independent
+	// of this value; SimWorkers <= 1 (the default) then runs the shards
+	// sequentially on one OS thread while > 1 runs up to that many
+	// concurrently.
 	// SimWorkers never changes results: same seed ⇒ byte-identical
 	// traces and metrics at every worker count, so it is excluded from
 	// sweep cache keys.
@@ -265,11 +263,12 @@ type System struct {
 	sodaCfg sodabind.Config // lowered from cfg.SODA at NewSystem
 	env     *sim.Env
 
-	charK *charlotte.Kernel
-	sodaK *soda.Kernel
-	chrK  *chrysalis.Kernel
-	fab   *ideal.Fabric
+	// kern is the substrate NewSystem built (a Charlotte, SODA or
+	// Chrysalis kernel, or the Ideal fabric), net its medium (nil on
+	// Ideal) and costs the run-time package's calibrated overhead on it.
+	kern  kernel
 	net   netsim.Network
+	costs calib.LynxRuntimeCosts
 
 	inj *fault.Injector
 	fr  *flight.Recorder
@@ -313,6 +312,15 @@ type System struct {
 	churn []churnTally
 }
 
+// kernel is what a System needs of its substrate once NewSystem has
+// built it: the recorder sinks attach to, and the partition step that
+// splits the substrate's state and medium into per-group parts. After
+// NewSystem, only newProcRef and join reach a substrate's own API.
+type kernel interface {
+	Obs() *obs.Recorder
+	Partition(envs []*sim.Env) []netsim.Network
+}
+
 // churnTally counts, for one crash or restart event of the fault plan,
 // the groups whose timer for it has fired and the processes it hit.
 // Shards of a partitioned run update it concurrently.
@@ -337,11 +345,11 @@ type ProcRef struct {
 	tr    core.Transport
 	boots []core.TransEnd
 	proc  *core.Process
-
-	chTr   *chbind.Transport
-	sodaTr *sodabind.Transport
-	chrTr  *chrbind.Transport
-	idTr   *ideal.Transport
+	// home is the kernel process (on Ideal, the transport) that
+	// AssignGroup moves to another group; pid is its kernel id, which
+	// a move never changes (-1 on Ideal).
+	home interface{ AssignGroup(g int) }
+	pid  int
 }
 
 // NewSystem creates a simulated machine.
@@ -353,26 +361,27 @@ func NewSystem(cfg Config) *System {
 		byProc: make(map[*core.Process]*ProcRef)}
 	switch cfg.Substrate {
 	case Charlotte:
-		ring := netsim.NewTokenRing(nodes)
-		s.net = ring
-		s.charK = charlotte.NewKernel(env, ring, calib.DefaultCharlotte())
+		s.net = netsim.NewTokenRing(nodes)
+		s.kern = charlotte.NewKernel(env, s.net, calib.DefaultCharlotte())
+		s.costs = calib.DefaultCharlotteRuntime()
 	case SODA:
 		bus := netsim.NewCSMABus(env.Rand().Fork())
-		s.net = bus
-		s.sodaK = soda.NewKernel(env, bus, calib.DefaultSODA())
+		k := soda.NewKernel(env, bus, calib.DefaultSODA())
 		// No pair limit: every link awaiting traffic pins one status
 		// signal, so any finite limit livelocks once links per pair
 		// exceed it (§4.2.1's "unspecified constant"; measured in E12).
-		s.sodaK.PairLimit = 0
+		k.PairLimit = 0
+		s.net, s.kern, s.costs = bus, k, calib.DefaultSODARuntime()
 	case Chrysalis:
 		bp := netsim.NewBackplane()
-		s.net = bp
-		s.chrK = chrysalis.NewKernel(env, bp, calib.DefaultChrysalis())
+		k := chrysalis.NewKernel(env, bp, calib.DefaultChrysalis())
 		if cfg.Chrysalis.Tuned {
-			s.chrK.TuneFactor = calib.ChrysalisTunedFactor
+			k.TuneFactor = calib.ChrysalisTunedFactor
 		}
+		s.net, s.kern, s.costs = bp, k, calib.DefaultChrysalisRuntime()
 	case Ideal:
-		s.fab = ideal.NewFabric(env, 100*sim.Microsecond, 100*sim.Nanosecond)
+		s.kern = ideal.NewFabric(env, 100*sim.Microsecond, 100*sim.Nanosecond)
+		s.costs = calib.LynxRuntimeCosts{PerOperation: 10 * sim.Microsecond}
 	default:
 		panic(fmt.Sprintf("lynx: unknown substrate %v", cfg.Substrate))
 	}
@@ -621,17 +630,19 @@ func (s *System) newProcRef(name string, main func(*Thread, []*End), g int) *Pro
 	s.groupNode[g]++
 	switch s.cfg.Substrate {
 	case Charlotte:
-		pr.chTr = chbind.New(s.charK.NewProcessIn(g, node))
-		pr.tr = pr.chTr
+		kp := s.kern.(*charlotte.Kernel).NewProcessIn(g, node)
+		pr.tr, pr.home, pr.pid = chbind.New(kp), kp, kp.ID()
 	case SODA:
-		pr.sodaTr = sodabind.New(s.sodaK, s.sodaK.NewProcessIn(g, node), s.sodaCfg)
-		pr.tr = pr.sodaTr
+		k := s.kern.(*soda.Kernel)
+		kp := k.NewProcessIn(g, node)
+		pr.tr, pr.home, pr.pid = sodabind.New(k, kp, s.sodaCfg), kp, int(kp.ID())
 	case Chrysalis:
-		pr.chrTr = chrbind.New(s.chrK, s.chrK.NewProcessIn(g, node))
-		pr.tr = pr.chrTr
+		k := s.kern.(*chrysalis.Kernel)
+		kp := k.NewProcessIn(g, node)
+		pr.tr, pr.home, pr.pid = chrbind.New(k, kp), kp, kp.ID()
 	case Ideal:
-		pr.idTr = s.fab.NewTransportIn(g, pr.name)
-		pr.tr = pr.idTr
+		tr := s.kern.(*ideal.Fabric).NewTransportIn(g, pr.name)
+		pr.tr, pr.home, pr.pid = tr, tr, -1
 	}
 	if !s.ran {
 		s.specs = append(s.specs, pr)
@@ -663,60 +674,38 @@ func (s *System) join(a, b *ProcRef) {
 	var ta, tb core.TransEnd
 	switch s.cfg.Substrate {
 	case Charlotte:
-		ea, eb := s.charK.BootLink(a.chTr.KernelProcess(), b.chTr.KernelProcess())
-		ta = a.chTr.AdoptBootEnd(ea)
-		tb = b.chTr.AdoptBootEnd(eb)
+		ca, cb := a.tr.(*chbind.Transport), b.tr.(*chbind.Transport)
+		ea, eb := s.kern.(*charlotte.Kernel).BootLink(ca.KernelProcess(), cb.KernelProcess())
+		ta, tb = ca.AdoptBootEnd(ea), cb.AdoptBootEnd(eb)
 	case SODA:
-		ta, tb = sodabind.BootLink(a.sodaTr, b.sodaTr)
+		ta, tb = sodabind.BootLink(a.tr.(*sodabind.Transport), b.tr.(*sodabind.Transport))
 	case Chrysalis:
-		ta, tb = chrbind.BootLink(a.chrTr, b.chrTr)
+		ta, tb = chrbind.BootLink(a.tr.(*chrbind.Transport), b.tr.(*chrbind.Transport))
 	case Ideal:
-		ea, eb, err := a.idTr.MakeLink()
+		ia, ib := a.tr.(*ideal.Transport), b.tr.(*ideal.Transport)
+		ea, eb, err := ia.MakeLink()
 		if err != nil {
 			panic(err)
 		}
-		ideal.MoveOwnership(s.fab, a.idTr, b.idTr, eb.(ideal.EndID))
+		ideal.MoveOwnership(s.kern.(*ideal.Fabric), ia, ib, eb.(ideal.EndID))
 		ta, tb = ea, eb
 	}
 	a.boots = append(a.boots, ta)
 	b.boots = append(b.boots, tb)
 }
 
-// runtimeCosts returns the calibrated run-time package overhead for the
-// configured substrate.
-func (s *System) runtimeCosts() calib.LynxRuntimeCosts {
-	switch s.cfg.Substrate {
-	case Charlotte:
-		return calib.DefaultCharlotteRuntime()
-	case SODA:
-		return calib.DefaultSODARuntime()
-	case Chrysalis:
-		return calib.DefaultChrysalisRuntime()
-	default:
-		return calib.LynxRuntimeCosts{PerOperation: 10 * sim.Microsecond}
-	}
-}
-
-// planParallel decides whether this run is partitionable and, when it
-// is, splits it. Eligibility is topology-and-medium only: at least two
-// boot-join connected components, over a medium that can be split
-// (netsim.MinLatency > 0 certifies that groups can only couple through
-// the state the per-group segments privatize; the Ideal fabric has no
-// medium and is trivially eligible). SimWorkers does NOT gate the
-// split — a partitioned run at Workers=1 executes its shards
-// sequentially — because the partition fixes id allocators, rng
-// streams, and fault schedules, and those must be identical at every
-// worker count for the byte-identity contract to hold.
-//
-// When eligible it partitions the env into one shard per component,
-// splits the medium into per-group segments, partitions the kernel's
-// state, and homes each boot spec on its component's group; otherwise
-// the run stays one group, on the serial env.
+// planParallel splits the run when its topology allows: when the boot
+// joins form two or more connected components. Components share no
+// link, so their processes never exchange a frame and run as
+// independent groups, each on its own shard env with its own part of
+// the kernel's state and medium. SimWorkers does NOT gate the split (a
+// partitioned run at Workers=1 executes its shards sequentially),
+// because the partition fixes id allocators, rng streams and fault
+// schedules, and those must be identical at every worker count for the
+// byte-identity contract to hold. A single-component run stays one
+// group, on the serial env.
 func (s *System) planParallel() {
 	if len(s.specs) < 2 {
-		return
-	}
-	if s.cfg.Substrate != Ideal && netsim.MinLatency(s.net) <= 0 {
 		return
 	}
 	// Union-find over the boot-join edges.
@@ -774,58 +763,21 @@ func (s *System) planParallel() {
 	for g := range s.groupNode {
 		s.groupNode[g] = boot
 	}
-	// Split the medium into per-group segments and shard the kernel.
-	s.segs = make([]netsim.Network, k)
-	switch s.cfg.Substrate {
-	case Charlotte:
-		for i, r := range s.net.(*netsim.TokenRing).Partition(k) {
-			s.segs[i] = r
-		}
-		s.charK.Partition(shards, s.segs)
-	case SODA:
-		buses := s.net.(*netsim.CSMABus).Partition(k)
-		for i, b := range buses {
-			s.segs[i] = b
-		}
-		s.sodaK.Partition(shards, buses)
-	case Chrysalis:
-		bps := s.net.(*netsim.Backplane).Partition(k)
-		for i, bp := range bps {
-			s.segs[i] = bp
-		}
-		s.chrK.Partition(shards, bps)
-	case Ideal:
-		s.fab.Partition(shards)
-	}
+	s.segs = s.kern.Partition(shards)
 	// Both ends of every boot link live in one component, so a link's
-	// traffic always runs on one shard.
+	// traffic always runs on one shard. Each boot spec's kernel process
+	// (or ideal transport) moves to its component's group before any
+	// simproc exists, so nothing is in flight; the binding, which
+	// schedules on its kernel process's group, moves with it.
 	for i, pr := range s.specs {
-		pr.assignGroup(comp[i])
+		pr.group = comp[i]
+		pr.home.AssignGroup(comp[i])
 	}
 }
 
 // Partitioned reports whether materialize split this run into
 // shard-per-component (at any SimWorkers value).
 func (s *System) Partitioned() bool { return len(s.shards) > 1 }
-
-// assignGroup homes a boot spec on partition group g: the kernel
-// process (or ideal transport) joins the group's strided id space, and
-// the binding, which schedules on its kernel process's group, moves to
-// the group's shard env with it — before any simproc exists, so nothing
-// is in flight.
-func (pr *ProcRef) assignGroup(g int) {
-	pr.group = g
-	switch {
-	case pr.chTr != nil:
-		pr.chTr.KernelProcess().AssignGroup(g)
-	case pr.sodaTr != nil:
-		pr.sodaTr.KernelProcess().AssignGroup(g)
-	case pr.chrTr != nil:
-		pr.chrTr.KernelProcess().AssignGroup(g)
-	case pr.idTr != nil:
-		pr.idTr.AssignGroup(g)
-	}
-}
 
 // materialize creates the core processes (idempotent).
 func (s *System) materialize() {
@@ -844,7 +796,7 @@ func (s *System) materialize() {
 // ends before running pr.main, and tracks it. Every process starts
 // here: boot specs at materialize, launched groups, and restarts.
 func (s *System) start(pr *ProcRef, env *sim.Env) {
-	pr.proc = core.NewProcess(env, pr.name, pr.tr, s.runtimeCosts(), func(t *Thread) {
+	pr.proc = core.NewProcess(env, pr.name, pr.tr, s.costs, func(t *Thread) {
 		boot := make([]*End, len(pr.boots))
 		for i, te := range pr.boots {
 			boot[i] = t.AdoptBootEnd(te)
@@ -983,17 +935,10 @@ func (p *ProcRef) Crash() {
 // registry. A sampled or counters-only stream comes from Config.Trace
 // instead: its Sink sits behind the flight recorder.
 func (s *System) Obs() *obs.Recorder {
-	switch {
-	case s.charK != nil:
-		return s.charK.Obs()
-	case s.sodaK != nil:
-		return s.sodaK.Obs()
-	case s.chrK != nil:
-		return s.chrK.Obs()
-	case s.fab != nil:
-		return s.fab.Obs()
+	if s.kern == nil {
+		return nil
 	}
-	return nil
+	return s.kern.Obs()
 }
 
 // Flight returns the system's flight recorder, built from
@@ -1016,14 +961,4 @@ func (s *System) Metrics() *obs.Metrics {
 // KernelPID returns the process's kernel-level id on the active
 // substrate (-1 for Ideal, which has no kernel processes). Per-process
 // obs metrics are keyed by this id.
-func (p *ProcRef) KernelPID() int {
-	switch {
-	case p.chTr != nil:
-		return p.chTr.KernelProcess().ID()
-	case p.sodaTr != nil:
-		return int(p.sodaTr.KernelProcess().ID())
-	case p.chrTr != nil:
-		return p.chrTr.KernelProcess().ID()
-	}
-	return -1
-}
+func (p *ProcRef) KernelPID() int { return p.pid }

@@ -13,7 +13,7 @@ import (
 
 // Wall-clock scaling of a connected topology: a full System on the
 // Charlotte token ring, a connected shared medium split into per-group
-// segments licensed by its MinLatency bound, with 8 client/server pairs
+// segments, with 8 client/server pairs
 // each shipping 400 RPCs. Protocol work serializes on per-segment
 // medium reservations that a bare timer workload never touches, so the
 // floor is lower than the engine's. Scaling needs at least 4 CPUs to be

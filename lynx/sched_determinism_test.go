@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/golden"
+	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/lynx"
 	"repro/lynx/fault"
@@ -55,8 +56,7 @@ func TestSchedulerGoldenTraces(t *testing.T) {
 
 // runEchoTrio runs the parallel-engine acceptance workload: three
 // independent client/server echo pairs — a boot-join graph with three
-// connected components, the shape every substrate partitions (Ideal
-// trivially; the kernels via their media's finite MinLatency). Each
+// connected components, the shape every substrate partitions. Each
 // client ships a few round trips with virtual-time pauses so shard
 // clocks interleave nontrivially. Returns the JSONL trace and the
 // finished system for Partitioned/Parallel assertions.
@@ -109,14 +109,41 @@ func checkPartition(t *testing.T, sys *lynx.System, workers int) {
 	}
 }
 
+// TestPartitionedNetworkTotals: on a partitioned run every frame goes
+// over a per-group segment of the medium, none over the root, so
+// System.Network().Stats() reports traffic only by aggregating the
+// segments. The totals must be nonzero and the same at every worker
+// count.
+func TestPartitionedNetworkTotals(t *testing.T) {
+	for _, sub := range []lynx.Substrate{lynx.Charlotte, lynx.SODA, lynx.Chrysalis} {
+		var want netsim.Stats
+		for _, workers := range []int{1, 4} {
+			sys := lynx.NewSystem(lynx.Config{Substrate: sub, Seed: 7, SimWorkers: workers})
+			spawnEchoTrio(t, sys, 3)
+			if err := sys.Run(); err != nil {
+				t.Fatalf("%v/w%d: run: %v", sub, workers, err)
+			}
+			checkPartition(t, sys, workers)
+			got := *sys.Network().Stats()
+			if got.Messages == 0 || got.Bytes == 0 {
+				t.Errorf("%v/w%d: network totals %v, want nonzero messages and bytes", sub, workers, &got)
+			}
+			if workers == 1 {
+				want = got
+			} else if got != want {
+				t.Errorf("%v/w%d: network totals %v, want %v as at SimWorkers=1", sub, workers, &got, &want)
+			}
+		}
+	}
+}
+
 // TestParallelWorkerGoldenTraces: a genuinely partitionable workload
 // must produce byte-identical JSONL traces at every SimWorkers value,
 // pinned against a golden recorded at SimWorkers=1 (shards driven
 // sequentially). This is the tentpole determinism contract on all four
-// substrates: the kernel substrates partition their shared media into
-// per-group segments bounded by MinLatency (token-ring serialization,
-// CSMA sense delay, backplane setup cost), and the parallel engine's
-// replay merges the shards' emissions by (time, shard).
+// substrates: each kernel splits its shared medium into per-group
+// segments, and the parallel engine's replay merges the shards'
+// emissions by (time, shard).
 func TestParallelWorkerGoldenTraces(t *testing.T) {
 	for _, sub := range []lynx.Substrate{lynx.Charlotte, lynx.SODA, lynx.Chrysalis, lynx.Ideal} {
 		for _, workers := range []int{1, 2, 4} {

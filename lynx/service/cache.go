@@ -27,8 +27,6 @@ type cellCache struct {
 	max     int
 	entries map[string]*sweep.Aggregate
 	order   []string
-	hits    int64
-	misses  int64
 }
 
 func newCellCache(max int) *cellCache {
@@ -53,11 +51,6 @@ func (cc *cellCache) get(key string) (*sweep.Aggregate, bool) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	agg, ok := cc.entries[key]
-	if ok {
-		cc.hits++
-	} else {
-		cc.misses++
-	}
 	return agg, ok
 }
 
@@ -76,9 +69,9 @@ func (cc *cellCache) put(key string, agg *sweep.Aggregate) {
 	cc.order = append(cc.order, key)
 }
 
-// stats reports (entries, hits, misses).
-func (cc *cellCache) stats() (int, int64, int64) {
+// len reports the number of cached cells.
+func (cc *cellCache) len() int {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	return len(cc.entries), cc.hits, cc.misses
+	return len(cc.entries)
 }

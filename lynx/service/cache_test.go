@@ -18,9 +18,8 @@ func TestCellCacheHitMissAndStats(t *testing.T) {
 	if !ok || got != agg {
 		t.Fatal("cache must return the stored aggregate by reference")
 	}
-	entries, hits, misses := cc.stats()
-	if entries != 1 || hits != 1 || misses != 1 {
-		t.Fatalf("stats = (%d, %d, %d), want (1, 1, 1)", entries, hits, misses)
+	if n := cc.len(); n != 1 {
+		t.Fatalf("entries = %d, want 1", n)
 	}
 }
 
@@ -48,7 +47,7 @@ func TestCellCacheDuplicatePutKeepsFirst(t *testing.T) {
 	if got != first {
 		t.Fatal("duplicate put must keep the first aggregate")
 	}
-	if entries, _, _ := cc.stats(); entries != 1 {
-		t.Fatalf("entries = %d, want 1", entries)
+	if n := cc.len(); n != 1 {
+		t.Fatalf("entries = %d, want 1", n)
 	}
 }

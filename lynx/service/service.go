@@ -265,7 +265,9 @@ func (s *Service) cacheHook(j *job, bodyID string, replicas int, root uint64) fu
 // state: canceled if the job context was canceled, failed on the first
 // replica error, otherwise done with the table's JSONL rendering as the
 // verbatim result section and every cell's pooled registry snapshot,
-// each name prefixed by its cell key, as the metrics rollup.
+// each name prefixed by its cell key, as the metrics rollup. Entries
+// that read 0 are left out; a reader takes a missing key as 0, as
+// Metrics.Value does.
 func (s *Service) finishGridJob(j *job, tbl *grid.Table) {
 	if err := j.ctx.Err(); err != nil {
 		j.finish(StateCanceled, nil, err)
@@ -283,7 +285,9 @@ func (s *Service) finishGridJob(j *job, tbl *grid.Table) {
 	for _, cr := range tbl.Cells {
 		prefix := cr.Cell.Key() + "/"
 		for name, v := range cr.Agg.Merged.Snapshot() {
-			rollup[prefix+name] = v
+			if v != 0 {
+				rollup[prefix+name] = v
+			}
 		}
 	}
 	j.mu.Lock()
@@ -475,11 +479,8 @@ func (s *Service) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	entries, hits, misses := s.cache.stats()
 	snap := s.statsSnapshot()
-	snap["lynxd_cache_entries"] = int64(entries)
-	snap["lynxd_cache_hits"] = hits
-	snap["lynxd_cache_misses"] = misses
+	snap["lynxd_cache_entries"] = int64(s.cache.len())
 	snap["lynxd_queue_depth"] = int64(s.queue.depth())
 	writeJSON(w, http.StatusOK, snap)
 }

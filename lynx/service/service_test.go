@@ -284,7 +284,8 @@ func TestGridEchoJobDeterministicAndCached(t *testing.T) {
 // A finished grid job's /jobs/{id}/metrics body files each cell's
 // pooled registry under its cell key: a plain counter, a histogram's
 // count and a per-process block counter each read there exactly as the
-// cell's own Agg.Merged reads them.
+// cell's own Agg.Merged reads them, a missing key reading 0, and no
+// entry reads 0.
 func TestJobMetricsMatchCells(t *testing.T) {
 	direct := grid.Run(grid.Spec{
 		Axes: []grid.Axis{
@@ -324,6 +325,11 @@ func TestJobMetricsMatchCells(t *testing.T) {
 	if len(direct.Cells) != 2 {
 		t.Fatalf("grid has %d cells, want 2", len(direct.Cells))
 	}
+	for name, v := range got {
+		if v == 0 {
+			t.Errorf("rollup carries %s = 0; zero entries are left out", name)
+		}
+	}
 	for _, cr := range direct.Cells {
 		m, key := cr.Agg.Merged, cr.Cell.Key()
 		proc := -1
@@ -340,9 +346,9 @@ func TestJobMetricsMatchCells(t *testing.T) {
 			obs.MQueueWaitNs + "_count":                            m.Histogram(obs.MQueueWaitNs).Count(),
 			fmt.Sprintf("%s{proc=%d}", obs.MBindKernelSends, proc): m.ProcValue(obs.MBindKernelSends, proc),
 		} {
-			v, ok := got[key+"/"+name]
-			if !ok || v != want {
-				t.Errorf("%s/%s = %d (present %v), want %d", key, name, v, ok, want)
+			// A missing key reads 0.
+			if v := got[key+"/"+name]; v != want {
+				t.Errorf("%s/%s = %d, want %d", key, name, v, want)
 			}
 		}
 	}
@@ -553,8 +559,8 @@ func TestListAndMetricsEndpoints(t *testing.T) {
 	if snap[MJobsSubmitted] != 1 || snap[MJobsDone] != 1 {
 		t.Fatalf("metrics = %v", snap)
 	}
-	if snap["lynxd_cache_misses"] != 2 {
-		t.Fatalf("cache misses = %d, want 2", snap["lynxd_cache_misses"])
+	if snap[MCacheMisses] != 2 {
+		t.Fatalf("cache misses = %d, want 2", snap[MCacheMisses])
 	}
 
 	hresp, err := http.Get(ts.URL + "/healthz")
