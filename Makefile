@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-all lynxd-smoke loc
+.PHONY: check fmt vet build test race golden bench bench-all lynxd-smoke loc
 
 # check is the local gate: formatting, vet, build, and the full test
 # suite under the race detector. The behaviour goldens and the
@@ -26,6 +26,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# golden regenerates every golden file from the current code: the
+# lynxbench JSON, the lynxload tables, the lynxtrace figures, the lynx
+# scheduler traces and the grid matrix. Run it after a deliberate
+# change to the behaviour contract, then read `git diff` to check that
+# only the rows the change explains moved.
+golden:
+	$(GO) test ./cmd/lynxbench ./cmd/lynxload ./cmd/lynxtrace ./lynx ./lynx/grid -run Golden -update-golden
 
 # bench runs the repository benchmark (bench/): end-to-end host
 # throughput and virtual latency on four workloads, plus per-layer cost.

@@ -103,6 +103,17 @@ func TestCheckShape(t *testing.T) {
 	if err := load.CheckShape([]load.Row{{Rate: 10, Arrivals: 50, Completed: 50, Realized: 9}}); err != nil {
 		t.Fatal(err)
 	}
+	// A Poisson burst: 11 arrivals at 40/s in a 180 ms makespan, which
+	// a 7.2-arrival mean reaches one time in nine.
+	burst := load.Row{Substrate: "ideal", Rate: 40, Arrivals: 11, Completed: 11, MakespanMS: 180.05, Realized: 61.09}
+	if err := load.CheckShape([]load.Row{burst}); err != nil {
+		t.Fatalf("short burst: %v", err)
+	}
+	// 1.2x the offered rate over 5,000 completions is 13 standard
+	// deviations out.
+	if err := load.CheckShape([]load.Row{{Rate: 40, Arrivals: 5000, Completed: 5000, Realized: 48}}); err == nil {
+		t.Fatal("5,000 completions at 1.2x offered should fail the shape check")
+	}
 }
 
 // updateGolden regenerates the table goldens:

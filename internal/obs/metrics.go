@@ -210,7 +210,8 @@ func bucketBounds(i int) (lo, hi int64) {
 
 // Metrics is a registry of named counters and histograms, plus blocks
 // of per-process counters (ProcCounters) that are stored unnamed, read
-// back by ProcValue, and named name{proc=N} only by Snapshot and Names.
+// back by ProcValue, and named name{proc=N} only by Snapshot and Names,
+// and only once they have counted: a missing name reads 0.
 // Instrument updates are atomic (parallel shard envs increment shared
 // instruments concurrently), and the registry's tables are guarded by
 // a read-write lock so instruments may also be created mid-run — a
@@ -295,31 +296,31 @@ func (m *Metrics) Value(name string) int64 {
 }
 
 // Snapshot flattens the registry into name→value pairs: counters under
-// their own names (block counters as name{proc=N}),
-// histograms as name_count / name_sum_ns / name_max_ns. Iteration order
-// is irrelevant (it is a map), but the content is deterministic for a
-// deterministic run.
+// their own names, histograms as name_count / name_sum_ns /
+// name_max_ns, and each per-process block counter that has counted as
+// name{proc=N}. A block counter still at 0 has no key, and reads 0 as a
+// missing key, as it does through ProcValue; plain counters are listed
+// at 0 too. Iteration order is irrelevant (it is a map), but the content
+// is deterministic for a deterministic run.
 func (m *Metrics) Snapshot() map[string]int64 {
 	if m == nil {
 		return nil
 	}
 	m.mu.RLock()
-	out := make(map[string]int64, len(m.counters)+3*len(m.hists)+m.blockCounters())
+	out := make(map[string]int64, len(m.counters)+3*len(m.hists)+m.countedBlockCounters())
 	for name, c := range m.counters {
 		out[name] = c.n.Load()
 	}
-	// Each block's names are formatted into one string; the map keys
-	// are substrings of it.
+	// Each block's counted names are formatted into one string; the map
+	// keys are substrings of it.
 	var buf []byte
 	for i := range m.blocks {
 		b := &m.blocks[i]
-		var sfx int
-		buf, sfx = b.appendNames(buf[:0])
-		s := string(buf)
-		for j, base := range b.set.names {
-			n := len(base) + sfx
-			out[s[:n]] += b.c[j].n.Load()
-			s = s[n:]
+		var f formatted
+		buf, f = b.format(buf)
+		for mask := f.mask; mask != 0; mask &= mask - 1 {
+			j := bits.TrailingZeros64(mask)
+			out[f.name(b.set, j)] += b.c[j].n.Load()
 		}
 	}
 	for name, h := range m.hists {
@@ -331,12 +332,16 @@ func (m *Metrics) Snapshot() map[string]int64 {
 	return out
 }
 
-// blockCounters counts the counters held in blocks (caller holds the
-// lock).
-func (m *Metrics) blockCounters() int {
+// countedBlockCounters counts the nonzero counters held in blocks
+// (caller holds the lock).
+func (m *Metrics) countedBlockCounters() int {
 	n := 0
 	for i := range m.blocks {
-		n += len(m.blocks[i].c)
+		for j := range m.blocks[i].c {
+			if m.blocks[i].c[j].n.Load() != 0 {
+				n++
+			}
+		}
 	}
 	return n
 }
@@ -417,10 +422,12 @@ func (m *Metrics) putScratch(sc *mergeScratch) {
 }
 
 // Names returns every counter and histogram name, sorted (for render
-// and debugging). A name held by several blocks, or by a block and a
-// plain counter, is one counter and is listed once; a histogram that
-// shares a counter's name is listed beside it. The three kinds of name
-// are each sorted on their own and then merged.
+// and debugging): the keys of Snapshot, with each histogram under its
+// base name. A per-process block counter is listed once it has counted.
+// A name held by several blocks, or by a block and a plain counter, is
+// one counter and is listed once; a histogram that shares a counter's
+// name is listed beside it. The three kinds of name are each sorted on
+// their own and then merged.
 func (m *Metrics) Names() []string {
 	if m == nil {
 		return nil

@@ -3,8 +3,9 @@ package obs
 // Metric name inventory. Each kernel owns one Recorder (and therefore
 // one registry); binding-level counters are per-process, held in one
 // ProcCounters block per process, read with ProcValue(name, pid) and
-// named name{proc=N} in Snapshot and Names. The README's
-// "Observability" section mirrors this list.
+// named name{proc=N} in Snapshot and Names once they have counted (a
+// missing key reads 0). The README's "Observability" section mirrors
+// this list.
 const (
 	// Kernel-level (substrate-wide) counters.
 	MKernelMessages   = "kernel_messages_total"   // messages the kernel delivered

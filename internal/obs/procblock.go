@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -10,14 +11,20 @@ import (
 // instruments one binding keeps for each process it serves. A binding
 // declares its set once; Metrics.ProcCounters then gives every process
 // a block of counters for the set. ProcValue reads a counter by set
-// index, and only Snapshot and Names format its name, name{proc=N}.
+// index, and only Snapshot and Names format its name, name{proc=N},
+// and only once the counter has counted.
 type CounterSet struct {
 	names []string
 	index map[string]int
 }
 
-// NewCounterSet declares a set of per-process counter names.
+// NewCounterSet declares a set of per-process counter names. A set
+// holds at most 64: a block's counted counters are one bit each of a
+// uint64 mask.
 func NewCounterSet(names ...string) *CounterSet {
+	if len(names) > 64 {
+		panic("obs: a counter set holds at most 64 names")
+	}
 	s := &CounterSet{names: names, index: make(map[string]int, len(names))}
 	for i, n := range names {
 		s.index[n] = i
@@ -106,99 +113,119 @@ func appendProcSuffix(buf []byte, proc int) []byte {
 	return append(buf, '}')
 }
 
-// appendNames appends the registry names of the block's counters to
-// buf back to back, in set order: base{proc=N} for each base. It also
-// returns the length of the {proc=N} suffix, which with the base
-// lengths cuts the names apart again.
-func (b *procBlock) appendNames(buf []byte) ([]byte, int) {
+// formatted is one block's counted names, formatted into one string.
+type formatted struct {
+	s    string
+	sfx  int    // length of the {proc=N} suffix
+	mask uint64 // the counters s names: bit j for counter j
+}
+
+// format formats the registry names of the block's counted (nonzero)
+// counters back to back, in set order: base{proc=N} for each such base.
+// It builds them in buf, which it returns for reuse. A block that has
+// counted nothing gets no string (mask 0). A counter that counts after
+// the call is not named: the mask, not a later read of the counter,
+// says which names s holds.
+func (b *procBlock) format(buf []byte) ([]byte, formatted) {
 	var sfx [32]byte
 	suffix := appendProcSuffix(sfx[:0], b.proc)
-	for _, base := range b.set.names {
-		buf = append(buf, base...)
-		buf = append(buf, suffix...)
+	buf = buf[:0]
+	var mask uint64
+	for j := range b.c {
+		if b.c[j].n.Load() != 0 {
+			mask |= 1 << j
+			buf = append(buf, b.set.names[j]...)
+			buf = append(buf, suffix...)
+		}
 	}
-	return buf, len(suffix)
+	if mask == 0 {
+		return buf, formatted{}
+	}
+	return buf, formatted{s: string(buf), sfx: len(suffix), mask: mask}
+}
+
+// name cuts counter j's registry name out of f, which must name it.
+func (f formatted) name(set *CounterSet, j int) string {
+	start := 0
+	for m := f.mask & (1<<j - 1); m != 0; m &= m - 1 {
+		start += len(set.names[bits.TrailingZeros64(m)]) + f.sfx
+	}
+	return f.s[start : start+len(set.names[j])+f.sfx]
+}
+
+// suffix returns f's {proc=N} suffix.
+func (f formatted) suffix(set *CounterSet) string {
+	start := len(set.names[bits.TrailingZeros64(f.mask)])
+	return f.s[start : start+f.sfx]
 }
 
 // blockGroup is the formatted blocks of one set.
 type blockGroup struct {
 	set    *CounterSet
-	offs   []int // offs[j] sums the lengths of the set's names before j
 	blocks []formatted
 }
 
-// formatted is one block's names as appendNames formats them.
-type formatted struct {
-	s   string
-	sfx int // length of the {proc=N} suffix
-}
-
-// name cuts counter j's registry name out of f.
-func (g *blockGroup) name(f formatted, j int) string {
-	start := j*f.sfx + g.offs[j]
-	return f.s[start : start+len(g.set.names[j])+f.sfx]
-}
-
-// suffix returns f's {proc=N} suffix.
-func (g *blockGroup) suffix(f formatted) string {
-	start := len(g.set.names[0])
-	return f.s[start : start+f.sfx]
-}
-
 // nameRun is a sorted run of block counter names: counter j of every
-// block of g.
+// block of g that has counted it.
 type nameRun struct {
 	g     *blockGroup
 	j     int
 	first string
 }
 
-// blockNames returns the names of every block counter, sorted, in a
-// slice with room for spare more (caller holds the lock). A name held
-// by several blocks is listed once per block. Each block's names are
-// formatted into one string. Ordering a group's blocks once by their
-// {proc=N} suffix makes counter j of every block a sorted run, so the
-// runs need only be concatenated in order of their first names. A run
-// that starts before the previous one ends (two sets that share a name)
-// is merged in instead.
+// blockNames returns the names of every counted block counter, sorted,
+// in a slice with room for spare more (caller holds the lock). A name
+// held by several blocks is listed once per block. Each block's counted
+// names are formatted into one string, and a block that has counted
+// nothing is skipped. Ordering a group's blocks once by their {proc=N}
+// suffix makes counter j of every block a sorted run, so the runs need
+// only be concatenated in order of their first names. A run that starts
+// before the previous one ends (two sets that share a name) is merged
+// in instead.
 func (m *Metrics) blockNames(spare int) []string {
 	groups := make(map[*CounterSet]*blockGroup)
 	var buf []byte
+	counted := 0
 	for i := range m.blocks {
 		b := &m.blocks[i]
-		if len(b.set.names) == 0 {
+		var f formatted
+		buf, f = b.format(buf)
+		if f.mask == 0 {
 			continue
 		}
+		counted += bits.OnesCount64(f.mask)
 		g := groups[b.set]
 		if g == nil {
-			g = &blockGroup{set: b.set, offs: make([]int, len(b.set.names))}
-			for j := 1; j < len(g.offs); j++ {
-				g.offs[j] = g.offs[j-1] + len(b.set.names[j-1])
-			}
+			g = &blockGroup{set: b.set}
 			groups[b.set] = g
 		}
-		var sfx int
-		buf, sfx = b.appendNames(buf[:0])
-		g.blocks = append(g.blocks, formatted{string(buf), sfx})
+		g.blocks = append(g.blocks, f)
 	}
 	// Runs are ordered by their first names, so map order does not
 	// matter.
 	var runs []nameRun
 	for _, g := range groups {
 		slices.SortFunc(g.blocks, func(a, b formatted) int {
-			return strings.Compare(g.suffix(a), g.suffix(b))
+			return strings.Compare(a.suffix(g.set), b.suffix(g.set))
 		})
 		for j := range g.set.names {
-			runs = append(runs, nameRun{g: g, j: j, first: g.name(g.blocks[0], j)})
+			for _, f := range g.blocks {
+				if f.mask&(1<<j) != 0 {
+					runs = append(runs, nameRun{g: g, j: j, first: f.name(g.set, j)})
+					break
+				}
+			}
 		}
 	}
 	slices.SortFunc(runs, func(a, b nameRun) int { return strings.Compare(a.first, b.first) })
-	names := make([]string, 0, m.blockCounters()+spare)
+	names := make([]string, 0, counted+spare)
 	var run []string
 	for _, r := range runs {
 		k := len(names)
 		for _, f := range r.g.blocks {
-			names = append(names, r.g.name(f, r.j))
+			if f.mask&(1<<r.j) != 0 {
+				names = append(names, f.name(r.g.set, r.j))
+			}
 		}
 		if k > 0 && names[k-1] > names[k] {
 			// The run interleaves with earlier ones: merge it in.

@@ -158,3 +158,36 @@ func TestRestartedGeneratorSkipsItsPast(t *testing.T) {
 			rows[0].Arrivals, instants)
 	}
 }
+
+// TestShortBurstPassesShape: every default fault scenario at 40/s over
+// a 200 ms window on SODA and Ideal (the CLI's `-faults default -rates
+// 40 -substrates soda,ideal -window 200ms -seed 1`) passes CheckShape.
+// Its slow(3,3) Ideal cell is a Poisson burst, 11 arrivals all
+// completed in a 180 ms makespan, which realizes 61/s: chance, not
+// invented work, which a fixed 1.5x bound on the offered rate took it
+// for.
+func TestShortBurstPassesShape(t *testing.T) {
+	plans, err := fault.ParseScenarios([]string{"default"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := SweepSpec(SweepOptions{
+		Substrates: []lynx.Substrate{lynx.SODA, lynx.Ideal},
+		Rates:      []float64{40},
+		Window:     200 * lynx.Millisecond,
+		Seed:       1,
+		Faults:     plans,
+	})
+	if err != nil {
+		t.Fatalf("SweepSpec: %v", err)
+	}
+	rows, err := Rows(grid.Run(spec)) // Rows applies CheckShape
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if r.Substrate == "ideal" && r.Scenario == "slow(3,3)" && r.Realized <= 1.5*r.Rate {
+			t.Errorf("slow(3,3) realized %g: the burst this test keeps is gone", r.Realized)
+		}
+	}
+}

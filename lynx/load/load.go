@@ -320,7 +320,7 @@ func runGuarded(sys *lynx.System, fr *flight.Recorder) error {
 // shapeAnomaly applies CheckShape's physics to a single run's result,
 // returning a non-empty reason on violation: completions beyond
 // arrivals, an incomplete drain without a churn scenario, or realized
-// throughput wildly exceeding offered load.
+// throughput beyond what the offered load could produce.
 func shapeAnomaly(o Options, res *Result) string {
 	churns := o.Faults.Churns()
 	switch {
@@ -328,7 +328,7 @@ func shapeAnomaly(o Options, res *Result) string {
 		return fmt.Sprintf("%d completed exceeds %d arrivals", res.Completed, res.Arrivals)
 	case !churns && res.Completed != res.Arrivals:
 		return fmt.Sprintf("%d of %d units completed", res.Completed, res.Arrivals)
-	case res.Arrivals > 10 && res.Realized > res.Offered*1.5:
+	case exceedsOffered(res.Offered, res.Realized, res.Completed):
 		return fmt.Sprintf("realized %g exceeds offered %g", res.Realized, res.Offered)
 	}
 	return ""

@@ -2,6 +2,7 @@ package load
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -236,11 +237,11 @@ func Rows(tbl *grid.Table) ([]Row, error) {
 
 // CheckShape asserts the physics every overload table must satisfy
 // before it is recorded or gated: open-loop runs drain completely and
-// realized throughput never wildly exceeds offered load (the engine
-// measures, it does not invent work). Rows under a churn scenario — a
-// plan that crashes or restarts processes — are exempt from the full
-// drain requirement (killed units never report), but completions can
-// still never exceed arrivals.
+// realized throughput is no more than the offered load could produce
+// (the engine measures, it does not invent work; see exceedsOffered).
+// Rows under a churn scenario — a plan that crashes or restarts
+// processes — are exempt from the full drain requirement (killed units
+// never report), but completions can still never exceed arrivals.
 func CheckShape(rows []Row) error {
 	for _, r := range rows {
 		churns := false
@@ -256,13 +257,48 @@ func CheckShape(rows []Row) error {
 		case !churns && r.Completed != r.Arrivals:
 			return fmt.Errorf("%s rate %g: %d of %d units completed",
 				r.Substrate, r.Rate, r.Completed, r.Arrivals)
-		}
-		// Realized is completed/makespan; a short burst can nominally
-		// exceed the offered average, but never wildly.
-		if r.Arrivals > 10 && r.Realized > r.Rate*1.5 {
+		case exceedsOffered(r.Rate, r.Realized, r.Completed):
 			return fmt.Errorf("%s rate %g: realized %g exceeds offered",
 				r.Substrate, r.Rate, r.Realized)
 		}
 	}
 	return nil
+}
+
+// shapeAlpha is the chance below which exceedsOffered takes a count of
+// completions to be more than the offered load produced.
+const shapeAlpha = 1e-6
+
+// exceedsOffered reports whether completed units, realized per virtual
+// second, are more than Poisson arrivals at rate could have put out:
+// whether a Poisson count with mean rate × makespan reaches completed
+// with probability below shapeAlpha. The makespan is completed/realized.
+// Every completed unit arrived before it completed, so within the
+// makespan, and arrivals are Poisson at the offered rate (several
+// generators' streams superpose into one), so no honest run fails the
+// test but once in 1/shapeAlpha. A fixed ratio cannot do this: a short
+// run of a dozen arrivals can realize 1.5× its rate by chance, while a
+// run of thousands cannot come near it.
+func exceedsOffered(rate, realized float64, completed int) bool {
+	if completed == 0 || realized <= 0 {
+		return false
+	}
+	return poissonTail(rate*float64(completed)/realized, completed) < shapeAlpha
+}
+
+// poissonTail returns P(X >= k) for X Poisson with mean mu, summing the
+// terms from k up until they no longer change the sum. At or below the
+// mean it returns 1 without summing: such a count is never surprising.
+func poissonTail(mu float64, k int) float64 {
+	if float64(k) <= mu {
+		return 1
+	}
+	lg, _ := math.Lgamma(float64(k) + 1)
+	term := math.Exp(float64(k)*math.Log(mu) - mu - lg)
+	sum := 0.0
+	for i := k; term > sum*1e-17; i++ {
+		sum += term
+		term *= mu / float64(i+1)
+	}
+	return sum
 }

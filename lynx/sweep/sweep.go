@@ -113,16 +113,29 @@ type Aggregate struct {
 
 // Metrics returns a Stat per metric-snapshot key (counters under their
 // names, histograms as name_count/name_sum_ns/name_max_ns), each series
-// being that key's values over the replicas whose registry has it, in
-// replica order. The map is built from Outcomes on the first call and
-// shared by every later one, so callers must not modify it. Safe for
-// concurrent use.
+// holding that key's value in every replica that reported a registry,
+// in replica order. A key missing from such a registry reads 0 there: a
+// per-process counter that never counted has no snapshot key, nor has a
+// counter created on first use that was never used, and leaving those
+// replicas out would average over the nonzero ones only. Replicas with
+// no registry stay out of every series. The map is built from Outcomes
+// on the first call and shared by every later one, so callers must not
+// modify it. Safe for concurrent use.
 func (a *Aggregate) Metrics() map[string]Stat {
 	a.metricsOnce.Do(func() {
-		series := map[string][]float64{}
+		var regs []*obs.Metrics
 		for _, out := range a.Outcomes {
-			for k, v := range out.Metrics.Snapshot() {
-				series[k] = append(series[k], float64(v))
+			if out.Metrics != nil {
+				regs = append(regs, out.Metrics)
+			}
+		}
+		series := map[string][]float64{}
+		for i, m := range regs {
+			for k, v := range m.Snapshot() {
+				if series[k] == nil {
+					series[k] = make([]float64, len(regs))
+				}
+				series[k][i] = float64(v)
 			}
 		}
 		a.metrics = make(map[string]Stat, len(series))

@@ -279,12 +279,25 @@ func mixedBody(r sweep.Run) sweep.Outcome {
 }
 
 // eagerMetrics is the reference for Aggregate.Metrics: every replica's
-// registry snapshotted in replica order, one Stat per key.
+// registry snapshotted in replica order, one Stat per key, whose series
+// reads 0 in each registry that lacks the key.
 func eagerMetrics(outs []sweep.Outcome) map[string]sweep.Stat {
-	series := map[string][]float64{}
+	var snaps []map[string]int64
+	keys := map[string]bool{}
 	for _, o := range outs {
-		for k, v := range o.Metrics.Snapshot() {
-			series[k] = append(series[k], float64(v))
+		if o.Metrics == nil {
+			continue
+		}
+		snap := o.Metrics.Snapshot()
+		snaps = append(snaps, snap)
+		for k := range snap {
+			keys[k] = true
+		}
+	}
+	series := map[string][]float64{}
+	for k := range keys {
+		for _, snap := range snaps {
+			series[k] = append(series[k], float64(snap[k]))
 		}
 	}
 	stats := make(map[string]sweep.Stat, len(series))
@@ -311,13 +324,35 @@ func TestAggregateMetricsMatchesEagerSnapshots(t *testing.T) {
 	if len(serial.Errs) != 2 {
 		t.Fatalf("errs = %v, want replicas 3 and 5", serial.Errs)
 	}
-	// The series skip replicas without the key: all_total misses the
-	// registry-less replica 2 and the failed replica 5 only.
-	if n := want["all_total"].N; n != reps-2 {
-		t.Fatalf("all_total series has %d samples, want %d", n, reps-2)
+	// Every series skips the registry-less replica 2 and the failed
+	// replica 5 only, whether or not the other replicas have its key.
+	for _, k := range []string{"all_total", "mod0_total", "lat_count", "sends_total{proc=1}"} {
+		if n := want[k].N; n != reps-2 {
+			t.Fatalf("%s series has %d samples, want %d", k, n, reps-2)
+		}
 	}
 	if _, ok := want["sends_total{proc=1}"]; !ok {
 		t.Fatalf("no stat for the block counter sends_total{proc=1}; have %v", want)
+	}
+}
+
+// A block counter that counts in one replica of four reads 0 in the
+// other three: its series has one value per registry, so the mean is
+// the per-replica mean, not the mean over the replicas that counted.
+func TestAggregateMetricsReadsMissingKeysAsZero(t *testing.T) {
+	set := obs.NewCounterSet("moves_total", "hits_total")
+	agg := oneCell(grid.Spec{Replicas: 4, Parallel: 1, RootSeed: 3}, func(r sweep.Run) sweep.Outcome {
+		m := obs.NewMetrics()
+		b := m.ProcCounters(set, 1)
+		b.Counter("hits_total").Inc()
+		if r.Replica == 2 {
+			b.Counter("moves_total").Add(8)
+		}
+		return sweep.Outcome{Metrics: m}
+	})
+	st := agg.Metrics()["moves_total{proc=1}"]
+	if st.N != 4 || st.Mean != 2 || st.Min != 0 || st.Max != 8 {
+		t.Fatalf("moves_total{proc=1} = %+v, want N=4 Mean=2 Min=0 Max=8", st)
 	}
 }
 
@@ -351,7 +386,8 @@ func TestAggregateMetricsConcurrentReaders(t *testing.T) {
 }
 
 // unreadMetricsCeiling is the allocation count of folding 100 replica
-// outcomes over prebuilt 150-name registries whose caller never reads
+// outcomes over prebuilt registries (30 counters, 5 histograms and
+// three blocks of a 35-name counter set) whose caller never reads
 // Aggregate.Metrics (go1.24, amd64), pinned so that it can only fall.
 // All of it is made once: the Aggregate, the pooled registry's
 // instruments, and the entry lists Merge copies each replica's entries
@@ -382,8 +418,10 @@ func TestSweepUnreadMetricsAllocs(t *testing.T) {
 		}
 		regs[r] = m
 	}
-	if n := len(regs[0].Snapshot()); n != 150 {
-		t.Fatalf("registry has %d snapshot names, want 150", n)
+	// Replica 0's blocks count 0, so only the other replicas name the
+	// three counted block counters.
+	if n := len(regs[1].Snapshot()); n != 48 {
+		t.Fatalf("registry has %d snapshot names, want 48", n)
 	}
 	outs := make([]sweep.Outcome, reps)
 	for r := range outs {
