@@ -377,7 +377,7 @@ func e5() *Result {
 			{"shared core (all three)", "-", fmt.Sprint(coreLines), "-", "-"},
 		},
 		Notes: []string{
-			"SODA's extra LoC versus Chrysalis is hint recovery (discover + freeze), not message bouncing",
+			"SODA's extra LoC versus Chrysalis is not message bouncing, and only part of it is hint recovery (discover + freeze): the rest of the SODA binding is larger than Chrysalis's too",
 			"paper shape: the Charlotte package is the largest, and its excess is the unwanted-message/enclosure code",
 		},
 	}

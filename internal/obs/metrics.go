@@ -300,8 +300,10 @@ func (m *Metrics) Value(name string) int64 {
 // name_max_ns, and each per-process block counter that has counted as
 // name{proc=N}. A block counter still at 0 has no key, and reads 0 as a
 // missing key, as it does through ProcValue; plain counters are listed
-// at 0 too. Iteration order is irrelevant (it is a map), but the content
-// is deterministic for a deterministic run.
+// at 0 too. Instruments whose names coincide (a plain and a block
+// counter, or a counter and a histogram's derived name) share one key
+// holding their sum. Iteration order is irrelevant (it is a map), but
+// the content is deterministic for a deterministic run.
 func (m *Metrics) Snapshot() map[string]int64 {
 	if m == nil {
 		return nil
@@ -324,9 +326,9 @@ func (m *Metrics) Snapshot() map[string]int64 {
 		}
 	}
 	for name, h := range m.hists {
-		out[name+"_count"] = h.count.Load()
-		out[name+"_sum_ns"] = h.sum.Load()
-		out[name+"_max_ns"] = h.max.Load()
+		out[name+"_count"] += h.count.Load()
+		out[name+"_sum_ns"] += h.sum.Load()
+		out[name+"_max_ns"] += h.max.Load()
 	}
 	m.mu.RUnlock()
 	return out
@@ -358,14 +360,39 @@ func (m *Metrics) Merge(other *Metrics) {
 		return
 	}
 	sc := m.collect(other)
-	for _, e := range sc.counters {
-		m.Counter(e.name).Add(e.c.n.Load())
-	}
+	m.mergeCounters(sc.counters)
 	for _, e := range sc.hists {
 		m.Histogram(e.name).Merge(e.h)
 	}
 	m.mergeBlocks(sc.blocks)
 	m.putScratch(sc)
+}
+
+// mergeCounters adds counters (copied out of another registry) into
+// m's, creating the ones m lacks in one slab.
+func (m *Metrics) mergeCounters(counters []counterEntry) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	missing := 0
+	for _, e := range counters {
+		if c, ok := m.counters[e.name]; ok {
+			c.n.Add(e.c.n.Load())
+		} else {
+			missing++
+		}
+	}
+	if missing == 0 {
+		return
+	}
+	slab := make([]Counter, missing)
+	for _, e := range counters {
+		if _, ok := m.counters[e.name]; !ok {
+			c := &slab[0]
+			slab = slab[1:]
+			c.n.Store(e.c.n.Load())
+			m.counters[e.name] = c
+		}
+	}
 }
 
 type counterEntry struct {

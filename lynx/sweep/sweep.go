@@ -28,12 +28,15 @@
 //	    }})
 //	st := t.Cells[0].Agg.Values["rtt_ms"] // Mean, P50/P95/P99, CI95 over 32 replicas
 //
-// Fold builds Values and the pooled Merged registry at once. The
-// per-replica metric statistics (Aggregate.Metrics) are built from the
-// replicas' registries the first time a caller asks for them, so a
-// caller that reads only Values, Merged or Outcomes never pays to
-// flatten every registry. That is why a body's registry must not
-// change once the body has returned.
+// Fold builds Values and the pooled Merged registry at once, and
+// consumes the replicas' registries: it keeps each one's values in a
+// per-cell column store (obs.Columns) and clears Outcome.Metrics, so a
+// folded replica's registry is garbage as soon as its cell has folded.
+// The per-replica metric statistics (Aggregate.Metrics) are built from
+// the column store the first time a caller asks for them, so a caller
+// that reads only Values, Merged or Outcomes never pays to name and
+// summarize every replica's instruments. A body's registry is read only
+// during Fold, and must not change once the body has returned.
 package sweep
 
 import (
@@ -72,9 +75,9 @@ type Run struct {
 // optional metric registry, and an error if the run failed. A failed
 // replica's Values/Metrics are still aggregated if present.
 //
-// Metrics is read after the body returns, at the latest when
-// Aggregate.Metrics is first called, so nothing may change the
-// registry once the body has returned.
+// Metrics is read only during Fold, which merges it, records its
+// values and then sets it to nil, so nothing may change the registry
+// once the body has returned, and a folded Outcome holds no registry.
 type Outcome struct {
 	Values  map[string]float64
 	Metrics *obs.Metrics
@@ -93,8 +96,8 @@ type Stat struct {
 }
 
 // Aggregate is the combined result of one cell's replicas. Its
-// per-replica metric statistics are built on first use (see Metrics);
-// Fold fills every other field.
+// per-replica metric statistics are built on first use (see Metrics)
+// from the values Fold recorded; Fold fills every other field.
 type Aggregate struct {
 	// Values holds a Stat per Outcome.Values key.
 	Values map[string]Stat
@@ -102,13 +105,16 @@ type Aggregate struct {
 	// bucket merges. Quantiles of pooled histograms come from
 	// Merged.Histogram(name).Quantile.
 	Merged *obs.Metrics
-	// Outcomes lists each replica's report in replica order.
+	// Outcomes lists each replica's report in replica order, with its
+	// Metrics cleared by Fold.
 	Outcomes []Outcome
 	// Errs collects the non-nil replica errors (replica order).
 	Errs []error
 
 	metricsOnce sync.Once
-	metrics     map[string]Stat
+	// cols holds every registry's values until Metrics summarizes them.
+	cols    *obs.Columns
+	metrics map[string]Stat
 }
 
 // Metrics returns a Stat per metric-snapshot key (counters under their
@@ -118,30 +124,23 @@ type Aggregate struct {
 // per-process counter that never counted has no snapshot key, nor has a
 // counter created on first use that was never used, and leaving those
 // replicas out would average over the nonzero ones only. Replicas with
-// no registry stay out of every series. The map is built from Outcomes
-// on the first call and shared by every later one, so callers must not
-// modify it. Safe for concurrent use.
+// no registry stay out of every series. The map is built from the
+// values Fold recorded on the first call, which then drops them, and is
+// shared by every later call, so callers must not modify it. Safe for
+// concurrent use.
 func (a *Aggregate) Metrics() map[string]Stat {
 	a.metricsOnce.Do(func() {
-		var regs []*obs.Metrics
-		for _, out := range a.Outcomes {
-			if out.Metrics != nil {
-				regs = append(regs, out.Metrics)
-			}
-		}
-		series := map[string][]float64{}
-		for i, m := range regs {
-			for k, v := range m.Snapshot() {
-				if series[k] == nil {
-					series[k] = make([]float64, len(regs))
-				}
-				series[k][i] = float64(v)
-			}
-		}
+		series := a.cols.Series()
 		a.metrics = make(map[string]Stat, len(series))
+		var buf []float64
 		for k, s := range series {
-			a.metrics[k] = Summarize(s)
+			buf = buf[:0]
+			for _, v := range s {
+				buf = append(buf, float64(v))
+			}
+			a.metrics[k] = Summarize(buf)
 		}
+		a.cols = nil
 	})
 	return a.metrics
 }
@@ -180,15 +179,19 @@ func ForEach(n, workers int, fn func(i int)) {
 
 // Fold folds replica outcomes, given in replica order, into their
 // Aggregate, in that order so that every derived number is independent
-// of scheduling. The Aggregate keeps outcomes as its Outcomes.
+// of scheduling. It consumes the registries: each is merged into Merged,
+// its values are recorded for Metrics, and its Outcome.Metrics is set
+// to nil in outcomes, which the Aggregate keeps as its Outcomes.
 func Fold(outcomes []Outcome) *Aggregate {
 	a := &Aggregate{
 		Values:   map[string]Stat{},
 		Merged:   obs.NewMetrics(),
 		Outcomes: outcomes,
+		cols:     obs.NewColumns(len(outcomes)),
 	}
 	valueSeries := map[string][]float64{}
-	for _, out := range outcomes {
+	for i := range outcomes {
+		out := &outcomes[i]
 		if out.Err != nil {
 			a.Errs = append(a.Errs, out.Err)
 		}
@@ -196,6 +199,8 @@ func Fold(outcomes []Outcome) *Aggregate {
 			valueSeries[k] = append(valueSeries[k], v)
 		}
 		a.Merged.Merge(out.Metrics)
+		a.cols.Record(out.Metrics)
+		out.Metrics = nil
 	}
 	for k, s := range valueSeries {
 		a.Values[k] = Summarize(s)

@@ -278,18 +278,13 @@ func mixedBody(r sweep.Run) sweep.Outcome {
 	return out
 }
 
-// eagerMetrics is the reference for Aggregate.Metrics: every replica's
-// registry snapshotted in replica order, one Stat per key, whose series
-// reads 0 in each registry that lacks the key.
-func eagerMetrics(outs []sweep.Outcome) map[string]sweep.Stat {
-	var snaps []map[string]int64
+// eagerMetrics is the reference for Aggregate.Metrics: the snapshots of
+// every replica's registry in replica order (nil for a replica without
+// one), one Stat per key, whose series reads 0 in each registry that
+// lacks the key.
+func eagerMetrics(snaps []map[string]int64) map[string]sweep.Stat {
 	keys := map[string]bool{}
-	for _, o := range outs {
-		if o.Metrics == nil {
-			continue
-		}
-		snap := o.Metrics.Snapshot()
-		snaps = append(snaps, snap)
+	for _, snap := range snaps {
 		for k := range snap {
 			keys[k] = true
 		}
@@ -297,7 +292,9 @@ func eagerMetrics(outs []sweep.Outcome) map[string]sweep.Stat {
 	series := map[string][]float64{}
 	for k := range keys {
 		for _, snap := range snaps {
-			series[k] = append(series[k], float64(snap[k]))
+			if snap != nil {
+				series[k] = append(series[k], float64(snap[k]))
+			}
 		}
 	}
 	stats := make(map[string]sweep.Stat, len(series))
@@ -307,14 +304,27 @@ func eagerMetrics(outs []sweep.Outcome) map[string]sweep.Stat {
 	return stats
 }
 
+// snapshotAside wraps body so that each replica's registry is also
+// snapshotted into the returned slice as the body returns it: Fold
+// consumes the registries, and the eager reference needs their values.
+func snapshotAside(reps int, body func(sweep.Run) sweep.Outcome) ([]map[string]int64, func(sweep.Run) sweep.Outcome) {
+	snaps := make([]map[string]int64, reps)
+	return snaps, func(r sweep.Run) sweep.Outcome {
+		out := body(r)
+		snaps[r.Replica] = out.Metrics.Snapshot()
+		return out
+	}
+}
+
 // Metrics built on first read equals the eager per-replica snapshot
 // statistics, whatever the parallelism, for replicas with differing
 // name sets, no registry, or an error.
 func TestAggregateMetricsMatchesEagerSnapshots(t *testing.T) {
 	const reps = 8
-	serial := oneCell(grid.Spec{Replicas: reps, Parallel: 1, RootSeed: 4}, mixedBody)
+	snaps, body := snapshotAside(reps, mixedBody)
+	serial := oneCell(grid.Spec{Replicas: reps, Parallel: 1, RootSeed: 4}, body)
 	wide := oneCell(grid.Spec{Replicas: reps, Parallel: 4, RootSeed: 4}, mixedBody)
-	want := eagerMetrics(serial.Outcomes)
+	want := eagerMetrics(snaps)
 	if got := serial.Metrics(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Metrics() = %v\nwant eager %v", got, want)
 	}
@@ -359,7 +369,8 @@ func TestAggregateMetricsReadsMissingKeysAsZero(t *testing.T) {
 // Concurrent first readers share one build and get the same map: the
 // lynxd cell cache hands one *Aggregate to several jobs.
 func TestAggregateMetricsConcurrentReaders(t *testing.T) {
-	agg := oneCell(grid.Spec{Replicas: 6, Parallel: 2, RootSeed: 9}, mixedBody)
+	snaps, body := snapshotAside(6, mixedBody)
+	agg := oneCell(grid.Spec{Replicas: 6, Parallel: 2, RootSeed: 9}, body)
 	const readers = 8
 	got := make([]map[string]sweep.Stat, readers)
 	start := make(chan struct{})
@@ -380,7 +391,7 @@ func TestAggregateMetricsConcurrentReaders(t *testing.T) {
 			t.Fatalf("reader %d got a different map", i)
 		}
 	}
-	if !reflect.DeepEqual(got[0], eagerMetrics(agg.Outcomes)) {
+	if !reflect.DeepEqual(got[0], eagerMetrics(snaps)) {
 		t.Fatal("concurrently built Metrics differs from the eager reference")
 	}
 }
@@ -390,17 +401,20 @@ func TestAggregateMetricsConcurrentReaders(t *testing.T) {
 // three blocks of a 35-name counter set) whose caller never reads
 // Aggregate.Metrics (go1.24, amd64), pinned so that it can only fall.
 // All of it is made once: the Aggregate, the pooled registry's
-// instruments, and the entry lists Merge copies each replica's entries
-// into, which the pooled registry keeps for the next merge. When Merge
-// made fresh lists for every replica, a 100-replica sweep of the same
-// registries took 361 allocations, and when the sweep snapshotted
-// every registry up front to build the per-replica statistics, 4,636,
-// a figure that grows with replicas × names.
-const unreadMetricsCeiling = 69
+// instruments (its new counters in one slab), the entry lists Merge
+// copies each replica's entries into, which the pooled registry keeps
+// for the next merge, and the column store that keeps every replica's
+// values, sized by the first registry. When Merge made fresh lists for
+// every replica, a 100-replica sweep of the same registries took 361
+// allocations, and when the sweep snapshotted every registry up front
+// to build the per-replica statistics, 4,636, a figure that grows with
+// replicas × names. Before the slab and the column store it took 69.
+const unreadMetricsCeiling = 51
 
 // TestSweepUnreadMetricsAllocs is the gate that unread per-replica
-// statistics cost nothing: the registries and outcomes are built
-// outside the measured call, so every allocation counted is Fold's own.
+// statistics cost no allocation per replica or name: the registries
+// and outcomes are built outside the measured call, so every
+// allocation counted is Fold's own.
 func TestSweepUnreadMetricsAllocs(t *testing.T) {
 	const reps = 100
 	set := obs.NewCounterSet(gateBlockNames()...)
@@ -427,7 +441,13 @@ func TestSweepUnreadMetricsAllocs(t *testing.T) {
 	for r := range outs {
 		outs[r] = sweep.Outcome{Metrics: regs[r]}
 	}
-	allocs := testing.AllocsPerRun(5, func() { sweep.Fold(outs) })
+	// Fold clears the registries in the slice it folds, so every run
+	// folds a fresh copy, made into a slice allocated here.
+	work := make([]sweep.Outcome, reps)
+	allocs := testing.AllocsPerRun(5, func() {
+		copy(work, outs)
+		sweep.Fold(work)
+	})
 	if allocs > unreadMetricsCeiling {
 		t.Fatalf("100-replica fold with unread metrics: %v allocations, want <= %d", allocs, unreadMetricsCeiling)
 	}
