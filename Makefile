@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race golden bench bench-all lynxd-smoke loc
+.PHONY: check fmt vet build test race golden bench bench-all loc
 
 # check is the local gate: formatting, vet, build, and the full test
 # suite under the race detector. The behaviour goldens and the
@@ -43,16 +43,6 @@ bench:
 # bench-all runs the full experiment + RPC benchmark suite once.
 bench-all:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
-
-# lynxd-smoke boots the daemon on an ephemeral port, runs a seeded
-# one-cell job through lynxctl, and asserts the streamed table is
-# byte-identical to the CLI's `lynxload -json` bytes (plus a clean
-# SIGTERM shutdown). It also runs a traced job and follows its live
-# event stream with `lynxtrace -follow`, asserting well-formed JSONL
-# and a non-empty end-of-run ring dump.
-lynxd-smoke:
-	$(GO) build -o bin/ ./cmd/lynxd ./cmd/lynxctl ./cmd/lynxload ./cmd/lynxtrace
-	sh scripts/lynxd_smoke.sh bin
 
 # loc prints the Go line counts ROADMAP tracks, outside bench/:
 # non-test lines, then test lines.

@@ -11,10 +11,9 @@
 // overload and faults tables are pinned as goldens under testdata.
 // -rate runs one open-loop System in full detail instead.
 //
-// The sweep itself lives in lynx/load (SweepSpec/Rows/Key), shared with
-// the lynxd daemon, so a daemon job and a CLI run of the same options
-// produce byte-identical tables. -json prints exactly that table (the
-// grid's JSONL rendering) to stdout and nothing else.
+// The sweep itself lives in lynx/load (SweepSpec/Rows/Key). -json
+// prints exactly its table (the grid's JSONL rendering) to stdout and
+// nothing else.
 //
 // Host-time throughput is measured by the benchmark under bench/, not
 // here.
@@ -49,7 +48,7 @@ import (
 const defaultRates = "5,20,80,320"
 
 // parseRates parses the -rates list; every entry must be a positive
-// number of arrivals per virtual second.
+// finite number of arrivals per virtual second (load.CheckRate).
 func parseRates(s string) ([]float64, error) {
 	var out []float64
 	for _, part := range strings.Split(s, ",") {
@@ -57,8 +56,8 @@ func parseRates(s string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad rate %q", part)
 		}
-		if r <= 0 {
-			return nil, fmt.Errorf("rate must be positive, got %g", r)
+		if err := load.CheckRate(r); err != nil {
+			return nil, err
 		}
 		out = append(out, r)
 	}
@@ -114,6 +113,11 @@ func parseArgs(args []string) (loadConfig, error) {
 	c := loadConfig{parallel: *parallel, simWorkers: *simWorkers, gens: *gens,
 		seed: *seed, rate: *rate, window: lynx.Duration(*window), json: *jsonOut}
 	var err error
+	if c.rate != 0 {
+		if err := load.CheckRate(c.rate); err != nil {
+			return c, fmt.Errorf("-rate: %w", err)
+		}
+	}
 	if c.subs, err = lynx.ParseSubstrates(*substrates); err != nil {
 		return c, err
 	}
@@ -219,8 +223,7 @@ func main() {
 	rows, tbl, err := runOverload(c.sweepOptions())
 	cli.Check("lynxload", err)
 	if c.json {
-		// Machine-readable mode: exactly the grid's JSONL table, the
-		// byte-level contract shared with a lynxd job of the same spec.
+		// Machine-readable mode: exactly the grid's JSONL table.
 		fmt.Print(tbl.RenderJSONL())
 		return
 	}

@@ -182,6 +182,12 @@ func TestGens4TableGolden(t *testing.T) {
 func TestParseArgsRejects(t *testing.T) {
 	for _, args := range [][]string{
 		{"-rates", "5,0"},
+		{"-rates", "-1"},
+		{"-rates", "NaN"},
+		{"-rates", "Inf"},
+		{"-rate", "-1"},
+		{"-rate", "NaN"},
+		{"-rate", "+Inf"},
 		{"-window", "0s"},
 		{"-faults", "no-such-scenario"},
 		{"-substrates", "mars"},

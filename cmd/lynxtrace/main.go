@@ -6,7 +6,6 @@
 //	lynxtrace -fig 2 -substrate soda
 //	lynxtrace -fig 1 -format jsonl  # machine-readable event stream
 //	lynxtrace -fig 1 -format chrome > trace.json   # chrome://tracing
-//	lynxtrace -follow JOB                          # live lynxd job trace
 //
 // The trace shows every kernel call and protocol message with its
 // virtual timestamp, making the difference between the substrates'
@@ -16,24 +15,13 @@
 // Chrome trace-event document (load in chrome://tracing or Perfetto).
 // In the machine formats only events go to stdout; narration goes to
 // stderr.
-//
-// -follow switches lynxtrace from replaying a built-in figure to
-// tailing a running lynxd job's flight-recorder stream
-// (GET /jobs/{id}/trace): JSONL lines pass through verbatim ("jsonl")
-// or re-render as text or as a Chrome trace document ("chrome"); the
-// command exits when the job reaches a terminal state. The daemon
-// address comes from -addr or LYNXD_ADDR, as for lynxctl.
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
-	"strings"
 
 	"repro/internal/cli"
 	"repro/internal/obs"
@@ -51,8 +39,6 @@ func run(args []string, stdout, stderr io.Writer) {
 	encl := fs.Int("enclosures", 3, "enclosures to move (figure 2)")
 	subName := fs.String("substrate", "charlotte", "charlotte|soda|chrysalis|ideal")
 	format := fs.String("format", "text", "trace output format: text|jsonl|chrome")
-	follow := fs.String("follow", "", "follow a lynxd job's live trace stream by job ID (exits at job completion)")
-	addr := fs.String("addr", cli.DaemonAddr(), "lynxd address for -follow")
 	fs.Parse(args)
 
 	switch *format {
@@ -62,11 +48,6 @@ func run(args []string, stdout, stderr io.Writer) {
 	}
 	if *encl < 0 {
 		cli.Usagef("lynxtrace", "-enclosures must be non-negative, got %d", *encl)
-	}
-
-	if *follow != "" {
-		followJob(*addr, *follow, *format, stdout, stderr)
-		return
 	}
 
 	sub, err := lynx.ParseSubstrate(*subName)
@@ -80,68 +61,6 @@ func run(args []string, stdout, stderr io.Writer) {
 	default:
 		cli.Usagef("lynxtrace", "unknown figure %d", *fig)
 	}
-}
-
-// followJob tails a lynxd job's flight-recorder stream. The daemon
-// holds the connection open until the job reaches a terminal state, so
-// a plain GET is the whole protocol. Lines are either recorded events
-// or dump envelopes ({"type":"dump",...}); envelopes pass through in
-// jsonl mode and narrate to stderr in the rendered modes.
-func followJob(addr, id, format string, stdout, stderr io.Writer) {
-	// Accept both a bare host:port and a full URL (lynxd announces
-	// "listening on http://host:port", which scripts pass through).
-	if !strings.HasPrefix(addr, "http://") && !strings.HasPrefix(addr, "https://") {
-		addr = "http://" + addr
-	}
-	url := fmt.Sprintf("%s/jobs/%s/trace", strings.TrimRight(addr, "/"), id)
-	resp, err := http.Get(url)
-	cli.Check("lynxtrace", err)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		cli.Usagef("lynxtrace", "GET %s: %s: %s", url, resp.Status, body)
-	}
-
-	var render func(line []byte)
-	switch format {
-	case "text":
-		text := &obs.TextExporter{W: stdout}
-		render = func(line []byte) { renderLine(line, text.Event, stderr) }
-	case "jsonl":
-		render = func(line []byte) {
-			stdout.Write(line)
-			stdout.Write([]byte{'\n'})
-		}
-	case "chrome":
-		ch := obs.NewChromeStream(stdout)
-		defer func() { cli.Check("lynxtrace", ch.Close()) }()
-		render = func(line []byte) { renderLine(line, ch.Event, stderr) }
-	}
-
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		render(sc.Bytes())
-	}
-	cli.Check("lynxtrace", sc.Err())
-}
-
-// renderLine decodes one stream line and hands recorded events to emit;
-// dump envelopes and undecodable lines narrate to stderr instead.
-func renderLine(line []byte, emit func(obs.Event), stderr io.Writer) {
-	var probe struct {
-		Type string `json:"type"`
-	}
-	if err := json.Unmarshal(line, &probe); err != nil || probe.Type != "" {
-		fmt.Fprintf(stderr, "%s\n", line)
-		return
-	}
-	var ev obs.Event
-	if err := json.Unmarshal(line, &ev); err != nil {
-		fmt.Fprintf(stderr, "%s\n", line)
-		return
-	}
-	emit(ev)
 }
 
 // attachOutput attaches the chosen format's exporter to the system's

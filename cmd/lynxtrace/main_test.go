@@ -5,9 +5,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -107,24 +104,5 @@ func TestChromeMatchesJSONLGolden(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// With no -addr, -follow finds lynxd through LYNXD_ADDR, as lynxctl
-// does, and passes the job's JSONL trace through verbatim.
-func TestFollowFindsDaemonByEnv(t *testing.T) {
-	const stream = `{"at":3000000,"sub":"ideal","kind":"mark","src":"A","detail":"moving"}` + "\n" +
-		`{"type":"dump","ring":1}` + "\n"
-	var path string
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		path = r.URL.Path
-		io.WriteString(w, stream)
-	}))
-	defer srv.Close()
-	t.Setenv("LYNXD_ADDR", srv.URL)
-	out, errOut, code := runCLI("-follow", "j000001", "-format", "jsonl")
-	if code != 0 || path != "/jobs/j000001/trace" || out != stream {
-		t.Fatalf("exit %d, GET %q, stdout %q (stderr %q): want 0, /jobs/j000001/trace and the stream verbatim",
-			code, path, out, errOut)
 	}
 }

@@ -56,15 +56,6 @@ func Check(tool string, err error) {
 	}
 }
 
-// DaemonAddr is the lynxd address the clients default to: LYNXD_ADDR
-// when set, else the daemon's own default listen address.
-func DaemonAddr() string {
-	if a := os.Getenv("LYNXD_ADDR"); a != "" {
-		return a
-	}
-	return "http://127.0.0.1:8077"
-}
-
 // exitPanic carries an exit code out of a trapped call.
 type exitPanic int
 

@@ -33,12 +33,10 @@ func (t *TextExporter) Event(ev Event) {
 // the Event struct, so a deterministic run produces a byte-identical
 // stream.
 //
-// When W exposes a Flush method — bufio.Writer's Flush() error, or
-// http.ResponseWriter's Flush() via the http.Flusher interface — the
+// When W exposes a Flush() error method (a bufio.Writer, say), the
 // exporter calls it after every event, so a consumer tailing the stream
-// (lynxd's chunked job-stream endpoint, lynxtrace piped into a pager on
-// a long run) sees each event as soon as it is recorded rather than at
-// buffer boundaries.
+// sees each event as soon as it is recorded rather than at buffer
+// boundaries.
 type JSONLExporter struct {
 	W io.Writer
 	// Err records the first write or flush error; once set, subsequent
@@ -49,10 +47,8 @@ type JSONLExporter struct {
 	buf []byte
 }
 
-// flusher matches bufio.Writer-style sinks; httpFlusher matches
-// http.Flusher without importing net/http.
+// flusher matches bufio.Writer-style sinks.
 type flusher interface{ Flush() error }
-type httpFlusher interface{ Flush() }
 
 // Event implements Sink.
 func (j *JSONLExporter) Event(ev Event) {
@@ -77,11 +73,8 @@ func (j *JSONLExporter) Event(ev Event) {
 // Flush forwards to W's Flush method when it has one (no-op otherwise),
 // pushing buffered bytes to the consumer incrementally.
 func (j *JSONLExporter) Flush() error {
-	switch w := j.W.(type) {
-	case flusher:
+	if w, ok := j.W.(flusher); ok {
 		return w.Flush()
-	case httpFlusher:
-		w.Flush()
 	}
 	return nil
 }
@@ -181,11 +174,8 @@ func (c *ChromeStream) Event(ev Event) {
 		c.Err = err
 		return
 	}
-	switch w := c.W.(type) {
-	case flusher:
+	if w, ok := c.W.(flusher); ok {
 		c.Err = w.Flush()
-	case httpFlusher:
-		w.Flush()
 	}
 }
 

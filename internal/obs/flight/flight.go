@@ -67,30 +67,11 @@ func (m Mode) String() string {
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
-// ParseMode resolves a mode name as used by CLIs and the lynxd job API.
-// "counters-only" is accepted as an alias for "counters"; the empty
-// string parses as Off.
-func ParseMode(name string) (Mode, error) {
-	switch name {
-	case "", "off":
-		return Off, nil
-	case "full":
-		return Full, nil
-	case "sampled":
-		return Sampled, nil
-	case "counters", "counters-only":
-		return Counters, nil
-	default:
-		return Off, fmt.Errorf("unknown trace mode %q (want off, full, sampled or counters)", name)
-	}
-}
-
 // Config is the flight-recorder request that travels unchanged from a
-// caller to the System that builds the recorder: lynx.Config.Trace,
-// load.Options.Trace, load.SweepOptions.Trace, grid.Spec.Trace,
-// sweep.Run.Trace and every lynxd trace job carry this one pointer,
-// and nil means "no recorder". Mode shapes the recording; Sink and
-// DumpTo say where its output goes.
+// caller to the System that builds the recorder: load.Options.Trace
+// and lynx.Config.Trace carry this one pointer, and nil means "no
+// recorder". Mode shapes the recording; Sink and DumpTo say where its
+// output goes.
 type Config struct {
 	// Mode selects full / sampled / counters recording. Off builds a
 	// recorder that still rings and counts (useful standalone), but the
@@ -271,8 +252,8 @@ func (f *Recorder) Dump(reason string) error {
 }
 
 // dumpHeader is the first line of a ring dump. The "type" field
-// distinguishes dump lines from plain event lines in a mixed JSONL
-// stream (lynxd's /jobs/{id}/trace multiplexes both).
+// distinguishes dump lines from plain event lines when the dump and
+// the event stream share one JSONL writer.
 type dumpHeader struct {
 	Type     string `json:"type"`
 	Reason   string `json:"reason"`
@@ -285,9 +266,8 @@ type dumpHeader struct {
 // dump writes the ring as JSONL to w: one header object
 // ({"type":"dump",...}), then the ringed events oldest-first, one per
 // line. The whole dump is assembled in one buffer and issued as a
-// single Write, so a line-splitting consumer (the lynxd job trace
-// stream) never interleaves another writer's lines into the middle of
-// a dump.
+// single Write, so a writer shared with concurrent replicas never
+// interleaves their lines into the middle of a dump.
 func (f *Recorder) dump(w io.Writer, reason string) error {
 	f.scratch.Reset()
 	hdr, err := json.Marshal(dumpHeader{

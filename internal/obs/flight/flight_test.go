@@ -27,28 +27,6 @@ type collectSink struct{ evs []obs.Event }
 
 func (c *collectSink) Event(ev obs.Event) { c.evs = append(c.evs, ev) }
 
-func TestParseMode(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Mode
-		ok   bool
-	}{
-		{"", Off, true},
-		{"off", Off, true},
-		{"full", Full, true},
-		{"sampled", Sampled, true},
-		{"counters", Counters, true},
-		{"counters-only", Counters, true},
-		{"verbose", Off, false},
-	}
-	for _, c := range cases {
-		got, err := ParseMode(c.in)
-		if (err == nil) != c.ok || got != c.want {
-			t.Errorf("ParseMode(%q) = %v, %v; want %v, ok=%v", c.in, got, err, c.want, c.ok)
-		}
-	}
-}
-
 // The ring keeps exactly the last RingSize events, oldest-first, across
 // wrap.
 func TestRingWrap(t *testing.T) {

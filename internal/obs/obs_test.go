@@ -183,7 +183,7 @@ func TestTextExporterFormat(t *testing.T) {
 }
 
 // flushCounter wraps a buffer and counts Flush calls, standing in for
-// bufio.Writer / an HTTP chunked response.
+// a bufio.Writer.
 type flushCounter struct {
 	bytes.Buffer
 	flushes int

@@ -11,9 +11,8 @@
 // same seed therefore yields a byte-identical trace at any parallelism.
 //
 // Plans have a canonical string grammar (see Parse) so a plan can ride
-// on a grid axis: the canonical string is the axis value, which flows
-// into grid canonicalization, fingerprints, and the lynxd cell cache
-// key unchanged.
+// on a grid axis: the canonical string renders the axis value, which
+// flows into cell keys and table rows unchanged.
 package fault
 
 import (

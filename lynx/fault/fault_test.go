@@ -7,8 +7,9 @@ import (
 
 // TestParseStringRoundTrip: every event type's canonical form survives
 // Parse → String unchanged, and re-parsing the rendered form is a fixed
-// point. The canonical string is a grid axis value and a cell-cache key
-// component, so any drift here silently splits caches.
+// point. The canonical string renders a grid axis value, so it lands
+// in cell keys, sweep keys and table rows, and any drift here changes
+// them.
 func TestParseStringRoundTrip(t *testing.T) {
 	cases := []string{
 		"crash(u1.*,60ms)",

@@ -5,7 +5,7 @@ import "testing"
 // FuzzParse feeds arbitrary strings to Parse and ParseScenario. Neither
 // may panic, and a plan either accepts must render (String) to its
 // canonical form: a string that parses back to the same rendering,
-// since that form is a grid axis value and a cell-cache key. Plain
+// since that form renders a grid axis value and a sweep key. Plain
 // `go test` runs the seeds: every plan and scenario name the other
 // tests use, good and bad.
 func FuzzParse(f *testing.F) {

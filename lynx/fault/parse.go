@@ -277,8 +277,8 @@ func parseGroups(s string) ([][]int, error) {
 }
 
 // scenarios is the named scenario registry: short handles for the
-// covering set of fault plans used by `lynxload -faults`, the bench
-// faults table, and lynxd fault jobs. Every fault type appears at
+// covering set of fault plans used by `lynxload -faults` and the bench
+// faults table. Every fault type appears at
 // least once. Times are tuned for the default overload cell shape
 // (rate 40/s, 250ms window, 20 nodes).
 var scenarios = []struct{ name, plan string }{

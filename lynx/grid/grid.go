@@ -35,9 +35,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync/atomic"
 
-	"repro/internal/obs/flight"
 	"repro/lynx/sweep"
 )
 
@@ -71,31 +69,6 @@ type Spec struct {
 	// from r.Seed and be safe to call concurrently (each call should
 	// build its own lynx.System; see the lynx concurrency contract).
 	Body func(c Cell, r sweep.Run) sweep.Outcome
-
-	// Hook, when non-nil, wraps each cell's execution — the result-cache
-	// injection point. run executes the cell's replicas and returns
-	// its aggregate; the hook may call it, or return a previously cached
-	// aggregate for an identical (cell, seeds, body) instead. Returning
-	// a cached aggregate MUST be equivalent to re-running the cell (same
-	// seeds, same body) or the determinism contract breaks; the returned
-	// aggregate is stored in the Table and must not be mutated after.
-	// Hooks run concurrently when Parallel > 1.
-	Hook func(c Cell, run func() *sweep.Aggregate) *sweep.Aggregate
-
-	// Progress, when non-nil, is called after each completed replica
-	// with the number done so far and the grid total
-	// (cells × replicas). Calls may arrive concurrently from worker
-	// goroutines and slightly out of order; done is monotonic per call
-	// site. Cells satisfied by Hook without running report their whole
-	// replica count at once. Progress must not mutate grid state.
-	Progress func(done, total int)
-
-	// Trace passes through to every replica as sweep.Run.Trace: the
-	// flight-recorder configuration bodies may honor. Recording is
-	// pure observation, so Trace is no part of the grid's identity —
-	// spec canonicalization, fingerprints, and cell caches all exclude
-	// it, exactly like Parallel.
-	Trace *flight.Config
 }
 
 // Cell identifies one point of the cross product: its enumeration
@@ -119,18 +92,6 @@ func (c Cell) Key() string {
 		parts[i] = fmt.Sprintf("%s=%v", a.Name, c.coord[i])
 	}
 	return strings.Join(parts, "/")
-}
-
-// Str returns the named axis value's fmt.Sprint rendering, so a
-// substrate axis reads the same whether it holds a lynx.Substrate or
-// a name from a lynxd request. It panics on an unknown axis name.
-func (c Cell) Str(axis string) string {
-	for i, a := range c.axes {
-		if a.Name == axis {
-			return fmt.Sprint(c.coord[i])
-		}
-	}
-	panic(fmt.Sprintf("grid: cell has no axis %q", axis))
 }
 
 // CellResult pairs a cell with its replica aggregate: per-metric Stats
@@ -190,34 +151,14 @@ func Run(s Spec) *Table {
 	if len(cells) == 1 {
 		cellParallel = parallel
 	}
-	total := len(cells) * replicas
-	var done atomic.Int64
-	runCell := func(i int) *CellResult {
+	sweep.ForEach(len(cells), parallel, func(i int) {
 		c := cells[i]
-		run := func() *sweep.Aggregate {
-			outcomes := make([]sweep.Outcome, replicas)
-			sweep.ForEach(replicas, cellParallel, func(k int) {
-				outcomes[k] = s.Body(c, sweep.Run{Replica: k, Seed: sweep.CellSeed(root, c.Index, k), Trace: s.Trace})
-				if s.Progress != nil {
-					s.Progress(int(done.Add(1)), total)
-				}
-			})
-			return sweep.Fold(outcomes)
-		}
-		var agg *sweep.Aggregate
-		if s.Hook != nil {
-			ran := false
-			agg = s.Hook(c, func() *sweep.Aggregate { ran = true; return run() })
-			if !ran && s.Progress != nil {
-				// Cache hit: the cell's replicas complete all at once.
-				s.Progress(int(done.Add(int64(replicas))), total)
-			}
-		} else {
-			agg = run()
-		}
-		return &CellResult{Cell: c, Agg: agg}
-	}
-	sweep.ForEach(len(cells), parallel, func(i int) { t.Cells[i] = runCell(i) })
+		outcomes := make([]sweep.Outcome, replicas)
+		sweep.ForEach(replicas, cellParallel, func(k int) {
+			outcomes[k] = s.Body(c, sweep.Run{Replica: k, Seed: sweep.CellSeed(root, c.Index, k)})
+		})
+		t.Cells[i] = &CellResult{Cell: c, Agg: sweep.Fold(outcomes)}
+	})
 	for _, cr := range t.Cells {
 		t.byKey[cr.Cell.Key()] = cr
 	}

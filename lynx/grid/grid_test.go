@@ -120,13 +120,12 @@ func TestGridEnumerationAndLookup(t *testing.T) {
 		t.Fatal("bad lookups should return nil")
 	}
 	c := tbl.Cells[1].Cell
-	if MustAs[int](c, "payload") != 256 || c.Str("substrate") != "chrysalis" {
-		t.Fatalf("accessors: payload=%d substrate=%q", MustAs[int](c, "payload"), c.Str("substrate"))
+	if MustAs[int](c, "payload") != 256 || MustAs[lynx.Substrate](c, "substrate") != lynx.Chrysalis {
+		t.Fatalf("accessors: payload=%d substrate=%v", MustAs[int](c, "payload"), MustAs[lynx.Substrate](c, "substrate"))
 	}
 	for name, read := range map[string]func(){
 		"wrong type":   func() { MustAs[string](c, "payload") },
 		"unknown axis": func() { MustAs[int](c, "nodes") },
-		"unknown Str":  func() { c.Str("nodes") },
 	} {
 		func() {
 			defer func() {

@@ -61,8 +61,8 @@ func TestFaultScenarioDeterminism(t *testing.T) {
 }
 
 // TestFaultsSweepParallelByteIdentical: the faulted sweep's JSONL bytes
-// are independent of the worker count — the property the BENCH gate and
-// the lynxd cell cache both stand on.
+// are independent of the worker count — the property the BENCH gate
+// stands on.
 func TestFaultsSweepParallelByteIdentical(t *testing.T) {
 	plans := []*fault.Plan{
 		fault.MustParse("none"),

@@ -33,6 +33,7 @@ package load
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/obs"
@@ -70,7 +71,7 @@ type Options struct {
 	// the workload mix draws, through disjoint stream splits. Default 1.
 	Seed uint64
 	// Rate is the offered load in work-unit arrivals per virtual
-	// second. It must be positive.
+	// second. It must be positive and finite.
 	Rate float64
 	// Window is the arrival-generation window in virtual time:
 	// arrivals are injected on schedule until the first instant past
@@ -85,8 +86,8 @@ type Options struct {
 	// Gens >= 2 the run partitions into one shard per generator and
 	// SimWorkers only sets how many execute concurrently, with
 	// byte-identical tables at every value. Either way it is an
-	// execution hint, not a parameter, and is excluded from sweep cache
-	// keys. 0 = serial.
+	// execution hint, not a parameter, and is excluded from sweep keys.
+	// 0 = serial.
 	SimWorkers int
 	// Gens is the number of independent load-generator processes.
 	// Each generator is its own boot-join component with its own
@@ -112,8 +113,8 @@ type Options struct {
 	// receives the exported event stream, DumpTo receives ring dumps.
 	// Dumps fire on the run's anomaly hooks — a run error or
 	// fault-plan panic, a shape-check failure — and once at end of run.
-	// Recording never changes Result, so Trace is excluded from sweep
-	// keys and cache identity.
+	// Recording never changes Result, so Trace is no part of a sweep's
+	// Key.
 	Trace *flight.Config
 }
 
@@ -154,10 +155,19 @@ type Result struct {
 	Metrics *obs.Metrics
 }
 
+// CheckRate rejects an offered rate that is not a positive finite
+// number of arrivals per virtual second.
+func CheckRate(r float64) error {
+	if !(r > 0) || math.IsInf(r, 1) {
+		return fmt.Errorf("rate must be positive and finite, got %g", r)
+	}
+	return nil
+}
+
 // Run executes one open-loop virtual-time load run.
 func Run(o Options) (*Result, error) {
-	if o.Rate <= 0 {
-		return nil, fmt.Errorf("load: rate must be positive, got %g", o.Rate)
+	if err := CheckRate(o.Rate); err != nil {
+		return nil, fmt.Errorf("load: %w", err)
 	}
 	if o.Window < 0 {
 		return nil, fmt.Errorf("load: negative window %v", o.Window)

@@ -1,6 +1,7 @@
 package load
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -144,7 +145,7 @@ func TestRunAccounting(t *testing.T) {
 
 // Option validation and defaults.
 func TestRunOptionErrors(t *testing.T) {
-	for _, rate := range []float64{0, -3} {
+	for _, rate := range []float64{0, -3, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := Run(Options{Rate: rate}); err == nil {
 			t.Fatalf("rate %g should be rejected", rate)
 		}

@@ -14,9 +14,7 @@ import (
 
 // SweepOptions parameterizes a substrate × offered-rate overload sweep
 // (× fault scenario, when Faults is set): one deterministic open-loop
-// Run per cell. cmd/lynxload's -rates mode and lynxd's "load" jobs both
-// build their grids here, which is what makes a daemon-run sweep
-// byte-identical to the CLI run of the same options.
+// Run per cell. cmd/lynxload's -rates mode builds its grid here.
 type SweepOptions struct {
 	// Substrates lists the kernels under load; at least one.
 	Substrates []lynx.Substrate
@@ -31,18 +29,17 @@ type SweepOptions struct {
 	Seed uint64
 	// Faults optionally crosses the sweep with fault scenarios: each
 	// plan becomes one value of a third "scenario" grid axis (its
-	// canonical string is the axis value, so it flows into cell keys,
-	// fingerprints, and the lynxd cell cache unchanged). Empty means no
-	// scenario axis at all — the sweep enumerates, seeds, and renders
-	// exactly as before, byte for byte.
+	// canonical string renders the axis value, so it flows into cell
+	// keys and Key unchanged). Empty means no scenario axis at all —
+	// the sweep enumerates, seeds, and renders exactly as before, byte
+	// for byte.
 	Faults []*fault.Plan
 	// Parallel is the grid worker count; never changes results.
 	Parallel int
 	// SimWorkers is the in-System parallel worker cap passed to every
 	// cell's run (load.Options.SimWorkers); like Parallel it never
 	// changes results, so it is EXCLUDED from Key() — a sweep at any
-	// SimWorkers must hit the same cache entries and match the same
-	// gates as the serial sweep.
+	// SimWorkers must match the same gates as the serial sweep.
 	SimWorkers int
 	// Gens is the per-cell generator count (load.Options.Gens). Unlike
 	// SimWorkers it is a workload parameter — Gens >= 2 changes every
@@ -60,8 +57,8 @@ func (o SweepOptions) normalized() (SweepOptions, error) {
 		return o, fmt.Errorf("load: sweep needs at least one rate")
 	}
 	for _, r := range o.Rates {
-		if r <= 0 {
-			return o, fmt.Errorf("load: rate must be positive, got %g", r)
+		if err := CheckRate(r); err != nil {
+			return o, fmt.Errorf("load: %w", err)
 		}
 	}
 	if o.Window < 0 {
@@ -90,8 +87,8 @@ func (o SweepOptions) normalized() (SweepOptions, error) {
 	return o, nil
 }
 
-// Key canonicalizes the sweep for job identity and for the header
-// lynxload prints over its table. A sweep without fault scenarios keys
+// Key canonicalizes the sweep for the header lynxload prints over its
+// table. A sweep without fault scenarios keys
 // exactly as it did before the scenario axis existed.
 func (o SweepOptions) Key() string {
 	o, err := o.normalized()
@@ -125,8 +122,6 @@ func (o SweepOptions) Key() string {
 // SweepSpec builds the substrate × rate (× scenario) grid: each cell is
 // one load.Run, seeded by the grid's two-level stream split, so the
 // whole table is a pure function of (options, seed) at any Parallel.
-// A caller sets the spec's Hook, Progress and Trace (cache injection,
-// progress streaming, and the flight recorder each cell's run gets).
 // The scenario axis exists only when Faults is non-empty; without it
 // the grid's enumeration order and per-cell seeds are unchanged from
 // the pre-fault layout.
@@ -157,7 +152,6 @@ func SweepSpec(o SweepOptions) (grid.Spec, error) {
 				Seed:       r.Seed,
 				SimWorkers: o.SimWorkers,
 				Gens:       o.Gens,
-				Trace:      r.Trace,
 			}
 			if cell.Has("scenario") {
 				opts.Faults = grid.MustAs[*fault.Plan](cell, "scenario")
@@ -215,7 +209,7 @@ func Rows(tbl *grid.Table) ([]Row, error) {
 	for i, cr := range tbl.Cells {
 		v := cr.Agg.Values
 		rows[i] = Row{
-			Substrate:  cr.Cell.Str("substrate"),
+			Substrate:  grid.MustAs[lynx.Substrate](cr.Cell, "substrate").String(),
 			Rate:       grid.MustAs[float64](cr.Cell, "rate"),
 			Arrivals:   int(v["arrivals"].Mean),
 			Completed:  int(v["completed"].Mean),
@@ -226,7 +220,7 @@ func Rows(tbl *grid.Table) ([]Row, error) {
 			P99MS:      v["sojourn_p99_ms"].Mean,
 		}
 		if cr.Cell.Has("scenario") {
-			rows[i].Scenario = cr.Cell.Str("scenario")
+			rows[i].Scenario = grid.MustAs[*fault.Plan](cr.Cell, "scenario").String()
 		}
 	}
 	if err := CheckShape(rows); err != nil {

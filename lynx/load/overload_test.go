@@ -1,6 +1,7 @@
 package load
 
 import (
+	"math"
 	"testing"
 
 	"repro/lynx"
@@ -56,7 +57,9 @@ func TestSweepSpecValidates(t *testing.T) {
 	if _, err := SweepSpec(SweepOptions{Substrates: []lynx.Substrate{lynx.SODA}}); err == nil {
 		t.Fatal("want error for empty rate list")
 	}
-	if _, err := SweepSpec(SweepOptions{Substrates: []lynx.Substrate{lynx.SODA}, Rates: []float64{-1}}); err == nil {
-		t.Fatal("want error for negative rate")
+	for _, r := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := SweepSpec(SweepOptions{Substrates: []lynx.Substrate{lynx.SODA}, Rates: []float64{r}}); err == nil {
+			t.Fatalf("want error for rate %g", r)
+		}
 	}
 }

@@ -175,7 +175,7 @@ func (s Substrate) String() string {
 }
 
 // ParseSubstrate is the inverse of Substrate.String: it resolves the
-// lowercase substrate name the CLIs and the lynxd job API use.
+// lowercase substrate name the CLIs use.
 func ParseSubstrate(name string) (Substrate, error) {
 	switch name {
 	case "charlotte":
@@ -229,7 +229,7 @@ type Config struct {
 	// concurrently.
 	// SimWorkers never changes results: same seed ⇒ byte-identical
 	// traces and metrics at every worker count, so it is excluded from
-	// sweep cache keys.
+	// sweep keys.
 	SimWorkers int
 
 	// Trace requests the flight recorder (internal/obs/flight): a
@@ -238,7 +238,7 @@ type Config struct {
 	// Trace.DumpTo. Nil (or mode Off) creates no recorder and leaves
 	// the untraced fast path untouched. Like SimWorkers, recording never
 	// changes simulation results — it only shapes what is recorded — so
-	// it is excluded from sweep cache keys.
+	// it is excluded from sweep keys.
 	Trace *flight.Config
 
 	// Faults is an optional declarative fault plan (crash/restart

@@ -46,7 +46,6 @@ import (
 	"sync"
 
 	"repro/internal/obs"
-	"repro/internal/obs/flight"
 	"repro/internal/sim"
 )
 
@@ -63,12 +62,6 @@ func CellSeed(root uint64, cell, rep int) uint64 {
 type Run struct {
 	Replica int
 	Seed    uint64
-	// Trace, when non-nil, is the flight-recorder configuration the
-	// body passes on as lynx.Config.Trace. Recording never changes
-	// simulation results. When replicas run in parallel, its Sink and
-	// DumpTo receive events from several of them concurrently and must
-	// serialize internally (the lynxd job trace writer does).
-	Trace *flight.Config
 }
 
 // Outcome is one replica's report: named scalar measurements, an

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -198,38 +197,6 @@ func TestSweepCollectsErrors(t *testing.T) {
 	}
 }
 
-// Progress fires once per replica with a monotonic completed count and
-// never perturbs the aggregate (observation only).
-func TestSweepProgress(t *testing.T) {
-	var mu sync.Mutex
-	var seen []int
-	agg := oneCell(grid.Spec{Replicas: 8, Parallel: 4, Progress: func(completed, total int) {
-		if total != 8 {
-			t.Errorf("total = %d, want 8", total)
-		}
-		mu.Lock()
-		seen = append(seen, completed)
-		mu.Unlock()
-	}}, func(r sweep.Run) sweep.Outcome {
-		return sweep.Outcome{Values: map[string]float64{"seed": float64(r.Seed % 1000)}}
-	})
-	if len(seen) != 8 {
-		t.Fatalf("progress called %d times, want 8", len(seen))
-	}
-	sort.Ints(seen)
-	for i, c := range seen {
-		if c != i+1 {
-			t.Fatalf("completed counts = %v, want a permutation of 1..8", seen)
-		}
-	}
-	want := oneCell(grid.Spec{Replicas: 8, Parallel: 1}, func(r sweep.Run) sweep.Outcome {
-		return sweep.Outcome{Values: map[string]float64{"seed": float64(r.Seed % 1000)}}
-	})
-	if agg.Values["seed"] != want.Values["seed"] {
-		t.Fatal("progress callback changed the aggregate")
-	}
-}
-
 // TestForEachCallsEveryIndexOnce covers the worker pool's edges: no
 // work, fewer indexes than workers, and the serial path.
 func TestForEachCallsEveryIndexOnce(t *testing.T) {
@@ -366,8 +333,8 @@ func TestAggregateMetricsReadsMissingKeysAsZero(t *testing.T) {
 	}
 }
 
-// Concurrent first readers share one build and get the same map: the
-// lynxd cell cache hands one *Aggregate to several jobs.
+// Concurrent first readers share one build and get the same map:
+// Metrics is documented as safe for concurrent use.
 func TestAggregateMetricsConcurrentReaders(t *testing.T) {
 	snaps, body := snapshotAside(6, mixedBody)
 	agg := oneCell(grid.Spec{Replicas: 6, Parallel: 2, RootSeed: 9}, body)
